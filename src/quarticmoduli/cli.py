@@ -24,7 +24,7 @@ from .betti import (
     poincare_open_stratum_closure,
     poincare_projective,
 )
-from .degeneration import ChartError, family_limit, load_family
+from .degeneration import family_limit, load_family
 from .field import GF, QQ
 from .matrices import load_matrix, random_matrix
 from .strata import INVALID, NOT_STABLE, classify_res0, classify_res1
@@ -231,6 +231,8 @@ def cmd_sample(args):
     domain = _parse_field(args.field)
     if not hasattr(domain, "p"):
         raise ValueError("sampling needs a prime field; pass --field <prime>")
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     rng = random.Random(_seed_of(args))
     classify = classify_res1 if args.shape == "res1" else classify_res0
     histogram = {}
@@ -306,7 +308,7 @@ def main(argv=None):
         parser.error("verify needs a name or --all")
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError, ChartError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,7 @@ import json
 
 from .gcd import gcd_fold, line_intersection
 from .matrices import (
+    SHAPES,
     AddMultipleOfCol,
     AddMultipleOfRow,
     DegreeError,
@@ -14,13 +15,19 @@ from .matrices import (
     ScaleCol,
     ScaleRow,
     apply_ops,
-    make_matrix,
+    check_json_list,
+    is_stable_kronecker,
     matrix_from_json_dict,
 )
-from .poly import Form, MultiPoly, monomials_of_degree, parse_form
+from .poly import (
+    BinaryForm,
+    Form,
+    MultiPoly,
+    monomials_of_degree,
+    parse_form,
+    solve_linear,
+)
 
-RES0_SRC = (3, 2, 2)
-RES0_TGT = (1, 1, 1)
 DEFORM_SRC = (3, 3, 2, 2, 2)
 DEFORM_TGT = (2, 1, 1, 1)
 
@@ -51,8 +58,6 @@ class BlowupChartPoint:
             raise ChartError(f"coefficient for chart {chart!r} must equal 1")
         if a.determinant():
             raise ChartError("base matrix must have zero determinant")
-        from .matrices import is_stable_kronecker
-
         if not is_stable_kronecker(a.submatrix([1, 2], [0, 1, 2])):
             raise ChartError("base matrix must have a stable linear part")
 
@@ -76,9 +81,9 @@ def _extract_chart_params(a, b):
     domain = a.domain
     x1 = _var(domain, 1)
     x2 = _var(domain, 2)
-    if a.src_degrees != RES0_SRC or a.tgt_degrees != RES0_TGT:
+    if (a.src_degrees, a.tgt_degrees) != SHAPES["res0"]:
         raise ChartError("base matrix must have the res0 shape")
-    if b.src_degrees != RES0_SRC or b.tgt_degrees != RES0_TGT:
+    if (b.src_degrees, b.tgt_degrees) != SHAPES["res0"]:
         raise ChartError("direction matrix must have the res0 shape")
     xbar0 = a[1, 2]
     if a[0, 0] or a[1, 1] or a[2, 2]:
@@ -165,8 +170,7 @@ def make_blowup_chart_point(
     zero1 = Form.zero(domain, 1)
     zero2 = Form.zero(domain, 2)
     a = FormMatrix(
-        RES0_SRC,
-        RES0_TGT,
+        *SHAPES["res0"],
         [
             [zero2, Form(-x2 * w, 2), Form(x1 * w, 2)],
             [Form(-x2, 1), zero1, Form(xbar0, 1)],
@@ -177,8 +181,7 @@ def make_blowup_chart_point(
     q1 = parse_form(q1_text, domain=domain)
     q2 = parse_form(q2_text, domain=domain)
     b = FormMatrix(
-        RES0_SRC,
-        RES0_TGT,
+        *SHAPES["res0"],
         [
             [_as_deg(q0, 2), _as_deg(q1, 2), _as_deg(q2, 2)],
             [zero1, Form(x1 * cc, 1), zero1],
@@ -319,8 +322,7 @@ class DeformationInstance:
             for i, row in enumerate(rows):
                 out.append(
                     [
-                        Form(p, DEFORM_SRC[i] - DEFORM_TGT[j]) if p else
-                        Form.zero(domain, max(DEFORM_SRC[i] - DEFORM_TGT[j], 0))
+                        Form(p, max(DEFORM_SRC[i] - DEFORM_TGT[j], 0))
                         for j, p in enumerate(row)
                     ]
                 )
@@ -429,8 +431,7 @@ class TwistedIdealResolution:
 
     def matrix(self):
         return FormMatrix(
-            (3, 3),
-            (2, 0),
+            *SHAPES["res1"],
             [[self.line, self.g], [self.w, self.h]],
         )
 
@@ -469,7 +470,7 @@ def build_twisted_ideal_resolution(f, l, g):
     rhs = [domain.zero] * nrows
     for e, c in f.poly.terms.items():
         rhs[index[e]] = c
-    solution = _solve_linear_system(matrix, rhs, domain)
+    solution = solve_linear(matrix, rhs, domain)
     if solution is None:
         raise ValueError("quartic is not in the ideal (l, g): Z is not on C")
     h = MultiPoly.zero(domain)
@@ -481,39 +482,9 @@ def build_twisted_ideal_resolution(f, l, g):
     result = TwistedIdealResolution(
         l, g, Form(w, 1), Form(h, 3), semistable=True
     )
-    assert l.poly * result.h.poly - result.w.poly * g.poly == f.poly
+    if l.poly * result.h.poly - result.w.poly * g.poly != f.poly:
+        raise AssertionError("resolution does not satisfy f = l*h - w*g")
     return result
-
-
-def _solve_linear_system(matrix, rhs, domain):
-    """A particular solution of matrix * x = rhs, or None if inconsistent."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][col].inverse()
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
-    x = [domain.zero] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][ncols]
-    return x
 
 
 # ---- flag limits -------------------------------------------------------
@@ -558,15 +529,11 @@ def binary_exact_div(f, g):
             rem[k + j] = rem[k + j] - qk * gj
     if any(rem):
         raise ValueError("not divisible")
-    from .poly import BinaryForm
-
     return BinaryForm(domain, d, q)
 
 
 def root_factor(domain, root):
     """The binary linear form vanishing at the root (s0, t0)."""
-    from .poly import BinaryForm
-
     s0, t0 = (domain.scalar(v) for v in root)
     return BinaryForm(domain, 1, [t0, -s0])
 
@@ -616,11 +583,29 @@ def fitting_support(m):
 
 
 def family_from_json_dict(data, domain):
-    a = matrix_from_json_dict(data["A"], domain)
-    b = matrix_from_json_dict(data["B"], domain)
-    t_values = [domain.parse(t) for t in data.get("t_values", [])]
-    pt = BlowupChartPoint(a, domain.one, b, data["chart"])
-    return pt, t_values
+    """Parse a family description; malformed input raises a ValueError
+    that names its JSON path."""
+    if type(data) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    a, b = (_json_matrix(data, key, domain) for key in ("A", "B"))
+    texts = check_json_list(data.get("t_values", []), "t_values", str)
+    t_values = []
+    for i, text in enumerate(texts):
+        try:
+            t_values.append(domain.parse(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"t_values[{i}]: {exc}") from exc
+    chart = data.get("chart")
+    if type(chart) is not str:
+        raise ValueError(f"chart: expected a string, got {type(chart).__name__}")
+    return BlowupChartPoint(a, domain.one, b, chart), t_values
+
+
+def _json_matrix(data, key, domain):
+    try:
+        return matrix_from_json_dict(data.get(key), domain)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def load_family(path, domain):

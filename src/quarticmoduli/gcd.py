@@ -9,7 +9,14 @@ pencil turns divisibility by a line into a root of a binary form.
 from fractions import Fraction
 
 from .field import QQ, PrimeField, Rationals
-from .poly import BinaryForm, Form, MultiPoly, NVARS
+from .poly import (
+    NVARS,
+    BinaryForm,
+    Form,
+    MultiPoly,
+    coefficient_rows,
+    solve_linear,
+)
 
 # ---- univariate view helpers ------------------------------------------
 # A polynomial viewed as univariate in variable v has coefficients that are
@@ -448,53 +455,17 @@ def _merge_parts(parts, domain):
 
 def _dual_point(l1, l2, domain):
     """A point with l1 = 1 and l2 = 0."""
-    c1 = _line_coeffs(l1, domain)
-    c2 = _line_coeffs(l2, domain)
-    return _solve_two_linear([c1, c2], [domain.one, domain.zero], domain)
-
-
-def _line_coeffs(line, domain):
-    return [
-        line.poly.terms.get(tuple(1 if j == i else 0 for j in range(3)),
-                            domain.zero)
-        for i in range(3)
-    ]
-
-
-def _solve_two_linear(rows, rhs, domain):
-    """Solve a 2x3 system rows * x = rhs with any particular solution."""
-    a = [list(rows[0]) + [rhs[0]], list(rows[1]) + [rhs[1]]]
-    cols = [0, 1, 2]
-    pivots = []
-    r = 0
-    for col in cols:
-        if r >= 2:
-            break
-        piv = next((i for i in range(r, 2) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][col].inverse()
-        a[r] = [v * inv for v in a[r]]
-        for i in range(2):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-    if r < 2:
+    point = solve_linear(
+        coefficient_rows([l1, l2], 1), [domain.one, domain.zero], domain
+    )
+    if point is None:
         raise ValueError("degenerate pencil basis")
-    x = [domain.zero] * 3
-    for i, col in enumerate(pivots):
-        x[col] = a[i][3]
-    return x
+    return point
 
 
 def line_intersection(l1, l2):
     """The projective point Z(l1, l2) of two independent lines."""
-    domain = l1.domain
-    c1 = _line_coeffs(l1, domain)
-    c2 = _line_coeffs(l2, domain)
+    c1, c2 = coefficient_rows([l1, l2], 1)
     point = (
         c1[1] * c2[2] - c1[2] * c2[1],
         c1[2] * c2[0] - c1[0] * c2[2],
@@ -580,7 +551,7 @@ def _linear_factors(form):
         seen = set()
         for s, t in roots:
             point = x0.line_point(s, t)
-            key = _normalize_point(point, domain)
+            key = normalize_point(point)
             if key in seen:
                 continue
             seen.add(key)
@@ -595,7 +566,9 @@ def _linear_factors(form):
     return factors, nonsplit
 
 
-def _normalize_point(point, domain):
+def normalize_point(point):
+    """A hashable key of a projective point: the coordinate values after
+    scaling the last nonzero coordinate to 1."""
     pivot = max(i for i in range(3) if point[i])
     inv = point[pivot].inverse()
     return tuple((c * inv).value for c in point)

@@ -4,6 +4,11 @@ Rows index source summands and columns index target summands, matching the
 displayed convention res1 = [[z1, q1], [z2, q2]] with source degrees (3, 3)
 and target degrees (2, 0).  Entry (i, j) is homogeneous of degree
 src_degrees[i] - tgt_degrees[j]; a negative required degree forces zero.
+
+``det`` and ``mat_mul`` are the package's single determinant and matrix
+product; they work on plain grids of ring elements (polynomials over any
+domain, or binary forms), and FormMatrix wraps them with degree
+bookkeeping.
 """
 
 import json
@@ -109,15 +114,6 @@ class FormMatrix:
             [[self.entries[i][j] for j in cols] for i in rows],
         )
 
-    def transpose(self):
-        # transposing swaps the roles, negating degrees keeps entries valid
-        return FormMatrix(
-            [-d for d in self.tgt_degrees],
-            [-d for d in self.src_degrees],
-            [[self.entries[i][j] for i in range(self.nrows)]
-             for j in range(self.ncols)],
-        )
-
     def determinant(self):
         """Exact determinant, homogeneous of degree sum(src) - sum(tgt).
 
@@ -127,8 +123,7 @@ class FormMatrix:
         if self.nrows != self.ncols:
             raise DegreeError("determinant of a non-square matrix")
         degree = sum(self.src_degrees) - sum(self.tgt_degrees)
-        poly = _det_poly([[e.poly for e in row] for row in self.entries])
-        return Form(poly, degree if degree >= 0 else 0)
+        return Form(det(_polys(self)), degree if degree >= 0 else 0)
 
     def maximal_minors(self):
         """Signed maximal minors.
@@ -138,36 +133,19 @@ class FormMatrix:
         det = sum_j q[j] * minor[j].  For r > c rows are deleted instead,
         with sign (-1)^i.
         """
-        if self.nrows <= self.ncols:
-            n = self.nrows
-            minors = []
-            all_rows = list(range(n))
-            for j in range(self.ncols):
-                cols = [k for k in range(self.ncols) if k != j]
-                if len(cols) != n:
-                    raise DegreeError("need an (n)x(n+1) shape for minors")
-                m = self.submatrix(all_rows, cols).determinant()
-                minors.append(m if j % 2 == 0 else -m)
-            return minors
-        n = self.ncols
+        wide = self.nrows <= self.ncols
+        n, m = (self.nrows, self.ncols) if wide else (self.ncols, self.nrows)
+        if m != n + 1:
+            raise DegreeError("need an (n)x(n+1) shape for minors" if wide
+                              else "need an (n+1)x(n) shape for minors")
+        kept = list(range(n))
         minors = []
-        all_cols = list(range(n))
-        for i in range(self.nrows):
-            rows = [k for k in range(self.nrows) if k != i]
-            if len(rows) != n:
-                raise DegreeError("need an (n+1)x(n) shape for minors")
-            m = self.submatrix(rows, all_cols).determinant()
-            minors.append(m if i % 2 == 0 else -m)
+        for j in range(m):
+            rest = [k for k in range(m) if k != j]
+            rows, cols = (kept, rest) if wide else (rest, kept)
+            minor = self.submatrix(rows, cols).determinant()
+            minors.append(minor if j % 2 == 0 else -minor)
         return minors
-
-    def linear_part(self):
-        """The rows whose entries are all linear (degree-1 target shift)."""
-        rows = [
-            i
-            for i in range(self.nrows)
-            if all(self.src_degrees[i] - d == 1 for d in self.tgt_degrees)
-        ]
-        return self.submatrix(rows, list(range(self.ncols)))
 
     def serialize_entries(self):
         return [[e.serialize() for e in row] for row in self.entries]
@@ -187,47 +165,45 @@ class FormMatrix:
         return f"FormMatrix(src={self.src_degrees}, tgt={self.tgt_degrees},\n{rows})"
 
 
-def _det_poly(grid):
+def _polys(matrix):
+    return [[e.poly for e in row] for row in matrix.entries]
+
+
+def det(grid):
+    """Determinant of a square grid of ring elements.
+
+    Entries are polynomials over any domain (QQ, GF(p) or a parameter ring)
+    or binary forms.  Cofactor expansion along the row or column with the
+    most zero entries; matrix sizes in this package never exceed 5.
+    """
     n = len(grid)
     if n == 1:
         return grid[0][0]
     if n == 2:
         return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
-    # expand along the row or column with the most zero entries
     row_zeros = [sum(1 for e in row if not e) for row in grid]
     col_zeros = [sum(1 for row in grid if not row[j]) for j in range(n)]
     bi, bz = max(enumerate(row_zeros), key=lambda t: t[1])
     bj, cz = max(enumerate(col_zeros), key=lambda t: t[1])
+    if cz > bz:
+        # a column is sparser: expand along it as a row of the transpose
+        grid = [list(col) for col in zip(*grid)]
+        bi = bj
     total = None
-    if bz >= cz:
-        for j, e in enumerate(grid[bi]):
-            if not e:
-                continue
-            sub = [
-                [grid[i][k] for k in range(n) if k != j]
-                for i in range(n)
-                if i != bi
-            ]
-            term = e * _det_poly(sub)
-            if (bi + j) % 2:
-                term = -term
-            total = term if total is None else total + term
-    else:
-        for i in range(n):
-            e = grid[i][bj]
-            if not e:
-                continue
-            sub = [
-                [grid[k][m] for m in range(n) if m != bj]
-                for k in range(n)
-                if k != i
-            ]
-            term = e * _det_poly(sub)
-            if (i + bj) % 2:
-                term = -term
-            total = term if total is None else total + term
+    for j, e in enumerate(grid[bi]):
+        if not e:
+            continue
+        sub = [
+            [grid[i][k] for k in range(n) if k != j]
+            for i in range(n)
+            if i != bi
+        ]
+        term = e * det(sub)
+        if (bi + j) % 2:
+            term = -term
+        total = term if total is None else total + term
     if total is None:
-        return MultiPoly.zero(grid[0][0].domain)
+        return grid[0][0] * 0
     return total
 
 
@@ -252,9 +228,35 @@ def make_matrix(src_degrees, tgt_degrees, entry_texts, domain=QQ):
 
 
 def matrix_from_json_dict(data, domain=QQ):
-    return make_matrix(
-        data["src_degrees"], data["tgt_degrees"], data["entries"], domain
-    )
+    """Parse a matrix description; malformed input raises a ValueError
+    that names its JSON path."""
+    if type(data) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    src = check_json_list(data.get("src_degrees"), "src_degrees", int)
+    tgt = check_json_list(data.get("tgt_degrees"), "tgt_degrees", int)
+    entries = check_json_list(data.get("entries"), "entries", list, len(src))
+    for i, row in enumerate(entries):
+        check_json_list(row, f"entries[{i}]", str, len(tgt))
+    return make_matrix(src, tgt, entries, domain)
+
+
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list"}
+
+
+def check_json_list(value, path, item_type, length=None):
+    """value, if it is a JSON list (of the given length) of item_type
+    items; otherwise a ValueError naming the JSON path."""
+    if type(value) is not list:
+        raise ValueError(f"{path}: expected a list, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise ValueError(f"{path}: expected {length} items, got {len(value)}")
+    for i, item in enumerate(value):
+        if type(item) is not item_type:
+            raise ValueError(
+                f"{path}[{i}]: expected {_JSON_KINDS[item_type]}, "
+                f"got {type(item).__name__}"
+            )
+    return value
 
 
 def load_matrix(path, domain=QQ):
@@ -310,18 +312,27 @@ def act(g, a, h):
 
 
 def _multiply(a, b):
-    domain = a.domain
-    entries = []
-    for i in range(a.nrows):
-        row = []
-        for j in range(b.ncols):
-            total = MultiPoly.zero(domain)
-            for k in range(a.ncols):
-                total = total + a[i, k].poly * b[k, j].poly
-            need = a.src_degrees[i] - b.tgt_degrees[j]
-            row.append(Form(total, max(need, 0)))
-        entries.append(row)
+    product = mat_mul(_polys(a), _polys(b))
+    entries = [
+        [Form(p, max(a.src_degrees[i] - b.tgt_degrees[j], 0))
+         for j, p in enumerate(row)]
+        for i, row in enumerate(product)
+    ]
     return FormMatrix(a.src_degrees, b.tgt_degrees, entries)
+
+
+def mat_mul(a, b):
+    """Product of two grids of ring elements."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            total = row[0] * b[0][j]
+            for k in range(1, len(b)):
+                total = total + row[k] * b[k][j]
+            out_row.append(total)
+        out.append(out_row)
+    return out
 
 
 def identity_automorphism(degrees, domain=QQ):
@@ -360,22 +371,6 @@ class SwapRows(ElementaryOp):
             raise DegreeError("can only swap rows of equal source degree")
         rows = [list(r) for r in m.entries]
         rows[self.i], rows[self.j] = rows[self.j], rows[self.i]
-        return FormMatrix(m.src_degrees, m.tgt_degrees, rows)
-
-    def determinant_scale(self, domain):
-        return -domain.one
-
-
-class SwapCols(ElementaryOp):
-    def __init__(self, i, j):
-        self.i, self.j = i, j
-
-    def apply(self, m):
-        if m.tgt_degrees[self.i] != m.tgt_degrees[self.j]:
-            raise DegreeError("can only swap columns of equal target degree")
-        rows = [list(r) for r in m.entries]
-        for row in rows:
-            row[self.i], row[self.j] = row[self.j], row[self.i]
         return FormMatrix(m.src_degrees, m.tgt_degrees, rows)
 
     def determinant_scale(self, domain):

@@ -3,6 +3,11 @@
 Terms are stored as a dict from exponent triples to nonzero coefficients.
 The canonical term order is graded lexicographic with x0 > x1 > x2; the
 canonical text serialization follows that order.
+
+This module is also the single home of exact linear algebra over a field:
+``row_reduce`` (Gauss-Jordan elimination, giving rank and pivots) and
+``solve_linear`` (a particular solution of a linear system) serve every
+rank, kernel and solve in the package.
 """
 
 from .field import QQ, FieldMismatchError
@@ -157,9 +162,6 @@ class MultiPoly:
             total = total + term
         return total
 
-    def map_coefficients(self, fn, new_domain):
-        return MultiPoly(new_domain, {e: fn(c) for e, c in self.terms.items()})
-
     # ---- exact division ------------------------------------------------
 
     def exact_div(self, divisor):
@@ -193,31 +195,10 @@ class MultiPoly:
 
     def serialize(self):
         """Canonical text: graded-lex descending, explicit '*' and '^'."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
-            factors = [
-                f"{VARIABLES[i]}^{k}" if k > 1 else VARIABLES[i]
-                for i, k in enumerate(e)
-                if k
-            ]
-            text = c.as_text() if hasattr(c, "as_text") else str(c)
-            negative = text.startswith("-")
-            if negative:
-                text = text[1:]
-            if factors and text == "1":
-                body = "*".join(factors)
-            elif factors:
-                body = text + "*" + "*".join(factors)
-            else:
-                body = text
-            if not parts:
-                parts.append(("-" if negative else "") + body)
-            else:
-                parts.append(("- " if negative else "+ ") + body)
-        return " ".join(parts)
+        return _serialize_terms(
+            (self.terms[e], zip(VARIABLES, e))
+            for e in sorted(self.terms, key=_grlex_key, reverse=True)
+        )
 
     def __repr__(self):
         return self.serialize()
@@ -316,11 +297,7 @@ class Form:
         if not line:
             raise ValueError("line must be nonzero")
         domain = self.domain
-        coeffs = [
-            line.poly.terms.get(tuple(1 if j == i else 0 for j in range(3)),
-                                domain.zero)
-            for i in range(3)
-        ]
+        coeffs = coefficient_rows([line], 1)[0]
         pivot = max(i for i in range(3) if coeffs[i])
         params = [i for i in range(3) if i != pivot]
         # variable i maps to the binary linear form subs[i] = (s-coeff, t-coeff)
@@ -351,11 +328,7 @@ class Form:
         if self.degree != 1 or not self:
             raise ValueError("need a nonzero degree-1 form")
         domain = self.domain
-        coeffs = [
-            self.poly.terms.get(tuple(1 if j == i else 0 for j in range(3)),
-                                domain.zero)
-            for i in range(3)
-        ]
+        coeffs = coefficient_rows([self], 1)[0]
         pivot = max(i for i in range(3) if coeffs[i])
         params = [i for i in range(3) if i != pivot]
         s = domain.scalar(s)
@@ -455,36 +428,40 @@ class BinaryForm:
         return total
 
     def serialize(self):
-        if not self:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coefficients):
-            if not c:
-                continue
-            factors = []
-            ks, kt = self.degree - i, i
-            if ks:
-                factors.append(f"s^{ks}" if ks > 1 else "s")
-            if kt:
-                factors.append(f"t^{kt}" if kt > 1 else "t")
-            text = c.as_text() if hasattr(c, "as_text") else str(c)
-            negative = text.startswith("-")
-            if negative:
-                text = text[1:]
-            if factors and text == "1":
-                body = "*".join(factors)
-            elif factors:
-                body = text + "*" + "*".join(factors)
-            else:
-                body = text
-            if not parts:
-                parts.append(("-" if negative else "") + body)
-            else:
-                parts.append(("- " if negative else "+ ") + body)
-        return " ".join(parts)
+        return _serialize_terms(
+            (c, (("s", self.degree - i), ("t", i)))
+            for i, c in enumerate(self.coefficients)
+            if c
+        )
 
     def __repr__(self):
         return self.serialize()
+
+
+def _serialize_terms(terms):
+    """Text of a sum of (coefficient, [(variable, exponent)]) terms, in order.
+
+    Unit coefficients are dropped before a monomial, a leading minus sign
+    becomes the joining operator, and an empty sum prints as "0".
+    """
+    parts = []
+    for c, powers in terms:
+        factors = [f"{v}^{k}" if k > 1 else v for v, k in powers if k]
+        text = c.as_text() if hasattr(c, "as_text") else str(c)
+        negative = text.startswith("-")
+        if negative:
+            text = text[1:]
+        if factors and text == "1":
+            body = "*".join(factors)
+        elif factors:
+            body = text + "*" + "*".join(factors)
+        else:
+            body = text
+        if not parts:
+            parts.append(("-" if negative else "") + body)
+        else:
+            parts.append(("- " if negative else "+ ") + body)
+    return " ".join(parts) if parts else "0"
 
 
 # ---- parsing ----------------------------------------------------------
@@ -620,14 +597,6 @@ def parse_form(text, expected_degree=None, domain=QQ):
     return Form(poly, degree)
 
 
-def evaluate(form, point):
-    return form.evaluate(point)
-
-
-def restrict_to_line(form, line):
-    return form.restrict_to_line(line)
-
-
 def monomials_of_degree(d):
     """Exponent triples of total degree d, in descending graded-lex order."""
     out = []
@@ -638,7 +607,11 @@ def monomials_of_degree(d):
 
 
 def coefficient_rows(forms, degree):
-    """Coefficient vectors of the given forms over the degree-d monomials."""
+    """Coefficient vectors of the given forms over the degree-d monomials.
+
+    For degree 1 the vector of a linear form is its (x0, x1, x2)
+    coefficients.
+    """
     monos = monomials_of_degree(degree)
     rows = []
     for f in forms:
@@ -649,27 +622,48 @@ def coefficient_rows(forms, degree):
     return rows
 
 
-def scalar_matrix_rank(rows):
-    """Rank of a matrix of field scalars by exact Gaussian elimination."""
+def row_reduce(rows):
+    """Reduced row echelon form of a matrix of field scalars.
+
+    Exact Gauss-Jordan elimination, column by column, taking as pivot the
+    first nonzero entry at or below the current row.  Returns the reduced
+    rows (a new list) and the pivot columns; the rank is len(pivots).
+    """
     rows = [list(r) for r in rows]
-    rank = 0
     ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
-            col += 1
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [v * inv for v in rows[rank]]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [v * inv for v in rows[r]]
         for i in range(len(rows)):
-            if i != rank and rows[i][col]:
+            if i != r and rows[i][col]:
                 factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def solve_linear(matrix, rhs, domain):
+    """A solution x of matrix * x = rhs, or None when there is none.
+
+    Free variables are set to zero.  A pivot in the augmented column of the
+    reduced system means the system is inconsistent.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    rows, pivots = row_reduce([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [domain.zero] * ncols
+    for row, col in zip(rows, pivots):
+        x[col] = row[ncols]
+    return x
 
 
 def linear_rank(forms, common_degree):
@@ -677,4 +671,4 @@ def linear_rank(forms, common_degree):
     forms = list(forms)
     if not forms:
         return 0
-    return scalar_matrix_rank(coefficient_rows(forms, common_degree))
+    return len(row_reduce(coefficient_rows(forms, common_degree))[1])

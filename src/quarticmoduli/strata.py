@@ -12,9 +12,17 @@ from .gcd import (
     common_linear_factor,
     line_intersection,
     lines_dividing_all,
+    normalize_point,
 )
-from .matrices import DegreeError, FormMatrix, is_stable_kronecker
-from .poly import BinaryForm, Form, MultiPoly, linear_rank, scalar_matrix_rank
+from .matrices import SHAPES, FormMatrix, det, is_stable_kronecker
+from .poly import (
+    BinaryForm,
+    Form,
+    MultiPoly,
+    coefficient_rows,
+    linear_rank,
+    row_reduce,
+)
 
 M00 = "M00"
 M01 = "M01"
@@ -66,12 +74,6 @@ class StratumReport:
         return f"StratumReport({self.label})"
 
 
-RES0_SRC = (3, 2, 2)
-RES0_TGT = (1, 1, 1)
-RES1_SRC = (3, 3)
-RES1_TGT = (2, 0)
-
-
 def classify_res0(a):
     """Classify a (3,2,2) -> (1,1,1) presentation matrix.
 
@@ -79,8 +81,8 @@ def classify_res0(a):
     BoundaryBprime when the determinant vanishes; M01 when the minors share
     a linear factor; M00 otherwise.
     """
-    if not isinstance(a, FormMatrix) or a.src_degrees != RES0_SRC \
-            or a.tgt_degrees != RES0_TGT:
+    if not isinstance(a, FormMatrix) \
+            or (a.src_degrees, a.tgt_degrees) != SHAPES["res0"]:
         return StratumReport(INVALID, diagnostics="expected shape res0")
     k = a.submatrix([1, 2], [0, 1, 2])
     if not is_stable_kronecker(k):
@@ -178,8 +180,8 @@ def classify_res1(a):
     The first column holds the two linear forms cutting out the point, the
     second column the two cubics; the determinant is the quartic.
     """
-    if not isinstance(a, FormMatrix) or a.src_degrees != RES1_SRC \
-            or a.tgt_degrees != RES1_TGT:
+    if not isinstance(a, FormMatrix) \
+            or (a.src_degrees, a.tgt_degrees) != SHAPES["res1"]:
         return StratumReport(INVALID, diagnostics="expected shape res1")
     z1, z2 = a[0, 0], a[1, 0]
     if linear_rank([z1, z2], 1) < 2:
@@ -251,7 +253,7 @@ def extract_Z_points(report):
         raise ValueError("Z extraction needs an M00 report")
     k = report.kronecker
     domain = k.domain
-    rows = [_linear_coeff_rows(k.row(0), domain), _linear_coeff_rows(k.row(1), domain)]
+    rows = [coefficient_rows(k.row(0), 1), coefficient_rows(k.row(1), 1)]
     # det(u*Z + v*W) as a binary cubic via BinaryForm-entry expansion
     entries = [
         [
@@ -260,7 +262,7 @@ def extract_Z_points(report):
         ]
         for i in range(3)
     ]
-    cubic = _binary_det3(entries, domain)
+    cubic = det(entries)
     if not cubic:
         raise ValueError("pencil determinant vanishes identically")
     roots, nonsplit = binary_roots(cubic)
@@ -272,7 +274,7 @@ def extract_Z_points(report):
             for i in range(3)
         ]
         p = _null_vector(m, domain)
-        key = _proj_key(p)
+        key = normalize_point(p)
         if key not in points:
             points[key] = [p, 0]
             order.append(key)
@@ -283,75 +285,26 @@ def extract_Z_points(report):
     return ZPoints(found, nonsplit, report.scheme_ideal)
 
 
-def _linear_coeff_rows(row, domain):
-    out = []
-    for entry in row:
-        out.append(
-            [
-                entry.poly.terms.get(
-                    tuple(1 if j == i else 0 for j in range(3)), domain.zero
-                )
-                for i in range(3)
-            ]
-        )
-    return out
-
-
-def _binary_det3(entries, domain):
-    def bf(i, j):
-        return entries[i][j]
-
-    total = BinaryForm.zero(domain, 3)
-    for j0, j1, j2, sign in (
-        (0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-        (2, 1, 0, -1), (1, 0, 2, -1), (0, 2, 1, -1),
-    ):
-        term = bf(0, j0) * bf(1, j1) * bf(2, j2)
-        total = total + (term if sign > 0 else -term)
-    return total
-
-
 def _null_vector(m, domain):
     """A nonzero right kernel vector of a rank-2 3x3 scalar matrix."""
-    rows = [list(r) for r in m]
-    pivots = {}
-    r = 0
-    for col in range(3):
-        piv = next((i for i in range(r, 3) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(3):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots[col] = r
-        r += 1
-    if r == 3:
+    rows, pivots = row_reduce(m)
+    if len(pivots) == 3:
         raise ValueError("matrix has trivial kernel")
-    if r < 2:
+    if len(pivots) < 2:
         raise AssertionError("kernel of dimension > 1: scheme not reduced at a point")
     free = next(c for c in range(3) if c not in pivots)
     vec = [domain.zero] * 3
     vec[free] = domain.one
-    for col, row_i in pivots.items():
-        vec[col] = -rows[row_i][free]
+    for row, col in zip(rows, pivots):
+        vec[col] = -row[free]
     return tuple(vec)
-
-
-def _proj_key(p):
-    pivot = max(i for i in range(3) if p[i])
-    inv = p[pivot].inverse()
-    return tuple((c * inv).value for c in p)
 
 
 def _check_not_collinear(found, domain):
     distinct = [p for p, _ in found]
     if len(distinct) == 3:
-        rank = scalar_matrix_rank([list(p) for p in distinct])
-        if rank < 3:
+        _, pivots = row_reduce(distinct)
+        if len(pivots) < 3:
             raise AssertionError(
                 "scheme points are collinear: stability contract violated"
             )

@@ -8,17 +8,23 @@ contains inverse scalars.
 
 import random
 
-from .betti import (
-    PoincarePoly,
-    is_palindromic,
-    poincare_M,
-    MODULI_COEFFICIENTS,
+from .betti import PoincarePoly, is_palindromic, poincare_M
+from .degeneration import (
+    DeformationInstance,
+    deformation_reduction_trace,
+    tangent_quartic,
 )
-from .degeneration import DeformationInstance, deformation_reduction_trace
 from .field import GF, QQ, ParamRing
 from .gcd import common_linear_factor
-from .matrices import FormMatrix, random_form, random_matrix
-from .poly import Form, MultiPoly, parse_poly
+from .matrices import (
+    SHAPES,
+    FormMatrix,
+    det,
+    mat_mul,
+    random_form,
+    random_matrix,
+)
+from .poly import Form, MultiPoly, monomials_of_degree
 
 PASS = "pass"
 PASS_WITH_NOTE = "pass-with-note"
@@ -62,32 +68,6 @@ class IdentityReport:
 
     def __repr__(self):
         return f"IdentityReport({self.name}, {self.status})"
-
-
-def _mat3(domain, entry_texts):
-    return [[parse_poly(e, domain=domain) for e in row] for row in entry_texts]
-
-
-def _mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            total = a[i][0] * b[0][j]
-            for s in range(1, k):
-                total = total + a[i][s] * b[s][j]
-            row.append(total)
-        out.append(row)
-    return out
-
-
-def _mat_det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
 
 
 def _scaled(m, c):
@@ -144,11 +124,11 @@ def verify_transition(alpha):
     a1, g, h = _transition_matrices(domain, alpha)
     a0 = _a0_matrix(domain, alpha.inverse())
     asq = alpha * alpha
-    lhs = _mat_mul(_mat_mul(g, a1), _scaled(h, asq))
+    lhs = mat_mul(mat_mul(g, a1), _scaled(h, asq))
     rhs = _scaled(a0, asq)
     ok = lhs == rhs
-    det_g = _mat_det3(g)
-    det_h = _mat_det3(h)
+    det_g = det(g)
+    det_h = det(h)
     minus_one = MultiPoly.constant(domain, -1)
     ok = ok and det_g == minus_one * alpha ** 4
     ok = ok and det_h * alpha ** 3 == minus_one
@@ -182,8 +162,8 @@ def verify_cocycle(seed):
         for i in range(3)
     ]
     x = [[a1[i][j] + b1[i][j] for j in range(3)] for i in range(3)]
-    lhs = _mat_det3(_mat_mul(_mat_mul(g, x), h))
-    rhs = _mat_det3(x) * alpha
+    lhs = det(mat_mul(mat_mul(g, x), h))
+    rhs = det(x) * alpha
     ok = lhs == rhs
     return IdentityReport(
         "cocycle",
@@ -258,7 +238,6 @@ def verify_chart_minors(seed=0, samples=200):
     al, be, pa, pb, pc, pd = (ring.variable(n) for n in ring.names)
     x0, x1, x2 = _vars(ring)
     xb = x0 + x1 * al + x2 * be
-    zero1 = Form.zero(ring, 1)
     k = FormMatrix(
         (2, 2),
         (1, 1, 1),
@@ -343,10 +322,8 @@ def verify_chart_minors(seed=0, samples=200):
 
 def _specialize(poly, values, base):
     """Evaluate the parameter coefficients of a ParamRing polynomial."""
-    out = MultiPoly.zero(base)
-    for e, c in poly.terms.items():
-        out = out + MultiPoly.monomial(base, e, c.substitute(values))
-    return out
+    return MultiPoly(base, {e: c.substitute(values)
+                            for e, c in poly.terms.items()})
 
 
 def verify_fibre_determinant(seed):
@@ -366,13 +343,13 @@ def verify_fibre_determinant(seed):
         [-x2, zero, x0],
         [x1, -x0, zero],
     ]
-    det = _mat_det3(m)
+    computed = det(m)
     expected = x0 * (x0 * q0 + x1 * q1 + x2 * q2)
-    ok = det == expected
+    ok = computed == expected
     return IdentityReport(
         "fibre-determinant",
         PASS if ok else FAIL,
-        computed={"det": det.serialize()},
+        computed={"det": computed.serialize()},
         expected={"x0*(x0*q0 + x1*q1 + x2*q2)": expected.serialize()},
         anchor="determinant of the w-shifted fibre matrix "
         "[[q0, q1 - x2*w, q2 + x1*w], [-x2, 0, x0], [x1, -x0, 0]]",
@@ -382,15 +359,11 @@ def verify_fibre_determinant(seed):
 
 def _random_form_in(domain, rng, variables, degree):
     """A random form of the given degree in a subset of the variables."""
-    from .poly import monomials_of_degree
-
-    out = MultiPoly.zero(domain)
-    for e in monomials_of_degree(degree):
-        if any(e[i] for i in range(3) if i not in variables):
-            continue
-        c = domain.scalar(rng.randrange(domain.p))
-        out = out + MultiPoly.monomial(domain, e, c)
-    return out
+    return MultiPoly(domain, {
+        e: domain.scalar(rng.randrange(domain.p))
+        for e in monomials_of_degree(degree)
+        if not any(e[i] for i in range(3) if i not in variables)
+    })
 
 
 def verify_tangent_quartic(seed, domain=None):
@@ -404,9 +377,6 @@ def verify_tangent_quartic(seed, domain=None):
     """
     domain = domain or GF(101)
     rng = random.Random(seed)
-    from .degeneration import tangent_quartic
-    from .matrices import random_matrix
-
     x0, x1, x2 = _vars(domain)
     if domain.is_field and hasattr(domain, "p"):
         pick = lambda: domain.scalar(rng.randrange(domain.p))
@@ -419,8 +389,7 @@ def verify_tangent_quartic(seed, domain=None):
     zero1 = Form.zero(domain, 1)
     zero2 = Form.zero(domain, 2)
     a = FormMatrix(
-        (3, 2, 2),
-        (1, 1, 1),
+        *SHAPES["res0"],
         [
             [zero2, Form(-x2 * w, 2), Form(x1 * w, 2)],
             [Form(-x2, 1), zero1, Form(x0, 1)],
@@ -438,8 +407,7 @@ def verify_tangent_quartic(seed, domain=None):
         [lifted_a[i][j] + lifted_b[i][j] * t for j in range(3)]
         for i in range(3)
     ]
-    det = _mat_det3(total)
-    t_linear = _coefficient_of(det, ring, "t", 1, domain)
+    t_linear = _coefficient_of(det(total), ring, "t", 1, domain)
     closed = x0 * (
         x0 * b[0, 0].poly + x1 * b[0, 1].poly + x2 * b[0, 2].poly
     ) - w * (
@@ -469,29 +437,22 @@ def verify_tangent_quartic(seed, domain=None):
 def _random_res0(domain, rng):
     if hasattr(domain, "p"):
         return random_matrix("res0", domain, rng=rng)
-    rows = []
-    src, tgt = (3, 2, 2), (1, 1, 1)
-    from .poly import monomials_of_degree
-
-    for i in range(3):
-        row = []
-        for j in range(3):
-            d = src[i] - tgt[j]
-            poly = MultiPoly.zero(domain)
-            for e in monomials_of_degree(d):
-                poly = poly + MultiPoly.monomial(
-                    domain, e, domain.scalar(rng.randrange(-9, 10))
-                )
-            row.append(Form(poly, d))
-        rows.append(row)
+    src, tgt = SHAPES["res0"]
+    rows = [
+        [
+            Form(MultiPoly(domain, {
+                e: domain.scalar(rng.randrange(-9, 10))
+                for e in monomials_of_degree(s - t)
+            }), s - t)
+            for t in tgt
+        ]
+        for s in src
+    ]
     return FormMatrix(src, tgt, rows)
 
 
 def _lift(poly, ring):
-    out = MultiPoly.zero(ring)
-    for e, c in poly.terms.items():
-        out = out + MultiPoly.monomial(ring, e, ring.scalar(c))
-    return out
+    return MultiPoly(ring, {e: ring.scalar(c) for e, c in poly.terms.items()})
 
 
 def _coefficient_of(poly, ring, name, power, base):

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -75,7 +76,7 @@ def test_classify_missing_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def family_file(tmp_path):
+def family_data():
     pt = make_blowup_chart_point(
         domain=QQ,
         alpha=F(0),
@@ -89,8 +90,11 @@ def family_file(tmp_path):
         chart="a",
         t=F(1),
     )
-    data = pt.to_json_dict(t_values=[F(1), F(1, 2), F(0)])
-    return write_json(tmp_path / "family.json", data)
+    return pt.to_json_dict(t_values=[F(1), F(1, 2), F(0)])
+
+
+def family_file(tmp_path):
+    return write_json(tmp_path / "family.json", family_data())
 
 
 def test_limit_traces_family(tmp_path, capsys):
@@ -209,3 +213,88 @@ def test_sample_seed_from_environment(capsys, monkeypatch):
               "--count", "30", "--json"])
     via_flag = json.loads(capsys.readouterr().out)
     assert via_env == via_flag
+
+
+# ---- malformed input ----------------------------------------------------
+
+FILE = "<input file>"
+RES1 = {"src_degrees": [3, 3], "tgt_degrees": [2, 0],
+        "entries": [["x0", "x1^3"], ["x1", "x2^3"]]}
+
+
+def res1(**changes):
+    return dict(RES1, **changes)
+
+
+def family(path, value):
+    """The family description with the item at path replaced."""
+    data = family_data()
+    owner = data
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return data
+
+
+MALFORMED = {
+    "top-level list": (["classify", FILE], [1, 2],
+                       "expected a JSON object, got list"),
+    "top-level null": (["classify", FILE], None,
+                       "expected a JSON object, got NoneType"),
+    "entries number": (["classify", FILE], res1(entries=5),
+                       "entries: expected a list, got int"),
+    "integer entry": (["classify", FILE],
+                      res1(entries=[[1, "x1^3"], ["x1", "x2^3"]]),
+                      "entries[0][0]: expected a string, got int"),
+    "row not a list": (["classify", FILE], res1(entries=["x0", "x1"]),
+                       "entries[0]: expected a list, got str"),
+    "short row": (["classify", FILE], res1(entries=[["x0"], ["x1", "x2^3"]]),
+                  "entries[0]: expected 2 items, got 1"),
+    "extra row": (["classify", FILE],
+                  res1(entries=[["x0", "x1^3"], ["x1", "x2^3"], ["x2", "0"]]),
+                  "entries: expected 2 items, got 3"),
+    "missing degrees": (["classify", FILE], res1(src_degrees=None),
+                        "src_degrees: expected a list, got NoneType"),
+    "text degree": (["classify", FILE], res1(tgt_degrees=[2, "0"]),
+                    "tgt_degrees[1]: expected an integer, got str"),
+    "boolean degree": (["classify", FILE], res1(src_degrees=[3, True]),
+                       "src_degrees[1]: expected an integer, got bool"),
+    "wrong entry degree": (["classify", FILE],
+                           res1(entries=[["x0^2", "x1^3"], ["x1", "x2^3"]]),
+                           "entry (0,0) must have degree 1"),
+    "family list": (["limit", FILE], [], "expected a JSON object, got list"),
+    "family integer entry": (["limit", FILE],
+                             family(["A", "entries", 0, 0], 0),
+                             "A: entries[0][0]: expected a string, got int"),
+    "family missing B": (["limit", FILE], family(["B"], None),
+                         "B: expected a JSON object, got NoneType"),
+    "family integer t": (["limit", FILE], family(["t_values"], [1]),
+                         "t_values[0]: expected a string, got int"),
+    "family zero denominator": (["limit", FILE], family(["t_values"], ["1/0"]),
+                                "t_values[0]:"),
+    "family integer chart": (["limit", FILE], family(["chart"], 5),
+                             "chart: expected a string"),
+    "negative count": (["sample", "res0", "--field", "101", "--count", "-5"],
+                       None, "--count must be at least 1"),
+    "zero count": (["sample", "res1", "--field", "101", "--count", "0"],
+                   None, "--count must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_exits_one_with_one_error_line(tmp_path, capsys,
+                                                       case):
+    args, payload, message = MALFORMED[case]
+    if FILE in args:
+        path = write_json(tmp_path / "input.json", payload)
+        args = [path if a == FILE else a for a in args]
+    start = time.monotonic()
+    code = cli.main(args)
+    elapsed = time.monotonic() - start
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 1
+    assert elapsed < 1
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert message in lines[0]

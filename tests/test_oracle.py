@@ -1,0 +1,147 @@
+"""The shared exact-algebra cores against sympy as an independent oracle.
+
+``matrices.det`` is compared with sympy's determinant over a polynomial
+ring, and ``poly.row_reduce`` / ``poly.solve_linear`` with sympy's reduced
+row echelon form, over GF(101) and QQ on inputs drawn by hypothesis.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from quarticmoduli.field import GF, QQ  # noqa: E402
+from quarticmoduli.matrices import det  # noqa: E402
+from quarticmoduli.poly import (  # noqa: E402
+    MultiPoly,
+    monomials_of_degree,
+    row_reduce,
+    solve_linear,
+)
+
+P = 101
+DOMAINS = [GF(P), QQ]
+SETTINGS = settings(max_examples=25, deadline=None, database=None,
+                    derandomize=True)
+
+
+def sympy_field(domain):
+    return sympy.QQ if domain == QQ else sympy.GF(P)
+
+
+def to_sympy(field, value):
+    if field == sympy.QQ:
+        value = Fraction(value)
+        return field(value.numerator, value.denominator)
+    return field(int(value))
+
+
+def from_sympy(field, value):
+    if field == sympy.QQ:
+        return Fraction(int(value.numerator), int(value.denominator))
+    return int(value) % P
+
+
+def raw_values(domain):
+    """Coefficients drawn for a domain, with zero made common."""
+    if domain == QQ:
+        nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    else:
+        nonzero = st.integers(0, P - 1)
+    return st.one_of(st.just(0), nonzero)
+
+
+@st.composite
+def form_grids(draw, domain):
+    """An n x n grid (n <= 4) of forms of degree at most 2."""
+    n = draw(st.integers(1, 4))
+    values = raw_values(domain)
+
+    def form():
+        degree = draw(st.integers(0, 2))
+        return MultiPoly(domain, {
+            m: domain.scalar(draw(values)) for m in monomials_of_degree(degree)
+        })
+
+    return [[form() for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def low_rank_matrices(draw, domain):
+    """An m x n matrix (m, n <= 5) of rank at most r, as A (m x r) * B."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    r = draw(st.integers(1, min(m, n)))
+    values = raw_values(domain)
+    a = [[draw(values) for _ in range(r)] for _ in range(m)]
+    b = [[draw(values) for _ in range(n)] for _ in range(r)]
+    return [[domain.scalar(sum(a[i][k] * b[k][j] for k in range(r)))
+             for j in range(n)] for i in range(m)]
+
+
+def sympy_det(grid, domain):
+    field = sympy_field(domain)
+    ring = field["x0", "x1", "x2"]
+    n = len(grid)
+    rows = [[ring.ring.from_dict({e: to_sympy(field, c.value)
+                                  for e, c in entry.terms.items()})
+             for entry in row] for row in grid]
+    value = DomainMatrix(rows, (n, n), ring).det()
+    return {e: from_sympy(field, c) for e, c in value.items()}
+
+
+def sympy_rref(rows, domain):
+    field = sympy_field(domain)
+    shape = (len(rows), len(rows[0]))
+    matrix = DomainMatrix([[to_sympy(field, c.value) for c in row]
+                           for row in rows], shape, field)
+    reduced, pivots = matrix.rref()
+    return [[from_sympy(field, c) for c in row]
+            for row in reduced.to_list()], list(pivots)
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_det_matches_sympy(domain, data):
+    grid = data.draw(form_grids(domain))
+    ours = {e: c.value for e, c in det(grid).terms.items()}
+    assert ours == sympy_det(grid, domain)
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_row_reduce_matches_sympy_rref(domain, data):
+    rows = data.draw(low_rank_matrices(domain))
+    reduced, pivots = row_reduce(rows)
+    want_rows, want_pivots = sympy_rref(rows, domain)
+    assert pivots == want_pivots
+    assert [[c.value for c in row] for row in reduced] == want_rows
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_solve_linear_exactly_when_consistent(domain, data):
+    matrix = data.draw(low_rank_matrices(domain))
+    ncols = len(matrix[0])
+    if data.draw(st.booleans()):
+        x = [domain.scalar(data.draw(raw_values(domain))) for _ in range(ncols)]
+        rhs = [sum((a * b for a, b in zip(row, x)), domain.zero)
+               for row in matrix]
+    else:
+        rhs = [domain.scalar(data.draw(raw_values(domain))) for _ in matrix]
+    _, pivots = sympy_rref([row + [b] for row, b in zip(matrix, rhs)], domain)
+    solution = solve_linear(matrix, rhs, domain)
+    if ncols in pivots:
+        assert solution is None
+    else:
+        assert solution is not None
+        assert [sum((a * b for a, b in zip(row, solution)), domain.zero)
+                for row in matrix] == rhs
