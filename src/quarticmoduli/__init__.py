@@ -14,7 +14,6 @@ from .betti import (
     ProjectiveSpace,
     is_palindromic,
     poincare_M,
-    poincare_eval,
     poincare_open_stratum_closure,
     poincare_projective,
 )
@@ -60,7 +59,6 @@ from .matrices import (
     GradedAutomorphism,
     act,
     apply_ops,
-    elementary_op,
     identity_automorphism,
     is_stable_kronecker,
     load_matrix,

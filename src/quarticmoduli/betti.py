@@ -6,6 +6,8 @@ blow-up substitution rule P(Bl_Y X) = P(X) - P(Y) + P(Y)*P(P^(c-1)) for a
 blow-up along Y of codimension c.
 """
 
+from .poly import horner
+
 
 class PoincarePoly:
     """A polynomial in q with integer coefficients, coefficients[i] = [q^i]."""
@@ -71,10 +73,7 @@ class PoincarePoly:
         return PoincarePoly(out)
 
     def evaluate(self, q):
-        total = 0
-        for c in reversed(self.coefficients):
-            total = total * q + c
-        return total
+        return horner(self.coefficients, q) if self.coefficients else 0
 
     def serialize(self):
         if not self.coefficients:
@@ -229,10 +228,6 @@ class BlowUpSubstitute(VarietyExpr):
 
     def __repr__(self):
         return f"({self.total!r} - {self.removed!r} + {self.inserted!r})"
-
-
-def poincare_eval(expr):
-    return expr.poincare()
 
 
 # ---- the moduli space -------------------------------------------------

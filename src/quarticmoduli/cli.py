@@ -26,7 +26,12 @@ from .betti import (
 )
 from .degeneration import family_limit, load_family
 from .field import GF, QQ
-from .matrices import load_matrix, random_matrix
+from .matrices import (
+    check_json_list,
+    check_json_type,
+    load_matrix,
+    random_matrix,
+)
 from .strata import INVALID, NOT_STABLE, classify_res0, classify_res1
 from .verify import ALL_VERIFIERS, verify_cocycle, verify_transition
 
@@ -138,25 +143,34 @@ _BUILTIN_POLYS = {
 
 
 def expr_from_json_dict(data):
-    """Build a variety expression from its JSON description."""
-    kind = data["type"]
+    """Build a variety expression from its JSON description; malformed
+    input raises a ValueError that names its JSON path."""
+    check_json_type(data, "", dict)
+    kind = data.get("type")
     if kind == "projective":
-        return ProjectiveSpace(data["n"])
+        return ProjectiveSpace(check_json_type(data.get("n"), "n", int))
     if kind == "product":
-        return Product(*[expr_from_json_dict(f) for f in data["factors"]])
+        factors = check_json_type(data.get("factors"), "factors", list)
+        return Product(*[_sub_expr(f, f"factors[{i}]")
+                         for i, f in enumerate(factors)])
     if kind == "projbundle":
-        return ProjBundle(expr_from_json_dict(data["base"]), data["rank"])
+        return ProjBundle(_sub_expr(data.get("base"), "base"),
+                          check_json_type(data.get("rank"), "rank", int))
     if kind == "substitute":
-        return BlowUpSubstitute(
-            expr_from_json_dict(data["total"]),
-            expr_from_json_dict(data["removed"]),
-            expr_from_json_dict(data["inserted"]),
-        )
+        return BlowUpSubstitute(*[_sub_expr(data.get(key), key)
+                                  for key in ("total", "removed", "inserted")])
     if kind == "literal":
-        return Literal(
-            data.get("name", "literal"), PoincarePoly(data["coefficients"])
-        )
-    raise ValueError(f"unknown expression type {kind!r}")
+        return Literal(data.get("name", "literal"), PoincarePoly(
+            check_json_list(data.get("coefficients"), "coefficients", int)))
+    raise ValueError(f"type: unknown expression type {kind!r}; known: "
+                     "literal, product, projbundle, projective, substitute")
+
+
+def _sub_expr(data, path):
+    try:
+        return expr_from_json_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_betti(args):

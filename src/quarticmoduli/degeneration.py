@@ -16,6 +16,7 @@ from .matrices import (
     ScaleRow,
     apply_ops,
     check_json_list,
+    check_json_type,
     is_stable_kronecker,
     matrix_from_json_dict,
 )
@@ -23,6 +24,7 @@ from .poly import (
     BinaryForm,
     Form,
     MultiPoly,
+    divide_coefficients,
     monomials_of_degree,
     parse_form,
     solve_linear,
@@ -505,31 +507,14 @@ def binary_exact_div(f, g):
     """Exact quotient of binary forms; raises when division fails."""
     if not g:
         raise ZeroDivisionError("division by zero binary form")
-    domain = f.domain
     if not f:
         raise ValueError("dividing the zero form is ambiguous in degree")
-    # strip common powers of t when g has no pure-s leading coefficient
-    fi = list(f.coefficients)
-    gi = list(g.coefficients)
-    while not gi[0]:
-        if fi[0]:
-            raise ValueError("not divisible")
-        fi = fi[1:]
-        gi = gi[1:]
-    d = (len(fi) - 1) - (len(gi) - 1)
-    if d < 0:
+    fa, f_tp = f.dehomogenized()
+    ga, g_tp = g.dehomogenized()
+    quotient, remainder = divide_coefficients(fa, ga)
+    if f_tp < g_tp or remainder:
         raise ValueError("not divisible")
-    inv = gi[0].inverse()
-    q = []
-    rem = list(fi)
-    for k in range(d + 1):
-        qk = rem[k] * inv
-        q.append(qk)
-        for j, gj in enumerate(gi):
-            rem[k + j] = rem[k + j] - qk * gj
-    if any(rem):
-        raise ValueError("not divisible")
-    return BinaryForm(domain, d, q)
+    return BinaryForm.homogenized(f.domain, quotient, f_tp - g_tp)
 
 
 def root_factor(domain, root):
@@ -585,8 +570,7 @@ def fitting_support(m):
 def family_from_json_dict(data, domain):
     """Parse a family description; malformed input raises a ValueError
     that names its JSON path."""
-    if type(data) is not dict:
-        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    check_json_type(data, "", dict)
     a, b = (_json_matrix(data, key, domain) for key in ("A", "B"))
     texts = check_json_list(data.get("t_values", []), "t_values", str)
     t_values = []
@@ -595,9 +579,7 @@ def family_from_json_dict(data, domain):
             t_values.append(domain.parse(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"t_values[{i}]: {exc}") from exc
-    chart = data.get("chart")
-    if type(chart) is not str:
-        raise ValueError(f"chart: expected a string, got {type(chart).__name__}")
+    chart = check_json_type(data.get("chart"), "chart", str)
     return BlowupChartPoint(a, domain.one, b, chart), t_values
 
 

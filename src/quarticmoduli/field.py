@@ -363,15 +363,40 @@ class ParamScalar:
             total = total + term
         return total
 
+    def as_text(self):
+        return _serialize_terms(
+            (self.terms[e], zip(self.domain.names, e))
+            for e in sorted(self.terms, reverse=True)
+        )
+
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items(), reverse=True):
-            mono = "*".join(
-                f"{n}^{k}" if k > 1 else n
-                for n, k in zip(self.domain.names, e)
-                if k
-            )
-            parts.append(f"{c}*{mono}" if mono else f"{c}")
-        return " + ".join(parts)
+        return self.as_text()
+
+
+def _serialize_terms(terms):
+    """Text of a sum of (coefficient, [(variable, exponent)]) terms, in order.
+
+    Unit coefficients are dropped before a monomial, a leading minus sign
+    becomes the joining operator, a coefficient that is itself a sum is
+    parenthesized, and an empty sum prints as "0".
+    """
+    parts = []
+    for c, powers in terms:
+        factors = [f"{v}^{k}" if k > 1 else v for v, k in powers if k]
+        text = c.as_text()
+        if " " in text:
+            text = f"({text})"
+        negative = text.startswith("-")
+        if negative:
+            text = text[1:]
+        if factors and text == "1":
+            body = "*".join(factors)
+        elif factors:
+            body = text + "*" + "*".join(factors)
+        else:
+            body = text
+        if not parts:
+            parts.append(("-" if negative else "") + body)
+        else:
+            parts.append(("- " if negative else "+ ") + body)
+    return " ".join(parts) if parts else "0"

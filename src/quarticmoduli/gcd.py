@@ -7,6 +7,7 @@ pencil turns divisibility by a line into a root of a binary form.
 """
 
 from fractions import Fraction
+from math import gcd as igcd, lcm
 
 from .field import QQ, PrimeField, Rationals
 from .poly import (
@@ -15,6 +16,8 @@ from .poly import (
     Form,
     MultiPoly,
     coefficient_rows,
+    divide_coefficients,
+    horner,
     solve_linear,
 )
 
@@ -32,16 +35,6 @@ def _as_univariate(poly, v):
         rest[v] = 0
         coeffs[k] = coeffs[k] + MultiPoly(poly.domain, {tuple(rest): c})
     return coeffs
-
-
-def _from_univariate(coeffs, v, domain):
-    total = MultiPoly.zero(domain)
-    xv = MultiPoly.variable(domain, v)
-    power = MultiPoly.constant(domain, 1)
-    for c in coeffs:
-        total = total + c * power
-        power = power * xv
-    return total
 
 
 def _trim(coeffs):
@@ -148,7 +141,7 @@ def multivariate_gcd(a, b):
         prim_gcd = MultiPoly.constant(a.domain, 1)
     else:
         _, prim_last = _content_and_primitive(last)
-        prim_gcd = _from_univariate(prim_last, v, a.domain)
+        prim_gcd = horner(prim_last, MultiPoly.variable(a.domain, v))
     return (content * prim_gcd).normalized()
 
 
@@ -176,115 +169,67 @@ def binary_gcd(forms):
     forms = [f for f in forms if f]
     if not forms:
         raise ValueError("gcd of all-zero binary forms")
-    domain = forms[0].domain
-    t_power = None
-    univariates = []
-    for f in forms:
-        # coefficient of s^(d-i) t^i; as polynomial in s: degree d-i term
-        coeffs_s = list(reversed(f.coefficients))  # index = degree in s
-        deg_s = max(i for i, c in enumerate(coeffs_s) if c)
-        univariates.append(coeffs_s[: deg_s + 1])
-        tp = f.degree - deg_s
-        t_power = tp if t_power is None else min(t_power, tp)
-    g = univariates[0]
-    for u in univariates[1:]:
-        g = _univariate_field_gcd(g, u, domain)
-    deg = len(g) - 1 + t_power
-    coeffs = [domain.zero] * (deg + 1)
-    for i, c in enumerate(g):  # c is coeff of s^i; t exponent = deg - i
-        coeffs[deg - i] = c
-    return BinaryForm(domain, deg, coeffs)
+    parts = [f.dehomogenized() for f in forms]
+    g = parts[0][0]
+    for u, _ in parts[1:]:
+        g = _univariate_field_gcd(g, u)
+    return BinaryForm.homogenized(forms[0].domain, g,
+                                  min(t_power for _, t_power in parts))
 
 
-def _univariate_field_gcd(a, b, domain):
-    a = _trim(list(a))
-    b = _trim(list(b))
+def _univariate_field_gcd(a, b):
+    """Monic GCD of two coefficient lists whose last entries are nonzero."""
     while b:
-        a, b = b, _univariate_remainder(a, b, domain)
+        a, b = b, divide_coefficients(a, b)[1]
     inv = a[-1].inverse()
     return [c * inv for c in a]
 
 
-def _univariate_remainder(a, b, domain):
-    a = list(a)
-    db = len(b) - 1
-    inv = b[-1].inverse()
-    while len(a) - 1 >= db:
-        factor = a[-1] * inv
-        shift = len(a) - 1 - db
-        for i, bc in enumerate(b):
-            a[shift + i] = a[shift + i] - factor * bc
-        a.pop()
-        while a and not a[-1]:
-            a.pop()
-        if not a:
+def _peel_roots(coeffs, find_root):
+    """Roots, with multiplicity, of a univariate polynomial over a field.
+
+    find_root(coefficients) gives a root or None; each root found is
+    divided out.  Returns the roots and the degree of what remains.
+    """
+    roots = []
+    a = list(coeffs)
+    while len(a) > 1:
+        root = find_root(a)
+        if root is None:
             break
-    return a
-
-
-def _univariate_divide(a, root, domain):
-    """Divide by (x - root) exactly (synthetic division)."""
-    out = []
-    carry = domain.zero
-    for c in reversed(a):
-        carry = c + carry * root
-        out.append(carry)
-    remainder = out.pop()
-    if remainder:
-        raise ValueError("not a root")
-    return list(reversed(out))
+        roots.append(root)
+        a = divide_coefficients(a, [-root, root.domain.one])[0]
+    return roots, len(a) - 1
 
 
 def _rational_roots_qq(coeffs):
     """Rational roots (with multiplicity) of a QQ-coefficient polynomial."""
-    # clear denominators to integers
-    from math import gcd as igcd, lcm
+    return _peel_roots(coeffs, _rational_root)
 
-    fracs = [Fraction(c.value) for c in coeffs]
-    denom = lcm(*[f.denominator for f in fracs]) if fracs else 1
+
+def _rational_root(coeffs):
+    """A rational root by the rational root theorem, or None.
+
+    The candidates p/q come from the primitive integer multiple of the
+    polynomial: p divides its constant and q its leading coefficient.
+    """
+    fracs = [c.value for c in coeffs]
+    denom = lcm(*[f.denominator for f in fracs])
     ints = [int(f * denom) for f in fracs]
-    roots = []
-    while len(ints) > 1:
-        if ints[0] == 0:
-            roots.append(Fraction(0))
-            ints = ints[1:]
-            continue
-        g = 0
-        for v in ints:
-            g = igcd(g, abs(v))
-        ints = [v // g for v in ints]
-        found = None
-        for p in _divisors(abs(ints[0])):
-            for q in _divisors(abs(ints[-1])):
-                for sign in (1, -1):
-                    cand = Fraction(sign * p, q)
-                    if _int_poly_eval(ints, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots.append(found)
-        # synthetic division over Q, then re-clear denominators
-        qq = [Fraction(v) for v in ints]
-        out = []
-        carry = Fraction(0)
-        for c in reversed(qq):
-            carry = c + carry * found
-            out.append(carry)
-        out.pop()
-        qq = list(reversed(out))
-        denom = lcm(*[f.denominator for f in qq]) if qq else 1
-        ints = [int(f * denom) for f in qq]
-    return roots, len(ints) - 1
+    if ints[0] == 0:
+        return QQ.zero
+    content = igcd(*ints)
+    ints = [v // content for v in ints]
+    for p in _divisors(abs(ints[0])):
+        for q in _divisors(abs(ints[-1])):
+            for sign in (1, -1):
+                candidate = Fraction(sign * p, q)
+                if horner(ints, candidate) == 0:
+                    return QQ.scalar(candidate)
+    return None
 
 
 def _divisors(n):
-    if n == 0:
-        return [1]
     out = []
     d = 1
     while d * d <= n:
@@ -296,36 +241,15 @@ def _divisors(n):
     return sorted(out)
 
 
-def _int_poly_eval(ints, x):
-    total = Fraction(0)
-    for c in reversed(ints):
-        total = total * x + c
-    return total
-
-
 _MAX_SCAN_PRIME = 1_000_000
 
 
 def _rational_roots_gf(coeffs, domain):
-    roots = []
+    """Roots (with multiplicity) over GF(p), by scanning every element."""
     if domain.p > _MAX_SCAN_PRIME:
         raise NotImplementedError("root scan limited to p <= 10^6")
-    a = list(coeffs)
-    while len(a) > 1:
-        found = None
-        for v in range(domain.p):
-            x = domain.scalar(v)
-            total = domain.zero
-            for c in reversed(a):
-                total = total * x + c
-            if not total:
-                found = x
-                break
-        if found is None:
-            break
-        roots.append(found)
-        a = _univariate_divide(a, found, domain)
-    return roots, len(a) - 1
+    return _peel_roots(coeffs, lambda a: next(
+        (x for x in domain.elements() if not horner(a, x)), None))
 
 
 def binary_roots(form):
@@ -337,20 +261,16 @@ def binary_roots(form):
     domain = form.domain
     if not form:
         raise ValueError("zero binary form")
-    coeffs_s = list(reversed(form.coefficients))  # index = s-degree
-    deg_s = max(i for i, c in enumerate(coeffs_s) if c)
-    t_mult = form.degree - deg_s
+    univ, t_mult = form.dehomogenized()
     roots = [(domain.one, domain.zero)] * t_mult  # root at t = 0, i.e. [1:0]
-    # dehomogenize t = 1: roots s of the univariate give [s:1]
-    univ = coeffs_s[: deg_s + 1]
+    # roots s of form(s, 1) give [s:1]
     if isinstance(domain, Rationals):
         raw, nonsplit = _rational_roots_qq(univ)
-        roots.extend((domain.scalar(r), domain.one) for r in raw)
     elif isinstance(domain, PrimeField):
         raw, nonsplit = _rational_roots_gf(univ, domain)
-        roots.extend((r, domain.one) for r in raw)
     else:
         raise TypeError("roots need a field domain")
+    roots.extend((r, domain.one) for r in raw)
     return roots, nonsplit
 
 
@@ -417,40 +337,14 @@ def _pencil_restriction_coefficients(form, l1, l2, point):
     u = _dual_point(l1, l2, domain)
     v = _dual_point(l2, l1, domain)
     pt = [domain.scalar(c) for c in point]
-    # substitute x_i -> pt[i]*a + (t*u[i] - s*v[i])*b and expand in (a, b);
-    # each (a, b)-coefficient is a binary form in (s, t).
+    # x_i -> pt[i]*y0 - v[i]*y1 + u[i]*y2 with (y1, y2) = (s, t); the terms
+    # in y0^(d-k) give the coefficient of the line parameter's k-th power
+    y0, y1, y2 = (MultiPoly.variable(domain, i) for i in range(NVARS))
+    restricted = form.poly.substitute(
+        [y0 * pt[i] - y1 * v[i] + y2 * u[i] for i in range(NVARS)]
+    )
     d = form.degree
-    out = [BinaryForm.zero(domain, k) for k in range(d + 1)]
-    from math import comb
-
-    for e, c in form.poly.terms.items():
-        # expand prod_i (pt[i]*a + q_i(s,t)*b)^e_i
-        parts = [(BinaryForm(domain, 0, [domain.one]), 0)]
-        for i, k in enumerate(e):
-            qi = BinaryForm(domain, 1, [-v[i], u[i]])  # s-coeff, t-coeff
-            new_parts = []
-            for bf, bdeg in parts:
-                for j in range(k + 1):
-                    # choose j factors of q_i*b and k-j of pt[i]*a
-                    coeff = pt[i] ** (k - j) * domain.scalar(comb(k, j))
-                    term = bf * coeff
-                    for _ in range(j):
-                        term = term * qi
-                    new_parts.append((term, bdeg + j))
-            parts = _merge_parts(new_parts, domain)
-        for bf, bdeg in parts:
-            out[bdeg] = out[bdeg] + (bf * c).promoted(bdeg)
-    return out
-
-
-def _merge_parts(parts, domain):
-    merged = {}
-    for bf, bdeg in parts:
-        if bdeg in merged:
-            merged[bdeg] = merged[bdeg] + bf.promoted(bdeg)
-        else:
-            merged[bdeg] = bf.promoted(bdeg)
-    return [(bf, bdeg) for bdeg, bf in merged.items()]
+    return [BinaryForm.from_slice(restricted, d - k, k) for k in range(d + 1)]
 
 
 def _dual_point(l1, l2, domain):

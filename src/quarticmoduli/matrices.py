@@ -15,7 +15,14 @@ import json
 import random
 
 from .field import GF, QQ, PrimeField
-from .poly import Form, MultiPoly, linear_rank, monomials_of_degree, parse_form
+from .poly import (
+    Form,
+    MultiPoly,
+    PowerDegreeError,
+    linear_rank,
+    monomials_of_degree,
+    parse_entry,
+)
 
 
 class DegreeError(ValueError):
@@ -208,13 +215,21 @@ def det(grid):
 
 
 def make_matrix(src_degrees, tgt_degrees, entry_texts, domain=QQ):
-    """Parse a grid of polynomial texts into a degree-checked FormMatrix."""
+    """Parse a grid of polynomial texts into a degree-checked FormMatrix.
+
+    A power above its entry's required degree is refused before it is
+    expanded, so a huge exponent cannot stall the parse.
+    """
     entries = []
     for i, row in enumerate(entry_texts):
         out_row = []
         for j, text in enumerate(row):
             need = src_degrees[i] - tgt_degrees[j]
-            form = parse_form(text, domain=domain)
+            try:
+                form = parse_entry(text, need, domain)
+            except PowerDegreeError as exc:
+                raise DegreeError(f"entry ({i},{j}) must have degree {need}, "
+                                  f"got {exc}: {text!r}") from None
             if form and (need < 0 or form.degree != need):
                 raise DegreeError(
                     f"entry ({i},{j}) must have degree {need}, "
@@ -230,8 +245,7 @@ def make_matrix(src_degrees, tgt_degrees, entry_texts, domain=QQ):
 def matrix_from_json_dict(data, domain=QQ):
     """Parse a matrix description; malformed input raises a ValueError
     that names its JSON path."""
-    if type(data) is not dict:
-        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    check_json_type(data, "", dict)
     src = check_json_list(data.get("src_degrees"), "src_degrees", int)
     tgt = check_json_list(data.get("tgt_degrees"), "tgt_degrees", int)
     entries = check_json_list(data.get("entries"), "entries", list, len(src))
@@ -240,22 +254,27 @@ def matrix_from_json_dict(data, domain=QQ):
     return make_matrix(src, tgt, entries, domain)
 
 
-_JSON_KINDS = {int: "an integer", str: "a string", list: "a list"}
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list",
+               dict: "a JSON object"}
+
+
+def check_json_type(value, path, kind):
+    """value, if its type is kind (bool is not an integer); otherwise a
+    ValueError naming the JSON path (none at the top level)."""
+    if type(value) is not kind:
+        raise ValueError(f"{path + ': ' if path else ''}expected "
+                         f"{_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
 
 
 def check_json_list(value, path, item_type, length=None):
     """value, if it is a JSON list (of the given length) of item_type
     items; otherwise a ValueError naming the JSON path."""
-    if type(value) is not list:
-        raise ValueError(f"{path}: expected a list, got {type(value).__name__}")
+    check_json_type(value, path, list)
     if length is not None and len(value) != length:
         raise ValueError(f"{path}: expected {length} items, got {len(value)}")
     for i, item in enumerate(value):
-        if type(item) is not item_type:
-            raise ValueError(
-                f"{path}[{i}]: expected {_JSON_KINDS[item_type]}, "
-                f"got {type(item).__name__}"
-            )
+        check_json_type(item, f"{path}[{i}]", item_type)
     return value
 
 
@@ -447,10 +466,6 @@ class AddMultipleOfCol(ElementaryOp):
         for row in rows:
             row[self.target] = row[self.target] + mult * row[self.source]
         return FormMatrix(m.src_degrees, m.tgt_degrees, rows)
-
-
-def elementary_op(matrix, op):
-    return op.apply(matrix)
 
 
 def apply_ops(matrix, ops):

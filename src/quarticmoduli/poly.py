@@ -10,7 +10,7 @@ This module is also the single home of exact linear algebra over a field:
 rank, kernel and solve in the package.
 """
 
-from .field import QQ, FieldMismatchError
+from .field import QQ, FieldMismatchError, _serialize_terms
 
 VARIABLES = ("x0", "x1", "x2")
 NVARS = 3
@@ -100,6 +100,26 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
+    def substitute(self, images):
+        """The composition self(images[0], images[1], images[2]).
+
+        Images are polynomials over the same domain (or scalars).  The
+        powers of each image are computed once and shared by all terms.
+        """
+        domain = self.domain
+        images = [self._coerce(g) for g in images]
+        powers = [[MultiPoly.constant(domain, 1)] for _ in images]
+        total = MultiPoly.zero(domain)
+        for e, c in self.terms.items():
+            term = MultiPoly(domain, {(0, 0, 0): c})
+            for image, power, k in zip(images, powers, e):
+                while len(power) <= k:
+                    power.append(power[-1] * image)
+                if k:
+                    term = term * power[k]
+            total = total + term
+        return total
+
     def __pow__(self, n):
         result = MultiPoly.constant(self.domain, 1)
         for _ in range(n):
@@ -153,14 +173,7 @@ class MultiPoly:
 
     def evaluate(self, point):
         """Value at a triple of scalars."""
-        vals = [self.domain.scalar(v) for v in point]
-        total = self.domain.zero
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(vals, e):
-                term = term * v**k
-            total = total + term
-        return total
+        return self.substitute(point).terms.get((0, 0, 0), self.domain.zero)
 
     # ---- exact division ------------------------------------------------
 
@@ -300,25 +313,14 @@ class Form:
         coeffs = coefficient_rows([line], 1)[0]
         pivot = max(i for i in range(3) if coeffs[i])
         params = [i for i in range(3) if i != pivot]
-        # variable i maps to the binary linear form subs[i] = (s-coeff, t-coeff)
-        subs = [None] * 3
-        subs[params[0]] = BinaryForm(domain, 1, [domain.one, domain.zero])
-        subs[params[1]] = BinaryForm(domain, 1, [domain.zero, domain.one])
+        # the parameters become y1 = s and y2 = t; the pivot is solved for
+        s, t = MultiPoly.variable(domain, 1), MultiPoly.variable(domain, 2)
         inv = coeffs[pivot].inverse()
-        pivot_form = BinaryForm(
-            domain,
-            1,
-            [-coeffs[params[0]] * inv, -coeffs[params[1]] * inv],
-        )
-        subs[pivot] = pivot_form
-        result = BinaryForm.zero(domain, self.degree)
-        for e, c in self.poly.terms.items():
-            term = BinaryForm(domain, 0, [c])
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    term = term * subs[i]
-            result = result + term.promoted(self.degree)
-        return result
+        images = [None] * 3
+        images[params[0]], images[params[1]] = s, t
+        images[pivot] = -(s * coeffs[params[0]] + t * coeffs[params[1]]) * inv
+        restricted = self.poly.substitute(images)
+        return BinaryForm.from_slice(restricted, 0, self.degree)
 
     def line_point(self, s, t):
         """The P2 point of Z(self) at parameter [s:t] (degree-1 forms only).
@@ -360,6 +362,32 @@ class BinaryForm:
     def zero(cls, domain, degree):
         return cls(domain, degree, [domain.zero] * (degree + 1))
 
+    @classmethod
+    def from_slice(cls, poly, x0_exponent, degree):
+        """The binary form of the terms x0^x0_exponent * x1^(degree-i) * x2^i
+        of poly, with x1 read as s and x2 as t."""
+        zero = poly.domain.zero
+        return cls(poly.domain, degree, [
+            poly.terms.get((x0_exponent, degree - i, i), zero)
+            for i in range(degree + 1)
+        ])
+
+    @classmethod
+    def homogenized(cls, domain, coefficients, t_power):
+        """t^t_power * h(s, t), where coefficients lists h(s, 1) by
+        ascending power of s and its last entry is nonzero."""
+        degree = len(coefficients) - 1 + t_power
+        return cls(domain, degree,
+                   [domain.zero] * t_power + coefficients[::-1])
+
+    def dehomogenized(self):
+        """self(s, 1) by ascending power of s, and the power of t dividing
+        self (the multiplicity of the root [1:0]); the inverse of
+        homogenized.  The form must be nonzero."""
+        coeffs = self.coefficients[::-1]
+        deg_s = max(i for i, c in enumerate(coeffs) if c)
+        return coeffs[: deg_s + 1], self.degree - deg_s
+
     def __bool__(self):
         return any(self.coefficients)
 
@@ -374,14 +402,6 @@ class BinaryForm:
 
     def __hash__(self):
         return hash((self.degree, tuple(self.coefficients)))
-
-    def promoted(self, degree):
-        """Reinterpret a zero form at a higher degree (no-op when nonzero)."""
-        if self.degree == degree:
-            return self
-        if self:
-            raise ValueError("cannot promote a nonzero form")
-        return BinaryForm.zero(self.domain, degree)
 
     def __add__(self, other):
         if self.degree != other.degree:
@@ -438,30 +458,39 @@ class BinaryForm:
         return self.serialize()
 
 
-def _serialize_terms(terms):
-    """Text of a sum of (coefficient, [(variable, exponent)]) terms, in order.
+# ---- univariate coefficient lists ------------------------------------
+# A univariate polynomial is a list of coefficients by ascending degree.
 
-    Unit coefficients are dropped before a monomial, a leading minus sign
-    becomes the joining operator, and an empty sum prints as "0".
+
+def divide_coefficients(a, b):
+    """Quotient and remainder of univariate polynomials over a field.
+
+    b's last coefficient must be nonzero.  The quotient has
+    len(a) - len(b) + 1 coefficients (none when a is shorter than b); the
+    remainder has its trailing zeros removed, so it is empty exactly when
+    b divides a.
     """
-    parts = []
-    for c, powers in terms:
-        factors = [f"{v}^{k}" if k > 1 else v for v, k in powers if k]
-        text = c.as_text() if hasattr(c, "as_text") else str(c)
-        negative = text.startswith("-")
-        if negative:
-            text = text[1:]
-        if factors and text == "1":
-            body = "*".join(factors)
-        elif factors:
-            body = text + "*" + "*".join(factors)
-        else:
-            body = text
-        if not parts:
-            parts.append(("-" if negative else "") + body)
-        else:
-            parts.append(("- " if negative else "+ ") + body)
-    return " ".join(parts) if parts else "0"
+    rem = list(a)
+    db = len(b) - 1
+    inv = b[-1].inverse()
+    quotient = [None] * max(len(a) - db, 0)
+    for k in range(len(quotient) - 1, -1, -1):
+        c = quotient[k] = rem[k + db] * inv
+        if c:
+            for i, bc in enumerate(b):
+                rem[k + i] = rem[k + i] - c * bc
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quotient, rem
+
+
+def horner(coefficients, x):
+    """Value at x of a nonempty coefficient list, by Horner's rule."""
+    total = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        total = total * x + c
+    return total
 
 
 # ---- parsing ----------------------------------------------------------
@@ -471,13 +500,22 @@ class ParseError(ValueError):
     """Raised on malformed polynomial text."""
 
 
-class _Parser:
-    """Recursive descent over: rationals, x0/x1/x2, + - * ^, parentheses."""
+class PowerDegreeError(ParseError):
+    """Raised, before expanding it, on a power above the allowed degree."""
 
-    def __init__(self, text, domain):
+
+class _Parser:
+    """Recursive descent over: rationals, x0/x1/x2, + - * ^, parentheses.
+
+    With max_degree given, a power of a nonconstant base of higher degree
+    raises PowerDegreeError before it is expanded.
+    """
+
+    def __init__(self, text, domain, max_degree=None):
         self.tokens = self._tokenize(text)
         self.pos = 0
         self.domain = domain
+        self.max_degree = max_degree
 
     @staticmethod
     def _tokenize(text):
@@ -551,7 +589,12 @@ class _Parser:
             tok = self.next()
             if tok is None or not tok.isdigit():
                 raise ParseError("expected integer exponent after '^'")
-            base = base ** int(tok)
+            n = int(tok)
+            degree = base.total_degree()
+            if degree > 0 and self.max_degree is not None \
+                    and n * degree > self.max_degree:
+                raise PowerDegreeError(f"a power of degree {n * degree}")
+            base = base ** n
         return base
 
     def atom(self):
@@ -584,7 +627,20 @@ def parse_form(text, expected_degree=None, domain=QQ):
 
     The zero polynomial is accepted at any expected degree.
     """
-    poly = parse_poly(text, domain)
+    return _homogeneous_form(parse_poly(text, domain), text, expected_degree)
+
+
+def parse_entry(text, max_degree, domain=QQ):
+    """parse_form(text) for text whose degree may not exceed max_degree.
+
+    A power of a nonconstant base above max_degree raises PowerDegreeError
+    before it is expanded, so a huge exponent fails at once.
+    """
+    return _homogeneous_form(_Parser(text, domain, max_degree).parse(), text,
+                             None)
+
+
+def _homogeneous_form(poly, text, expected_degree):
     if not poly:
         return Form(poly, expected_degree if expected_degree is not None else 0)
     if not poly.is_homogeneous():

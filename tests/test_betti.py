@@ -11,7 +11,6 @@ from quarticmoduli.betti import (
     Product,
     is_palindromic,
     poincare_M,
-    poincare_eval,
     poincare_open_stratum_closure,
     poincare_projective,
 )
@@ -77,18 +76,18 @@ def test_expression_algebra():
     p3 = ProjectiveSpace(3)
     prod = Product(p2, p3)
     assert prod.dimension() == 5
-    assert poincare_eval(prod) == poincare_projective(2) * \
+    assert prod.poincare() == poincare_projective(2) * \
         poincare_projective(3)
     bundle = ProjBundle(p2, 12)
     assert bundle.dimension() == 13
-    assert poincare_eval(bundle) == poincare_projective(2) * \
+    assert bundle.poincare() == poincare_projective(2) * \
         poincare_projective(11)
 
 
 def test_proj_bundle_euler_multiplicative():
     base = ProjectiveSpace(4)
     bundle = ProjBundle(base, 3)
-    assert poincare_eval(bundle).evaluate(1) == 5 * 3
+    assert bundle.poincare().evaluate(1) == 5 * 3
 
 
 def test_blow_up_substitute():
@@ -98,7 +97,7 @@ def test_blow_up_substitute():
     inserted = Product(ProjectiveSpace(2), ProjectiveSpace(13))
     m = BlowUpSubstitute(total, removed, inserted)
     assert m.dimension() == 17
-    assert poincare_eval(m).coefficients == MODULI_COEFFICIENTS
+    assert m.poincare().coefficients == MODULI_COEFFICIENTS
 
 
 def test_blow_up_substitute_dimension_checked():

@@ -262,6 +262,9 @@ MALFORMED = {
     "wrong entry degree": (["classify", FILE],
                            res1(entries=[["x0^2", "x1^3"], ["x1", "x2^3"]]),
                            "entry (0,0) must have degree 1"),
+    "huge exponent": (["classify", FILE],
+                      res1(entries=[["x0^999999999", "x1^3"], ["x1", "x2^3"]]),
+                      "entry (0,0) must have degree 1"),
     "family list": (["limit", FILE], [], "expected a JSON object, got list"),
     "family integer entry": (["limit", FILE],
                              family(["A", "entries", 0, 0], 0),
@@ -274,6 +277,22 @@ MALFORMED = {
                                 "t_values[0]:"),
     "family integer chart": (["limit", FILE], family(["chart"], 5),
                              "chart: expected a string"),
+    "expression list": (["betti", FILE], [],
+                        "expected a JSON object, got list"),
+    "expression without type": (["betti", FILE], {"n": 2},
+                                "type: unknown expression type None"),
+    "text dimension": (["betti", FILE], {"type": "projective", "n": "3"},
+                       "n: expected an integer, got str"),
+    "literal number": (["betti", FILE], {"type": "literal", "coefficients": 5},
+                       "coefficients: expected a list, got int"),
+    "product number": (["betti", FILE], {"type": "product", "factors": 3},
+                       "factors: expected a list, got int"),
+    "nested text dimension": (["betti", FILE], {
+        "type": "product", "factors": [{"type": "projective", "n": "3"}]},
+        "factors[0]: n: expected an integer, got str"),
+    "text rank": (["betti", FILE], {
+        "type": "projbundle", "base": {"type": "projective", "n": 2},
+        "rank": "2"}, "rank: expected an integer, got str"),
     "negative count": (["sample", "res0", "--field", "101", "--count", "-5"],
                        None, "--count must be at least 1"),
     "zero count": (["sample", "res1", "--field", "101", "--count", "0"],

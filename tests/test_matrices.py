@@ -11,7 +11,6 @@ from quarticmoduli.matrices import (
     SwapRows,
     act,
     apply_ops,
-    elementary_op,
     identity_automorphism,
     is_stable_kronecker,
     make_matrix,
@@ -156,11 +155,11 @@ def test_act_determinant_multiplicative():
 def test_elementary_op_degree_checked():
     m = bordered_example()
     # adding x1 * (row of degree 2) to the degree-3 row is legal
-    out = elementary_op(m, AddMultipleOfRow(0, 2, parse_form("x1")))
+    out = AddMultipleOfRow(0, 2, parse_form("x1")).apply(m)
     assert out[0, 0].poly == parse_poly("x1^2 + x1*x1")
     # a constant multiple across different source degrees is not
     with pytest.raises(DegreeError):
-        elementary_op(m, AddMultipleOfRow(0, 2, parse_form("1")))
+        AddMultipleOfRow(0, 2, parse_form("1")).apply(m)
 
 
 def test_elementary_ops_determinant_scale():

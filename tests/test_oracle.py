@@ -1,8 +1,11 @@
 """The shared exact-algebra cores against sympy as an independent oracle.
 
 ``matrices.det`` is compared with sympy's determinant over a polynomial
-ring, and ``poly.row_reduce`` / ``poly.solve_linear`` with sympy's reduced
-row echelon form, over GF(101) and QQ on inputs drawn by hypothesis.
+ring, ``poly.row_reduce`` / ``poly.solve_linear`` with sympy's reduced
+row echelon form, ``MultiPoly.substitute`` / ``Form.restrict_to_line``
+with a simultaneous substitution in sympy's sparse polynomial ring, and
+``poly.divide_coefficients`` with sympy's univariate division, over
+GF(101) and QQ on inputs drawn by hypothesis.
 """
 
 from fractions import Fraction
@@ -12,14 +15,16 @@ import pytest
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from quarticmoduli.field import GF, QQ  # noqa: E402
 from quarticmoduli.matrices import det  # noqa: E402
 from quarticmoduli.poly import (  # noqa: E402
+    Form,
     MultiPoly,
+    divide_coefficients,
     monomials_of_degree,
     row_reduce,
     solve_linear,
@@ -73,6 +78,17 @@ def form_grids(draw, domain):
 
 
 @st.composite
+def polys(draw, domain, degrees):
+    """A polynomial with a drawn coefficient on every monomial whose total
+    degree is in `degrees`."""
+    values = raw_values(domain)
+    return MultiPoly(domain, {
+        m: domain.scalar(draw(values))
+        for degree in degrees for m in monomials_of_degree(degree)
+    })
+
+
+@st.composite
 def low_rank_matrices(draw, domain):
     """An m x n matrix (m, n <= 5) of rank at most r, as A (m x r) * B."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -93,6 +109,18 @@ def sympy_det(grid, domain):
              for entry in row] for row in grid]
     value = DomainMatrix(rows, (n, n), ring).det()
     return {e: from_sympy(field, c) for e, c in value.items()}
+
+
+def sympy_ring(domain):
+    """sympy's sparse polynomial ring in x0, x1, x2 over the domain's field,
+    and its generators."""
+    ring, *gens = sympy.ring("x0,x1,x2", sympy_field(domain))
+    return ring, gens
+
+
+def to_ring(ring, poly):
+    return ring.from_dict({e: to_sympy(ring.domain, c.value)
+                           for e, c in poly.terms.items()})
 
 
 def sympy_rref(rows, domain):
@@ -145,3 +173,63 @@ def test_solve_linear_exactly_when_consistent(domain, data):
         assert solution is not None
         assert [sum((a * b for a, b in zip(row, solution)), domain.zero)
                 for row in matrix] == rhs
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_substitute_matches_sympy(domain, data):
+    f = data.draw(polys(domain, [data.draw(st.integers(0, 4))]))
+    images = [data.draw(polys(domain, range(3))) for _ in range(3)]
+    ring, gens = sympy_ring(domain)
+    want = to_ring(ring, f).compose(
+        [(x, to_ring(ring, g)) for x, g in zip(gens, images)])
+    ours = {e: c.value for e, c in f.substitute(images).terms.items()}
+    assert ours == {e: from_sympy(ring.domain, c) for e, c in want.items()}
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_restrict_to_line_matches_sympy(domain, data):
+    degree = data.draw(st.integers(0, 4))
+    f = data.draw(polys(domain, [degree]))
+    line = data.draw(polys(domain, [1]))
+    assume(line)
+    ring, gens = sympy_ring(domain)
+    field = ring.domain
+    coeffs = [to_sympy(field, line.terms.get(m, domain.zero).value)
+              for m in monomials_of_degree(1)]  # x0, x1, x2
+    # the pivot (last variable with a nonzero coefficient) is solved for
+    # and the other two become s = x1 and t = x2
+    pivot = max(i for i in range(3) if coeffs[i])
+    params = [i for i in range(3) if i != pivot]
+    s, t = gens[1], gens[2]
+    images = {gens[params[0]]: s, gens[params[1]]: t,
+              gens[pivot]: (s * coeffs[params[0]] + t * coeffs[params[1]])
+              * -field.revert(coeffs[pivot])}
+    want = to_ring(ring, f).compose(list(images.items()))
+    restricted = Form(f, degree).restrict_to_line(Form(line, 1))
+    ours = {(0, degree - i, i): c.value
+            for i, c in enumerate(restricted.coefficients) if c}
+    assert ours == {e: from_sympy(field, c) for e, c in want.items()}
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_divide_coefficients_matches_sympy(domain, data):
+    values = raw_values(domain)
+    a, b = ([domain.scalar(data.draw(values))
+             for _ in range(data.draw(st.integers(low, 7)))] for low in (0, 1))
+    assume(b[-1])
+    ring, _ = sympy.ring("x", sympy_field(domain))
+
+    def to_x(coeffs):
+        return ring.from_dict({(i,): to_sympy(ring.domain, c.value)
+                               for i, c in enumerate(coeffs) if c})
+
+    want = to_x(a).div(to_x(b))
+    for ours, theirs in zip(divide_coefficients(a, b), want):
+        assert {(i,): c.value for i, c in enumerate(ours) if c} == \
+            {e: from_sympy(ring.domain, c) for e, c in theirs.items()}

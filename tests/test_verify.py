@@ -65,6 +65,9 @@ def test_tangent_quartic_many_seeds():
 def test_chart_minors_symbolic():
     report = verify_chart_minors(seed=0, samples=50)
     assert report.status == PASS
+    minors = report.computed["minors"]
+    assert "(2*alpha - a)*x0*x1" in minors[0]
+    assert minors[1] == "x0*x1 + alpha*x1^2 + beta*x1*x2 + d*x2^2"
 
 
 def test_poincare_corollary_notes_the_discrepancy():
