@@ -29,6 +29,7 @@ from .field import GF, QQ
 from .matrices import (
     check_json_list,
     check_json_type,
+    load_json,
     load_matrix,
     random_matrix,
 )
@@ -134,6 +135,10 @@ def cmd_limit(args):
 
 # ---- betti -------------------------------------------------------------
 
+# the largest dimension of a space whose Poincare polynomial betti computes;
+# the spaces of the construction have dimension at most 17
+MAX_BETTI_DIMENSION = 1_000
+
 _BUILTIN_POLYS = {
     "H": lambda: PoincarePoly([1, 2, 5, 6, 5, 2, 1]),
     "N": poincare_open_stratum_closure,
@@ -187,13 +192,8 @@ def cmd_betti(args):
                 "the printed coefficient list omits the 16*q^6 term "
                 "present in the assembled polynomial"
             )
-    elif name.startswith("P") and name[1:].isdigit():
-        poly = poincare_projective(int(name[1:]))
-    elif os.path.exists(name):
-        with open(name) as fh:
-            poly = expr_from_json_dict(json.load(fh)).poincare()
     else:
-        raise ValueError(f"unknown builtin or missing file: {name!r}")
+        poly = _expression(name).poincare()
     json_obj = {
         "schema": 1,
         "expr": name,
@@ -203,6 +203,24 @@ def cmd_betti(args):
     lines = [poly.serialize()] + notes
     _emit(args, json_obj, "\n".join(lines))
     return 0
+
+
+def _expression(name):
+    """The variety named P<n>, or described by a JSON file, refused above
+    MAX_BETTI_DIMENSION before its polynomial is computed."""
+    if name.startswith("P") and name[1:].isdigit():
+        expr = ProjectiveSpace(int(name[1:]))
+    elif os.path.exists(name):
+        try:
+            expr = expr_from_json_dict(load_json(name))
+        except RecursionError:
+            raise ValueError("expression nested too deeply") from None
+    else:
+        raise ValueError(f"unknown builtin or missing file: {name!r}")
+    if expr.dimension() > MAX_BETTI_DIMENSION:
+        raise ValueError(f"dimension {expr.dimension()} exceeds the limit "
+                         f"of {MAX_BETTI_DIMENSION}")
+    return expr
 
 
 # ---- verify ------------------------------------------------------------

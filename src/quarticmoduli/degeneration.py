@@ -3,8 +3,6 @@ the twisted-ideal resolution builder, the 5x4 reduction chain, and
 Fitting-support extraction.
 """
 
-import json
-
 from .gcd import gcd_fold, line_intersection
 from .matrices import (
     SHAPES,
@@ -18,6 +16,7 @@ from .matrices import (
     check_json_list,
     check_json_type,
     is_stable_kronecker,
+    load_json,
     matrix_from_json_dict,
 )
 from .poly import (
@@ -29,6 +28,7 @@ from .poly import (
     parse_form,
     solve_linear,
 )
+from .strata import boundary_matrix, boundary_parameters
 
 DEFORM_SRC = (3, 3, 2, 2, 2)
 DEFORM_TGT = (2, 1, 1, 1)
@@ -81,25 +81,15 @@ class BlowupChartPoint:
 def _extract_chart_params(a, b):
     """Read (xbar0, w, q_i, a, b, c, d) off the chart normal forms."""
     domain = a.domain
-    x1 = _var(domain, 1)
-    x2 = _var(domain, 2)
     if (a.src_degrees, a.tgt_degrees) != SHAPES["res0"]:
         raise ChartError("base matrix must have the res0 shape")
     if (b.src_degrees, b.tgt_degrees) != SHAPES["res0"]:
         raise ChartError("direction matrix must have the res0 shape")
-    xbar0 = a[1, 2]
-    if a[0, 0] or a[1, 1] or a[2, 2]:
+    params = boundary_parameters(a)
+    if params is None:
         raise ChartError("base matrix is not in the boundary normal form")
-    if a[1, 0].poly != -x2 or a[2, 0].poly != x1 or a[2, 1].poly != -xbar0.poly:
-        raise ChartError("base matrix is not in the boundary normal form")
-    w1 = a[0, 1].poly.try_exact_div(-x2) if a[0, 1] else None
-    w2 = a[0, 2].poly.try_exact_div(x1) if a[0, 2] else None
-    if w1 is None or w2 is None or w1 != w2:
-        raise ChartError("cannot read the boundary parameter w off the top row")
-    w = Form(w1, 1)
-    if (0, 0, 1) not in w1.terms and (0, 1, 0) not in w1.terms:
-        raise ChartError("w must be a form in x1, x2")
-    if any(e[0] for e in w1.terms):
+    xbar0, w = params
+    if any(e[0] for e in w.poly.terms):
         raise ChartError("w must be a form in x1, x2")
     # direction matrix template
     if b[1, 0] or b[1, 2] or b[2, 0]:
@@ -169,36 +159,16 @@ def make_blowup_chart_point(
     x0, x1, x2 = (_var(domain, i) for i in range(3))
     xbar0 = x0 + x1 * domain.scalar(alpha) + x2 * domain.scalar(beta)
     w = x1 * domain.scalar(gamma) + x2 * domain.scalar(delta)
-    zero1 = Form.zero(domain, 1)
-    zero2 = Form.zero(domain, 2)
-    a = FormMatrix(
-        *SHAPES["res0"],
-        [
-            [zero2, Form(-x2 * w, 2), Form(x1 * w, 2)],
-            [Form(-x2, 1), zero1, Form(xbar0, 1)],
-            [Form(x1, 1), Form(-xbar0, 1), zero1],
-        ],
-    )
-    q0 = parse_form(q0_text, domain=domain)
-    q1 = parse_form(q1_text, domain=domain)
-    q2 = parse_form(q2_text, domain=domain)
-    b = FormMatrix(
-        *SHAPES["res0"],
-        [
-            [_as_deg(q0, 2), _as_deg(q1, 2), _as_deg(q2, 2)],
-            [zero1, Form(x1 * cc, 1), zero1],
-            [zero1, Form(x1 * ca + x2 * cb, 1), Form(x2 * cd, 1)],
-        ],
-    )
+    a = boundary_matrix(Form(xbar0, 1), Form(w, 1))
+    q = [parse_form(text, 2, domain).poly
+         for text in (q0_text, q1_text, q2_text)]
+    zero = MultiPoly.zero(domain)
+    b = FormMatrix.from_polys(*SHAPES["res0"], [
+        q,
+        [zero, x1 * cc, zero],
+        [zero, x1 * ca + x2 * cb, x2 * cd],
+    ])
     return BlowupChartPoint(a, t, b, chart)
-
-
-def _as_deg(form, degree):
-    if not form:
-        return Form.zero(form.domain, degree)
-    if form.degree != degree:
-        raise ChartError(f"expected degree {degree}, got {form.degree}")
-    return form
 
 
 def family_limit(pt):
@@ -271,26 +241,17 @@ class DeformationInstance:
             raise ChartError("deformation parameter t must be nonzero")
 
     def initial_matrix(self):
-        domain = self.domain
-        x1, x2 = _var(domain, 1), _var(domain, 2)
-        t = self.t
-        z1 = Form.zero(domain, 1)
-        z2 = Form.zero(domain, 2)
-        w, xb = self.w.poly, self.xbar0.poly
-        q = [f.poly for f in self.q]
-        y = [f.poly for f in self.y]
-        z = [f.poly for f in self.z]
-        rows = [
-            [z1, z2, z2, z2],
-            [z1, Form(q[0] * t, 2), Form(-w * x2 + q[1] * t, 2),
-             Form(w * x1 + q[2] * t, 2)],
-            [Form.zero(domain, 0), Form(-x2 + y[0] * t, 1), Form(y[1] * t, 1),
-             Form(xb + y[2] * t, 1)],
-            [Form.zero(domain, 0), Form(x1 + z[0] * t, 1),
-             Form(-xb + z[1] * t, 1), Form(z[2] * t, 1)],
-            [Form(MultiPoly.constant(domain, 1), 0), z1, z1, z1],
-        ]
-        return FormMatrix(DEFORM_SRC, DEFORM_TGT, rows)
+        """The family A + t*B, A = boundary_matrix(xbar0, w) and B the rows
+        q, y, z, with a zero top row and left column and a unit bottom row
+        added around it."""
+        b = FormMatrix(*SHAPES["res0"], [self.q, self.y, self.z])
+        family = boundary_matrix(self.xbar0, self.w) + b.scaled(self.t)
+        zero = MultiPoly.zero(self.domain)
+        one = MultiPoly.constant(self.domain, 1)
+        rows = [[zero] * 4]
+        rows += [[zero] + [e.poly for e in row] for row in family.entries]
+        rows.append([one, zero, zero, zero])
+        return FormMatrix.from_polys(DEFORM_SRC, DEFORM_TGT, rows)
 
     def reduction_ops(self):
         """The six recorded elementary-operation steps of the reduction."""
@@ -312,87 +273,34 @@ class DeformationInstance:
         domain = self.domain
         x1, x2 = _var(domain, 1), _var(domain, 2)
         t = self.t
+        inv_t = t.inverse()
         w, xb = self.w.poly, self.xbar0.poly
         q = [f.poly for f in self.q]
         y = [f.poly for f in self.y]
         z = [f.poly for f in self.z]
         zero = MultiPoly.zero(domain)
         one = MultiPoly.constant(domain, 1)
-
-        def mat(rows):
-            out = []
-            for i, row in enumerate(rows):
-                out.append(
-                    [
-                        Form(p, max(DEFORM_SRC[i] - DEFORM_TGT[j], 0))
-                        for j, p in enumerate(row)
-                    ]
-                )
-            return FormMatrix(DEFORM_SRC, DEFORM_TGT, out)
-
+        row1 = [w] + [f * t for f in q]
         row2 = [zero, -x2 + y[0] * t, y[1] * t, xb + y[2] * t]
         row3 = [zero, x1 + z[0] * t, -xb + z[1] * t, z[2] * t]
-        m1 = mat([
-            [zero, zero, zero, zero],
-            [w, q[0] * t, -w * x2 + q[1] * t, w * x1 + q[2] * t],
-            row2,
-            row3,
-            [one, zero, zero, zero],
-        ])
-        m2 = mat([
-            [zero, zero, zero, zero],
-            [w, q[0] * t, q[1] * t, q[2] * t],
-            row2,
-            row3,
-            [one, zero, x2, -x1],
-        ])
-        m3 = mat([
-            [xb, zero, xb * x2, -xb * x1],
-            [w, q[0] * t, q[1] * t, q[2] * t],
-            row2,
-            row3,
-            [one, zero, x2, -x1],
-        ])
-        m4 = mat([
-            [xb, (x1 * y[0] + x2 * z[0]) * t, (x1 * y[1] + x2 * z[1]) * t,
-             (x1 * y[2] + x2 * z[2]) * t],
-            [w, q[0] * t, q[1] * t, q[2] * t],
-            row2,
-            row3,
-            [one, zero, x2, -x1],
-        ])
-        inv_t = t.inverse()
-        m5 = mat([
-            [xb * inv_t, x1 * y[0] + x2 * z[0], x1 * y[1] + x2 * z[1],
-             x1 * y[2] + x2 * z[2]],
-            [w * inv_t, q[0], q[1], q[2]],
-            row2,
-            row3,
-            [one, zero, x2, -x1],
-        ])
-        m6 = self.expected_final()
-        return [m1, m2, m3, m4, m5, m6]
+        row4 = [one, zero, x2, -x1]
+        top = [x1 * y[k] + x2 * z[k] for k in range(3)]
+        steps = [
+            [[zero] * 4,
+             [w, q[0] * t, -w * x2 + q[1] * t, w * x1 + q[2] * t],
+             row2, row3, [one, zero, zero, zero]],
+            [[zero] * 4, row1, row2, row3, row4],
+            [[xb, zero, xb * x2, -xb * x1], row1, row2, row3, row4],
+            [[xb] + [f * t for f in top], row1, row2, row3, row4],
+            [[xb * inv_t] + top, [w * inv_t] + q, row2, row3, row4],
+            [[xb] + top, [w] + q, row2, row3, [one * t] + row4[1:]],
+        ]
+        return [FormMatrix.from_polys(DEFORM_SRC, DEFORM_TGT, rows)
+                for rows in steps]
 
     def expected_final(self):
-        domain = self.domain
-        x1, x2 = _var(domain, 1), _var(domain, 2)
-        t = self.t
-        w, xb = self.w.poly, self.xbar0.poly
-        q = [f.poly for f in self.q]
-        y = [f.poly for f in self.y]
-        z = [f.poly for f in self.z]
-        rows = [
-            [Form(xb, 1), Form(x1 * y[0] + x2 * z[0], 2),
-             Form(x1 * y[1] + x2 * z[1], 2), Form(x1 * y[2] + x2 * z[2], 2)],
-            [Form(w, 1), Form(q[0], 2), Form(q[1], 2), Form(q[2], 2)],
-            [Form.zero(domain, 0), Form(-x2 + y[0] * t, 1), Form(y[1] * t, 1),
-             Form(xb + y[2] * t, 1)],
-            [Form.zero(domain, 0), Form(x1 + z[0] * t, 1),
-             Form(-xb + z[1] * t, 1), Form(z[2] * t, 1)],
-            [Form(MultiPoly.constant(domain, t), 0), Form.zero(domain, 1),
-             Form(x2, 1), Form(-x1, 1)],
-        ]
-        return FormMatrix(DEFORM_SRC, DEFORM_TGT, rows)
+        """The normal form that the reduction chain ends in."""
+        return self.expected_trace()[-1]
 
 
 def deformation_reduction_trace(instance):
@@ -591,5 +499,4 @@ def _json_matrix(data, key, domain):
 
 
 def load_family(path, domain):
-    with open(path) as fh:
-        return family_from_json_dict(json.load(fh), domain)
+    return family_from_json_dict(load_json(path), domain)

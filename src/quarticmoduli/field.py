@@ -12,16 +12,29 @@ class FieldMismatchError(ValueError):
     """Raised when scalars over different domains are combined."""
 
 
+# Miller-Rabin with these bases decides primality exactly for n < 3.3e24
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -80,7 +93,7 @@ class PrimeField(Domain):
     is_field = True
 
     def __init__(self, p):
-        if not _is_prime(p) or p == 2 or p >= 2**62:
+        if p == 2 or p >= 2**62 or not _is_prime(p):
             raise ValueError(f"need an odd prime < 2^62, got {p}")
         self.p = p
 

@@ -46,15 +46,29 @@ class FormMatrix:
                 need = self.src_degrees[i] - self.tgt_degrees[j]
                 if entry:
                     if need < 0 or entry.degree != need:
-                        raise DegreeError(
-                            f"entry ({i},{j}) must have degree {need}, "
-                            f"got {entry.degree}: {entry.serialize()}"
-                        )
+                        raise _entry_degree_error(i, j, need, entry.poly)
                     out_row.append(entry)
                 else:
                     out_row.append(Form.zero(entry.domain, max(need, 0)))
             grid.append(tuple(out_row))
         self.entries = tuple(grid)
+
+    @classmethod
+    def from_polys(cls, src_degrees, tgt_degrees, polys):
+        """The matrix whose entry (i, j) is the polynomial polys[i][j], read
+        as a form of the degree the shape requires; a wrong degree raises
+        DegreeError."""
+        grid = []
+        for i, row in enumerate(polys):
+            out_row = []
+            for j, poly in enumerate(row):
+                need = src_degrees[i] - tgt_degrees[j]
+                try:
+                    out_row.append(Form(poly, max(need, 0)))
+                except ValueError:
+                    raise _entry_degree_error(i, j, need, poly) from None
+            grid.append(out_row)
+        return cls(src_degrees, tgt_degrees, grid)
 
     @property
     def nrows(self):
@@ -114,6 +128,13 @@ class FormMatrix:
         rows[i] = list(new_row)
         return FormMatrix(self.src_degrees, self.tgt_degrees, rows)
 
+    def transpose(self):
+        """The transpose, from the negated target degrees to the negated
+        source degrees, so that every entry keeps its degree."""
+        return FormMatrix([-d for d in self.tgt_degrees],
+                          [-d for d in self.src_degrees],
+                          list(zip(*self.entries)))
+
     def submatrix(self, rows, cols):
         return FormMatrix(
             [self.src_degrees[i] for i in rows],
@@ -170,6 +191,11 @@ class FormMatrix:
             for row in self.entries
         )
         return f"FormMatrix(src={self.src_degrees}, tgt={self.tgt_degrees},\n{rows})"
+
+
+def _entry_degree_error(i, j, need, poly):
+    return DegreeError(f"entry ({i},{j}) must have degree {need}, "
+                       f"got {poly.total_degree()}: {poly.serialize()}")
 
 
 def _polys(matrix):
@@ -278,9 +304,18 @@ def check_json_list(value, path, item_type, length=None):
     return value
 
 
-def load_matrix(path, domain=QQ):
+def load_json(path):
+    """The JSON value in a file; nesting too deep to decode is a
+    ValueError."""
     with open(path) as fh:
-        return matrix_from_json_dict(json.load(fh), domain)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+
+
+def load_matrix(path, domain=QQ):
+    return matrix_from_json_dict(load_json(path), domain)
 
 
 def save_matrix(matrix, path):
@@ -331,13 +366,8 @@ def act(g, a, h):
 
 
 def _multiply(a, b):
-    product = mat_mul(_polys(a), _polys(b))
-    entries = [
-        [Form(p, max(a.src_degrees[i] - b.tgt_degrees[j], 0))
-         for j, p in enumerate(row)]
-        for i, row in enumerate(product)
-    ]
-    return FormMatrix(a.src_degrees, b.tgt_degrees, entries)
+    return FormMatrix.from_polys(a.src_degrees, b.tgt_degrees,
+                                 mat_mul(_polys(a), _polys(b)))
 
 
 def mat_mul(a, b):
@@ -357,14 +387,10 @@ def mat_mul(a, b):
 def identity_automorphism(degrees, domain=QQ):
     one = MultiPoly.constant(domain, 1)
     zero = MultiPoly.zero(domain)
-    entries = [
-        [
-            Form(one if i == j else zero, max(degrees[i] - degrees[j], 0))
-            for j in range(len(degrees))
-        ]
-        for i in range(len(degrees))
-    ]
-    return GradedAutomorphism(FormMatrix(degrees, degrees, entries))
+    n = len(degrees)
+    return GradedAutomorphism(FormMatrix.from_polys(
+        degrees, degrees, [[one if i == j else zero for j in range(n)]
+                           for i in range(n)]))
 
 
 # ---- elementary operations --------------------------------------------
@@ -403,26 +429,9 @@ class ScaleRow(ElementaryOp):
     def apply(self, m):
         c = m.domain.scalar(self.scalar)
         if not c:
-            raise DegreeError("row scale must be nonzero")
+            raise DegreeError("scale must be nonzero")
         rows = [list(r) for r in m.entries]
         rows[self.i] = [e * c for e in rows[self.i]]
-        return FormMatrix(m.src_degrees, m.tgt_degrees, rows)
-
-    def determinant_scale(self, domain):
-        return domain.scalar(self.scalar)
-
-
-class ScaleCol(ElementaryOp):
-    def __init__(self, j, scalar):
-        self.j, self.scalar = j, scalar
-
-    def apply(self, m):
-        c = m.domain.scalar(self.scalar)
-        if not c:
-            raise DegreeError("column scale must be nonzero")
-        rows = [list(r) for r in m.entries]
-        for row in rows:
-            row[self.j] = row[self.j] * c
         return FormMatrix(m.src_degrees, m.tgt_degrees, rows)
 
     def determinant_scale(self, domain):
@@ -440,32 +449,29 @@ class AddMultipleOfRow(ElementaryOp):
         need = m.src_degrees[self.target] - m.src_degrees[self.source]
         if mult.degree != need and mult:
             raise DegreeError(
-                f"row multiplier must have degree {need}, got {mult.degree}"
+                f"multiplier must have degree {need}, got {mult.degree}"
             )
         rows = [list(r) for r in m.entries]
         rows[self.target] = [
-            a + mult * b for a, b in zip(rows[self.target], rows[self.source])
+            a + mult * b if b else a
+            for a, b in zip(rows[self.target], rows[self.source])
         ]
         return FormMatrix(m.src_degrees, m.tgt_degrees, rows)
 
 
-class AddMultipleOfCol(ElementaryOp):
-    """target_col += multiplier * source_col."""
-
-    def __init__(self, target, source, multiplier):
-        self.target, self.source, self.multiplier = target, source, multiplier
+class _OnColumns:
+    """A row operation applied to the columns, through the transpose."""
 
     def apply(self, m):
-        mult = self.multiplier
-        need = m.tgt_degrees[self.source] - m.tgt_degrees[self.target]
-        if mult.degree != need and mult:
-            raise DegreeError(
-                f"column multiplier must have degree {need}, got {mult.degree}"
-            )
-        rows = [list(r) for r in m.entries]
-        for row in rows:
-            row[self.target] = row[self.target] + mult * row[self.source]
-        return FormMatrix(m.src_degrees, m.tgt_degrees, rows)
+        return super().apply(m.transpose()).transpose()
+
+
+class ScaleCol(_OnColumns, ScaleRow):
+    """Column i scaled by a nonzero scalar."""
+
+
+class AddMultipleOfCol(_OnColumns, AddMultipleOfRow):
+    """target_col += multiplier * source_col."""
 
 
 def apply_ops(matrix, ops):

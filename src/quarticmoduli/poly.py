@@ -504,6 +504,10 @@ class PowerDegreeError(ParseError):
     """Raised, before expanding it, on a power above the allowed degree."""
 
 
+# the largest power of a rational constant, in bits, that the parser computes
+MAX_CONSTANT_POWER_BITS = 10_000
+
+
 class _Parser:
     """Recursive descent over: rationals, x0/x1/x2, + - * ^, parentheses.
 
@@ -553,7 +557,10 @@ class _Parser:
         return tok
 
     def parse(self):
-        poly = self.expr()
+        try:
+            poly = self.expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply") from None
         if self.peek() is not None:
             raise ParseError(f"trailing input at token {self.peek()!r}")
         return poly
@@ -591,11 +598,23 @@ class _Parser:
                 raise ParseError("expected integer exponent after '^'")
             n = int(tok)
             degree = base.total_degree()
-            if degree > 0 and self.max_degree is not None \
-                    and n * degree > self.max_degree:
+            if degree <= 0:
+                return MultiPoly.constant(self.domain, self._constant_power(
+                    base.terms.get((0, 0, 0), self.domain.zero), n))
+            if self.max_degree is not None and n * degree > self.max_degree:
                 raise PowerDegreeError(f"a power of degree {n * degree}")
             base = base ** n
         return base
+
+    def _constant_power(self, c, n):
+        """c**n by binary powering; over QQ a value of more than
+        MAX_CONSTANT_POWER_BITS bits is refused before it is computed."""
+        if self.domain == QQ:
+            size = max(abs(c.value.numerator), c.value.denominator)
+            if n * (size.bit_length() - 1) > MAX_CONSTANT_POWER_BITS:
+                raise ParseError(f"the power {c.as_text()}^{n} exceeds "
+                                 f"{MAX_CONSTANT_POWER_BITS} bits")
+        return c ** n
 
     def atom(self):
         tok = self.next()

@@ -129,8 +129,9 @@ def _boundary_report(a, k, minors):
         )
     point = None
     diagnostics = "zero determinant over the boundary line"
-    w = _recover_boundary_parameter(a)
-    if w is not None:
+    params = boundary_parameters(a)
+    if params is not None:
+        _, w = params
         try:
             point = line_intersection(line, w)
             diagnostics += (
@@ -138,7 +139,7 @@ def _boundary_report(a, k, minors):
                 "the top row"
             )
         except ValueError:
-            point = None
+            pass
     else:
         diagnostics += "; matrix not in the boundary normal form, w not recovered"
     return StratumReport(
@@ -146,32 +147,31 @@ def _boundary_report(a, k, minors):
     )
 
 
-def _recover_boundary_parameter(a):
-    """Read w off a matrix in the [0, -x2*w, x1*w] normal form, else None."""
-    domain = a.domain
+def boundary_matrix(xbar0, w):
+    """The boundary normal form [[0, -x2*w, x1*w], [-x2, 0, xbar0],
+    [x1, -xbar0, 0]] for linear forms xbar0 and w; its determinant is 0."""
+    domain = xbar0.domain
     x1 = MultiPoly.variable(domain, 1)
     x2 = MultiPoly.variable(domain, 2)
-    top = a.row(0)
-    if top[0]:
+    zero = MultiPoly.zero(domain)
+    return FormMatrix.from_polys(*SHAPES["res0"], [
+        [zero, -x2 * w.poly, x1 * w.poly],
+        [-x2, zero, xbar0.poly],
+        [x1, -xbar0.poly, zero],
+    ])
+
+
+def boundary_parameters(a):
+    """(xbar0, w) when a is boundary_matrix(xbar0, w) with w nonzero,
+    else None; w is read off entry (0, 1)."""
+    if not isinstance(a, FormMatrix) \
+            or (a.src_degrees, a.tgt_degrees) != SHAPES["res0"] or not a[0, 1]:
         return None
-    xbar0 = a[1, 2]
-    row1 = a.row(1)
-    row2 = a.row(2)
-    if (
-        row1[0].poly != -x2
-        or row1[1]
-        or row2[0].poly != x1
-        or row2[1].poly != -xbar0.poly
-        or row2[2]
-    ):
+    w = a[0, 1].poly.try_exact_div(-MultiPoly.variable(a.domain, 2))
+    if w is None:
         return None
-    if not top[1] or not top[2]:
-        return None
-    w1 = top[1].poly.try_exact_div(-x2)
-    w2 = top[2].poly.try_exact_div(x1)
-    if w1 is None or w2 is None or w1 != w2:
-        return None
-    return Form(w1, 1)
+    xbar0, w = a[1, 2], Form(w, 1)
+    return (xbar0, w) if boundary_matrix(xbar0, w) == a else None
 
 
 def classify_res1(a):

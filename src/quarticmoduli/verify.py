@@ -25,6 +25,7 @@ from .matrices import (
     random_matrix,
 )
 from .poly import Form, MultiPoly, monomials_of_degree
+from .strata import boundary_matrix
 
 PASS = "pass"
 PASS_WITH_NOTE = "pass-with-note"
@@ -238,14 +239,10 @@ def verify_chart_minors(seed=0, samples=200):
     al, be, pa, pb, pc, pd = (ring.variable(n) for n in ring.names)
     x0, x1, x2 = _vars(ring)
     xb = x0 + x1 * al + x2 * be
-    k = FormMatrix(
-        (2, 2),
-        (1, 1, 1),
-        [
-            [Form(-x2, 1), Form(x1 * pc, 1), Form(xb, 1)],
-            [Form(x1, 1), Form(-xb + x1 * pa + x2 * pb, 1), Form(x2 * pd, 1)],
-        ],
-    )
+    k = FormMatrix.from_polys((2, 2), (1, 1, 1), [
+        [-x2, x1 * pc, xb],
+        [x1, -xb + x1 * pa + x2 * pb, x2 * pd],
+    ])
     minors = k.maximal_minors()
     printed = [
         x1 * x2 * (pc * pd) + xb * (xb - x1 * pa - x2 * pb),
@@ -386,16 +383,7 @@ def verify_tangent_quartic(seed, domain=None):
     while not (gamma or delta):
         gamma, delta = pick(), pick()
     w = x1 * gamma + x2 * delta
-    zero1 = Form.zero(domain, 1)
-    zero2 = Form.zero(domain, 2)
-    a = FormMatrix(
-        *SHAPES["res0"],
-        [
-            [zero2, Form(-x2 * w, 2), Form(x1 * w, 2)],
-            [Form(-x2, 1), zero1, Form(x0, 1)],
-            [Form(x1, 1), Form(-x0, 1), zero1],
-        ],
-    )
+    a = boundary_matrix(Form(x0, 1), Form(w, 1))
     b = _random_res0(domain, rng)
     row_sum = tangent_quartic(a, b)
     # t-linear coefficient of det(A + tB) over the parameter ring in t
@@ -438,17 +426,12 @@ def _random_res0(domain, rng):
     if hasattr(domain, "p"):
         return random_matrix("res0", domain, rng=rng)
     src, tgt = SHAPES["res0"]
-    rows = [
-        [
-            Form(MultiPoly(domain, {
-                e: domain.scalar(rng.randrange(-9, 10))
-                for e in monomials_of_degree(s - t)
-            }), s - t)
-            for t in tgt
-        ]
+    return FormMatrix.from_polys(src, tgt, [
+        [MultiPoly(domain, {e: domain.scalar(rng.randrange(-9, 10))
+                            for e in monomials_of_degree(s - t)})
+         for t in tgt]
         for s in src
-    ]
-    return FormMatrix(src, tgt, rows)
+    ])
 
 
 def _lift(poly, ring):

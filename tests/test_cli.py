@@ -226,6 +226,21 @@ def res1(**changes):
     return dict(RES1, **changes)
 
 
+class RawJSON(str):
+    """Input file text written as it is, for JSON that json.dumps cannot
+    produce."""
+
+
+DEEP_LIST = RawJSON("[" * 100_000 + "]" * 100_000)
+
+
+def nested_product(depth):
+    expr = {"type": "projective", "n": 1}
+    for _ in range(depth):
+        expr = {"type": "product", "factors": [expr]}
+    return expr
+
+
 def family(path, value):
     """The family description with the item at path replaced."""
     data = family_data()
@@ -265,7 +280,19 @@ MALFORMED = {
     "huge exponent": (["classify", FILE],
                       res1(entries=[["x0^999999999", "x1^3"], ["x1", "x2^3"]]),
                       "entry (0,0) must have degree 1"),
+    "huge constant power": (["classify", FILE],
+                            res1(entries=[["2^999999999*x0", "x1^3"],
+                                          ["x1", "x2^3"]]),
+                            "the power 2^999999999 exceeds 10000 bits"),
+    "deep matrix nesting": (["classify", FILE], DEEP_LIST,
+                            "JSON nested too deeply"),
+    "deep parentheses": (["classify", FILE],
+                         res1(entries=[["(" * 5000 + "x0" + ")" * 5000,
+                                        "x1^3"], ["x1", "x2^3"]]),
+                         "expression nested too deeply"),
     "family list": (["limit", FILE], [], "expected a JSON object, got list"),
+    "deep family nesting": (["limit", FILE], DEEP_LIST,
+                            "JSON nested too deeply"),
     "family integer entry": (["limit", FILE],
                              family(["A", "entries", 0, 0], 0),
                              "A: entries[0][0]: expected a string, got int"),
@@ -293,6 +320,15 @@ MALFORMED = {
     "text rank": (["betti", FILE], {
         "type": "projbundle", "base": {"type": "projective", "n": 2},
         "rank": "2"}, "rank: expected an integer, got str"),
+    "deep expression nesting": (["betti", FILE], DEEP_LIST,
+                                "JSON nested too deeply"),
+    "deep product nesting": (["betti", FILE], nested_product(400),
+                             "expression nested too deeply"),
+    "huge projective space": (["betti", "P1000000000"], None,
+                              "dimension 1000000000 exceeds the limit"),
+    "huge projective expression": (["betti", FILE],
+                                   {"type": "projective", "n": 1000000000},
+                                   "dimension 1000000000 exceeds the limit"),
     "negative count": (["sample", "res0", "--field", "101", "--count", "-5"],
                        None, "--count must be at least 1"),
     "zero count": (["sample", "res1", "--field", "101", "--count", "0"],
@@ -305,8 +341,10 @@ def test_malformed_input_exits_one_with_one_error_line(tmp_path, capsys,
                                                        case):
     args, payload, message = MALFORMED[case]
     if FILE in args:
-        path = write_json(tmp_path / "input.json", payload)
-        args = [path if a == FILE else a for a in args]
+        path = tmp_path / "input.json"
+        path.write_text(payload if isinstance(payload, RawJSON)
+                        else json.dumps(payload))
+        args = [str(path) if a == FILE else a for a in args]
     start = time.monotonic()
     code = cli.main(args)
     elapsed = time.monotonic() - start

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,29 @@ def test_gf_rejects_composite_and_even():
         GF(6)
     with pytest.raises(ValueError):
         GF(2)
+
+
+def test_prime_check_is_fast_and_exact_below_2_62():
+    start = time.monotonic()
+    assert GF(2**61 - 1).p == 2**61 - 1
+    assert time.monotonic() - start < 1
+    # a prime square, and a strong pseudoprime to the bases 2, 3, 5 and 7
+    for composite in ((2**31 - 1) ** 2, 3215031751):
+        start = time.monotonic()
+        with pytest.raises(ValueError):
+            PrimeField(composite)
+        assert time.monotonic() - start < 1
+    primes = [n for n in range(3, 2000, 2)
+              if all(n % d for d in range(3, int(n ** 0.5) + 1, 2))]
+    assert [n for n in range(3, 2000, 2) if _accepts(n)] == primes
+
+
+def _accepts(p):
+    try:
+        PrimeField(p)
+    except ValueError:
+        return False
+    return True
 
 
 def test_gf_caches_instances():

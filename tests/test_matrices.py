@@ -4,9 +4,11 @@ import pytest
 
 from quarticmoduli.field import GF, QQ
 from quarticmoduli.matrices import (
+    AddMultipleOfCol,
     AddMultipleOfRow,
     DegreeError,
     FormMatrix,
+    ScaleCol,
     ScaleRow,
     SwapRows,
     act,
@@ -17,6 +19,7 @@ from quarticmoduli.matrices import (
     matrix_from_json_dict,
     ops_determinant_scale,
     random_graded_automorphism,
+    random_form,
     random_matrix,
 )
 from quarticmoduli.poly import Form, parse_form, parse_poly
@@ -214,3 +217,47 @@ def test_json_roundtrip():
     assert data["src_degrees"] == [3, 2, 2]
     again = matrix_from_json_dict(data, QQ)
     assert again == m
+
+
+def test_transpose_keeps_entry_degrees():
+    m = random_matrix("res1", GF(101), seed=5)
+    t = m.transpose()
+    assert (t.src_degrees, t.tgt_degrees) == ((-2, 0), (-3, -3))
+    assert t[1, 0] == m[0, 1]
+    assert t.transpose() == m
+
+
+def test_column_ops_are_row_ops_on_the_transpose():
+    dom = GF(101)
+    rng = random.Random(11)
+    src, tgt = (3, 2, 2), (1, 1, 0)
+    m = FormMatrix(src, tgt, [[random_form(dom, s - t, rng) for t in tgt]
+                              for s in src])
+    cases = [
+        (ScaleCol(1, dom.scalar(7)), ScaleRow(1, dom.scalar(7))),
+        (AddMultipleOfCol(2, 0, parse_form("3*x1 - x2", domain=dom)),
+         AddMultipleOfRow(2, 0, parse_form("3*x1 - x2", domain=dom))),
+    ]
+    for col_op, row_op in cases:
+        out = col_op.apply(m)
+        assert out == row_op.apply(m.transpose()).transpose()
+        assert out.determinant().poly \
+            == m.determinant().poly * col_op.determinant_scale(dom)
+    with pytest.raises(DegreeError, match="multiplier must have degree 1"):
+        AddMultipleOfCol(2, 0, parse_form("1", domain=dom)).apply(m)
+    with pytest.raises(DegreeError, match="scale must be nonzero"):
+        ScaleCol(0, 0).apply(m)
+
+
+def test_from_polys_reads_degrees_from_the_shape():
+    polys = [[parse_poly("x0"), parse_poly("x1^3")],
+             [parse_poly("0"), parse_poly("x2^3")]]
+    m = FormMatrix.from_polys((3, 3), (2, 0), polys)
+    assert m == make_matrix((3, 3), (2, 0), [["x0", "x1^3"], ["0", "x2^3"]])
+    assert m[1, 0].degree == 1
+    polys[1][1] = parse_poly("x2^2")
+    with pytest.raises(DegreeError, match=r"entry \(1,1\) must have degree 3"):
+        FormMatrix.from_polys((3, 3), (2, 0), polys)
+    polys[1][1] = parse_poly("x0 + x2^3")
+    with pytest.raises(DegreeError, match=r"entry \(1,1\)"):
+        FormMatrix.from_polys((3, 3), (2, 0), polys)

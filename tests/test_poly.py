@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from quarticmoduli.poly import (
     ParseError,
     linear_rank,
     monomials_of_degree,
+    parse_entry,
     parse_form,
     parse_poly,
 )
@@ -42,6 +44,25 @@ def test_parse_syntax_error():
         parse_poly("x0 + * x1")
     with pytest.raises(ParseError):
         parse_poly("x3")
+
+
+def test_constant_power_is_reduced_mod_p():
+    dom = GF(101)
+    start = time.monotonic()
+    f = parse_entry("2^999999999*x0", 1, dom)
+    assert time.monotonic() - start < 1
+    assert f.poly == MultiPoly.variable(dom, 0) * pow(2, 999999999, 101)
+    assert parse_poly("(x0 - x0)^999999999") == parse_poly("0")
+    assert parse_poly("(-1)^999999999*x1") == parse_poly("-x1")
+
+
+def test_constant_power_size_bounded_over_qq():
+    assert parse_poly("2^10000").terms[(0, 0, 0)].value == 2 ** 10000
+    assert parse_poly("1/2^3") == parse_poly("1/8")
+    with pytest.raises(ParseError, match="exceeds 10000 bits"):
+        parse_poly("2^10001*x0")
+    with pytest.raises(ParseError, match="exceeds 10000 bits"):
+        parse_entry("(3/2)^999999999*x0", 1, QQ)
 
 
 def test_parse_rational_coefficients():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from quarticmoduli import strata
 from quarticmoduli.field import GF, QQ
 from quarticmoduli.matrices import (
     act,
@@ -207,3 +208,35 @@ def test_report_serialization():
     assert data["label"] == M01
     assert data["quartic"] == "x0^2*x1^2"
     assert data["line"] == "x0"
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_boundary_parameters_inverts_boundary_matrix(domain):
+    xbar0 = parse_form("x0 + 2*x1 - 3*x2", domain=domain)
+    w = parse_form("5*x1 + 7*x2", domain=domain)
+    a = strata.boundary_matrix(xbar0, w)
+    assert not a.determinant()
+    assert strata.boundary_parameters(a) == (xbar0, w)
+    assert strata.boundary_parameters(boundary_matrix()) \
+        == (parse_form("x0"), parse_form("x1"))
+
+
+def test_boundary_parameters_refuses_other_matrices():
+    a = strata.boundary_matrix(parse_form("x0"), parse_form("x1 + x2"))
+    texts = [["0", "-x2*(x1 + x2)", "x1*(x1 + x2)"],
+             ["-x2", "0", "x0"],
+             ["x1", "-x0", "0"]]
+    assert strata.boundary_parameters(a) is not None
+    assert strata.boundary_parameters(a.submatrix([1, 2], [0, 1, 2])) is None
+    assert strata.boundary_parameters(
+        make_matrix((3, 3), (2, 0), [["x0", "x1^3"], ["x1", "x2^3"]])) is None
+    nonzero_corner = [["x1^2"] + texts[0][1:]] + texts[1:]
+    assert strata.boundary_parameters(
+        make_matrix((3, 2, 2), (1, 1, 1), nonzero_corner)) is None
+    # entry (0, 1) gives w = x1 + x2, entry (0, 2) gives w = x1
+    mismatched = [["0", "-x2*(x1 + x2)", "x1*x1"]] + texts[1:]
+    assert strata.boundary_parameters(
+        make_matrix((3, 2, 2), (1, 1, 1), mismatched)) is None
+    zero_w = [["0", "0", "0"]] + texts[1:]
+    assert strata.boundary_parameters(
+        make_matrix((3, 2, 2), (1, 1, 1), zero_w)) is None
