@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import gcd as igcd, lcm
 
 from .field import QQ, PrimeField, Rationals
+from .matrices import det
 from .poly import (
     NVARS,
     BinaryForm,
@@ -146,12 +147,23 @@ def multivariate_gcd(a, b):
 
 
 def gcd_fold(polys):
-    """GCD of a sequence of polynomials or forms."""
+    """GCD of a sequence of polynomials or forms, normalized.
+
+    Two shortcuts give the same result as folding multivariate_gcd over
+    every input: the fold stops once the running GCD is a constant, since
+    nothing can shrink it further, and an input that the running GCD
+    divides exactly leaves it as it is, so no GCD is run for that input.
+    """
     total = None
     for p in polys:
         if isinstance(p, Form):
             p = p.poly
-        total = p.normalized() if total is None else multivariate_gcd(total, p)
+        if total is None or not total:
+            total = p.normalized()
+        elif total.total_degree() == 0:
+            break
+        elif p.try_exact_div(total) is None:
+            total = multivariate_gcd(total, p)
     if total is None:
         raise ValueError("empty input")
     return total
@@ -471,8 +483,13 @@ def normalize_point(point):
 def common_linear_factor(forms):
     """The shared degree-1 factor of the forms, if one exists.
 
-    Folds the multivariate GCD; a degree-1 fold is returned directly, a
-    higher-degree fold goes through the pencil-based linear factor search.
+    A nonzero conic among the forms whose symmetric matrix is nonsingular
+    answers None at once: every domain here has characteristic 0 or an
+    odd prime, where such a conic is irreducible even over the algebraic
+    closure (a product of two lines has a singular matrix), so no line
+    divides it.  Otherwise the multivariate GCD is folded; a degree-1 fold
+    is returned directly, a higher-degree fold goes through the
+    pencil-based linear factor search.
     """
     forms = list(forms)
     if not forms:
@@ -480,6 +497,8 @@ def common_linear_factor(forms):
     nonzero = [f for f in forms if f]
     if not nonzero:
         raise ValueError("need at least one nonzero form")
+    if any(f.degree == 2 and _nonsingular_conic(f) for f in nonzero):
+        return None
     g = gcd_fold(nonzero)
     d = g.total_degree()
     if d == 0:
@@ -491,3 +510,11 @@ def common_linear_factor(forms):
         if all(f.poly.try_exact_div(line.poly) is not None for f in nonzero):
             return line.normalized()
     return None
+
+
+def _nonsingular_conic(conic):
+    """Whether the symmetric matrix [[2a, b, c], [b, 2d, e], [c, e, 2f]] of
+    a*x0^2 + b*x0*x1 + c*x0*x2 + d*x1^2 + e*x1*x2 + f*x2^2 is
+    nonsingular."""
+    a, b, c, d, e, f = coefficient_rows([conic], 2)[0]
+    return bool(det([[a + a, b, c], [b, d + d, e], [c, e, f + f]]))

@@ -18,6 +18,7 @@ from .field import GF, QQ, PrimeField
 from .poly import (
     Form,
     MultiPoly,
+    ParseError,
     PowerDegreeError,
     linear_rank,
     monomials_of_degree,
@@ -244,7 +245,8 @@ def make_matrix(src_degrees, tgt_degrees, entry_texts, domain=QQ):
     """Parse a grid of polynomial texts into a degree-checked FormMatrix.
 
     A power above its entry's required degree is refused before it is
-    expanded, so a huge exponent cannot stall the parse.
+    expanded, so a huge exponent cannot stall the parse.  Every parse
+    error names its entry.
     """
     entries = []
     for i, row in enumerate(entry_texts):
@@ -256,6 +258,8 @@ def make_matrix(src_degrees, tgt_degrees, entry_texts, domain=QQ):
             except PowerDegreeError as exc:
                 raise DegreeError(f"entry ({i},{j}) must have degree {need}, "
                                   f"got {exc}: {text!r}") from None
+            except ParseError as exc:
+                raise ParseError(f"entry ({i},{j}): {exc}") from None
             if form and (need < 0 or form.degree != need):
                 raise DegreeError(
                     f"entry ({i},{j}) must have degree {need}, "
@@ -498,7 +502,12 @@ def is_stable_kronecker(k):
         for e in row:
             if e and e.degree != 1:
                 raise DegreeError("Kronecker entries must be linear")
-    minors = k.maximal_minors()
+    return stable_kronecker_minors(k.maximal_minors())
+
+
+def stable_kronecker_minors(minors):
+    """The stability rule on the three maximal minors of a 2x3 matrix of
+    linear forms: the conics must span a space of rank 3."""
     return linear_rank(minors, 2) == 3
 
 

@@ -121,9 +121,15 @@ class MultiPoly:
         return total
 
     def __pow__(self, n):
+        """self**n by square-and-multiply."""
         result = MultiPoly.constant(self.domain, 1)
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __bool__(self):
@@ -644,9 +650,17 @@ def parse_poly(text, domain=QQ):
 def parse_form(text, expected_degree=None, domain=QQ):
     """Parse a homogeneous polynomial into a Form.
 
-    The zero polynomial is accepted at any expected degree.
+    The zero polynomial is accepted at any expected degree.  With
+    expected_degree given, a power of a nonconstant base above it raises
+    PowerDegreeError before it is expanded, so x0^3 - x0^3 + x1^2 is
+    refused at degree 2 although its value is x1^2.
     """
-    return _homogeneous_form(parse_poly(text, domain), text, expected_degree)
+    try:
+        poly = _Parser(text, domain, expected_degree).parse()
+    except PowerDegreeError as exc:
+        raise PowerDegreeError(f"degree mismatch: expected {expected_degree}, "
+                               f"got {exc}") from None
+    return _homogeneous_form(poly, text, expected_degree)
 
 
 def parse_entry(text, max_degree, domain=QQ):

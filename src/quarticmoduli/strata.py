@@ -14,7 +14,7 @@ from .gcd import (
     lines_dividing_all,
     normalize_point,
 )
-from .matrices import SHAPES, FormMatrix, det, is_stable_kronecker
+from .matrices import SHAPES, FormMatrix, det, stable_kronecker_minors
 from .poly import (
     BinaryForm,
     Form,
@@ -85,22 +85,25 @@ def classify_res0(a):
             or (a.src_degrees, a.tgt_degrees) != SHAPES["res0"]:
         return StratumReport(INVALID, diagnostics="expected shape res0")
     k = a.submatrix([1, 2], [0, 1, 2])
-    if not is_stable_kronecker(k):
+    minors = k.maximal_minors()
+    if not stable_kronecker_minors(minors):
         return StratumReport(
             NOT_STABLE,
             diagnostics="2x2 minors of the linear part are dependent",
             kronecker=k,
         )
-    det = a.determinant()
-    minors = k.maximal_minors()
-    if not det:
+    # Laplace expansion along the top row: det = sum_j a[0, j] * minor_j
+    quartic = Form.zero(a.domain, 4)
+    for q, minor in zip(a.row(0), minors):
+        quartic = quartic + q * minor
+    if not quartic:
         return _boundary_report(a, k, minors)
     line = common_linear_factor(minors)
     if line is not None:
-        cubic = Form(det.poly.exact_div(line.poly), 3)
+        cubic = Form(quartic.poly.exact_div(line.poly), 3)
         return StratumReport(
             M01,
-            quartic=det,
+            quartic=quartic,
             line=line,
             cubic=cubic,
             scheme_ideal=minors,
@@ -109,7 +112,7 @@ def classify_res0(a):
         )
     return StratumReport(
         M00,
-        quartic=det,
+        quartic=quartic,
         scheme_ideal=minors,
         diagnostics="determinant nonzero, minors coprime",
         kronecker=k,

@@ -283,7 +283,11 @@ MALFORMED = {
     "huge constant power": (["classify", FILE],
                             res1(entries=[["2^999999999*x0", "x1^3"],
                                           ["x1", "x2^3"]]),
-                            "the power 2^999999999 exceeds 10000 bits"),
+                            "error: entry (0,0): the power 2^999999999 "
+                            "exceeds 10000 bits"),
+    "bad character": (["classify", FILE],
+                      res1(entries=[["x0", "x1^3"], ["x1", "x2^3 $"]]),
+                      "error: entry (1,1): unexpected character '$'"),
     "deep matrix nesting": (["classify", FILE], DEEP_LIST,
                             "JSON nested too deeply"),
     "deep parentheses": (["classify", FILE],

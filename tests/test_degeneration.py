@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -50,6 +51,13 @@ def test_family_limit_example():
     assert not parse_form("x0").evaluate(point)
     assert not parse_form("x2").evaluate(point)
     assert not quartic.evaluate(point)
+
+
+def test_chart_point_refuses_huge_power_at_once():
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="got a power of degree 99999999"):
+        chart_point(q0_text="x0^99999999")
+    assert time.monotonic() - start < 1
 
 
 def test_family_limit_degenerate_direction_rejected():

@@ -12,7 +12,13 @@ from quarticmoduli.gcd import (
     multivariate_gcd,
 )
 from quarticmoduli.matrices import random_form
-from quarticmoduli.poly import Form, parse_form, parse_poly
+from quarticmoduli.poly import (
+    Form,
+    MultiPoly,
+    monomials_of_degree,
+    parse_form,
+    parse_poly,
+)
 
 
 def test_gcd_monomials():
@@ -136,3 +142,51 @@ def test_gcd_over_prime_field_linear_factors():
     g = parse_poly("x0^2 + 2*x0*x1 + x1^2", domain=dom)
     d = multivariate_gcd(f, g)
     assert d == parse_poly("x0 + x1", domain=dom)
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
+def test_common_linear_factor_of_singular_conics(domain):
+    # (x0 + x1)*(x0 + x2) has the singular matrix [[2, 1, 1], [1, 0, 1],
+    # [1, 1, 0]]; without the doubled diagonal it would pass for smooth
+    conics = [parse_form(t, domain=domain) for t in
+              ("(x0 + x1)*(x0 + x2)", "(x0 + x1)*x1", "(x0 + x1)*x2")]
+    factor = common_linear_factor(conics)
+    assert factor is not None
+    assert factor.poly == parse_poly("x0 + x1", domain=domain)
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
+def test_common_linear_factor_of_one_smooth_conic(domain):
+    conic = parse_form("x0^2 + x1*x2 - 3*x2^2", domain=domain)
+    assert common_linear_factor([conic] * 3) is None
+
+
+def plain_fold(polys):
+    """The GCD folded pairwise over every input, with no shortcut."""
+    total = polys[0].normalized()
+    for p in polys[1:]:
+        total = multivariate_gcd(total, p)
+    return total
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
+def test_gcd_fold_matches_plain_fold(domain):
+    rng = random.Random(5)
+
+    def form(degree):
+        terms = {}
+        for m in monomials_of_degree(degree):
+            if rng.random() < 0.5:
+                terms[m] = domain.scalar(rng.randrange(-3, 4))
+        return MultiPoly(domain, terms)
+
+    zero, one = MultiPoly.zero(domain), MultiPoly.constant(domain, 3)
+    for _ in range(40):
+        base = form(rng.randrange(0, 3))
+        pool = [zero, one, base, form(1), form(2)]
+        pool += [base * form(rng.randrange(0, 3)) for _ in range(3)]
+        polys = [rng.choice(pool) for _ in range(rng.randrange(1, 6))]
+        assert gcd_fold(polys) == plain_fold(polys), polys
+    # zeros first, then a constant that ends the fold
+    polys = [zero, zero, base * 2, one, base]
+    assert gcd_fold(polys) == plain_fold(polys) == MultiPoly.constant(domain, 1)

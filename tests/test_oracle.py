@@ -6,8 +6,15 @@ row echelon form, ``MultiPoly.substitute`` / ``Form.restrict_to_line``
 with a simultaneous substitution in sympy's sparse polynomial ring, and
 ``poly.divide_coefficients`` with sympy's univariate division, over
 GF(101) and QQ on inputs drawn by hypothesis.
+
+``gcd.common_linear_factor`` decides most inputs by its conic test; it is
+compared with the generic GCD path, and the conic test with sympy's
+factorization over QQ.  sympy does not factor multivariate polynomials
+over finite fields, so over GF(101) the test is checked against a scan of
+every rational point for a singular one instead.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,11 +26,25 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from quarticmoduli import strata  # noqa: E402
 from quarticmoduli.field import GF, QQ  # noqa: E402
-from quarticmoduli.matrices import det  # noqa: E402
+from quarticmoduli.gcd import (  # noqa: E402
+    _linear_factors,
+    _nonsingular_conic,
+    common_linear_factor,
+    gcd_fold,
+)
+from quarticmoduli.matrices import (  # noqa: E402
+    SHAPES,
+    FormMatrix,
+    det,
+    is_stable_kronecker,
+    mat_mul,
+)
 from quarticmoduli.poly import (  # noqa: E402
     Form,
     MultiPoly,
+    coefficient_rows,
     divide_coefficients,
     monomials_of_degree,
     row_reduce,
@@ -233,3 +254,140 @@ def test_divide_coefficients_matches_sympy(domain, data):
     for ours, theirs in zip(divide_coefficients(a, b), want):
         assert {(i,): c.value for i, c in enumerate(ours) if c} == \
             {e: from_sympy(ring.domain, c) for e, c in theirs.items()}
+
+
+def generic_common_linear_factor(forms):
+    """common_linear_factor without the conic test: the GCD fold, then the
+    linear factors of a higher-degree fold checked by exact division."""
+    nonzero = [f for f in forms if f]
+    g = gcd_fold(nonzero)
+    d = g.total_degree()
+    if d == 0:
+        return None
+    if d == 1:
+        return Form(g, 1)
+    lines, _ = _linear_factors(Form(g, d))
+    for line in lines:
+        if all(f.poly.try_exact_div(line.poly) is not None for f in nonzero):
+            return line.normalized()
+    return None
+
+
+@st.composite
+def conics(draw, domain, line):
+    """A conic with drawn coefficients, or `line` times a drawn line."""
+    if draw(st.booleans()):
+        return Form(draw(polys(domain, [2])), 2)
+    return Form(line * draw(polys(domain, [1])), 2)
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_common_linear_factor_matches_generic_path(domain, data):
+    """Conic triples that often share a drawn line."""
+    line = data.draw(polys(domain, [1]))
+    if data.draw(st.booleans()):
+        triple = [Form(line * data.draw(polys(domain, [1])), 2)
+                  for _ in range(3)]
+    else:
+        triple = [data.draw(conics(domain, line)) for _ in range(3)]
+    assume(any(triple))
+    assert common_linear_factor(triple) == \
+        generic_common_linear_factor(triple)
+
+
+def _linear(domain, rng):
+    while True:
+        line = MultiPoly(domain, {m: domain.scalar(rng.randrange(-3, 4))
+                                  for m in monomials_of_degree(1)})
+        if line:
+            return line
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+def test_common_linear_factor_matches_generic_on_built_minors(domain):
+    """Minors of M01 blocks [[-l2, 0, l0], [l1, -l0, 0]] mixed by constant
+    row and column operations, and of boundary normal forms: every conic
+    is singular, so the generic path decides them."""
+    rng = random.Random(3)
+    zero = MultiPoly.zero(domain)
+    found = 0
+    for _ in range(15):
+        l0, l1, l2 = (_linear(domain, rng) for _ in range(3))
+        k = FormMatrix.from_polys((2, 2), (1, 1, 1),
+                                  [[-l2, zero, l0], [l1, -l0, zero]])
+        g, h = ([[MultiPoly.constant(domain, rng.randrange(-2, 3))
+                  for _ in range(n)] for _ in range(n)] for n in (2, 3))
+        mixed = FormMatrix.from_polys((2, 2), (1, 1, 1), mat_mul(
+            mat_mul(g, [[e.poly for e in row] for row in k.entries]), h))
+        boundary = strata.boundary_matrix(Form(l0, 1), Form(l1, 1))
+        for minors in (mixed.maximal_minors(),
+                       boundary.submatrix([1, 2], [0, 1, 2]).maximal_minors()):
+            if not any(minors):
+                continue
+            assert not any(_nonsingular_conic(m) for m in minors if m)
+            want = generic_common_linear_factor(minors)
+            assert common_linear_factor(minors) == want
+            found += want is not None
+    assert found >= 15
+
+
+def _singular_point(conic):
+    """A point of P2(GF(101)) where every partial derivative of the conic
+    vanishes, or None; found by trying every point."""
+    a, b, c, d, e, f = (v.value for v in coefficient_rows([conic], 2)[0])
+    points = [(1, y, z) for y in range(P) for z in range(P)] \
+        + [(0, 1, z) for z in range(P)] + [(0, 0, 1)]
+    for x, y, z in points:
+        if (2 * a * x + b * y + c * z) % P == 0 \
+                and (b * x + 2 * d * y + e * z) % P == 0 \
+                and (c * x + e * y + 2 * f * z) % P == 0:
+            return x, y, z
+    return None
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_nonsingular_conic_is_irreducible(domain, data):
+    conic = Form(data.draw(polys(domain, [2])), 2)
+    assume(conic)
+    if not _nonsingular_conic(conic):
+        return
+    if domain == QQ:
+        ring, _ = sympy_ring(domain)
+        _, factors = to_ring(ring, conic.poly).factor_list()
+        assert [(max(map(sum, f.monoms())), m) for f, m in factors] \
+            == [(2, 1)]
+    else:
+        assert _singular_point(conic) is None
+
+
+@st.composite
+def res0_matrices(draw, domain):
+    """A res0 matrix of drawn entries, or with the M01 linear block
+    [[-l2, 0, l0], [l1, -l0, 0]] of drawn lines."""
+    src, tgt = SHAPES["res0"]
+    rows = [[draw(polys(domain, [s - t])) for t in tgt] for s in src]
+    if draw(st.booleans()):
+        l0, l1, l2 = (draw(polys(domain, [1])) for _ in range(3))
+        zero = MultiPoly.zero(domain)
+        rows[1:] = [[-l2, zero, l0], [l1, -l0, zero]]
+    return FormMatrix.from_polys(src, tgt, rows)
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_classify_res0_quartic_is_the_determinant(domain, data):
+    a = data.draw(res0_matrices(domain))
+    report = strata.classify_res0(a)
+    stable = is_stable_kronecker(a.submatrix([1, 2], [0, 1, 2]))
+    assert (report.label != strata.NOT_STABLE) == stable
+    if report.label in (strata.M00, strata.M01):
+        assert report.quartic == a.determinant()
+        assert {e: c.value for e, c in report.quartic.poly.terms.items()} \
+            == sympy_det([[e.poly for e in row] for row in a.entries], domain)
+    elif stable:
+        assert not a.determinant()

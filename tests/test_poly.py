@@ -56,6 +56,27 @@ def test_constant_power_is_reduced_mod_p():
     assert parse_poly("(-1)^999999999*x1") == parse_poly("-x1")
 
 
+def test_huge_power_of_a_variable_is_fast():
+    start = time.monotonic()
+    with pytest.raises(ParseError, match="expected 2, got a power of degree"):
+        parse_form("x0^99999999", 2)
+    assert parse_poly("x0^99999999") == MultiPoly.monomial(QQ, (99999999, 0, 0))
+    assert time.monotonic() - start < 1
+    # a power above the expected degree is refused even where it cancels
+    for text in ("0*x0^3", "x0^3 - x0^3 + x1^2"):
+        with pytest.raises(ParseError):
+            parse_form(text, 2)
+    assert parse_form("x0^3 - x0^3 + x1^2").poly == parse_poly("x1^2")
+
+
+def test_power_by_squaring_matches_repeated_product():
+    f = parse_poly("x0 - 2*x1 + 1/3*x2")
+    product = MultiPoly.constant(QQ, 1)
+    for n in range(8):
+        assert f ** n == product
+        product = product * f
+
+
 def test_constant_power_size_bounded_over_qq():
     assert parse_poly("2^10000").terms[(0, 0, 0)].value == 2 ** 10000
     assert parse_poly("1/2^3") == parse_poly("1/8")

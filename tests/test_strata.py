@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from quarticmoduli import strata
+from quarticmoduli import gcd, strata
 from quarticmoduli.field import GF, QQ
 from quarticmoduli.matrices import (
+    FormMatrix,
     act,
+    is_stable_kronecker,
     make_matrix,
     random_graded_automorphism,
     random_matrix,
 )
-from quarticmoduli.poly import parse_form, parse_poly
+from quarticmoduli.poly import Form, parse_form, parse_poly
 from quarticmoduli.strata import (
     BOUNDARY,
     INVALID,
@@ -138,6 +140,42 @@ def test_classification_invariant_under_action():
         g = random_graded_automorphism((3, 2, 2), dom, rng)
         h = random_graded_automorphism((1, 1, 1), dom, rng)
         assert classify_res0(act(g, m, h)).label == base
+
+
+def test_classify_res0_work_counts(monkeypatch):
+    """Exact counts, not times: a random GF(101) res0 matrix is decided
+    with no multivariate GCD and one set of maximal minors."""
+    calls = {"gcd": 0, "minors": 0}
+    gcd_before = gcd.multivariate_gcd
+    minors_before = FormMatrix.maximal_minors
+
+    def counting_gcd(a, b):
+        calls["gcd"] += 1
+        return gcd_before(a, b)
+
+    def counting_minors(self):
+        calls["minors"] += 1
+        return minors_before(self)
+
+    dom = GF(101)
+    rng = random.Random(17)
+    # a zero third column in the linear block leaves one nonzero minor
+    rows = [list(row) for row in random_matrix("res0", dom, rng=rng).entries]
+    rows[1][2] = rows[2][2] = Form.zero(dom, 1)
+    zero_column = FormMatrix((3, 2, 2), (1, 1, 1), rows)
+    cases = [random_matrix("res0", dom, rng=rng) for _ in range(20)]
+    stable = [is_stable_kronecker(m.submatrix([1, 2], [0, 1, 2]))
+              for m in cases + [zero_column]]
+    monkeypatch.setattr(gcd, "multivariate_gcd", counting_gcd)
+    monkeypatch.setattr(FormMatrix, "maximal_minors", counting_minors)
+    for m in cases:
+        calls.update(gcd=0, minors=0)
+        report = classify_res0(m)
+        assert report.label == M00
+        assert calls == {"gcd": 0, "minors": 1}
+    labels = [classify_res0(m).label for m in cases + [zero_column]]
+    assert [label != NOT_STABLE for label in labels] == stable
+    assert labels[-1] == NOT_STABLE
 
 
 def test_extract_Z_points_against_scan():
