@@ -38,6 +38,7 @@ from .field import (
     QQ,
     FieldMismatchError,
     FieldScalar,
+    InvariantError,
     ParamRing,
     ParamScalar,
     PrimeField,

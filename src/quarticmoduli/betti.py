@@ -6,6 +6,7 @@ blow-up substitution rule P(Bl_Y X) = P(X) - P(Y) + P(Y)*P(P^(c-1)) for a
 blow-up along Y of codimension c.
 """
 
+from .field import InvariantError
 from .poly import horner
 
 
@@ -265,5 +266,5 @@ def poincare_M():
     m = b - p2 * poincare_projective(1) + p2 * poincare_projective(13)
     expected = PoincarePoly(MODULI_COEFFICIENTS)
     if m != expected:
-        raise AssertionError("stratification sum drifted from the frozen value")
+        raise InvariantError("stratification sum drifted from the frozen value")
     return m

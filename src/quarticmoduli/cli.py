@@ -25,7 +25,7 @@ from .betti import (
     poincare_projective,
 )
 from .degeneration import family_limit, load_family
-from .field import GF, QQ
+from .field import GF, QQ, InvariantError
 from .matrices import (
     check_json_list,
     check_json_type,
@@ -343,6 +343,9 @@ def main(argv=None):
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

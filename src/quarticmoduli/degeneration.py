@@ -3,6 +3,7 @@ the twisted-ideal resolution builder, the 5x4 reduction chain, and
 Fitting-support extraction.
 """
 
+from .field import InvariantError
 from .gcd import gcd_fold, line_intersection
 from .matrices import (
     SHAPES,
@@ -23,6 +24,7 @@ from .poly import (
     BinaryForm,
     Form,
     MultiPoly,
+    ParseError,
     divide_coefficients,
     monomials_of_degree,
     parse_form,
@@ -153,15 +155,20 @@ def make_blowup_chart_point(
     """Assemble a BlowupChartPoint from chart coordinates.
 
     (gamma, delta) are the boundary parameters of w = gamma*x1 + delta*x2;
-    ab_cd is the (a, b, c, d) quadruple of the direction matrix.
+    ab_cd is the (a, b, c, d) quadruple of the direction matrix.  A q text's
+    ParseError is prefixed with its name, as in "q1: degree mismatch: ...".
     """
     ca, cb, cc, cd = [domain.scalar(v) for v in ab_cd]
     x0, x1, x2 = (_var(domain, i) for i in range(3))
     xbar0 = x0 + x1 * domain.scalar(alpha) + x2 * domain.scalar(beta)
     w = x1 * domain.scalar(gamma) + x2 * domain.scalar(delta)
     a = boundary_matrix(Form(xbar0, 1), Form(w, 1))
-    q = [parse_form(text, 2, domain).poly
-         for text in (q0_text, q1_text, q2_text)]
+    q = []
+    for name, text in (("q0", q0_text), ("q1", q1_text), ("q2", q2_text)):
+        try:
+            q.append(parse_form(text, 2, domain).poly)
+        except ParseError as exc:
+            raise type(exc)(f"{name}: {exc}") from None
     zero = MultiPoly.zero(domain)
     b = FormMatrix.from_polys(*SHAPES["res0"], [
         q,
@@ -202,7 +209,7 @@ def family_limit(pt):
     quartic = Form(f, 4)
     point = line_intersection(p["xbar0"], p["w"])
     if quartic.evaluate(point):
-        raise AssertionError("limit quartic must vanish at the limit point")
+        raise InvariantError("limit quartic must vanish at the limit point")
     return quartic, point
 
 
@@ -318,7 +325,7 @@ def deformation_normal_form(instance):
     final = deformation_reduction_trace(instance)[-1]
     expected = instance.expected_final()
     if final != expected:
-        raise AssertionError("reduction chain did not reach the normal form")
+        raise InvariantError("reduction chain did not reach the normal form")
     return final
 
 
@@ -393,7 +400,7 @@ def build_twisted_ideal_resolution(f, l, g):
         l, g, Form(w, 1), Form(h, 3), semistable=True
     )
     if l.poly * result.h.poly - result.w.poly * g.poly != f.poly:
-        raise AssertionError("resolution does not satisfy f = l*h - w*g")
+        raise InvariantError("resolution does not satisfy f = l*h - w*g")
     return result
 
 
@@ -454,7 +461,7 @@ def flag_limit(datum):
     s1, t1 = -b, a
     point = l.line_point(s1, t1)
     if f.evaluate(point):
-        raise AssertionError("residual point must lie on the quartic")
+        raise InvariantError("residual point must lie on the quartic")
     return point
 
 

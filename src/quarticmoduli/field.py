@@ -3,13 +3,23 @@
 All arithmetic is exact; there is no floating point anywhere in the package.
 Scalars are tagged with their domain and refuse to mix with scalars of a
 different domain.
+
+A scalar boxes a raw value: a Fraction over QQ, an int in [0, p) over
+GF(p), and the ParamScalar itself over a parameter ring.  Polynomial loops
+run on raw values and box each result once through ``Domain.reduce``, the
+one place where a raw value is made canonical; so do the scalar operators.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 
 class FieldMismatchError(ValueError):
     """Raised when scalars over different domains are combined."""
+
+
+class InvariantError(RuntimeError):
+    """A result broke an invariant the package guarantees: a package fault."""
 
 
 # Miller-Rabin with these bases decides primality exactly for n < 3.3e24
@@ -39,17 +49,33 @@ def _is_prime(n):
 
 
 class Domain:
-    """Base class for coefficient domains."""
+    """Base class for coefficient domains; ``reduce(raw)`` gives the
+    canonical scalar of a raw value, or None when it is zero."""
 
     is_field = False
+    modulus = None  # the p of GF(p); None for the other domains
 
-    @property
+    @cached_property
     def zero(self):
         return self.scalar(0)
 
-    @property
+    @cached_property
     def one(self):
         return self.scalar(1)
+
+    def box(self, raw):
+        """The canonical scalar of a raw value, zero included."""
+        c = self.reduce(raw)
+        return self.zero if c is None else c
+
+    def box_terms(self, raw_terms):
+        """Exponent -> raw value boxed to exponent -> nonzero scalar."""
+        reduce = self.reduce
+        return {e: c for e, v in raw_terms.items()
+                if (c := reduce(v)) is not None}
+
+    def parse(self, text):
+        return self.scalar(Fraction(text.strip()))
 
     def check_same(self, other):
         if self != other:
@@ -74,8 +100,8 @@ class Rationals(Domain):
             return value
         return FieldScalar(self, Fraction(value))
 
-    def parse(self, text):
-        return FieldScalar(self, Fraction(text.strip()))
+    def reduce(self, raw):
+        return FieldScalar(self, raw) if raw else None
 
     def __repr__(self):
         return "QQ"
@@ -95,20 +121,19 @@ class PrimeField(Domain):
     def __init__(self, p):
         if p == 2 or p >= 2**62 or not _is_prime(p):
             raise ValueError(f"need an odd prime < 2^62, got {p}")
-        self.p = p
+        self.p = self.modulus = p
 
     def scalar(self, value):
         if isinstance(value, FieldScalar):
             self.check_same(value.domain)
             return value
         if isinstance(value, Fraction):
-            num = value.numerator % self.p
-            den = pow(value.denominator % self.p, -1, self.p)
-            return FieldScalar(self, num * den % self.p)
+            value = value.numerator * pow(value.denominator, -1, self.p)
         return FieldScalar(self, value % self.p)
 
-    def parse(self, text):
-        return self.scalar(Fraction(text.strip()))
+    def reduce(self, raw):
+        raw %= self.p
+        return FieldScalar(self, raw) if raw else None
 
     def elements(self):
         return (FieldScalar(self, v) for v in range(self.p))
@@ -151,7 +176,8 @@ class FieldScalar:
 
     def _coerce(self, other):
         if isinstance(other, FieldScalar):
-            self.domain.check_same(other.domain)
+            if other.domain is not self.domain:
+                self.domain.check_same(other.domain)
             return other
         if isinstance(other, (int, Fraction)):
             return self.domain.scalar(other)
@@ -161,17 +187,12 @@ class FieldScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        v = self.value + other.value
-        if isinstance(self.domain, PrimeField):
-            v %= self.domain.p
-        return FieldScalar(self.domain, v)
+        return self.domain.box(self.value + other.value)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if isinstance(self.domain, PrimeField):
-            return FieldScalar(self.domain, -self.value % self.domain.p)
-        return FieldScalar(self.domain, -self.value)
+        return self.domain.box(-self.value)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -186,19 +207,15 @@ class FieldScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        v = self.value * other.value
-        if isinstance(self.domain, PrimeField):
-            v %= self.domain.p
-        return FieldScalar(self.domain, v)
+        return self.domain.box(self.value * other.value)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        if isinstance(self.domain, PrimeField):
-            return FieldScalar(self.domain, pow(self.value, -1, self.domain.p))
-        return FieldScalar(self.domain, 1 / self.value)
+        return FieldScalar(self.domain,
+                           pow(self.value, -1, self.domain.modulus))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -263,6 +280,9 @@ class ParamRing(Domain):
         zero_exp = (0,) * len(self.names)
         return ParamScalar(self, {zero_exp: c} if c else {})
 
+    def reduce(self, raw):
+        return raw if raw else None
+
     def variable(self, name):
         i = self.names.index(name)
         exp = tuple(1 if j == i else 0 for j in range(len(self.names)))
@@ -291,6 +311,8 @@ class ParamScalar:
         self.domain = domain
         self.terms = {e: c for e, c in terms.items() if c}
 
+    value = property(lambda self: self)  # a ParamScalar is its own raw value
+
     def _coerce(self, other):
         if isinstance(other, ParamScalar):
             self.domain.check_same(other.domain)
@@ -303,14 +325,10 @@ class ParamScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
+        raw = {e: c.value for e, c in self.terms.items()}
         for e, c in other.terms.items():
-            s = terms.get(e, self.domain.base.zero) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return ParamScalar(self.domain, terms)
+            raw[e] = raw.get(e, 0) + c.value
+        return ParamScalar(self.domain, self.domain.base.box_terms(raw))
 
     __radd__ = __add__
 
@@ -330,16 +348,12 @@ class ParamScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = {}
+        raw = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, self.domain.base.zero) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return ParamScalar(self.domain, terms)
+                raw[e] = raw.get(e, 0) + c1.value * c2.value
+        return ParamScalar(self.domain, self.domain.base.box_terms(raw))
 
     __rmul__ = __mul__
 

@@ -9,7 +9,7 @@ pencil turns divisibility by a line into a root of a binary form.
 from fractions import Fraction
 from math import gcd as igcd, lcm
 
-from .field import QQ, PrimeField, Rationals
+from .field import QQ, InvariantError, PrimeField, Rationals
 from .matrices import det
 from .poly import (
     NVARS,
@@ -214,11 +214,6 @@ def _peel_roots(coeffs, find_root):
     return roots, len(a) - 1
 
 
-def _rational_roots_qq(coeffs):
-    """Rational roots (with multiplicity) of a QQ-coefficient polynomial."""
-    return _peel_roots(coeffs, _rational_root)
-
-
 def _rational_root(coeffs):
     """A rational root by the rational root theorem, or None.
 
@@ -277,7 +272,7 @@ def binary_roots(form):
     roots = [(domain.one, domain.zero)] * t_mult  # root at t = 0, i.e. [1:0]
     # roots s of form(s, 1) give [s:1]
     if isinstance(domain, Rationals):
-        raw, nonsplit = _rational_roots_qq(univ)
+        raw, nonsplit = _peel_roots(univ, _rational_root)
     elif isinstance(domain, PrimeField):
         raw, nonsplit = _rational_roots_gf(univ, domain)
     else:
@@ -289,12 +284,11 @@ def binary_roots(form):
 # ---- lines ------------------------------------------------------------
 
 
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # exponents of x0, x1, x2
+
+
 def _line_form(domain, coeffs):
-    terms = {}
-    for i, c in enumerate(coeffs):
-        c = domain.scalar(c)
-        if c:
-            terms[tuple(1 if j == i else 0 for j in range(3))] = c
+    terms = {e: domain.scalar(c) for e, c in zip(_UNITS, coeffs)}
     return Form(MultiPoly(domain, terms), 1)
 
 
@@ -409,7 +403,20 @@ def lines_dividing_all(forms, through=None):
 
 
 def _pencil_lines(forms, through, domain):
+    """Lines through the point `through` = P that divide every form.
+
+    If a line L through P divides f = L*g, then grad f(P) = g(P) * grad L.
+    So when grad f(P) != 0, the tangent line T = sum_i (df/dx_i)(P) * x_i
+    is the only candidate, and if T does not divide f no line through P
+    does, over the algebraic closure too.  A form singular at P, or one
+    that T divides, takes the generic pencil search below.
+    """
     l1, l2 = _pencil_basis(domain, through)
+    point = [domain.scalar(c).value for c in through]
+    for f in forms:
+        tangent = _tangent_line(f.poly, point)
+        if tangent and f.poly.try_exact_div(tangent) is None:
+            return LineSearchResult([], 0)
     coeff_forms = []
     for f in forms:
         coeff_forms.extend(
@@ -428,6 +435,22 @@ def _pencil_lines(forms, through, domain):
         Form(l1.poly * s + l2.poly * t, 1).normalized() for s, t in roots
     ]
     return LineSearchResult(out, nonsplit)
+
+
+def _tangent_line(poly, point):
+    """sum_i (d poly/dx_i)(point) * x_i, from the raw term values."""
+    p0, p1, p2 = ([x**k for k in range(poly.total_degree() + 1)]
+                  for x in point)
+    g0 = g1 = g2 = 0
+    for (a, b, c), coeff in poly.terms.items():
+        v = coeff.value
+        if a:
+            g0 += v * a * p0[a - 1] * p1[b] * p2[c]
+        if b:
+            g1 += v * b * p0[a] * p1[b - 1] * p2[c]
+        if c:
+            g2 += v * c * p0[a] * p1[b] * p2[c - 1]
+    return MultiPoly.from_raw(poly.domain, dict(zip(_UNITS, (g0, g1, g2))))
 
 
 def _linear_factors(form):
@@ -452,7 +475,7 @@ def _linear_factors(form):
         rest = Form(poly, poly.total_degree())
         restriction = rest.restrict_to_line(x0)
         if not restriction:
-            raise AssertionError("x0 should have been divided out")
+            raise InvariantError("x0 should have been divided out")
         roots, nonsplit = binary_roots(restriction)
         seen = set()
         for s, t in roots:

@@ -1,8 +1,10 @@
 """Sparse exact polynomials in x0, x1, x2 and their homogeneous forms.
 
-Terms are stored as a dict from exponent triples to nonzero coefficients.
-The canonical term order is graded lexicographic with x0 > x1 > x2; the
-canonical text serialization follows that order.
+Terms are stored as a dict from exponent triples to nonzero boxed scalars
+of ``field``.  Sums, products, negation and exact division run on the raw
+values and box each output term once through the domain's reduction; the
+domains are matched once per polynomial, not per term.  The canonical term
+order, which the text serialization follows, is graded lex, x0 > x1 > x2.
 
 This module is also the single home of exact linear algebra over a field:
 ``row_reduce`` (Gauss-Jordan elimination, giving rank and pivots) and
@@ -10,7 +12,7 @@ This module is also the single home of exact linear algebra over a field:
 rank, kernel and solve in the package.
 """
 
-from .field import QQ, FieldMismatchError, _serialize_terms
+from .field import QQ, _serialize_terms
 
 VARIABLES = ("x0", "x1", "x2")
 NVARS = 3
@@ -48,32 +50,35 @@ class MultiPoly:
     def monomial(cls, domain, exp, coeff=1):
         return cls(domain, {tuple(exp): domain.scalar(coeff)})
 
+    @classmethod
+    def from_raw(cls, domain, raw_terms):
+        """The polynomial of a dict exponent -> raw value."""
+        poly = object.__new__(cls)
+        poly.domain, poly.terms = domain, domain.box_terms(raw_terms)
+        return poly
+
     # ---- ring structure -----------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
-            if other.domain != self.domain:
-                raise FieldMismatchError(
-                    f"domain mismatch: {self.domain} vs {other.domain}"
-                )
+            if other.domain is not self.domain:
+                self.domain.check_same(other.domain)
             return other
         return MultiPoly.constant(self.domain, other)
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
+        raw = {e: c.value for e, c in self.terms.items()}
+        get = raw.get
         for e, c in other.terms.items():
-            s = terms.get(e, self.domain.zero) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return MultiPoly(self.domain, terms)
+            raw[e] = get(e, 0) + c.value
+        return MultiPoly.from_raw(self.domain, raw)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.domain, {e: -c for e, c in self.terms.items()})
+        return MultiPoly.from_raw(
+            self.domain, {e: -c.value for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -84,19 +89,19 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             # scalar multiple
-            c = self.domain.scalar(other)
-            return MultiPoly(self.domain, {e: v * c for e, v in self.terms.items()})
-        other = self._coerce(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = terms.get(e, self.domain.zero) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return MultiPoly(self.domain, terms)
+            v = self.domain.scalar(other).value
+            return MultiPoly.from_raw(
+                self.domain, {e: c.value * v for e, c in self.terms.items()})
+        self._coerce(other)  # raises FieldMismatchError
+        right = [(e, c.value) for e, c in other.terms.items()]
+        raw = {}
+        get = raw.get
+        for (a0, a1, a2), c in self.terms.items():
+            v = c.value
+            for (b0, b1, b2), w in right:
+                e = (a0 + b0, a1 + b1, a2 + b2)
+                raw[e] = get(e, 0) + v * w
+        return MultiPoly.from_raw(self.domain, raw)
 
     __rmul__ = __mul__
 
@@ -194,20 +199,25 @@ class MultiPoly:
         divisor = self._coerce(divisor)
         if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
-        if not self:
-            return self
         lead_d = divisor.leading_exponent()
-        lc_d = divisor.terms[lead_d]
-        remainder = self
+        inv = divisor.terms[lead_d].inverse().value
+        rest = [(e, c.value) for e, c in divisor.terms.items() if e != lead_d]
+        reduce = self.domain.reduce
+        # the remainder holds raw values; one that reduces to zero is dropped
+        remainder = {e: c.value for e, c in self.terms.items()}
         quotient = {}
         while remainder:
-            lead_r = remainder.leading_exponent()
+            lead_r = max(remainder, key=_grlex_key)
+            c = reduce(remainder.pop(lead_r) * inv)
+            if c is None:
+                continue
             exp = tuple(a - b for a, b in zip(lead_r, lead_d))
-            if any(k < 0 for k in exp):
+            if min(exp) < 0:
                 return None
-            c = remainder.terms[lead_r] / lc_d
             quotient[exp] = c
-            remainder = remainder - divisor * MultiPoly(self.domain, {exp: c})
+            for (a0, a1, a2), v in rest:
+                e = (a0 + exp[0], a1 + exp[1], a2 + exp[2])
+                remainder[e] = remainder.get(e, 0) - c.value * v
         return MultiPoly(self.domain, quotient)
 
     # ---- serialization -------------------------------------------------
@@ -235,7 +245,7 @@ class Form:
     def __init__(self, poly, degree):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if poly and (not poly.is_homogeneous() or poly.total_degree() != degree):
+        if any(sum(e) != degree for e in poly.terms):
             raise ValueError(
                 f"polynomial {poly!r} is not homogeneous of degree {degree}"
             )

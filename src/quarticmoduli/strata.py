@@ -6,6 +6,7 @@ closed stratum.  The classifier extracts the supporting quartic, the
 length-3 scheme, the line/cubic splitting, or the boundary data.
 """
 
+from .field import InvariantError
 from .gcd import (
     LineSearchResult,
     binary_roots,
@@ -294,7 +295,7 @@ def _null_vector(m, domain):
     if len(pivots) == 3:
         raise ValueError("matrix has trivial kernel")
     if len(pivots) < 2:
-        raise AssertionError("kernel of dimension > 1: scheme not reduced at a point")
+        raise InvariantError("kernel of dimension > 1: scheme not reduced at a point")
     free = next(c for c in range(3) if c not in pivots)
     vec = [domain.zero] * 3
     vec[free] = domain.one
@@ -308,7 +309,7 @@ def _check_not_collinear(found, domain):
     if len(distinct) == 3:
         _, pivots = row_reduce(distinct)
         if len(pivots) < 3:
-            raise AssertionError(
+            raise InvariantError(
                 "scheme points are collinear: stability contract violated"
             )
 
@@ -319,5 +320,5 @@ def extension_data(report):
         raise ValueError("extension data needs an M01 report")
     quotient = report.quartic.poly.try_exact_div(report.line.poly)
     if quotient is None:
-        raise AssertionError("M01 invariant breach: line does not divide det")
+        raise InvariantError("M01 invariant breach: line does not divide det")
     return report.line, Form(quotient, 3)

@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from quarticmoduli import cli
+from quarticmoduli import cli, strata
 from quarticmoduli.degeneration import make_blowup_chart_point
-from quarticmoduli.field import QQ
+from quarticmoduli.field import QQ, InvariantError
 from quarticmoduli.matrices import make_matrix
 
 
@@ -60,6 +60,22 @@ def test_classify_res1_shape(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "label: M10" in out
+
+
+def test_classify_invariant_failure_exits_three(tmp_path, capsys,
+                                               monkeypatch):
+    def failing_check(forms, through=None):
+        raise InvariantError("x0 should have been divided out")
+
+    m = make_matrix((3, 3), (2, 0), [["x0", "x1^3"], ["x1", "x2^3"]])
+    path = write_json(tmp_path / "res1.json", m.to_json_dict())
+    monkeypatch.setattr(strata, "lines_dividing_all", failing_check)
+    code = cli.main(["classify", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal invariant failed: x0 should have been divided out\n")
 
 
 def test_classify_malformed_file_exits_one(tmp_path, capsys):

@@ -21,7 +21,14 @@ from quarticmoduli.degeneration import (
 )
 from quarticmoduli.field import GF, QQ
 from quarticmoduli.matrices import FormMatrix, random_form
-from quarticmoduli.poly import Form, MultiPoly, parse_form, parse_poly
+from quarticmoduli.poly import (
+    Form,
+    MultiPoly,
+    ParseError,
+    PowerDegreeError,
+    parse_form,
+    parse_poly,
+)
 from quarticmoduli.strata import M00, classify_res0
 
 
@@ -58,6 +65,19 @@ def test_chart_point_refuses_huge_power_at_once():
     with pytest.raises(ValueError, match="got a power of degree 99999999"):
         chart_point(q0_text="x0^99999999")
     assert time.monotonic() - start < 1
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("q0", "x0^99999999",
+     "q0: degree mismatch: expected 2, got a power of degree 99999999"),
+    ("q1", "x0*x1*x2", "q1: degree mismatch: expected 2, got 3"),
+    ("q2", "x0 + x1^2", "q2: inhomogeneous polynomial: 'x0 + x1^2'"),
+])
+def test_chart_point_names_the_refused_q_text(name, text, message):
+    expected = PowerDegreeError if "power" in message else ParseError
+    with pytest.raises(expected) as info:
+        chart_point(**{f"{name}_text": text})
+    assert str(info.value) == message
 
 
 def test_family_limit_degenerate_direction_rejected():

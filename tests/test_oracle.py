@@ -12,6 +12,14 @@ compared with the generic GCD path, and the conic test with sympy's
 factorization over QQ.  sympy does not factor multivariate polynomials
 over finite fields, so over GF(101) the test is checked against a scan of
 every rational point for a singular one instead.
+
+``MultiPoly`` sums, differences, negatives and products, which run on raw
+coefficient values, are compared with sympy's sparse polynomial ring over
+GF(101), GF(2^61 - 1) and QQ with 30-digit coefficients, and products
+over a parameter ring with the term-by-term definition.  The tangent-line
+test of the line search through a point is compared with the generic
+pencil search on res1 determinants, built M11 quartics, quartics singular
+at the point, points off the quartic and pairs of forms.
 """
 
 import random
@@ -26,13 +34,25 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from quarticmoduli import strata  # noqa: E402
-from quarticmoduli.field import GF, QQ  # noqa: E402
+from quarticmoduli import gcd, strata  # noqa: E402
+from quarticmoduli.field import (  # noqa: E402
+    GF,
+    QQ,
+    FieldScalar,
+    ParamRing,
+    ParamScalar,
+)
 from quarticmoduli.gcd import (  # noqa: E402
     _linear_factors,
     _nonsingular_conic,
+    _pencil_basis,
+    _pencil_restriction_coefficients,
+    binary_gcd,
+    binary_roots,
     common_linear_factor,
     gcd_fold,
+    line_intersection,
+    lines_dividing_all,
 )
 from quarticmoduli.matrices import (  # noqa: E402
     SHAPES,
@@ -391,3 +411,235 @@ def test_classify_res0_quartic_is_the_determinant(domain, data):
             == sympy_det([[e.poly for e in row] for row in a.entries], domain)
     elif stable:
         assert not a.determinant()
+
+
+# ---- ring operations on raw values -----------------------------------
+
+BIG_P = 2**61 - 1
+RING_DOMAINS = [GF(P), GF(BIG_P), QQ]
+
+
+def ring_values(domain):
+    """Coefficients with zero made common: residues over GF(p), rationals
+    with 30-digit numerators and denominators over QQ."""
+    if domain == QQ:
+        big = 10**30
+        nonzero = st.builds(Fraction, st.integers(-big, big),
+                            st.integers(1, big))
+    else:
+        nonzero = st.integers(1, domain.p - 1)
+    return st.one_of(st.just(0), nonzero)
+
+
+@st.composite
+def sparse_polys(draw, domain):
+    """Up to 8 terms of total degree at most 3."""
+    monos = [m for d in range(4) for m in monomials_of_degree(d)]
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=8, unique=True))
+    values = ring_values(domain)
+    return MultiPoly(domain, {m: domain.scalar(draw(values)) for m in chosen})
+
+
+def ring_of(domain):
+    field = sympy.QQ if domain == QQ else sympy.GF(domain.p)
+    return sympy.ring("x0,x1,x2", field)[0]
+
+
+def to_sympy_value(field, value):
+    if field == sympy.QQ:
+        return field(value.numerator, value.denominator)
+    return field(int(value))
+
+
+def canonical_terms(poly, domain):
+    """The terms as raw values, checking that each is a nonzero boxed
+    scalar of the domain in canonical form."""
+    for c in poly.terms.values():
+        assert isinstance(c, FieldScalar) and c.domain is domain and c
+        if domain == QQ:
+            assert isinstance(c.value, Fraction)
+        else:
+            assert 0 < c.value < domain.p
+    return {e: c.value for e, c in poly.terms.items()}
+
+
+def sympy_terms(ring, value):
+    if ring.domain == sympy.QQ:
+        return {e: Fraction(int(c.numerator), int(c.denominator))
+                for e, c in value.items()}
+    p = ring.domain.mod
+    return {e: int(c) % p for e, c in value.items()}
+
+
+@pytest.mark.parametrize("domain", RING_DOMAINS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_multipoly_ring_operations_match_sympy(domain, data):
+    f, g = data.draw(sparse_polys(domain)), data.draw(sparse_polys(domain))
+    c = data.draw(ring_values(domain))
+    ring = ring_of(domain)
+
+    def lift(poly):
+        return ring.from_dict({e: to_sympy_value(ring.domain, v.value)
+                               for e, v in poly.terms.items()})
+
+    sf, sg = lift(f), lift(g)
+    sc = to_sympy_value(ring.domain, domain.scalar(c).value)
+    cases = [
+        (f * g, sf * sg),
+        (f + g, sf + sg),
+        (f - g, sf - sg),
+        (-f, -sf),
+        (f * c, sf * sc),
+        (f * MultiPoly.zero(domain), ring.zero),  # a zero product
+        (f - f, ring.zero),  # every term cancels
+        ((f + g) + (-g), sf),  # the terms of g cancel
+        (f * g - g * f, ring.zero),
+    ]
+    for ours, theirs in cases:
+        assert canonical_terms(ours, domain) == sympy_terms(ring, theirs)
+
+
+@pytest.mark.parametrize("base", [GF(P), QQ], ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_param_ring_products_match_term_by_term(base, data):
+    """ParamScalar products, and MultiPoly products over a parameter ring,
+    against the term-by-term definition on boxed scalars."""
+    ring = ParamRing(base, ("a", "b"))
+    values = raw_values(base)
+    exps = [(i, j) for i in range(3) for j in range(3)]
+
+    def element():
+        chosen = data.draw(st.lists(st.sampled_from(exps), max_size=5,
+                                    unique=True))
+        return ParamScalar(ring, {e: base.scalar(data.draw(values))
+                                  for e in chosen})
+
+    def term_by_term(left, right, zero):
+        out = {}
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, zero) + c1 * c2
+        return {e: c for e, c in out.items() if c}
+
+    x, y = element(), element()
+    assert (x * y).terms == term_by_term(x.terms, y.terms, base.zero)
+    assert (x * y - y * x).terms == {}
+    monos = monomials_of_degree(1)
+    f = MultiPoly(ring, {m: element() for m in monos})
+    g = MultiPoly(ring, {m: element() for m in monos})
+    assert (f * g).terms == term_by_term(f.terms, g.terms, ring.zero)
+    assert all(isinstance(c, ParamScalar) and c for c in (f * g).terms.values())
+
+
+# ---- the tangent-line test of the pencil search -----------------------
+
+
+def generic_pencil_lines(forms, through, domain):
+    """_pencil_lines without the tangent-line test: the GCD of the pencil
+    restrictions and its rational roots."""
+    l1, l2 = _pencil_basis(domain, through)
+    coeff_forms = [bf for f in forms if f for bf in
+                   _pencil_restriction_coefficients(f, l1, l2, through) if bf]
+    g = binary_gcd(coeff_forms)
+    if g.degree == 0:
+        return [], 0
+    roots, nonsplit = binary_roots(g)
+    return [Form(l1.poly * s + l2.poly * t, 1).normalized()
+            for s, t in roots], nonsplit
+
+
+def random_poly(domain, rng, degree, keep=lambda e: True):
+    values = range(-3, 4) if domain == QQ else range(domain.p)
+    return MultiPoly(domain, {m: domain.scalar(rng.choice(values))
+                              for m in monomials_of_degree(degree) if keep(m)})
+
+
+def random_point(domain, rng):
+    while True:
+        point = [domain.scalar(rng.randrange(-3, 4)) for _ in range(3)]
+        if any(point):
+            return tuple(point)
+
+
+def line_through(point, domain, rng):
+    """A nonzero line vanishing at the point: point x v for a random v."""
+    while True:
+        v = random_point(domain, rng)
+        a, b, c = point
+        coeffs = (b * v[2] - c * v[1], c * v[0] - a * v[2], a * v[1] - b * v[0])
+        if any(coeffs):
+            return MultiPoly(domain, dict(zip(monomials_of_degree(1),
+                                              coeffs)))
+
+
+def pencil_cases(domain, rng):
+    """(forms, point, kind) inputs for the line search through a point."""
+    cases = []
+    for _ in range(6):
+        m = random_res1(domain, rng)
+        point = line_intersection(m[0, 0], m[1, 0])
+        cases.append(([m.determinant()], point, "res1"))
+    for _ in range(4):
+        point = random_point(domain, rng)
+        line = line_through(point, domain, rng)
+        cases.append(([Form(line * random_poly(domain, rng, 3), 4)], point,
+                      "line times cubic"))
+        cases.append(([Form(line * line * random_poly(domain, rng, 2), 4)],
+                      point, "squared line"))
+        other = line_through(point, domain, rng)
+        cases.append(([Form(line * other * random_poly(domain, rng, 2), 4)],
+                      point, "two lines"))
+    for _ in range(3):
+        # every term has x2-degree at most 2: singular at (0 : 0 : 1)
+        quartic = random_poly(domain, rng, 4, lambda e: e[2] <= 2)
+        cases.append(([Form(quartic, 4)], (domain.zero, domain.zero,
+                                           domain.one), "singular"))
+    for _ in range(4):
+        quartic = Form(random_poly(domain, rng, 4), 4)
+        point = random_point(domain, rng)
+        if quartic.evaluate(point):
+            cases.append(([quartic], point, "off the quartic"))
+    for _ in range(4):
+        point = random_point(domain, rng)
+        line = line_through(point, domain, rng)
+        f = Form(line * random_poly(domain, rng, 3), 4)
+        g = Form(line * random_poly(domain, rng, 2), 3)
+        h = Form(random_poly(domain, rng, 4), 4)
+        cases.append(([f, g], point, "two forms sharing a line"))
+        cases.append(([f, h], point, "two forms"))
+    return cases
+
+
+def random_res1(domain, rng):
+    src, tgt = SHAPES["res1"]
+    return FormMatrix.from_polys(src, tgt, [
+        [random_poly(domain, rng, s - t) for t in tgt] for s in src])
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+def test_tangent_line_test_matches_generic_pencil_search(domain,
+                                                         monkeypatch):
+    rng = random.Random(11)
+    generic_calls = []
+    restriction = gcd._pencil_restriction_coefficients
+    monkeypatch.setattr(gcd, "_pencil_restriction_coefficients",
+                        lambda *args: generic_calls.append(1)
+                        or restriction(*args))
+    kinds = set()
+    for forms, point, kind in pencil_cases(domain, rng):
+        before = len(generic_calls)
+        result = lines_dividing_all(forms, through=point)
+        took_fallback = len(generic_calls) > before
+        want = generic_pencil_lines(forms, point, domain)
+        assert (result.lines, result.nonsplit_degree) == want, kind
+        if kind == "singular":
+            assert took_fallback
+        if kind in ("res1", "off the quartic"):
+            assert not took_fallback and want == ([], 0)
+        if kind in ("line times cubic", "squared line"):
+            assert want[0]
+        kinds.add(kind)
+    assert len(kinds) == 8

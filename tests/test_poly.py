@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quarticmoduli.field import GF, QQ
+from quarticmoduli.field import GF, QQ, FieldScalar
 from quarticmoduli.poly import (
     BinaryForm,
     Form,
@@ -211,3 +211,27 @@ def test_prime_field_polynomials():
     f = parse_poly("x0^2 + 6*x1^2", domain=dom)
     g = parse_poly("x0^2 - x1^2", domain=dom)
     assert f == g
+
+
+@pytest.mark.parametrize("domain", [GF(101), QQ], ids=repr)
+def test_form_product_runs_on_raw_values(domain, monkeypatch):
+    """Exact counts: a product of two quadrics adds and multiplies raw
+    values, with no scalar operator and no Domain.scalar call."""
+    f = parse_poly("x0^2 + 2*x0*x1 - 3*x1*x2 + 5*x2^2", domain)
+    g = parse_poly("7*x0^2 - x0*x2 + x1^2 + 3*x1*x2", domain)
+    calls = []
+    for owner, name in ((FieldScalar, "__mul__"), (FieldScalar, "__rmul__"),
+                        (FieldScalar, "__add__"), (FieldScalar, "__radd__"),
+                        (type(domain), "scalar")):
+        before = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _before=before,
+                            _name=name: calls.append(_name) or _before(*args))
+    product = f * g
+    assert calls == []
+    f.terms[(2, 0, 0)] * f.terms[(0, 0, 2)]  # the counters do count
+    assert calls == ["__mul__"]
+    monkeypatch.undo()
+    assert product == parse_poly(
+        "7*x0^4 + 14*x0^3*x1 - x0^3*x2 + x0^2*x1^2 - 20*x0^2*x1*x2"
+        " + 35*x0^2*x2^2 + 2*x0*x1^3 + 6*x0*x1^2*x2 + 3*x0*x1*x2^2"
+        " - 5*x0*x2^3 - 3*x1^3*x2 - 4*x1^2*x2^2 + 15*x1*x2^3", domain)

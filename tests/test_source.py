@@ -1,9 +1,13 @@
 """Source-level checks on the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+from quarticmoduli.field import GF, FieldScalar, ParamScalar
+from quarticmoduli.matrices import random_matrix
 
 SOURCES = sorted(
     (Path(__file__).resolve().parent.parent / "src" / "quarticmoduli").glob("*.py")
@@ -30,3 +34,64 @@ def test_no_function_local_import(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not lines, f"{path.name}: imports inside functions at lines {lines}"
+
+
+# ---- what the bench harness relies on ----------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def counting_pass_methods():
+    """The (class name, method names) pairs that bench/run.py's
+    counting_pass wraps under the profiler, read from its source."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text())
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "counting_pass")
+    return [
+        (node.elts[0].id, [c.value for c in node.elts[1].elts])
+        for node in ast.walk(func)
+        if isinstance(node, ast.Tuple) and len(node.elts) == 2
+        and isinstance(node.elts[0], ast.Name)
+        and isinstance(node.elts[1], ast.Tuple)
+    ]
+
+
+def test_bench_counted_scalar_methods_exist():
+    # the profiler counts each method by its code object, so each must
+    # stay a Python function on the class
+    classes = {"FieldScalar": FieldScalar, "ParamScalar": ParamScalar}
+    wrapped = counting_pass_methods()
+    assert sorted(name for name, _ in wrapped) == sorted(classes)
+    for name, methods in wrapped:
+        assert methods
+        for method in methods:
+            assert getattr(classes[name], method).__code__, (name, method)
+
+
+def test_bench_kernels_find_boxed_term_values():
+    # the field kernels time *, + and .inverse() on the term values of
+    # random_matrix entries
+    domain = GF(101)
+    values = [c for shape in ("res0", "res1")
+              for row in random_matrix(shape, domain, seed=1).entries
+              for entry in row for c in entry.poly.terms.values()]
+    assert values
+    assert all(type(c) is FieldScalar and c.domain is domain for c in values)
+    a, b = values[0], values[1]
+    assert type(a * b) is FieldScalar and type(a + b) is FieldScalar
+    assert a * a.inverse() == domain.one
+
+
+def test_bench_span_targets_resolve():
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    targets = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets] == ["SPAN_TARGETS"])
+    assert targets
+    for _, module_name, path in targets:
+        owner = importlib.import_module(f"quarticmoduli.{module_name}")
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), path
