@@ -327,7 +327,7 @@ class ParamScalar:
             return NotImplemented
         raw = {e: c.value for e, c in self.terms.items()}
         for e, c in other.terms.items():
-            raw[e] = raw.get(e, 0) + c.value
+            raw[e] = c.value + raw.get(e, 0)
         return ParamScalar(self.domain, self.domain.base.box_terms(raw))
 
     __radd__ = __add__
@@ -352,7 +352,7 @@ class ParamScalar:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                raw[e] = raw.get(e, 0) + c1.value * c2.value
+                raw[e] = c1.value * c2.value + raw.get(e, 0)
         return ParamScalar(self.domain, self.domain.base.box_terms(raw))
 
     __rmul__ = __mul__

@@ -1,7 +1,16 @@
 """Exact multivariate GCDs and linear-factor extraction.
 
-The multivariate GCD uses the classical recursive content / primitive-part
-scheme with a subresultant pseudo-remainder sequence in the pivot variable.
+The multivariate GCD is one kernel search on the package's Gauss-Jordan
+elimination.  Write a = g*a' and b = g*b' with a', b' coprime.  The
+equation u*a = v*b has a nonzero solution with deg u <= deg b - k and
+deg v <= deg a - k exactly when k <= deg g: then (b', a') is one, and in
+any solution a' divides v, so deg a' <= deg a - k.  At k = deg g the
+solutions are the multiples of (b', a').  So walking k down from
+min(deg a, deg b), the first k with a nonzero kernel vector (u, v) gives
+g = a / v, an exact division (von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 6).  Two forms need only the monomials of u and v of exactly
+those degrees, since the homogeneous parts of a solution are solutions.
+
 Linear factors are extracted through pencils of lines: restricting to a
 pencil turns divisibility by a line into a root of a binary form.
 """
@@ -19,93 +28,17 @@ from .poly import (
     coefficient_rows,
     divide_coefficients,
     horner,
+    monomials_of_degree,
+    null_vector,
     solve_linear,
 )
-
-# ---- univariate view helpers ------------------------------------------
-# A polynomial viewed as univariate in variable v has coefficients that are
-# MultiPolys with zero exponent in v.
-
-
-def _as_univariate(poly, v):
-    d = poly.degree_in(v)
-    coeffs = [MultiPoly.zero(poly.domain) for _ in range(d + 1)]
-    for e, c in poly.terms.items():
-        rest = list(e)
-        k = rest[v]
-        rest[v] = 0
-        coeffs[k] = coeffs[k] + MultiPoly(poly.domain, {tuple(rest): c})
-    return coeffs
-
-
-def _trim(coeffs):
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _pseudo_remainder(a, b):
-    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a mod b, fraction free."""
-    a = list(a)
-    db = len(b) - 1
-    lc = b[-1]
-    e = len(a) - len(b) + 1
-    while len(a) - 1 >= db and any(a):
-        lead = a[-1]
-        shift = len(a) - 1 - db
-        a = [c * lc for c in a]
-        for i, bc in enumerate(b):
-            a[shift + i] = a[shift + i] - lead * bc
-        _trim(a)
-        if not a:
-            break
-        e -= 1
-    for _ in range(max(e, 0)):
-        a = [c * lc for c in a]
-    return _trim(a)
-
-
-def _subresultant_prs(a, b):
-    """Last nonzero element of the subresultant PRS of primitive a, b.
-
-    Inputs are univariate with MultiPoly coefficients, deg a >= deg b >= 1.
-    """
-    domain = a[0].domain
-    one = MultiPoly.constant(domain, 1)
-    g = one
-    h = one
-    while True:
-        d = (len(a) - 1) - (len(b) - 1)
-        r = _pseudo_remainder(a, b)
-        if not r:
-            return b
-        if len(r) == 1:
-            # nonzero remainder of degree 0: coprime primitive parts
-            return r
-        scale = g * h**d
-        a, b = b, [c.exact_div(scale) for c in r]
-        g = a[-1]
-        if d == 0:
-            pass  # h unchanged
-        elif d == 1:
-            h = g
-        else:
-            h = (g**d).exact_div(h ** (d - 1))
-
-
-def _content_and_primitive(coeffs):
-    content = MultiPoly.zero(coeffs[0].domain)
-    for c in coeffs:
-        content = multivariate_gcd(content, c)
-    primitive = [c.exact_div(content) for c in coeffs]
-    return content, primitive
 
 
 def multivariate_gcd(a, b):
     """A GCD of two polynomials over QQ or F_p.
 
     Normalized so the graded-lex leading coefficient is 1; gcd(0, b) is the
-    normalized b.
+    normalized b.  See the module docstring for the kernel search.
     """
     if isinstance(a, Form):
         a = a.poly
@@ -117,33 +50,32 @@ def multivariate_gcd(a, b):
         return b.normalized()
     if not b:
         return a.normalized()
-    v = next(
-        (i for i in range(NVARS) if a.degree_in(i) > 0 or b.degree_in(i) > 0),
-        None,
-    )
-    if v is None:
-        return MultiPoly.constant(a.domain, 1)
-    ua = _as_univariate(a, v)
-    ub = _as_univariate(b, v)
-    if len(ua) == 1:
-        # a is free of v: common divisors are v-free, so recurse on content
-        content_b, _ = _content_and_primitive(ub)
-        return multivariate_gcd(a, content_b)
-    if len(ub) == 1:
-        content_a, _ = _content_and_primitive(ua)
-        return multivariate_gcd(content_a, b)
-    content_a, prim_a = _content_and_primitive(ua)
-    content_b, prim_b = _content_and_primitive(ub)
-    content = multivariate_gcd(content_a, content_b)
-    if len(prim_a) < len(prim_b):
-        prim_a, prim_b = prim_b, prim_a
-    last = _subresultant_prs(prim_a, prim_b)
-    if len(last) == 1:
-        prim_gcd = MultiPoly.constant(a.domain, 1)
-    else:
-        _, prim_last = _content_and_primitive(last)
-        prim_gcd = horner(prim_last, MultiPoly.variable(a.domain, v))
-    return (content * prim_gcd).normalized()
+    domain = a.domain
+    da, db = a.total_degree(), b.total_degree()
+    # two forms need only the monomials of top degree in u and v
+    forms = a.is_homogeneous() and b.is_homogeneous()
+    neg_b = {e: -c for e, c in b.terms.items()}
+    for k in range(min(da, db), 0, -1):
+        # unknowns: u's coefficients (columns m*a), then v's (columns m*(-b))
+        shifts = [(m, a.terms) for d in range((db - k) * forms, db - k + 1)
+                  for m in monomials_of_degree(d)]
+        n_u = len(shifts)
+        shifts += [(m, neg_b) for d in range((da - k) * forms, da - k + 1)
+                   for m in monomials_of_degree(d)]
+        rows = {}
+        for j, ((m0, m1, m2), terms) in enumerate(shifts):
+            for (e0, e1, e2), c in terms.items():
+                rows.setdefault((m0 + e0, m1 + e1, m2 + e2), {})[j] = c
+        x = null_vector([[row.get(j, domain.zero) for j in range(len(shifts))]
+                         for row in rows.values()], domain)
+        if x is not None:
+            v = MultiPoly(domain, {m: c for (m, _), c in zip(shifts[n_u:],
+                                                             x[n_u:])})
+            g = a.try_exact_div(v)
+            if g is None:
+                raise InvariantError("the kernel cofactor does not divide a")
+            return g.normalized()
+    return MultiPoly.constant(domain, 1)
 
 
 def gcd_fold(polys):
@@ -441,7 +373,7 @@ def _tangent_line(poly, point):
     """sum_i (d poly/dx_i)(point) * x_i, from the raw term values."""
     p0, p1, p2 = ([x**k for k in range(poly.total_degree() + 1)]
                   for x in point)
-    g0 = g1 = g2 = 0
+    g0 = g1 = g2 = poly.domain.zero.value
     for (a, b, c), coeff in poly.terms.items():
         v = coeff.value
         if a:

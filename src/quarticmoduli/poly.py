@@ -7,9 +7,10 @@ domains are matched once per polynomial, not per term.  The canonical term
 order, which the text serialization follows, is graded lex, x0 > x1 > x2.
 
 This module is also the single home of exact linear algebra over a field:
-``row_reduce`` (Gauss-Jordan elimination, giving rank and pivots) and
-``solve_linear`` (a particular solution of a linear system) serve every
-rank, kernel and solve in the package.
+``row_reduce`` (Gauss-Jordan elimination, giving rank and pivots),
+``null_vector`` (a kernel vector) and ``solve_linear`` (a particular
+solution of a linear system) serve every rank, kernel, solve and GCD in
+the package.
 """
 
 from .field import QQ, _serialize_terms
@@ -71,7 +72,7 @@ class MultiPoly:
         raw = {e: c.value for e, c in self.terms.items()}
         get = raw.get
         for e, c in other.terms.items():
-            raw[e] = get(e, 0) + c.value
+            raw[e] = c.value + get(e, 0)
         return MultiPoly.from_raw(self.domain, raw)
 
     __radd__ = __add__
@@ -100,7 +101,7 @@ class MultiPoly:
             v = c.value
             for (b0, b1, b2), w in right:
                 e = (a0 + b0, a1 + b1, a2 + b2)
-                raw[e] = get(e, 0) + v * w
+                raw[e] = v * w + get(e, 0)
         return MultiPoly.from_raw(self.domain, raw)
 
     __rmul__ = __mul__
@@ -162,11 +163,6 @@ class MultiPoly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def degree_in(self, i):
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
-
     def leading_exponent(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -201,7 +197,7 @@ class MultiPoly:
             raise ZeroDivisionError("division by zero polynomial")
         lead_d = divisor.leading_exponent()
         inv = divisor.terms[lead_d].inverse().value
-        rest = [(e, c.value) for e, c in divisor.terms.items() if e != lead_d]
+        rest = [(e, -c.value) for e, c in divisor.terms.items() if e != lead_d]
         reduce = self.domain.reduce
         # the remainder holds raw values; one that reduces to zero is dropped
         remainder = {e: c.value for e, c in self.terms.items()}
@@ -215,9 +211,10 @@ class MultiPoly:
             if min(exp) < 0:
                 return None
             quotient[exp] = c
-            for (a0, a1, a2), v in rest:
+            v = c.value
+            for (a0, a1, a2), w in rest:
                 e = (a0 + exp[0], a1 + exp[1], a2 + exp[2])
-                remainder[e] = remainder.get(e, 0) - c.value * v
+                remainder[e] = v * w + remainder.get(e, 0)
         return MultiPoly(self.domain, quotient)
 
     # ---- serialization -------------------------------------------------
@@ -505,7 +502,7 @@ def horner(coefficients, x):
     """Value at x of a nonempty coefficient list, by Horner's rule."""
     total = coefficients[-1]
     for c in coefficients[-2::-1]:
-        total = total * x + c
+        total = x * total + c
     return total
 
 
@@ -725,13 +722,17 @@ def row_reduce(rows):
     """Reduced row echelon form of a matrix of field scalars.
 
     Exact Gauss-Jordan elimination, column by column, taking as pivot the
-    first nonzero entry at or below the current row.  Returns the reduced
-    rows (a new list) and the pivot columns; the rank is len(pivots).
+    first nonzero entry at or below the current row, on raw values that are
+    unboxed once and boxed once at the end.  Returns the reduced rows (a
+    new list) and the pivot columns; the rank is len(pivots).
     """
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
+    if not rows or not rows[0]:
+        return [list(r) for r in rows], []
+    domain = rows[0][0].domain
+    p = domain.modulus
+    rows = [[v.value for v in r] for r in rows]
     pivots = []
-    for col in range(ncols):
+    for col in range(len(rows[0])):
         r = len(pivots)
         if r == len(rows):
             break
@@ -739,14 +740,34 @@ def row_reduce(rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        inv = pow(rows[r][col], -1, p)
+        top = rows[r] = [v * inv % p if p else v * inv for v in rows[r]]
+        nonzero = [(j, v) for j, v in enumerate(top) if v]
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if i != r and factor:
+                for j, v in nonzero:
+                    row[j] -= factor * v
+                if p:
+                    rows[i] = [v % p for v in row]
         pivots.append(col)
-    return rows, pivots
+    box = domain.box
+    return [[box(v) for v in row] for row in rows], pivots
+
+
+def null_vector(matrix, domain):
+    """A nonzero x with matrix * x = 0, or None when the kernel is trivial:
+    the first free column of the reduced matrix set to 1."""
+    ncols = len(matrix[0]) if matrix else 0
+    rows, pivots = row_reduce(matrix)
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    if free is None:
+        return None
+    x = [domain.zero] * ncols
+    x[free] = domain.one
+    for row, col in zip(rows, pivots):
+        x[col] = -row[free]
+    return x
 
 
 def solve_linear(matrix, rhs, domain):

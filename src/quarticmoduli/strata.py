@@ -22,6 +22,7 @@ from .poly import (
     MultiPoly,
     coefficient_rows,
     linear_rank,
+    null_vector,
     row_reduce,
 )
 
@@ -291,17 +292,12 @@ def extract_Z_points(report):
 
 def _null_vector(m, domain):
     """A nonzero right kernel vector of a rank-2 3x3 scalar matrix."""
-    rows, pivots = row_reduce(m)
-    if len(pivots) == 3:
+    rank = len(row_reduce(m)[1])
+    if rank == 3:
         raise ValueError("matrix has trivial kernel")
-    if len(pivots) < 2:
+    if rank < 2:
         raise InvariantError("kernel of dimension > 1: scheme not reduced at a point")
-    free = next(c for c in range(3) if c not in pivots)
-    vec = [domain.zero] * 3
-    vec[free] = domain.one
-    for row, col in zip(rows, pivots):
-        vec[col] = -row[free]
-    return tuple(vec)
+    return tuple(null_vector(m, domain))
 
 
 def _check_not_collinear(found, domain):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from quarticmoduli import gcd, poly
 from quarticmoduli.degeneration import (
     ChartError,
     DeformationInstance,
@@ -302,40 +303,73 @@ def test_binary_exact_div():
         binary_exact_div(f, root_factor(QQ, (F(2), F(1))))
 
 
+def deformation_case(dom, rng):
+    """A 5x4 deformation matrix and its expected support determinant."""
+    xbar0 = Form(
+        MultiPoly.variable(dom, 0) + random_form(dom, 1, rng).poly, 1
+    )
+    w = random_form(dom, 1, rng)
+    p = [random_form(dom, 2, rng) for _ in range(3)]
+    q = [random_form(dom, 2, rng) for _ in range(3)]
+    x = [MultiPoly.variable(dom, i) for i in range(3)]
+    m = FormMatrix(
+        (3, 3, 2, 2, 2),
+        (2, 1, 1, 1),
+        [
+            [xbar0, p[0], p[1], p[2]],
+            [w, q[0], q[1], q[2]],
+            [Form.zero(dom, 0), Form(-x[2], 1), Form.zero(dom, 1),
+             xbar0],
+            [Form.zero(dom, 0), Form(x[1], 1), Form(-xbar0.poly, 1),
+             Form.zero(dom, 1)],
+            [Form.zero(dom, 0), Form.zero(dom, 1), Form(x[2], 1),
+             Form(-x[1], 1)],
+        ],
+    )
+    # the bordered rows use xbar0 in place of x0, so the support
+    # determinant does too
+    g = xbar0.poly * p[0].poly + x[1] * p[1].poly + x[2] * p[2].poly
+    h = xbar0.poly * q[0].poly + x[1] * q[1].poly + x[2] * q[2].poly
+    return m, xbar0.poly * h - w.poly * g
+
+
 def test_fitting_support_matches_resolution_determinant():
     rng = random.Random(31)
     dom = GF(101)
     for _ in range(10):
-        xbar0 = Form(
-            MultiPoly.variable(dom, 0) + random_form(dom, 1, rng).poly, 1
-        )
-        w = random_form(dom, 1, rng)
-        p = [random_form(dom, 2, rng) for _ in range(3)]
-        q = [random_form(dom, 2, rng) for _ in range(3)]
-        x = [MultiPoly.variable(dom, i) for i in range(3)]
-        m = FormMatrix(
-            (3, 3, 2, 2, 2),
-            (2, 1, 1, 1),
-            [
-                [xbar0, p[0], p[1], p[2]],
-                [w, q[0], q[1], q[2]],
-                [Form.zero(dom, 0), Form(-x[2], 1), Form.zero(dom, 1),
-                 xbar0],
-                [Form.zero(dom, 0), Form(x[1], 1), Form(-xbar0.poly, 1),
-                 Form.zero(dom, 1)],
-                [Form.zero(dom, 0), Form.zero(dom, 1), Form(x[2], 1),
-                 Form(-x[1], 1)],
-            ],
-        )
-        # the bordered rows use xbar0 in place of x0, so the support
-        # determinant does too
-        g = xbar0.poly * p[0].poly + x[1] * p[1].poly + x[2] * p[2].poly
-        h = xbar0.poly * q[0].poly + x[1] * q[1].poly + x[2] * q[2].poly
-        expected = xbar0.poly * h - w.poly * g
+        m, expected = deformation_case(dom, rng)
         if not expected:
             continue
         support = fitting_support(m)
         assert support.poly == expected.normalized()
+
+
+def test_fitting_support_work_counts(monkeypatch):
+    """Exact counts: the support of a deformation matrix takes one GCD, of
+    the first two quintic minors, in two row reductions: k = 5 finds no
+    kernel vector and k = 4 finds the quartic.  The later minors are
+    checked by exact division."""
+    calls = {"gcd": 0, "row_reduce": 0}
+    gcd_before = gcd.multivariate_gcd
+    row_reduce_before = poly.row_reduce
+
+    def counting_gcd(a, b):
+        calls["gcd"] += 1
+        return gcd_before(a, b)
+
+    def counting_row_reduce(rows):
+        calls["row_reduce"] += 1
+        return row_reduce_before(rows)
+
+    monkeypatch.setattr(gcd, "multivariate_gcd", counting_gcd)
+    monkeypatch.setattr(poly, "row_reduce", counting_row_reduce)
+    rng = random.Random(31)
+    dom = GF(101)
+    for _ in range(10):
+        m, expected = deformation_case(dom, rng)
+        calls.update(gcd=0, row_reduce=0)
+        assert fitting_support(m).poly == expected.normalized()
+        assert calls == {"gcd": 1, "row_reduce": 2}
 
 
 def test_fitting_support_rejects_rank_deficient():

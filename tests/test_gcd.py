@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from quarticmoduli.field import GF, QQ
+from quarticmoduli import gcd, poly
+from quarticmoduli.field import GF, QQ, InvariantError
 from quarticmoduli.gcd import (
     binary_roots,
     common_linear_factor,
@@ -190,3 +191,45 @@ def test_gcd_fold_matches_plain_fold(domain):
     # zeros first, then a constant that ends the fold
     polys = [zero, zero, base * 2, one, base]
     assert gcd_fold(polys) == plain_fold(polys) == MultiPoly.constant(domain, 1)
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
+def test_gcd_of_two_conics_work_counts(domain, monkeypatch):
+    """Exact counts: a GCD of two conics runs at most two row reductions,
+    one for k = 2 and one for k = 1."""
+    calls = []
+    row_reduce_before = poly.row_reduce
+    monkeypatch.setattr(poly, "row_reduce",
+                        lambda rows: calls.append(1) or row_reduce_before(rows))
+    rng = random.Random(13)
+
+    def form(degree):
+        return MultiPoly(domain, {m: domain.scalar(rng.randrange(-3, 4))
+                                  for m in monomials_of_degree(degree)})
+
+    for _ in range(20):
+        line = form(1)
+        conic = form(2)
+        pairs = [(form(2), form(2)), (line * form(1), line * form(1)),
+                 (conic, conic * 3)]
+        for a, b in pairs:
+            if not (a and b):
+                continue
+            calls.clear()
+            g = multivariate_gcd(a, b)
+            assert a.try_exact_div(g) is not None
+            assert b.try_exact_div(g) is not None
+            assert len(calls) <= 2
+    # equal conics are decided at k = 2 alone
+    calls.clear()
+    multivariate_gcd(conic, conic * 3)
+    assert len(calls) == 1
+
+
+def test_gcd_refuses_a_cofactor_that_does_not_divide(monkeypatch):
+    """A kernel vector whose v does not divide a is a package fault."""
+    monkeypatch.setattr(gcd, "null_vector",
+                        lambda matrix, domain: [domain.one] * len(matrix[0]))
+    # at k = 1 the all-ones vector gives v = x0 + x1 + x2
+    with pytest.raises(InvariantError):
+        multivariate_gcd(parse_poly("x0^2 + x1^2"), parse_poly("x1"))

@@ -20,6 +20,11 @@ over a parameter ring with the term-by-term definition.  The tangent-line
 test of the line search through a point is compared with the generic
 pencil search on res1 determinants, built M11 quartics, quartics singular
 at the point, points off the quartic and pairs of forms.
+
+``gcd.multivariate_gcd``, a kernel search on ``row_reduce``, is compared
+with sympy's GCD up to a nonzero constant over GF(101), GF(2^61 - 1) and
+QQ with 30-digit coefficients, and ``poly.null_vector`` with the
+nullspace of sympy's ``DomainMatrix`` over GF(101) and QQ.
 """
 
 import random
@@ -67,6 +72,8 @@ from quarticmoduli.poly import (  # noqa: E402
     coefficient_rows,
     divide_coefficients,
     monomials_of_degree,
+    null_vector,
+    parse_poly,
     row_reduce,
     solve_linear,
 )
@@ -643,3 +650,104 @@ def test_tangent_line_test_matches_generic_pencil_search(domain,
             assert want[0]
         kinds.add(kind)
     assert len(kinds) == 8
+
+
+# ---- the kernel GCD and the kernel vector ------------------------------
+
+
+GCD_KINDS = ("shared", "shared mixed degree", "coprime", "coprime mixed degree",
+             "equal", "zero")
+
+
+@st.composite
+def gcd_pairs(draw, domain, kind):
+    """(a, b) = (g*a', g*b') with cofactors of degree 0 to 2 and a factor
+    g of degree 0 to 4 (at most 2 for polynomials of mixed degree); a
+    coprime pair has g = 1 and nonconstant cofactors, and the last two
+    kinds set b = a or b = 0."""
+    homogeneous = "mixed" not in kind
+    big = 10**30
+    values = (st.builds(lambda n, d, sign: Fraction(sign * n, d),
+                        st.integers(1, big), st.integers(1, big),
+                        st.sampled_from((1, -1)))
+              if domain == QQ else st.integers(1, domain.p - 1))
+
+    def poly(low, high):
+        degree = draw(st.integers(low, high))
+        degrees = [degree] if homogeneous else range(degree + 1)
+        return MultiPoly(domain, {m: domain.scalar(draw(values))
+                                  for d in degrees
+                                  for m in monomials_of_degree(d)})
+
+    g = MultiPoly.constant(domain, 1)
+    low = 1 if kind.startswith("coprime") else 0
+    if not low:
+        g = poly(0, 4 if homogeneous else 2)
+    a, b = g * poly(low, 2), g * poly(low, 2)
+    if kind == "equal":
+        b = a
+    if kind == "zero":
+        b = MultiPoly.zero(domain)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+def sympy_gcd_normalized(a, b, domain):
+    """sympy's GCD over the domain's field, graded-lex monic."""
+    ring = ring_of(domain)
+    theirs = to_ring(ring, a).gcd(to_ring(ring, b))
+    return MultiPoly(domain, {e: domain.scalar(v) for e, v in
+                              sympy_terms(ring, theirs).items()}).normalized()
+
+
+@pytest.mark.parametrize("kind", GCD_KINDS)
+@pytest.mark.parametrize("domain", RING_DOMAINS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_multivariate_gcd_matches_sympy(domain, kind, data):
+    """Equal to sympy's GCD up to a nonzero constant: both sides are made
+    graded-lex monic, as multivariate_gcd returns it."""
+    a, b = data.draw(gcd_pairs(domain, kind))
+    ours = gcd.multivariate_gcd(a, b)
+    assert ours == sympy_gcd_normalized(a, b, domain)
+    assert ours == ours.normalized()
+
+
+GCD_CASES = [
+    ("0", "0"),
+    ("0", "2*x0*x1 - x2^2"),
+    ("3*x0 + x1", "0"),
+    ("5", "x0^2 + x1*x2"),
+    ("7", "1/3"),
+    ("x0^2 + x1*x2", "x0^2 + x1*x2"),
+    ("x0^2 - x1*x2", "x1^2 - x0*x2"),  # coprime conics
+    ("(x0^2 - 1)*(x1 + 2)", "(x0^2 - 1)*(x2 - 3)"),  # inhomogeneous
+    ("(x0 + x1 + 1)^2*x2", "(x0 + x1 + 1)*(x2^2 + 1)"),
+    ("x0^3 + x2", "x1*x0^3 + x1*x2"),  # one divides the other
+]
+
+
+@pytest.mark.parametrize("domain", RING_DOMAINS, ids=repr)
+def test_multivariate_gcd_edge_cases_match_sympy(domain):
+    for a_text, b_text in GCD_CASES:
+        a, b = parse_poly(a_text, domain), parse_poly(b_text, domain)
+        assert gcd.multivariate_gcd(a, b) == sympy_gcd_normalized(
+            a, b, domain), (a_text, b_text)
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_null_vector_matches_sympy_nullspace(domain, data):
+    """A vector is returned exactly when sympy's nullspace is nonzero, and
+    it is a nonzero kernel vector."""
+    matrix = data.draw(low_rank_matrices(domain))
+    field = sympy_field(domain)
+    shape = (len(matrix), len(matrix[0]))
+    nullspace = DomainMatrix([[to_sympy(field, c.value) for c in row]
+                              for row in matrix], shape, field).nullspace()
+    x = null_vector(matrix, domain)
+    assert (x is not None) == (nullspace.shape[0] > 0)
+    if x is not None:
+        assert any(x)
+        assert all(not sum((a * b for a, b in zip(row, x)), domain.zero)
+                   for row in matrix)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from quarticmoduli import gcd, strata
-from quarticmoduli.field import GF, QQ
+from quarticmoduli.field import GF, QQ, InvariantError
 from quarticmoduli.matrices import (
     FormMatrix,
     act,
@@ -308,3 +308,19 @@ def test_boundary_parameters_refuses_other_matrices():
     zero_w = [["0", "0", "0"]] + texts[1:]
     assert strata.boundary_parameters(
         make_matrix((3, 2, 2), (1, 1, 1), zero_w)) is None
+
+
+def test_null_vector_keeps_its_errors():
+    """The Z-point kernel vector: a rank-2 matrix gives a kernel vector, a
+    nonsingular one a ValueError, a rank-1 one an InvariantError."""
+    dom = GF(101)
+
+    def matrix(rows):
+        return [[dom.scalar(v) for v in row] for row in rows]
+
+    vec = strata._null_vector(matrix([[1, 0, 2], [0, 1, 3], [1, 1, 5]]), dom)
+    assert [c.value for c in vec] == [99, 98, 1]
+    with pytest.raises(ValueError, match="trivial kernel"):
+        strata._null_vector(matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), dom)
+    with pytest.raises(InvariantError, match="kernel of dimension > 1"):
+        strata._null_vector(matrix([[1, 2, 3], [2, 4, 6], [0, 0, 0]]), dom)
