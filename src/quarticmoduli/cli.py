@@ -34,7 +34,7 @@ from .matrices import (
     random_matrix,
 )
 from .strata import INVALID, NOT_STABLE, classify_res0, classify_res1
-from .verify import ALL_VERIFIERS, verify_cocycle, verify_transition
+from .verify import ALL_VERIFIERS, verify_transition
 
 
 def _parse_field(text):
@@ -242,10 +242,8 @@ def cmd_verify(args):
         if name == "transition" and args.alpha is not None:
             domain = _parse_field(args.field)
             reports.append(verify_transition(domain.parse(args.alpha)))
-        elif name == "cocycle" and args.seed is not None:
-            reports.append(verify_cocycle(seed))
         else:
-            reports.append(ALL_VERIFIERS[name]())
+            reports.append(ALL_VERIFIERS[name](seed))
     json_obj = {
         "schema": 1,
         "reports": [r.to_json_dict() for r in reports],

@@ -25,6 +25,7 @@ from .poly import (
     Form,
     MultiPoly,
     ParseError,
+    coefficient_rows,
     divide_coefficients,
     monomials_of_degree,
     parse_form,
@@ -58,7 +59,7 @@ class BlowupChartPoint:
         self.b = b
         self.chart = chart
         self.params = _extract_chart_params(a, b)
-        if not _chart_coefficient(self.params, chart, a.domain) == a.domain.one:
+        if not _chart_coefficient(self.params, chart) == a.domain.one:
             raise ChartError(f"coefficient for chart {chart!r} must equal 1")
         if a.determinant():
             raise ChartError("base matrix must have zero determinant")
@@ -82,7 +83,6 @@ class BlowupChartPoint:
 
 def _extract_chart_params(a, b):
     """Read (xbar0, w, q_i, a, b, c, d) off the chart normal forms."""
-    domain = a.domain
     if (a.src_degrees, a.tgt_degrees) != SHAPES["res0"]:
         raise ChartError("base matrix must have the res0 shape")
     if (b.src_degrees, b.tgt_degrees) != SHAPES["res0"]:
@@ -91,22 +91,22 @@ def _extract_chart_params(a, b):
     if params is None:
         raise ChartError("base matrix is not in the boundary normal form")
     xbar0, w = params
-    if any(e[0] for e in w.poly.terms):
+    if any(e[0] for e in w.poly.raw):
         raise ChartError("w must be a form in x1, x2")
     # direction matrix template
     if b[1, 0] or b[1, 2] or b[2, 0]:
         raise ChartError("direction matrix is not in the chart normal form")
-    coeff_c = _linear_coefficient(b[1, 1], 1, domain, "c entry must be c*x1")
+    coeff_c = _linear_coefficient(b[1, 1], 1, "c entry must be c*x1")
     ab_entry = b[2, 1]
-    coeff_a = ab_entry.poly.terms.get((0, 1, 0), domain.zero)
-    coeff_b = ab_entry.poly.terms.get((0, 0, 1), domain.zero)
-    if any(e[0] for e in ab_entry.poly.terms):
+    coeff_a = ab_entry.poly.coefficient((0, 1, 0))
+    coeff_b = ab_entry.poly.coefficient((0, 0, 1))
+    if any(e[0] for e in ab_entry.poly.raw):
         raise ChartError("entry (2,1) of the direction must be a*x1 + b*x2")
-    coeff_d = _linear_coefficient(b[2, 2], 2, domain, "d entry must be d*x2")
+    coeff_d = _linear_coefficient(b[2, 2], 2, "d entry must be d*x2")
     q0, q1, q2 = b[0, 0], b[0, 1], b[0, 2]
-    if any(e[0] for e in q1.poly.terms):
+    if any(e[0] for e in q1.poly.raw):
         raise ChartError("q1 must not involve x0")
-    if any(e[0] or e[1] for e in q2.poly.terms):
+    if any(e[0] or e[1] for e in q2.poly.raw):
         raise ChartError("q2 must involve only x2")
     return {
         "xbar0": xbar0,
@@ -121,21 +121,20 @@ def _extract_chart_params(a, b):
     }
 
 
-def _linear_coefficient(entry, var, domain, message):
+def _linear_coefficient(entry, var, message):
     mono = tuple(1 if j == var else 0 for j in range(3))
-    for e in entry.poly.terms:
-        if e != mono:
-            raise ChartError(message)
-    return entry.poly.terms.get(mono, domain.zero)
+    if any(e != mono for e in entry.poly.raw):
+        raise ChartError(message)
+    return entry.poly.coefficient(mono)
 
 
-def _chart_coefficient(params, chart, domain):
+def _chart_coefficient(params, chart):
     if chart in ("a", "b", "c", "d"):
         return params[chart]
     for name in ("q0", "q1", "q2"):
         if chart.startswith(name + "["):
             exps = tuple(int(x) for x in chart[len(name) + 1 : -1].split(","))
-            return params[name].poly.terms.get(exps, domain.zero)
+            return params[name].poly.coefficient(exps)
     raise ChartError(f"unknown chart coordinate {chart!r}")
 
 
@@ -372,22 +371,13 @@ def build_twisted_ideal_resolution(f, l, g):
         )
     cubic_monos = monomials_of_degree(3)
     linear_monos = monomials_of_degree(1)
-    quartic_monos = monomials_of_degree(4)
-    index = {m: i for i, m in enumerate(quartic_monos)}
-    columns = []
-    for m in cubic_monos:
-        columns.append(l.poly * MultiPoly.monomial(domain, m))
-    for m in linear_monos:
-        columns.append(-(g.poly * MultiPoly.monomial(domain, m)))
-    nrows = len(quartic_monos)
-    matrix = [[domain.zero] * len(columns) for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for e, c in col.terms.items():
-            matrix[index[e]][j] = c
-    rhs = [domain.zero] * nrows
-    for e, c in f.poly.terms.items():
-        rhs[index[e]] = c
-    solution = solve_linear(matrix, rhs, domain)
+    # one column per unknown coefficient, one row per quartic monomial
+    columns = [Form(l.poly * MultiPoly.monomial(domain, m), 4)
+               for m in cubic_monos]
+    columns += [Form(-(g.poly * MultiPoly.monomial(domain, m)), 4)
+                for m in linear_monos]
+    matrix = [list(row) for row in zip(*coefficient_rows(columns, 4))]
+    solution = solve_linear(matrix, coefficient_rows([f], 4)[0], domain)
     if solution is None:
         raise ValueError("quartic is not in the ideal (l, g): Z is not on C")
     h = MultiPoly.zero(domain)

@@ -4,10 +4,12 @@ All arithmetic is exact; there is no floating point anywhere in the package.
 Scalars are tagged with their domain and refuse to mix with scalars of a
 different domain.
 
-A scalar boxes a raw value: a Fraction over QQ, an int in [0, p) over
-GF(p), and the ParamScalar itself over a parameter ring.  Polynomial loops
-run on raw values and box each result once through ``Domain.reduce``, the
-one place where a raw value is made canonical; so do the scalar operators.
+A coefficient has a raw value: a Fraction over QQ, an int in [0, p) over
+GF(p), and the ParamScalar itself over a parameter ring.  Term dicts, of
+polynomials and of parameter-ring scalars alike, store raw values, made
+canonical by ``Domain.canonical``.  ``Domain.box`` gives the scalar of
+one raw value, a FieldScalar over a field: for the API and serialization
+edge, and for the results of the scalar operators.
 """
 
 from fractions import Fraction
@@ -49,8 +51,8 @@ def _is_prime(n):
 
 
 class Domain:
-    """Base class for coefficient domains; ``reduce(raw)`` gives the
-    canonical scalar of a raw value, or None when it is zero."""
+    """Base class for coefficient domains; ``box(raw)`` gives the
+    canonical scalar of a raw value, zero included."""
 
     is_field = False
     modulus = None  # the p of GF(p); None for the other domains
@@ -63,16 +65,9 @@ class Domain:
     def one(self):
         return self.scalar(1)
 
-    def box(self, raw):
-        """The canonical scalar of a raw value, zero included."""
-        c = self.reduce(raw)
-        return self.zero if c is None else c
-
-    def box_terms(self, raw_terms):
-        """Exponent -> raw value boxed to exponent -> nonzero scalar."""
-        reduce = self.reduce
-        return {e: c for e, v in raw_terms.items()
-                if (c := reduce(v)) is not None}
+    def canonical(self, raw_terms):
+        """Exponent -> raw value, canonical and with the zeros dropped."""
+        return {e: v for e, v in raw_terms.items() if v}
 
     def parse(self, text):
         return self.scalar(Fraction(text.strip()))
@@ -100,8 +95,8 @@ class Rationals(Domain):
             return value
         return FieldScalar(self, Fraction(value))
 
-    def reduce(self, raw):
-        return FieldScalar(self, raw) if raw else None
+    def box(self, raw):
+        return FieldScalar(self, raw) if raw else self.zero
 
     def __repr__(self):
         return "QQ"
@@ -131,9 +126,12 @@ class PrimeField(Domain):
             value = value.numerator * pow(value.denominator, -1, self.p)
         return FieldScalar(self, value % self.p)
 
-    def reduce(self, raw):
-        raw %= self.p
-        return FieldScalar(self, raw) if raw else None
+    def box(self, raw):
+        return FieldScalar(self, raw % self.p)
+
+    def canonical(self, raw_terms):
+        p = self.p
+        return {e: r for e, v in raw_terms.items() if (r := v % p)}
 
     def elements(self):
         return (FieldScalar(self, v) for v in range(self.p))
@@ -276,17 +274,16 @@ class ParamRing(Domain):
         if isinstance(value, ParamScalar):
             self.check_same(value.domain)
             return value
-        c = self.base.scalar(value)
-        zero_exp = (0,) * len(self.names)
-        return ParamScalar(self, {zero_exp: c} if c else {})
+        c = self.base.scalar(value).value
+        return ParamScalar.from_raw(self, {(0,) * len(self.names): c})
 
-    def reduce(self, raw):
-        return raw if raw else None
+    def box(self, raw):
+        return raw if raw else self.zero
 
     def variable(self, name):
         i = self.names.index(name)
         exp = tuple(1 if j == i else 0 for j in range(len(self.names)))
-        return ParamScalar(self, {exp: self.base.one})
+        return ParamScalar.from_raw(self, {exp: self.base.one.value})
 
     def __repr__(self):
         return f"{self.base}[{', '.join(self.names)}]"
@@ -303,15 +300,30 @@ class ParamRing(Domain):
 
 
 class ParamScalar:
-    """An element of a ParamRing: exponent tuples mapped to base scalars."""
+    """An element of a ParamRing: exponent tuples mapped to raw base values."""
 
-    __slots__ = ("domain", "terms")
+    __slots__ = ("domain", "raw")
 
     def __init__(self, domain, terms):
+        base = domain.base
         self.domain = domain
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.raw = base.canonical(
+            {e: base.scalar(c).value for e, c in terms.items()})
+
+    @classmethod
+    def from_raw(cls, domain, raw_terms):
+        """The element of a dict exponent -> raw base value."""
+        scalar = object.__new__(cls)
+        scalar.domain, scalar.raw = domain, domain.base.canonical(raw_terms)
+        return scalar
 
     value = property(lambda self: self)  # a ParamScalar is its own raw value
+
+    @property
+    def terms(self):
+        """Exponent -> nonzero base scalar, boxed afresh on each read."""
+        box = self.domain.base.box
+        return {e: box(c) for e, c in self.raw.items()}
 
     def _coerce(self, other):
         if isinstance(other, ParamScalar):
@@ -325,15 +337,16 @@ class ParamScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        raw = {e: c.value for e, c in self.terms.items()}
-        for e, c in other.terms.items():
-            raw[e] = c.value + raw.get(e, 0)
-        return ParamScalar(self.domain, self.domain.base.box_terms(raw))
+        raw = dict(self.raw)
+        for e, c in other.raw.items():
+            raw[e] = c + raw.get(e, 0)
+        return ParamScalar.from_raw(self.domain, raw)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamScalar(self.domain, {e: -c for e, c in self.terms.items()})
+        return ParamScalar.from_raw(self.domain,
+                                    {e: -c for e, c in self.raw.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -349,11 +362,11 @@ class ParamScalar:
         if other is NotImplemented:
             return NotImplemented
         raw = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in self.raw.items():
+            for e2, c2 in other.raw.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                raw[e] = c1.value * c2.value + raw.get(e, 0)
-        return ParamScalar(self.domain, self.domain.base.box_terms(raw))
+                raw[e] = c1 * c2 + raw.get(e, 0)
+        return ParamScalar.from_raw(self.domain, raw)
 
     __rmul__ = __mul__
 
@@ -364,36 +377,37 @@ class ParamScalar:
         return result
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.raw)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.raw == other.raw
 
     def __hash__(self):
-        return hash((self.domain, frozenset(self.terms.items())))
+        return hash((self.domain, frozenset(self.raw.items())))
 
     def substitute(self, values):
         """Evaluate at a dict name -> base scalar, returning a base scalar."""
         missing = [n for n in self.domain.names if n not in values]
         if missing:
             raise ValueError(f"missing parameter values: {missing}")
-        vals = [self.domain.base.scalar(values[n]) for n in self.domain.names]
-        total = self.domain.base.zero
-        for e, c in self.terms.items():
-            term = c
+        base = self.domain.base
+        vals = [base.scalar(values[n]).value for n in self.domain.names]
+        total = base.zero.value
+        for e, c in self.raw.items():
             for v, k in zip(vals, e):
                 for _ in range(k):
-                    term = term * v
-            total = total + term
-        return total
+                    c = c * v
+            total = total + c
+        return base.box(total)
 
     def as_text(self):
+        terms = self.terms
         return _serialize_terms(
-            (self.terms[e], zip(self.domain.names, e))
-            for e in sorted(self.terms, reverse=True)
+            (terms[e], zip(self.domain.names, e))
+            for e in sorted(terms, reverse=True)
         )
 
     def __repr__(self):

@@ -54,10 +54,13 @@ def multivariate_gcd(a, b):
     da, db = a.total_degree(), b.total_degree()
     # two forms need only the monomials of top degree in u and v
     forms = a.is_homogeneous() and b.is_homogeneous()
-    neg_b = {e: -c for e, c in b.terms.items()}
+    # the coefficients of a and -b, each boxed once for all the shifts
+    box = domain.box
+    a_terms = {e: box(c) for e, c in a.raw.items()}
+    neg_b = {e: box(-c) for e, c in b.raw.items()}
     for k in range(min(da, db), 0, -1):
         # unknowns: u's coefficients (columns m*a), then v's (columns m*(-b))
-        shifts = [(m, a.terms) for d in range((db - k) * forms, db - k + 1)
+        shifts = [(m, a_terms) for d in range((db - k) * forms, db - k + 1)
                   for m in monomials_of_degree(d)]
         n_u = len(shifts)
         shifts += [(m, neg_b) for d in range((da - k) * forms, da - k + 1)
@@ -374,8 +377,7 @@ def _tangent_line(poly, point):
     p0, p1, p2 = ([x**k for k in range(poly.total_degree() + 1)]
                   for x in point)
     g0 = g1 = g2 = poly.domain.zero.value
-    for (a, b, c), coeff in poly.terms.items():
-        v = coeff.value
+    for (a, b, c), v in poly.raw.items():
         if a:
             g0 += v * a * p0[a - 1] * p1[b] * p2[c]
         if b:

@@ -520,12 +520,10 @@ SHAPES = {
 def random_form(domain, degree, rng):
     if not isinstance(domain, PrimeField):
         raise ValueError("random sampling needs a prime field")
-    terms = {}
-    for mono in monomials_of_degree(degree):
-        c = domain.scalar(rng.randrange(domain.p))
-        if c:
-            terms[mono] = c
-    return Form(MultiPoly(domain, terms), degree)
+    p = domain.p
+    return Form(MultiPoly.from_raw(domain, {
+        mono: rng.randrange(p) for mono in monomials_of_degree(degree)
+    }), degree)
 
 
 def random_matrix(shape, field, seed=None, rng=None):

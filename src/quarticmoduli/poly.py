@@ -1,16 +1,19 @@
 """Sparse exact polynomials in x0, x1, x2 and their homogeneous forms.
 
-Terms are stored as a dict from exponent triples to nonzero boxed scalars
-of ``field``.  Sums, products, negation and exact division run on the raw
-values and box each output term once through the domain's reduction; the
-domains are matched once per polynomial, not per term.  The canonical term
-order, which the text serialization follows, is graded lex, x0 > x1 > x2.
+Terms are stored as ``raw``, a dict from exponent triples to nonzero raw
+values in canonical form: ints in [0, p) over GF(p), Fractions over QQ,
+ParamScalars over a parameter ring.  Every operation reads and writes raw
+values, made canonical once per output by ``Domain.canonical``; the
+domains are matched once per polynomial, not per term.  Scalars are boxed
+only at the API edge: the ``terms`` view, ``coefficient`` and the results
+of the linear algebra.  The canonical term order, which the text
+serialization follows, is graded lex, x0 > x1 > x2.
 
 This module is also the single home of exact linear algebra over a field:
-``row_reduce`` (Gauss-Jordan elimination, giving rank and pivots),
-``null_vector`` (a kernel vector) and ``solve_linear`` (a particular
-solution of a linear system) serve every rank, kernel, solve and GCD in
-the package.
+one Gauss-Jordan elimination on raw values, behind ``row_reduce`` (rank
+and pivots), ``null_vector`` (a kernel vector), ``solve_linear`` (a
+particular solution) and ``linear_rank``, serves every rank, kernel,
+solve and GCD in the package.
 """
 
 from .field import QQ, _serialize_terms
@@ -26,11 +29,14 @@ def _grlex_key(exp):
 class MultiPoly:
     """Sparse polynomial in x0, x1, x2 over a coefficient domain."""
 
-    __slots__ = ("domain", "terms")
+    __slots__ = ("domain", "raw")
 
     def __init__(self, domain, terms):
+        """The polynomial of a dict exponent -> scalar, int or Fraction."""
+        scalar = domain.scalar
         self.domain = domain
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.raw = domain.canonical(
+            {e: scalar(c).value for e, c in terms.items()})
 
     # ---- constructors -------------------------------------------------
 
@@ -40,23 +46,29 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, domain, value):
-        return cls(domain, {(0, 0, 0): domain.scalar(value)})
+        return cls.monomial(domain, (0, 0, 0), value)
 
     @classmethod
     def variable(cls, domain, i):
         exp = tuple(1 if j == i else 0 for j in range(NVARS))
-        return cls(domain, {exp: domain.one})
+        return cls.from_raw(domain, {exp: domain.one.value})
 
     @classmethod
     def monomial(cls, domain, exp, coeff=1):
-        return cls(domain, {tuple(exp): domain.scalar(coeff)})
+        return cls.from_raw(domain, {tuple(exp): domain.scalar(coeff).value})
 
     @classmethod
     def from_raw(cls, domain, raw_terms):
         """The polynomial of a dict exponent -> raw value."""
         poly = object.__new__(cls)
-        poly.domain, poly.terms = domain, domain.box_terms(raw_terms)
+        poly.domain, poly.raw = domain, domain.canonical(raw_terms)
         return poly
+
+    @property
+    def terms(self):
+        """Exponent -> nonzero boxed scalar, built afresh on each read."""
+        box = self.domain.box
+        return {e: box(c) for e, c in self.raw.items()}
 
     # ---- ring structure -----------------------------------------------
 
@@ -69,17 +81,17 @@ class MultiPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        raw = {e: c.value for e, c in self.terms.items()}
+        raw = dict(self.raw)
         get = raw.get
-        for e, c in other.terms.items():
-            raw[e] = c.value + get(e, 0)
+        for e, c in other.raw.items():
+            raw[e] = c + get(e, 0)
         return MultiPoly.from_raw(self.domain, raw)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly.from_raw(
-            self.domain, {e: -c.value for e, c in self.terms.items()})
+        return MultiPoly.from_raw(self.domain,
+                                  {e: -c for e, c in self.raw.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -92,13 +104,12 @@ class MultiPoly:
             # scalar multiple
             v = self.domain.scalar(other).value
             return MultiPoly.from_raw(
-                self.domain, {e: c.value * v for e, c in self.terms.items()})
+                self.domain, {e: c * v for e, c in self.raw.items()})
         self._coerce(other)  # raises FieldMismatchError
-        right = [(e, c.value) for e, c in other.terms.items()]
+        right = list(other.raw.items())
         raw = {}
         get = raw.get
-        for (a0, a1, a2), c in self.terms.items():
-            v = c.value
+        for (a0, a1, a2), v in self.raw.items():
             for (b0, b1, b2), w in right:
                 e = (a0 + b0, a1 + b1, a2 + b2)
                 raw[e] = v * w + get(e, 0)
@@ -116,8 +127,8 @@ class MultiPoly:
         images = [self._coerce(g) for g in images]
         powers = [[MultiPoly.constant(domain, 1)] for _ in images]
         total = MultiPoly.zero(domain)
-        for e, c in self.terms.items():
-            term = MultiPoly(domain, {(0, 0, 0): c})
+        for e, c in self.raw.items():
+            term = MultiPoly.from_raw(domain, {(0, 0, 0): c})
             for image, power, k in zip(images, powers, e):
                 while len(power) <= k:
                     power.append(power[-1] * image)
@@ -139,48 +150,52 @@ class MultiPoly:
         return result
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.raw)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = MultiPoly.constant(self.domain, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.domain == other.domain and self.terms == other.terms
+        return self.domain == other.domain and self.raw == other.raw
 
     def __hash__(self):
-        return hash((self.domain, frozenset(self.terms.items())))
+        return hash((self.domain, frozenset(self.raw.items())))
 
     # ---- structure queries --------------------------------------------
 
     def total_degree(self):
         """Largest total degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.raw:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.raw)
 
     def is_homogeneous(self):
-        degrees = {sum(e) for e in self.terms}
+        degrees = {sum(e) for e in self.raw}
         return len(degrees) <= 1
 
     def leading_exponent(self):
-        if not self.terms:
+        if not self.raw:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=_grlex_key)
+        return max(self.raw, key=_grlex_key)
+
+    def coefficient(self, exp):
+        """The boxed coefficient of the monomial exp, zero included."""
+        return self.domain.box(self.raw.get(exp, 0))
 
     def leading_coefficient(self):
-        return self.terms[self.leading_exponent()]
+        return self.coefficient(self.leading_exponent())
 
     def normalized(self):
         """Scale so the graded-lex leading coefficient is 1 (field domains)."""
-        if not self.terms:
+        if not self.raw:
             return self
         inv = self.leading_coefficient().inverse()
         return self * inv
 
     def evaluate(self, point):
         """Value at a triple of scalars."""
-        return self.substitute(point).terms.get((0, 0, 0), self.domain.zero)
+        return self.substitute(point).coefficient((0, 0, 0))
 
     # ---- exact division ------------------------------------------------
 
@@ -195,35 +210,39 @@ class MultiPoly:
         divisor = self._coerce(divisor)
         if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
+        if not self.domain.is_field:
+            raise TypeError("exact division needs a field domain")
+        p = self.domain.modulus
         lead_d = divisor.leading_exponent()
-        inv = divisor.terms[lead_d].inverse().value
-        rest = [(e, -c.value) for e, c in divisor.terms.items() if e != lead_d]
-        reduce = self.domain.reduce
-        # the remainder holds raw values; one that reduces to zero is dropped
-        remainder = {e: c.value for e, c in self.terms.items()}
+        inv = pow(divisor.raw[lead_d], -1, p)
+        rest = [(e, -c) for e, c in divisor.raw.items() if e != lead_d]
+        # raw values: the remainder's unreduced, the quotient's mod p
+        remainder = dict(self.raw)
         quotient = {}
         while remainder:
             lead_r = max(remainder, key=_grlex_key)
-            c = reduce(remainder.pop(lead_r) * inv)
-            if c is None:
+            c = remainder.pop(lead_r) * inv
+            if p:
+                c %= p
+            if not c:
                 continue
             exp = tuple(a - b for a, b in zip(lead_r, lead_d))
             if min(exp) < 0:
                 return None
             quotient[exp] = c
-            v = c.value
             for (a0, a1, a2), w in rest:
                 e = (a0 + exp[0], a1 + exp[1], a2 + exp[2])
-                remainder[e] = v * w + remainder.get(e, 0)
-        return MultiPoly(self.domain, quotient)
+                remainder[e] = c * w + remainder.get(e, 0)
+        return MultiPoly.from_raw(self.domain, quotient)
 
     # ---- serialization -------------------------------------------------
 
     def serialize(self):
         """Canonical text: graded-lex descending, explicit '*' and '^'."""
+        terms = self.terms
         return _serialize_terms(
-            (self.terms[e], zip(VARIABLES, e))
-            for e in sorted(self.terms, key=_grlex_key, reverse=True)
+            (terms[e], zip(VARIABLES, e))
+            for e in sorted(terms, key=_grlex_key, reverse=True)
         )
 
     def __repr__(self):
@@ -242,7 +261,7 @@ class Form:
     def __init__(self, poly, degree):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if any(sum(e) != degree for e in poly.terms):
+        if any(sum(e) != degree for e in poly.raw):
             raise ValueError(
                 f"polynomial {poly!r} is not homogeneous of degree {degree}"
             )
@@ -379,10 +398,9 @@ class BinaryForm:
     def from_slice(cls, poly, x0_exponent, degree):
         """The binary form of the terms x0^x0_exponent * x1^(degree-i) * x2^i
         of poly, with x1 read as s and x2 as t."""
-        zero = poly.domain.zero
+        get = poly.raw.get
         return cls(poly.domain, degree, [
-            poly.terms.get((x0_exponent, degree - i, i), zero)
-            for i in range(degree + 1)
+            get((x0_exponent, degree - i, i), 0) for i in range(degree + 1)
         ])
 
     @classmethod
@@ -613,7 +631,7 @@ class _Parser:
             degree = base.total_degree()
             if degree <= 0:
                 return MultiPoly.constant(self.domain, self._constant_power(
-                    base.terms.get((0, 0, 0), self.domain.zero), n))
+                    base.coefficient((0, 0, 0)), n))
             if self.max_degree is not None and n * degree > self.max_degree:
                 raise PowerDegreeError(f"a power of degree {n * degree}")
             base = base ** n
@@ -708,29 +726,38 @@ def coefficient_rows(forms, degree):
     For degree 1 the vector of a linear form is its (x0, x1, x2)
     coefficients.
     """
+    forms = list(forms)
+    return [[f.domain.box(v) for v in row]
+            for f, row in zip(forms, _raw_rows(forms, degree))]
+
+
+def _raw_rows(forms, degree):
     monos = monomials_of_degree(degree)
     rows = []
     for f in forms:
         if f.poly and f.degree != degree:
             raise ValueError(f"form of degree {f.degree}, expected {degree}")
-        domain = f.domain
-        rows.append([f.poly.terms.get(m, domain.zero) for m in monos])
+        rows.append([f.poly.raw.get(m, 0) for m in monos])
     return rows
 
 
 def row_reduce(rows):
-    """Reduced row echelon form of a matrix of field scalars.
-
-    Exact Gauss-Jordan elimination, column by column, taking as pivot the
-    first nonzero entry at or below the current row, on raw values that are
-    unboxed once and boxed once at the end.  Returns the reduced rows (a
-    new list) and the pivot columns; the rank is len(pivots).
-    """
+    """Reduced row echelon form of a matrix of field scalars, by
+    ``_eliminate`` on the unboxed entries: the reduced rows (a new list)
+    and the pivot columns, whose number is the rank."""
     if not rows or not rows[0]:
         return [list(r) for r in rows], []
     domain = rows[0][0].domain
-    p = domain.modulus
     rows = [[v.value for v in r] for r in rows]
+    pivots = _eliminate(rows, domain.modulus)
+    box = domain.box
+    return [[box(v) for v in row] for row in rows], pivots
+
+
+def _eliminate(rows, p):
+    """Gauss-Jordan elimination in place on raw values mod p (over QQ when
+    p is None), taking as pivot the first nonzero entry at or below the
+    current row, column by column; returns the pivot columns."""
     pivots = []
     for col in range(len(rows[0])):
         r = len(pivots)
@@ -751,15 +778,18 @@ def row_reduce(rows):
                 if p:
                     rows[i] = [v % p for v in row]
         pivots.append(col)
-    box = domain.box
-    return [[box(v) for v in row] for row in rows], pivots
+    return pivots
 
 
 def null_vector(matrix, domain):
-    """A nonzero x with matrix * x = 0, or None when the kernel is trivial:
-    the first free column of the reduced matrix set to 1."""
-    ncols = len(matrix[0]) if matrix else 0
-    rows, pivots = row_reduce(matrix)
+    """A nonzero x with matrix * x = 0, or None when the kernel is trivial."""
+    return kernel_vector(*row_reduce(matrix), domain)
+
+
+def kernel_vector(rows, pivots, domain):
+    """null_vector of a matrix from its row_reduce output: the first free
+    column of the reduced matrix set to 1, or None when there is none."""
+    ncols = len(rows[0]) if rows else 0
     free = next((c for c in range(ncols) if c not in pivots), None)
     if free is None:
         return None
@@ -791,4 +821,5 @@ def linear_rank(forms, common_degree):
     forms = list(forms)
     if not forms:
         return 0
-    return len(row_reduce(coefficient_rows(forms, common_degree))[1])
+    return len(_eliminate(_raw_rows(forms, common_degree),
+                          forms[0].domain.modulus))

@@ -21,8 +21,8 @@ from .poly import (
     Form,
     MultiPoly,
     coefficient_rows,
+    kernel_vector,
     linear_rank,
-    null_vector,
     row_reduce,
 )
 
@@ -292,12 +292,12 @@ def extract_Z_points(report):
 
 def _null_vector(m, domain):
     """A nonzero right kernel vector of a rank-2 3x3 scalar matrix."""
-    rank = len(row_reduce(m)[1])
-    if rank == 3:
+    rows, pivots = row_reduce(m)
+    if len(pivots) == 3:
         raise ValueError("matrix has trivial kernel")
-    if rank < 2:
+    if len(pivots) < 2:
         raise InvariantError("kernel of dimension > 1: scheme not reduced at a point")
-    return tuple(null_vector(m, domain))
+    return tuple(kernel_vector(rows, pivots, domain))
 
 
 def _check_not_collinear(found, domain):

@@ -8,6 +8,7 @@ from quarticmoduli import cli, strata
 from quarticmoduli.degeneration import make_blowup_chart_point
 from quarticmoduli.field import QQ, InvariantError
 from quarticmoduli.matrices import make_matrix
+from quarticmoduli.verify import verify_fibre_determinant
 
 
 def write_json(path, data):
@@ -189,6 +190,19 @@ def test_verify_single_with_alpha(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "[pass] transition" in out
+
+
+def test_verify_takes_the_seed(capsys, monkeypatch):
+    """--seed, and QML_SEED without it, reach a seeded verifier."""
+    want = verify_fibre_determinant(7).to_json_dict()
+    assert want != verify_fibre_determinant(0).to_json_dict()
+    monkeypatch.delenv("QML_SEED", raising=False)
+    assert cli.main(["verify", "fibre-determinant", "--seed", "7",
+                     "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["reports"] == [want]
+    monkeypatch.setenv("QML_SEED", "7")
+    assert cli.main(["verify", "fibre-determinant", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["reports"] == [want]
 
 
 def test_verify_unknown_name_exits_one(capsys):

@@ -16,10 +16,14 @@ every rational point for a singular one instead.
 ``MultiPoly`` sums, differences, negatives and products, which run on raw
 coefficient values, are compared with sympy's sparse polynomial ring over
 GF(101), GF(2^61 - 1) and QQ with 30-digit coefficients, and products
-over a parameter ring with the term-by-term definition.  The tangent-line
-test of the line search through a point is compared with the generic
-pencil search on res1 determinants, built M11 quartics, quartics singular
-at the point, points off the quartic and pairs of forms.
+over a parameter ring with the term-by-term definition.  On the same
+domains the boxed ``terms`` view is checked against the raw storage it
+shows: it rebuilds an equal polynomial with an equal hash, holds only
+nonzero canonical scalars, and its sums and products are sympy
+``Poly``'s.  The tangent-line test of the line search through a point is
+compared with the generic pencil search on res1 determinants, built M11
+quartics, quartics singular at the point, points off the quartic and
+pairs of forms.
 
 ``gcd.multivariate_gcd``, a kernel search on ``row_reduce``, is compared
 with sympy's GCD up to a nonzero constant over GF(101), GF(2^61 - 1) and
@@ -505,6 +509,40 @@ def test_multipoly_ring_operations_match_sympy(domain, data):
     ]
     for ours, theirs in cases:
         assert canonical_terms(ours, domain) == sympy_terms(ring, theirs)
+
+
+def from_sympy_poly(spoly, domain):
+    """The terms of a sympy Poly as raw values of the domain."""
+    if domain == QQ:
+        return {e: Fraction(int(c.p), int(c.q))
+                for e, c in spoly.as_dict().items()}
+    return {e: int(c) % domain.p for e, c in spoly.as_dict().items()}
+
+
+@pytest.mark.parametrize("domain", RING_DOMAINS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_boxed_terms_view_matches_raw_storage(domain, data):
+    """The boxed ``terms`` view of the raw term storage rebuilds the same
+    polynomial, with the same hash; each of its values is a nonzero
+    canonical scalar of the domain; and the products and sums it shows
+    are sympy's Poly products and sums."""
+    f, g = data.draw(sparse_polys(domain)), data.draw(sparse_polys(domain))
+    gens = sympy.symbols("x0 x1 x2")
+    field = sympy.QQ if domain == QQ else sympy.GF(domain.p)
+
+    def to_poly(poly):
+        return sympy.Poly.from_dict(
+            {e: to_sympy_value(field, c.value) for e, c in poly.terms.items()},
+            gens, domain=field)
+
+    product, total = f * g, f + g
+    for poly in (f, g, product, total):
+        rebuilt = MultiPoly(domain, poly.terms)
+        assert rebuilt == poly and hash(rebuilt) == hash(poly)
+    sf, sg = to_poly(f), to_poly(g)
+    assert canonical_terms(product, domain) == from_sympy_poly(sf * sg, domain)
+    assert canonical_terms(total, domain) == from_sympy_poly(sf + sg, domain)
 
 
 @pytest.mark.parametrize("base", [GF(P), QQ], ids=repr)

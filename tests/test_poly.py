@@ -1,9 +1,11 @@
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from quarticmoduli.field import GF, QQ, FieldScalar
+from quarticmoduli.field import GF, QQ, FieldScalar, ParamRing
+from quarticmoduli.matrices import SHAPES, FormMatrix, act
 from quarticmoduli.poly import (
     BinaryForm,
     Form,
@@ -122,6 +124,10 @@ def test_exact_division():
     q = f.exact_div(g)
     assert q == parse_poly("x0 - x1")
     assert f.try_exact_div(parse_poly("x2")) is None
+    # a parameter ring has no inverses to divide by
+    t = MultiPoly.constant(ParamRing(QQ, ("t",)), 1)
+    with pytest.raises(TypeError, match="field domain"):
+        (t + t).try_exact_div(t)
 
 
 def test_evaluate_examples():
@@ -213,10 +219,25 @@ def test_prime_field_polynomials():
     assert f == g
 
 
+def random_res0_with_automorphisms(domain, rng):
+    """A res0 matrix and graded matrices g, h around it for act."""
+    def polys(src, tgt):
+        return FormMatrix.from_polys(src, tgt, [
+            [MultiPoly(domain, {m: rng.randrange(-50, 50)
+                                for m in monomials_of_degree(s - t)})
+             if s >= t else MultiPoly.zero(domain) for t in tgt]
+            for s in src])
+
+    src, tgt = SHAPES["res0"]
+    return polys(src, tgt), polys(src, src), polys(tgt, tgt)
+
+
 @pytest.mark.parametrize("domain", [GF(101), QQ], ids=repr)
 def test_form_product_runs_on_raw_values(domain, monkeypatch):
     """Exact counts: a product of two quadrics adds and multiplies raw
-    values, with no scalar operator and no Domain.scalar call."""
+    values, with no scalar operator and no Domain.scalar call; it, the
+    other ring operations, exact division, a res0 determinant, act and
+    linear_rank construct no FieldScalar."""
     f = parse_poly("x0^2 + 2*x0*x1 - 3*x1*x2 + 5*x2^2", domain)
     g = parse_poly("7*x0^2 - x0*x2 + x1^2 + 3*x1*x2", domain)
     calls = []
@@ -235,3 +256,25 @@ def test_form_product_runs_on_raw_values(domain, monkeypatch):
         "7*x0^4 + 14*x0^3*x1 - x0^3*x2 + x0^2*x1^2 - 20*x0^2*x1*x2"
         " + 35*x0^2*x2^2 + 2*x0*x1^3 + 6*x0*x1^2*x2 + 3*x0*x1*x2^2"
         " - 5*x0*x2^3 - 3*x1^3*x2 - 4*x1^2*x2^2 + 15*x1*x2^3", domain)
+
+    a, left, right = random_res0_with_automorphisms(domain, random.Random(3))
+    work = {
+        "f * g": lambda: f * g,
+        "f + g": lambda: f + g,
+        "-f": lambda: -f,
+        "try_exact_div": lambda: product.try_exact_div(g),
+        "det": a.determinant,
+        "act": lambda: act(left, a, right),
+        "linear_rank": lambda: linear_rank(a.row(0), 2),
+    }
+    built = []
+    init = FieldScalar.__init__
+    monkeypatch.setattr(FieldScalar, "__init__",
+                        lambda *args: built.append(1) or init(*args))
+    counts = {}
+    for name, run in work.items():
+        built.clear()
+        run()
+        counts[name] = len(built)
+    assert counts == dict.fromkeys(work, 0)
+    assert len(f.terms) == len(built) == 4  # the boxed view does count

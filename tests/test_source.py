@@ -22,6 +22,47 @@ def test_no_bare_assert(path):
     assert not lines, f"{path.name}: assert statements at lines {lines}"
 
 
+# the functions that may read the boxed ``terms`` view: the two views
+# themselves and the serializers; the rest of the package reads ``raw``
+TERMS_VIEW_READERS = {"MultiPoly.terms", "ParamScalar.terms",
+                      "MultiPoly.serialize", "ParamScalar.as_text"}
+
+
+def qualified_attribute_uses(tree, attr):
+    """(qualified enclosing class/function name, line) of every use of the
+    attribute, and the set of every qualified class/function name."""
+    uses, names = [], set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+                names.add(".".join(inner))
+            elif isinstance(child, ast.Attribute) and child.attr == attr:
+                uses.append((".".join(scope), child.lineno))
+            visit(child, inner)
+
+    visit(tree, ())
+    return uses, names
+
+
+def test_terms_view_read_only_at_the_edge():
+    # term dicts hold raw values; boxing each term belongs to the API and
+    # serialization edge, not to the package's own loops
+    offenders, names = [], set()
+    for path in SOURCES:
+        uses, defined = qualified_attribute_uses(
+            ast.parse(path.read_text(), filename=str(path)), "terms")
+        names |= defined
+        offenders += [f"{path.name}:{line} in {scope or '<module>'}"
+                      for scope, line in uses
+                      if scope not in TERMS_VIEW_READERS]
+    assert not offenders, f".terms read outside the edge: {offenders}"
+    assert TERMS_VIEW_READERS <= names
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_function_local_import(path):
     # imports belong at the top of the module, where readers look for them

@@ -1,8 +1,9 @@
+import contextlib
 import random
 
 import pytest
 
-from quarticmoduli import gcd, strata
+from quarticmoduli import gcd, poly, strata
 from quarticmoduli.field import GF, QQ, InvariantError
 from quarticmoduli.matrices import (
     FormMatrix,
@@ -324,3 +325,22 @@ def test_null_vector_keeps_its_errors():
         strata._null_vector(matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), dom)
     with pytest.raises(InvariantError, match="kernel of dimension > 1"):
         strata._null_vector(matrix([[1, 2, 3], [2, 4, 6], [0, 0, 0]]), dom)
+
+
+def test_null_vector_reduces_once(monkeypatch):
+    """Exact count: one row reduction per Z-point kernel vector, whether
+    it returns a vector or raises."""
+    dom = GF(101)
+    calls = []
+    before = poly.row_reduce
+    counting = lambda rows: calls.append(1) or before(rows)  # noqa: E731
+    monkeypatch.setattr(poly, "row_reduce", counting)
+    monkeypatch.setattr(strata, "row_reduce", counting)
+    for rows in ([[1, 0, 2], [0, 1, 3], [1, 1, 5]],
+                 [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                 [[1, 2, 3], [2, 4, 6], [0, 0, 0]]):
+        calls.clear()
+        with contextlib.suppress(ValueError, InvariantError):
+            strata._null_vector([[dom.scalar(v) for v in r] for r in rows],
+                                dom)
+        assert len(calls) == 1, rows
