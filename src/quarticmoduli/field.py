@@ -4,12 +4,15 @@ All arithmetic is exact; there is no floating point anywhere in the package.
 Scalars are tagged with their domain and refuse to mix with scalars of a
 different domain.
 
-A coefficient has a raw value: a Fraction over QQ, an int in [0, p) over
-GF(p), and the ParamScalar itself over a parameter ring.  Term dicts, of
-polynomials and of parameter-ring scalars alike, store raw values, made
-canonical by ``Domain.canonical``.  ``Domain.box`` gives the scalar of
-one raw value, a FieldScalar over a field: for the API and serialization
-edge, and for the results of the scalar operators.
+A coefficient has a raw value: over QQ an int when it is integral and a
+Fraction with denominator > 1 otherwise, an int in [0, p) over GF(p), and
+the ParamScalar itself over a parameter ring.  Term dicts, of polynomials
+and of parameter-ring scalars alike, store raw values, made canonical by
+``Domain.canonical``; ``Domain.unbox`` gives the canonical raw value of
+one scalar.  ``Domain.box`` gives the scalar of one raw value, a
+FieldScalar over a field, whose ``value`` is a Fraction over QQ: for the
+API and serialization edge, and for the results of the scalar operators.
+Floats are refused at the scalar edge.
 """
 
 from fractions import Fraction
@@ -50,6 +53,11 @@ def _is_prime(n):
     return True
 
 
+def _refuse_float(value):
+    if isinstance(value, float):
+        raise TypeError(f"exact arithmetic only: refusing the float {value!r}")
+
+
 class Domain:
     """Base class for coefficient domains; ``box(raw)`` gives the
     canonical scalar of a raw value, zero included."""
@@ -68,6 +76,10 @@ class Domain:
     def canonical(self, raw_terms):
         """Exponent -> raw value, canonical and with the zeros dropped."""
         return {e: v for e, v in raw_terms.items() if v}
+
+    def unbox(self, value):
+        """The canonical raw value of a scalar, int or Fraction."""
+        return self.scalar(value).value
 
     def parse(self, text):
         return self.scalar(Fraction(text.strip()))
@@ -93,10 +105,22 @@ class Rationals(Domain):
         if isinstance(value, FieldScalar):
             self.check_same(value.domain)
             return value
+        _refuse_float(value)
         return FieldScalar(self, Fraction(value))
 
     def box(self, raw):
-        return FieldScalar(self, raw) if raw else self.zero
+        if not raw:
+            return self.zero
+        return FieldScalar(self, raw if isinstance(raw, Fraction)
+                           else Fraction(raw))
+
+    def canonical(self, raw_terms):
+        return {e: v.numerator if v.denominator == 1 else v
+                for e, v in raw_terms.items() if v}
+
+    def unbox(self, value):
+        v = self.scalar(value).value
+        return v.numerator if v.denominator == 1 else v
 
     def __repr__(self):
         return "QQ"
@@ -122,6 +146,7 @@ class PrimeField(Domain):
         if isinstance(value, FieldScalar):
             self.check_same(value.domain)
             return value
+        _refuse_float(value)
         if isinstance(value, Fraction):
             value = value.numerator * pow(value.denominator, -1, self.p)
         return FieldScalar(self, value % self.p)
@@ -371,6 +396,9 @@ class ParamScalar:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("a parameter ring has no inverses: negative "
+                             f"exponent {n}")
         result = self.domain.one
         for _ in range(n):
             result = result * self
@@ -394,8 +422,8 @@ class ParamScalar:
         if missing:
             raise ValueError(f"missing parameter values: {missing}")
         base = self.domain.base
-        vals = [base.scalar(values[n]).value for n in self.domain.names]
-        total = base.zero.value
+        vals = [base.unbox(values[n]) for n in self.domain.names]
+        total = 0
         for e, c in self.raw.items():
             for v, k in zip(vals, e):
                 for _ in range(k):

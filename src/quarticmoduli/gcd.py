@@ -347,7 +347,7 @@ def _pencil_lines(forms, through, domain):
     that T divides, takes the generic pencil search below.
     """
     l1, l2 = _pencil_basis(domain, through)
-    point = [domain.scalar(c).value for c in through]
+    point = [domain.unbox(c) for c in through]
     for f in forms:
         tangent = _tangent_line(f.poly, point)
         if tangent and f.poly.try_exact_div(tangent) is None:
@@ -376,7 +376,7 @@ def _tangent_line(poly, point):
     """sum_i (d poly/dx_i)(point) * x_i, from the raw term values."""
     p0, p1, p2 = ([x**k for k in range(poly.total_degree() + 1)]
                   for x in point)
-    g0 = g1 = g2 = poly.domain.zero.value
+    g0 = g1 = g2 = 0
     for (a, b, c), v in poly.raw.items():
         if a:
             g0 += v * a * p0[a - 1] * p1[b] * p2[c]

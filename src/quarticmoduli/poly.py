@@ -1,20 +1,27 @@
 """Sparse exact polynomials in x0, x1, x2 and their homogeneous forms.
 
 Terms are stored as ``raw``, a dict from exponent triples to nonzero raw
-values in canonical form: ints in [0, p) over GF(p), Fractions over QQ,
-ParamScalars over a parameter ring.  Every operation reads and writes raw
-values, made canonical once per output by ``Domain.canonical``; the
-domains are matched once per polynomial, not per term.  Scalars are boxed
-only at the API edge: the ``terms`` view, ``coefficient`` and the results
-of the linear algebra.  The canonical term order, which the text
-serialization follows, is graded lex, x0 > x1 > x2.
+values in canonical form: ints in [0, p) over GF(p); over QQ ints when
+integral and Fractions otherwise; ParamScalars over a parameter ring.
+Every operation reads and writes raw values, made canonical once per
+output by ``Domain.canonical``; the domains are matched once per
+polynomial, not per term.  Scalars are boxed only at the API edge: the
+``terms`` view, ``coefficient`` and the results of the linear algebra.
+The canonical term order, which the text serialization follows, is
+graded lex, x0 > x1 > x2.
 
 This module is also the single home of exact linear algebra over a field:
 one Gauss-Jordan elimination on raw values, behind ``row_reduce`` (rank
 and pivots), ``null_vector`` (a kernel vector), ``solve_linear`` (a
 particular solution) and ``linear_rank``, serves every rank, kernel,
-solve and GCD in the package.
+solve and GCD in the package.  Over QQ it runs fraction-free on integer
+rows, as Bareiss's method does (Math. Comp. 22, 1968), though it keeps
+the entries small by dividing out each row's content rather than the
+previous pivot, and divides by the pivots only at the end.
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .field import QQ, _serialize_terms
 
@@ -55,7 +62,7 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, domain, exp, coeff=1):
-        return cls.from_raw(domain, {tuple(exp): domain.scalar(coeff).value})
+        return cls.from_raw(domain, {tuple(exp): domain.unbox(coeff)})
 
     @classmethod
     def from_raw(cls, domain, raw_terms):
@@ -102,7 +109,7 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             # scalar multiple
-            v = self.domain.scalar(other).value
+            v = self.domain.unbox(other)
             return MultiPoly.from_raw(
                 self.domain, {e: c * v for e, c in self.raw.items()})
         self._coerce(other)  # raises FieldMismatchError
@@ -214,7 +221,11 @@ class MultiPoly:
             raise TypeError("exact division needs a field domain")
         p = self.domain.modulus
         lead_d = divisor.leading_exponent()
-        inv = pow(divisor.raw[lead_d], -1, p)
+        lead = divisor.raw[lead_d]
+        if p:  # over QQ pow(int, -1) would give a float
+            inv = pow(lead, -1, p)
+        else:
+            inv = lead if lead in (1, -1) else Fraction(1, lead)
         rest = [(e, -c) for e, c in divisor.raw.items() if e != lead_d]
         # raw values: the remainder's unreduced, the quotient's mod p
         remainder = dict(self.raw)
@@ -757,7 +768,10 @@ def row_reduce(rows):
 def _eliminate(rows, p):
     """Gauss-Jordan elimination in place on raw values mod p (over QQ when
     p is None), taking as pivot the first nonzero entry at or below the
-    current row, column by column; returns the pivot columns."""
+    current row, column by column; returns the pivot columns.  The reduced
+    rows are canonical raw values."""
+    if not p:
+        return _eliminate_fraction_free(rows)
     pivots = []
     for col in range(len(rows[0])):
         r = len(pivots)
@@ -768,16 +782,60 @@ def _eliminate(rows, p):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = pow(rows[r][col], -1, p)
-        top = rows[r] = [v * inv % p if p else v * inv for v in rows[r]]
+        top = rows[r] = [v * inv % p for v in rows[r]]
         nonzero = [(j, v) for j, v in enumerate(top) if v]
         for i, row in enumerate(rows):
             factor = row[col]
             if i != r and factor:
                 for j, v in nonzero:
                     row[j] -= factor * v
-                if p:
-                    rows[i] = [v % p for v in row]
+                rows[i] = [v % p for v in row]
         pivots.append(col)
+    return pivots
+
+
+def _primitive(row):
+    """The integer row divided by the gcd of its entries."""
+    content = gcd(*row)
+    return [v // content for v in row] if content > 1 else row
+
+
+def _eliminate_fraction_free(rows):
+    """_eliminate over QQ on integer rows: each row is scaled once to a
+    primitive integer vector; a row is cleared at the pivot column by
+    cross-multiplying it with the pivot row and dividing out its content;
+    each pivot row is divided by its pivot only at the end.  The reduced
+    row echelon form is unique, so it is the one of the field loop."""
+    for i, row in enumerate(rows):
+        den = lcm(*[v.denominator for v in row])
+        rows[i] = _primitive([v.numerator * (den // v.denominator)
+                              for v in row])
+    pivots = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        a = top[col]
+        nonzero = [(j, v) for j, v in enumerate(top) if v]
+        for i, row in enumerate(rows):
+            b = row[col]
+            if i != r and b:
+                g = gcd(a, b)
+                s, t = a // g, b // g
+                if s != 1:
+                    row = [s * v for v in row]
+                for j, v in nonzero:
+                    row[j] -= t * v
+                rows[i] = _primitive(row)
+        pivots.append(col)
+    for i, col in enumerate(pivots):
+        d = rows[i][col]
+        rows[i] = [v // d if v % d == 0 else Fraction(v, d) for v in rows[i]]
     return pivots
 
 

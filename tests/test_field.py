@@ -10,6 +10,7 @@ from quarticmoduli.field import (
     ParamRing,
     PrimeField,
 )
+from quarticmoduli.poly import MultiPoly
 
 
 def test_rational_scalars_reduce():
@@ -105,6 +106,36 @@ def test_param_ring_arithmetic_and_substitution():
     assert expr == direct
     value = expr.substitute({"a": Fraction(3), "b": Fraction(2)})
     assert value.value == 5
+
+
+def test_param_ring_refuses_negative_powers():
+    ring = ParamRing(QQ, ("a",))
+    a = ring.variable("a")
+    assert a ** 0 == ring.one and a ** 2 == a * a
+    for base, n in ((a, -1), (a + a, -2), (ring.one, -1)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            base ** n
+        with pytest.raises(ValueError, match="negative exponent"):
+            pow(base, n, None)
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
+def test_floats_refused_at_the_scalar_edge(domain):
+    for value in (2.5, 0.1, 3.0, float("nan")):
+        with pytest.raises(TypeError, match="float"):
+            domain.scalar(value)
+        with pytest.raises(TypeError, match="float"):
+            MultiPoly(domain, {(1, 0, 0): value})
+        with pytest.raises(TypeError, match="float"):
+            MultiPoly.constant(domain, value)
+        with pytest.raises(TypeError, match="float"):
+            ParamRing(domain, ("a",)).scalar(value)
+        with pytest.raises(TypeError):
+            domain.one + value
+    # exact values are still accepted
+    assert domain.scalar(3) == domain.scalar(Fraction(6, 2))
+    assert MultiPoly(domain, {(1, 0, 0): 3}) == MultiPoly(
+        domain, {(1, 0, 0): Fraction(3)})
 
 
 def test_param_ring_is_not_a_field():

@@ -29,6 +29,14 @@ pairs of forms.
 with sympy's GCD up to a nonzero constant over GF(101), GF(2^61 - 1) and
 QQ with 30-digit coefficients, and ``poly.null_vector`` with the
 nullspace of sympy's ``DomainMatrix`` over GF(101) and QQ.
+
+Over QQ, where the elimination runs fraction-free on integer rows,
+``row_reduce``, ``null_vector``, ``solve_linear`` and ``linear_rank`` are
+compared exactly with sympy ``Matrix.rref()`` on integral, non-integral
+and 30-digit rational entries, with rank deficiency, zero rows and zero
+columns.  The raw values that the ring operations, ``substitute`` and
+``try_exact_div`` store over QQ are checked to be ints exactly when
+integral and Fractions otherwise, never floats.
 """
 
 import random
@@ -75,6 +83,7 @@ from quarticmoduli.poly import (  # noqa: E402
     MultiPoly,
     coefficient_rows,
     divide_coefficients,
+    linear_rank,
     monomials_of_degree,
     null_vector,
     parse_poly,
@@ -789,3 +798,164 @@ def test_null_vector_matches_sympy_nullspace(domain, data):
         assert any(x)
         assert all(not sum((a * b for a, b in zip(row, x)), domain.zero)
                    for row in matrix)
+
+
+# ---- QQ linear algebra and raw values -----------------------------------
+
+QQ_KINDS = ("integral", "fractional", "30-digit")
+
+
+def qq_values(kind):
+    """Rationals of one kind, with zero made common."""
+    big = 10**30
+    nonzero = {
+        "integral": st.integers(-20, 20),
+        "fractional": st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=7),
+        "30-digit": st.builds(Fraction, st.integers(-big, big),
+                              st.integers(1, big)),
+    }[kind]
+    return st.one_of(st.just(0), nonzero)
+
+
+@st.composite
+def qq_matrices(draw, kind, ncols=None):
+    """An m x n matrix (m, n <= 6) over QQ of rank at most r, as A * B,
+    with some rows and columns then set to zero."""
+    m = draw(st.integers(1, 6))
+    n = ncols or draw(st.integers(1, 6))
+    r = draw(st.integers(1, min(m, n)))
+    values = qq_values(kind)
+    a = [[draw(values) for _ in range(r)] for _ in range(m)]
+    b = [[draw(values) for _ in range(n)] for _ in range(r)]
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    return [[Fraction(0) if i in zero_rows or j in zero_cols
+             else sum((a[i][k] * b[k][j] for k in range(r)), Fraction(0))
+             for j in range(n)] for i in range(m)]
+
+
+def from_sympy_rational(value):
+    return Fraction(int(value.p), int(value.q))
+
+
+def matrix_rref(values):
+    """sympy ``Matrix.rref()`` of a matrix of Fractions: the reduced rows
+    as Fractions and the pivot columns."""
+    reduced, pivots = sympy.Matrix(
+        [[sympy.Rational(v.numerator, v.denominator) for v in row]
+         for row in values]).rref()
+    return ([[from_sympy_rational(v) for v in reduced.row(i)]
+             for i in range(reduced.rows)], list(pivots))
+
+
+def boxed_values(row):
+    """The values of boxed QQ scalars, each checked to be a Fraction."""
+    assert all(type(c) is FieldScalar and c.domain is QQ for c in row)
+    assert all(type(c.value) is Fraction for c in row)
+    return [c.value for c in row]
+
+
+@pytest.mark.parametrize("kind", QQ_KINDS)
+@SETTINGS
+@given(data=st.data())
+def test_qq_row_reduce_rank_and_kernel_match_sympy_rref(kind, data):
+    """row_reduce is sympy's RREF entry for entry; linear_rank on the rows
+    read as quadrics is its number of pivots; null_vector is the first
+    vector of sympy's nullspace, or None when the kernel is trivial."""
+    values = data.draw(qq_matrices(kind, ncols=data.draw(st.sampled_from(
+        [3, 6, None]))))
+    want_rows, want_pivots = matrix_rref(values)
+    matrix = [[QQ.scalar(v) for v in row] for row in values]
+    reduced, pivots = row_reduce(matrix)
+    assert pivots == want_pivots
+    assert [boxed_values(row) for row in reduced] == want_rows
+    ncols = len(values[0])
+    if ncols in (3, 6):
+        degree = 1 if ncols == 3 else 2
+        forms = [Form(MultiPoly(QQ, dict(zip(monomials_of_degree(degree),
+                                             row))), degree)
+                 for row in values]
+        assert linear_rank(forms, degree) == len(want_pivots)
+    nullspace = sympy.Matrix(
+        [[sympy.Rational(v.numerator, v.denominator) for v in row]
+         for row in values]).nullspace()
+    x = null_vector(matrix, QQ)
+    if not nullspace:
+        assert x is None
+    else:
+        assert boxed_values(x) == [from_sympy_rational(v)
+                                   for v in nullspace[0]]
+
+
+@pytest.mark.parametrize("kind", QQ_KINDS)
+@SETTINGS
+@given(data=st.data())
+def test_qq_solve_linear_matches_sympy_rref(kind, data):
+    """solve_linear is None exactly when the augmented RREF has a pivot in
+    its last column, and otherwise the solution read off that RREF with
+    the free variables set to zero."""
+    values = data.draw(qq_matrices(kind))
+    ncols = len(values[0])
+    if data.draw(st.booleans()):
+        x = [data.draw(qq_values(kind)) for _ in range(ncols)]
+        rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0))
+               for row in values]
+    else:
+        rhs = [Fraction(data.draw(qq_values(kind))) for _ in values]
+    want_rows, want_pivots = matrix_rref(
+        [row + [b] for row, b in zip(values, rhs)])
+    solution = solve_linear([[QQ.scalar(v) for v in row] for row in values],
+                            [QQ.scalar(b) for b in rhs], QQ)
+    if want_pivots and want_pivots[-1] == ncols:
+        assert solution is None
+    else:
+        want = [Fraction(0)] * ncols
+        for row, col in zip(want_rows, want_pivots):
+            want[col] = row[ncols]
+        assert boxed_values(solution) == want
+
+
+def assert_canonical_raw(poly):
+    """Each raw value is an int exactly when it is integral, otherwise a
+    Fraction with denominator > 1; each boxed value is a Fraction."""
+    for v in poly.raw.values():
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
+    boxed_values(poly.terms.values())
+
+
+@st.composite
+def mixed_qq_polys(draw, max_degree=3):
+    """Up to 8 terms of total degree at most max_degree, with integral,
+    non-integral and 30-digit rational coefficients."""
+    monos = [m for d in range(max_degree + 1) for m in monomials_of_degree(d)]
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=8, unique=True))
+    values = st.one_of(*(qq_values(kind) for kind in QQ_KINDS))
+    return MultiPoly(QQ, {m: draw(values) for m in chosen})
+
+
+@SETTINGS
+@given(data=st.data())
+def test_qq_raw_values_are_ints_exactly_when_integral(data):
+    f, g = data.draw(mixed_qq_polys()), data.draw(mixed_qq_polys())
+    c = data.draw(st.one_of(*(qq_values(kind) for kind in QQ_KINDS)))
+    images = [data.draw(mixed_qq_polys(max_degree=1)) for _ in range(3)]
+    results = [f, g, f + g, f - g, -f, f * g, f * c, f * g - g * f,
+               f.substitute(images), f * (g + 1) - f * g]
+    if g:
+        results.append((f * g).try_exact_div(g))
+        q = f.try_exact_div(g)
+        if q is not None:
+            results.append(q)
+    for poly in results:
+        assert_canonical_raw(poly)
+    if g:
+        assert (f * g).try_exact_div(g) == f
+    # an integral value stored as an int or as a Fraction is one polynomial
+    k = data.draw(st.integers(-10**30, 10**30))
+    e = data.draw(st.sampled_from(monomials_of_degree(2)))
+    as_int = MultiPoly(QQ, {e: k})
+    as_fraction = MultiPoly(QQ, {e: Fraction(k)})
+    assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
+    assert as_int == MultiPoly(QQ, {e: Fraction(2 * k, 2)})
+    assert_canonical_raw(as_fraction)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from quarticmoduli import poly
 from quarticmoduli.field import GF, QQ, FieldScalar, ParamRing
 from quarticmoduli.matrices import SHAPES, FormMatrix, act
 from quarticmoduli.poly import (
@@ -11,6 +12,7 @@ from quarticmoduli.poly import (
     Form,
     MultiPoly,
     ParseError,
+    _eliminate,
     linear_rank,
     monomials_of_degree,
     parse_entry,
@@ -278,3 +280,59 @@ def test_form_product_runs_on_raw_values(domain, monkeypatch):
         counts[name] = len(built)
     assert counts == dict.fromkeys(work, 0)
     assert len(f.terms) == len(built) == 4  # the boxed view does count
+
+
+def count_fractions_built_in_poly(monkeypatch):
+    """The list that records each Fraction the poly module builds."""
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(poly, "Fraction", CountingFraction)
+    return built
+
+
+def test_integral_qq_forms_run_without_fractions(monkeypatch):
+    """Over QQ the raw values of integral forms are ints: their product,
+    sum, difference and exact division by a divisor with leading
+    coefficient 1 or -1 build no Fraction in poly."""
+    f = parse_poly("x0^2 + 2*x0*x1 - 3*x1*x2 + 5*x2^2")
+    g = parse_poly("x0^2 - x0*x2 + x1^2 + 3*x1*x2")
+    product, other = f * g, parse_poly("x0^2 + x1^2")
+    assert all(type(v) is int for h in (f, g, product) for v in h.raw.values())
+    built = count_fractions_built_in_poly(monkeypatch)
+    results = [f * g, f + g, f - g, product.try_exact_div(g),
+               product.try_exact_div(-g), product.try_exact_div(other)]
+    assert built == []
+    assert results[3] == f and results[4] == -f and results[5] is None
+    assert all(type(v) is int for h in results[:5] for v in h.raw.values())
+    # any other leading coefficient costs one Fraction, its inverse
+    assert product.try_exact_div(f * 7) == g * Fraction(1, 7)
+    assert built == [(1, 7)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fraction_free_elimination_divides_only_at_the_end(seed, monkeypatch):
+    """_eliminate over QQ on an integer matrix builds a Fraction only when
+    it divides a pivot row by its pivot at the end: one for each entry of
+    the reduced pivot rows that is not an integer, so at most one per
+    nonzero entry of a pivot row."""
+    rng = random.Random(seed)
+    m, n, r = rng.randint(2, 6), rng.randint(2, 7), rng.randint(1, 4)
+    a = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(m)]
+    b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
+    rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+    rows.append([0] * n)  # a zero row
+    built = count_fractions_built_in_poly(monkeypatch)
+    pivots = _eliminate(rows, None)
+    pivot_rows = rows[:len(pivots)]
+    fractions = [v for row in pivot_rows for v in row if type(v) is not int]
+    assert len(built) == len(fractions)
+    assert len(built) <= sum(1 for row in pivot_rows for v in row if v)
+    assert all(v.denominator > 1 for v in fractions)
+    assert all(row[col] == 1 for row, col in zip(pivot_rows, pivots))
+    assert all(not any(row) for row in rows[len(pivots):])

@@ -28,9 +28,10 @@ TERMS_VIEW_READERS = {"MultiPoly.terms", "ParamScalar.terms",
                       "MultiPoly.serialize", "ParamScalar.as_text"}
 
 
-def qualified_attribute_uses(tree, attr):
-    """(qualified enclosing class/function name, line) of every use of the
-    attribute, and the set of every qualified class/function name."""
+def qualified_uses(tree, matches):
+    """(qualified enclosing class/function name, line) of every node for
+    which matches(node) holds, and the set of every qualified
+    class/function name."""
     uses, names = [], set()
 
     def visit(node, scope):
@@ -40,12 +41,17 @@ def qualified_attribute_uses(tree, attr):
                                   ast.AsyncFunctionDef)):
                 inner = scope + (child.name,)
                 names.add(".".join(inner))
-            elif isinstance(child, ast.Attribute) and child.attr == attr:
+            elif matches(child):
                 uses.append((".".join(scope), child.lineno))
             visit(child, inner)
 
     visit(tree, ())
     return uses, names
+
+
+def qualified_attribute_uses(tree, attr):
+    return qualified_uses(tree, lambda node: isinstance(node, ast.Attribute)
+                          and node.attr == attr)
 
 
 def test_terms_view_read_only_at_the_edge():
@@ -61,6 +67,39 @@ def test_terms_view_read_only_at_the_edge():
                       if scope not in TERMS_VIEW_READERS]
     assert not offenders, f".terms read outside the edge: {offenders}"
     assert TERMS_VIEW_READERS <= names
+
+
+# the functions that may take a modular inverse pow(v, -1, p): each one
+# knows that p is set, or its values are Fractions, since over QQ
+# (p = None) pow(int, -1, None) gives a float
+INVERSE_POW_CALLERS = {"FieldScalar.inverse", "PrimeField.scalar",
+                       "MultiPoly.try_exact_div", "_eliminate"}
+
+
+def is_inverse_pow(node):
+    """Whether the node is a call pow(_, -1, _)."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "pow" and len(node.args) == 3):
+        return False
+    try:
+        return ast.literal_eval(node.args[1]) == -1
+    except ValueError:
+        return False
+
+
+def test_inverse_pow_only_where_allowed():
+    assert is_inverse_pow(ast.parse("pow(v, -1, p)").body[0].value)
+    assert not is_inverse_pow(ast.parse("pow(v, 2, p)").body[0].value)
+    offenders, names = [], set()
+    for path in SOURCES:
+        uses, defined = qualified_uses(
+            ast.parse(path.read_text(), filename=str(path)), is_inverse_pow)
+        names |= defined
+        offenders += [f"{path.name}:{line} in {scope or '<module>'}"
+                      for scope, line in uses
+                      if scope not in INVERSE_POW_CALLERS]
+    assert not offenders, f"pow(_, -1, _) outside the allow-list: {offenders}"
+    assert INVERSE_POW_CALLERS <= names
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
