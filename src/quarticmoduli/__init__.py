@@ -46,7 +46,6 @@ from .field import (
 )
 from .gcd import (
     LineSearchResult,
-    binary_gcd,
     binary_roots,
     common_linear_factor,
     gcd_fold,

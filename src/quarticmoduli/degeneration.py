@@ -26,7 +26,6 @@ from .poly import (
     MultiPoly,
     ParseError,
     coefficient_rows,
-    divide_coefficients,
     monomials_of_degree,
     parse_form,
     solve_linear,
@@ -408,26 +407,6 @@ class FlagDatum:
         self.z_roots = list(z_roots)
 
 
-def binary_exact_div(f, g):
-    """Exact quotient of binary forms; raises when division fails."""
-    if not g:
-        raise ZeroDivisionError("division by zero binary form")
-    if not f:
-        raise ValueError("dividing the zero form is ambiguous in degree")
-    fa, f_tp = f.dehomogenized()
-    ga, g_tp = g.dehomogenized()
-    quotient, remainder = divide_coefficients(fa, ga)
-    if f_tp < g_tp or remainder:
-        raise ValueError("not divisible")
-    return BinaryForm.homogenized(f.domain, quotient, f_tp - g_tp)
-
-
-def root_factor(domain, root):
-    """The binary linear form vanishing at the root (s0, t0)."""
-    s0, t0 = (domain.scalar(v) for v in root)
-    return BinaryForm(domain, 1, [t0, -s0])
-
-
 def flag_limit(datum):
     """The residual point (L n C) minus Z on the quartic.
 
@@ -436,18 +415,18 @@ def flag_limit(datum):
     """
     f, l = datum.quartic, datum.line
     domain = f.domain
-    restriction = f.restrict_to_line(l)
+    restriction = f.restrict_to_line(l).poly
     if not restriction:
         raise ValueError("line is contained in the quartic")
-    for root in datum.z_roots:
-        try:
-            restriction = binary_exact_div(restriction, root_factor(domain, root))
-        except ValueError as exc:
+    s, t = _var(domain, 1), _var(domain, 2)
+    for s0, t0 in datum.z_roots:
+        # the binary linear form t0*s - s0*t vanishes at the root [s0:t0]
+        restriction = restriction.try_exact_div(s * t0 - t * s0)
+        if restriction is None:
             raise ValueError(
-                "prescribed roots are not contained in the line section"
-            ) from exc
-    # a binary linear form remains; its root is always rational
-    a, b = restriction.coefficients
+                "prescribed roots are not contained in the line section")
+    # a binary linear form a*s + b*t remains; its root is always rational
+    a, b = BinaryForm(restriction, 1).coefficients
     s1, t1 = -b, a
     point = l.line_point(s1, t1)
     if f.evaluate(point):

@@ -12,7 +12,9 @@ Algebra, ch. 6).  Two forms need only the monomials of u and v of exactly
 those degrees, since the homogeneous parts of a solution are solutions.
 
 Linear factors are extracted through pencils of lines: restricting to a
-pencil turns divisibility by a line into a root of a binary form.
+pencil turns divisibility by a line into a root of a binary form, a form
+in x1 and x2 alone.  The pencil GCD of those binary forms is
+``gcd_fold``, the package's one GCD.
 """
 
 from fractions import Fraction
@@ -25,11 +27,12 @@ from .poly import (
     BinaryForm,
     Form,
     MultiPoly,
+    _eliminate,
     coefficient_rows,
     divide_coefficients,
     horner,
+    kernel_vector,
     monomials_of_degree,
-    null_vector,
     solve_linear,
 )
 
@@ -54,13 +57,10 @@ def multivariate_gcd(a, b):
     da, db = a.total_degree(), b.total_degree()
     # two forms need only the monomials of top degree in u and v
     forms = a.is_homogeneous() and b.is_homogeneous()
-    # the coefficients of a and -b, each boxed once for all the shifts
-    box = domain.box
-    a_terms = {e: box(c) for e, c in a.raw.items()}
-    neg_b = {e: box(-c) for e, c in b.raw.items()}
+    neg_b = (-b).raw
     for k in range(min(da, db), 0, -1):
         # unknowns: u's coefficients (columns m*a), then v's (columns m*(-b))
-        shifts = [(m, a_terms) for d in range((db - k) * forms, db - k + 1)
+        shifts = [(m, a.raw) for d in range((db - k) * forms, db - k + 1)
                   for m in monomials_of_degree(d)]
         n_u = len(shifts)
         shifts += [(m, neg_b) for d in range((da - k) * forms, da - k + 1)
@@ -69,11 +69,12 @@ def multivariate_gcd(a, b):
         for j, ((m0, m1, m2), terms) in enumerate(shifts):
             for (e0, e1, e2), c in terms.items():
                 rows.setdefault((m0 + e0, m1 + e1, m2 + e2), {})[j] = c
-        x = null_vector([[row.get(j, domain.zero) for j in range(len(shifts))]
-                         for row in rows.values()], domain)
+        matrix = [[row.get(j, 0) for j in range(len(shifts))]
+                  for row in rows.values()]
+        x = kernel_vector(matrix, _eliminate(matrix, domain.modulus))
         if x is not None:
-            v = MultiPoly(domain, {m: c for (m, _), c in zip(shifts[n_u:],
-                                                             x[n_u:])})
+            v = MultiPoly.from_raw(domain, {m: c for (m, _), c in
+                                            zip(shifts[n_u:], x[n_u:])})
             g = a.try_exact_div(v)
             if g is None:
                 raise InvariantError("the kernel cofactor does not divide a")
@@ -104,32 +105,7 @@ def gcd_fold(polys):
     return total
 
 
-# ---- binary forms: gcd and rational roots -----------------------------
-
-
-def binary_gcd(forms):
-    """GCD of binary forms, as a binary form.
-
-    Dehomogenize at t = 1 for the affine chart, and track the power of t
-    (the root at [1:0]) separately.
-    """
-    forms = [f for f in forms if f]
-    if not forms:
-        raise ValueError("gcd of all-zero binary forms")
-    parts = [f.dehomogenized() for f in forms]
-    g = parts[0][0]
-    for u, _ in parts[1:]:
-        g = _univariate_field_gcd(g, u)
-    return BinaryForm.homogenized(forms[0].domain, g,
-                                  min(t_power for _, t_power in parts))
-
-
-def _univariate_field_gcd(a, b):
-    """Monic GCD of two coefficient lists whose last entries are nonzero."""
-    while b:
-        a, b = b, divide_coefficients(a, b)[1]
-    inv = a[-1].inverse()
-    return [c * inv for c in a]
+# ---- binary forms: rational roots -------------------------------------
 
 
 def _peel_roots(coeffs, find_root):
@@ -195,7 +171,8 @@ def _rational_roots_gf(coeffs, domain):
 
 
 def binary_roots(form):
-    """Rational roots [s:t] of a binary form, with multiplicity.
+    """Rational roots [s:t] of a binary form, a form in s = x1 and t = x2,
+    with multiplicity.
 
     Returns (roots, nonsplit_degree) where roots are (s, t) scalar pairs and
     nonsplit_degree is the degree of the factor with no rational root.
@@ -203,8 +180,14 @@ def binary_roots(form):
     domain = form.domain
     if not form:
         raise ValueError("zero binary form")
-    univ, t_mult = form.dehomogenized()
-    roots = [(domain.one, domain.zero)] * t_mult  # root at t = 0, i.e. [1:0]
+    if any(e[0] for e in form.poly.raw):
+        raise ValueError("a binary form has no x0 term")
+    # form(s, 1) by ascending power of s; its missing top powers are the
+    # multiplicity of the root [1:0]
+    univ = BinaryForm(form.poly, form.degree).coefficients[::-1]
+    while not univ[-1]:
+        univ.pop()
+    roots = [(domain.one, domain.zero)] * (form.degree + 1 - len(univ))
     # roots s of form(s, 1) give [s:1]
     if isinstance(domain, Rationals):
         raw, nonsplit = _peel_roots(univ, _rational_root)
@@ -285,7 +268,11 @@ def _pencil_restriction_coefficients(form, l1, l2, point):
         [y0 * pt[i] - y1 * v[i] + y2 * u[i] for i in range(NVARS)]
     )
     d = form.degree
-    return [BinaryForm.from_slice(restricted, d - k, k) for k in range(d + 1)]
+    slices = [{} for _ in range(d + 1)]
+    for (e0, e1, e2), c in restricted.raw.items():
+        slices[d - e0][(0, e1, e2)] = c
+    return [BinaryForm(MultiPoly.from_raw(domain, terms), k)
+            for k, terms in enumerate(slices)]
 
 
 def _dual_point(l1, l2, domain):
@@ -342,16 +329,21 @@ def _pencil_lines(forms, through, domain):
 
     If a line L through P divides f = L*g, then grad f(P) = g(P) * grad L.
     So when grad f(P) != 0, the tangent line T = sum_i (df/dx_i)(P) * x_i
-    is the only candidate, and if T does not divide f no line through P
-    does, over the algebraic closure too.  A form singular at P, or one
-    that T divides, takes the generic pencil search below.
+    is the only candidate, over the algebraic closure too, and it divides
+    f at most once, since T^2 | f would give grad f(P) = 0.  The answer is
+    then T alone when T(P) = 0 and T divides every form, and no line
+    otherwise.  Only when every form is singular at P does the generic
+    pencil search below run.
     """
-    l1, l2 = _pencil_basis(domain, through)
     point = [domain.unbox(c) for c in through]
     for f in forms:
         tangent = _tangent_line(f.poly, point)
-        if tangent and f.poly.try_exact_div(tangent) is None:
-            return LineSearchResult([], 0)
+        if tangent:
+            if any(g.poly.try_exact_div(tangent) is None for g in forms) \
+                    or tangent.evaluate(point):
+                return LineSearchResult([], 0)
+            return LineSearchResult([Form(tangent, 1).normalized()], 0)
+    l1, l2 = _pencil_basis(domain, through)
     coeff_forms = []
     for f in forms:
         coeff_forms.extend(
@@ -362,10 +354,10 @@ def _pencil_lines(forms, through, domain):
         # every pencil line divides every form; cannot happen for nonzero
         # quartics, so report it as a degenerate input
         raise ValueError("all pencil restrictions vanish identically")
-    g = binary_gcd(coeff_forms)
-    if g.degree == 0:
+    g = gcd_fold(coeff_forms)
+    if g.total_degree() == 0:
         return LineSearchResult([], 0)
-    roots, nonsplit = binary_roots(g)
+    roots, nonsplit = binary_roots(Form(g, g.total_degree()))
     out = [
         Form(l1.poly * s + l2.poly * t, 1).normalized() for s, t in roots
     ]

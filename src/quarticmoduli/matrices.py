@@ -6,9 +6,8 @@ and target degrees (2, 0).  Entry (i, j) is homogeneous of degree
 src_degrees[i] - tgt_degrees[j]; a negative required degree forces zero.
 
 ``det`` and ``mat_mul`` are the package's single determinant and matrix
-product; they work on plain grids of ring elements (polynomials over any
-domain, or binary forms), and FormMatrix wraps them with degree
-bookkeeping.
+product; they work on plain grids of ring elements (polynomials or forms
+over any domain), and FormMatrix wraps them with degree bookkeeping.
 """
 
 import json
@@ -206,8 +205,8 @@ def _polys(matrix):
 def det(grid):
     """Determinant of a square grid of ring elements.
 
-    Entries are polynomials over any domain (QQ, GF(p) or a parameter ring)
-    or binary forms.  Cofactor expansion along the row or column with the
+    Entries are polynomials or forms over any domain (QQ, GF(p) or a
+    parameter ring).  Cofactor expansion along the row or column with the
     most zero entries; matrix sizes in this package never exceed 5.
     """
     n = len(grid)

@@ -10,14 +10,20 @@ polynomial, not per term.  Scalars are boxed only at the API edge: the
 The canonical term order, which the text serialization follows, is
 graded lex, x0 > x1 > x2.
 
+A binary form, such as the restriction of a form to a line, is a
+``Form`` in x1 and x2 alone, with the package's one arithmetic, GCD and
+division; ``BinaryForm`` adds only printing in s, t and a coefficient
+list.
+
 This module is also the single home of exact linear algebra over a field:
-one Gauss-Jordan elimination on raw values, behind ``row_reduce`` (rank
-and pivots), ``null_vector`` (a kernel vector), ``solve_linear`` (a
-particular solution) and ``linear_rank``, serves every rank, kernel,
-solve and GCD in the package.  Over QQ it runs fraction-free on integer
-rows, as Bareiss's method does (Math. Comp. 22, 1968), though it keeps
-the entries small by dividing out each row's content rather than the
-previous pivot, and divides by the pivots only at the end.
+one Gauss-Jordan elimination on raw values, ``_eliminate``, with
+``row_reduce`` (rank and pivots on boxed scalars), ``kernel_vector``,
+``solve_linear`` (a particular solution) and ``linear_rank`` on top,
+serves every rank, kernel, solve and GCD in the package.  Over QQ it
+runs fraction-free on integer rows, as Bareiss's method does (Math.
+Comp. 22, 1968), though it keeps the entries small by dividing out each
+row's content rather than the previous pivot, and divides by the pivots
+only at the end.
 """
 
 from fractions import Fraction
@@ -248,11 +254,11 @@ class MultiPoly:
 
     # ---- serialization -------------------------------------------------
 
-    def serialize(self):
+    def serialize(self, variables=VARIABLES):
         """Canonical text: graded-lex descending, explicit '*' and '^'."""
         terms = self.terms
         return _serialize_terms(
-            (terms[e], zip(VARIABLES, e))
+            (terms[e], zip(variables, e))
             for e in sorted(terms, key=_grlex_key, reverse=True)
         )
 
@@ -341,34 +347,13 @@ class Form:
     def __repr__(self):
         return f"{self.serialize()} (deg {self.degree})"
 
-    def restrict_to_line(self, line):
-        """Pull back along the standard parametrization of Z(line).
+    def _line_images(self):
+        """The images of x0, x1, x2 under the standard parametrization of
+        Z(self), a nonzero degree-1 form: linear forms in s = x1, t = x2.
 
         The line is solved for its pivot variable (the largest-index
         variable with a nonzero coefficient); the two remaining variables
         become the parameters (s, t) in increasing index order.
-        """
-        if not isinstance(line, Form) or line.degree != 1:
-            raise ValueError("line must be a degree-1 Form")
-        if not line:
-            raise ValueError("line must be nonzero")
-        domain = self.domain
-        coeffs = coefficient_rows([line], 1)[0]
-        pivot = max(i for i in range(3) if coeffs[i])
-        params = [i for i in range(3) if i != pivot]
-        # the parameters become y1 = s and y2 = t; the pivot is solved for
-        s, t = MultiPoly.variable(domain, 1), MultiPoly.variable(domain, 2)
-        inv = coeffs[pivot].inverse()
-        images = [None] * 3
-        images[params[0]], images[params[1]] = s, t
-        images[pivot] = -(s * coeffs[params[0]] + t * coeffs[params[1]]) * inv
-        restricted = self.poly.substitute(images)
-        return BinaryForm.from_slice(restricted, 0, self.degree)
-
-    def line_point(self, s, t):
-        """The P2 point of Z(self) at parameter [s:t] (degree-1 forms only).
-
-        Uses the same parametrization as restrict_to_line.
         """
         if self.degree != 1 or not self:
             raise ValueError("need a nonzero degree-1 form")
@@ -376,128 +361,43 @@ class Form:
         coeffs = coefficient_rows([self], 1)[0]
         pivot = max(i for i in range(3) if coeffs[i])
         params = [i for i in range(3) if i != pivot]
-        s = domain.scalar(s)
-        t = domain.scalar(t)
-        point = [domain.zero] * 3
-        point[params[0]] = s
-        point[params[1]] = t
+        s, t = MultiPoly.variable(domain, 1), MultiPoly.variable(domain, 2)
         inv = coeffs[pivot].inverse()
-        point[pivot] = -(coeffs[params[0]] * s + coeffs[params[1]] * t) * inv
-        return tuple(point)
+        images = [None] * 3
+        images[params[0]], images[params[1]] = s, t
+        images[pivot] = -(s * coeffs[params[0]] + t * coeffs[params[1]]) * inv
+        return images
+
+    def restrict_to_line(self, line):
+        """Pull back along the standard parametrization of Z(line)."""
+        if not isinstance(line, Form):
+            raise ValueError("line must be a degree-1 Form")
+        return BinaryForm(self.poly.substitute(line._line_images()),
+                          self.degree)
+
+    def line_point(self, s, t):
+        """The P2 point of Z(self) at parameter [s:t] (degree-1 forms only),
+        in the parametrization of restrict_to_line."""
+        point = (0, s, t)
+        return tuple(image.evaluate(point) for image in self._line_images())
 
 
-class BinaryForm:
-    """Homogeneous polynomial in two parameters (s, t) over a domain.
+class BinaryForm(Form):
+    """A form in x1 and x2 alone, read as a binary form in s = x1, t = x2.
 
-    coefficients[i] is the coefficient of s^(degree-i) * t^i.
+    It is a Form in every respect but two: it prints x1, x2 as s, t, and
+    coefficients[i] is the boxed coefficient of s^(degree-i) * t^i.
     """
 
-    __slots__ = ("domain", "degree", "coefficients")
+    __slots__ = ()
 
-    def __init__(self, domain, degree, coefficients):
-        if len(coefficients) != degree + 1:
-            raise ValueError("coefficient list length must be degree + 1")
-        self.domain = domain
-        self.degree = degree
-        self.coefficients = [domain.scalar(c) for c in coefficients]
-
-    @classmethod
-    def zero(cls, domain, degree):
-        return cls(domain, degree, [domain.zero] * (degree + 1))
-
-    @classmethod
-    def from_slice(cls, poly, x0_exponent, degree):
-        """The binary form of the terms x0^x0_exponent * x1^(degree-i) * x2^i
-        of poly, with x1 read as s and x2 as t."""
-        get = poly.raw.get
-        return cls(poly.domain, degree, [
-            get((x0_exponent, degree - i, i), 0) for i in range(degree + 1)
-        ])
-
-    @classmethod
-    def homogenized(cls, domain, coefficients, t_power):
-        """t^t_power * h(s, t), where coefficients lists h(s, 1) by
-        ascending power of s and its last entry is nonzero."""
-        degree = len(coefficients) - 1 + t_power
-        return cls(domain, degree,
-                   [domain.zero] * t_power + coefficients[::-1])
-
-    def dehomogenized(self):
-        """self(s, 1) by ascending power of s, and the power of t dividing
-        self (the multiplicity of the root [1:0]); the inverse of
-        homogenized.  The form must be nonzero."""
-        coeffs = self.coefficients[::-1]
-        deg_s = max(i for i, c in enumerate(coeffs) if c)
-        return coeffs[: deg_s + 1], self.degree - deg_s
-
-    def __bool__(self):
-        return any(self.coefficients)
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        if bool(self) != bool(other):
-            return False
-        if not self:
-            return True
-        return self.degree == other.degree and self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash((self.degree, tuple(self.coefficients)))
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            if not self:
-                return other
-            if not other:
-                return self
-            raise ValueError("degree mismatch")
-        return BinaryForm(
-            self.domain,
-            self.degree,
-            [a + b for a, b in zip(self.coefficients, other.coefficients)],
-        )
-
-    def __neg__(self):
-        return BinaryForm(self.domain, self.degree,
-                          [-c for c in self.coefficients])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, BinaryForm):
-            c = self.domain.scalar(other)
-            return BinaryForm(self.domain, self.degree,
-                              [a * c for a in self.coefficients])
-        d = self.degree + other.degree
-        out = [self.domain.zero] * (d + 1)
-        for i, a in enumerate(self.coefficients):
-            if not a:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] = out[i + j] + a * b
-        return BinaryForm(self.domain, d, out)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, s, t):
-        s = self.domain.scalar(s)
-        t = self.domain.scalar(t)
-        total = self.domain.zero
-        for i, c in enumerate(self.coefficients):
-            total = total + c * s ** (self.degree - i) * t**i
-        return total
+    @property
+    def coefficients(self):
+        d = self.degree
+        return [self.poly.coefficient((0, d - i, i)) for i in range(d + 1)]
 
     def serialize(self):
-        return _serialize_terms(
-            (c, (("s", self.degree - i), ("t", i)))
-            for i, c in enumerate(self.coefficients)
-            if c
-        )
-
-    def __repr__(self):
-        return self.serialize()
+        return self.poly.serialize(("x0", "s", "t"))
 
 
 # ---- univariate coefficient lists ------------------------------------
@@ -839,20 +739,18 @@ def _eliminate_fraction_free(rows):
     return pivots
 
 
-def null_vector(matrix, domain):
-    """A nonzero x with matrix * x = 0, or None when the kernel is trivial."""
-    return kernel_vector(*row_reduce(matrix), domain)
-
-
-def kernel_vector(rows, pivots, domain):
-    """null_vector of a matrix from its row_reduce output: the first free
-    column of the reduced matrix set to 1, or None when there is none."""
+def kernel_vector(rows, pivots):
+    """A kernel vector of a matrix from its reduced rows and pivot columns,
+    as _eliminate or row_reduce give them: the first free column set to 1
+    and each pivot column to minus that column's entry in its row, or None
+    when every column is a pivot.  The entries are the rows' own values,
+    raw or boxed, with the ints 0 and 1 in the free columns."""
     ncols = len(rows[0]) if rows else 0
     free = next((c for c in range(ncols) if c not in pivots), None)
     if free is None:
         return None
-    x = [domain.zero] * ncols
-    x[free] = domain.one
+    x = [0] * ncols
+    x[free] = 1
     for row, col in zip(rows, pivots):
         x[col] = -row[free]
     return x

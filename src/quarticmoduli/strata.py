@@ -17,7 +17,6 @@ from .gcd import (
 )
 from .matrices import SHAPES, FormMatrix, det, stable_kronecker_minors
 from .poly import (
-    BinaryForm,
     Form,
     MultiPoly,
     coefficient_rows,
@@ -259,18 +258,13 @@ def extract_Z_points(report):
     k = report.kronecker
     domain = k.domain
     rows = [coefficient_rows(k.row(0), 1), coefficient_rows(k.row(1), 1)]
-    # det(u*Z + v*W) as a binary cubic via BinaryForm-entry expansion
-    entries = [
-        [
-            BinaryForm(domain, 1, [rows[0][i][var], rows[1][i][var]])
-            for var in range(3)
-        ]
-        for i in range(3)
-    ]
-    cubic = det(entries)
+    # det(u*Z + v*W) as a binary cubic in u = x1, v = x2
+    x1, x2 = MultiPoly.variable(domain, 1), MultiPoly.variable(domain, 2)
+    cubic = det([[x1 * rows[0][i][var] + x2 * rows[1][i][var]
+                  for var in range(3)] for i in range(3)])
     if not cubic:
         raise ValueError("pencil determinant vanishes identically")
-    roots, nonsplit = binary_roots(cubic)
+    roots, nonsplit = binary_roots(Form(cubic, 3))
     points = {}
     order = []
     for u, v in roots:
@@ -297,7 +291,7 @@ def _null_vector(m, domain):
         raise ValueError("matrix has trivial kernel")
     if len(pivots) < 2:
         raise InvariantError("kernel of dimension > 1: scheme not reduced at a point")
-    return tuple(kernel_vector(rows, pivots, domain))
+    return tuple(domain.scalar(v) for v in kernel_vector(rows, pivots))
 
 
 def _check_not_collinear(found, domain):

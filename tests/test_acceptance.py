@@ -20,13 +20,11 @@ from quarticmoduli.betti import (
 from quarticmoduli.degeneration import (
     ChartError,
     FlagDatum,
-    binary_exact_div,
     build_twisted_ideal_resolution,
     family_limit,
     fitting_support,
     flag_limit,
     make_blowup_chart_point,
-    root_factor,
     tangent_quartic,
 )
 from quarticmoduli.field import GF, QQ
@@ -38,7 +36,7 @@ from quarticmoduli.matrices import (
     random_graded_automorphism,
     random_matrix,
 )
-from quarticmoduli.poly import Form, MultiPoly, parse_form
+from quarticmoduli.poly import BinaryForm, Form, MultiPoly, parse_form
 from quarticmoduli.strata import classify_res0
 from quarticmoduli.verify import (
     PASS,
@@ -351,12 +349,10 @@ def test_criterion_7_flag_limit():
         if nonsplit:
             failures.append(f"sample {done}: unexpected nonsplit factor")
             continue
-        residual = restriction
-        for r in roots[:3]:
-            residual = binary_exact_div(
-                residual, root_factor(QQ, tuple(QQ.scalar(v) for v in r))
-            )
-        a, b = residual.coefficients
+        residual = restriction.poly
+        for s, t in roots[:3]:
+            residual = residual.exact_div(x1 * t - x2 * s)
+        a, b = BinaryForm(residual, 1).coefficients
         expected = sorted(
             [_normalize_root(tuple(QQ.scalar(v) for v in r))
              for r in roots[:3]]

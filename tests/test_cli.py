@@ -63,6 +63,36 @@ def test_classify_res1_shape(tmp_path, capsys):
     assert "label: M10" in out
 
 
+P61 = "2305843009213693951"  # 2^61 - 1, above the root scan's 10^6
+
+
+def test_classify_m11_smooth_at_the_point_at_a_large_prime(tmp_path, capsys):
+    """The quartic -(2*x0 + x1)*(x2^3 + x0*x1^2) is smooth at the point
+    (0 : 0 : 1), so its tangent line decides M11 at any prime."""
+    m = make_matrix((3, 3), (2, 0), [["x0", "x2^3 + x0*x1^2 + x0*x2^2"],
+                                     ["x1", "-2*x2^3 - 2*x0*x1^2 + x1*x2^2"]])
+    path = write_json(tmp_path / "m11.json", m.to_json_dict())
+    code = cli.main(["classify", path, "--field", P61])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "label: M11" in out
+
+
+def test_classify_refused_root_scan_is_one_error_line(tmp_path, capsys):
+    """x2^2*(x0^2 + x1^2) is singular at the point (0 : 0 : 1), and
+    x0^2 + x1^2 does not split mod 2^61 - 1, so the pencil search reaches
+    the root scan, which refuses a prime above 10^6."""
+    m = make_matrix((3, 3), (2, 0), [["x0", "-x1*x2^2"], ["x1", "x0*x2^2"]])
+    path = write_json(tmp_path / "singular.json", m.to_json_dict())
+    code = cli.main(["classify", path, "--field", P61])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 1
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "10^6" in lines[0]
+
+
 def test_classify_invariant_failure_exits_three(tmp_path, capsys,
                                                monkeypatch):
     def failing_check(forms, through=None):

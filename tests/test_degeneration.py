@@ -4,12 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from quarticmoduli import gcd, poly
+from quarticmoduli import gcd
 from quarticmoduli.degeneration import (
     ChartError,
     DeformationInstance,
     FlagDatum,
-    binary_exact_div,
     build_twisted_ideal_resolution,
     deformation_normal_form,
     deformation_reduction_trace,
@@ -17,7 +16,6 @@ from quarticmoduli.degeneration import (
     family_limit,
     fitting_support,
     make_blowup_chart_point,
-    root_factor,
     tangent_quartic,
 )
 from quarticmoduli.field import GF, QQ
@@ -296,11 +294,13 @@ def test_flag_limit_roots_must_divide():
 
 
 def test_binary_exact_div():
+    """A binary form divides by the linear form t0*s - s0*t of a root
+    [s0:t0] as a polynomial in s = x1, t = x2."""
     f = parse_form("x1^2 - x2^2").restrict_to_line(parse_form("x0"))
-    q = binary_exact_div(f, root_factor(QQ, (F(1), F(1))))
-    assert q.degree == 1
+    q = f.poly.exact_div(parse_poly("x1 - x2"))  # the root [1:1]
+    assert q.total_degree() == 1
     with pytest.raises(ValueError):
-        binary_exact_div(f, root_factor(QQ, (F(2), F(1))))
+        f.poly.exact_div(parse_poly("x1 - 2*x2"))  # the root [2:1]
 
 
 def deformation_case(dom, rng):
@@ -351,18 +351,18 @@ def test_fitting_support_work_counts(monkeypatch):
     checked by exact division."""
     calls = {"gcd": 0, "row_reduce": 0}
     gcd_before = gcd.multivariate_gcd
-    row_reduce_before = poly.row_reduce
+    eliminate_before = gcd._eliminate
 
     def counting_gcd(a, b):
         calls["gcd"] += 1
         return gcd_before(a, b)
 
-    def counting_row_reduce(rows):
+    def counting_eliminate(rows, p):
         calls["row_reduce"] += 1
-        return row_reduce_before(rows)
+        return eliminate_before(rows, p)
 
     monkeypatch.setattr(gcd, "multivariate_gcd", counting_gcd)
-    monkeypatch.setattr(poly, "row_reduce", counting_row_reduce)
+    monkeypatch.setattr(gcd, "_eliminate", counting_eliminate)
     rng = random.Random(31)
     dom = GF(101)
     for _ in range(10):

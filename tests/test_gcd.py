@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quarticmoduli import gcd, poly
+from quarticmoduli import gcd
 from quarticmoduli.field import GF, QQ, InvariantError
 from quarticmoduli.gcd import (
     binary_roots,
@@ -96,6 +96,8 @@ def test_binary_roots_with_multiplicity():
     roots, nonsplit = binary_roots(f)
     assert nonsplit == 0
     assert len(roots) == 4
+    with pytest.raises(ValueError, match="x0"):
+        binary_roots(parse_form("x0*x1"))
 
 
 def test_lines_dividing_all_through_point():
@@ -104,6 +106,15 @@ def test_lines_dividing_all_through_point():
     result = lines_dividing_all([quartic], through=point)
     assert [l.poly for l in result.lines] == [parse_poly("x0")]
     assert result.nonsplit_degree == 0
+
+
+def test_lines_dividing_all_needs_the_tangent_through_the_point():
+    """x2 divides x2^4 and is its tangent line at (0 : 0 : 1), but does
+    not pass through that point, so no line is found."""
+    result = lines_dividing_all(
+        [parse_form("x2^4")], through=(QQ.zero, QQ.zero, QQ.one)
+    )
+    assert result.lines == [] and result.nonsplit_degree == 0
 
 
 def test_lines_dividing_all_multiplicity_four():
@@ -198,9 +209,10 @@ def test_gcd_of_two_conics_work_counts(domain, monkeypatch):
     """Exact counts: a GCD of two conics runs at most two row reductions,
     one for k = 2 and one for k = 1."""
     calls = []
-    row_reduce_before = poly.row_reduce
-    monkeypatch.setattr(poly, "row_reduce",
-                        lambda rows: calls.append(1) or row_reduce_before(rows))
+    eliminate_before = gcd._eliminate
+    monkeypatch.setattr(gcd, "_eliminate",
+                        lambda rows, p: calls.append(1)
+                        or eliminate_before(rows, p))
     rng = random.Random(13)
 
     def form(degree):
@@ -228,8 +240,8 @@ def test_gcd_of_two_conics_work_counts(domain, monkeypatch):
 
 def test_gcd_refuses_a_cofactor_that_does_not_divide(monkeypatch):
     """A kernel vector whose v does not divide a is a package fault."""
-    monkeypatch.setattr(gcd, "null_vector",
-                        lambda matrix, domain: [domain.one] * len(matrix[0]))
+    monkeypatch.setattr(gcd, "kernel_vector",
+                        lambda rows, pivots: [1] * len(rows[0]))
     # at k = 1 the all-ones vector gives v = x0 + x1 + x2
     with pytest.raises(InvariantError):
         multivariate_gcd(parse_poly("x0^2 + x1^2"), parse_poly("x1"))

@@ -25,13 +25,16 @@ compared with the generic pencil search on res1 determinants, built M11
 quartics, quartics singular at the point, points off the quartic and
 pairs of forms.
 
-``gcd.multivariate_gcd``, a kernel search on ``row_reduce``, is compared
+``gcd.multivariate_gcd``, a kernel search on ``_eliminate``, is compared
 with sympy's GCD up to a nonzero constant over GF(101), GF(2^61 - 1) and
-QQ with 30-digit coefficients, and ``poly.null_vector`` with the
-nullspace of sympy's ``DomainMatrix`` over GF(101) and QQ.
+QQ with 30-digit coefficients, binary forms in x1 and x2 whose shared
+factor has the root [1:0] among them, as the pencil search hands them to
+``gcd_fold``; and ``poly.kernel_vector`` on the raw rows that
+``_eliminate`` reduces, as the GCD runs it, with the nullspace of sympy's
+``DomainMatrix`` over GF(101) and QQ.
 
 Over QQ, where the elimination runs fraction-free on integer rows,
-``row_reduce``, ``null_vector``, ``solve_linear`` and ``linear_rank`` are
+``row_reduce``, ``kernel_vector``, ``solve_linear`` and ``linear_rank`` are
 compared exactly with sympy ``Matrix.rref()`` on integral, non-integral
 and 30-digit rational entries, with rank deficiency, zero rows and zero
 columns.  The raw values that the ring operations, ``substitute`` and
@@ -64,7 +67,6 @@ from quarticmoduli.gcd import (  # noqa: E402
     _nonsingular_conic,
     _pencil_basis,
     _pencil_restriction_coefficients,
-    binary_gcd,
     binary_roots,
     common_linear_factor,
     gcd_fold,
@@ -81,11 +83,12 @@ from quarticmoduli.matrices import (  # noqa: E402
 from quarticmoduli.poly import (  # noqa: E402
     Form,
     MultiPoly,
+    _eliminate,
     coefficient_rows,
     divide_coefficients,
+    kernel_vector,
     linear_rank,
     monomials_of_degree,
-    null_vector,
     parse_poly,
     row_reduce,
     solve_linear,
@@ -597,10 +600,10 @@ def generic_pencil_lines(forms, through, domain):
     l1, l2 = _pencil_basis(domain, through)
     coeff_forms = [bf for f in forms if f for bf in
                    _pencil_restriction_coefficients(f, l1, l2, through) if bf]
-    g = binary_gcd(coeff_forms)
-    if g.degree == 0:
+    g = gcd_fold(coeff_forms)
+    if g.total_degree() == 0:
         return [], 0
-    roots, nonsplit = binary_roots(g)
+    roots, nonsplit = binary_roots(Form(g, g.total_degree()))
     return [Form(l1.poly * s + l2.poly * t, 1).normalized()
             for s, t in roots], nonsplit
 
@@ -683,6 +686,7 @@ def test_tangent_line_test_matches_generic_pencil_search(domain,
                         lambda *args: generic_calls.append(1)
                         or restriction(*args))
     kinds = set()
+    smooth = 0
     for forms, point, kind in pencil_cases(domain, rng):
         before = len(generic_calls)
         result = lines_dividing_all(forms, through=point)
@@ -695,24 +699,31 @@ def test_tangent_line_test_matches_generic_pencil_search(domain,
             assert not took_fallback and want == ([], 0)
         if kind in ("line times cubic", "squared line"):
             assert want[0]
+        if kind == "line times cubic" and Form(
+                forms[0].poly.exact_div(want[0][0].poly), 3).evaluate(point):
+            # the cubic is nonzero at the point: the quartic is smooth there
+            assert not took_fallback
+            smooth += 1
         kinds.add(kind)
-    assert len(kinds) == 8
+    assert len(kinds) == 8 and smooth
 
 
 # ---- the kernel GCD and the kernel vector ------------------------------
 
 
 GCD_KINDS = ("shared", "shared mixed degree", "coprime", "coprime mixed degree",
-             "equal", "zero")
+             "equal", "zero", "binary")
 
 
 @st.composite
 def gcd_pairs(draw, domain, kind):
     """(a, b) = (g*a', g*b') with cofactors of degree 0 to 2 and a factor
     g of degree 0 to 4 (at most 2 for polynomials of mixed degree); a
-    coprime pair has g = 1 and nonconstant cofactors, and the last two
-    kinds set b = a or b = 0."""
+    coprime pair has g = 1 and nonconstant cofactors, "equal" and "zero"
+    set b = a or b = 0, and a "binary" pair is of forms in x1 and x2 alone
+    whose g is x2 or x2^2, the root [1:0], times a form of degree 0 to 2."""
     homogeneous = "mixed" not in kind
+    binary = kind == "binary"
     big = 10**30
     values = (st.builds(lambda n, d, sign: Fraction(sign * n, d),
                         st.integers(1, big), st.integers(1, big),
@@ -724,11 +735,15 @@ def gcd_pairs(draw, domain, kind):
         degrees = [degree] if homogeneous else range(degree + 1)
         return MultiPoly(domain, {m: domain.scalar(draw(values))
                                   for d in degrees
-                                  for m in monomials_of_degree(d)})
+                                  for m in monomials_of_degree(d)
+                                  if not (binary and m[0])})
 
     g = MultiPoly.constant(domain, 1)
     low = 1 if kind.startswith("coprime") else 0
-    if not low:
+    if binary:
+        g = poly(0, 2) * MultiPoly.variable(domain, 2) ** draw(
+            st.integers(1, 2))
+    elif not low:
         g = poly(0, 4 if homogeneous else 2)
     a, b = g * poly(low, 2), g * poly(low, 2)
     if kind == "equal":
@@ -781,6 +796,14 @@ def test_multivariate_gcd_edge_cases_match_sympy(domain):
             a, b, domain), (a_text, b_text)
 
 
+def eliminated_kernel_vector(matrix, domain):
+    """kernel_vector of a matrix of scalars as multivariate_gcd runs it, on
+    the raw rows that _eliminate reduces; its entries boxed."""
+    rows = [[domain.unbox(c) for c in row] for row in matrix]
+    x = kernel_vector(rows, _eliminate(rows, domain.modulus))
+    return None if x is None else [domain.scalar(v) for v in x]
+
+
 @pytest.mark.parametrize("domain", DOMAINS, ids=repr)
 @SETTINGS
 @given(data=st.data())
@@ -792,7 +815,7 @@ def test_null_vector_matches_sympy_nullspace(domain, data):
     shape = (len(matrix), len(matrix[0]))
     nullspace = DomainMatrix([[to_sympy(field, c.value) for c in row]
                               for row in matrix], shape, field).nullspace()
-    x = null_vector(matrix, domain)
+    x = eliminated_kernel_vector(matrix, domain)
     assert (x is not None) == (nullspace.shape[0] > 0)
     if x is not None:
         assert any(x)
@@ -861,8 +884,9 @@ def boxed_values(row):
 @given(data=st.data())
 def test_qq_row_reduce_rank_and_kernel_match_sympy_rref(kind, data):
     """row_reduce is sympy's RREF entry for entry; linear_rank on the rows
-    read as quadrics is its number of pivots; null_vector is the first
-    vector of sympy's nullspace, or None when the kernel is trivial."""
+    read as quadrics is its number of pivots; kernel_vector on the raw
+    rows is the first vector of sympy's nullspace, or None when the kernel
+    is trivial."""
     values = data.draw(qq_matrices(kind, ncols=data.draw(st.sampled_from(
         [3, 6, None]))))
     want_rows, want_pivots = matrix_rref(values)
@@ -880,7 +904,7 @@ def test_qq_row_reduce_rank_and_kernel_match_sympy_rref(kind, data):
     nullspace = sympy.Matrix(
         [[sympy.Rational(v.numerator, v.denominator) for v in row]
          for row in values]).nullspace()
-    x = null_vector(matrix, QQ)
+    x = eliminated_kernel_vector(matrix, QQ)
     if not nullspace:
         assert x is None
     else:

@@ -174,7 +174,7 @@ def test_restrict_to_line_examples():
     )
     r = f.restrict_to_line(parse_form("x0"))
     for s, t in [(0, 1), (1, 1), (-1, 1), (2, 1)]:
-        assert not r.evaluate(QQ.scalar(s), QQ.scalar(t))
+        assert not r.evaluate((0, s, t))
 
 
 def test_line_point_maps_back_to_the_line():
@@ -184,13 +184,14 @@ def test_line_point_maps_back_to_the_line():
 
 
 def test_binary_form_arithmetic():
-    d = QQ
-    a = BinaryForm(d, 1, [d.one, d.scalar(2)])  # s + 2t
-    b = BinaryForm(d, 1, [d.one, d.scalar(-2)])  # s - 2t
-    prod = a * b
+    """Binary forms in s = x1, t = x2 multiply as Forms."""
+    a = BinaryForm(parse_poly("x1 + 2*x2"), 1)  # s + 2t
+    b = BinaryForm(parse_poly("x1 - 2*x2"), 1)  # s - 2t
+    prod = BinaryForm((a * b).poly, (a * b).degree)
     assert prod.degree == 2
     assert [c.value for c in prod.coefficients] == [1, 0, -4]
-    assert not prod.evaluate(d.scalar(2), d.scalar(-1))
+    assert not prod.evaluate((0, 2, -1))
+    assert prod.serialize() == "s^2 - 4*t^2"
 
 
 def test_monomials_of_degree():

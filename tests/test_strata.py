@@ -180,33 +180,39 @@ def test_classify_res0_work_counts(monkeypatch):
 
 
 def test_classify_res1_work_counts(monkeypatch):
-    """Exact counts: a random GF(101) res1 matrix is decided by the
-    tangent-line test, with no pencil restriction and no binary GCD; an
-    M11 matrix still takes the pencil search."""
-    calls = {"restrict": 0, "binary_gcd": 0}
+    """Exact counts: a random GF(101) res1 matrix, and an M11 matrix whose
+    quartic is smooth at the point, are decided by the tangent-line test,
+    with no pencil restriction and no pencil GCD; an M11 matrix whose
+    quartic is singular at the point still takes the pencil search."""
+    calls = {"restrict": 0, "gcd_fold": 0}
     restrict_before = gcd._pencil_restriction_coefficients
-    binary_gcd_before = gcd.binary_gcd
+    gcd_fold_before = gcd.gcd_fold
 
     def counting_restrict(*args):
         calls["restrict"] += 1
         return restrict_before(*args)
 
-    def counting_binary_gcd(forms):
-        calls["binary_gcd"] += 1
-        return binary_gcd_before(forms)
+    def counting_gcd_fold(forms):
+        calls["gcd_fold"] += 1
+        return gcd_fold_before(forms)
 
     dom = GF(101)
     rng = random.Random(23)
     cases = [random_matrix("res1", dom, rng=rng) for _ in range(20)]
     monkeypatch.setattr(gcd, "_pencil_restriction_coefficients",
                         counting_restrict)
-    monkeypatch.setattr(gcd, "binary_gcd", counting_binary_gcd)
+    monkeypatch.setattr(gcd, "gcd_fold", counting_gcd_fold)
     for m in cases:
         assert classify_res1(m).label == M10
-    assert calls == {"restrict": 0, "binary_gcd": 0}
+    assert calls == {"restrict": 0, "gcd_fold": 0}
     m11 = make_matrix((3, 3), (2, 0), [["x0", "0"], ["x1", "x2^3"]], dom)
     assert classify_res1(m11).label == M11
-    assert calls == {"restrict": 1, "binary_gcd": 1}
+    assert calls == {"restrict": 0, "gcd_fold": 0}
+    # the quartic x2^2*(x0^2 + x1^2) is singular at the point (0 : 0 : 1)
+    singular = make_matrix((3, 3), (2, 0), [["x0", "-x1*x2^2"],
+                                            ["x1", "x0*x2^2"]], dom)
+    assert classify_res1(singular).label == M11
+    assert calls == {"restrict": 1, "gcd_fold": 1}
 
 
 def test_extract_Z_points_against_scan():
