@@ -65,7 +65,6 @@ from .matrices import (
     make_matrix,
     random_graded_automorphism,
     random_matrix,
-    save_matrix,
 )
 from .poly import (
     BinaryForm,

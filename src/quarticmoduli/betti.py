@@ -7,7 +7,6 @@ blow-up along Y of codimension c.
 """
 
 from .field import InvariantError
-from .poly import horner
 
 
 class PoincarePoly:
@@ -74,7 +73,7 @@ class PoincarePoly:
         return PoincarePoly(out)
 
     def evaluate(self, q):
-        return horner(self.coefficients, q) if self.coefficients else 0
+        return sum(c * q**i for i, c in enumerate(self.coefficients))
 
     def serialize(self):
         if not self.coefficients:

@@ -158,9 +158,6 @@ class PrimeField(Domain):
         p = self.p
         return {e: r for e, v in raw_terms.items() if (r := v % p)}
 
-    def elements(self):
-        return (FieldScalar(self, v) for v in range(self.p))
-
     def __repr__(self):
         return f"GF({self.p})"
 

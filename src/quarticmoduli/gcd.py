@@ -15,12 +15,20 @@ Linear factors are extracted through pencils of lines: restricting to a
 pencil turns divisibility by a line into a root of a binary form, a form
 in x1 and x2 alone.  The pencil GCD of those binary forms is
 ``gcd_fold``, the package's one GCD.
+
+The roots [s:t] of a binary form f are the root [1:0], then the roots r
+of f(r, 1), each divided out of f by its line as often as it divides.
+Over GF(p) the roots r are those of g = gcd(f(x1, 1), x1^p - x1), with
+x1^p powered modulo f(x1, 1), and g is split by gcd(g, (x1 + a)^((p-1)/2)
+- 1) for a = 0, 1, 2, ... (Cantor and Zassenhaus, Math. Comp. 36, 1981;
+Modern Computer Algebra, ch. 14), so every odd prime is answered.  Over
+QQ they are the candidates of the rational root theorem.
 """
 
 from fractions import Fraction
 from math import gcd as igcd, lcm
 
-from .field import QQ, InvariantError, PrimeField, Rationals
+from .field import InvariantError, PrimeField, Rationals
 from .matrices import det
 from .poly import (
     NVARS,
@@ -29,8 +37,6 @@ from .poly import (
     MultiPoly,
     _eliminate,
     coefficient_rows,
-    divide_coefficients,
-    horner,
     kernel_vector,
     monomials_of_degree,
     solve_linear,
@@ -108,43 +114,24 @@ def gcd_fold(polys):
 # ---- binary forms: rational roots -------------------------------------
 
 
-def _peel_roots(coeffs, find_root):
-    """Roots, with multiplicity, of a univariate polynomial over a field.
-
-    find_root(coefficients) gives a root or None; each root found is
-    divided out.  Returns the roots and the degree of what remains.
-    """
-    roots = []
-    a = list(coeffs)
-    while len(a) > 1:
-        root = find_root(a)
-        if root is None:
-            break
-        roots.append(root)
-        a = divide_coefficients(a, [-root, root.domain.one])[0]
-    return roots, len(a) - 1
-
-
-def _rational_root(coeffs):
-    """A rational root by the rational root theorem, or None.
-
-    The candidates p/q come from the primitive integer multiple of the
-    polynomial: p divides its constant and q its leading coefficient.
-    """
-    fracs = [c.value for c in coeffs]
-    denom = lcm(*[f.denominator for f in fracs])
-    ints = [int(f * denom) for f in fracs]
-    if ints[0] == 0:
-        return QQ.zero
-    content = igcd(*ints)
-    ints = [v // content for v in ints]
-    for p in _divisors(abs(ints[0])):
-        for q in _divisors(abs(ints[-1])):
-            for sign in (1, -1):
-                candidate = Fraction(sign * p, q)
-                if horner(ints, candidate) == 0:
-                    return QQ.scalar(candidate)
-    return None
+def _rational_roots(poly):
+    """The distinct roots r of poly(r, 1) over QQ, by the rational root
+    theorem, in its candidate order: 0 first, then p/q with p dividing the
+    lowest and q the highest nonzero coefficient of the primitive integer
+    multiple of poly(x1, 1).  A candidate is tested on those integers."""
+    denom = lcm(*[c.denominator for c in poly.raw.values()])
+    ints = {(e1, e2): int(c * denom) for (_, e1, e2), c in poly.raw.items()}
+    content = igcd(*ints.values())
+    exps = sorted(ints)  # by ascending power of x1
+    roots = [0] if exps[0][0] else []
+    for p in _divisors(abs(ints[exps[0]]) // content):
+        for q in _divisors(abs(ints[exps[-1]]) // content):
+            for r in (Fraction(p, q), Fraction(-p, q)):
+                if r not in roots and not sum(
+                        c * r.numerator**e1 * r.denominator**e2
+                        for (e1, e2), c in ints.items()):
+                    roots.append(r)
+    return roots
 
 
 def _divisors(n):
@@ -159,15 +146,28 @@ def _divisors(n):
     return sorted(out)
 
 
-_MAX_SCAN_PRIME = 1_000_000
-
-
-def _rational_roots_gf(coeffs, domain):
-    """Roots (with multiplicity) over GF(p), by scanning every element."""
-    if domain.p > _MAX_SCAN_PRIME:
-        raise NotImplementedError("root scan limited to p <= 10^6")
-    return _peel_roots(coeffs, lambda a: next(
-        (x for x in domain.elements() if not horner(a, x)), None))
+def _roots_gf(poly):
+    """The distinct roots r of poly(r, 1) over GF(p), ascending: those of
+    g = gcd(f, x1^p - x1) for f = poly(x1, 1), split by
+    gcd(g, (x1 + a)^((p - 1)/2) - 1) for a = 0, 1, 2, ..., which keeps the
+    roots r with r + a a nonzero square (Cantor-Zassenhaus)."""
+    domain, p = poly.domain, poly.domain.p
+    x1 = MultiPoly.variable(domain, 1)
+    f = MultiPoly.from_raw(domain, {(0, e1, 0): c
+                                    for (_, e1, _), c in poly.raw.items()})
+    pending, roots = [multivariate_gcd(f, pow(x1, p, f) - x1)], []
+    while pending:
+        g = pending.pop()
+        d = g.total_degree()
+        if d == 1:  # g = x1 - r, monic
+            roots.append(-g.raw.get((0, 0, 0), 0) % p)
+        elif d > 1:
+            w, a = g, 0
+            while not 0 < w.total_degree() < d:
+                w = multivariate_gcd(g, pow(x1 + a, (p - 1) // 2, g) - 1)
+                a += 1
+            pending += [w, g.exact_div(w)]
+    return sorted(roots)
 
 
 def binary_roots(form):
@@ -175,28 +175,31 @@ def binary_roots(form):
     with multiplicity.
 
     Returns (roots, nonsplit_degree) where roots are (s, t) scalar pairs and
-    nonsplit_degree is the degree of the factor with no rational root.
+    nonsplit_degree is the degree of the factor with no rational root.  The
+    root [1:0] comes first, then the roots [r:1] over GF(p) ascending by
+    value and over QQ in the rational root theorem's candidate order; each
+    is peeled off by exact division by its line as often as it divides.
     """
     domain = form.domain
     if not form:
         raise ValueError("zero binary form")
     if any(e[0] for e in form.poly.raw):
         raise ValueError("a binary form has no x0 term")
-    # form(s, 1) by ascending power of s; its missing top powers are the
-    # multiplicity of the root [1:0]
-    univ = BinaryForm(form.poly, form.degree).coefficients[::-1]
-    while not univ[-1]:
-        univ.pop()
-    roots = [(domain.one, domain.zero)] * (form.degree + 1 - len(univ))
-    # roots s of form(s, 1) give [s:1]
     if isinstance(domain, Rationals):
-        raw, nonsplit = _peel_roots(univ, _rational_root)
+        distinct = _rational_roots(form.poly)
     elif isinstance(domain, PrimeField):
-        raw, nonsplit = _rational_roots_gf(univ, domain)
+        distinct = _roots_gf(form.poly)
     else:
         raise TypeError("roots need a field domain")
-    roots.extend((r, domain.one) for r in raw)
-    return roots, nonsplit
+    x1, x2 = (MultiPoly.variable(domain, i) for i in (1, 2))
+    poly, roots = form.poly, []
+    for s, t in [(1, 0)] + [(r, 1) for r in distinct]:
+        root = (domain.scalar(s), domain.scalar(t))
+        line = x1 * t - x2 * s  # vanishes at [s:t]
+        while (q := poly.try_exact_div(line)) is not None:
+            roots.append(root)
+            poly = q
+    return roots, poly.total_degree()
 
 
 # ---- lines ------------------------------------------------------------

@@ -321,12 +321,6 @@ def load_matrix(path, domain=QQ):
     return matrix_from_json_dict(load_json(path), domain)
 
 
-def save_matrix(matrix, path):
-    with open(path, "w") as fh:
-        json.dump(matrix.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-
-
 class GradedAutomorphism:
     """An invertible degree-filtered square matrix acting on one side.
 

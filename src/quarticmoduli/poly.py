@@ -150,8 +150,11 @@ class MultiPoly:
             total = total + term
         return total
 
-    def __pow__(self, n):
-        """self**n by square-and-multiply."""
+    def __pow__(self, n, modulus=None):
+        """self**n by square-and-multiply; pow(self, n, modulus) is its
+        remainder by modulus, with both factors reduced at each step."""
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
         result = MultiPoly.constant(self.domain, 1)
         base = self
         while n:
@@ -160,6 +163,9 @@ class MultiPoly:
             n >>= 1
             if n:
                 base = base * base
+            if modulus is not None:
+                result = result.divmod(modulus)[1]
+                base = base.divmod(modulus)[1]
         return result
 
     def __bool__(self):
@@ -220,11 +226,19 @@ class MultiPoly:
 
     def try_exact_div(self, divisor):
         """Quotient self/divisor if the division is exact, else None."""
+        division = self.divmod(divisor, exact=True)
+        return division[0] if division else None
+
+    def divmod(self, divisor, exact=False):
+        """Quotient and remainder of self by divisor, by the graded-lex
+        division loop: a leading term of the remainder that the divisor's
+        leading term does not divide moves to the final remainder, or with
+        exact ends the division at once with None."""
         divisor = self._coerce(divisor)
         if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.domain.is_field:
-            raise TypeError("exact division needs a field domain")
+            raise TypeError("division needs a field domain")
         p = self.domain.modulus
         lead_d = divisor.leading_exponent()
         lead = divisor.raw[lead_d]
@@ -233,24 +247,29 @@ class MultiPoly:
         else:
             inv = lead if lead in (1, -1) else Fraction(1, lead)
         rest = [(e, -c) for e, c in divisor.raw.items() if e != lead_d]
-        # raw values: the remainder's unreduced, the quotient's mod p
+        # raw values: the remainders' unreduced, the quotient's mod p
         remainder = dict(self.raw)
-        quotient = {}
+        quotient, kept = {}, {}
         while remainder:
             lead_r = max(remainder, key=_grlex_key)
-            c = remainder.pop(lead_r) * inv
+            v = remainder.pop(lead_r)
+            c = v * inv
             if p:
                 c %= p
             if not c:
                 continue
             exp = tuple(a - b for a, b in zip(lead_r, lead_d))
             if min(exp) < 0:
-                return None
+                if exact:
+                    return None
+                kept[lead_r] = v
+                continue
             quotient[exp] = c
             for (a0, a1, a2), w in rest:
                 e = (a0 + exp[0], a1 + exp[1], a2 + exp[2])
                 remainder[e] = c * w + remainder.get(e, 0)
-        return MultiPoly.from_raw(self.domain, quotient)
+        return (MultiPoly.from_raw(self.domain, quotient),
+                MultiPoly.from_raw(self.domain, kept))
 
     # ---- serialization -------------------------------------------------
 
@@ -398,41 +417,6 @@ class BinaryForm(Form):
 
     def serialize(self):
         return self.poly.serialize(("x0", "s", "t"))
-
-
-# ---- univariate coefficient lists ------------------------------------
-# A univariate polynomial is a list of coefficients by ascending degree.
-
-
-def divide_coefficients(a, b):
-    """Quotient and remainder of univariate polynomials over a field.
-
-    b's last coefficient must be nonzero.  The quotient has
-    len(a) - len(b) + 1 coefficients (none when a is shorter than b); the
-    remainder has its trailing zeros removed, so it is empty exactly when
-    b divides a.
-    """
-    rem = list(a)
-    db = len(b) - 1
-    inv = b[-1].inverse()
-    quotient = [None] * max(len(a) - db, 0)
-    for k in range(len(quotient) - 1, -1, -1):
-        c = quotient[k] = rem[k + db] * inv
-        if c:
-            for i, bc in enumerate(b):
-                rem[k + i] = rem[k + i] - c * bc
-    del rem[db:]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quotient, rem
-
-
-def horner(coefficients, x):
-    """Value at x of a nonempty coefficient list, by Horner's rule."""
-    total = coefficients[-1]
-    for c in coefficients[-2::-1]:
-        total = x * total + c
-    return total
 
 
 # ---- parsing ----------------------------------------------------------

@@ -63,7 +63,7 @@ def test_classify_res1_shape(tmp_path, capsys):
     assert "label: M10" in out
 
 
-P61 = "2305843009213693951"  # 2^61 - 1, above the root scan's 10^6
+P61 = "2305843009213693951"  # 2^61 - 1
 
 
 def test_classify_m11_smooth_at_the_point_at_a_large_prime(tmp_path, capsys):
@@ -78,19 +78,30 @@ def test_classify_m11_smooth_at_the_point_at_a_large_prime(tmp_path, capsys):
     assert "label: M11" in out
 
 
-def test_classify_refused_root_scan_is_one_error_line(tmp_path, capsys):
+def test_classify_singular_point_nonsplit_at_a_large_prime(tmp_path, capsys):
     """x2^2*(x0^2 + x1^2) is singular at the point (0 : 0 : 1), and
-    x0^2 + x1^2 does not split mod 2^61 - 1, so the pencil search reaches
-    the root scan, which refuses a prime above 10^6."""
+    x0^2 + x1^2 does not split mod 2^61 - 1, so the pencil search finds
+    the roots of a binary form at that prime: none, and a non-split
+    quadratic."""
     m = make_matrix((3, 3), (2, 0), [["x0", "-x1*x2^2"], ["x1", "x0*x2^2"]])
     path = write_json(tmp_path / "singular.json", m.to_json_dict())
     code = cli.main(["classify", path, "--field", P61])
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert code == 1
-    assert captured.out == ""
-    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
-    assert "10^6" in lines[0]
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "label: M11" in out
+    assert "non-split remainder of degree 2" in out
+
+
+def test_classify_singular_point_split_at_a_large_prime(tmp_path, capsys):
+    """x2^2*(x0^2 - x1^2) is singular at the point (0 : 0 : 1) and splits,
+    so the roots of the pencil's binary form give the line x0 + x1."""
+    m = make_matrix((3, 3), (2, 0), [["x0", "x1*x2^2"], ["x1", "x0*x2^2"]])
+    path = write_json(tmp_path / "singular.json", m.to_json_dict())
+    code = cli.main(["classify", path, "--field", P61])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "label: M11" in out
+    assert "line: x0 + x1" in out
 
 
 def test_classify_invariant_failure_exits_three(tmp_path, capsys,

@@ -92,11 +92,6 @@ def test_parse_scalars():
     assert GF(101).parse("3").value == 3
 
 
-def test_prime_field_elements_enumeration():
-    f = GF(7)
-    assert [s.value for s in f.elements()] == list(range(7))
-
-
 def test_param_ring_arithmetic_and_substitution():
     ring = ParamRing(QQ, ("a", "b"))
     a = ring.variable("a")

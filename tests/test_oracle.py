@@ -4,8 +4,11 @@
 ring, ``poly.row_reduce`` / ``poly.solve_linear`` with sympy's reduced
 row echelon form, ``MultiPoly.substitute`` / ``Form.restrict_to_line``
 with a simultaneous substitution in sympy's sparse polynomial ring, and
-``poly.divide_coefficients`` with sympy's univariate division, over
-GF(101) and QQ on inputs drawn by hypothesis.
+``MultiPoly.divmod`` on polynomials in x1 with sympy's univariate
+division, quotient and remainder, over GF(101) and QQ on inputs drawn by
+hypothesis.  ``gcd.binary_roots`` is compared with sympy's factorization
+mod p at primes from 3 to 2^61 - 1, on forms with repeated roots and the
+root [1:0].
 
 ``gcd.common_linear_factor`` decides most inputs by its conic test; it is
 compared with the generic GCD path, and the conic test with sympy's
@@ -85,7 +88,6 @@ from quarticmoduli.poly import (  # noqa: E402
     MultiPoly,
     _eliminate,
     coefficient_rows,
-    divide_coefficients,
     kernel_vector,
     linear_rank,
     monomials_of_degree,
@@ -282,21 +284,66 @@ def test_restrict_to_line_matches_sympy(domain, data):
 @pytest.mark.parametrize("domain", DOMAINS, ids=repr)
 @SETTINGS
 @given(data=st.data())
-def test_divide_coefficients_matches_sympy(domain, data):
+def test_divmod_matches_sympy(domain, data):
+    """MultiPoly.divmod on polynomials in x1, as the root finder powers
+    modulo one, against sympy's univariate division."""
     values = raw_values(domain)
-    a, b = ([domain.scalar(data.draw(values))
-             for _ in range(data.draw(st.integers(low, 7)))] for low in (0, 1))
-    assume(b[-1])
+    a, b = (MultiPoly(domain, {(0, i, 0): domain.scalar(data.draw(values))
+                               for i in range(data.draw(st.integers(0, 7)))})
+            for _ in range(2))
+    assume(b)
     ring, _ = sympy.ring("x", sympy_field(domain))
 
-    def to_x(coeffs):
-        return ring.from_dict({(i,): to_sympy(ring.domain, c.value)
-                               for i, c in enumerate(coeffs) if c})
+    def to_x(poly):
+        return ring.from_dict({(e[1],): to_sympy(ring.domain, c)
+                               for e, c in poly.raw.items()})
 
-    want = to_x(a).div(to_x(b))
-    for ours, theirs in zip(divide_coefficients(a, b), want):
-        assert {(i,): c.value for i, c in enumerate(ours) if c} == \
+    for ours, theirs in zip(a.divmod(b), to_x(a).div(to_x(b))):
+        assert {(e[1],): c for e, c in ours.raw.items()} == \
             {e: from_sympy(ring.domain, c) for e, c in theirs.items()}
+
+
+ROOT_PRIMES = [3, 101, 1000003, 2**31 - 1, 2**61 - 1]
+
+
+@st.composite
+def split_binary_forms(draw, p):
+    """A binary form over GF(p): up to two lines a*x1 - b*x2, each with
+    multiplicity 1 or 2 (a = 0 is the root [1:0]), times a nonzero
+    quadratic form with drawn coefficients."""
+    domain = GF(p)
+    values = st.one_of(st.just(0), st.just(1), st.integers(0, p - 1))
+    x1, x2 = (MultiPoly.variable(domain, i) for i in (1, 2))
+    form = MultiPoly.constant(domain, 1)
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(values), draw(values)
+        assume(a or b)
+        form = form * (x1 * a - x2 * b) ** draw(st.integers(1, 2))
+    rest = MultiPoly(domain, {(0, 2 - i, i): draw(values) for i in range(3)})
+    assume(rest)
+    return Form(form * rest, form.total_degree() + 2)
+
+
+@pytest.mark.parametrize("p", ROOT_PRIMES)
+@SETTINGS
+@given(data=st.data())
+def test_binary_roots_match_sympy_factor_list(p, data):
+    """binary_roots against sympy's factorization of f(x, 1) mod p: the
+    affine roots ascending with multiplicity, the root [1:0] as often as
+    x2 divides f, and the degree of the factors of degree above one."""
+    form = data.draw(split_binary_forms(p))
+    roots, nonsplit = binary_roots(form)
+    x = sympy.Symbol("x")
+    affine = sympy.Poly.from_dict(
+        {(e[1],): c for e, c in form.poly.raw.items()}, x, modulus=p)
+    _, factors = affine.factor_list()
+    want = sorted((-c * pow(a, -1, p) % p, 1)
+                  for factor, k in factors if factor.degree() == 1
+                  for a, c in [factor.all_coeffs()] for _ in range(k))
+    want = [(1, 0)] * (form.degree - affine.degree()) + want
+    assert [(s.value, t.value) for s, t in roots] == want
+    assert nonsplit == sum(factor.degree() * k for factor, k in factors
+                           if factor.degree() > 1)
 
 
 def generic_common_linear_factor(forms):

@@ -81,6 +81,19 @@ def test_power_by_squaring_matches_repeated_product():
         product = product * f
 
 
+def test_negative_power_is_refused():
+    with pytest.raises(ValueError, match="negative power"):
+        parse_poly("x0 + 1") ** -1
+
+
+def test_power_modulo_is_the_remainder_of_the_power():
+    for domain in (QQ, GF(101)):
+        f = parse_poly("2*x1^3 - x1 + 5", domain)
+        base = parse_poly("x1 + 3", domain)
+        for n in (0, 1, 2, 7, 20):
+            assert pow(base, n, f) == (base ** n).divmod(f)[1]
+
+
 def test_constant_power_size_bounded_over_qq():
     assert parse_poly("2^10000").terms[(0, 0, 0)].value == 2 ** 10000
     assert parse_poly("1/2^3") == parse_poly("1/8")
@@ -126,6 +139,8 @@ def test_exact_division():
     q = f.exact_div(g)
     assert q == parse_poly("x0 - x1")
     assert f.try_exact_div(parse_poly("x2")) is None
+    assert f.divmod(parse_poly("x0 - x2")) == (
+        parse_poly("x0 + x2"), parse_poly("x2^2 - x1^2"))
     # a parameter ring has no inverses to divide by
     t = MultiPoly.constant(ParamRing(QQ, ("t",)), 1)
     with pytest.raises(TypeError, match="field domain"):
