@@ -21,15 +21,16 @@ of f(r, 1), each divided out of f by its line as often as it divides.
 Over GF(p) the roots r are those of g = gcd(f(x1, 1), x1^p - x1), with
 x1^p powered modulo f(x1, 1), and g is split by gcd(g, (x1 + a)^((p-1)/2)
 - 1) for a = 0, 1, 2, ... (Cantor and Zassenhaus, Math. Comp. 36, 1981;
-Modern Computer Algebra, ch. 14), so every odd prime is answered.  Over
-QQ they are the candidates of the rational root theorem.
+Modern Computer Algebra, ch. 14), so every odd prime is answered.  Each
+of these GCDs runs on the homogenizations, binary forms in x1 and x2,
+and is set back at x2 = 1.  Over QQ the roots r are the candidates of the
+rational root theorem.
 """
 
 from fractions import Fraction
 from math import gcd as igcd, lcm
 
 from .field import InvariantError, PrimeField, Rationals
-from .matrices import det
 from .poly import (
     NVARS,
     BinaryForm,
@@ -155,7 +156,7 @@ def _roots_gf(poly):
     x1 = MultiPoly.variable(domain, 1)
     f = MultiPoly.from_raw(domain, {(0, e1, 0): c
                                     for (_, e1, _), c in poly.raw.items()})
-    pending, roots = [multivariate_gcd(f, pow(x1, p, f) - x1)], []
+    pending, roots = [_gcd_in_x1(f, pow(x1, p, f) - x1)], []
     while pending:
         g = pending.pop()
         d = g.total_degree()
@@ -164,10 +165,25 @@ def _roots_gf(poly):
         elif d > 1:
             w, a = g, 0
             while not 0 < w.total_degree() < d:
-                w = multivariate_gcd(g, pow(x1 + a, (p - 1) // 2, g) - 1)
+                w = _gcd_in_x1(g, pow(x1 + a, (p - 1) // 2, g) - 1)
                 a += 1
             pending += [w, g.exact_div(w)]
     return sorted(roots)
+
+
+def _gcd_in_x1(f, g):
+    """The monic GCD of f and g, polynomials in x1, taken on their lifts
+    x2^deg(h) * h(x1/x2), binary forms whose GCD takes only the top degree,
+    and set at x2 = 1.  A lift keeps its x1^deg term, so x2 divides neither
+    lift nor their GCD, whose graded-lex leading term is then x1^k."""
+    lifted = []
+    for h in (f, g):
+        d = h.total_degree()
+        lifted.append(MultiPoly.from_raw(h.domain, {
+            (0, e1, d - e1): c for (_, e1, _), c in h.raw.items()}))
+    return MultiPoly.from_raw(f.domain, {
+        (0, e1, 0): c
+        for (_, e1, _), c in multivariate_gcd(*lifted).raw.items()})
 
 
 def binary_roots(form):
@@ -467,6 +483,11 @@ def common_linear_factor(forms):
 def _nonsingular_conic(conic):
     """Whether the symmetric matrix [[2a, b, c], [b, 2d, e], [c, e, 2f]] of
     a*x0^2 + b*x0*x1 + c*x0*x2 + d*x1^2 + e*x1*x2 + f*x2^2 is
-    nonsingular."""
-    a, b, c, d, e, f = coefficient_rows([conic], 2)[0]
-    return bool(det([[a + a, b, c], [b, d + d, e], [c, e, f + f]]))
+    nonsingular: its determinant is twice 4adf + bce - ae^2 - b^2f - c^2d,
+    which is evaluated on the raw coefficients (mod p over GF(p)), and the
+    characteristic is never 2."""
+    raw = conic.poly.raw
+    a, b, c, d, e, f = (raw.get(m, 0) for m in monomials_of_degree(2))
+    value = 4 * a * d * f + b * c * e - a * e * e - b * b * f - c * c * d
+    p = conic.domain.modulus
+    return bool(value % p if p else value)

@@ -6,8 +6,9 @@ and target degrees (2, 0).  Entry (i, j) is homogeneous of degree
 src_degrees[i] - tgt_degrees[j]; a negative required degree forces zero.
 
 ``det`` and ``mat_mul`` are the package's single determinant and matrix
-product; they work on plain grids of ring elements (polynomials or forms
-over any domain), and FormMatrix wraps them with degree bookkeeping.
+product; they work on plain grids of ``MultiPoly`` over any domain, and
+sum each entry's products with ``poly.dot`` in one raw dict.  FormMatrix
+wraps them with degree bookkeeping.
 """
 
 import json
@@ -19,6 +20,7 @@ from .poly import (
     MultiPoly,
     ParseError,
     PowerDegreeError,
+    dot,
     linear_rank,
     monomials_of_degree,
     parse_entry,
@@ -203,17 +205,20 @@ def _polys(matrix):
 
 
 def det(grid):
-    """Determinant of a square grid of ring elements.
+    """Determinant of a square grid of polynomials over one domain (QQ,
+    GF(p) or a parameter ring).
 
-    Entries are polynomials or forms over any domain (QQ, GF(p) or a
-    parameter ring).  Cofactor expansion along the row or column with the
-    most zero entries; matrix sizes in this package never exceed 5.
+    Cofactor expansion along the row or column with the most zero
+    entries, each cofactor sum one ``dot``; matrix sizes in this package
+    never exceed 5.
     """
     n = len(grid)
     if n == 1:
         return grid[0][0]
+    domain = grid[0][0].domain
     if n == 2:
-        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
+        return dot([(grid[0][0], grid[1][1]), (grid[0][1], grid[1][0])],
+                   domain, negated=(1,))
     row_zeros = [sum(1 for e in row if not e) for row in grid]
     col_zeros = [sum(1 for row in grid if not row[j]) for j in range(n)]
     bi, bz = max(enumerate(row_zeros), key=lambda t: t[1])
@@ -222,7 +227,7 @@ def det(grid):
         # a column is sparser: expand along it as a row of the transpose
         grid = [list(col) for col in zip(*grid)]
         bi = bj
-    total = None
+    pairs, negated = [], []
     for j, e in enumerate(grid[bi]):
         if not e:
             continue
@@ -231,13 +236,10 @@ def det(grid):
             for i in range(n)
             if i != bi
         ]
-        term = e * det(sub)
         if (bi + j) % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return grid[0][0] * 0
-    return total
+            negated.append(len(pairs))
+        pairs.append((e, det(sub)))
+    return dot(pairs, domain, negated)
 
 
 def make_matrix(src_degrees, tgt_degrees, entry_texts, domain=QQ):
@@ -368,17 +370,12 @@ def _multiply(a, b):
 
 
 def mat_mul(a, b):
-    """Product of two grids of ring elements."""
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            total = row[0] * b[0][j]
-            for k in range(1, len(b)):
-                total = total + row[k] * b[k][j]
-            out_row.append(total)
-        out.append(out_row)
-    return out
+    """Product of two grids of polynomials over one domain, each entry
+    one ``dot`` over the pairs with no zero factor."""
+    domain = a[0][0].domain
+    cols = list(zip(*b))
+    return [[dot([(x, y) for x, y in zip(row, col) if x and y], domain)
+             for col in cols] for row in a]
 
 
 def identity_automorphism(degrees, domain=QQ):

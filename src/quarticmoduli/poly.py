@@ -10,6 +10,13 @@ polynomial, not per term.  Scalars are boxed only at the API edge: the
 The canonical term order, which the text serialization follows, is
 graded lex, x0 > x1 > x2.
 
+``dot`` is the one multiply-accumulate kernel: a sum of signed products,
+such as a product, a cofactor sum or a matrix product entry, is
+accumulated in one dict of raw values and made canonical once.
+``MultiPoly.divmod`` keys its remainder terms by (degree, e0, e1, e2),
+whose tuple order is graded lex, so ``max`` finds the leading term by
+comparing tuples.
+
 A binary form, such as the restriction of a form to a line, is a
 ``Form`` in x1 and x2 alone, with the package's one arithmetic, GCD and
 division; ``BinaryForm`` adds only printing in s, t and a coefficient
@@ -118,15 +125,7 @@ class MultiPoly:
             v = self.domain.unbox(other)
             return MultiPoly.from_raw(
                 self.domain, {e: c * v for e, c in self.raw.items()})
-        self._coerce(other)  # raises FieldMismatchError
-        right = list(other.raw.items())
-        raw = {}
-        get = raw.get
-        for (a0, a1, a2), v in self.raw.items():
-            for (b0, b1, b2), w in right:
-                e = (a0 + b0, a1 + b1, a2 + b2)
-                raw[e] = v * w + get(e, 0)
-        return MultiPoly.from_raw(self.domain, raw)
+        return dot([(self, other)], self.domain)
 
     __rmul__ = __mul__
 
@@ -246,28 +245,36 @@ class MultiPoly:
             inv = pow(lead, -1, p)
         else:
             inv = lead if lead in (1, -1) else Fraction(1, lead)
-        rest = [(e, -c) for e, c in divisor.raw.items() if e != lead_d]
+        # terms keyed by (degree, e0, e1, e2), whose tuple order is grlex
+        d0, d1, d2 = lead_d
+        rest = [((e0 + e1 + e2, e0, e1, e2), -c)
+                for (e0, e1, e2), c in divisor.raw.items()
+                if (e0, e1, e2) != lead_d]
         # raw values: the remainders' unreduced, the quotient's mod p
-        remainder = dict(self.raw)
+        remainder = {(e0 + e1 + e2, e0, e1, e2): c
+                     for (e0, e1, e2), c in self.raw.items()}
+        get = remainder.get
         quotient, kept = {}, {}
         while remainder:
-            lead_r = max(remainder, key=_grlex_key)
+            lead_r = max(remainder)
             v = remainder.pop(lead_r)
             c = v * inv
             if p:
                 c %= p
             if not c:
                 continue
-            exp = tuple(a - b for a, b in zip(lead_r, lead_d))
-            if min(exp) < 0:
+            _, r0, r1, r2 = lead_r
+            q0, q1, q2 = r0 - d0, r1 - d1, r2 - d2
+            if q0 < 0 or q1 < 0 or q2 < 0:
                 if exact:
                     return None
-                kept[lead_r] = v
+                kept[r0, r1, r2] = v
                 continue
-            quotient[exp] = c
-            for (a0, a1, a2), w in rest:
-                e = (a0 + exp[0], a1 + exp[1], a2 + exp[2])
-                remainder[e] = c * w + remainder.get(e, 0)
+            quotient[q0, q1, q2] = c
+            q = q0 + q1 + q2
+            for (k, k0, k1, k2), w in rest:
+                e = (k + q, k0 + q0, k1 + q1, k2 + q2)
+                remainder[e] = c * w + get(e, 0)
         return (MultiPoly.from_raw(self.domain, quotient),
                 MultiPoly.from_raw(self.domain, kept))
 
@@ -283,6 +290,29 @@ class MultiPoly:
 
     def __repr__(self):
         return self.serialize()
+
+
+def dot(pairs, domain, negated=()):
+    """The sum of the products a * b of the pairs (a, b) of polynomials
+    over domain, less those at the indices in negated: the package's one
+    multiply-accumulate kernel.  Every product is summed into one dict of
+    raw values, made canonical once."""
+    raw = {}
+    get = raw.get
+    for k, (a, b) in enumerate(pairs):
+        if a.domain is not domain:
+            domain.check_same(a.domain)
+        if b.domain is not domain:
+            domain.check_same(b.domain)
+        left = a.raw.items()
+        if k in negated:
+            left = [(e, -v) for e, v in left]
+        right = list(b.raw.items())
+        for (a0, a1, a2), v in left:
+            for (b0, b1, b2), w in right:
+                e = (a0 + b0, a1 + b1, a2 + b2)
+                raw[e] = v * w + get(e, 0)
+    return MultiPoly.from_raw(domain, raw)
 
 
 class Form:

@@ -20,6 +20,7 @@ from .poly import (
     Form,
     MultiPoly,
     coefficient_rows,
+    dot,
     kernel_vector,
     linear_rank,
     row_reduce,
@@ -94,9 +95,8 @@ def classify_res0(a):
             kronecker=k,
         )
     # Laplace expansion along the top row: det = sum_j a[0, j] * minor_j
-    quartic = Form.zero(a.domain, 4)
-    for q, minor in zip(a.row(0), minors):
-        quartic = quartic + q * minor
+    quartic = Form(dot([(q.poly, minor.poly)
+                        for q, minor in zip(a.row(0), minors)], a.domain), 4)
     if not quartic:
         return _boundary_report(a, k, minors)
     line = common_linear_factor(minors)

@@ -4,15 +4,18 @@
 ring, ``poly.row_reduce`` / ``poly.solve_linear`` with sympy's reduced
 row echelon form, ``MultiPoly.substitute`` / ``Form.restrict_to_line``
 with a simultaneous substitution in sympy's sparse polynomial ring, and
-``MultiPoly.divmod`` on polynomials in x1 with sympy's univariate
-division, quotient and remainder, over GF(101) and QQ on inputs drawn by
-hypothesis.  ``gcd.binary_roots`` is compared with sympy's factorization
+``MultiPoly.divmod`` on polynomials in x1 and on non-homogeneous
+polynomials in x0, x1, x2 with the division algorithm of sympy's ring in
+graded lex order, quotient and remainder, over GF(101) and QQ on inputs
+drawn by hypothesis.  ``gcd.binary_roots`` is compared with sympy's factorization
 mod p at primes from 3 to 2^61 - 1, on forms with repeated roots and the
 root [1:0].
 
 ``gcd.common_linear_factor`` decides most inputs by its conic test; it is
 compared with the generic GCD path, and the conic test with sympy's
-factorization over QQ.  sympy does not factor multivariate polynomials
+factorization over QQ and with sympy's determinant of the conic's
+symmetric matrix, zero exactly when the test fails, over GF(101),
+GF(2^61 - 1) and QQ with 30-digit coefficients.  sympy does not factor multivariate polynomials
 over finite fields, so over GF(101) the test is checked against a scan of
 every rational point for a singular one instead.
 
@@ -285,22 +288,26 @@ def test_restrict_to_line_matches_sympy(domain, data):
 @SETTINGS
 @given(data=st.data())
 def test_divmod_matches_sympy(domain, data):
-    """MultiPoly.divmod on polynomials in x1, as the root finder powers
-    modulo one, against sympy's univariate division."""
+    """MultiPoly.divmod, quotient and remainder, against the division
+    algorithm of sympy's ring in x0, x1, x2 in graded lex order, x0 > x1 >
+    x2: on polynomials in x1, as the root finder powers modulo one, and
+    on non-homogeneous polynomials in x0, x1, x2, where graded lex and lex
+    pick different leading terms."""
     values = raw_values(domain)
-    a, b = (MultiPoly(domain, {(0, i, 0): domain.scalar(data.draw(values))
-                               for i in range(data.draw(st.integers(0, 7)))})
-            for _ in range(2))
-    assume(b)
-    ring, _ = sympy.ring("x", sympy_field(domain))
-
-    def to_x(poly):
-        return ring.from_dict({(e[1],): to_sympy(ring.domain, c)
-                               for e, c in poly.raw.items()})
-
-    for ours, theirs in zip(a.divmod(b), to_x(a).div(to_x(b))):
-        assert {(e[1],): c for e, c in ours.raw.items()} == \
-            {e: from_sympy(ring.domain, c) for e, c in theirs.items()}
+    ring = sympy.ring("x0,x1,x2", sympy_field(domain), sympy.grlex)[0]
+    for variables, top in (((1,), 7), ((0, 1, 2), 4)):
+        monos = [m for d in range(top + 1) for m in monomials_of_degree(d)
+                 if all(i in variables for i in range(3) if m[i])]
+        a, b = (MultiPoly(domain, {
+            m: domain.scalar(data.draw(values))
+            for m in data.draw(st.lists(st.sampled_from(monos), max_size=8,
+                                        unique=True))}) for _ in range(2))
+        if not b:
+            continue
+        want = to_ring(ring, a).div(to_ring(ring, b))
+        for ours, theirs in zip(a.divmod(b), want):
+            assert {e: c.value for e, c in ours.terms.items()} == \
+                {e: from_sympy(ring.domain, c) for e, c in theirs.items()}
 
 
 ROOT_PRIMES = [3, 101, 1000003, 2**31 - 1, 2**61 - 1]
@@ -568,6 +575,32 @@ def test_multipoly_ring_operations_match_sympy(domain, data):
     ]
     for ours, theirs in cases:
         assert canonical_terms(ours, domain) == sympy_terms(ring, theirs)
+
+
+@pytest.mark.parametrize("domain", RING_DOMAINS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_nonsingular_conic_exactly_when_determinant_nonzero(domain, data):
+    """_nonsingular_conic, evaluated on raw coefficients, is False exactly
+    when sympy's determinant of [[2a, b, c], [b, 2d, e], [c, e, 2f]] is 0:
+    on conics with drawn coefficients and on products of two drawn lines,
+    which are singular."""
+    values = ring_values(domain)
+
+    def draw_form(degree):
+        return MultiPoly(domain, {m: domain.scalar(data.draw(values))
+                                  for m in monomials_of_degree(degree)})
+
+    if data.draw(st.booleans()):
+        conic = draw_form(2)
+    else:
+        conic = draw_form(1) * draw_form(1)
+    field = ring_of(domain).domain
+    a, b, c, d, e, f = (to_sympy_value(field, conic.coefficient(m).value)
+                        for m in monomials_of_degree(2))
+    matrix = DomainMatrix([[2 * a, b, c], [b, 2 * d, e], [c, e, 2 * f]],
+                          (3, 3), field)
+    assert _nonsingular_conic(Form(conic, 2)) == bool(matrix.det())
 
 
 def from_sympy_poly(spoly, domain):

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from quarticmoduli import poly
+from quarticmoduli import poly, strata
 from quarticmoduli.field import GF, QQ, FieldScalar, ParamRing
+from quarticmoduli.gcd import _nonsingular_conic
 from quarticmoduli.matrices import SHAPES, FormMatrix, act
 from quarticmoduli.poly import (
     BinaryForm,
@@ -296,6 +297,40 @@ def test_form_product_runs_on_raw_values(domain, monkeypatch):
         counts[name] = len(built)
     assert counts == dict.fromkeys(work, 0)
     assert len(f.terms) == len(built) == 4  # the boxed view does count
+
+
+@pytest.mark.parametrize("domain", [GF(101), QQ], ids=repr)
+def test_sums_of_products_build_one_polynomial_each(domain, monkeypatch):
+    """Exact counts of the polynomials that MultiPoly.from_raw builds: a
+    res0 determinant one per 2x2 minor and one for the cofactor sum; act
+    one per entry of each of its two products; classify_res0, on an M00
+    matrix with a nonsingular conic among its minors, one per signed minor
+    (three determinants and a negation) and one for the quartic.  Building
+    every product and partial sum as a polynomial of its own took 18, 90
+    and 19."""
+    a, left, right = random_res0_with_automorphisms(domain, random.Random(3))
+    work = {
+        "det": a.determinant,
+        "act": lambda: act(left, a, right),
+        "classify_res0": lambda: strata.classify_res0(a),
+    }
+    built = []
+    from_raw = MultiPoly.from_raw.__func__
+    monkeypatch.setattr(MultiPoly, "from_raw", classmethod(
+        lambda cls, *args: built.append(1) or from_raw(cls, *args)))
+    counts, results = {}, {}
+    for name, run in work.items():
+        built.clear()
+        results[name] = run()
+        counts[name] = len(built)
+    monkeypatch.undo()
+    assert counts == {"det": 4, "act": 18, "classify_res0": 5}
+    report = results["classify_res0"]
+    assert report.label == strata.M00
+    assert report.quartic == results["det"]
+    assert any(_nonsingular_conic(m) for m in report.scheme_ideal)
+    assert results["act"].determinant() == (
+        left.determinant() * a.determinant() * right.determinant())
 
 
 def count_fractions_built_in_poly(monkeypatch):

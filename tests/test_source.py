@@ -102,6 +102,74 @@ def test_inverse_pow_only_where_allowed():
     assert INVERSE_POW_CALLERS <= names
 
 
+# the one function with a product loop: a term loop nested in a term
+# loop that sums the two exponent triples and multiplies the two values.
+# Every product and sum of products goes through poly.dot, so no second
+# multiplication loop comes back into det, mat_mul or their callers.
+PRODUCT_LOOPS = {"dot"}
+
+
+def _bound_names(target):
+    return {node.id for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+
+def is_product_loop(node):
+    """Whether the node is a for loop with a for loop inside it that builds
+    (a0 + b0, a1 + b1, a2 + b2) and v * w, each sum and the product of one
+    name bound by each loop."""
+    if not isinstance(node, ast.For):
+        return False
+    outer = _bound_names(node.target)
+    for inner in ast.walk(node):
+        if inner is node or not isinstance(inner, ast.For):
+            continue
+        names = _bound_names(inner.target)
+
+        def across(expr, op):
+            """Whether expr is x op y with one name bound by each loop."""
+            if not (isinstance(expr, ast.BinOp) and isinstance(expr.op, op)
+                    and isinstance(expr.left, ast.Name)
+                    and isinstance(expr.right, ast.Name)):
+                return False
+            x, y = expr.left.id, expr.right.id
+            return (x in outer and y in names) or (y in outer and x in names)
+
+        body = list(ast.walk(inner))
+        if any(isinstance(sub, ast.Tuple) and len(sub.elts) == 3
+               and all(across(elt, ast.Add) for elt in sub.elts)
+               for sub in body) \
+                and any(across(sub, ast.Mult) for sub in body):
+            return True
+    return False
+
+
+def test_one_product_loop():
+    product = """
+for (a0, a1, a2), v in left:
+    for (b0, b1, b2), w in right:
+        e = (a0 + b0, a1 + b1, a2 + b2)
+        raw[e] = v * w + get(e, 0)
+"""
+    # multivariate_gcd lays out the shifts of a polynomial as matrix
+    # columns: an exponent sum with no product of values
+    layout = """
+for j, ((m0, m1, m2), terms) in enumerate(shifts):
+    for (e0, e1, e2), c in terms.items():
+        rows.setdefault((m0 + e0, m1 + e1, m2 + e2), {})[j] = c
+"""
+    assert is_product_loop(ast.parse(product).body[0])
+    assert not is_product_loop(ast.parse(layout).body[0])
+    offenders, names = [], set()
+    for path in SOURCES:
+        uses, defined = qualified_uses(
+            ast.parse(path.read_text(), filename=str(path)), is_product_loop)
+        names |= defined
+        offenders += [f"{path.name}:{line} in {scope or '<module>'}"
+                      for scope, line in uses if scope not in PRODUCT_LOOPS]
+    assert not offenders, f"a product loop outside poly.dot: {offenders}"
+    assert PRODUCT_LOOPS <= names
+
+
 # the abstract methods that raise NotImplementedError: cli.main does not
 # catch it, so one raised on an input path would end in a traceback
 NOT_IMPLEMENTED_RAISERS = {"ElementaryOp.apply", "VarietyExpr.poincare",
