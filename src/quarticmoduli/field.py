@@ -13,10 +13,20 @@ one scalar.  ``Domain.box`` gives the scalar of one raw value, a
 FieldScalar over a field, whose ``value`` is a Fraction over QQ: for the
 API and serialization edge, and for the results of the scalar operators.
 Floats are refused at the scalar edge.
+
+ParamScalar arithmetic runs on raw values, as ``poly.dot`` does: an
+operand of the same ring is matched by identity before the equality
+check, adding the int 0 (which ``dot`` adds into every new monomial)
+returns the operand, and the product adds exponent tuples with no
+generator.  ``evaluate_raw`` is the one evaluation loop of the package:
+``MultiPoly.evaluate``, ``Form.evaluate``, ``ParamScalar.substitute`` and
+verify's specialization of parameter coefficients unbox the point once
+and run it, which skips zero exponents; all but the last box one result.
 """
 
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 
 class FieldMismatchError(ValueError):
@@ -349,19 +359,24 @@ class ParamScalar:
 
     def _coerce(self, other):
         if isinstance(other, ParamScalar):
-            self.domain.check_same(other.domain)
+            if other.domain is not self.domain:
+                self.domain.check_same(other.domain)
             return other
         if isinstance(other, (int, Fraction, FieldScalar)):
             return self.domain.scalar(other)
         return NotImplemented
 
     def __add__(self, other):
+        # poly.dot adds the int 0 into every new monomial: no boxing for it
+        if other.__class__ is int and not other:
+            return self
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         raw = dict(self.raw)
+        get = raw.get
         for e, c in other.raw.items():
-            raw[e] = c + raw.get(e, 0)
+            raw[e] = c + get(e, 0)
         return ParamScalar.from_raw(self.domain, raw)
 
     __radd__ = __add__
@@ -384,10 +399,12 @@ class ParamScalar:
         if other is NotImplemented:
             return NotImplemented
         raw = {}
+        get = raw.get
+        right = list(other.raw.items())
         for e1, c1 in self.raw.items():
-            for e2, c2 in other.raw.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                raw[e] = c1 * c2 + raw.get(e, 0)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                raw[e] = c1 * c2 + get(e, 0)
         return ParamScalar.from_raw(self.domain, raw)
 
     __rmul__ = __mul__
@@ -419,14 +436,8 @@ class ParamScalar:
         if missing:
             raise ValueError(f"missing parameter values: {missing}")
         base = self.domain.base
-        vals = [base.unbox(values[n]) for n in self.domain.names]
-        total = 0
-        for e, c in self.raw.items():
-            for v, k in zip(vals, e):
-                for _ in range(k):
-                    c = c * v
-            total = total + c
-        return base.box(total)
+        return base.box(evaluate_raw(
+            self.raw, [base.unbox(values[n]) for n in self.domain.names]))
 
     def as_text(self):
         terms = self.terms
@@ -437,6 +448,21 @@ class ParamScalar:
 
     def __repr__(self):
         return self.as_text()
+
+
+def evaluate_raw(raw_terms, values):
+    """The value of a term dict, exponent -> raw value, at the raw values
+    of its variables, as a raw value not yet reduced: the one evaluation
+    loop of polynomials and parameter-ring scalars.  A zero exponent
+    multiplies nothing, since over QQ ``Fraction ** 0`` is a slow way to
+    make 1."""
+    total = 0
+    for e, c in raw_terms.items():
+        for v, k in zip(values, e):
+            if k:
+                c = c * v ** k
+        total = total + c
+    return total
 
 
 def _serialize_terms(terms):

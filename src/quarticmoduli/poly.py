@@ -15,7 +15,9 @@ such as a product, a cofactor sum or a matrix product entry, is
 accumulated in one dict of raw values and made canonical once.
 ``MultiPoly.divmod`` keys its remainder terms by (degree, e0, e1, e2),
 whose tuple order is graded lex, so ``max`` finds the leading term by
-comparing tuples.
+comparing tuples.  ``evaluate`` builds no polynomial: it runs
+``field.evaluate_raw``, the one evaluation loop, on the raw terms and the
+unboxed point, and refuses a point that is not a triple.
 
 A binary form, such as the restriction of a form to a line, is a
 ``Form`` in x1 and x2 alone, with the package's one arithmetic, GCD and
@@ -36,7 +38,7 @@ only at the end.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .field import QQ, _serialize_terms
+from .field import QQ, _serialize_terms, evaluate_raw
 
 VARIABLES = ("x0", "x1", "x2")
 NVARS = 3
@@ -212,8 +214,9 @@ class MultiPoly:
         return self * inv
 
     def evaluate(self, point):
-        """Value at a triple of scalars."""
-        return self.substitute(point).coefficient((0, 0, 0))
+        """Value at a triple of scalars, ints or Fractions."""
+        return self.domain.box(
+            evaluate_raw(self.raw, _raw_point(self.domain, point)))
 
     # ---- exact division ------------------------------------------------
 
@@ -290,6 +293,15 @@ class MultiPoly:
 
     def __repr__(self):
         return self.serialize()
+
+
+def _raw_point(domain, point):
+    """The raw values of the coordinates of a point in x0, x1, x2."""
+    values = [domain.unbox(v) for v in point]
+    if len(values) != NVARS:
+        raise ValueError(f"a point needs {NVARS} coordinates, "
+                         f"got {len(values)}")
+    return values
 
 
 def dot(pairs, domain, negated=()):
@@ -385,10 +397,11 @@ class Form:
         Well defined up to scaling by a nonzero scalar to the degree-th
         power, so callers should only use the zero/nonzero status.
         """
-        pt = list(point)
-        if all(not self.poly.domain.scalar(v) for v in pt):
+        domain = self.domain
+        values = _raw_point(domain, point)
+        if not any(values):
             raise ValueError("projective point must not be all zero")
-        return self.poly.evaluate(pt)
+        return domain.box(evaluate_raw(self.poly.raw, values))
 
     def serialize(self):
         return self.poly.serialize()

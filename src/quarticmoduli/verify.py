@@ -14,7 +14,7 @@ from .degeneration import (
     deformation_reduction_trace,
     tangent_quartic,
 )
-from .field import GF, QQ, ParamRing
+from .field import GF, QQ, ParamRing, ParamScalar, evaluate_raw
 from .gcd import common_linear_factor
 from .matrices import (
     SHAPES,
@@ -318,9 +318,11 @@ def verify_chart_minors(seed=0, samples=200):
 
 
 def _specialize(poly, values, base):
-    """Evaluate the parameter coefficients of a ParamRing polynomial."""
-    return MultiPoly(base, {e: c.substitute(values)
-                            for e, c in poly.raw.items()})
+    """Evaluate the parameter coefficients of a ParamRing polynomial at a
+    dict name -> base scalar, on raw values."""
+    point = [base.unbox(values[n]) for n in poly.domain.names]
+    return MultiPoly.from_raw(base, {e: evaluate_raw(c.raw, point)
+                                     for e, c in poly.raw.items()})
 
 
 def verify_fibre_determinant(seed):
@@ -375,8 +377,8 @@ def verify_tangent_quartic(seed, domain=None):
     domain = domain or GF(101)
     rng = random.Random(seed)
     x0, x1, x2 = _vars(domain)
-    if domain.is_field and hasattr(domain, "p"):
-        pick = lambda: domain.scalar(rng.randrange(domain.p))
+    if domain.modulus:
+        pick = lambda: domain.scalar(rng.randrange(domain.modulus))
     else:
         pick = lambda: domain.scalar(rng.randrange(-9, 10))
     gamma, delta = pick(), pick()
@@ -388,14 +390,8 @@ def verify_tangent_quartic(seed, domain=None):
     row_sum = tangent_quartic(a, b)
     # t-linear coefficient of det(A + tB) over the parameter ring in t
     ring = ParamRing(domain, ("t",))
-    t = ring.variable("t")
-    lifted_a = [[_lift(a[i, j].poly, ring) for j in range(3)] for i in range(3)]
-    lifted_b = [[_lift(b[i, j].poly, ring) for j in range(3)] for i in range(3)]
-    total = [
-        [lifted_a[i][j] + lifted_b[i][j] * t for j in range(3)]
-        for i in range(3)
-    ]
-    t_linear = _coefficient_of(det(total), ring, "t", 1, domain)
+    t_linear = _coefficient_of(det(_lifted_pencil(a, b, ring)), ring, "t", 1,
+                               domain)
     closed = x0 * (
         x0 * b[0, 0].poly + x1 * b[0, 1].poly + x2 * b[0, 2].poly
     ) - w * (
@@ -423,7 +419,7 @@ def verify_tangent_quartic(seed, domain=None):
 
 
 def _random_res0(domain, rng):
-    if hasattr(domain, "p"):
+    if domain.modulus:
         return random_matrix("res0", domain, rng=rng)
     src, tgt = SHAPES["res0"]
     return FormMatrix.from_polys(src, tgt, [
@@ -434,8 +430,19 @@ def _random_res0(domain, rng):
     ])
 
 
+def _lifted_pencil(a, b, ring):
+    """The 3x3 grid A + tB over the parameter ring in t."""
+    t = ring.variable("t")
+    return [[_lift(a[i, j].poly, ring) + _lift(b[i, j].poly, ring) * t
+             for j in range(3)] for i in range(3)]
+
+
 def _lift(poly, ring):
-    return MultiPoly(ring, poly.raw)
+    """poly over the base field, as a polynomial over the parameter ring."""
+    constant = (0,) * len(ring.names)
+    return MultiPoly.from_raw(ring, {
+        e: ParamScalar.from_raw(ring, {constant: c})
+        for e, c in poly.raw.items()})
 
 
 def _coefficient_of(poly, ring, name, power, base):

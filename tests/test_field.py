@@ -103,6 +103,35 @@ def test_param_ring_arithmetic_and_substitution():
     assert value.value == 5
 
 
+@pytest.mark.parametrize("base", [QQ, GF(101)], ids=repr)
+def test_param_scalar_fast_paths_keep_the_semantics(base):
+    ring = ParamRing(base, ("a", "b"))
+    s = ring.variable("a") * 3 + ring.variable("b") * ring.variable("a") - 2
+    # adding the int 0 returns the operand itself, from either side
+    assert s + 0 is s
+    assert 0 + s == s and 0 + s is s
+    assert s + 1 - 1 == s and s + 1 != s
+    # ParamRing is not interned: an equal ring of its own still adds, by
+    # the equality check behind the identity check
+    twin = ParamRing(base, ("a", "b"))
+    assert twin is not ring and twin == ring
+    u = twin.variable("a")
+    assert s + u == u + s == s + ring.variable("a")
+    assert s * u == s * ring.variable("a")
+    for other in (ParamRing(base, ("b", "a")),
+                  ParamRing(GF(7) if base == QQ else QQ, ("a", "b"))):
+        v = other.variable("a")
+        with pytest.raises(FieldMismatchError):
+            s + v
+        with pytest.raises(FieldMismatchError):
+            s * v
+        with pytest.raises(FieldMismatchError):
+            s - v
+    # a product of two-parameter terms, checked at a point
+    assert (s * s).substitute({"a": 2, "b": 5}) == base.scalar(
+        (3 * 2 + 5 * 2 - 2) ** 2)
+
+
 def test_param_ring_refuses_negative_powers():
     ring = ParamRing(QQ, ("a",))
     a = ring.variable("a")

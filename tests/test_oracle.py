@@ -26,10 +26,13 @@ over a parameter ring with the term-by-term definition.  On the same
 domains the boxed ``terms`` view is checked against the raw storage it
 shows: it rebuilds an equal polynomial with an equal hash, holds only
 nonzero canonical scalars, and its sums and products are sympy
-``Poly``'s.  The tangent-line test of the line search through a point is
-compared with the generic pencil search on res1 determinants, built M11
-quartics, quartics singular at the point, points off the quartic and
-pairs of forms.
+``Poly``'s.  ``MultiPoly.evaluate`` and ``Form.evaluate``, which run on
+raw values and build no polynomial, are compared with sympy ``Poly.eval``
+on the same domains at points given as ints, Fractions and scalars.  The
+tangent-line test of the line search through a point is compared with
+the generic pencil search on res1 determinants, built M11 quartics,
+quartics singular at the point, points off the quartic and pairs of
+forms.
 
 ``gcd.multivariate_gcd``, a kernel search on ``_eliminate``, is compared
 with sympy's GCD up to a nonzero constant over GF(101), GF(2^61 - 1) and
@@ -669,6 +672,72 @@ def test_param_ring_products_match_term_by_term(base, data):
     g = MultiPoly(ring, {m: element() for m in monos})
     assert (f * g).terms == term_by_term(f.terms, g.terms, ring.zero)
     assert all(isinstance(c, ParamScalar) and c for c in (f * g).terms.values())
+
+
+# ---- point evaluation on raw values ------------------------------------
+
+
+def coordinates(domain):
+    """A coordinate as an int, a Fraction or a FieldScalar, with zero made
+    common: 30-digit numerators and denominators."""
+    big = 10**30
+    ints = st.integers(-big, big)
+    fractions = st.builds(Fraction, ints, st.integers(1, big))
+    if domain != QQ:
+        fractions = fractions.filter(lambda v: v.denominator % domain.p)
+    scalars = st.one_of(ints, fractions).map(domain.scalar)
+    return st.one_of(st.just(0), ints, fractions, scalars)
+
+
+def sympy_coordinate(domain, x):
+    """A coordinate as sympy's value, the residue computed by sympy's GF(p)."""
+    x = Fraction(x.value if isinstance(x, FieldScalar) else x)
+    if domain == QQ:
+        return sympy.Rational(x.numerator, x.denominator)
+    field = sympy.GF(domain.p)
+    return int(field(x.numerator) / field(x.denominator)) % domain.p
+
+
+@pytest.mark.parametrize("domain", RING_DOMAINS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_evaluate_matches_sympy_poly_eval(domain, data):
+    """MultiPoly.evaluate, and Form.evaluate on the top-degree part, at a
+    point given as ints, Fractions and FieldScalars, against sympy
+    Poly.eval; evaluate builds no polynomial, and Form.evaluate refuses the
+    all-zero point."""
+    f = data.draw(sparse_polys(domain))
+    point = [data.draw(coordinates(domain)) for _ in range(3)]
+    degree = max(f.total_degree(), 0)
+    top = Form(MultiPoly.from_raw(domain, {e: c for e, c in f.raw.items()
+                                           if sum(e) == degree}), degree)
+    gens = sympy.symbols("x0 x1 x2")
+    field = sympy.QQ if domain == QQ else sympy.GF(domain.p)
+    at = tuple(sympy_coordinate(domain, x) for x in point)
+
+    def sympy_value(poly):
+        value = sympy.Poly.from_dict(
+            {e: to_sympy_value(field, c.value) for e, c in poly.terms.items()},
+            gens, domain=field).eval(at)
+        if domain == QQ:
+            return Fraction(int(value.p), int(value.q))
+        return int(value) % domain.p
+
+    built = []
+    with pytest.MonkeyPatch.context() as patch:
+        from_raw = MultiPoly.from_raw.__func__
+        patch.setattr(MultiPoly, "from_raw", classmethod(
+            lambda cls, *args: built.append(1) or from_raw(cls, *args)))
+        value = f.evaluate(point)
+        form_value = top.evaluate(point) if any(at) else None
+    assert built == []
+    assert isinstance(value, FieldScalar) and value.domain is domain
+    assert value.value == sympy_value(f)
+    if form_value is not None:
+        assert form_value.value == sympy_value(top.poly)
+    for zero in ([0, 0, 0], [Fraction(0), domain.zero, 0]):
+        with pytest.raises(ValueError, match="all zero"):
+            top.evaluate(zero)
 
 
 # ---- the tangent-line test of the pencil search -----------------------

@@ -164,6 +164,19 @@ def test_evaluate_rejects_zero_point():
         f.evaluate((QQ.zero, QQ.zero, QQ.zero))
 
 
+def test_evaluate_refuses_a_point_that_is_not_a_triple():
+    # zip would truncate a short point and ignore the rest of a long one
+    f = parse_poly("x0^2 + x1*x2^2 + x2")
+    assert f.evaluate([1, 2, 3]) == 1 + 2 * 9 + 3
+    for point in ([1, 2], [1, 2, 3, 4], [], (QQ.one,)):
+        with pytest.raises(ValueError, match=f"got {len(point)}$"):
+            f.evaluate(point)
+    g = Form(parse_poly("x0*x1"), 2)
+    for point in ([1, 0], [0, 0], [1, 1, 1, 1]):
+        with pytest.raises(ValueError, match=f"got {len(point)}$"):
+            g.evaluate(point)
+
+
 def test_evaluate_scaling_invariance():
     f = parse_form("x0^3 + x1^2*x2")
     p = (QQ.scalar(2), QQ.scalar(-1), QQ.scalar(3))

@@ -170,6 +170,41 @@ for j, ((m0, m1, m2), terms) in enumerate(shifts):
     assert PRODUCT_LOOPS <= names
 
 
+BOXING_CONSTRUCTORS = {"MultiPoly", "ParamScalar"}
+
+
+def is_raw_through_constructor(node):
+    """Whether the node calls the MultiPoly or ParamScalar constructor, which
+    boxes and unboxes every term, with a .raw attribute in its arguments:
+    raw values go through from_raw."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    return name in BOXING_CONSTRUCTORS and any(
+        isinstance(sub, ast.Attribute) and sub.attr == "raw"
+        for arg in node.args + [k.value for k in node.keywords]
+        for sub in ast.walk(arg))
+
+
+def test_raw_values_not_passed_to_boxing_constructors():
+    for text in ("MultiPoly(ring, poly.raw)",
+                 "poly.MultiPoly(base, {e: c.substitute(v)"
+                 " for e, c in f.raw.items()})",
+                 "ParamScalar(ring, terms=s.raw)"):
+        assert is_raw_through_constructor(ast.parse(text).body[0].value)
+    for text in ("MultiPoly.from_raw(ring, poly.raw)",
+                 "MultiPoly(domain, {m: domain.scalar(c) for m in monos})"):
+        assert not is_raw_through_constructor(ast.parse(text).body[0].value)
+    offenders = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uses, _ = qualified_uses(tree, is_raw_through_constructor)
+        offenders += [f"{path.name}:{line} in {scope or '<module>'}"
+                      for scope, line in uses]
+    assert not offenders, f"raw values through a constructor: {offenders}"
+
+
 # the abstract methods that raise NotImplementedError: cli.main does not
 # catch it, so one raised on an input path would end in a traceback
 NOT_IMPLEMENTED_RAISERS = {"ElementaryOp.apply", "VarietyExpr.poincare",

@@ -1,7 +1,14 @@
 import json
 import random
+from fractions import Fraction
 
-from quarticmoduli.field import GF, QQ
+import pytest
+
+from quarticmoduli.degeneration import tangent_quartic
+from quarticmoduli.field import GF, QQ, FieldScalar, ParamRing
+from quarticmoduli.matrices import det
+from quarticmoduli.poly import Form, MultiPoly
+from quarticmoduli.strata import boundary_matrix
 from quarticmoduli.verify import (
     ALL_VERIFIERS,
     FAIL,
@@ -9,6 +16,11 @@ from quarticmoduli.verify import (
     PASS_WITH_NOTE,
     PRINTED_MODULI_COEFFICIENTS,
     IdentityReport,
+    _coefficient_of,
+    _lift,
+    _lifted_pencil,
+    _random_res0,
+    _specialize,
     run_all,
     verify_chart_minors,
     verify_cocycle,
@@ -60,6 +72,59 @@ def test_fibre_determinant_many_seeds():
 def test_tangent_quartic_many_seeds():
     for seed in range(3):
         assert verify_tangent_quartic(seed).status == PASS
+
+
+def tangent_pencil(domain, seed):
+    """A, B and the lifted 3x3 A + tB of verify_tangent_quartic, over the
+    parameter ring in t."""
+    rng = random.Random(seed)
+    x0, x1, x2 = (MultiPoly.variable(domain, i) for i in range(3))
+    w = x1 * domain.scalar(rng.randrange(1, 9)) + x2 * domain.scalar(-2)
+    a = boundary_matrix(Form(x0, 1), Form(w, 1))
+    b = _random_res0(domain, rng)
+    ring = ParamRing(domain, ("t",))
+    return a, b, ring, _lifted_pencil(a, b, ring)
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
+def test_tangent_pencil_determinant_builds_no_field_scalars(domain,
+                                                           monkeypatch):
+    """Exact count: det(A + tB) over the parameter ring adds and multiplies
+    raw values, the int 0 that poly.dot adds into each new monomial
+    included, so it constructs no FieldScalar; boxing that 0 built 33."""
+    a, b, ring, pencil = tangent_pencil(domain, 4)
+    built = []
+    init = FieldScalar.__init__
+    monkeypatch.setattr(FieldScalar, "__init__",
+                        lambda *args: built.append(1) or init(*args))
+    total = det(pencil)
+    assert len(built) == 0
+    ring.base.scalar(0)  # the counter does count
+    assert len(built) == 1
+    monkeypatch.undo()
+    t_linear = _coefficient_of(total, ring, "t", 1, domain)
+    assert t_linear == tangent_quartic(a, b).poly
+    assert _coefficient_of(total, ring, "t", 0, domain) == \
+        a.determinant().poly
+    assert _coefficient_of(total, ring, "t", 3, domain) == \
+        b.determinant().poly
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
+def test_specialize_inverts_lift(domain):
+    rng = random.Random(5)
+    ring = ParamRing(domain, ("a", "t"))
+    values = {"a": domain.scalar(rng.randrange(1, 50)),
+              "t": domain.scalar(Fraction(-3, 7))}
+    for seed in range(3):
+        f = _random_res0(domain, random.Random(seed))[0, 0].poly
+        lifted = _lift(f, ring)
+        assert lifted.domain is ring
+        assert _specialize(lifted, values, domain) == f
+        # a coefficient t*a^2 + 1 specializes to its value at the point
+        c = ring.variable("t") * ring.variable("a") ** 2 + 1
+        want = values["t"] * values["a"] ** 2 + 1
+        assert _specialize(lifted * c, values, domain) == f * want
 
 
 def test_chart_minors_symbolic():
