@@ -259,7 +259,7 @@ def cmd_verify(args):
 
 def cmd_sample(args):
     domain = _parse_field(args.field)
-    if not hasattr(domain, "p"):
+    if not domain.modulus:
         raise ValueError("sampling needs a prime field; pass --field <prime>")
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")

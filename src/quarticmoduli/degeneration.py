@@ -375,16 +375,13 @@ def build_twisted_ideal_resolution(f, l, g):
                for m in cubic_monos]
     columns += [Form(-(g.poly * MultiPoly.monomial(domain, m)), 4)
                 for m in linear_monos]
-    matrix = [list(row) for row in zip(*coefficient_rows(columns, 4))]
-    solution = solve_linear(matrix, coefficient_rows([f], 4)[0], domain)
+    solution = solve_linear(list(zip(*coefficient_rows(columns, 4))),
+                            coefficient_rows([f], 4)[0], domain.modulus)
     if solution is None:
         raise ValueError("quartic is not in the ideal (l, g): Z is not on C")
-    h = MultiPoly.zero(domain)
-    for m, c in zip(cubic_monos, solution[: len(cubic_monos)]):
-        h = h + MultiPoly.monomial(domain, m, c)
-    w = MultiPoly.zero(domain)
-    for m, c in zip(linear_monos, solution[len(cubic_monos):]):
-        w = w + MultiPoly.monomial(domain, m, c)
+    n = len(cubic_monos)
+    h = MultiPoly.from_raw(domain, dict(zip(cubic_monos, solution[:n])))
+    w = MultiPoly.from_raw(domain, dict(zip(linear_monos, solution[n:])))
     result = TwistedIdealResolution(
         l, g, Form(w, 1), Form(h, 3), semistable=True
     )
@@ -461,7 +458,7 @@ def family_from_json_dict(data, domain):
     for i, text in enumerate(texts):
         try:
             t_values.append(domain.parse(text))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"t_values[{i}]: {exc}") from exc
     chart = check_json_type(data.get("chart"), "chart", str)
     return BlowupChartPoint(a, domain.one, b, chart), t_values

@@ -19,9 +19,9 @@ operand of the same ring is matched by identity before the equality
 check, adding the int 0 (which ``dot`` adds into every new monomial)
 returns the operand, and the product adds exponent tuples with no
 generator.  ``evaluate_raw`` is the one evaluation loop of the package:
-``MultiPoly.evaluate``, ``Form.evaluate``, ``ParamScalar.substitute`` and
-verify's specialization of parameter coefficients unbox the point once
-and run it, which skips zero exponents; all but the last box one result.
+``MultiPoly.evaluate``, ``Form.evaluate`` and verify's specialization of
+parameter coefficients unbox the point once and run it, which skips zero
+exponents; the first two box one result.
 """
 
 from fractions import Fraction
@@ -92,7 +92,12 @@ class Domain:
         return self.scalar(value).value
 
     def parse(self, text):
-        return self.scalar(Fraction(text.strip()))
+        """The scalar of a rational literal; ValueError on a bad one,
+        a zero denominator included."""
+        try:
+            return self.scalar(Fraction(text.strip()))
+        except ZeroDivisionError as exc:
+            raise ValueError(str(exc)) from None
 
     def check_same(self, other):
         if self != other:
@@ -429,15 +434,6 @@ class ParamScalar:
 
     def __hash__(self):
         return hash((self.domain, frozenset(self.raw.items())))
-
-    def substitute(self, values):
-        """Evaluate at a dict name -> base scalar, returning a base scalar."""
-        missing = [n for n in self.domain.names if n not in values]
-        if missing:
-            raise ValueError(f"missing parameter values: {missing}")
-        base = self.domain.base
-        return base.box(evaluate_raw(
-            self.raw, [base.unbox(values[n]) for n in self.domain.names]))
 
     def as_text(self):
         terms = self.terms

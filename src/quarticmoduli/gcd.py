@@ -279,13 +279,12 @@ def _pencil_restriction_coefficients(form, l1, l2, point):
     # q(s, t) = t*u - s*v with l1(u)=1, l2(u)=0, l1(v)=0, l2(v)=1
     u = _dual_point(l1, l2, domain)
     v = _dual_point(l2, l1, domain)
-    pt = [domain.scalar(c) for c in point]
+    pt = [domain.unbox(c) for c in point]
     # x_i -> pt[i]*y0 - v[i]*y1 + u[i]*y2 with (y1, y2) = (s, t); the terms
     # in y0^(d-k) give the coefficient of the line parameter's k-th power
-    y0, y1, y2 = (MultiPoly.variable(domain, i) for i in range(NVARS))
-    restricted = form.poly.substitute(
-        [y0 * pt[i] - y1 * v[i] + y2 * u[i] for i in range(NVARS)]
-    )
+    restricted = form.poly.substitute([
+        MultiPoly.from_raw(domain, dict(zip(_UNITS, (pt[i], -v[i], u[i]))))
+        for i in range(NVARS)])
     d = form.degree
     slices = [{} for _ in range(d + 1)]
     for (e0, e1, e2), c in restricted.raw.items():
@@ -295,10 +294,9 @@ def _pencil_restriction_coefficients(form, l1, l2, point):
 
 
 def _dual_point(l1, l2, domain):
-    """A point with l1 = 1 and l2 = 0."""
-    point = solve_linear(
-        coefficient_rows([l1, l2], 1), [domain.one, domain.zero], domain
-    )
+    """The raw coordinates of a point with l1 = 1 and l2 = 0."""
+    point = solve_linear(coefficient_rows([l1, l2], 1), [1, 0],
+                         domain.modulus)
     if point is None:
         raise ValueError("degenerate pencil basis")
     return point
@@ -306,12 +304,10 @@ def _dual_point(l1, l2, domain):
 
 def line_intersection(l1, l2):
     """The projective point Z(l1, l2) of two independent lines."""
-    c1, c2 = coefficient_rows([l1, l2], 1)
-    point = (
-        c1[1] * c2[2] - c1[2] * c2[1],
-        c1[2] * c2[0] - c1[0] * c2[2],
-        c1[0] * c2[1] - c1[1] * c2[0],
-    )
+    (a0, a1, a2), (b0, b1, b2) = coefficient_rows([l1, l2], 1)
+    box = l1.domain.box  # over GF(p) a raw value may be a multiple of p
+    point = (box(a1 * b2 - a2 * b1), box(a2 * b0 - a0 * b2),
+             box(a0 * b1 - a1 * b0))
     if not any(point):
         raise ValueError("lines are dependent")
     return point

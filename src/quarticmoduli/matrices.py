@@ -396,25 +396,6 @@ class ElementaryOp:
     def apply(self, matrix):
         raise NotImplementedError
 
-    def determinant_scale(self, domain):
-        """Factor by which the operation multiplies a determinant."""
-        return domain.one
-
-
-class SwapRows(ElementaryOp):
-    def __init__(self, i, j):
-        self.i, self.j = i, j
-
-    def apply(self, m):
-        if m.src_degrees[self.i] != m.src_degrees[self.j]:
-            raise DegreeError("can only swap rows of equal source degree")
-        rows = [list(r) for r in m.entries]
-        rows[self.i], rows[self.j] = rows[self.j], rows[self.i]
-        return FormMatrix(m.src_degrees, m.tgt_degrees, rows)
-
-    def determinant_scale(self, domain):
-        return -domain.one
-
 
 class ScaleRow(ElementaryOp):
     def __init__(self, i, scalar):
@@ -427,9 +408,6 @@ class ScaleRow(ElementaryOp):
         rows = [list(r) for r in m.entries]
         rows[self.i] = [e * c for e in rows[self.i]]
         return FormMatrix(m.src_degrees, m.tgt_degrees, rows)
-
-    def determinant_scale(self, domain):
-        return domain.scalar(self.scalar)
 
 
 class AddMultipleOfRow(ElementaryOp):
@@ -472,13 +450,6 @@ def apply_ops(matrix, ops):
     for op in ops:
         matrix = op.apply(matrix)
     return matrix
-
-
-def ops_determinant_scale(ops, domain):
-    total = domain.one
-    for op in ops:
-        total = total * op.determinant_scale(domain)
-    return total
 
 
 # ---- stability and sampling -------------------------------------------

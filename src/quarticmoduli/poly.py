@@ -24,11 +24,12 @@ A binary form, such as the restriction of a form to a line, is a
 division; ``BinaryForm`` adds only printing in s, t and a coefficient
 list.
 
-This module is also the single home of exact linear algebra over a field:
-one Gauss-Jordan elimination on raw values, ``_eliminate``, with
-``row_reduce`` (rank and pivots on boxed scalars), ``kernel_vector``,
-``solve_linear`` (a particular solution) and ``linear_rank`` on top,
-serves every rank, kernel, solve and GCD in the package.  Over QQ it
+This module is also the single home of exact linear algebra over a field,
+all of it on raw values: one Gauss-Jordan elimination, ``_eliminate``,
+with ``kernel_vector``, ``solve_linear`` (a particular solution) and
+``linear_rank`` on top, reading forms through ``coefficient_rows``,
+serves every rank, kernel, solve and GCD in the package.  Its callers box
+a scalar only where a point or a solution leaves in a report.  Over QQ it
 runs fraction-free on integer rows, as Bareiss's method does (Math.
 Comp. 22, 1968), though it keeps the entries small by dividing out each
 row's content rather than the previous pivot, and divides by the pivots
@@ -423,11 +424,13 @@ class Form:
         coeffs = coefficient_rows([self], 1)[0]
         pivot = max(i for i in range(3) if coeffs[i])
         params = [i for i in range(3) if i != pivot]
-        s, t = MultiPoly.variable(domain, 1), MultiPoly.variable(domain, 2)
-        inv = coeffs[pivot].inverse()
+        minus_inv = -domain.box(coeffs[pivot]).inverse().value
         images = [None] * 3
-        images[params[0]], images[params[1]] = s, t
-        images[pivot] = -(s * coeffs[params[0]] + t * coeffs[params[1]]) * inv
+        images[params[0]] = MultiPoly.variable(domain, 1)
+        images[params[1]] = MultiPoly.variable(domain, 2)
+        images[pivot] = MultiPoly.from_raw(domain, {
+            (0, 1, 0): coeffs[params[0]] * minus_inv,
+            (0, 0, 1): coeffs[params[1]] * minus_inv})
         return images
 
     def restrict_to_line(self, line):
@@ -601,7 +604,7 @@ class _Parser:
         if tok[0].isdigit():
             try:
                 return MultiPoly.constant(self.domain, self.domain.parse(tok))
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"bad number {tok!r}: {exc}") from exc
         raise ParseError(f"unexpected token {tok!r}")
 
@@ -659,17 +662,12 @@ def monomials_of_degree(d):
 
 
 def coefficient_rows(forms, degree):
-    """Coefficient vectors of the given forms over the degree-d monomials.
+    """Raw coefficient vectors of the given forms over the degree-d
+    monomials, in the order of ``monomials_of_degree``.
 
     For degree 1 the vector of a linear form is its (x0, x1, x2)
     coefficients.
     """
-    forms = list(forms)
-    return [[f.domain.box(v) for v in row]
-            for f, row in zip(forms, _raw_rows(forms, degree))]
-
-
-def _raw_rows(forms, degree):
     monos = monomials_of_degree(degree)
     rows = []
     for f in forms:
@@ -679,24 +677,12 @@ def _raw_rows(forms, degree):
     return rows
 
 
-def row_reduce(rows):
-    """Reduced row echelon form of a matrix of field scalars, by
-    ``_eliminate`` on the unboxed entries: the reduced rows (a new list)
-    and the pivot columns, whose number is the rank."""
-    if not rows or not rows[0]:
-        return [list(r) for r in rows], []
-    domain = rows[0][0].domain
-    rows = [[v.value for v in r] for r in rows]
-    pivots = _eliminate(rows, domain.modulus)
-    box = domain.box
-    return [[box(v) for v in row] for row in rows], pivots
-
-
 def _eliminate(rows, p):
     """Gauss-Jordan elimination in place on raw values mod p (over QQ when
     p is None), taking as pivot the first nonzero entry at or below the
-    current row, column by column; returns the pivot columns.  The reduced
-    rows are canonical raw values."""
+    current row, column by column; returns the pivot columns.  The rows
+    must hold canonical raw values, since over GF(p) a pivot is any
+    nonzero entry, and the reduced rows are canonical too."""
     if not p:
         return _eliminate_fraction_free(rows)
     pivots = []
@@ -768,10 +754,10 @@ def _eliminate_fraction_free(rows):
 
 def kernel_vector(rows, pivots):
     """A kernel vector of a matrix from its reduced rows and pivot columns,
-    as _eliminate or row_reduce give them: the first free column set to 1
-    and each pivot column to minus that column's entry in its row, or None
-    when every column is a pivot.  The entries are the rows' own values,
-    raw or boxed, with the ints 0 and 1 in the free columns."""
+    as _eliminate gives them: the first free column set to 1 and each
+    pivot column to minus that column's entry in its row, or None when
+    every column is a pivot.  The entries are raw values, not reduced mod
+    p, with the ints 0 and 1 in the free columns."""
     ncols = len(rows[0]) if rows else 0
     free = next((c for c in range(ncols) if c not in pivots), None)
     if free is None:
@@ -783,17 +769,19 @@ def kernel_vector(rows, pivots):
     return x
 
 
-def solve_linear(matrix, rhs, domain):
-    """A solution x of matrix * x = rhs, or None when there is none.
+def solve_linear(matrix, rhs, p):
+    """A solution x of matrix * x = rhs, or None when there is none: raw
+    values mod p, or over QQ when p is None, canonical in and out.
 
     Free variables are set to zero.  A pivot in the augmented column of the
     reduced system means the system is inconsistent.
     """
     ncols = len(matrix[0]) if matrix else 0
-    rows, pivots = row_reduce([list(row) + [b] for row, b in zip(matrix, rhs)])
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    pivots = _eliminate(rows, p)
     if pivots and pivots[-1] == ncols:
         return None
-    x = [domain.zero] * ncols
+    x = [0] * ncols
     for row, col in zip(rows, pivots):
         x[col] = row[ncols]
     return x
@@ -804,5 +792,5 @@ def linear_rank(forms, common_degree):
     forms = list(forms)
     if not forms:
         return 0
-    return len(_eliminate(_raw_rows(forms, common_degree),
+    return len(_eliminate(coefficient_rows(forms, common_degree),
                           forms[0].domain.modulus))

@@ -19,11 +19,11 @@ from .matrices import SHAPES, FormMatrix, det, stable_kronecker_minors
 from .poly import (
     Form,
     MultiPoly,
+    _eliminate,
     coefficient_rows,
     dot,
     kernel_vector,
     linear_rank,
-    row_reduce,
 )
 
 M00 = "M00"
@@ -257,22 +257,20 @@ def extract_Z_points(report):
         raise ValueError("Z extraction needs an M00 report")
     k = report.kronecker
     domain = k.domain
-    rows = [coefficient_rows(k.row(0), 1), coefficient_rows(k.row(1), 1)]
+    z, w = coefficient_rows(k.row(0), 1), coefficient_rows(k.row(1), 1)
     # det(u*Z + v*W) as a binary cubic in u = x1, v = x2
-    x1, x2 = MultiPoly.variable(domain, 1), MultiPoly.variable(domain, 2)
-    cubic = det([[x1 * rows[0][i][var] + x2 * rows[1][i][var]
-                  for var in range(3)] for i in range(3)])
+    cubic = det([[MultiPoly.from_raw(domain, {(0, 1, 0): a, (0, 0, 1): b})
+                  for a, b in zip(z_row, w_row)]
+                 for z_row, w_row in zip(z, w)])
     if not cubic:
         raise ValueError("pencil determinant vanishes identically")
     roots, nonsplit = binary_roots(Form(cubic, 3))
     points = {}
     order = []
     for u, v in roots:
-        m = [
-            [rows[0][i][var] * u + rows[1][i][var] * v for var in range(3)]
-            for i in range(3)
-        ]
-        p = _null_vector(m, domain)
+        u, v = domain.unbox(u), domain.unbox(v)
+        p = _null_vector([[a * u + b * v for a, b in zip(z_row, w_row)]
+                          for z_row, w_row in zip(z, w)], domain)
         key = normalize_point(p)
         if key not in points:
             points[key] = [p, 0]
@@ -285,20 +283,22 @@ def extract_Z_points(report):
 
 
 def _null_vector(m, domain):
-    """A nonzero right kernel vector of a rank-2 3x3 scalar matrix."""
-    rows, pivots = row_reduce(m)
+    """A nonzero right kernel vector, boxed, of a rank-2 3x3 matrix of
+    scalars or raw values."""
+    rows = [[domain.unbox(v) for v in row] for row in m]
+    pivots = _eliminate(rows, domain.modulus)
     if len(pivots) == 3:
         raise ValueError("matrix has trivial kernel")
     if len(pivots) < 2:
         raise InvariantError("kernel of dimension > 1: scheme not reduced at a point")
-    return tuple(domain.scalar(v) for v in kernel_vector(rows, pivots))
+    return tuple(domain.box(v) for v in kernel_vector(rows, pivots))
 
 
 def _check_not_collinear(found, domain):
-    distinct = [p for p, _ in found]
-    if len(distinct) == 3:
-        _, pivots = row_reduce(distinct)
-        if len(pivots) < 3:
+    """Raise when three found points (point, multiplicity) are collinear."""
+    if len(found) == 3:
+        rows = [[domain.unbox(c) for c in p] for p, _ in found]
+        if len(_eliminate(rows, domain.modulus)) < 3:
             raise InvariantError(
                 "scheme points are collinear: stability contract violated"
             )

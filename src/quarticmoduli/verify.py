@@ -431,18 +431,20 @@ def _random_res0(domain, rng):
 
 
 def _lifted_pencil(a, b, ring):
-    """The 3x3 grid A + tB over the parameter ring in t."""
-    t = ring.variable("t")
-    return [[_lift(a[i, j].poly, ring) + _lift(b[i, j].poly, ring) * t
+    """The 3x3 grid A + tB over the parameter ring in t, each coefficient
+    of B placed at t^1."""
+    t = tuple(int(n == "t") for n in ring.names)
+    return [[_lift(a[i, j].poly, ring) + _lift(b[i, j].poly, ring, t)
              for j in range(3)] for i in range(3)]
 
 
-def _lift(poly, ring):
-    """poly over the base field, as a polynomial over the parameter ring."""
-    constant = (0,) * len(ring.names)
+def _lift(poly, ring, at=None):
+    """poly over the base field, as a polynomial over the parameter ring,
+    each coefficient placed at the parameter monomial of exponent at (1 by
+    default)."""
+    at = at or (0,) * len(ring.names)
     return MultiPoly.from_raw(ring, {
-        e: ParamScalar.from_raw(ring, {constant: c})
-        for e, c in poly.raw.items()})
+        e: ParamScalar.from_raw(ring, {at: c}) for e, c in poly.raw.items()})
 
 
 def _coefficient_of(poly, ring, name, power, base):

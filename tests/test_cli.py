@@ -404,6 +404,8 @@ MALFORMED = {
     "huge projective expression": (["betti", FILE],
                                    {"type": "projective", "n": 1000000000},
                                    "dimension 1000000000 exceeds the limit"),
+    "alpha zero denominator": (["verify", "transition", "--alpha", "1/0"],
+                               None, "Fraction(1, 0)"),
     "negative count": (["sample", "res0", "--field", "101", "--count", "-5"],
                        None, "--count must be at least 1"),
     "zero count": (["sample", "res1", "--field", "101", "--count", "0"],

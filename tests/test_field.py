@@ -9,6 +9,7 @@ from quarticmoduli.field import (
     FieldMismatchError,
     ParamRing,
     PrimeField,
+    evaluate_raw,
 )
 from quarticmoduli.poly import MultiPoly
 
@@ -99,8 +100,7 @@ def test_param_ring_arithmetic_and_substitution():
     expr = (a + b) * (a - b)
     direct = a * a - b * b
     assert expr == direct
-    value = expr.substitute({"a": Fraction(3), "b": Fraction(2)})
-    assert value.value == 5
+    assert evaluate_raw(expr.raw, [Fraction(3), Fraction(2)]) == 5
 
 
 @pytest.mark.parametrize("base", [QQ, GF(101)], ids=repr)
@@ -128,7 +128,7 @@ def test_param_scalar_fast_paths_keep_the_semantics(base):
         with pytest.raises(FieldMismatchError):
             s - v
     # a product of two-parameter terms, checked at a point
-    assert (s * s).substitute({"a": 2, "b": 5}) == base.scalar(
+    assert base.box(evaluate_raw((s * s).raw, [2, 5])) == base.scalar(
         (3 * 2 + 5 * 2 - 2) ** 2)
 
 

@@ -146,6 +146,18 @@ def test_line_intersection():
     assert not parse_form("x1").evaluate(p)
     with pytest.raises(ValueError):
         line_intersection(parse_form("x0"), parse_form("2*x0"))
+    # over GF(101) the raw cross product (2, 0, -1) is boxed to (2, 0, 100)
+    dom = GF(101)
+    l1, l2 = parse_form("x1", domain=dom), parse_form("x0 + 2*x2", domain=dom)
+    p = line_intersection(l1, l2)
+    assert all(c.domain == dom for c in p)
+    assert [c.value for c in p] == [2, 0, 100]
+    assert not l1.evaluate(p) and not l2.evaluate(p)
+    # 51*(x0 + 2*x1) = 51*x0 + x1 mod 101: the raw cross product is
+    # (0, 0, -101), dependent only mod 101
+    with pytest.raises(ValueError, match="dependent"):
+        line_intersection(parse_form("x0 + 2*x1", domain=dom),
+                          parse_form("51*x0 + x1", domain=dom))
 
 
 def test_gcd_over_prime_field_linear_factors():

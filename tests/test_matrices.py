@@ -10,14 +10,12 @@ from quarticmoduli.matrices import (
     FormMatrix,
     ScaleCol,
     ScaleRow,
-    SwapRows,
     act,
     apply_ops,
     identity_automorphism,
     is_stable_kronecker,
     make_matrix,
     matrix_from_json_dict,
-    ops_determinant_scale,
     random_graded_automorphism,
     random_form,
     random_matrix,
@@ -166,16 +164,18 @@ def test_elementary_op_degree_checked():
 
 
 def test_elementary_ops_determinant_scale():
+    """Scaling a row by c multiplies the determinant by c; adding a
+    multiple of one row to another leaves it as it is."""
     m = bordered_example()
     ops = [
-        SwapRows(1, 2),
+        ScaleRow(1, QQ.scalar(-5)),
         ScaleRow(0, QQ.scalar(3)),
         AddMultipleOfRow(0, 2, parse_form("x1")),
     ]
-    out = apply_ops(m, ops)
-    scale = ops_determinant_scale(ops, QQ)
-    assert scale.value == -3
-    assert out.determinant().poly == m.determinant().poly * scale
+    det = m.determinant().poly
+    assert ops[0].apply(m).determinant().poly == det * -5
+    assert ops[2].apply(m).determinant().poly == det
+    assert apply_ops(m, ops).determinant().poly == det * -15
 
 
 def test_is_stable_kronecker():
@@ -234,15 +234,14 @@ def test_column_ops_are_row_ops_on_the_transpose():
     m = FormMatrix(src, tgt, [[random_form(dom, s - t, rng) for t in tgt]
                               for s in src])
     cases = [
-        (ScaleCol(1, dom.scalar(7)), ScaleRow(1, dom.scalar(7))),
+        (ScaleCol(1, dom.scalar(7)), ScaleRow(1, dom.scalar(7)), 7),
         (AddMultipleOfCol(2, 0, parse_form("3*x1 - x2", domain=dom)),
-         AddMultipleOfRow(2, 0, parse_form("3*x1 - x2", domain=dom))),
+         AddMultipleOfRow(2, 0, parse_form("3*x1 - x2", domain=dom)), 1),
     ]
-    for col_op, row_op in cases:
+    for col_op, row_op, factor in cases:
         out = col_op.apply(m)
         assert out == row_op.apply(m.transpose()).transpose()
-        assert out.determinant().poly \
-            == m.determinant().poly * col_op.determinant_scale(dom)
+        assert out.determinant().poly == m.determinant().poly * factor
     with pytest.raises(DegreeError, match="multiplier must have degree 1"):
         AddMultipleOfCol(2, 0, parse_form("1", domain=dom)).apply(m)
     with pytest.raises(DegreeError, match="scale must be nonzero"):

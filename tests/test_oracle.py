@@ -1,9 +1,10 @@
 """The shared exact-algebra cores against sympy as an independent oracle.
 
 ``matrices.det`` is compared with sympy's determinant over a polynomial
-ring, ``poly.row_reduce`` / ``poly.solve_linear`` with sympy's reduced
-row echelon form, ``MultiPoly.substitute`` / ``Form.restrict_to_line``
-with a simultaneous substitution in sympy's sparse polynomial ring, and
+ring, ``poly._eliminate`` / ``poly.solve_linear`` on raw values with
+sympy's reduced row echelon form, ``MultiPoly.substitute`` /
+``Form.restrict_to_line`` with a simultaneous substitution in sympy's
+sparse polynomial ring, and
 ``MultiPoly.divmod`` on polynomials in x1 and on non-homogeneous
 polynomials in x0, x1, x2 with the division algorithm of sympy's ring in
 graded lex order, quotient and remainder, over GF(101) and QQ on inputs
@@ -43,12 +44,13 @@ factor has the root [1:0] among them, as the pencil search hands them to
 ``DomainMatrix`` over GF(101) and QQ.
 
 Over QQ, where the elimination runs fraction-free on integer rows,
-``row_reduce``, ``kernel_vector``, ``solve_linear`` and ``linear_rank`` are
+``_eliminate``, ``kernel_vector``, ``solve_linear`` and ``linear_rank`` are
 compared exactly with sympy ``Matrix.rref()`` on integral, non-integral
 and 30-digit rational entries, with rank deficiency, zero rows and zero
-columns.  The raw values that the ring operations, ``substitute`` and
-``try_exact_div`` store over QQ are checked to be ints exactly when
-integral and Fractions otherwise, never floats.
+columns, and their raw results checked to be canonical.  The raw values
+that the ring operations, ``substitute`` and ``try_exact_div`` store over
+QQ are checked to be ints exactly when integral and Fractions otherwise,
+never floats.
 """
 
 import random
@@ -98,7 +100,6 @@ from quarticmoduli.poly import (  # noqa: E402
     linear_rank,
     monomials_of_degree,
     parse_poly,
-    row_reduce,
     solve_linear,
 )
 
@@ -195,6 +196,11 @@ def to_ring(ring, poly):
                            for e, c in poly.terms.items()})
 
 
+def raw_rows(rows, domain):
+    """The canonical raw values of a matrix of scalars."""
+    return [[domain.unbox(c) for c in row] for row in rows]
+
+
 def sympy_rref(rows, domain):
     field = sympy_field(domain)
     shape = (len(rows), len(rows[0]))
@@ -218,11 +224,13 @@ def test_det_matches_sympy(domain, data):
 @SETTINGS
 @given(data=st.data())
 def test_row_reduce_matches_sympy_rref(domain, data):
+    """_eliminate reduces the raw rows in place to sympy's RREF."""
     rows = data.draw(low_rank_matrices(domain))
-    reduced, pivots = row_reduce(rows)
+    reduced = raw_rows(rows, domain)
+    pivots = _eliminate(reduced, domain.modulus)
     want_rows, want_pivots = sympy_rref(rows, domain)
     assert pivots == want_pivots
-    assert [[c.value for c in row] for row in reduced] == want_rows
+    assert reduced == want_rows
 
 
 @pytest.mark.parametrize("domain", DOMAINS, ids=repr)
@@ -238,7 +246,8 @@ def test_solve_linear_exactly_when_consistent(domain, data):
     else:
         rhs = [domain.scalar(data.draw(raw_values(domain))) for _ in matrix]
     _, pivots = sympy_rref([row + [b] for row, b in zip(matrix, rhs)], domain)
-    solution = solve_linear(matrix, rhs, domain)
+    solution = solve_linear(raw_rows(matrix, domain),
+                            raw_rows([rhs], domain)[0], domain.modulus)
     if ncols in pivots:
         assert solution is None
     else:
@@ -436,7 +445,7 @@ def test_common_linear_factor_matches_generic_on_built_minors(domain):
 def _singular_point(conic):
     """A point of P2(GF(101)) where every partial derivative of the conic
     vanishes, or None; found by trying every point."""
-    a, b, c, d, e, f = (v.value for v in coefficient_rows([conic], 2)[0])
+    a, b, c, d, e, f = coefficient_rows([conic], 2)[0]
     points = [(1, y, z) for y in range(P) for z in range(P)] \
         + [(0, 1, z) for z in range(P)] + [(0, 0, 1)]
     for x, y, z in points:
@@ -948,7 +957,7 @@ def test_multivariate_gcd_edge_cases_match_sympy(domain):
 def eliminated_kernel_vector(matrix, domain):
     """kernel_vector of a matrix of scalars as multivariate_gcd runs it, on
     the raw rows that _eliminate reduces; its entries boxed."""
-    rows = [[domain.unbox(c) for c in row] for row in matrix]
+    rows = raw_rows(matrix, domain)
     x = kernel_vector(rows, _eliminate(rows, domain.modulus))
     return None if x is None else [domain.scalar(v) for v in x]
 
@@ -1021,6 +1030,15 @@ def matrix_rref(values):
              for i in range(reduced.rows)], list(pivots))
 
 
+def canonical_raw(values):
+    """Raw QQ values, each checked to be an int exactly when integral and
+    otherwise a Fraction with denominator > 1."""
+    values = list(values)
+    assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
+               for v in values)
+    return values
+
+
 def boxed_values(row):
     """The values of boxed QQ scalars, each checked to be a Fraction."""
     assert all(type(c) is FieldScalar and c.domain is QQ for c in row)
@@ -1032,17 +1050,17 @@ def boxed_values(row):
 @SETTINGS
 @given(data=st.data())
 def test_qq_row_reduce_rank_and_kernel_match_sympy_rref(kind, data):
-    """row_reduce is sympy's RREF entry for entry; linear_rank on the rows
-    read as quadrics is its number of pivots; kernel_vector on the raw
-    rows is the first vector of sympy's nullspace, or None when the kernel
-    is trivial."""
+    """_eliminate on the raw rows is sympy's RREF entry for entry, in
+    canonical raw values; linear_rank on the rows read as quadrics is its
+    number of pivots; kernel_vector on the reduced rows is the first
+    vector of sympy's nullspace, or None when the kernel is trivial."""
     values = data.draw(qq_matrices(kind, ncols=data.draw(st.sampled_from(
         [3, 6, None]))))
     want_rows, want_pivots = matrix_rref(values)
-    matrix = [[QQ.scalar(v) for v in row] for row in values]
-    reduced, pivots = row_reduce(matrix)
+    reduced = [[QQ.unbox(v) for v in row] for row in values]
+    pivots = _eliminate(reduced, None)
     assert pivots == want_pivots
-    assert [boxed_values(row) for row in reduced] == want_rows
+    assert [canonical_raw(row) for row in reduced] == want_rows
     ncols = len(values[0])
     if ncols in (3, 6):
         degree = 1 if ncols == 3 else 2
@@ -1053,12 +1071,12 @@ def test_qq_row_reduce_rank_and_kernel_match_sympy_rref(kind, data):
     nullspace = sympy.Matrix(
         [[sympy.Rational(v.numerator, v.denominator) for v in row]
          for row in values]).nullspace()
-    x = eliminated_kernel_vector(matrix, QQ)
+    x = kernel_vector(reduced, pivots)
     if not nullspace:
         assert x is None
     else:
-        assert boxed_values(x) == [from_sympy_rational(v)
-                                   for v in nullspace[0]]
+        assert canonical_raw(x) == [from_sympy_rational(v)
+                                    for v in nullspace[0]]
 
 
 @pytest.mark.parametrize("kind", QQ_KINDS)
@@ -1078,22 +1096,21 @@ def test_qq_solve_linear_matches_sympy_rref(kind, data):
         rhs = [Fraction(data.draw(qq_values(kind))) for _ in values]
     want_rows, want_pivots = matrix_rref(
         [row + [b] for row, b in zip(values, rhs)])
-    solution = solve_linear([[QQ.scalar(v) for v in row] for row in values],
-                            [QQ.scalar(b) for b in rhs], QQ)
+    solution = solve_linear([[QQ.unbox(v) for v in row] for row in values],
+                            [QQ.unbox(b) for b in rhs], None)
     if want_pivots and want_pivots[-1] == ncols:
         assert solution is None
     else:
         want = [Fraction(0)] * ncols
         for row, col in zip(want_rows, want_pivots):
             want[col] = row[ncols]
-        assert boxed_values(solution) == want
+        assert canonical_raw(solution) == want
 
 
 def assert_canonical_raw(poly):
     """Each raw value is an int exactly when it is integral, otherwise a
     Fraction with denominator > 1; each boxed value is a Fraction."""
-    for v in poly.raw.values():
-        assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
+    canonical_raw(poly.raw.values())
     boxed_values(poly.terms.values())
 
 

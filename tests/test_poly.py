@@ -14,11 +14,13 @@ from quarticmoduli.poly import (
     MultiPoly,
     ParseError,
     _eliminate,
+    coefficient_rows,
     linear_rank,
     monomials_of_degree,
     parse_entry,
     parse_form,
     parse_poly,
+    solve_linear,
 )
 
 
@@ -310,6 +312,28 @@ def test_form_product_runs_on_raw_values(domain, monkeypatch):
         counts[name] = len(built)
     assert counts == dict.fromkeys(work, 0)
     assert len(f.terms) == len(built) == 4  # the boxed view does count
+
+
+@pytest.mark.parametrize("domain", [GF(101), QQ], ids=repr)
+def test_linear_algebra_builds_no_field_scalars(domain, monkeypatch):
+    """Exact count: coefficient_rows, solve_linear and linear_rank run on
+    raw values and construct no FieldScalar."""
+    row = random_res0_with_automorphisms(domain, random.Random(3))[0].row(0)
+    target = row[0] + row[1] * 2 + row[2] * 3
+    built = []
+    init = FieldScalar.__init__
+    monkeypatch.setattr(FieldScalar, "__init__",
+                        lambda *args: built.append(1) or init(*args))
+    matrix = list(zip(*coefficient_rows(row, 2)))
+    rhs = coefficient_rows([target], 2)[0]
+    solution = solve_linear(matrix, rhs, domain.modulus)
+    rank = linear_rank(row, 2)
+    assert built == []
+    domain.scalar(1)  # the counter does count
+    assert built == [1]
+    monkeypatch.undo()
+    assert rank == 3
+    assert solution == [1, 2, 3]
 
 
 @pytest.mark.parametrize("domain", [GF(101), QQ], ids=repr)

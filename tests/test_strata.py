@@ -318,14 +318,19 @@ def test_boundary_parameters_refuses_other_matrices():
 
 
 def test_null_vector_keeps_its_errors():
-    """The Z-point kernel vector: a rank-2 matrix gives a kernel vector, a
-    nonsingular one a ValueError, a rank-1 one an InvariantError."""
+    """The Z-point kernel vector: a rank-2 matrix of scalars or raw values
+    gives a kernel vector, a nonsingular one a ValueError, a rank-1 one an
+    InvariantError."""
     dom = GF(101)
 
     def matrix(rows):
         return [[dom.scalar(v) for v in row] for row in rows]
 
     vec = strata._null_vector(matrix([[1, 0, 2], [0, 1, 3], [1, 1, 5]]), dom)
+    assert [c.value for c in vec] == [99, 98, 1]
+    # raw entries, as extract_Z_points passes them, are taken mod 101: the
+    # first column's 101 is no pivot
+    vec = strata._null_vector([[101, 1, 3], [1, 0, 2], [1, 1, 308]], dom)
     assert [c.value for c in vec] == [99, 98, 1]
     with pytest.raises(ValueError, match="trivial kernel"):
         strata._null_vector(matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), dom)
@@ -334,14 +339,13 @@ def test_null_vector_keeps_its_errors():
 
 
 def test_null_vector_reduces_once(monkeypatch):
-    """Exact count: one row reduction per Z-point kernel vector, whether
+    """Exact count: one _eliminate call per Z-point kernel vector, whether
     it returns a vector or raises."""
     dom = GF(101)
     calls = []
-    before = poly.row_reduce
-    counting = lambda rows: calls.append(1) or before(rows)  # noqa: E731
-    monkeypatch.setattr(poly, "row_reduce", counting)
-    monkeypatch.setattr(strata, "row_reduce", counting)
+    before = poly._eliminate
+    counting = lambda rows, p: calls.append(1) or before(rows, p)  # noqa: E731
+    monkeypatch.setattr(strata, "_eliminate", counting)
     for rows in ([[1, 0, 2], [0, 1, 3], [1, 1, 5]],
                  [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                  [[1, 2, 3], [2, 4, 6], [0, 0, 0]]):
@@ -350,3 +354,25 @@ def test_null_vector_reduces_once(monkeypatch):
             strata._null_vector([[dom.scalar(v) for v in r] for r in rows],
                                 dom)
         assert len(calls) == 1, rows
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(101)], ids=repr)
+def test_check_not_collinear(dom):
+    """Three found points pass exactly when they are independent; fewer
+    than three are never checked."""
+    def found(points):
+        return [(tuple(dom.scalar(v) for v in p), 1) for p in points]
+
+    strata._check_not_collinear(found([(1, 0, 0), (0, 1, 0), (1, 1, 1)]), dom)
+    strata._check_not_collinear(found([(1, 2, 3), (2, 4, 6)]), dom)
+    for points in ([(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+                   [(1, 2, 3), (0, 1, 1), (2, 5, 7)]):
+        with pytest.raises(InvariantError, match="collinear"):
+            strata._check_not_collinear(found(points), dom)
+    # on the line x2 = 0 only mod 101
+    mod_p = found([(1, 0, 0), (0, 1, 0), (1, 1, 101)])
+    if dom == QQ:
+        strata._check_not_collinear(mod_p, dom)
+    else:
+        with pytest.raises(InvariantError, match="collinear"):
+            strata._check_not_collinear(mod_p, dom)
