@@ -69,8 +69,10 @@ def _refuse_float(value):
 
 
 class Domain:
-    """Base class for coefficient domains; ``box(raw)`` gives the
-    canonical scalar of a raw value, zero included."""
+    """Base class for coefficient domains.  Each converts one way per
+    direction: ``unbox(value)`` gives the canonical raw value of a scalar,
+    int or Fraction, with the checks, and ``box(raw)`` the scalar of a raw
+    value, zero included; ``scalar`` is the two in turn."""
 
     is_field = False
     modulus = None  # the p of GF(p); None for the other domains
@@ -87,9 +89,9 @@ class Domain:
         """Exponent -> raw value, canonical and with the zeros dropped."""
         return {e: v for e, v in raw_terms.items() if v}
 
-    def unbox(self, value):
-        """The canonical raw value of a scalar, int or Fraction."""
-        return self.scalar(value).value
+    def scalar(self, value):
+        """The canonical scalar of a scalar, int or Fraction."""
+        return self.box(self.unbox(value))
 
     def parse(self, text):
         """The scalar of a rational literal; ValueError on a bad one,
@@ -116,26 +118,22 @@ class Rationals(Domain):
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def scalar(self, value):
+    def unbox(self, value):
         if isinstance(value, FieldScalar):
             self.check_same(value.domain)
-            return value
-        _refuse_float(value)
-        return FieldScalar(self, Fraction(value))
+            value = value.value
+        else:
+            _refuse_float(value)
+            value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
 
     def box(self, raw):
-        if not raw:
-            return self.zero
         return FieldScalar(self, raw if isinstance(raw, Fraction)
                            else Fraction(raw))
 
     def canonical(self, raw_terms):
         return {e: v.numerator if v.denominator == 1 else v
                 for e, v in raw_terms.items() if v}
-
-    def unbox(self, value):
-        v = self.scalar(value).value
-        return v.numerator if v.denominator == 1 else v
 
     def __repr__(self):
         return "QQ"
@@ -157,14 +155,14 @@ class PrimeField(Domain):
             raise ValueError(f"need an odd prime < 2^62, got {p}")
         self.p = self.modulus = p
 
-    def scalar(self, value):
+    def unbox(self, value):
         if isinstance(value, FieldScalar):
             self.check_same(value.domain)
-            return value
+            return value.value
         _refuse_float(value)
         if isinstance(value, Fraction):
             value = value.numerator * pow(value.denominator, -1, self.p)
-        return FieldScalar(self, value % self.p)
+        return value % self.p
 
     def box(self, raw):
         return FieldScalar(self, raw % self.p)
@@ -311,8 +309,10 @@ class ParamRing(Domain):
         if isinstance(value, ParamScalar):
             self.check_same(value.domain)
             return value
-        c = self.base.scalar(value).value
+        c = self.base.unbox(value)
         return ParamScalar.from_raw(self, {(0,) * len(self.names): c})
+
+    unbox = scalar  # a ParamScalar is its own raw value
 
     def box(self, raw):
         return raw if raw else self.zero
@@ -345,7 +345,7 @@ class ParamScalar:
         base = domain.base
         self.domain = domain
         self.raw = base.canonical(
-            {e: base.scalar(c).value for e, c in terms.items()})
+            {e: base.unbox(c) for e, c in terms.items()})
 
     @classmethod
     def from_raw(cls, domain, raw_terms):

@@ -23,20 +23,25 @@ x1^p powered modulo f(x1, 1), and g is split by gcd(g, (x1 + a)^((p-1)/2)
 - 1) for a = 0, 1, 2, ... (Cantor and Zassenhaus, Math. Comp. 36, 1981;
 Modern Computer Algebra, ch. 14), so every odd prime is answered.  Each
 of these GCDs runs on the homogenizations, binary forms in x1 and x2,
-and is set back at x2 = 1.  Over QQ the roots r are the candidates of the
-rational root theorem.
+and is set back at x2 = 1.  Over QQ the roots r are lifted GF(p) roots:
+those of the squarefree part of f(x1, 1) at a prime p where each is
+simple, Hensel-lifted mod a power of p that bounds the size of a rational
+root and read back by rational reconstruction (Modern Computer Algebra,
+ch. 15 and section 5.10).  They come in the rational root theorem's
+candidate order, with no divisor enumerated.
 """
 
 from fractions import Fraction
-from math import gcd as igcd, lcm
+from math import lcm
 
-from .field import InvariantError, PrimeField, Rationals
+from .field import GF, QQ, InvariantError, _is_prime, evaluate_raw
 from .poly import (
     NVARS,
     BinaryForm,
     Form,
     MultiPoly,
     _eliminate,
+    _primitive,
     coefficient_rows,
     kernel_vector,
     monomials_of_degree,
@@ -115,47 +120,67 @@ def gcd_fold(polys):
 # ---- binary forms: rational roots -------------------------------------
 
 
-def _rational_roots(poly):
-    """The distinct roots r of poly(r, 1) over QQ, by the rational root
-    theorem, in its candidate order: 0 first, then p/q with p dividing the
-    lowest and q the highest nonzero coefficient of the primitive integer
-    multiple of poly(x1, 1).  A candidate is tested on those integers."""
-    denom = lcm(*[c.denominator for c in poly.raw.values()])
-    ints = {(e1, e2): int(c * denom) for (_, e1, e2), c in poly.raw.items()}
-    content = igcd(*ints.values())
-    exps = sorted(ints)  # by ascending power of x1
-    roots = [0] if exps[0][0] else []
-    for p in _divisors(abs(ints[exps[0]]) // content):
-        for q in _divisors(abs(ints[exps[-1]]) // content):
-            for r in (Fraction(p, q), Fraction(-p, q)):
-                if r not in roots and not sum(
-                        c * r.numerator**e1 * r.denominator**e2
-                        for (e1, e2), c in ints.items()):
-                    roots.append(r)
-    return roots
+def _rational_roots(f):
+    """The distinct roots of f, a polynomial in x1 over QQ, in the rational
+    root theorem's candidate order: by |numerator|, denominator, sign.
+
+    Each root n/d of the squarefree part h of f, with primitive integer
+    coefficients, has n | a_low and d | a_high, its lowest and highest
+    nonzero coefficients.  The roots of h mod the first prime p >= 101
+    that keeps its degree and every root simple are Hensel-lifted mod
+    p^k > 2*|a_low*a_high| and read back by rational reconstruction."""
+    if f.total_degree() < 1:
+        return []
+    h = f.exact_div(_gcd_in_x1(f, _derivative(f)))
+    h = h * lcm(*[c.denominator for c in h.raw.values()])
+    h = MultiPoly.from_raw(QQ, dict(zip(h.raw, _primitive([*h.raw.values()]))))
+    low, high = (abs(h.raw[e]) for e in (min(h.raw), max(h.raw)))
+    p = 99
+    while True:
+        p += 2
+        if _is_prime(p) and high % p:
+            h_p = MultiPoly.from_raw(GF(p), h.raw)
+            slope_at = _derivative(h_p).evaluate
+            modular = [(r, slope_at((0, r, 0))) for r in _roots_gf(h_p)]
+            if all(slope for _, slope in modular):
+                break
+    roots = set()
+    for r, slope in modular:
+        inverse, m = slope.inverse().value, p
+        while m <= 2 * low * high:
+            m *= p
+            r = (r - evaluate_raw(h.raw, (0, r, 0)) * inverse) % m
+        root = _reconstruct(r, m, low)
+        if not evaluate_raw(h.raw, (0, root, 0)):
+            roots.add(root)
+    return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator,
+                                        r < 0))
 
 
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _derivative(f):
+    """df/dx1 of a polynomial f in x1."""
+    return MultiPoly.from_raw(f.domain, {(0, e - 1, 0): c * e
+                                         for (_, e, _), c in f.raw.items()})
 
 
-def _roots_gf(poly):
-    """The distinct roots r of poly(r, 1) over GF(p), ascending: those of
-    g = gcd(f, x1^p - x1) for f = poly(x1, 1), split by
+def _reconstruct(r, m, n_max):
+    """The fraction n/d = r mod m with |n| <= n_max and 0 < d <= m/(n_max+1)
+    if there is one, by the half-extended Euclidean algorithm (Modern
+    Computer Algebra, section 5.10)."""
+    r0, r1, t0, t1 = m, r, 0, 1
+    while r1 > n_max:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1)
+
+
+def _roots_gf(f):
+    """The distinct roots r of f, a polynomial in x1 over GF(p), ascending:
+    those of g = gcd(f, x1^p - x1), split by
     gcd(g, (x1 + a)^((p - 1)/2) - 1) for a = 0, 1, 2, ..., which keeps the
     roots r with r + a a nonzero square (Cantor-Zassenhaus)."""
-    domain, p = poly.domain, poly.domain.p
+    domain, p = f.domain, f.domain.p
     x1 = MultiPoly.variable(domain, 1)
-    f = MultiPoly.from_raw(domain, {(0, e1, 0): c
-                                    for (_, e1, _), c in poly.raw.items()})
     pending, roots = [_gcd_in_x1(f, pow(x1, p, f) - x1)], []
     while pending:
         g = pending.pop()
@@ -201,12 +226,11 @@ def binary_roots(form):
         raise ValueError("zero binary form")
     if any(e[0] for e in form.poly.raw):
         raise ValueError("a binary form has no x0 term")
-    if isinstance(domain, Rationals):
-        distinct = _rational_roots(form.poly)
-    elif isinstance(domain, PrimeField):
-        distinct = _roots_gf(form.poly)
-    else:
+    if not domain.is_field:
         raise TypeError("roots need a field domain")
+    f = MultiPoly.from_raw(domain, {(0, e1, 0): c for (_, e1, _), c
+                                    in form.poly.raw.items()})  # f(x1, 1)
+    distinct = (_roots_gf if domain.modulus else _rational_roots)(f)
     x1, x2 = (MultiPoly.variable(domain, i) for i in (1, 2))
     poly, roots = form.poly, []
     for s, t in [(1, 0)] + [(r, 1) for r in distinct]:

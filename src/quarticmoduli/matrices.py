@@ -14,7 +14,7 @@ wraps them with degree bookkeeping.
 import json
 import random
 
-from .field import GF, QQ, PrimeField
+from .field import QQ
 from .poly import (
     Form,
     MultiPoly,
@@ -479,11 +479,15 @@ SHAPES = {
 
 
 def random_form(domain, degree, rng):
-    if not isinstance(domain, PrimeField):
-        raise ValueError("random sampling needs a prime field")
-    p = domain.p
+    """A form of the given degree with one coefficient drawn by rng per
+    monomial in graded-lex order: uniform in [0, p) over GF(p), an integer
+    uniform in [-9, 9] over QQ; other domains are refused."""
+    if not domain.is_field:
+        raise ValueError(f"random sampling needs a field, not {domain}")
+    p = domain.modulus
     return Form(MultiPoly.from_raw(domain, {
-        mono: rng.randrange(p) for mono in monomials_of_degree(degree)
+        mono: rng.randrange(p) if p else rng.randrange(-9, 10)
+        for mono in monomials_of_degree(degree)
     }), degree)
 
 

@@ -29,11 +29,12 @@ all of it on raw values: one Gauss-Jordan elimination, ``_eliminate``,
 with ``kernel_vector``, ``solve_linear`` (a particular solution) and
 ``linear_rank`` on top, reading forms through ``coefficient_rows``,
 serves every rank, kernel, solve and GCD in the package.  Its callers box
-a scalar only where a point or a solution leaves in a report.  Over QQ it
-runs fraction-free on integer rows, as Bareiss's method does (Math.
-Comp. 22, 1968), though it keeps the entries small by dividing out each
-row's content rather than the previous pivot, and divides by the pivots
-only at the end.
+a scalar only where a point or a solution leaves in a report.  It is one
+loop for both fields, which differ only in how the rows are kept small:
+over GF(p) mod p, and over QQ fraction-free on integer rows, as in
+Bareiss's method (Math. Comp. 22, 1968), though by dividing out each
+row's content rather than the previous pivot, and by the pivots only at
+the end.
 """
 
 from fractions import Fraction
@@ -56,10 +57,9 @@ class MultiPoly:
 
     def __init__(self, domain, terms):
         """The polynomial of a dict exponent -> scalar, int or Fraction."""
-        scalar = domain.scalar
+        unbox = domain.unbox
         self.domain = domain
-        self.raw = domain.canonical(
-            {e: scalar(c).value for e, c in terms.items()})
+        self.raw = domain.canonical({e: unbox(c) for e, c in terms.items()})
 
     # ---- constructors -------------------------------------------------
 
@@ -681,10 +681,18 @@ def _eliminate(rows, p):
     """Gauss-Jordan elimination in place on raw values mod p (over QQ when
     p is None), taking as pivot the first nonzero entry at or below the
     current row, column by column; returns the pivot columns.  The rows
-    must hold canonical raw values, since over GF(p) a pivot is any
-    nonzero entry, and the reduced rows are canonical too."""
+    must hold canonical raw values, and the reduced rows are canonical.
+    One loop serves both fields: a row is cleared by cross-multiplying it
+    with the pivot row.  Over GF(p) the pivot row is first made monic and
+    each cleared row reduced mod p.  Over QQ the rows are made primitive
+    integer rows once and after each clearing, and the pivot rows are
+    divided by their pivots at the end: the reduced row echelon form is
+    unique, so it is the same."""
     if not p:
-        return _eliminate_fraction_free(rows)
+        for i, row in enumerate(rows):
+            den = lcm(*[v.denominator for v in row])
+            rows[i] = _primitive([v.numerator * (den // v.denominator)
+                                  for v in row])
     pivots = []
     for col in range(len(rows[0])):
         r = len(pivots)
@@ -694,16 +702,29 @@ def _eliminate(rows, p):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        top = rows[r] = [v * inv % p for v in rows[r]]
+        if p:
+            inv = pow(rows[r][col], -1, p)
+            rows[r] = [v * inv % p for v in rows[r]]
+        top = rows[r]
+        a = top[col]
         nonzero = [(j, v) for j, v in enumerate(top) if v]
         for i, row in enumerate(rows):
-            factor = row[col]
-            if i != r and factor:
+            b = row[col]
+            if i != r and b:
+                if a != 1:  # (a * row - b * top) / gcd(a, b)
+                    g = gcd(a, b)
+                    b //= g
+                    if a != g:
+                        row = [a // g * v for v in row]
                 for j, v in nonzero:
-                    row[j] -= factor * v
-                rows[i] = [v % p for v in row]
+                    row[j] -= b * v
+                rows[i] = [v % p for v in row] if p else _primitive(row)
         pivots.append(col)
+    if not p:
+        for i, col in enumerate(pivots):
+            d = rows[i][col]
+            rows[i] = [v // d if v % d == 0 else Fraction(v, d)
+                       for v in rows[i]]
     return pivots
 
 
@@ -711,45 +732,6 @@ def _primitive(row):
     """The integer row divided by the gcd of its entries."""
     content = gcd(*row)
     return [v // content for v in row] if content > 1 else row
-
-
-def _eliminate_fraction_free(rows):
-    """_eliminate over QQ on integer rows: each row is scaled once to a
-    primitive integer vector; a row is cleared at the pivot column by
-    cross-multiplying it with the pivot row and dividing out its content;
-    each pivot row is divided by its pivot only at the end.  The reduced
-    row echelon form is unique, so it is the one of the field loop."""
-    for i, row in enumerate(rows):
-        den = lcm(*[v.denominator for v in row])
-        rows[i] = _primitive([v.numerator * (den // v.denominator)
-                              for v in row])
-    pivots = []
-    for col in range(len(rows[0])):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r]
-        a = top[col]
-        nonzero = [(j, v) for j, v in enumerate(top) if v]
-        for i, row in enumerate(rows):
-            b = row[col]
-            if i != r and b:
-                g = gcd(a, b)
-                s, t = a // g, b // g
-                if s != 1:
-                    row = [s * v for v in row]
-                for j, v in nonzero:
-                    row[j] -= t * v
-                rows[i] = _primitive(row)
-        pivots.append(col)
-    for i, col in enumerate(pivots):
-        d = rows[i][col]
-        rows[i] = [v // d if v % d == 0 else Fraction(v, d) for v in rows[i]]
-    return pivots
 
 
 def kernel_vector(rows, pivots):

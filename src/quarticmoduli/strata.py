@@ -8,7 +8,6 @@ length-3 scheme, the line/cubic splitting, or the boundary data.
 
 from .field import InvariantError
 from .gcd import (
-    LineSearchResult,
     binary_roots,
     common_linear_factor,
     line_intersection,

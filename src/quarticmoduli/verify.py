@@ -17,7 +17,6 @@ from .degeneration import (
 from .field import GF, QQ, ParamRing, ParamScalar, evaluate_raw
 from .gcd import common_linear_factor
 from .matrices import (
-    SHAPES,
     FormMatrix,
     det,
     mat_mul,
@@ -377,16 +376,13 @@ def verify_tangent_quartic(seed, domain=None):
     domain = domain or GF(101)
     rng = random.Random(seed)
     x0, x1, x2 = _vars(domain)
-    if domain.modulus:
-        pick = lambda: domain.scalar(rng.randrange(domain.modulus))
-    else:
-        pick = lambda: domain.scalar(rng.randrange(-9, 10))
+    pick = lambda: random_form(domain, 0, rng).poly.coefficient((0, 0, 0))
     gamma, delta = pick(), pick()
     while not (gamma or delta):
         gamma, delta = pick(), pick()
     w = x1 * gamma + x2 * delta
     a = boundary_matrix(Form(x0, 1), Form(w, 1))
-    b = _random_res0(domain, rng)
+    b = random_matrix("res0", domain, rng=rng)
     row_sum = tangent_quartic(a, b)
     # t-linear coefficient of det(A + tB) over the parameter ring in t
     ring = ParamRing(domain, ("t",))
@@ -416,18 +412,6 @@ def verify_tangent_quartic(seed, domain=None):
         "+ x2*sum(x_i*b_2i)), vanishing at Z(x0, w)",
         note=f"seed = {seed}",
     )
-
-
-def _random_res0(domain, rng):
-    if domain.modulus:
-        return random_matrix("res0", domain, rng=rng)
-    src, tgt = SHAPES["res0"]
-    return FormMatrix.from_polys(src, tgt, [
-        [MultiPoly(domain, {e: domain.scalar(rng.randrange(-9, 10))
-                            for e in monomials_of_degree(s - t)})
-         for t in tgt]
-        for s in src
-    ])
 
 
 def _lifted_pencil(a, b, ring):

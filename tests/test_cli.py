@@ -1,4 +1,6 @@
+import contextlib
 import json
+import signal
 import time
 from fractions import Fraction as F
 
@@ -102,6 +104,45 @@ def test_classify_singular_point_split_at_a_large_prime(tmp_path, capsys):
     assert code == 0
     assert "label: M11" in out
     assert "line: x0 + x1" in out
+
+
+@contextlib.contextmanager
+def hang_bound(seconds):
+    """Raise TimeoutError if the block runs longer than seconds: a bound
+    on a hang, not a speed check."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("entries, line", [
+    ([["2*x0", "x0*x2*x1"],
+      ["x0 + 5*x2 + 6767357376554402722610286*x2", "0"]], "x0"),
+    ([["x0", f"{(10**12 + 39)**2}*x1*x2^2"], ["x1", "49*x0*x2^2"]],
+     "x0 + 1000000000039/7*x1"),
+    ([["x0", f"{1000003**2}*x1*x2^2"], ["x1", "49*x0*x2^2"]],
+     "x0 + 1000003/7*x1"),
+], ids=["25-digit", "(10^12+39)^2", "1000003^2"])
+def test_classify_singular_point_with_large_rational_roots(tmp_path, capsys,
+                                                         entries, line):
+    """Quartics singular at the point over QQ, whose pencil binary forms
+    have roots with 7- to 25-digit numerators: the root search lifts GF(p)
+    roots, so it enumerates no divisor of those coefficients."""
+    path = write_json(tmp_path / "m11.json", {
+        "src_degrees": [3, 3], "tgt_degrees": [2, 0], "entries": entries})
+    with hang_bound(10):
+        code = cli.main(["classify", path])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "label: M11" in out
+    assert f"line: {line}\n" in out
 
 
 def test_classify_invariant_failure_exits_three(tmp_path, capsys,
@@ -273,6 +314,11 @@ def test_sample_requires_prime_field(capsys):
     code = cli.main(["sample", "res0"])
     assert code == 1
     assert "prime field" in capsys.readouterr().err
+    # random_form draws over QQ, but sample still refuses it
+    code = cli.main(["sample", "res1", "--field", "q", "--count", "3"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: sampling needs a prime field; pass --field <prime>\n")
 
 
 def test_sample_seed_from_environment(capsys, monkeypatch):

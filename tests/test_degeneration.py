@@ -18,7 +18,7 @@ from quarticmoduli.degeneration import (
     make_blowup_chart_point,
     tangent_quartic,
 )
-from quarticmoduli.field import GF, QQ
+from quarticmoduli.field import GF, QQ, FieldScalar
 from quarticmoduli.matrices import FormMatrix, random_form
 from quarticmoduli.poly import (
     Form,
@@ -225,6 +225,29 @@ def test_twisted_ideal_round_trip():
         res = build_twisted_ideal_resolution(f, l, g)
         assert l.poly * res.h.poly - res.w.poly * g.poly == f.poly
         assert res.matrix().determinant().poly == f.poly
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
+def test_twisted_ideal_resolution_builds_no_field_scalars(domain,
+                                                         monkeypatch):
+    """Exact count: the linear system is read and solved on raw values, and
+    each of the 13 monomial columns unboxes its coefficient 1 with no
+    FieldScalar; converting it through Domain.scalar built 13."""
+    l, g, w, h = (parse_form(text, domain=domain) for text in
+                  ("x0 + 2*x1", "x1^3 + x0*x2^2 - x2^3", "x2 - x1",
+                   "x0^3 + 3*x1*x2^2"))
+    f = Form(l.poly * h.poly - w.poly * g.poly, 4)
+    built = []
+    init = FieldScalar.__init__
+    monkeypatch.setattr(FieldScalar, "__init__",
+                        lambda *args: built.append(1) or init(*args))
+    res = build_twisted_ideal_resolution(f, l, g)
+    assert len(built) == 0
+    domain.scalar(7)  # the counter does count
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert res.semistable
+    assert l.poly * res.h.poly - res.w.poly * g.poly == f.poly
 
 
 def test_twisted_ideal_line_in_curve_flagged():

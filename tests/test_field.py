@@ -88,6 +88,29 @@ def test_field_mismatch_rejected():
         QQ.scalar(1) + a
 
 
+@pytest.mark.parametrize("domain, cases", [
+    (QQ, [(-1, -1), (Fraction(6, 2), 3), (Fraction(1, 2), Fraction(1, 2)),
+          (101, 101)]),
+    (GF(101), [(-1, 100), (Fraction(6, 2), 3), (Fraction(1, 2), 51),
+               (101, 0)]),
+], ids=repr)
+def test_unbox_gives_the_canonical_raw_value(domain, cases):
+    """unbox is the one conversion of a scalar, int or Fraction to a raw
+    value, with the checks; scalar boxes what it gives."""
+    for value, raw in cases:
+        for given in (value, domain.scalar(value)):
+            assert domain.unbox(given) == raw
+            assert type(domain.unbox(given)) is type(raw)
+        assert domain.scalar(value) == domain.box(raw)
+        assert domain.scalar(value).value == raw
+    with pytest.raises(FieldMismatchError):
+        domain.unbox(GF(7).scalar(3))
+    ring = ParamRing(domain, ("t",))
+    t = ring.variable("t")
+    assert ring.unbox(t) is t  # a ParamScalar is its own raw value
+    assert ring.unbox(3) == ring.scalar(3)
+
+
 def test_parse_scalars():
     assert QQ.parse("-2/5").value == Fraction(-2, 5)
     assert GF(101).parse("3").value == 3

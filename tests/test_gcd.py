@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -98,6 +99,32 @@ def test_binary_roots_with_multiplicity():
     assert len(roots) == 4
     with pytest.raises(ValueError, match="x0"):
         binary_roots(parse_form("x0*x1"))
+
+
+def test_binary_roots_over_qq_in_candidate_order():
+    """The roots [r:1] over QQ come in the rational root theorem's candidate
+    order, by |numerator|, then denominator, the positive first, whatever
+    the order of the factors."""
+    x1, x2 = (MultiPoly.variable(QQ, i) for i in (1, 2))
+    f = x1**2 + x2**2  # no rational root
+    for r in (Fraction(-2, 3), 2, Fraction(1, 2), -1, 0):
+        f = f * (x1 - x2 * r)
+    roots, nonsplit = binary_roots(Form(f, 7))
+    assert [s.value for s, _ in roots] == [0, -1, Fraction(1, 2), 2,
+                                           Fraction(-2, 3)]
+    assert all(t == 1 for _, t in roots)
+    assert nonsplit == 2
+    # r before -r
+    roots, _ = binary_roots(Form((x1 + x2 * 3) * (x1 - x2 * 3) * (x1 * 3 - x2),
+                                 3))
+    assert [s.value for s, _ in roots] == [Fraction(1, 3), 3, -3]
+
+
+def test_rational_roots_lift_only_simple_rational_roots():
+    # 5 is a square mod 101, but its square roots are not rational
+    assert gcd._rational_roots(parse_poly("x1^2 - 5")) == []
+    # 0 and 101 meet mod 101, so the roots are lifted at the next prime
+    assert gcd._rational_roots(parse_poly("x1^3 - 101*x1^2")) == [0, 101]
 
 
 def test_lines_dividing_all_through_point():

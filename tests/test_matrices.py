@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quarticmoduli.field import GF, QQ
+from quarticmoduli.field import GF, QQ, ParamRing
 from quarticmoduli.matrices import (
     AddMultipleOfCol,
     AddMultipleOfRow,
@@ -20,7 +20,12 @@ from quarticmoduli.matrices import (
     random_form,
     random_matrix,
 )
-from quarticmoduli.poly import Form, parse_form, parse_poly
+from quarticmoduli.poly import (
+    Form,
+    monomials_of_degree,
+    parse_form,
+    parse_poly,
+)
 
 
 def bordered_example():
@@ -225,6 +230,27 @@ def test_transpose_keeps_entry_degrees():
     assert (t.src_degrees, t.tgt_degrees) == ((-2, 0), (-3, -3))
     assert t[1, 0] == m[0, 1]
     assert t.transpose() == m
+
+
+def test_random_form_over_qq_draws_small_integers():
+    """One draw per monomial in graded-lex order: an integer in [-9, 9]
+    over QQ, the residue rng.randrange(p) over GF(p); a domain that is not
+    a field is refused."""
+    for degree in range(4):
+        monos = monomials_of_degree(degree)
+        for domain, draw in ((QQ, lambda rng: rng.randrange(-9, 10)),
+                             (GF(101), lambda rng: rng.randrange(101))):
+            rng = random.Random(degree)
+            want = {m: c for m in monos if (c := draw(rng))}
+            form = random_form(domain, degree, random.Random(degree))
+            assert form.degree == degree and form.poly.raw == want
+    values = [c for seed in range(20)
+              for c in random_form(QQ, 3, random.Random(seed)).poly.raw
+              .values()]
+    assert all(type(c) is int and -9 <= c <= 9 for c in values)
+    assert {-9, 9} <= set(values)
+    with pytest.raises(ValueError, match="needs a field"):
+        random_form(ParamRing(QQ, ("t",)), 1, random.Random(0))
 
 
 def test_column_ops_are_row_ops_on_the_transpose():

@@ -10,7 +10,10 @@ polynomials in x0, x1, x2 with the division algorithm of sympy's ring in
 graded lex order, quotient and remainder, over GF(101) and QQ on inputs
 drawn by hypothesis.  ``gcd.binary_roots`` is compared with sympy's factorization
 mod p at primes from 3 to 2^61 - 1, on forms with repeated roots and the
-root [1:0].
+root [1:0], and over QQ with 30-digit coefficients, where its roots are
+lifted GF(p) roots in the rational root theorem's candidate order;
+``gcd._linear_factors`` with sympy's factorization over QQ of forms with
+30-digit coefficients.
 
 ``gcd.common_linear_factor`` decides most inputs by its conic test; it is
 compared with the generic GCD path, and the conic test with sympy's
@@ -363,6 +366,87 @@ def test_binary_roots_match_sympy_factor_list(p, data):
     assert [(s.value, t.value) for s, t in roots] == want
     assert nonsplit == sum(factor.degree() * k for factor, k in factors
                            if factor.degree() > 1)
+
+
+@st.composite
+def split_binary_forms_qq(draw):
+    """A binary form over QQ with 30-digit coefficients: up to three lines
+    a*x1 - b*x2, each with multiplicity 1 or 2 (a = 0 is the root [1:0]),
+    times a nonzero quadratic form with drawn coefficients."""
+    values = st.one_of(st.just(0), st.just(1), st.integers(-10**30, 10**30))
+    x1, x2 = (MultiPoly.variable(QQ, i) for i in (1, 2))
+    form = MultiPoly.constant(QQ, 1)
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(values), draw(values)
+        assume(a or b)
+        form = form * (x1 * a - x2 * b) ** draw(st.integers(1, 2))
+    rest = MultiPoly(QQ, {(0, 2 - i, i): draw(qq_values("30-digit"))
+                          for i in range(3)})
+    assume(rest)
+    return Form(form * rest, form.total_degree() + 2)
+
+
+def candidate_order(r):
+    """The rational root theorem's candidate order of a rational r."""
+    return (abs(r.numerator), r.denominator, r < 0)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_binary_roots_over_qq_match_sympy_factor_list(data):
+    """binary_roots over QQ against sympy's factorization of f(x, 1), with
+    30-digit coefficients: the affine roots with multiplicity in candidate
+    order, the root [1:0] as often as x2 divides f, and the degree of the
+    factors of degree above one."""
+    form = data.draw(split_binary_forms_qq())
+    roots, nonsplit = binary_roots(form)
+    x = sympy.Symbol("x")
+    affine = sympy.Poly.from_dict(
+        {(e[1],): to_sympy(sympy.QQ, c) for e, c in form.poly.raw.items()},
+        x, domain=sympy.QQ)
+    _, factors = affine.factor_list()
+    want = sorted((-from_sympy_rational(c) / from_sympy_rational(a)
+                   for factor, k in factors if factor.degree() == 1
+                   for a, c in [factor.all_coeffs()] for _ in range(k)),
+                  key=candidate_order)
+    want = [(1, 0)] * (form.degree - affine.degree()) + [(r, 1) for r in want]
+    assert [(s.value, t.value) for s, t in roots] == want
+    assert nonsplit == sum(factor.degree() * k for factor, k in factors
+                           if factor.degree() > 1)
+
+
+@st.composite
+def split_forms_qq(draw):
+    """A form over QQ: up to two lines with 30-digit coefficients, each with
+    multiplicity 1 or 2, times a conic with 30-digit coefficients."""
+    values = st.one_of(st.just(0), st.just(1), st.integers(-10**30, 10**30))
+    form = MultiPoly.constant(QQ, 1)
+    for _ in range(draw(st.integers(0, 2))):
+        line = MultiPoly(QQ, {e: draw(values) for e in monomials_of_degree(1)})
+        assume(line)
+        form = form * line ** draw(st.integers(1, 2))
+    conic = MultiPoly(QQ, {m: draw(qq_values("30-digit"))
+                           for m in monomials_of_degree(2)})
+    assume(conic)
+    return Form(form * conic, form.total_degree() + 2)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_linear_factors_over_qq_match_sympy_factor_list(data):
+    """_linear_factors over QQ against sympy's factorization of the form in
+    x0, x1, x2, with 30-digit coefficients: the same lines, each made
+    monic, with the same multiplicities."""
+    form = data.draw(split_forms_qq())
+    lines, _ = _linear_factors(form)
+    ring, _ = sympy_ring(QQ)
+    _, factors = to_ring(ring, form.poly).factor_list()
+    want = sorted(
+        sorted((e, from_sympy(sympy.QQ, c)) for e, c in factor.monic().items())
+        for factor, k in factors if all(sum(e) == 1 for e in factor.monoms())
+        for _ in range(k))
+    assert sorted(sorted((e, Fraction(c)) for e, c in line.poly.raw.items())
+                  for line in lines) == want
 
 
 def generic_common_linear_factor(forms):

@@ -72,7 +72,7 @@ def test_terms_view_read_only_at_the_edge():
 # the functions that may take a modular inverse pow(v, -1, p): each one
 # knows that p is set, or its values are Fractions, since over QQ
 # (p = None) pow(int, -1, None) gives a float
-INVERSE_POW_CALLERS = {"FieldScalar.inverse", "PrimeField.scalar",
+INVERSE_POW_CALLERS = {"FieldScalar.inverse", "PrimeField.unbox",
                        "MultiPoly.divmod", "_eliminate"}
 
 
@@ -248,6 +248,29 @@ def test_no_function_local_import(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not lines, f"{path.name}: imports inside functions at lines {lines}"
+
+
+def unused_imports(tree):
+    """The names the module binds by import and never reads."""
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # __init__.py imports to re-export, so it is the one exempt module
+    assert unused_imports(ast.parse("import os.path\nos.sep")) == []
+    assert unused_imports(ast.parse("from a import b as c\nb")) == ["c"]
+    if path.name == "__init__.py":
+        return
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not unused_imports(tree), \
+        f"{path.name}: unused imports {unused_imports(tree)}"
 
 
 # ---- what the bench harness relies on ----------------------------------

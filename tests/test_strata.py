@@ -6,6 +6,7 @@ import pytest
 from quarticmoduli import gcd, poly, strata
 from quarticmoduli.field import GF, QQ, InvariantError
 from quarticmoduli.matrices import (
+    SHAPES,
     FormMatrix,
     act,
     is_stable_kronecker,
@@ -376,3 +377,17 @@ def test_check_not_collinear(dom):
     else:
         with pytest.raises(InvariantError, match="collinear"):
             strata._check_not_collinear(mod_p, dom)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_labels_invariant_under_act_over_qq(seed):
+    """Criterion 4's act-invariance over QQ, on both shapes: random matrices
+    and graded automorphisms draw small integers there."""
+    for shape, classify in (("res0", classify_res0), ("res1", classify_res1)):
+        rng = random.Random(seed)
+        m = random_matrix(shape, QQ, rng=rng)
+        src, tgt = SHAPES[shape]
+        g = random_graded_automorphism(src, QQ, rng)
+        h = random_graded_automorphism(tgt, QQ, rng)
+        assert m.domain is QQ
+        assert classify(act(g, m, h)).label == classify(m).label

@@ -6,7 +6,7 @@ import pytest
 
 from quarticmoduli.degeneration import tangent_quartic
 from quarticmoduli.field import GF, QQ, FieldScalar, ParamRing
-from quarticmoduli.matrices import det
+from quarticmoduli.matrices import det, random_matrix
 from quarticmoduli.poly import Form, MultiPoly
 from quarticmoduli.strata import boundary_matrix
 from quarticmoduli.verify import (
@@ -19,7 +19,6 @@ from quarticmoduli.verify import (
     _coefficient_of,
     _lift,
     _lifted_pencil,
-    _random_res0,
     _specialize,
     run_all,
     verify_chart_minors,
@@ -81,7 +80,7 @@ def tangent_pencil(domain, seed):
     x0, x1, x2 = (MultiPoly.variable(domain, i) for i in range(3))
     w = x1 * domain.scalar(rng.randrange(1, 9)) + x2 * domain.scalar(-2)
     a = boundary_matrix(Form(x0, 1), Form(w, 1))
-    b = _random_res0(domain, rng)
+    b = random_matrix("res0", domain, rng=rng)
     ring = ParamRing(domain, ("t",))
     return a, b, ring, _lifted_pencil(a, b, ring)
 
@@ -117,7 +116,7 @@ def test_specialize_inverts_lift(domain):
     values = {"a": domain.scalar(rng.randrange(1, 50)),
               "t": domain.scalar(Fraction(-3, 7))}
     for seed in range(3):
-        f = _random_res0(domain, random.Random(seed))[0, 0].poly
+        f = random_matrix("res0", domain, seed=seed)[0, 0].poly
         lifted = _lift(f, ring)
         assert lifted.domain is ring
         assert _specialize(lifted, values, domain) == f
