@@ -4,6 +4,11 @@ Subcommands: classify, limit, betti, verify, sample.  Text output by
 default, JSON with --json; --field selects rationals ("q") or a prime
 field; --seed (or the QML_SEED environment variable) drives every random
 choice.
+
+Each command reaches the library through the package's lazy exports, so a
+fresh process loads only the modules that its command runs: ``betti M``
+loads ``field`` and ``betti``, and ``classify`` no ``degeneration`` or
+``verify``.
 """
 
 import argparse
@@ -12,29 +17,9 @@ import os
 import random
 import sys
 
-from .betti import (
-    BlowUpSubstitute,
-    Literal,
-    PoincarePoly,
-    Product,
-    ProjBundle,
-    ProjectiveSpace,
-    is_palindromic,
-    poincare_M,
-    poincare_open_stratum_closure,
-    poincare_projective,
-)
-from .degeneration import family_limit, load_family
+import quarticmoduli as qm
+
 from .field import GF, QQ, InvariantError
-from .matrices import (
-    check_json_list,
-    check_json_type,
-    load_json,
-    load_matrix,
-    random_matrix,
-)
-from .strata import INVALID, NOT_STABLE, classify_res0, classify_res1
-from .verify import ALL_VERIFIERS, verify_transition
 
 
 def _parse_field(text):
@@ -79,11 +64,11 @@ def _emit(args, json_obj, text):
 
 def cmd_classify(args):
     domain = _parse_field(args.field)
-    matrix = load_matrix(args.matrix, domain)
+    matrix = qm.matrices.load_matrix(args.matrix, domain)
     if matrix.src_degrees == (3, 3):
-        report = classify_res1(matrix)
+        report = qm.strata.classify_res1(matrix)
     else:
-        report = classify_res0(matrix)
+        report = qm.strata.classify_res0(matrix)
     text_lines = [f"label: {report.label}"]
     if report.quartic is not None:
         text_lines.append(f"quartic: {report.quartic.serialize()}")
@@ -98,7 +83,8 @@ def cmd_classify(args):
     if report.diagnostics:
         text_lines.append(f"diagnostics: {report.diagnostics}")
     _emit(args, report.to_json_dict(), "\n".join(text_lines))
-    return 2 if report.label in (INVALID, NOT_STABLE) else 0
+    return 2 if report.label in (qm.strata.INVALID, qm.strata.NOT_STABLE) \
+        else 0
 
 
 # ---- limit -------------------------------------------------------------
@@ -106,14 +92,14 @@ def cmd_classify(args):
 
 def cmd_limit(args):
     domain = _parse_field(args.field)
-    point, t_values = load_family(args.family, domain)
+    point, t_values = qm.degeneration.load_family(args.family, domain)
     trace = []
     for t in t_values:
         if not t:
             continue  # t = 0 is handled by the limit, not substitution
-        report = classify_res0(point.total(t))
+        report = qm.strata.classify_res0(point.total(t))
         trace.append({"t": str(t), "label": report.label})
-    quartic, limit_point = family_limit(point)
+    quartic, limit_point = qm.degeneration.family_limit(point)
     json_obj = {
         "schema": 1,
         "trace": trace,
@@ -140,33 +126,37 @@ def cmd_limit(args):
 MAX_BETTI_DIMENSION = 1_000
 
 _BUILTIN_POLYS = {
-    "H": lambda: PoincarePoly([1, 2, 5, 6, 5, 2, 1]),
-    "N": poincare_open_stratum_closure,
-    "B": lambda: poincare_open_stratum_closure() * poincare_projective(11),
-    "M": poincare_M,
+    "H": lambda: qm.betti.PoincarePoly([1, 2, 5, 6, 5, 2, 1]),
+    "N": lambda: qm.betti.poincare_open_stratum_closure(),
+    "B": lambda: (qm.betti.poincare_open_stratum_closure()
+                  * qm.betti.poincare_projective(11)),
+    "M": lambda: qm.betti.poincare_M(),
 }
 
 
 def expr_from_json_dict(data):
     """Build a variety expression from its JSON description; malformed
     input raises a ValueError that names its JSON path."""
-    check_json_type(data, "", dict)
+    betti, check_type = qm.betti, qm.matrices.check_json_type
+    check_type(data, "", dict)
     kind = data.get("type")
     if kind == "projective":
-        return ProjectiveSpace(check_json_type(data.get("n"), "n", int))
+        return betti.ProjectiveSpace(check_type(data.get("n"), "n", int))
     if kind == "product":
-        factors = check_json_type(data.get("factors"), "factors", list)
-        return Product(*[_sub_expr(f, f"factors[{i}]")
-                         for i, f in enumerate(factors)])
+        factors = check_type(data.get("factors"), "factors", list)
+        return betti.Product(*[_sub_expr(f, f"factors[{i}]")
+                               for i, f in enumerate(factors)])
     if kind == "projbundle":
-        return ProjBundle(_sub_expr(data.get("base"), "base"),
-                          check_json_type(data.get("rank"), "rank", int))
+        return betti.ProjBundle(_sub_expr(data.get("base"), "base"),
+                                check_type(data.get("rank"), "rank", int))
     if kind == "substitute":
-        return BlowUpSubstitute(*[_sub_expr(data.get(key), key)
-                                  for key in ("total", "removed", "inserted")])
+        return betti.BlowUpSubstitute(
+            *[_sub_expr(data.get(key), key)
+              for key in ("total", "removed", "inserted")])
     if kind == "literal":
-        return Literal(data.get("name", "literal"), PoincarePoly(
-            check_json_list(data.get("coefficients"), "coefficients", int)))
+        return betti.Literal(data.get("name", "literal"), betti.PoincarePoly(
+            qm.matrices.check_json_list(data.get("coefficients"),
+                                        "coefficients", int)))
     raise ValueError(f"type: unknown expression type {kind!r}; known: "
                      "literal, product, projbundle, projective, substitute")
 
@@ -179,6 +169,7 @@ def _sub_expr(data, path):
 
 
 def cmd_betti(args):
+    _parse_field(args.field)  # checked only: the coefficients are integers
     name = args.expr
     notes = []
     if name in _BUILTIN_POLYS:
@@ -186,7 +177,7 @@ def cmd_betti(args):
         if name == "M":
             notes.append(
                 "palindromic of degree 17: "
-                f"{is_palindromic(poly, 17)}"
+                f"{qm.betti.is_palindromic(poly, 17)}"
             )
             notes.append(
                 "the printed coefficient list omits the 16*q^6 term "
@@ -209,10 +200,10 @@ def _expression(name):
     """The variety named P<n>, or described by a JSON file, refused above
     MAX_BETTI_DIMENSION before its polynomial is computed."""
     if name.startswith("P") and name[1:].isdigit():
-        expr = ProjectiveSpace(int(name[1:]))
+        expr = qm.betti.ProjectiveSpace(int(name[1:]))
     elif os.path.exists(name):
         try:
-            expr = expr_from_json_dict(load_json(name))
+            expr = expr_from_json_dict(qm.matrices.load_json(name))
         except RecursionError:
             raise ValueError("expression nested too deeply") from None
     else:
@@ -227,23 +218,26 @@ def _expression(name):
 
 
 def cmd_verify(args):
+    # --field is the field of --alpha; every other verifier fixes its own
+    domain = _parse_field(args.field)
+    verifiers = qm.verify.ALL_VERIFIERS
     if args.all:
-        names = list(ALL_VERIFIERS)
+        names = list(verifiers)
     else:
-        if args.name not in ALL_VERIFIERS:
+        if args.name not in verifiers:
             raise ValueError(
                 f"unknown verifier {args.name!r}; known: "
-                + ", ".join(ALL_VERIFIERS)
+                + ", ".join(verifiers)
             )
         names = [args.name]
     seed = _seed_of(args)
     reports = []
     for name in names:
         if name == "transition" and args.alpha is not None:
-            domain = _parse_field(args.field)
-            reports.append(verify_transition(domain.parse(args.alpha)))
+            reports.append(
+                qm.verify.verify_transition(domain.parse(args.alpha)))
         else:
-            reports.append(ALL_VERIFIERS[name](seed))
+            reports.append(verifiers[name](seed))
     json_obj = {
         "schema": 1,
         "reports": [r.to_json_dict() for r in reports],
@@ -264,10 +258,11 @@ def cmd_sample(args):
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     rng = random.Random(_seed_of(args))
-    classify = classify_res1 if args.shape == "res1" else classify_res0
+    classify = qm.strata.classify_res1 if args.shape == "res1" \
+        else qm.strata.classify_res0
     histogram = {}
     for _ in range(args.count):
-        matrix = random_matrix(args.shape, domain, rng=rng)
+        matrix = qm.matrices.random_matrix(args.shape, domain, rng=rng)
         report = classify(matrix)
         histogram[report.label] = histogram.get(report.label, 0) + 1
     json_obj = {

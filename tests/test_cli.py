@@ -1,8 +1,12 @@
 import contextlib
 import json
+import os
 import signal
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -456,6 +460,10 @@ MALFORMED = {
                        None, "--count must be at least 1"),
     "zero count": (["sample", "res1", "--field", "101", "--count", "0"],
                    None, "--count must be at least 1"),
+    "betti text field": (["betti", "M", "--field", "abc"], None,
+                         "invalid literal for int() with base 10: 'abc'"),
+    "verify composite field": (["verify", "cocycle", "--field", "4"], None,
+                               "need an odd prime < 2^62, got 4"),
 }
 
 
@@ -478,3 +486,52 @@ def test_malformed_input_exits_one_with_one_error_line(tmp_path, capsys,
     assert captured.out == ""
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert message in lines[0]
+
+
+# ---- what a command loads --------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+LIST_MODULES = """
+import runpy, sys
+if len(sys.argv) == 1:
+    import quarticmoduli
+else:
+    sys.argv[0] = "quarticmoduli"
+    try:
+        runpy.run_module("quarticmoduli.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+print(" ".join(sorted(m for m in sys.modules if m.startswith("quarticmoduli"))))
+"""
+
+STRATA_MODULES = {"quarticmoduli", "quarticmoduli.field", "quarticmoduli.poly",
+                  "quarticmoduli.matrices", "quarticmoduli.gcd",
+                  "quarticmoduli.strata"}
+
+
+def loaded_modules(args):
+    """The package modules a fresh interpreter holds after running the CLI
+    with args, or after a bare ``import quarticmoduli`` when args is empty."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", LIST_MODULES, *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    # a fresh process compiles every module it imports, so a command that
+    # loaded the whole package would pay for the modules it never runs
+    assert loaded_modules([]) == {"quarticmoduli"}
+    assert loaded_modules(["betti", "M"]) == {
+        "quarticmoduli", "quarticmoduli.field", "quarticmoduli.betti"}
+    assert loaded_modules(["classify", m01_matrix_file(tmp_path)]) \
+        == STRATA_MODULES
+    assert loaded_modules(["sample", "res0", "--field", "101",
+                           "--count", "2"]) == STRATA_MODULES
+    assert loaded_modules(["limit", family_file(tmp_path)]) \
+        == STRATA_MODULES | {"quarticmoduli.degeneration"}

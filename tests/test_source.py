@@ -263,11 +263,8 @@ def unused_imports(tree):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    # __init__.py imports to re-export, so it is the one exempt module
     assert unused_imports(ast.parse("import os.path\nos.sep")) == []
     assert unused_imports(ast.parse("from a import b as c\nb")) == ["c"]
-    if path.name == "__init__.py":
-        return
     tree = ast.parse(path.read_text(), filename=str(path))
     assert not unused_imports(tree), \
         f"{path.name}: unused imports {unused_imports(tree)}"
