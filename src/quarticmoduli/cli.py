@@ -154,7 +154,8 @@ def expr_from_json_dict(data):
             *[_sub_expr(data.get(key), key)
               for key in ("total", "removed", "inserted")])
     if kind == "literal":
-        return betti.Literal(data.get("name", "literal"), betti.PoincarePoly(
+        name = check_type(data.get("name", "literal"), "name", str)
+        return betti.Literal(name, betti.PoincarePoly(
             qm.matrices.check_json_list(data.get("coefficients"),
                                         "coefficients", int)))
     raise ValueError(f"type: unknown expression type {kind!r}; known: "

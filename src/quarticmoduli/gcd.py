@@ -11,10 +11,16 @@ g = a / v, an exact division (von zur Gathen and Gerhard, Modern Computer
 Algebra, ch. 6).  Two forms need only the monomials of u and v of exactly
 those degrees, since the homogeneous parts of a solution are solutions.
 
-Linear factors are extracted through pencils of lines: restricting to a
-pencil turns divisibility by a line into a root of a binary form, a form
-in x1 and x2 alone.  The pencil GCD of those binary forms is
-``gcd_fold``, the package's one GCD.
+Lines are found in pencils.  For a point P with pivot k, its last
+nonzero coordinate, and i < j the other two indices, the lines through P
+are s*l_i + t*l_j with l_m = P[k]*x_m - P[m]*x_k, and substituting
+x_m -> P[m]*x0 + [m = i]*x2 - [m = j]*x1 walks the line of parameter
+[s:t] = [x1:x2] in x0.  A line divides a form exactly when its [s:t] is a
+common root of the coefficients in x0 of the substituted form, binary
+forms in x1 and x2 alone, whose GCD is ``gcd_fold``, the package's one
+GCD.  The linear factors of a form are x0 and the lines of the pencils
+through the points (0 : s : t) where it meets Z(x0); the lines dividing
+several forms are the linear factors of their GCD.
 
 The roots [s:t] of a binary form f are the root [1:0], then the roots r
 of f(r, 1), each divided out of f by its line as often as it divides.
@@ -36,8 +42,6 @@ from math import lcm
 
 from .field import GF, QQ, InvariantError, _is_prime, evaluate_raw
 from .poly import (
-    NVARS,
-    BinaryForm,
     Form,
     MultiPoly,
     _eliminate,
@@ -45,7 +49,6 @@ from .poly import (
     coefficient_rows,
     kernel_vector,
     monomials_of_degree,
-    solve_linear,
 )
 
 
@@ -248,28 +251,6 @@ def binary_roots(form):
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # exponents of x0, x1, x2
 
 
-def _line_form(domain, coeffs):
-    terms = {e: domain.scalar(c) for e, c in zip(_UNITS, coeffs)}
-    return Form(MultiPoly(domain, terms), 1)
-
-
-def _pencil_basis(domain, point):
-    """Two independent lines through a projective point."""
-    pt = [domain.scalar(v) for v in point]
-    if not any(pt):
-        raise ValueError("projective point must not be all zero")
-    pivot = max(i for i in range(3) if pt[i])
-    others = [i for i in range(3) if i != pivot]
-    lines = []
-    for o in others:
-        coeffs = [domain.zero] * 3
-        # pt[pivot]*x_o - pt[o]*x_pivot vanishes at pt
-        coeffs[o] = pt[pivot]
-        coeffs[pivot] = -pt[o]
-        lines.append(_line_form(domain, coeffs))
-    return lines
-
-
 class LineSearchResult:
     """Outcome of a dividing-line search.
 
@@ -289,41 +270,49 @@ class LineSearchResult:
         )
 
 
-def _pencil_restriction_coefficients(form, l1, l2, point):
-    """Coefficients of form restricted to the pencil line s*l1 + t*l2.
+def _pencil_indices(point):
+    """(i, j, k) for a raw point P: k its pivot, the last nonzero
+    coordinate, and i < j the other two indices."""
+    k = max(m for m in range(3) if point[m])
+    i, j = (m for m in range(3) if m != k)
+    return i, j, k
 
-    The line through `point` with pencil parameter [s:t] is spanned by
-    `point` and a second point q(s, t) that is linear in (s, t); the
-    restriction of the form to that line is a binary form in the line
-    parameter whose coefficients are binary forms in (s, t).  A parameter
-    [s:t] is a common root of all the returned coefficients exactly when
-    the corresponding line divides the form.
+
+def _pencil_restriction_coefficients(form, point):
+    """The restriction of a form to the pencil through the raw point P, as
+    binary forms in the pencil parameter [s:t] = [x1:x2].
+
+    The line with parameter [s:t] is s*l_i + t*l_j, with l_m = P[k]*x_m -
+    P[m]*x_k (see ``_pencil_indices``); it passes through P and through
+    q = t*e_i - s*e_j.  Substituting x_m -> P[m]*x0 + [m = i]*x2 -
+    [m = j]*x1 walks that line in x0, and the coefficient of x0^(d-k) is
+    the k-th returned slice.  A parameter [s:t] is a common root of all
+    the slices exactly when its line divides the form.
     """
     domain = form.domain
-    # q(s, t) = t*u - s*v with l1(u)=1, l2(u)=0, l1(v)=0, l2(v)=1
-    u = _dual_point(l1, l2, domain)
-    v = _dual_point(l2, l1, domain)
-    pt = [domain.unbox(c) for c in point]
-    # x_i -> pt[i]*y0 - v[i]*y1 + u[i]*y2 with (y1, y2) = (s, t); the terms
-    # in y0^(d-k) give the coefficient of the line parameter's k-th power
-    restricted = form.poly.substitute([
-        MultiPoly.from_raw(domain, dict(zip(_UNITS, (pt[i], -v[i], u[i]))))
-        for i in range(NVARS)])
+    i, j, _ = _pencil_indices(point)
+    images = [{(1, 0, 0): c} for c in point]
+    images[i][(0, 0, 1)] = 1
+    images[j][(0, 1, 0)] = -1
+    restricted = form.poly.substitute(
+        [MultiPoly.from_raw(domain, image) for image in images])
     d = form.degree
     slices = [{} for _ in range(d + 1)]
     for (e0, e1, e2), c in restricted.raw.items():
         slices[d - e0][(0, e1, e2)] = c
-    return [BinaryForm(MultiPoly.from_raw(domain, terms), k)
-            for k, terms in enumerate(slices)]
+    return [MultiPoly.from_raw(domain, terms) for terms in slices]
 
 
-def _dual_point(l1, l2, domain):
-    """The raw coordinates of a point with l1 = 1 and l2 = 0."""
-    point = solve_linear(coefficient_rows([l1, l2], 1), [1, 0],
-                         domain.modulus)
-    if point is None:
-        raise ValueError("degenerate pencil basis")
-    return point
+def _pencil_line(point, s, t, domain):
+    """The normalized line s*l_i + t*l_j of the pencil through the raw point
+    P: s*P[k]*x_i + t*P[k]*x_j - (s*P[i] + t*P[j])*x_k."""
+    i, j, k = _pencil_indices(point)
+    s, t = domain.unbox(s), domain.unbox(t)
+    coeffs = [0] * 3
+    coeffs[i], coeffs[j] = s * point[k], t * point[k]
+    coeffs[k] = -(s * point[i] + t * point[j])
+    return Form(MultiPoly.from_raw(domain, dict(zip(_UNITS, coeffs))),
+                1).normalized()
 
 
 def line_intersection(l1, l2):
@@ -338,43 +327,39 @@ def line_intersection(l1, l2):
 
 
 def lines_dividing_all(forms, through=None):
-    """All rational lines dividing every input form.
+    """All rational lines dividing every input form, with multiplicity.
 
     With `through` given, only lines in the pencil through that point are
-    considered; the pencil restriction reduces the search to rational roots
-    of a binary-form GCD.  Without it, candidate base points are taken from
-    the intersections of the folded GCD with a reference line, and every
-    candidate line is verified by exact division against all inputs.
+    considered (see ``_pencil_lines``).  Without it, the lines are the
+    linear factors of the folded GCD, which divides every input, so each
+    of them divides every input too.
     """
     forms = [f for f in forms if f]
     if not forms:
         raise ValueError("need at least one nonzero form")
-    domain = forms[0].domain
     if through is not None:
-        return _pencil_lines(forms, through, domain)
+        return _pencil_lines(forms, through, forms[0].domain)
     g = gcd_fold(forms)
     if g.total_degree() == 0:
         return LineSearchResult([], 0)
-    lines, nonsplit = _linear_factors(Form(g, g.total_degree()))
-    verified = []
-    for line in lines:
-        if all(f.poly.try_exact_div(line.poly) is not None for f in forms):
-            verified.append(line)
-    return LineSearchResult(verified, nonsplit)
+    return LineSearchResult(*_linear_factors(Form(g, g.total_degree())))
 
 
 def _pencil_lines(forms, through, domain):
     """Lines through the point `through` = P that divide every form.
 
-    If a line L through P divides f = L*g, then grad f(P) = g(P) * grad L.
-    So when grad f(P) != 0, the tangent line T = sum_i (df/dx_i)(P) * x_i
-    is the only candidate, over the algebraic closure too, and it divides
-    f at most once, since T^2 | f would give grad f(P) = 0.  The answer is
-    then T alone when T(P) = 0 and T divides every form, and no line
-    otherwise.  Only when every form is singular at P does the generic
-    pencil search below run.
+    An all-zero point is refused first.  If a line L through P divides
+    f = L*g, then grad f(P) = g(P) * grad L.  So when grad f(P) != 0, the
+    tangent line T = sum_i (df/dx_i)(P) * x_i is the only candidate, over
+    the algebraic closure too, and it divides f at most once, since
+    T^2 | f would give grad f(P) = 0.  The answer is then T alone when
+    T(P) = 0 and T divides every form, and no line otherwise.  Only when
+    every form is singular at P does the pencil search run: the lines are
+    the rational roots of the GCD of all the forms' pencil slices.
     """
     point = [domain.unbox(c) for c in through]
+    if not any(point):
+        raise ValueError("projective point must not be all zero")
     for f in forms:
         tangent = _tangent_line(f.poly, point)
         if tangent:
@@ -382,25 +367,18 @@ def _pencil_lines(forms, through, domain):
                     or tangent.evaluate(point):
                 return LineSearchResult([], 0)
             return LineSearchResult([Form(tangent, 1).normalized()], 0)
-    l1, l2 = _pencil_basis(domain, through)
-    coeff_forms = []
-    for f in forms:
-        coeff_forms.extend(
-            bf for bf in _pencil_restriction_coefficients(f, l1, l2, through)
-            if bf
-        )
-    if not coeff_forms:
+    slices = [c for f in forms
+              for c in _pencil_restriction_coefficients(f, point) if c]
+    if not slices:
         # every pencil line divides every form; cannot happen for nonzero
         # quartics, so report it as a degenerate input
         raise ValueError("all pencil restrictions vanish identically")
-    g = gcd_fold(coeff_forms)
+    g = gcd_fold(slices)
     if g.total_degree() == 0:
         return LineSearchResult([], 0)
     roots, nonsplit = binary_roots(Form(g, g.total_degree()))
-    out = [
-        Form(l1.poly * s + l2.poly * t, 1).normalized() for s, t in roots
-    ]
-    return LineSearchResult(out, nonsplit)
+    return LineSearchResult(
+        [_pencil_line(point, s, t, domain) for s, t in roots], nonsplit)
 
 
 def _tangent_line(poly, point):
@@ -419,43 +397,43 @@ def _tangent_line(poly, point):
 
 
 def _linear_factors(form):
-    """Rational linear factors of a single form, with multiplicity.
+    """Rational linear factors of a single form, with multiplicity, and the
+    nonsplit degree; a line is its own normalized factor.
 
     Every line in P2 meets the reference line Z(x0), so candidate base
-    points come from the roots of the restriction to it; the factor x0
-    itself is peeled off by exact division first.
+    points (0 : s : t) come from the roots [s:t] of f(0, x1, x2), read off
+    the terms free of x0; the factor x0 itself is peeled off by exact
+    division first.
     """
+    if form.degree == 1:
+        return [form.normalized()], 0
     domain = form.domain
-    x0 = _line_form(domain, [domain.one, domain.zero, domain.zero])
+    x0 = Form(MultiPoly.variable(domain, 0), 1)
     factors = []
     poly = form.poly
-    while True:
-        q = poly.try_exact_div(x0.poly)
-        if q is None:
-            break
+    while (q := poly.try_exact_div(x0.poly)) is not None:
         factors.append(x0)
         poly = q
     nonsplit = 0
     if poly.total_degree() > 0:
         rest = Form(poly, poly.total_degree())
-        restriction = rest.restrict_to_line(x0)
+        restriction = MultiPoly.from_raw(
+            domain, {e: c for e, c in poly.raw.items() if not e[0]})
         if not restriction:
             raise InvariantError("x0 should have been divided out")
-        roots, nonsplit = binary_roots(restriction)
+        roots, nonsplit = binary_roots(Form(restriction, rest.degree))
         seen = set()
         for s, t in roots:
-            point = x0.line_point(s, t)
+            point = (domain.zero, s, t)
             key = normalize_point(point)
             if key in seen:
                 continue
             seen.add(key)
             result = _pencil_lines([rest], point, domain)
             for line in result.lines:
-                q = poly.try_exact_div(line.poly)
-                while q is not None:
+                while (q := poly.try_exact_div(line.poly)) is not None:
                     factors.append(line)
                     poly = q
-                    q = poly.try_exact_div(line.poly)
             nonsplit = max(nonsplit, result.nonsplit_degree)
     return factors, nonsplit
 
@@ -469,35 +447,22 @@ def normalize_point(point):
 
 
 def common_linear_factor(forms):
-    """The shared degree-1 factor of the forms, if one exists.
+    """The first shared degree-1 factor of the forms, normalized, or None.
 
     A nonzero conic among the forms whose symmetric matrix is nonsingular
     answers None at once: every domain here has characteristic 0 or an
     odd prime, where such a conic is irreducible even over the algebraic
     closure (a product of two lines has a singular matrix), so no line
-    divides it.  Otherwise the multivariate GCD is folded; a degree-1 fold
-    is returned directly, a higher-degree fold goes through the
-    pencil-based linear factor search.
+    divides it.  Otherwise the answer is the first line that
+    ``lines_dividing_all`` finds.
     """
     forms = list(forms)
     if not forms:
         raise ValueError("empty input")
-    nonzero = [f for f in forms if f]
-    if not nonzero:
-        raise ValueError("need at least one nonzero form")
-    if any(f.degree == 2 and _nonsingular_conic(f) for f in nonzero):
+    if any(f and f.degree == 2 and _nonsingular_conic(f) for f in forms):
         return None
-    g = gcd_fold(nonzero)
-    d = g.total_degree()
-    if d == 0:
-        return None
-    if d == 1:
-        return Form(g, 1)
-    lines, _ = _linear_factors(Form(g, d))
-    for line in lines:
-        if all(f.poly.try_exact_div(line.poly) is not None for f in nonzero):
-            return line.normalized()
-    return None
+    lines = lines_dividing_all(forms).lines
+    return lines[0] if lines else None
 
 
 def _nonsingular_conic(conic):

@@ -8,14 +8,9 @@ contains inverse scalars.
 
 import random
 
-from .betti import PoincarePoly, is_palindromic, poincare_M
-from .degeneration import (
-    DeformationInstance,
-    deformation_reduction_trace,
-    tangent_quartic,
-)
+import quarticmoduli as qm
+
 from .field import GF, QQ, ParamRing, ParamScalar, evaluate_raw
-from .gcd import common_linear_factor
 from .matrices import (
     FormMatrix,
     det,
@@ -24,7 +19,6 @@ from .matrices import (
     random_matrix,
 )
 from .poly import Form, MultiPoly, monomials_of_degree
-from .strata import boundary_matrix
 
 PASS = "pass"
 PASS_WITH_NOTE = "pass-with-note"
@@ -194,7 +188,7 @@ def _random_deformation_instance(domain, rng):
     y = [random_form(domain, 1, rng) for _ in range(3)]
     z = [random_form(domain, 1, rng) for _ in range(3)]
     t = domain.scalar(rng.randrange(1, domain.p))
-    return DeformationInstance(domain, xbar0, w, q, y, z, t)
+    return qm.degeneration.DeformationInstance(domain, xbar0, w, q, y, z, t)
 
 
 def verify_reduction_chain(seed):
@@ -206,7 +200,7 @@ def verify_reduction_chain(seed):
     domain = GF(101)
     rng = random.Random(seed)
     instance = _random_deformation_instance(domain, rng)
-    trace = deformation_reduction_trace(instance)
+    trace = qm.degeneration.deformation_reduction_trace(instance)
     expected = instance.expected_trace()
     first_bad = None
     for step, (got, want) in enumerate(zip(trace[1:], expected), start=1):
@@ -273,7 +267,7 @@ def verify_chart_minors(seed=0, samples=200):
         if trial < half:
             # a=b=c=d=0: the minors must share the factor xbar0
             special = [_specialize(m.poly, values, QQ) for m in minors]
-            factor = common_linear_factor(
+            factor = qm.gcd.common_linear_factor(
                 [Form(s, 2) for s in special]
             )
             xb_num = _specialize(xb, values, QQ)
@@ -289,7 +283,7 @@ def verify_chart_minors(seed=0, samples=200):
                 values["c"] = QQ.scalar(rng.randrange(-5, 6))
                 values["d"] = QQ.scalar(rng.randrange(-5, 6))
             special = [_specialize(m.poly, values, QQ) for m in minors]
-            factor = common_linear_factor([Form(s, 2) for s in special])
+            factor = qm.gcd.common_linear_factor([Form(s, 2) for s in special])
             if factor is not None:
                 sample_ok = False
                 break
@@ -381,9 +375,9 @@ def verify_tangent_quartic(seed, domain=None):
     while not (gamma or delta):
         gamma, delta = pick(), pick()
     w = x1 * gamma + x2 * delta
-    a = boundary_matrix(Form(x0, 1), Form(w, 1))
+    a = qm.strata.boundary_matrix(Form(x0, 1), Form(w, 1))
     b = random_matrix("res0", domain, rng=rng)
-    row_sum = tangent_quartic(a, b)
+    row_sum = qm.degeneration.tangent_quartic(a, b)
     # t-linear coefficient of det(A + tB) over the parameter ring in t
     ring = ParamRing(domain, ("t",))
     t_linear = _coefficient_of(det(_lifted_pencil(a, b, ring)), ring, "t", 1,
@@ -452,11 +446,11 @@ def verify_poincare_corollary():
     expected to differ in exactly that coefficient (16 computed versus
     absent), which is reported as a note rather than a failure.
     """
-    computed = poincare_M()
-    printed = PoincarePoly(PRINTED_MODULI_COEFFICIENTS)
+    computed = qm.betti.poincare_M()
+    printed = qm.betti.PoincarePoly(PRINTED_MODULI_COEFFICIENTS)
     diff = computed - printed
-    expected_diff = PoincarePoly([0] * 6 + [16])
-    palindromic = is_palindromic(computed, 17)
+    expected_diff = qm.betti.PoincarePoly([0] * 6 + [16])
+    palindromic = qm.betti.is_palindromic(computed, 17)
     ok = diff == expected_diff and palindromic
     return IdentityReport(
         "poincare-corollary",

@@ -437,6 +437,9 @@ MALFORMED = {
                        "n: expected an integer, got str"),
     "literal number": (["betti", FILE], {"type": "literal", "coefficients": 5},
                        "coefficients: expected a list, got int"),
+    "literal number name": (["betti", FILE], {
+        "type": "literal", "name": 5, "coefficients": [1]},
+        "name: expected a string, got int"),
     "product number": (["betti", FILE], {"type": "product", "factors": 3},
                        "factors: expected a list, got int"),
     "nested text dimension": (["betti", FILE], {
@@ -535,3 +538,6 @@ def test_each_command_loads_only_its_modules(tmp_path):
                            "--count", "2"]) == STRATA_MODULES
     assert loaded_modules(["limit", family_file(tmp_path)]) \
         == STRATA_MODULES | {"quarticmoduli.degeneration"}
+    assert loaded_modules(["verify", "transition"]) == {
+        "quarticmoduli", "quarticmoduli.field", "quarticmoduli.poly",
+        "quarticmoduli.matrices", "quarticmoduli.verify"}

@@ -160,6 +160,16 @@ def test_lines_dividing_all_nonsplit_over_qq():
     assert result.nonsplit_degree == 2
 
 
+@pytest.mark.parametrize("text", ["x0", "x0^2 + x1*x2"])
+@pytest.mark.parametrize("point,domain", [
+    ((0, 0, 0), QQ), ((QQ.zero,) * 3, QQ), ((101, 0, -202), GF(101))])
+def test_lines_dividing_all_refuses_an_all_zero_point(text, point, domain):
+    # the gradient of a line is nonzero everywhere, so the point must be
+    # checked before the tangent-line test can answer
+    with pytest.raises(ValueError, match="must not be all zero"):
+        lines_dividing_all([parse_form(text, domain=domain)], through=point)
+
+
 def test_lines_dividing_all_without_base_point():
     f = Form(parse_poly("x0") * parse_poly("x1 + x2"), 2)
     result = lines_dividing_all([f])

@@ -13,7 +13,9 @@ mod p at primes from 3 to 2^61 - 1, on forms with repeated roots and the
 root [1:0], and over QQ with 30-digit coefficients, where its roots are
 lifted GF(p) roots in the rational root theorem's candidate order;
 ``gcd._linear_factors`` with sympy's factorization over QQ of forms with
-30-digit coefficients.
+30-digit coefficients, and ``gcd.lines_dividing_all`` through a point P
+with it on forms over QQ singular at P (two lines through P, or one
+squared, times a drawn form), where the pencil search runs.
 
 ``gcd.common_linear_factor`` decides most inputs by its conic test; it is
 compared with the generic GCD path, and the conic test with sympy's
@@ -79,7 +81,7 @@ from quarticmoduli.field import (  # noqa: E402
 from quarticmoduli.gcd import (  # noqa: E402
     _linear_factors,
     _nonsingular_conic,
-    _pencil_basis,
+    _pencil_line,
     _pencil_restriction_coefficients,
     binary_roots,
     common_linear_factor,
@@ -447,6 +449,62 @@ def test_linear_factors_over_qq_match_sympy_factor_list(data):
         for _ in range(k))
     assert sorted(sorted((e, Fraction(c)) for e, c in line.poly.raw.items())
                   for line in lines) == want
+
+
+@st.composite
+def forms_singular_at_a_point_qq(draw):
+    """(forms, P): one to three forms over QQ, each two lines through the
+    rational point P, or a line through P squared, times a drawn form of
+    degree at most 2, so every form is singular at P."""
+    values = st.one_of(qq_values("integral"), qq_values("fractional"))
+    point = [draw(values) for _ in range(3)]
+    assume(any(point))
+    a, b, c = point
+    pool = []
+    for _ in range(3):  # the line whose coefficients are P x v
+        v = [draw(values) for _ in range(3)]
+        line = MultiPoly(QQ, dict(zip(monomials_of_degree(1), (
+            b * v[2] - c * v[1], c * v[0] - a * v[2], a * v[1] - b * v[0]))))
+        assume(line)
+        pool.append(line)
+    forms = []
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        cofactor = draw(polys(QQ, [draw(st.integers(0, 2))]))
+        assume(cofactor)
+        f = pool[i] * pool[j] * cofactor
+        forms.append(Form(f, f.total_degree()))
+    return forms, tuple(QQ.scalar(x) for x in point)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_lines_through_a_singular_point_match_sympy_factor_list(data):
+    """lines_dividing_all(forms, through=P) over QQ, on forms singular at P
+    so that the pencil search runs, against sympy's factorization of each
+    form: the monic linear factors vanishing at P, each with its least
+    multiplicity across the forms."""
+    forms, point = data.draw(forms_singular_at_a_point_qq())
+    result = lines_dividing_all(forms, through=point)
+    ring, _ = sympy_ring(QQ)
+    at = [to_sympy(sympy.QQ, c.value) for c in point]
+    least = None
+    for form in forms:
+        _, factors = to_ring(ring, form.poly).factor_list()
+        counts = {}
+        for factor, k in factors:
+            if all(sum(e) == 1 for e in factor.monoms()) \
+                    and factor(*at) == 0:
+                key = tuple(sorted((e, from_sympy(sympy.QQ, c))
+                                   for e, c in factor.monic().items()))
+                counts[key] = counts.get(key, 0) + k
+        least = counts if least is None else {
+            key: min(k, counts[key]) for key, k in least.items()
+            if key in counts}
+    want = sorted(key for key, k in least.items() for _ in range(k))
+    assert sorted(tuple(sorted((e, Fraction(c)) for e, c in
+                               line.poly.raw.items()))
+                  for line in result.lines) == want
 
 
 def generic_common_linear_factor(forms):
@@ -839,15 +897,14 @@ def test_evaluate_matches_sympy_poly_eval(domain, data):
 def generic_pencil_lines(forms, through, domain):
     """_pencil_lines without the tangent-line test: the GCD of the pencil
     restrictions and its rational roots."""
-    l1, l2 = _pencil_basis(domain, through)
+    point = [domain.unbox(c) for c in through]
     coeff_forms = [bf for f in forms if f for bf in
-                   _pencil_restriction_coefficients(f, l1, l2, through) if bf]
+                   _pencil_restriction_coefficients(f, point) if bf]
     g = gcd_fold(coeff_forms)
     if g.total_degree() == 0:
         return [], 0
     roots, nonsplit = binary_roots(Form(g, g.total_degree()))
-    return [Form(l1.poly * s + l2.poly * t, 1).normalized()
-            for s, t in roots], nonsplit
+    return [_pencil_line(point, s, t, domain) for s, t in roots], nonsplit
 
 
 def random_poly(domain, rng, degree, keep=lambda e: True):

@@ -329,3 +329,36 @@ def test_bench_span_targets_resolve():
         for part in path.split("."):
             owner = getattr(owner, part)
         assert callable(owner), path
+
+
+def private_helpers_without_caller(trees):
+    """The module-level functions named _name, not dunders, that no code
+    outside their own body reads, as a name or an attribute, or imports."""
+    helpers, used = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            owner = node.name if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            if owner and owner.startswith("_") and not owner.startswith("__"):
+                helpers.add(owner)
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name)
+                        else sub.attr if isinstance(sub, ast.Attribute)
+                        else sub.name if isinstance(sub, ast.alias) else None)
+                if name and name != owner:
+                    used.add(name)
+    return sorted(helpers - used)
+
+
+def test_every_private_helper_has_a_caller():
+    # a refactor that removes the last call of a helper leaves dead code
+    assert private_helpers_without_caller([ast.parse(
+        "def _a():\n    return _a()\ndef _b():\n    pass\n"
+        "def f():\n    return _b()\n")]) == ["_a"]
+    assert private_helpers_without_caller([
+        ast.parse("def _a():\n    pass\n"),
+        ast.parse("from .m import _a\n")]) == []
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES]
+    unused = private_helpers_without_caller(trees)
+    assert not unused, f"private helpers with no caller: {unused}"
