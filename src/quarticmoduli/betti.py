@@ -238,32 +238,50 @@ MODULI_COEFFICIENTS = (
 )
 
 
+def poincare_H():
+    """P(H) of the space H that N is blown down from."""
+    return PoincarePoly([1, 2, 5, 6, 5, 2, 1])
+
+
 def poincare_open_stratum_closure():
     """P(N) for the geometric-quotient model N of the open-stratum closure.
 
-    N is the blow-down of a space H with P(H) = (1,2,5,6,5,2,1) along a
-    P^2 x P^3 worth of exceptional data collapsing to a P^2:
+    N is the blow-down of H along a P^2 x P^3 worth of exceptional data
+    collapsing to a P^2:
     P(N) = P(H) - P(P^2)P(P^3) + P(P^2).
     """
-    h = PoincarePoly([1, 2, 5, 6, 5, 2, 1])
+    h = poincare_H()
     p2 = poincare_projective(2)
     p3 = poincare_projective(3)
     return h - p2 * p3 + p2
 
 
+def poincare_B():
+    """P(B) = P(N) * P(P^11) for the boundary model B, an
+    11-dimensional projective-bundle-like space over N."""
+    return poincare_open_stratum_closure() * poincare_projective(11)
+
+
 def poincare_M():
     """P(M) assembled from the stratification.
 
-    The boundary model B is an 11-dimensional projective-bundle-like space
-    over N with the Poincare polynomial P(N) * P(P^11); the moduli space
-    replaces a P^2 x P^1 inside B by a P^2 x P^13:
+    The moduli space replaces a P^2 x P^1 inside the boundary model B by a
+    P^2 x P^13:
     P(M) = P(B) - P(P^2)P(P^1) + P(P^2)P(P^13).
     """
-    n = poincare_open_stratum_closure()
-    b = n * poincare_projective(11)
+    b = poincare_B()
     p2 = poincare_projective(2)
     m = b - p2 * poincare_projective(1) + p2 * poincare_projective(13)
     expected = PoincarePoly(MODULI_COEFFICIENTS)
     if m != expected:
         raise InvariantError("stratification sum drifted from the frozen value")
     return m
+
+
+# the spaces of the construction that ``betti`` knows by name
+BUILTIN_POLYS = {
+    "H": poincare_H,
+    "N": poincare_open_stratum_closure,
+    "B": poincare_B,
+    "M": poincare_M,
+}

@@ -19,7 +19,14 @@ import sys
 
 import quarticmoduli as qm
 
-from .field import GF, QQ, InvariantError
+from .field import (
+    GF,
+    QQ,
+    InvariantError,
+    check_json_list,
+    check_json_type,
+    load_json,
+)
 
 
 def _parse_field(text):
@@ -125,39 +132,30 @@ def cmd_limit(args):
 # the spaces of the construction have dimension at most 17
 MAX_BETTI_DIMENSION = 1_000
 
-_BUILTIN_POLYS = {
-    "H": lambda: qm.betti.PoincarePoly([1, 2, 5, 6, 5, 2, 1]),
-    "N": lambda: qm.betti.poincare_open_stratum_closure(),
-    "B": lambda: (qm.betti.poincare_open_stratum_closure()
-                  * qm.betti.poincare_projective(11)),
-    "M": lambda: qm.betti.poincare_M(),
-}
-
 
 def expr_from_json_dict(data):
     """Build a variety expression from its JSON description; malformed
     input raises a ValueError that names its JSON path."""
-    betti, check_type = qm.betti, qm.matrices.check_json_type
-    check_type(data, "", dict)
+    betti = qm.betti
+    check_json_type(data, "", dict)
     kind = data.get("type")
     if kind == "projective":
-        return betti.ProjectiveSpace(check_type(data.get("n"), "n", int))
+        return betti.ProjectiveSpace(check_json_type(data.get("n"), "n", int))
     if kind == "product":
-        factors = check_type(data.get("factors"), "factors", list)
+        factors = check_json_type(data.get("factors"), "factors", list)
         return betti.Product(*[_sub_expr(f, f"factors[{i}]")
                                for i, f in enumerate(factors)])
     if kind == "projbundle":
         return betti.ProjBundle(_sub_expr(data.get("base"), "base"),
-                                check_type(data.get("rank"), "rank", int))
+                                check_json_type(data.get("rank"), "rank", int))
     if kind == "substitute":
         return betti.BlowUpSubstitute(
             *[_sub_expr(data.get(key), key)
               for key in ("total", "removed", "inserted")])
     if kind == "literal":
-        name = check_type(data.get("name", "literal"), "name", str)
+        name = check_json_type(data.get("name", "literal"), "name", str)
         return betti.Literal(name, betti.PoincarePoly(
-            qm.matrices.check_json_list(data.get("coefficients"),
-                                        "coefficients", int)))
+            check_json_list(data.get("coefficients"), "coefficients", int)))
     raise ValueError(f"type: unknown expression type {kind!r}; known: "
                      "literal, product, projbundle, projective, substitute")
 
@@ -173,8 +171,8 @@ def cmd_betti(args):
     _parse_field(args.field)  # checked only: the coefficients are integers
     name = args.expr
     notes = []
-    if name in _BUILTIN_POLYS:
-        poly = _BUILTIN_POLYS[name]()
+    if name in qm.betti.BUILTIN_POLYS:
+        poly = qm.betti.BUILTIN_POLYS[name]()
         if name == "M":
             notes.append(
                 "palindromic of degree 17: "
@@ -204,7 +202,7 @@ def _expression(name):
         expr = qm.betti.ProjectiveSpace(int(name[1:]))
     elif os.path.exists(name):
         try:
-            expr = expr_from_json_dict(qm.matrices.load_json(name))
+            expr = expr_from_json_dict(load_json(name))
         except RecursionError:
             raise ValueError("expression nested too deeply") from None
     else:

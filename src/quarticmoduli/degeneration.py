@@ -3,7 +3,7 @@ the twisted-ideal resolution builder, the 5x4 reduction chain, and
 Fitting-support extraction.
 """
 
-from .field import InvariantError
+from .field import InvariantError, check_json_list, check_json_type, load_json
 from .gcd import gcd_fold, line_intersection
 from .matrices import (
     SHAPES,
@@ -14,10 +14,7 @@ from .matrices import (
     ScaleCol,
     ScaleRow,
     apply_ops,
-    check_json_list,
-    check_json_type,
     is_stable_kronecker,
-    load_json,
     matrix_from_json_dict,
 )
 from .poly import (
@@ -168,7 +165,7 @@ def make_blowup_chart_point(
         except ParseError as exc:
             raise type(exc)(f"{name}: {exc}") from None
     zero = MultiPoly.zero(domain)
-    b = FormMatrix.from_polys(*SHAPES["res0"], [
+    b = FormMatrix(*SHAPES["res0"], [
         q,
         [zero, x1 * cc, zero],
         [zero, x1 * ca + x2 * cb, x2 * cd],
@@ -215,11 +212,13 @@ def tangent_quartic(a, b):
     """The t-linear coefficient of det(A + tB) for det A = 0.
 
     Equals the sum of the three determinants with one row of A replaced by
-    the matching row of B.
+    the matching row of B; each replaced matrix goes through the checked
+    constructor, since B comes from the caller.
     """
     total = MultiPoly.zero(a.domain)
     for i in range(3):
-        replaced = a.with_row(i, b.row(i))
+        replaced = FormMatrix(a.src_degrees, a.tgt_degrees,
+                              [*a.entries[:i], b.row(i), *a.entries[i + 1:]])
         total = total + replaced.determinant().poly
     return Form(total, 4)
 
@@ -254,9 +253,9 @@ class DeformationInstance:
         zero = MultiPoly.zero(self.domain)
         one = MultiPoly.constant(self.domain, 1)
         rows = [[zero] * 4]
-        rows += [[zero] + [e.poly for e in row] for row in family.entries]
+        rows += [[zero, *row] for row in family.entries]
         rows.append([one, zero, zero, zero])
-        return FormMatrix.from_polys(DEFORM_SRC, DEFORM_TGT, rows)
+        return FormMatrix(DEFORM_SRC, DEFORM_TGT, rows)
 
     def reduction_ops(self):
         """The six recorded elementary-operation steps of the reduction."""
@@ -300,8 +299,7 @@ class DeformationInstance:
             [[xb * inv_t] + top, [w * inv_t] + q, row2, row3, row4],
             [[xb] + top, [w] + q, row2, row3, [one * t] + row4[1:]],
         ]
-        return [FormMatrix.from_polys(DEFORM_SRC, DEFORM_TGT, rows)
-                for rows in steps]
+        return [FormMatrix(DEFORM_SRC, DEFORM_TGT, rows) for rows in steps]
 
     def expected_final(self):
         """The normal form that the reduction chain ends in."""

@@ -24,6 +24,7 @@ parameter coefficients unbox the point once and run it, which skips zero
 exponents; the first two box one result.
 """
 
+import json
 from fractions import Fraction
 from functools import cached_property
 from operator import add
@@ -488,3 +489,39 @@ def _serialize_terms(terms):
         else:
             parts.append(("- " if negative else "+ ") + body)
     return " ".join(parts) if parts else "0"
+
+
+# ---- JSON input --------------------------------------------------------
+
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list",
+               dict: "a JSON object"}
+
+
+def check_json_type(value, path, kind):
+    """value, if its type is kind (bool is not an integer); otherwise a
+    ValueError naming the JSON path (none at the top level)."""
+    if type(value) is not kind:
+        raise ValueError(f"{path + ': ' if path else ''}expected "
+                         f"{_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def check_json_list(value, path, item_type, length=None):
+    """value, if it is a JSON list (of the given length) of item_type
+    items; otherwise a ValueError naming the JSON path."""
+    check_json_type(value, path, list)
+    if length is not None and len(value) != length:
+        raise ValueError(f"{path}: expected {length} items, got {len(value)}")
+    for i, item in enumerate(value):
+        check_json_type(item, f"{path}[{i}]", item_type)
+    return value
+
+
+def load_json(path):
+    """The JSON value in a file; nesting too deep to decode is a
+    ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None

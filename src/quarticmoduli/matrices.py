@@ -5,16 +5,21 @@ displayed convention res1 = [[z1, q1], [z2, q2]] with source degrees (3, 3)
 and target degrees (2, 0).  Entry (i, j) is homogeneous of degree
 src_degrees[i] - tgt_degrees[j]; a negative required degree forces zero.
 
+``FormMatrix(src, tgt, entries)`` is the one constructor, and it checks
+this contract on Forms and polynomials alike.  Matrices derived from
+checked ones (submatrices, transposes, sums, scalings, elementary
+operations) go through it too: a Form of the required degree is kept
+after one comparison, and a zero entry takes the required degree.
+
 ``det`` and ``mat_mul`` are the package's single determinant and matrix
 product; they work on plain grids of ``MultiPoly`` over any domain, and
 sum each entry's products with ``poly.dot`` in one raw dict.  FormMatrix
 wraps them with degree bookkeeping.
 """
 
-import json
 import random
 
-from .field import QQ
+from .field import QQ, check_json_list, check_json_type, load_json
 from .poly import (
     Form,
     MultiPoly,
@@ -35,42 +40,21 @@ class FormMatrix:
     __slots__ = ("src_degrees", "tgt_degrees", "entries")
 
     def __init__(self, src_degrees, tgt_degrees, entries):
+        """The checked matrix: entry (i, j) may be a Form or a MultiPoly
+        and must be homogeneous of degree src_degrees[i] - tgt_degrees[j],
+        or zero; a wrong degree raises DegreeError naming the entry."""
         self.src_degrees = tuple(src_degrees)
         self.tgt_degrees = tuple(tgt_degrees)
         if len(entries) != len(self.src_degrees):
             raise DegreeError("row count does not match src_degrees")
         grid = []
-        for i, row in enumerate(entries):
+        for i, (s, row) in enumerate(zip(self.src_degrees, entries)):
             if len(row) != len(self.tgt_degrees):
                 raise DegreeError(f"column count mismatch in row {i}")
-            out_row = []
-            for j, entry in enumerate(row):
-                need = self.src_degrees[i] - self.tgt_degrees[j]
-                if entry:
-                    if need < 0 or entry.degree != need:
-                        raise _entry_degree_error(i, j, need, entry.poly)
-                    out_row.append(entry)
-                else:
-                    out_row.append(Form.zero(entry.domain, max(need, 0)))
-            grid.append(tuple(out_row))
+            grid.append(tuple([
+                _graded_entry(i, j, s - t, entry)
+                for j, (t, entry) in enumerate(zip(self.tgt_degrees, row))]))
         self.entries = tuple(grid)
-
-    @classmethod
-    def from_polys(cls, src_degrees, tgt_degrees, polys):
-        """The matrix whose entry (i, j) is the polynomial polys[i][j], read
-        as a form of the degree the shape requires; a wrong degree raises
-        DegreeError."""
-        grid = []
-        for i, row in enumerate(polys):
-            out_row = []
-            for j, poly in enumerate(row):
-                need = src_degrees[i] - tgt_degrees[j]
-                try:
-                    out_row.append(Form(poly, max(need, 0)))
-                except ValueError:
-                    raise _entry_degree_error(i, j, need, poly) from None
-            grid.append(out_row)
-        return cls(src_degrees, tgt_degrees, grid)
 
     @property
     def nrows(self):
@@ -124,11 +108,6 @@ class FormMatrix:
 
     def row(self, i):
         return self.entries[i]
-
-    def with_row(self, i, new_row):
-        rows = [list(r) for r in self.entries]
-        rows[i] = list(new_row)
-        return FormMatrix(self.src_degrees, self.tgt_degrees, rows)
 
     def transpose(self):
         """The transpose, from the negated target degrees to the negated
@@ -195,6 +174,21 @@ class FormMatrix:
         return f"FormMatrix(src={self.src_degrees}, tgt={self.tgt_degrees},\n{rows})"
 
 
+def _graded_entry(i, j, need, entry):
+    """Entry (i, j), a Form or a MultiPoly, as a form of degree need, kept
+    as it is if it is one, or as the zero form of degree max(need, 0)."""
+    if isinstance(entry, Form):
+        if entry.degree == need:
+            return entry
+        entry = entry.poly
+    if not entry:
+        return Form.zero(entry.domain, max(need, 0))
+    try:
+        return Form(entry, need)  # refuses a negative need too
+    except ValueError:
+        raise _entry_degree_error(i, j, need, entry) from None
+
+
 def _entry_degree_error(i, j, need, poly):
     return DegreeError(f"entry ({i},{j}) must have degree {need}, "
                        f"got {poly.total_degree()}: {poly.serialize()}")
@@ -243,33 +237,26 @@ def det(grid):
 
 
 def make_matrix(src_degrees, tgt_degrees, entry_texts, domain=QQ):
-    """Parse a grid of polynomial texts into a degree-checked FormMatrix.
+    """Parse a grid of polynomial texts into a FormMatrix, whose
+    constructor checks the degrees.
 
     A power above its entry's required degree is refused before it is
     expanded, so a huge exponent cannot stall the parse.  Every parse
     error names its entry.
     """
-    entries = []
-    for i, row in enumerate(entry_texts):
-        out_row = []
-        for j, text in enumerate(row):
-            need = src_degrees[i] - tgt_degrees[j]
+    # a text outside the shape stays unparsed: the constructor refuses a
+    # grid of another shape before it reads an entry of that row
+    entries = [list(row) for row in entry_texts]
+    for i, (s, row) in enumerate(zip(src_degrees, entries)):
+        for j, (t, text) in enumerate(zip(tgt_degrees, row)):
+            need = s - t
             try:
-                form = parse_entry(text, need, domain)
+                row[j] = parse_entry(text, need, domain)
             except PowerDegreeError as exc:
                 raise DegreeError(f"entry ({i},{j}) must have degree {need}, "
                                   f"got {exc}: {text!r}") from None
             except ParseError as exc:
                 raise ParseError(f"entry ({i},{j}): {exc}") from None
-            if form and (need < 0 or form.degree != need):
-                raise DegreeError(
-                    f"entry ({i},{j}) must have degree {need}, "
-                    f"got {form.degree}: {text!r}"
-                )
-            if not form:
-                form = Form.zero(domain, max(need, 0))
-            out_row.append(form)
-        entries.append(out_row)
     return FormMatrix(src_degrees, tgt_degrees, entries)
 
 
@@ -283,40 +270,6 @@ def matrix_from_json_dict(data, domain=QQ):
     for i, row in enumerate(entries):
         check_json_list(row, f"entries[{i}]", str, len(tgt))
     return make_matrix(src, tgt, entries, domain)
-
-
-_JSON_KINDS = {int: "an integer", str: "a string", list: "a list",
-               dict: "a JSON object"}
-
-
-def check_json_type(value, path, kind):
-    """value, if its type is kind (bool is not an integer); otherwise a
-    ValueError naming the JSON path (none at the top level)."""
-    if type(value) is not kind:
-        raise ValueError(f"{path + ': ' if path else ''}expected "
-                         f"{_JSON_KINDS[kind]}, got {type(value).__name__}")
-    return value
-
-
-def check_json_list(value, path, item_type, length=None):
-    """value, if it is a JSON list (of the given length) of item_type
-    items; otherwise a ValueError naming the JSON path."""
-    check_json_type(value, path, list)
-    if length is not None and len(value) != length:
-        raise ValueError(f"{path}: expected {length} items, got {len(value)}")
-    for i, item in enumerate(value):
-        check_json_type(item, f"{path}[{i}]", item_type)
-    return value
-
-
-def load_json(path):
-    """The JSON value in a file; nesting too deep to decode is a
-    ValueError."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
 
 
 def load_matrix(path, domain=QQ):
@@ -365,8 +318,8 @@ def act(g, a, h):
 
 
 def _multiply(a, b):
-    return FormMatrix.from_polys(a.src_degrees, b.tgt_degrees,
-                                 mat_mul(_polys(a), _polys(b)))
+    return FormMatrix(a.src_degrees, b.tgt_degrees,
+                      mat_mul(_polys(a), _polys(b)))
 
 
 def mat_mul(a, b):
@@ -382,7 +335,7 @@ def identity_automorphism(degrees, domain=QQ):
     one = MultiPoly.constant(domain, 1)
     zero = MultiPoly.zero(domain)
     n = len(degrees)
-    return GradedAutomorphism(FormMatrix.from_polys(
+    return GradedAutomorphism(FormMatrix(
         degrees, degrees, [[one if i == j else zero for j in range(n)]
                            for i in range(n)]))
 
@@ -405,7 +358,7 @@ class ScaleRow(ElementaryOp):
         c = m.domain.scalar(self.scalar)
         if not c:
             raise DegreeError("scale must be nonzero")
-        rows = [list(r) for r in m.entries]
+        rows = list(m.entries)
         rows[self.i] = [e * c for e in rows[self.i]]
         return FormMatrix(m.src_degrees, m.tgt_degrees, rows)
 
@@ -423,7 +376,7 @@ class AddMultipleOfRow(ElementaryOp):
             raise DegreeError(
                 f"multiplier must have degree {need}, got {mult.degree}"
             )
-        rows = [list(r) for r in m.entries]
+        rows = list(m.entries)
         rows[self.target] = [
             a + mult * b if b else a
             for a, b in zip(rows[self.target], rows[self.source])
@@ -498,28 +451,18 @@ def random_matrix(shape, field, seed=None, rng=None):
     if rng is None:
         rng = random.Random(seed)
     src, tgt = SHAPES[shape]
-    entries = [
-        [random_form(field, s - t, rng) for t in tgt] for s in src
-    ]
-    return FormMatrix(src, tgt, entries)
+    return FormMatrix(src, tgt, [[random_form(field, s - t, rng) for t in tgt]
+                                 for s in src])
 
 
 def random_graded_automorphism(degrees, field, rng):
-    """A random invertible graded automorphism for the given degrees."""
-    n = len(degrees)
+    """A random invertible graded automorphism for the given degrees, zero
+    below the filtration."""
+    zero = MultiPoly.zero(field)
     while True:
-        entries = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                d = degrees[i] - degrees[j]
-                if d < 0:
-                    row.append(Form.zero(field, 0))
-                else:
-                    row.append(random_form(field, d, rng))
-            entries.append(row)
-        m = FormMatrix(degrees, degrees, entries)
+        entries = [[random_form(field, s - t, rng) if s >= t else zero
+                    for t in degrees] for s in degrees]
         try:
-            return GradedAutomorphism(m)
+            return GradedAutomorphism(FormMatrix(degrees, degrees, entries))
         except DegreeError:
             continue

@@ -157,7 +157,7 @@ def boundary_matrix(xbar0, w):
     x1 = MultiPoly.variable(domain, 1)
     x2 = MultiPoly.variable(domain, 2)
     zero = MultiPoly.zero(domain)
-    return FormMatrix.from_polys(*SHAPES["res0"], [
+    return FormMatrix(*SHAPES["res0"], [
         [zero, -x2 * w.poly, x1 * w.poly],
         [-x2, zero, xbar0.poly],
         [x1, -xbar0.poly, zero],

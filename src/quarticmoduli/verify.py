@@ -169,16 +169,21 @@ def verify_cocycle(seed):
     )
 
 
+def _random_pencil_parameters(domain, rng):
+    """Scalars (gamma, delta), not both zero, for the linear form
+    w = gamma*x1 + delta*x2: each pair drawn through random_form."""
+    pick = lambda: random_form(domain, 0, rng).poly.coefficient((0, 0, 0))
+    while True:
+        gamma, delta = pick(), pick()
+        if gamma or delta:
+            return gamma, delta
+
+
 def _random_deformation_instance(domain, rng):
     xbar0 = Form(
         MultiPoly.variable(domain, 0) + random_form(domain, 1, rng).poly, 1
     )
-    # w must be a nonzero form in x1, x2
-    while True:
-        gamma = domain.scalar(rng.randrange(domain.p))
-        delta = domain.scalar(rng.randrange(domain.p))
-        if gamma or delta:
-            break
+    gamma, delta = _random_pencil_parameters(domain, rng)
     w = Form(
         MultiPoly.variable(domain, 1) * gamma
         + MultiPoly.variable(domain, 2) * delta,
@@ -232,7 +237,7 @@ def verify_chart_minors(seed=0, samples=200):
     al, be, pa, pb, pc, pd = (ring.variable(n) for n in ring.names)
     x0, x1, x2 = _vars(ring)
     xb = x0 + x1 * al + x2 * be
-    k = FormMatrix.from_polys((2, 2), (1, 1, 1), [
+    k = FormMatrix((2, 2), (1, 1, 1), [
         [-x2, x1 * pc, xb],
         [x1, -xb + x1 * pa + x2 * pb, x2 * pd],
     ])
@@ -370,10 +375,7 @@ def verify_tangent_quartic(seed, domain=None):
     domain = domain or GF(101)
     rng = random.Random(seed)
     x0, x1, x2 = _vars(domain)
-    pick = lambda: random_form(domain, 0, rng).poly.coefficient((0, 0, 0))
-    gamma, delta = pick(), pick()
-    while not (gamma or delta):
-        gamma, delta = pick(), pick()
+    gamma, delta = _random_pencil_parameters(domain, rng)
     w = x1 * gamma + x2 * delta
     a = qm.strata.boundary_matrix(Form(x0, 1), Form(w, 1))
     b = random_matrix("res0", domain, rng=rng)

@@ -530,8 +530,14 @@ def test_each_command_loads_only_its_modules(tmp_path):
     # a fresh process compiles every module it imports, so a command that
     # loaded the whole package would pay for the modules it never runs
     assert loaded_modules([]) == {"quarticmoduli"}
-    assert loaded_modules(["betti", "M"]) == {
-        "quarticmoduli", "quarticmoduli.field", "quarticmoduli.betti"}
+    betti_modules = {"quarticmoduli", "quarticmoduli.field",
+                     "quarticmoduli.betti"}
+    assert loaded_modules(["betti", "M"]) == betti_modules
+    expression = write_json(tmp_path / "expr.json", {
+        "type": "product", "factors": [
+            {"type": "projective", "n": 2},
+            {"type": "literal", "name": "H", "coefficients": [1, 2, 1]}]})
+    assert loaded_modules(["betti", expression]) == betti_modules
     assert loaded_modules(["classify", m01_matrix_file(tmp_path)]) \
         == STRATA_MODULES
     assert loaded_modules(["sample", "res0", "--field", "101",

@@ -52,6 +52,17 @@ def test_make_matrix_degree_validation():
         ])
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([["x0", "x1^3"], ["x1", "x2^3"], ["x2", "0"]],
+     "row count does not match src_degrees"),
+    ([["x0", "x1^3", "x2"], ["x1", "x2^3"]], r"column count mismatch in row 0"),
+    ([["x0", "x1^3"], ["x1"]], r"column count mismatch in row 1"),
+])
+def test_make_matrix_refuses_a_grid_of_another_shape(rows, message):
+    with pytest.raises(DegreeError, match=message):
+        make_matrix((3, 3), (2, 0), rows)
+
+
 def test_res1_shape():
     m = make_matrix((3, 3), (2, 0), [["x0", "x1^3"], ["x1", "x2^3"]])
     assert m[0, 0].degree == 1
@@ -274,15 +285,64 @@ def test_column_ops_are_row_ops_on_the_transpose():
         ScaleCol(0, 0).apply(m)
 
 
-def test_from_polys_reads_degrees_from_the_shape():
+def test_constructor_reads_degrees_from_the_shape():
     polys = [[parse_poly("x0"), parse_poly("x1^3")],
              [parse_poly("0"), parse_poly("x2^3")]]
-    m = FormMatrix.from_polys((3, 3), (2, 0), polys)
+    m = FormMatrix((3, 3), (2, 0), polys)
     assert m == make_matrix((3, 3), (2, 0), [["x0", "x1^3"], ["0", "x2^3"]])
     assert m[1, 0].degree == 1
-    polys[1][1] = parse_poly("x2^2")
-    with pytest.raises(DegreeError, match=r"entry \(1,1\) must have degree 3"):
-        FormMatrix.from_polys((3, 3), (2, 0), polys)
-    polys[1][1] = parse_poly("x0 + x2^3")
-    with pytest.raises(DegreeError, match=r"entry \(1,1\)"):
-        FormMatrix.from_polys((3, 3), (2, 0), polys)
+    # a row may mix Forms and polynomials; a Form of the required degree
+    # is kept as it is, and a zero of any degree takes the required one
+    cubic = parse_form("x1^3")
+    mixed = FormMatrix((3, 3), (2, 0), [[polys[0][0], cubic],
+                                        [Form.zero(QQ, 5), polys[1][1]]])
+    assert mixed == m and mixed[0, 1] is cubic and mixed[1, 0].degree == 1
+    # a zero where the required degree is negative is the zero of degree 0
+    assert FormMatrix((1,), (2,), [[parse_poly("0")]])[0, 0].degree == 0
+
+
+@pytest.mark.parametrize("src, tgt, rows, ij", [
+    ((3, 3), (2, 0), [[parse_form("x0"), parse_poly("x2^2")],
+                      [parse_poly("x1"), parse_form("x2^3")]], (0, 1)),
+    ((3, 3), (2, 0), [[parse_poly("x0"), parse_form("x1^3")],
+                      [parse_form("x1^2"), parse_poly("x2^3")]], (1, 0)),
+    ((3, 3), (2, 4), [[parse_form("x0"), parse_form("1")],
+                      [parse_poly("x1"), parse_poly("0")]], (0, 1)),
+    ((3, 3), (2, 4), [[parse_form("x0"), parse_poly("0")],
+                      [parse_poly("x1"), parse_poly("7")]], (1, 1)),
+    ((3, 3), (2, 0), [[parse_poly("x0"), parse_poly("x1^3")],
+                      [parse_poly("x1"), parse_poly("x0 + x2^3")]], (1, 1)),
+], ids=["mixed row", "form of the wrong degree", "form at a negative degree",
+        "polynomial at a negative degree", "inhomogeneous polynomial"])
+def test_constructor_names_the_entry_it_refuses(src, tgt, rows, ij):
+    need = src[ij[0]] - tgt[ij[1]]
+    with pytest.raises(DegreeError, match=rf"^entry \({ij[0]},{ij[1]}\) "
+                       rf"must have degree {need}, got \d+: "):
+        FormMatrix(src, tgt, rows)
+
+
+def degrees(matrix):
+    return [[e.degree for e in row] for row in matrix.entries]
+
+
+def test_derived_matrices_keep_the_constructor_contract():
+    # rebuilding each derived matrix through the constructor must give the
+    # same matrix with the same degrees
+    m = bordered_example()
+    g = random_graded_automorphism((3, 2, 2), GF(101), random.Random(5))
+    derived = [
+        m.submatrix([1, 2], [0, 2]), m.transpose(), g.matrix.transpose(),
+        g.matrix.submatrix([0, 2], [0, 1]), m.scaled(QQ.scalar(3)),
+        m.scaled(0), g.matrix.scaled(0), m + m.scaled(-1),
+        ScaleRow(1, QQ.scalar(2)).apply(m), ScaleCol(2, QQ.scalar(2)).apply(m),
+        AddMultipleOfRow(0, 1, parse_form("x1")).apply(m),
+        AddMultipleOfCol(1, 0, parse_form("1")).apply(m),
+        # a zero multiplier of another degree adds nothing, and leaves no
+        # zero entry of its own degree where the target row is zero
+        AddMultipleOfRow(1, 2, Form.zero(QQ, 7)).apply(m),
+        AddMultipleOfCol(1, 0, Form.zero(QQ, 7)).apply(m),
+    ]
+    for d in derived:
+        again = FormMatrix(d.src_degrees, d.tgt_degrees, d.entries)
+        assert again == d and degrees(again) == degrees(d), d
+    assert AddMultipleOfRow(1, 2, Form.zero(QQ, 7)).apply(m) == m

@@ -566,11 +566,10 @@ def test_common_linear_factor_matches_generic_on_built_minors(domain):
     found = 0
     for _ in range(15):
         l0, l1, l2 = (_linear(domain, rng) for _ in range(3))
-        k = FormMatrix.from_polys((2, 2), (1, 1, 1),
-                                  [[-l2, zero, l0], [l1, -l0, zero]])
+        k = FormMatrix((2, 2), (1, 1, 1), [[-l2, zero, l0], [l1, -l0, zero]])
         g, h = ([[MultiPoly.constant(domain, rng.randrange(-2, 3))
                   for _ in range(n)] for _ in range(n)] for n in (2, 3))
-        mixed = FormMatrix.from_polys((2, 2), (1, 1, 1), mat_mul(
+        mixed = FormMatrix((2, 2), (1, 1, 1), mat_mul(
             mat_mul(g, [[e.poly for e in row] for row in k.entries]), h))
         boundary = strata.boundary_matrix(Form(l0, 1), Form(l1, 1))
         for minors in (mixed.maximal_minors(),
@@ -625,7 +624,7 @@ def res0_matrices(draw, domain):
         l0, l1, l2 = (draw(polys(domain, [1])) for _ in range(3))
         zero = MultiPoly.zero(domain)
         rows[1:] = [[-l2, zero, l0], [l1, -l0, zero]]
-    return FormMatrix.from_polys(src, tgt, rows)
+    return FormMatrix(src, tgt, rows)
 
 
 @pytest.mark.parametrize("domain", DOMAINS, ids=repr)
@@ -971,7 +970,7 @@ def pencil_cases(domain, rng):
 
 def random_res1(domain, rng):
     src, tgt = SHAPES["res1"]
-    return FormMatrix.from_polys(src, tgt, [
+    return FormMatrix(src, tgt, [
         [random_poly(domain, rng, s - t) for t in tgt] for s in src])
 
 

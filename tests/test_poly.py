@@ -256,7 +256,7 @@ def test_prime_field_polynomials():
 def random_res0_with_automorphisms(domain, rng):
     """A res0 matrix and graded matrices g, h around it for act."""
     def polys(src, tgt):
-        return FormMatrix.from_polys(src, tgt, [
+        return FormMatrix(src, tgt, [
             [MultiPoly(domain, {m: rng.randrange(-50, 50)
                                 for m in monomials_of_degree(s - t)})
              if s >= t else MultiPoly.zero(domain) for t in tgt]
