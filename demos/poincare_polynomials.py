@@ -6,16 +6,16 @@ substitution that replaces a P2 x P1 inside B by a P2 x P13.
 """
 
 from quarticmoduli import (
-    PoincarePoly,
     is_palindromic,
+    poincare_B,
+    poincare_H,
     poincare_M,
     poincare_open_stratum_closure,
-    poincare_projective,
 )
 
-h = PoincarePoly([1, 2, 5, 6, 5, 2, 1])
+h = poincare_H()
 n = poincare_open_stratum_closure()
-b = n * poincare_projective(11)
+b = poincare_B()
 m = poincare_M()
 
 print(f"P(H) = {h.serialize()}")

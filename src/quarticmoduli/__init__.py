@@ -14,8 +14,8 @@ import importlib
 # module -> the names the package exports from it
 _EXPORTS = {
     "betti": (
-        "BlowUpSubstitute", "Literal", "PoincarePoly", "Product",
-        "ProjBundle", "ProjectiveSpace", "is_palindromic", "poincare_M",
+        "PoincarePoly", "expression_poincare", "is_palindromic",
+        "poincare_B", "poincare_H", "poincare_M",
         "poincare_open_stratum_closure", "poincare_projective",
     ),
     "degeneration": (

@@ -1,12 +1,27 @@
 """Poincare polynomials of the spaces in the construction.
 
-Integer coefficient vectors, exact arithmetic only.  The variety algebra
-knows projective spaces, products, projectivized-bundle shortcuts, and the
-blow-up substitution rule P(Bl_Y X) = P(X) - P(Y) + P(Y)*P(P^(c-1)) for a
-blow-up along Y of codimension c.
+Integer coefficient vectors, exact arithmetic only.  ``expression_poincare``
+evaluates a JSON variety expression, one dict per node with a "type":
+"projective" (P^n, key "n"), "literal" (a known polynomial, keys
+"coefficients" and an optional "name"), "product" (key "factors"),
+"projbundle" (the projectivization of a rank-r bundle, P(base)*P(P^(r-1)),
+keys "base" and "rank") and "substitute" (P(total) - P(removed) +
+P(inserted), keys "total", "removed" and "inserted").  The substitution
+covers blow-ups, P(Bl_Y X) = P(X) - P(Y) + P(Y)*P(P^(c-1)) for a blow-up
+along Y of codimension c, and blow-downs; it keeps the total's dimension.
+Every node is checked against MAX_BETTI_DIMENSION before its polynomial is
+computed, and every dimension is at least 0 (a literal needs a nonzero
+coefficient), so no partial result exceeds the limit either.
 """
 
-from .field import InvariantError
+from itertools import zip_longest
+
+from .field import (
+    InvariantError,
+    _refuse_float,
+    check_json_list,
+    check_json_type,
+)
 
 
 class PoincarePoly:
@@ -15,7 +30,12 @@ class PoincarePoly:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
-        coeffs = [int(c) for c in coefficients]
+        coeffs = list(coefficients)
+        for c in coeffs:
+            if type(c) is not int:
+                _refuse_float(c)
+                raise TypeError("a Poincare polynomial has integer "
+                                f"coefficients, got {type(c).__name__}")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coefficients = tuple(coeffs)
@@ -43,24 +63,11 @@ class PoincarePoly:
         return hash(self.coefficients)
 
     def __add__(self, other):
-        n = max(len(self.coefficients), len(other.coefficients))
-        return PoincarePoly(
-            [
-                (self.coefficients[i] if i < len(self.coefficients) else 0)
-                + (other.coefficients[i] if i < len(other.coefficients) else 0)
-                for i in range(n)
-            ]
-        )
+        return PoincarePoly(map(sum, zip_longest(
+            self.coefficients, other.coefficients, fillvalue=0)))
 
     def __sub__(self, other):
-        n = max(len(self.coefficients), len(other.coefficients))
-        return PoincarePoly(
-            [
-                (self.coefficients[i] if i < len(self.coefficients) else 0)
-                - (other.coefficients[i] if i < len(other.coefficients) else 0)
-                for i in range(n)
-            ]
-        )
+        return self + PoincarePoly([-c for c in other.coefficients])
 
     def __mul__(self, other):
         if not self or not other:
@@ -114,120 +121,83 @@ def poincare_projective(n):
 
 # ---- variety expressions ----------------------------------------------
 
+# the largest dimension of a space whose Poincare polynomial betti computes;
+# the spaces of the construction have dimension at most 17
+MAX_BETTI_DIMENSION = 1_000
 
-class DimensionError(ValueError):
-    """Raised when an expression's dimension bookkeeping is violated."""
-
-
-class VarietyExpr:
-    """Base class for the symbolic variety algebra."""
-
-    def poincare(self):
-        raise NotImplementedError
-
-    def dimension(self):
-        raise NotImplementedError
+# the deepest nesting of expressions accepted; the construction's nest 3 deep
+MAX_EXPRESSION_DEPTH = 64
 
 
-class Literal(VarietyExpr):
-    """A space with a known Poincare polynomial and dimension."""
+def expression_poincare(data, path="", depth=0):
+    """(P(X), dim X) for the space X that the JSON expression data describes.
 
-    def __init__(self, name, poly, dim=None):
-        self.name = name
-        self.poly = poly
-        self.dim = poly.degree if dim is None else dim
-
-    def poincare(self):
-        return self.poly
-
-    def dimension(self):
-        return self.dim
-
-    def __repr__(self):
-        return f"Literal({self.name})"
-
-
-class ProjectiveSpace(VarietyExpr):
-    def __init__(self, n):
-        if n < 0:
-            raise DimensionError("dimension must be nonnegative")
-        self.n = n
-
-    def poincare(self):
-        return poincare_projective(self.n)
-
-    def dimension(self):
-        return self.n
-
-    def __repr__(self):
-        return f"P^{self.n}"
-
-
-class Product(VarietyExpr):
-    def __init__(self, *factors):
-        self.factors = factors
-
-    def poincare(self):
-        out = PoincarePoly.one()
-        for f in self.factors:
-            out = out * f.poincare()
-        return out
-
-    def dimension(self):
-        return sum(f.dimension() for f in self.factors)
-
-    def __repr__(self):
-        return " x ".join(map(repr, self.factors))
-
-
-class ProjBundle(VarietyExpr):
-    """A projectivized rank-r bundle over a base: P = P(base) * P(P^(r-1))."""
-
-    def __init__(self, base, rank):
-        if rank < 1:
-            raise DimensionError("bundle rank must be positive")
-        self.base = base
-        self.rank = rank
-
-    def poincare(self):
-        return self.base.poincare() * poincare_projective(self.rank - 1)
-
-    def dimension(self):
-        return self.base.dimension() + self.rank - 1
-
-    def __repr__(self):
-        return f"P(rank-{self.rank} bundle / {self.base!r})"
-
-
-class BlowUpSubstitute(VarietyExpr):
-    """Substitution of a subvariety: P = P(total) - P(removed) + P(inserted).
-
-    Covers both blow-ups (removed = centre, inserted = exceptional bundle)
-    and blow-downs; the total's dimension is preserved.
+    Malformed input raises a ValueError that names its JSON path; path
+    and depth place data inside an enclosing expression, which may nest at
+    most MAX_EXPRESSION_DEPTH deep.  Every sub-expression is refused,
+    before its polynomial is computed, when its dimension exceeds
+    MAX_BETTI_DIMENSION; a product is refused as soon as its factors'
+    dimensions add up past it.
     """
+    if depth > MAX_EXPRESSION_DEPTH:
+        raise ValueError("expression nested too deeply")
+    check_json_type(data, path, dict)
+    at = f"{path}: " if path else ""
 
-    def __init__(self, total, removed, inserted):
-        self.total = total
-        self.removed = removed
-        self.inserted = inserted
-        if removed.dimension() > total.dimension() \
-                or inserted.dimension() > total.dimension():
-            raise DimensionError(
-                "substituted pieces cannot exceed the total's dimension"
-            )
+    def checked(dim):
+        if dim > MAX_BETTI_DIMENSION:
+            raise ValueError(f"{at}dimension {dim} exceeds the limit of "
+                             f"{MAX_BETTI_DIMENSION}")
+        return dim
 
-    def poincare(self):
-        return (
-            self.total.poincare()
-            - self.removed.poincare()
-            + self.inserted.poincare()
-        )
+    def sub(key):
+        return expression_poincare(data.get(key), at + key, depth + 1)
 
-    def dimension(self):
-        return self.total.dimension()
-
-    def __repr__(self):
-        return f"({self.total!r} - {self.removed!r} + {self.inserted!r})"
+    kind = data.get("type")
+    if kind == "projective":
+        n = check_json_type(data.get("n"), at + "n", int)
+        if n < 0:
+            raise ValueError(f"{at}dimension must be nonnegative")
+        return poincare_projective(checked(n)), n
+    if kind == "literal":
+        check_json_type(data.get("name", "literal"), at + "name", str)
+        poly = PoincarePoly(check_json_list(data.get("coefficients"),
+                                            at + "coefficients", int))
+        if not poly:
+            raise ValueError(f"{at}coefficients: a literal needs a nonzero "
+                             "coefficient")
+        return poly, checked(poly.degree)
+    if kind == "product":
+        factors = check_json_type(data.get("factors"), at + "factors", list)
+        polys, dim = [], 0
+        for i, factor in enumerate(factors):
+            poly, factor_dim = expression_poincare(
+                factor, f"{at}factors[{i}]", depth + 1)
+            dim = checked(dim + factor_dim)
+            polys.append(poly)
+        # lowest degree first: a constant factor then costs one term, not
+        # a pass over the product so far
+        poly = PoincarePoly.one()
+        for factor in sorted(polys, key=lambda p: p.degree):
+            poly = poly * factor
+        return poly, dim
+    if kind == "projbundle":
+        base, base_dim = sub("base")
+        rank = check_json_type(data.get("rank"), at + "rank", int)
+        if rank < 1:
+            raise ValueError(f"{at}bundle rank must be positive")
+        dim = checked(base_dim + rank - 1)
+        return base * poincare_projective(rank - 1), dim
+    if kind == "substitute":
+        total, dim = sub("total")
+        removed, removed_dim = sub("removed")
+        inserted, inserted_dim = sub("inserted")
+        if removed_dim > dim or inserted_dim > dim:
+            raise ValueError(f"{at}substituted pieces cannot exceed the "
+                             "total's dimension")
+        return total - removed + inserted, dim
+    raise ValueError(f"{at}type: unknown expression type {kind!r}; known: "
+                     "literal, product, projbundle, projective, substitute")
 
 
 # ---- the moduli space -------------------------------------------------

@@ -19,14 +19,7 @@ import sys
 
 import quarticmoduli as qm
 
-from .field import (
-    GF,
-    QQ,
-    InvariantError,
-    check_json_list,
-    check_json_type,
-    load_json,
-)
+from .field import GF, QQ, InvariantError, load_json
 
 
 def _parse_field(text):
@@ -128,45 +121,6 @@ def cmd_limit(args):
 
 # ---- betti -------------------------------------------------------------
 
-# the largest dimension of a space whose Poincare polynomial betti computes;
-# the spaces of the construction have dimension at most 17
-MAX_BETTI_DIMENSION = 1_000
-
-
-def expr_from_json_dict(data):
-    """Build a variety expression from its JSON description; malformed
-    input raises a ValueError that names its JSON path."""
-    betti = qm.betti
-    check_json_type(data, "", dict)
-    kind = data.get("type")
-    if kind == "projective":
-        return betti.ProjectiveSpace(check_json_type(data.get("n"), "n", int))
-    if kind == "product":
-        factors = check_json_type(data.get("factors"), "factors", list)
-        return betti.Product(*[_sub_expr(f, f"factors[{i}]")
-                               for i, f in enumerate(factors)])
-    if kind == "projbundle":
-        return betti.ProjBundle(_sub_expr(data.get("base"), "base"),
-                                check_json_type(data.get("rank"), "rank", int))
-    if kind == "substitute":
-        return betti.BlowUpSubstitute(
-            *[_sub_expr(data.get(key), key)
-              for key in ("total", "removed", "inserted")])
-    if kind == "literal":
-        name = check_json_type(data.get("name", "literal"), "name", str)
-        return betti.Literal(name, betti.PoincarePoly(
-            check_json_list(data.get("coefficients"), "coefficients", int)))
-    raise ValueError(f"type: unknown expression type {kind!r}; known: "
-                     "literal, product, projbundle, projective, substitute")
-
-
-def _sub_expr(data, path):
-    try:
-        return expr_from_json_dict(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def cmd_betti(args):
     _parse_field(args.field)  # checked only: the coefficients are integers
     name = args.expr
@@ -183,7 +137,7 @@ def cmd_betti(args):
                 "present in the assembled polynomial"
             )
     else:
-        poly = _expression(name).poincare()
+        poly = _expression(name)
     json_obj = {
         "schema": 1,
         "expr": name,
@@ -196,21 +150,15 @@ def cmd_betti(args):
 
 
 def _expression(name):
-    """The variety named P<n>, or described by a JSON file, refused above
-    MAX_BETTI_DIMENSION before its polynomial is computed."""
+    """The Poincare polynomial of the variety named P<n>, or described by
+    a JSON file."""
     if name.startswith("P") and name[1:].isdigit():
-        expr = qm.betti.ProjectiveSpace(int(name[1:]))
+        data = {"type": "projective", "n": int(name[1:])}
     elif os.path.exists(name):
-        try:
-            expr = expr_from_json_dict(load_json(name))
-        except RecursionError:
-            raise ValueError("expression nested too deeply") from None
+        data = load_json(name)
     else:
         raise ValueError(f"unknown builtin or missing file: {name!r}")
-    if expr.dimension() > MAX_BETTI_DIMENSION:
-        raise ValueError(f"dimension {expr.dimension()} exceeds the limit "
-                         f"of {MAX_BETTI_DIMENSION}")
-    return expr
+    return qm.betti.expression_poincare(data)[0]
 
 
 # ---- verify ------------------------------------------------------------

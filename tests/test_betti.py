@@ -2,18 +2,31 @@ import pytest
 
 from quarticmoduli.betti import (
     MODULI_COEFFICIENTS,
-    BlowUpSubstitute,
-    DimensionError,
-    Literal,
     PoincarePoly,
-    ProjBundle,
-    ProjectiveSpace,
-    Product,
+    expression_poincare,
     is_palindromic,
+    poincare_B,
     poincare_M,
     poincare_open_stratum_closure,
     poincare_projective,
 )
+
+
+def projective(n):
+    return {"type": "projective", "n": n}
+
+
+def product(*factors):
+    return {"type": "product", "factors": list(factors)}
+
+
+def projbundle(base, rank):
+    return {"type": "projbundle", "base": base, "rank": rank}
+
+
+def substitute(total, removed, inserted):
+    return {"type": "substitute", "total": total, "removed": removed,
+            "inserted": inserted}
 
 
 def test_projective_space_polynomials():
@@ -71,52 +84,56 @@ def test_is_palindromic_negative_cases():
     assert not is_palindromic(PoincarePoly([1, 1]), 3)
 
 
+def test_poly_refuses_non_integer_coefficients():
+    with pytest.raises(TypeError, match="exact arithmetic only: refusing "
+                       "the float 1.7"):
+        PoincarePoly([1.7, 2.2])
+    with pytest.raises(TypeError, match="integer coefficients, got str"):
+        PoincarePoly(["3"])
+    with pytest.raises(TypeError, match="integer coefficients, got bool"):
+        PoincarePoly([True])
+
+
 def test_expression_algebra():
-    p2 = ProjectiveSpace(2)
-    p3 = ProjectiveSpace(3)
-    prod = Product(p2, p3)
-    assert prod.dimension() == 5
-    assert prod.poincare() == poincare_projective(2) * \
-        poincare_projective(3)
-    bundle = ProjBundle(p2, 12)
-    assert bundle.dimension() == 13
-    assert bundle.poincare() == poincare_projective(2) * \
-        poincare_projective(11)
+    poly, dim = expression_poincare(product(projective(2), projective(3)))
+    assert dim == 5
+    assert poly == poincare_projective(2) * poincare_projective(3)
+    poly, dim = expression_poincare(projbundle(projective(2), 12))
+    assert dim == 13
+    assert poly == poincare_projective(2) * poincare_projective(11)
 
 
 def test_proj_bundle_euler_multiplicative():
-    base = ProjectiveSpace(4)
-    bundle = ProjBundle(base, 3)
-    assert bundle.poincare().evaluate(1) == 5 * 3
+    poly, _ = expression_poincare(projbundle(projective(4), 3))
+    assert poly.evaluate(1) == 5 * 3
 
 
 def test_blow_up_substitute():
-    total = Literal("B", poincare_open_stratum_closure()
-                    * poincare_projective(11))
-    removed = Product(ProjectiveSpace(2), ProjectiveSpace(1))
-    inserted = Product(ProjectiveSpace(2), ProjectiveSpace(13))
-    m = BlowUpSubstitute(total, removed, inserted)
-    assert m.dimension() == 17
-    assert m.poincare().coefficients == MODULI_COEFFICIENTS
+    total = {"type": "literal", "name": "B",
+             "coefficients": list(poincare_B().coefficients)}
+    removed = product(projective(2), projective(1))
+    inserted = product(projective(2), projective(13))
+    poly, dim = expression_poincare(substitute(total, removed, inserted))
+    assert dim == 17
+    assert poly.coefficients == MODULI_COEFFICIENTS
 
 
 def test_blow_up_substitute_dimension_checked():
-    with pytest.raises(DimensionError):
-        BlowUpSubstitute(
-            ProjectiveSpace(2), ProjectiveSpace(5), ProjectiveSpace(1)
-        )
-    with pytest.raises(DimensionError):
-        BlowUpSubstitute(
-            ProjectiveSpace(2), ProjectiveSpace(1), ProjectiveSpace(5)
-        )
+    message = "substituted pieces cannot exceed the total's dimension"
+    with pytest.raises(ValueError, match=message):
+        expression_poincare(
+            substitute(projective(2), projective(5), projective(1)))
+    with pytest.raises(ValueError, match=message):
+        expression_poincare(
+            substitute(projective(2), projective(1), projective(5)))
 
 
 def test_proj_bundle_rank_checked():
-    with pytest.raises(DimensionError):
-        ProjBundle(ProjectiveSpace(1), 0)
+    with pytest.raises(ValueError, match="bundle rank must be positive"):
+        expression_poincare(projbundle(projective(1), 0))
 
 
 def test_literal_defaults_dimension_to_degree():
-    lit = Literal("X", PoincarePoly([1, 0, 1]))
-    assert lit.dimension() == 2
-    assert Literal("Y", PoincarePoly([1]), dim=4).dimension() == 4
+    _, dim = expression_poincare({"type": "literal", "name": "X",
+                                  "coefficients": [1, 0, 1]})
+    assert dim == 2

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from quarticmoduli import cli, strata
+from quarticmoduli.betti import MAX_BETTI_DIMENSION
 from quarticmoduli.degeneration import make_blowup_chart_point
 from quarticmoduli.field import QQ, InvariantError
 from quarticmoduli.matrices import make_matrix
@@ -440,6 +441,16 @@ MALFORMED = {
     "literal number name": (["betti", FILE], {
         "type": "literal", "name": 5, "coefficients": [1]},
         "name: expected a string, got int"),
+    "empty literal": (["betti", FILE], {"type": "literal", "coefficients": []},
+                      "coefficients: a literal needs a nonzero coefficient"),
+    "zero literal": (["betti", FILE], {"type": "literal",
+                                       "coefficients": [0, 0]},
+                     "coefficients: a literal needs a nonzero coefficient"),
+    "empty literal offsetting a product": (["betti", FILE], {
+        "type": "product", "factors": [
+            {"type": "projective", "n": 1001},
+            {"type": "literal", "coefficients": []}]},
+        "factors[0]: dimension 1001 exceeds the limit of 1000"),
     "product number": (["betti", FILE], {"type": "product", "factors": 3},
                        "factors: expected a list, got int"),
     "nested text dimension": (["betti", FILE], {
@@ -489,6 +500,107 @@ def test_malformed_input_exits_one_with_one_error_line(tmp_path, capsys,
     assert captured.out == ""
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert message in lines[0]
+
+
+def test_betti_constant_factors_cost_one_term_each(tmp_path, capsys):
+    # P^1000 times 10,000 copies of P^0: multiplied in the order given,
+    # each constant factor would cost a pass over 1,001 coefficients
+    path = write_json(tmp_path / "expr.json", {"type": "product", "factors": [
+        {"type": "projective", "n": 1000}]
+        + [{"type": "projective", "n": 0}] * 10_000})
+    start = time.monotonic()
+    code = cli.main(["betti", path, "--json"])
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["coefficients"] == [1] * 1001
+    assert elapsed < 1
+
+
+# ---- a fuzz gate for betti expression files --------------------------------
+
+def expressions(st):
+    """Random betti expression trees: well-formed ones, ones with empty
+    and zero literals, negative and over-limit n and rank, values of the
+    wrong type and unknown types, and products nested past the depth
+    bound."""
+    wrong = st.sampled_from([None, True, 1.5, "3", [], {}])
+
+    def trees(sizes, coefficients, names, *odd_leaves):
+        leaves = st.one_of(
+            st.fixed_dictionaries({"type": st.just("projective"),
+                                   "n": sizes}),
+            st.fixed_dictionaries({"type": st.just("literal"),
+                                   "coefficients": coefficients},
+                                  optional={"name": names}),
+            *odd_leaves)
+
+        def extend(children):
+            return st.one_of(
+                st.fixed_dictionaries({
+                    "type": st.just("product"),
+                    "factors": st.lists(children, max_size=4)}),
+                st.fixed_dictionaries({"type": st.just("projbundle"),
+                                       "base": children, "rank": sizes}),
+                st.fixed_dictionaries({
+                    "type": st.just("substitute"), "total": children,
+                    "removed": children, "inserted": children}))
+
+        return st.recursive(leaves, extend, max_leaves=10)
+
+    small = st.integers(1, 6)
+    edge = st.sampled_from([-2, -1, 0, 1000, 1001, 10**9])
+    coefficients = st.lists(st.integers(-3, 3), max_size=4)
+    names = st.text(max_size=2)
+    untyped = st.fixed_dictionaries({}, optional={"type": st.sampled_from(
+        ["projectiv", "", 3, None])})
+    return st.one_of(
+        trees(small, coefficients.filter(any), names),
+        trees(st.one_of(small, edge, wrong), st.one_of(coefficients, wrong),
+              st.one_of(names, wrong), untyped, wrong),
+        st.integers(0, 100).map(nested_product))
+
+
+def euler_number(expr):
+    """P(1) of a well-formed expression, from its Euler-number rules."""
+    kind = expr["type"]
+    if kind == "projective":
+        return expr["n"] + 1
+    if kind == "literal":
+        return sum(expr["coefficients"])
+    if kind == "product":
+        out = 1
+        for factor in expr["factors"]:
+            out *= euler_number(factor)
+        return out
+    if kind == "projbundle":
+        return euler_number(expr["base"]) * expr["rank"]
+    return euler_number(expr["total"]) - euler_number(expr["removed"]) \
+        + euler_number(expr["inserted"])
+
+
+def test_betti_expression_fuzz(tmp_path, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path / "expr.json"
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(expressions(hypothesis.strategies))
+    def answered_or_refused(expr):
+        path.write_text(json.dumps(expr))
+        with hang_bound(10):
+            code = cli.main(["betti", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code in (0, 1)
+        if code == 1:
+            lines = captured.err.splitlines()
+            assert captured.out == ""
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            coefficients = json.loads(captured.out)["coefficients"]
+            assert len(coefficients) <= MAX_BETTI_DIMENSION + 1
+            assert sum(coefficients) == euler_number(expr)
+
+    answered_or_refused()
 
 
 # ---- what a command loads --------------------------------------------------

@@ -15,8 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # every name the package exports, by the module that defines it
 EXPORTS = {
     "betti": [
-        "BlowUpSubstitute", "Literal", "PoincarePoly", "Product",
-        "ProjBundle", "ProjectiveSpace", "is_palindromic", "poincare_M",
+        "PoincarePoly", "expression_poincare", "is_palindromic",
+        "poincare_B", "poincare_H", "poincare_M",
         "poincare_open_stratum_closure", "poincare_projective",
     ],
     "degeneration": [

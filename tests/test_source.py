@@ -207,8 +207,7 @@ def test_raw_values_not_passed_to_boxing_constructors():
 
 # the abstract methods that raise NotImplementedError: cli.main does not
 # catch it, so one raised on an input path would end in a traceback
-NOT_IMPLEMENTED_RAISERS = {"ElementaryOp.apply", "VarietyExpr.poincare",
-                           "VarietyExpr.dimension"}
+NOT_IMPLEMENTED_RAISERS = {"ElementaryOp.apply"}
 
 
 def raises_not_implemented(node):
