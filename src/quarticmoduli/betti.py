@@ -128,6 +128,11 @@ MAX_BETTI_DIMENSION = 1_000
 # the deepest nesting of expressions accepted; the construction's nest 3 deep
 MAX_EXPRESSION_DEPTH = 64
 
+# the most coefficient products one expression may cost, a product a*b
+# charged len(a)*len(b): about 0.3 s of work, three times the costliest
+# single node within MAX_BETTI_DIMENSION (a product of 1,000 factors P^1)
+MAX_EXPRESSION_PRODUCTS = 3_000_000
+
 
 def expression_poincare(data, path="", depth=0):
     """(P(X), dim X) for the space X that the JSON expression data describes.
@@ -137,67 +142,84 @@ def expression_poincare(data, path="", depth=0):
     most MAX_EXPRESSION_DEPTH deep.  Every sub-expression is refused,
     before its polynomial is computed, when its dimension exceeds
     MAX_BETTI_DIMENSION; a product is refused as soon as its factors'
-    dimensions add up past it.
+    dimensions add up past it.  A multiplication that would take the
+    evaluation past MAX_EXPRESSION_PRODUCTS is refused before it runs.
     """
-    if depth > MAX_EXPRESSION_DEPTH:
-        raise ValueError("expression nested too deeply")
-    check_json_type(data, path, dict)
-    at = f"{path}: " if path else ""
+    spent = 0
 
-    def checked(dim):
-        if dim > MAX_BETTI_DIMENSION:
-            raise ValueError(f"{at}dimension {dim} exceeds the limit of "
-                             f"{MAX_BETTI_DIMENSION}")
-        return dim
+    def times(a, b, at):
+        nonlocal spent
+        spent += len(a.coefficients) * len(b.coefficients)
+        if spent > MAX_EXPRESSION_PRODUCTS:
+            raise ValueError(f"{at}the expression needs more than "
+                             f"{MAX_EXPRESSION_PRODUCTS} coefficient products")
+        return a * b
 
-    def sub(key):
-        return expression_poincare(data.get(key), at + key, depth + 1)
+    def evaluate(data, path, depth):
+        if depth > MAX_EXPRESSION_DEPTH:
+            raise ValueError("expression nested too deeply")
+        check_json_type(data, path, dict)
+        at = f"{path}: " if path else ""
 
-    kind = data.get("type")
-    if kind == "projective":
-        n = check_json_type(data.get("n"), at + "n", int)
-        if n < 0:
-            raise ValueError(f"{at}dimension must be nonnegative")
-        return poincare_projective(checked(n)), n
-    if kind == "literal":
-        check_json_type(data.get("name", "literal"), at + "name", str)
-        poly = PoincarePoly(check_json_list(data.get("coefficients"),
-                                            at + "coefficients", int))
-        if not poly:
-            raise ValueError(f"{at}coefficients: a literal needs a nonzero "
-                             "coefficient")
-        return poly, checked(poly.degree)
-    if kind == "product":
-        factors = check_json_type(data.get("factors"), at + "factors", list)
-        polys, dim = [], 0
-        for i, factor in enumerate(factors):
-            poly, factor_dim = expression_poincare(
-                factor, f"{at}factors[{i}]", depth + 1)
-            dim = checked(dim + factor_dim)
-            polys.append(poly)
-        # lowest degree first: a constant factor then costs one term, not
-        # a pass over the product so far
-        poly = PoincarePoly.one()
-        for factor in sorted(polys, key=lambda p: p.degree):
-            poly = poly * factor
-        return poly, dim
-    if kind == "projbundle":
-        base, base_dim = sub("base")
-        rank = check_json_type(data.get("rank"), at + "rank", int)
-        if rank < 1:
-            raise ValueError(f"{at}bundle rank must be positive")
-        dim = checked(base_dim + rank - 1)
-        return base * poincare_projective(rank - 1), dim
-    if kind == "substitute":
-        total, dim = sub("total")
-        removed, removed_dim = sub("removed")
-        inserted, inserted_dim = sub("inserted")
-        if removed_dim > dim or inserted_dim > dim:
-            raise ValueError(f"{at}substituted pieces cannot exceed the "
-                             "total's dimension")
-        return total - removed + inserted, dim
-    raise ValueError(f"{at}type: unknown expression type {kind!r}; known: "
-                     "literal, product, projbundle, projective, substitute")
+        def checked(dim):
+            if dim > MAX_BETTI_DIMENSION:
+                raise ValueError(f"{at}dimension {dim} exceeds the limit of "
+                                 f"{MAX_BETTI_DIMENSION}")
+            return dim
+
+        def sub(key):
+            return evaluate(data.get(key), at + key, depth + 1)
+
+        kind = data.get("type")
+        if kind == "projective":
+            n = check_json_type(data.get("n"), at + "n", int)
+            if n < 0:
+                raise ValueError(f"{at}dimension must be nonnegative")
+            return poincare_projective(checked(n)), n
+        if kind == "literal":
+            check_json_type(data.get("name", "literal"), at + "name", str)
+            poly = PoincarePoly(check_json_list(data.get("coefficients"),
+                                                at + "coefficients", int))
+            if not poly:
+                raise ValueError(f"{at}coefficients: a literal needs a "
+                                 "nonzero coefficient")
+            return poly, checked(poly.degree)
+        if kind == "product":
+            factors = check_json_type(data.get("factors"), at + "factors",
+                                      list)
+            polys, dim = [], 0
+            for i, factor in enumerate(factors):
+                poly, factor_dim = evaluate(factor, f"{at}factors[{i}]",
+                                            depth + 1)
+                dim = checked(dim + factor_dim)
+                polys.append(poly)
+            # lowest degree first: a constant factor then costs one term,
+            # not a pass over the product so far; each factor is the outer
+            # loop of its product, the longer product so far the inner
+            poly = PoincarePoly.one()
+            for factor in sorted(polys, key=lambda p: p.degree):
+                poly = times(factor, poly, at)
+            return poly, dim
+        if kind == "projbundle":
+            base, base_dim = sub("base")
+            rank = check_json_type(data.get("rank"), at + "rank", int)
+            if rank < 1:
+                raise ValueError(f"{at}bundle rank must be positive")
+            dim = checked(base_dim + rank - 1)
+            return times(base, poincare_projective(rank - 1), at), dim
+        if kind == "substitute":
+            total, dim = sub("total")
+            removed, removed_dim = sub("removed")
+            inserted, inserted_dim = sub("inserted")
+            if removed_dim > dim or inserted_dim > dim:
+                raise ValueError(f"{at}substituted pieces cannot exceed the "
+                                 "total's dimension")
+            return total - removed + inserted, dim
+        raise ValueError(f"{at}type: unknown expression type {kind!r}; "
+                         "known: literal, product, projbundle, projective, "
+                         "substitute")
+
+    return evaluate(data, path, depth)
 
 
 # ---- the moduli space -------------------------------------------------

@@ -295,8 +295,8 @@ class FieldScalar:
 class ParamRing(Domain):
     """Polynomial ring in named parameters over a base field.
 
-    Used by the verification layer to carry symbolic chart parameters
-    (alpha, beta, a, b, c, d, t, ...) through matrix arithmetic.  It is a
+    Used by the verification layer to carry the symbolic chart parameters
+    (alpha, beta, a, b, c, d) through matrix arithmetic.  It is a
     ring, not a field: only +, -, * and equality are supported.
     """
 

@@ -363,6 +363,18 @@ def nested_product(depth):
     return expr
 
 
+def substituted_bundles(depth):
+    """A substitute tree depth deep whose 3^depth leaves are each
+    P(P^500 bundle of rank 501): every node is within the dimension
+    limit, and each leaf costs 501 * 501 coefficient products."""
+    expr = {"type": "projbundle", "base": {"type": "projective", "n": 500},
+            "rank": 501}
+    for _ in range(depth):
+        expr = {"type": "substitute", "total": expr, "removed": expr,
+                "inserted": expr}
+    return expr
+
+
 def family(path, value):
     """The family description with the item at path replaced."""
     data = family_data()
@@ -463,6 +475,10 @@ MALFORMED = {
                                 "JSON nested too deeply"),
     "deep product nesting": (["betti", FILE], nested_product(400),
                              "expression nested too deeply"),
+    # 26 KB, 243 leaves: about 61 million products without the budget
+    "costly expression": (["betti", FILE], substituted_bundles(5),
+                          "the expression needs more than 3000000 "
+                          "coefficient products"),
     "huge projective space": (["betti", "P1000000000"], None,
                               "dimension 1000000000 exceeds the limit"),
     "huge projective expression": (["betti", FILE],

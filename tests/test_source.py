@@ -102,6 +102,36 @@ def test_inverse_pow_only_where_allowed():
     assert INVERSE_POW_CALLERS <= names
 
 
+# the one function that builds a parameter ring: the symbolic chart
+# minors.  Every other verifier works over the base field, so a slow
+# parameter-ring path does not come back into a hot one.
+PARAM_RING_BUILDERS = {"verify_chart_minors"}
+
+
+def is_param_ring_call(node):
+    """Whether the node is a call ParamRing(...) or x.ParamRing(...)."""
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "ParamRing"
+        or getattr(node.func, "attr", None) == "ParamRing")
+
+
+def test_param_ring_built_only_for_chart_minors():
+    assert is_param_ring_call(ast.parse("ParamRing(QQ, n)").body[0].value)
+    assert is_param_ring_call(ast.parse("f.ParamRing(QQ, n)").body[0].value)
+    assert not is_param_ring_call(ast.parse("ParamRing").body[0].value)
+    offenders, names = [], set()
+    for path in SOURCES:
+        uses, defined = qualified_uses(
+            ast.parse(path.read_text(), filename=str(path)),
+            is_param_ring_call)
+        names |= defined
+        offenders += [f"{path.name}:{line} in {scope or '<module>'}"
+                      for scope, line in uses
+                      if scope not in PARAM_RING_BUILDERS]
+    assert not offenders, f"ParamRing built outside the allow-list: {offenders}"
+    assert PARAM_RING_BUILDERS <= names
+
+
 # the one function with a product loop: a term loop nested in a term
 # loop that sums the two exponent triples and multiplies the two values.
 # Every product and sum of products goes through poly.dot, so no second

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from quarticmoduli import degeneration
 from quarticmoduli.degeneration import tangent_quartic
-from quarticmoduli.field import GF, QQ, FieldScalar, ParamRing
+from quarticmoduli.field import GF, QQ, FieldScalar, ParamRing, ParamScalar
 from quarticmoduli.matrices import det, random_matrix
 from quarticmoduli.poly import Form, MultiPoly
 from quarticmoduli.strata import boundary_matrix
@@ -16,9 +17,6 @@ from quarticmoduli.verify import (
     PASS_WITH_NOTE,
     PRINTED_MODULI_COEFFICIENTS,
     IdentityReport,
-    _coefficient_of,
-    _lift,
-    _lifted_pencil,
     _specialize,
     run_all,
     verify_chart_minors,
@@ -73,6 +71,63 @@ def test_tangent_quartic_many_seeds():
         assert verify_tangent_quartic(seed).status == PASS
 
 
+def lift(poly, ring, at=None):
+    """poly over the base field, as a polynomial over the parameter ring,
+    each coefficient placed at the parameter monomial of exponent at (1 by
+    default)."""
+    at = at or (0,) * len(ring.names)
+    return MultiPoly.from_raw(ring, {
+        e: ParamScalar.from_raw(ring, {at: c}) for e, c in poly.raw.items()})
+
+
+def lifted_pencil(a, b, ring):
+    """The 3x3 grid A + tB over the parameter ring in t, each coefficient
+    of B placed at t^1."""
+    t = tuple(int(n == "t") for n in ring.names)
+    return [[lift(a[i, j].poly, ring) + lift(b[i, j].poly, ring, t)
+             for j in range(3)] for i in range(3)]
+
+
+def coefficient_of(poly, ring, name, power, base):
+    """The coefficient of name^power, as a polynomial over the base."""
+    key = tuple(power if n == name else 0 for n in ring.names)
+    return MultiPoly.from_raw(base, {e: c.raw.get(key, 0)
+                                     for e, c in poly.raw.items()})
+
+
+ODD_CHARACTERISTICS = [QQ, GF(3), GF(5), GF(101), GF(2**61 - 1)]
+
+
+@pytest.mark.parametrize("domain", ODD_CHARACTERISTICS, ids=repr)
+def test_tangent_quartic_in_every_odd_characteristic(domain, monkeypatch):
+    """The t-linear coefficient from det(A + B), det(A - B) and det B
+    needs only 2 invertible: the report passes over QQ and GF(3) alike,
+    agrees with [t^1] det(A + tB) over the parameter ring in t, and still
+    fails when the row-replaced sum is wrong."""
+    for seed in range(5):
+        assert verify_tangent_quartic(seed, domain=domain).status == PASS
+
+    def symbolic(a, b):
+        ring = ParamRing(a.domain, ("t",))
+        pencil = det(lifted_pencil(a, b, ring))
+        return Form(coefficient_of(pencil, ring, "t", 1, a.domain), 4)
+
+    # the verifier compares its t-linear coefficient with whatever
+    # degeneration.tangent_quartic returns for its own A and B
+    monkeypatch.setattr(degeneration, "tangent_quartic", symbolic)
+    for seed in range(5):
+        report = verify_tangent_quartic(seed, domain=domain)
+        assert report.status == PASS, report.render_text()
+
+    x0 = MultiPoly.variable(domain, 0)
+    monkeypatch.setattr(degeneration, "tangent_quartic", lambda a, b: Form(
+        tangent_quartic(a, b).poly + x0 ** 4, 4))
+    report = verify_tangent_quartic(0, domain=domain)
+    assert report.status == FAIL
+    assert not report.computed["t_linear_equals_row_sum"]
+    assert not report.computed["equals_closed_form"]
+
+
 def tangent_pencil(domain, seed):
     """A, B and the lifted 3x3 A + tB of verify_tangent_quartic, over the
     parameter ring in t."""
@@ -82,7 +137,7 @@ def tangent_pencil(domain, seed):
     a = boundary_matrix(Form(x0, 1), Form(w, 1))
     b = random_matrix("res0", domain, rng=rng)
     ring = ParamRing(domain, ("t",))
-    return a, b, ring, _lifted_pencil(a, b, ring)
+    return a, b, ring, lifted_pencil(a, b, ring)
 
 
 @pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
@@ -101,11 +156,11 @@ def test_tangent_pencil_determinant_builds_no_field_scalars(domain,
     ring.base.scalar(0)  # the counter does count
     assert len(built) == 1
     monkeypatch.undo()
-    t_linear = _coefficient_of(total, ring, "t", 1, domain)
+    t_linear = coefficient_of(total, ring, "t", 1, domain)
     assert t_linear == tangent_quartic(a, b).poly
-    assert _coefficient_of(total, ring, "t", 0, domain) == \
+    assert coefficient_of(total, ring, "t", 0, domain) == \
         a.determinant().poly
-    assert _coefficient_of(total, ring, "t", 3, domain) == \
+    assert coefficient_of(total, ring, "t", 3, domain) == \
         b.determinant().poly
 
 
@@ -117,7 +172,7 @@ def test_specialize_inverts_lift(domain):
               "t": domain.scalar(Fraction(-3, 7))}
     for seed in range(3):
         f = random_matrix("res0", domain, seed=seed)[0, 0].poly
-        lifted = _lift(f, ring)
+        lifted = lift(f, ring)
         assert lifted.domain is ring
         assert _specialize(lifted, values, domain) == f
         # a coefficient t*a^2 + 1 specializes to its value at the point
