@@ -129,7 +129,8 @@ MAX_BETTI_DIMENSION = 1_000
 MAX_EXPRESSION_DEPTH = 64
 
 # the most coefficient products one expression may cost, a product a*b
-# charged len(a)*len(b): about 0.3 s of work, three times the costliest
+# charged len(a)*len(b), and a leaf or a substitution one per coefficient
+# that it builds or adds: about 0.3 s of work, three times the costliest
 # single node within MAX_BETTI_DIMENSION (a product of 1,000 factors P^1)
 MAX_EXPRESSION_PRODUCTS = 3_000_000
 
@@ -142,17 +143,20 @@ def expression_poincare(data, path="", depth=0):
     most MAX_EXPRESSION_DEPTH deep.  Every sub-expression is refused,
     before its polynomial is computed, when its dimension exceeds
     MAX_BETTI_DIMENSION; a product is refused as soon as its factors'
-    dimensions add up past it.  A multiplication that would take the
-    evaluation past MAX_EXPRESSION_PRODUCTS is refused before it runs.
+    dimensions add up past it.  A leaf, product or substitution that would
+    take the evaluation past MAX_EXPRESSION_PRODUCTS is refused first.
     """
     spent = 0
 
-    def times(a, b, at):
+    def charge(cost, at):
         nonlocal spent
-        spent += len(a.coefficients) * len(b.coefficients)
+        spent += cost
         if spent > MAX_EXPRESSION_PRODUCTS:
             raise ValueError(f"{at}the expression needs more than "
                              f"{MAX_EXPRESSION_PRODUCTS} coefficient products")
+
+    def times(a, b, at):
+        charge(len(a.coefficients) * len(b.coefficients), at)
         return a * b
 
     def evaluate(data, path, depth):
@@ -175,11 +179,13 @@ def expression_poincare(data, path="", depth=0):
             n = check_json_type(data.get("n"), at + "n", int)
             if n < 0:
                 raise ValueError(f"{at}dimension must be nonnegative")
-            return poincare_projective(checked(n)), n
+            charge(checked(n) + 1, at)
+            return poincare_projective(n), n
         if kind == "literal":
             check_json_type(data.get("name", "literal"), at + "name", str)
             poly = PoincarePoly(check_json_list(data.get("coefficients"),
                                                 at + "coefficients", int))
+            charge(len(poly.coefficients), at)
             if not poly:
                 raise ValueError(f"{at}coefficients: a literal needs a "
                                  "nonzero coefficient")
@@ -214,6 +220,7 @@ def expression_poincare(data, path="", depth=0):
             if removed_dim > dim or inserted_dim > dim:
                 raise ValueError(f"{at}substituted pieces cannot exceed the "
                                  "total's dimension")
+            charge(3 * (dim + 1), at)  # two additions, on at most dim + 1
             return total - removed + inserted, dim
         raise ValueError(f"{at}type: unknown expression type {kind!r}; "
                          "known: literal, product, projbundle, projective, "

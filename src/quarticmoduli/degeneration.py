@@ -23,7 +23,8 @@ from .poly import (
     MultiPoly,
     ParseError,
     coefficient_rows,
-    monomials_of_degree,
+    key_exponent,
+    keys_of_degree,
     parse_form,
     solve_linear,
 )
@@ -87,7 +88,7 @@ def _extract_chart_params(a, b):
     if params is None:
         raise ChartError("base matrix is not in the boundary normal form")
     xbar0, w = params
-    if any(e[0] for e in w.poly.raw):
+    if any(key_exponent(k)[0] for k in w.poly.raw):
         raise ChartError("w must be a form in x1, x2")
     # direction matrix template
     if b[1, 0] or b[1, 2] or b[2, 0]:
@@ -96,13 +97,13 @@ def _extract_chart_params(a, b):
     ab_entry = b[2, 1]
     coeff_a = ab_entry.poly.coefficient((0, 1, 0))
     coeff_b = ab_entry.poly.coefficient((0, 0, 1))
-    if any(e[0] for e in ab_entry.poly.raw):
+    if any(key_exponent(k)[0] for k in ab_entry.poly.raw):
         raise ChartError("entry (2,1) of the direction must be a*x1 + b*x2")
     coeff_d = _linear_coefficient(b[2, 2], 2, "d entry must be d*x2")
     q0, q1, q2 = b[0, 0], b[0, 1], b[0, 2]
-    if any(e[0] for e in q1.poly.raw):
+    if any(key_exponent(k)[0] for k in q1.poly.raw):
         raise ChartError("q1 must not involve x0")
-    if any(e[0] or e[1] for e in q2.poly.raw):
+    if any(key_exponent(k)[:2] != (0, 0) for k in q2.poly.raw):
         raise ChartError("q2 must involve only x2")
     return {
         "xbar0": xbar0,
@@ -118,10 +119,10 @@ def _extract_chart_params(a, b):
 
 
 def _linear_coefficient(entry, var, message):
-    mono = tuple(1 if j == var else 0 for j in range(3))
-    if any(e != mono for e in entry.poly.raw):
+    key = keys_of_degree(1)[var]
+    if any(k != key for k in entry.poly.raw):
         raise ChartError(message)
-    return entry.poly.coefficient(mono)
+    return entry.poly.coefficient(key_exponent(key))
 
 
 def _chart_coefficient(params, chart):
@@ -366,20 +367,19 @@ def build_twisted_ideal_resolution(f, l, g):
         return TwistedIdealResolution(
             l, g, Form.zero(domain, 1), Form(quotient, 3), semistable=False
         )
-    cubic_monos = monomials_of_degree(3)
-    linear_monos = monomials_of_degree(1)
+    cubics, linears = keys_of_degree(3), keys_of_degree(1)
     # one column per unknown coefficient, one row per quartic monomial
-    columns = [Form(l.poly * MultiPoly.monomial(domain, m), 4)
-               for m in cubic_monos]
-    columns += [Form(-(g.poly * MultiPoly.monomial(domain, m)), 4)
-                for m in linear_monos]
+    columns = [Form(l.poly * MultiPoly.from_raw(domain, {m: 1}), 4)
+               for m in cubics]
+    columns += [Form(-(g.poly * MultiPoly.from_raw(domain, {m: 1})), 4)
+                for m in linears]
     solution = solve_linear(list(zip(*coefficient_rows(columns, 4))),
                             coefficient_rows([f], 4)[0], domain.modulus)
     if solution is None:
         raise ValueError("quartic is not in the ideal (l, g): Z is not on C")
-    n = len(cubic_monos)
-    h = MultiPoly.from_raw(domain, dict(zip(cubic_monos, solution[:n])))
-    w = MultiPoly.from_raw(domain, dict(zip(linear_monos, solution[n:])))
+    n = len(cubics)
+    h = MultiPoly.from_raw(domain, dict(zip(cubics, solution[:n])))
+    w = MultiPoly.from_raw(domain, dict(zip(linears, solution[n:])))
     result = TwistedIdealResolution(
         l, g, Form(w, 1), Form(h, 3), semistable=True
     )

@@ -447,14 +447,14 @@ class ParamScalar:
         return self.as_text()
 
 
-def evaluate_raw(raw_terms, values):
-    """The value of a term dict, exponent -> raw value, at the raw values
-    of its variables, as a raw value not yet reduced: the one evaluation
+def evaluate_raw(terms, values):
+    """The value of (exponent tuple, raw value) pairs at the raw values of
+    their variables, as a raw value not yet reduced: the one evaluation
     loop of polynomials and parameter-ring scalars.  A zero exponent
     multiplies nothing, since over QQ ``Fraction ** 0`` is a slow way to
     make 1."""
     total = 0
-    for e, c in raw_terms.items():
+    for e, c in terms:
         for v, k in zip(values, e):
             if k:
                 c = c * v ** k

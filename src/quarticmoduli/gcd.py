@@ -47,9 +47,13 @@ from .poly import (
     _eliminate,
     _primitive,
     coefficient_rows,
+    exponent_terms,
+    key_exponent,
+    keys_of_degree,
     kernel_vector,
-    monomials_of_degree,
 )
+
+_UNITS = X0, X1, X2 = keys_of_degree(1)  # the keys of x0, x1, x2
 
 
 def multivariate_gcd(a, b):
@@ -76,14 +80,14 @@ def multivariate_gcd(a, b):
     for k in range(min(da, db), 0, -1):
         # unknowns: u's coefficients (columns m*a), then v's (columns m*(-b))
         shifts = [(m, a.raw) for d in range((db - k) * forms, db - k + 1)
-                  for m in monomials_of_degree(d)]
+                  for m in keys_of_degree(d)]
         n_u = len(shifts)
         shifts += [(m, neg_b) for d in range((da - k) * forms, da - k + 1)
-                   for m in monomials_of_degree(d)]
+                   for m in keys_of_degree(d)]
         rows = {}
-        for j, ((m0, m1, m2), terms) in enumerate(shifts):
-            for (e0, e1, e2), c in terms.items():
-                rows.setdefault((m0 + e0, m1 + e1, m2 + e2), {})[j] = c
+        for j, (m, terms) in enumerate(shifts):
+            for e, c in terms.items():
+                rows.setdefault(m + e, {})[j] = c
         matrix = [[row.get(j, 0) for j in range(len(shifts))]
                   for row in rows.values()]
         x = kernel_vector(matrix, _eliminate(matrix, domain.modulus))
@@ -147,14 +151,14 @@ def _rational_roots(f):
             modular = [(r, slope_at((0, r, 0))) for r in _roots_gf(h_p)]
             if all(slope for _, slope in modular):
                 break
-    roots = set()
+    roots, terms = set(), [*exponent_terms(h.raw)]
     for r, slope in modular:
         inverse, m = slope.inverse().value, p
         while m <= 2 * low * high:
             m *= p
-            r = (r - evaluate_raw(h.raw, (0, r, 0)) * inverse) % m
+            r = (r - evaluate_raw(terms, (0, r, 0)) * inverse) % m
         root = _reconstruct(r, m, low)
-        if not evaluate_raw(h.raw, (0, root, 0)):
+        if not evaluate_raw(terms, (0, root, 0)):
             roots.add(root)
     return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator,
                                         r < 0))
@@ -162,8 +166,8 @@ def _rational_roots(f):
 
 def _derivative(f):
     """df/dx1 of a polynomial f in x1."""
-    return MultiPoly.from_raw(f.domain, {(0, e - 1, 0): c * e
-                                         for (_, e, _), c in f.raw.items()})
+    return MultiPoly.from_raw(f.domain, {k - X1: c * key_exponent(k)[1]
+                                         for k, c in f.raw.items() if k})
 
 
 def _reconstruct(r, m, n_max):
@@ -189,7 +193,7 @@ def _roots_gf(f):
         g = pending.pop()
         d = g.total_degree()
         if d == 1:  # g = x1 - r, monic
-            roots.append(-g.raw.get((0, 0, 0), 0) % p)
+            roots.append(-g.raw.get(0, 0) % p)
         elif d > 1:
             w, a = g, 0
             while not 0 < w.total_degree() < d:
@@ -208,10 +212,14 @@ def _gcd_in_x1(f, g):
     for h in (f, g):
         d = h.total_degree()
         lifted.append(MultiPoly.from_raw(h.domain, {
-            (0, e1, d - e1): c for (_, e1, _), c in h.raw.items()}))
-    return MultiPoly.from_raw(f.domain, {
-        (0, e1, 0): c
-        for (_, e1, _), c in multivariate_gcd(*lifted).raw.items()})
+            k + (d - key_exponent(k)[1]) * X2: c for k, c in h.raw.items()}))
+    return _at_x2_one(multivariate_gcd(*lifted))
+
+
+def _at_x2_one(h):
+    """h(x0, x1, 1) of a polynomial h free of x0, as a polynomial in x1."""
+    return MultiPoly.from_raw(h.domain, {k - key_exponent(k)[2] * X2: c
+                                         for k, c in h.raw.items()})
 
 
 def binary_roots(form):
@@ -227,12 +235,11 @@ def binary_roots(form):
     domain = form.domain
     if not form:
         raise ValueError("zero binary form")
-    if any(e[0] for e in form.poly.raw):
+    if any(key_exponent(k)[0] for k in form.poly.raw):
         raise ValueError("a binary form has no x0 term")
     if not domain.is_field:
         raise TypeError("roots need a field domain")
-    f = MultiPoly.from_raw(domain, {(0, e1, 0): c for (_, e1, _), c
-                                    in form.poly.raw.items()})  # f(x1, 1)
+    f = _at_x2_one(form.poly)
     distinct = (_roots_gf if domain.modulus else _rational_roots)(f)
     x1, x2 = (MultiPoly.variable(domain, i) for i in (1, 2))
     poly, roots = form.poly, []
@@ -248,7 +255,6 @@ def binary_roots(form):
 # ---- lines ------------------------------------------------------------
 
 
-_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # exponents of x0, x1, x2
 
 
 class LineSearchResult:
@@ -291,15 +297,16 @@ def _pencil_restriction_coefficients(form, point):
     """
     domain = form.domain
     i, j, _ = _pencil_indices(point)
-    images = [{(1, 0, 0): c} for c in point]
-    images[i][(0, 0, 1)] = 1
-    images[j][(0, 1, 0)] = -1
+    images = [{X0: c} for c in point]
+    images[i][X2] = 1
+    images[j][X1] = -1
     restricted = form.poly.substitute(
         [MultiPoly.from_raw(domain, image) for image in images])
     d = form.degree
     slices = [{} for _ in range(d + 1)]
-    for (e0, e1, e2), c in restricted.raw.items():
-        slices[d - e0][(0, e1, e2)] = c
+    for k, c in restricted.raw.items():
+        e0 = key_exponent(k)[0]
+        slices[d - e0][k - e0 * X0] = c
     return [MultiPoly.from_raw(domain, terms) for terms in slices]
 
 
@@ -386,7 +393,7 @@ def _tangent_line(poly, point):
     p0, p1, p2 = ([x**k for k in range(poly.total_degree() + 1)]
                   for x in point)
     g0 = g1 = g2 = 0
-    for (a, b, c), v in poly.raw.items():
+    for (a, b, c), v in exponent_terms(poly.raw):
         if a:
             g0 += v * a * p0[a - 1] * p1[b] * p2[c]
         if b:
@@ -418,7 +425,8 @@ def _linear_factors(form):
     if poly.total_degree() > 0:
         rest = Form(poly, poly.total_degree())
         restriction = MultiPoly.from_raw(
-            domain, {e: c for e, c in poly.raw.items() if not e[0]})
+            domain, {k: c for k, c in poly.raw.items()
+                     if not key_exponent(k)[0]})
         if not restriction:
             raise InvariantError("x0 should have been divided out")
         roots, nonsplit = binary_roots(Form(restriction, rest.degree))
@@ -472,7 +480,7 @@ def _nonsingular_conic(conic):
     which is evaluated on the raw coefficients (mod p over GF(p)), and the
     characteristic is never 2."""
     raw = conic.poly.raw
-    a, b, c, d, e, f = (raw.get(m, 0) for m in monomials_of_degree(2))
+    a, b, c, d, e, f = (raw.get(m, 0) for m in keys_of_degree(2))
     value = 4 * a * d * f + b * c * e - a * e * e - b * b * f - c * c * d
     p = conic.domain.modulus
     return bool(value % p if p else value)

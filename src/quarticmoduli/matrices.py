@@ -26,8 +26,8 @@ from .poly import (
     ParseError,
     PowerDegreeError,
     dot,
+    keys_of_degree,
     linear_rank,
-    monomials_of_degree,
     parse_entry,
 )
 
@@ -439,8 +439,8 @@ def random_form(domain, degree, rng):
         raise ValueError(f"random sampling needs a field, not {domain}")
     p = domain.modulus
     return Form(MultiPoly.from_raw(domain, {
-        mono: rng.randrange(p) if p else rng.randrange(-9, 10)
-        for mono in monomials_of_degree(degree)
+        key: rng.randrange(p) if p else rng.randrange(-9, 10)
+        for key in keys_of_degree(degree)
     }), degree)
 
 

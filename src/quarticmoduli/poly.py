@@ -1,21 +1,25 @@
 """Sparse exact polynomials in x0, x1, x2 and their homogeneous forms.
 
-Terms are stored as ``raw``, a dict from exponent triples to nonzero raw
+Terms are stored as ``raw``, a dict from monomial keys to nonzero raw
 values in canonical form: ints in [0, p) over GF(p); over QQ ints when
 integral and Fractions otherwise; ParamScalars over a parameter ring.
 Every operation reads and writes raw values, made canonical once per
 output by ``Domain.canonical``; the domains are matched once per
 polynomial, not per term.  Scalars are boxed only at the API edge: the
 ``terms`` view, ``coefficient`` and the results of the linear algebra.
-The canonical term order, which the text serialization follows, is
-graded lex, x0 > x1 > x2.
+The key of x0^e0*x1^e1*x2^e2 is the int d<<96 | e0<<64 | e1<<32 | e2, d =
+e0 + e1 + e2 (Monagan and Pearce, J. Symb. Comp. 46, 2011), so int order
+is graded lex, x0 > x1 > x2, the canonical term order, and keys add as
+exponents do.  Every exponent and degree stays below 2^31: a constructor,
+parse, power or product that would reach it is refused, so no 32-bit
+field overflows into the next.  The public surface keeps exponent triples.
 
 ``dot`` is the one multiply-accumulate kernel: a sum of signed products,
 such as a product, a cofactor sum or a matrix product entry, is
 accumulated in one dict of raw values and made canonical once.
-``MultiPoly.divmod`` keys its remainder terms by (degree, e0, e1, e2),
-whose tuple order is graded lex, so ``max`` finds the leading term by
-comparing tuples.  ``evaluate`` builds no polynomial: it runs
+``MultiPoly.divmod`` keys its remainder by key: kd divides kr when kr - kd
+is nonnegative with no guard bit, the top bit of an exponent field that a
+borrow sets.  ``evaluate`` builds no polynomial: it runs
 ``field.evaluate_raw``, the one evaluation loop, on the raw terms and the
 unboxed point, and refuses a point that is not a triple.
 
@@ -38,6 +42,7 @@ the end.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .field import QQ, _serialize_terms, evaluate_raw
@@ -45,9 +50,26 @@ from .field import QQ, _serialize_terms, evaluate_raw
 VARIABLES = ("x0", "x1", "x2")
 NVARS = 3
 
+DEGREE_LIMIT = 1 << 31  # every exponent and degree stays below it
+_GUARDS = 1 << 95 | 1 << 63 | 1 << 31  # the top bit of each exponent field
 
-def _grlex_key(exp):
-    return (sum(exp), exp)
+
+def monomial_key(exp):
+    """The key of an exponent triple in [0, 2^31) of degree below 2^31."""
+    e0, e1, e2 = exp
+    if min(e0, e1, e2) < 0 or (d := e0 + e1 + e2) >= DEGREE_LIMIT:
+        raise ValueError(f"exponent {tuple(exp)} out of range [0, 2^31)")
+    return d << 96 | e0 << 64 | e1 << 32 | e2
+
+
+def key_exponent(key):
+    """The exponent triple of a key."""
+    return (key >> 64 & 0xFFFFFFFF, key >> 32 & 0xFFFFFFFF, key & 0xFFFFFFFF)
+
+
+def exponent_terms(raw):
+    """The (exponent triple, raw value) pairs of a term dict."""
+    return ((key_exponent(k), c) for k, c in raw.items())
 
 
 class MultiPoly:
@@ -57,9 +79,9 @@ class MultiPoly:
 
     def __init__(self, domain, terms):
         """The polynomial of a dict exponent -> scalar, int or Fraction."""
-        unbox = domain.unbox
         self.domain = domain
-        self.raw = domain.canonical({e: unbox(c) for e, c in terms.items()})
+        self.raw = domain.canonical({monomial_key(e): domain.unbox(c)
+                                     for e, c in terms.items()})
 
     # ---- constructors -------------------------------------------------
 
@@ -73,16 +95,15 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, domain, i):
-        exp = tuple(1 if j == i else 0 for j in range(NVARS))
-        return cls.from_raw(domain, {exp: domain.one.value})
+        return cls.from_raw(domain, {keys_of_degree(1)[i]: domain.one.value})
 
     @classmethod
     def monomial(cls, domain, exp, coeff=1):
-        return cls.from_raw(domain, {tuple(exp): domain.unbox(coeff)})
+        return cls.from_raw(domain, {monomial_key(exp): domain.unbox(coeff)})
 
     @classmethod
     def from_raw(cls, domain, raw_terms):
-        """The polynomial of a dict exponent -> raw value."""
+        """The polynomial of a dict key -> raw value."""
         poly = object.__new__(cls)
         poly.domain, poly.raw = domain, domain.canonical(raw_terms)
         return poly
@@ -91,7 +112,7 @@ class MultiPoly:
     def terms(self):
         """Exponent -> nonzero boxed scalar, built afresh on each read."""
         box = self.domain.box
-        return {e: box(c) for e, c in self.raw.items()}
+        return {e: box(c) for e, c in exponent_terms(self.raw)}
 
     # ---- ring structure -----------------------------------------------
 
@@ -142,8 +163,8 @@ class MultiPoly:
         images = [self._coerce(g) for g in images]
         powers = [[MultiPoly.constant(domain, 1)] for _ in images]
         total = MultiPoly.zero(domain)
-        for e, c in self.raw.items():
-            term = MultiPoly.from_raw(domain, {(0, 0, 0): c})
+        for e, c in exponent_terms(self.raw):
+            term = MultiPoly.from_raw(domain, {0: c})
             for image, power, k in zip(images, powers, e):
                 while len(power) <= k:
                     power.append(power[-1] * image)
@@ -187,22 +208,19 @@ class MultiPoly:
 
     def total_degree(self):
         """Largest total degree of a term; -1 for the zero polynomial."""
-        if not self.raw:
-            return -1
-        return max(sum(e) for e in self.raw)
+        return max(self.raw) >> 96 if self.raw else -1
 
     def is_homogeneous(self):
-        degrees = {sum(e) for e in self.raw}
-        return len(degrees) <= 1
+        return not self.raw or min(self.raw) >> 96 == max(self.raw) >> 96
 
     def leading_exponent(self):
         if not self.raw:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.raw, key=_grlex_key)
+        return key_exponent(max(self.raw))
 
     def coefficient(self, exp):
         """The boxed coefficient of the monomial exp, zero included."""
-        return self.domain.box(self.raw.get(exp, 0))
+        return self.domain.box(self.raw.get(monomial_key(exp), 0))
 
     def leading_coefficient(self):
         return self.coefficient(self.leading_exponent())
@@ -216,8 +234,8 @@ class MultiPoly:
 
     def evaluate(self, point):
         """Value at a triple of scalars, ints or Fractions."""
-        return self.domain.box(
-            evaluate_raw(self.raw, _raw_point(self.domain, point)))
+        point = _raw_point(self.domain, point)
+        return self.domain.box(evaluate_raw(exponent_terms(self.raw), point))
 
     # ---- exact division ------------------------------------------------
 
@@ -243,20 +261,14 @@ class MultiPoly:
         if not self.domain.is_field:
             raise TypeError("division needs a field domain")
         p = self.domain.modulus
-        lead_d = divisor.leading_exponent()
-        lead = divisor.raw[lead_d]
+        lead_d, lead = max(divisor.raw.items())  # keys are distinct
         if p:  # over QQ pow(int, -1) would give a float
             inv = pow(lead, -1, p)
         else:
             inv = lead if lead in (1, -1) else Fraction(1, lead)
-        # terms keyed by (degree, e0, e1, e2), whose tuple order is grlex
-        d0, d1, d2 = lead_d
-        rest = [((e0 + e1 + e2, e0, e1, e2), -c)
-                for (e0, e1, e2), c in divisor.raw.items()
-                if (e0, e1, e2) != lead_d]
+        rest = [(k, -c) for k, c in divisor.raw.items() if k != lead_d]
         # raw values: the remainders' unreduced, the quotient's mod p
-        remainder = {(e0 + e1 + e2, e0, e1, e2): c
-                     for (e0, e1, e2), c in self.raw.items()}
+        remainder = dict(self.raw)
         get = remainder.get
         quotient, kept = {}, {}
         while remainder:
@@ -267,17 +279,15 @@ class MultiPoly:
                 c %= p
             if not c:
                 continue
-            _, r0, r1, r2 = lead_r
-            q0, q1, q2 = r0 - d0, r1 - d1, r2 - d2
-            if q0 < 0 or q1 < 0 or q2 < 0:
+            q = lead_r - lead_d
+            if q < 0 or q & _GUARDS:  # lead_d does not divide lead_r
                 if exact:
                     return None
-                kept[r0, r1, r2] = v
+                kept[lead_r] = v
                 continue
-            quotient[q0, q1, q2] = c
-            q = q0 + q1 + q2
-            for (k, k0, k1, k2), w in rest:
-                e = (k + q, k0 + q0, k1 + q1, k2 + q2)
+            quotient[q] = c
+            for k, w in rest:
+                e = k + q
                 remainder[e] = c * w + get(e, 0)
         return (MultiPoly.from_raw(self.domain, quotient),
                 MultiPoly.from_raw(self.domain, kept))
@@ -286,10 +296,10 @@ class MultiPoly:
 
     def serialize(self, variables=VARIABLES):
         """Canonical text: graded-lex descending, explicit '*' and '^'."""
-        terms = self.terms
+        box = self.domain.box
         return _serialize_terms(
-            (terms[e], zip(variables, e))
-            for e in sorted(terms, key=_grlex_key, reverse=True)
+            (box(self.raw[k]), zip(variables, key_exponent(k)))
+            for k in sorted(self.raw, reverse=True)
         )
 
     def __repr__(self):
@@ -309,7 +319,7 @@ def dot(pairs, domain, negated=()):
     """The sum of the products a * b of the pairs (a, b) of polynomials
     over domain, less those at the indices in negated: the package's one
     multiply-accumulate kernel.  Every product is summed into one dict of
-    raw values, made canonical once."""
+    raw values, made canonical once; a degree of 2^31 or more is refused."""
     raw = {}
     get = raw.get
     for k, (a, b) in enumerate(pairs):
@@ -321,10 +331,12 @@ def dot(pairs, domain, negated=()):
         if k in negated:
             left = [(e, -v) for e, v in left]
         right = list(b.raw.items())
-        for (a0, a1, a2), v in left:
-            for (b0, b1, b2), w in right:
-                e = (a0 + b0, a1 + b1, a2 + b2)
+        for ea, v in left:
+            for eb, w in right:
+                e = ea + eb
                 raw[e] = v * w + get(e, 0)
+    if raw and max(raw) >> 96 >= DEGREE_LIMIT:
+        raise ValueError(f"a product of degree {max(raw) >> 96} >= 2^31")
     return MultiPoly.from_raw(domain, raw)
 
 
@@ -340,10 +352,10 @@ class Form:
     def __init__(self, poly, degree):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if any(sum(e) != degree for e in poly.raw):
-            raise ValueError(
-                f"polynomial {poly!r} is not homogeneous of degree {degree}"
-            )
+        raw = poly.raw
+        if raw and not min(raw) >> 96 == degree == max(raw) >> 96:
+            raise ValueError(f"polynomial {poly!r} is not homogeneous of "
+                             f"degree {degree}")
         self.poly = poly
         self.degree = degree
 
@@ -398,11 +410,9 @@ class Form:
         Well defined up to scaling by a nonzero scalar to the degree-th
         power, so callers should only use the zero/nonzero status.
         """
-        domain = self.domain
-        values = _raw_point(domain, point)
-        if not any(values):
+        if not any(_raw_point(self.domain, point)):
             raise ValueError("projective point must not be all zero")
-        return domain.box(evaluate_raw(self.poly.raw, values))
+        return self.poly.evaluate(point)
 
     def serialize(self):
         return self.poly.serialize()
@@ -428,9 +438,8 @@ class Form:
         images = [None] * 3
         images[params[0]] = MultiPoly.variable(domain, 1)
         images[params[1]] = MultiPoly.variable(domain, 2)
-        images[pivot] = MultiPoly.from_raw(domain, {
-            (0, 1, 0): coeffs[params[0]] * minus_inv,
-            (0, 0, 1): coeffs[params[1]] * minus_inv})
+        images[pivot] = MultiPoly.from_raw(domain, dict(zip(  # in x1, x2
+            keys_of_degree(1)[1:], [coeffs[i] * minus_inv for i in params])))
         return images
 
     def restrict_to_line(self, line):
@@ -575,6 +584,8 @@ class _Parser:
                     base.coefficient((0, 0, 0)), n))
             if self.max_degree is not None and n * degree > self.max_degree:
                 raise PowerDegreeError(f"a power of degree {n * degree}")
+            if n * degree >= DEGREE_LIMIT:
+                raise ParseError(f"a power of degree {n * degree} >= 2^31")
             base = base ** n
         return base
 
@@ -654,11 +665,14 @@ def _homogeneous_form(poly, text, expected_degree):
 
 def monomials_of_degree(d):
     """Exponent triples of total degree d, in descending graded-lex order."""
-    out = []
-    for e0 in range(d, -1, -1):
-        for e1 in range(d - e0, -1, -1):
-            out.append((e0, e1, d - e0 - e1))
-    return out
+    return list(map(key_exponent, keys_of_degree(d)))
+
+
+@lru_cache(maxsize=64)
+def keys_of_degree(d):
+    """The keys of the monomials of degree d, in descending order."""
+    return tuple(d << 96 | e0 << 64 | e1 << 32 | d - e0 - e1
+                 for e0 in range(d, -1, -1) for e1 in range(d - e0, -1, -1))
 
 
 def coefficient_rows(forms, degree):
@@ -668,12 +682,12 @@ def coefficient_rows(forms, degree):
     For degree 1 the vector of a linear form is its (x0, x1, x2)
     coefficients.
     """
-    monos = monomials_of_degree(degree)
+    keys = keys_of_degree(degree)
     rows = []
     for f in forms:
         if f.poly and f.degree != degree:
             raise ValueError(f"form of degree {f.degree}, expected {degree}")
-        rows.append([f.poly.raw.get(m, 0) for m in monos])
+        rows.append([f.poly.raw.get(k, 0) for k in keys])
     return rows
 
 

@@ -22,6 +22,7 @@ from .poly import (
     coefficient_rows,
     dot,
     kernel_vector,
+    keys_of_degree,
     linear_rank,
 )
 
@@ -258,7 +259,8 @@ def extract_Z_points(report):
     domain = k.domain
     z, w = coefficient_rows(k.row(0), 1), coefficient_rows(k.row(1), 1)
     # det(u*Z + v*W) as a binary cubic in u = x1, v = x2
-    cubic = det([[MultiPoly.from_raw(domain, {(0, 1, 0): a, (0, 0, 1): b})
+    _, x1, x2 = keys_of_degree(1)
+    cubic = det([[MultiPoly.from_raw(domain, {x1: a, x2: b})
                   for a, b in zip(z_row, w_row)]
                  for z_row, w_row in zip(z, w)])
     if not cubic:

@@ -18,7 +18,7 @@ from .matrices import (
     random_form,
     random_matrix,
 )
-from .poly import Form, MultiPoly, monomials_of_degree
+from .poly import Form, MultiPoly, key_exponent, keys_of_degree
 
 PASS = "pass"
 PASS_WITH_NOTE = "pass-with-note"
@@ -319,7 +319,7 @@ def _specialize(poly, values, base):
     """Evaluate the parameter coefficients of a ParamRing polynomial at a
     dict name -> base scalar, on raw values."""
     point = [base.unbox(values[n]) for n in poly.domain.names]
-    return MultiPoly.from_raw(base, {e: evaluate_raw(c.raw, point)
+    return MultiPoly.from_raw(base, {e: evaluate_raw(c.raw.items(), point)
                                      for e, c in poly.raw.items()})
 
 
@@ -357,9 +357,8 @@ def verify_fibre_determinant(seed):
 def _random_form_in(domain, rng, variables, degree):
     """A random form of the given degree in a subset of the variables."""
     return MultiPoly.from_raw(domain, {
-        e: rng.randrange(domain.p)
-        for e in monomials_of_degree(degree)
-        if not any(e[i] for i in range(3) if i not in variables)
+        k: rng.randrange(domain.p) for k in keys_of_degree(degree)
+        if not any(key_exponent(k)[i] for i in range(3) if i not in variables)
     })
 
 

@@ -363,12 +363,14 @@ def nested_product(depth):
     return expr
 
 
-def substituted_bundles(depth):
-    """A substitute tree depth deep whose 3^depth leaves are each
-    P(P^500 bundle of rank 501): every node is within the dimension
-    limit, and each leaf costs 501 * 501 coefficient products."""
-    expr = {"type": "projbundle", "base": {"type": "projective", "n": 500},
-            "rank": 501}
+# P(P^500 bundle of rank 501): within the dimension limit, and it costs
+# 501 * 501 coefficient products
+BUNDLE = {"type": "projbundle", "base": {"type": "projective", "n": 500},
+          "rank": 501}
+
+
+def substituted(expr, depth):
+    """A substitute tree depth deep whose 3^depth leaves are each expr."""
     for _ in range(depth):
         expr = {"type": "substitute", "total": expr, "removed": expr,
                 "inserted": expr}
@@ -476,7 +478,13 @@ MALFORMED = {
     "deep product nesting": (["betti", FILE], nested_product(400),
                              "expression nested too deeply"),
     # 26 KB, 243 leaves: about 61 million products without the budget
-    "costly expression": (["betti", FILE], substituted_bundles(5),
+    "costly expression": (["betti", FILE], substituted(BUNDLE, 5),
+                          "the expression needs more than 3000000 "
+                          "coefficient products"),
+    # 1.2 MB, 19,683 leaves P^1000 of 1,001 coefficients each: about 5 s
+    # when only the products were charged
+    "many cheap leaves": (["betti", FILE],
+                          substituted({"type": "projective", "n": 1000}, 9),
                           "the expression needs more than 3000000 "
                           "coefficient products"),
     "huge projective space": (["betti", "P1000000000"], None,

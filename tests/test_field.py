@@ -123,7 +123,7 @@ def test_param_ring_arithmetic_and_substitution():
     expr = (a + b) * (a - b)
     direct = a * a - b * b
     assert expr == direct
-    assert evaluate_raw(expr.raw, [Fraction(3), Fraction(2)]) == 5
+    assert evaluate_raw(expr.raw.items(), [Fraction(3), Fraction(2)]) == 5
 
 
 @pytest.mark.parametrize("base", [QQ, GF(101)], ids=repr)
@@ -151,7 +151,7 @@ def test_param_scalar_fast_paths_keep_the_semantics(base):
         with pytest.raises(FieldMismatchError):
             s - v
     # a product of two-parameter terms, checked at a point
-    assert base.box(evaluate_raw((s * s).raw, [2, 5])) == base.scalar(
+    assert base.box(evaluate_raw((s * s).raw.items(), [2, 5])) == base.scalar(
         (3 * 2 + 5 * 2 - 2) ** 2)
 
 

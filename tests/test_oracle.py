@@ -101,6 +101,7 @@ from quarticmoduli.poly import (  # noqa: E402
     MultiPoly,
     _eliminate,
     coefficient_rows,
+    exponent_terms,
     kernel_vector,
     linear_rank,
     monomials_of_degree,
@@ -359,7 +360,8 @@ def test_binary_roots_match_sympy_factor_list(p, data):
     roots, nonsplit = binary_roots(form)
     x = sympy.Symbol("x")
     affine = sympy.Poly.from_dict(
-        {(e[1],): c for e, c in form.poly.raw.items()}, x, modulus=p)
+        {(e[1],): c for e, c in exponent_terms(form.poly.raw)}, x,
+        modulus=p)
     _, factors = affine.factor_list()
     want = sorted((-c * pow(a, -1, p) % p, 1)
                   for factor, k in factors if factor.degree() == 1
@@ -404,7 +406,8 @@ def test_binary_roots_over_qq_match_sympy_factor_list(data):
     roots, nonsplit = binary_roots(form)
     x = sympy.Symbol("x")
     affine = sympy.Poly.from_dict(
-        {(e[1],): to_sympy(sympy.QQ, c) for e, c in form.poly.raw.items()},
+        {(e[1],): to_sympy(sympy.QQ, c)
+         for e, c in exponent_terms(form.poly.raw)},
         x, domain=sympy.QQ)
     _, factors = affine.factor_list()
     want = sorted((-from_sympy_rational(c) / from_sympy_rational(a)
@@ -447,7 +450,8 @@ def test_linear_factors_over_qq_match_sympy_factor_list(data):
         sorted((e, from_sympy(sympy.QQ, c)) for e, c in factor.monic().items())
         for factor, k in factors if all(sum(e) == 1 for e in factor.monoms())
         for _ in range(k))
-    assert sorted(sorted((e, Fraction(c)) for e, c in line.poly.raw.items())
+    assert sorted(sorted((e, Fraction(c))
+                         for e, c in exponent_terms(line.poly.raw))
                   for line in lines) == want
 
 
@@ -503,7 +507,7 @@ def test_lines_through_a_singular_point_match_sympy_factor_list(data):
             if key in counts}
     want = sorted(key for key, k in least.items() for _ in range(k))
     assert sorted(tuple(sorted((e, Fraction(c)) for e, c in
-                               line.poly.raw.items()))
+                               exponent_terms(line.poly.raw)))
                   for line in result.lines) == want
 
 
@@ -859,8 +863,8 @@ def test_evaluate_matches_sympy_poly_eval(domain, data):
     f = data.draw(sparse_polys(domain))
     point = [data.draw(coordinates(domain)) for _ in range(3)]
     degree = max(f.total_degree(), 0)
-    top = Form(MultiPoly.from_raw(domain, {e: c for e, c in f.raw.items()
-                                           if sum(e) == degree}), degree)
+    top = Form(MultiPoly(domain, {e: c for e, c in f.terms.items()
+                                  if sum(e) == degree}), degree)
     gens = sympy.symbols("x0 x1 x2")
     field = sympy.QQ if domain == QQ else sympy.GF(domain.p)
     at = tuple(sympy_coordinate(domain, x) for x in point)

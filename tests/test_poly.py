@@ -9,13 +9,17 @@ from quarticmoduli.field import GF, QQ, FieldScalar, ParamRing
 from quarticmoduli.gcd import _nonsingular_conic
 from quarticmoduli.matrices import SHAPES, FormMatrix, act
 from quarticmoduli.poly import (
+    _GUARDS,
+    DEGREE_LIMIT,
     BinaryForm,
     Form,
     MultiPoly,
     ParseError,
     _eliminate,
     coefficient_rows,
+    key_exponent,
     linear_rank,
+    monomial_key,
     monomials_of_degree,
     parse_entry,
     parse_form,
@@ -74,6 +78,71 @@ def test_huge_power_of_a_variable_is_fast():
         with pytest.raises(ParseError):
             parse_form(text, 2)
     assert parse_form("x0^3 - x0^3 + x1^2").poly == parse_poly("x1^2")
+
+
+def refused(error, run):
+    """The one-line message of the error that run() raises."""
+    with pytest.raises(error) as info:
+        run()
+    message = str(info.value)
+    assert message and "\n" not in message
+    return message
+
+
+def test_degree_bound_is_refused_never_wrapped():
+    top = DEGREE_LIMIT - 1
+    assert DEGREE_LIMIT == 2**31
+    assert parse_poly(f"x0^{top}").leading_exponent() == (top, 0, 0)
+    assert "2^31" in refused(ParseError,
+                             lambda: parse_poly("x0^2147483648"))
+    assert "2^31" in refused(ParseError,
+                             lambda: parse_poly("(x0*x1)^1073741824"))
+    for exp in ((2**31, 0, 0), (2**30, 2**30, 0), (0, -1, 1)):
+        assert "out of range" in refused(
+            ValueError, lambda: MultiPoly.monomial(QQ, exp))
+        assert "out of range" in refused(
+            ValueError, lambda: MultiPoly(QQ, {exp: 1}))
+    half = MultiPoly.monomial(QQ, (0, 2**30, 0))
+    products = [lambda: half * half, lambda: half ** 2,
+                lambda: parse_poly(f"x1^{top} + 1") * parse_poly("x2 - 1"),
+                lambda: parse_poly("x0^2000000000*x0^2000000000"),
+                lambda: half.substitute([half, half, half])]
+    for product in products:
+        assert "2^31" in refused(ValueError, product)
+    assert half * MultiPoly.monomial(QQ, (0, 0, 2**30 - 1)) == \
+        MultiPoly.monomial(QQ, (0, 2**30, 2**30 - 1))
+
+
+def test_key_layout_properties():
+    """Keys round-trip; int order is (degree, exponent) order; a key sum is
+    the exponent sum, also where a field passes 2^31; the guard-bit test
+    is componentwise >=."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    top = DEGREE_LIMIT - 1
+
+    @st.composite
+    def exponents(draw):
+        e0 = draw(st.integers(0, top))
+        e1 = draw(st.integers(0, top - e0))
+        return tuple(draw(st.permutations(
+            [e0, e1, draw(st.integers(0, top - e0 - e1))])))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(exponents(), exponents())
+    def layout(a, b):
+        ka, kb = monomial_key(a), monomial_key(b)
+        assert key_exponent(ka) == a and ka >> 96 == sum(a)
+        assert (ka < kb) == ((sum(a), a) < (sum(b), b))
+        total = ka + kb
+        assert key_exponent(total) == tuple(x + y for x, y in zip(a, b))
+        assert total >> 96 == sum(a) + sum(b)
+        for q, divides in ((ka - kb, all(x >= y for x, y in zip(a, b))),
+                           (total - kb, True)):
+            assert (q >= 0 and not q & _GUARDS) == divides
+
+    layout()
 
 
 def test_power_by_squaring_matches_repeated_product():

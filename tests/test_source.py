@@ -132,11 +132,13 @@ def test_param_ring_built_only_for_chart_minors():
     assert PARAM_RING_BUILDERS <= names
 
 
-# the one function with a product loop: a term loop nested in a term
-# loop that sums the two exponent triples and multiplies the two values.
-# Every product and sum of products goes through poly.dot, so no second
-# multiplication loop comes back into det, mat_mul or their callers.
-PRODUCT_LOOPS = {"dot"}
+# the functions with a product loop: a term loop nested in a term loop
+# that adds the two monomial keys and multiplies the two values.  Every
+# product and sum of products of polynomials in x0, x1, x2 goes through
+# poly.dot, so no second multiplication loop comes back into det, mat_mul
+# or their callers; the other is betti's product of dense integer
+# coefficient vectors in q, whose keys are the indices.
+PRODUCT_LOOPS = {"dot", "PoincarePoly.__mul__"}
 
 
 def _bound_names(target):
@@ -145,8 +147,8 @@ def _bound_names(target):
 
 def is_product_loop(node):
     """Whether the node is a for loop with a for loop inside it that builds
-    (a0 + b0, a1 + b1, a2 + b2) and v * w, each sum and the product of one
-    name bound by each loop."""
+    a sum ea + eb, or a tuple of such sums, and a product v * w, each of
+    one name bound by each loop."""
     if not isinstance(node, ast.For):
         return False
     outer = _bound_names(node.target)
@@ -165,39 +167,110 @@ def is_product_loop(node):
             return (x in outer and y in names) or (y in outer and x in names)
 
         body = list(ast.walk(inner))
-        if any(isinstance(sub, ast.Tuple) and len(sub.elts) == 3
-               and all(across(elt, ast.Add) for elt in sub.elts)
-               for sub in body) \
+        if any(across(sub, ast.Add) for sub in body) \
                 and any(across(sub, ast.Mult) for sub in body):
             return True
     return False
 
 
 def test_one_product_loop():
-    product = """
+    packed = """
+for ea, v in left:
+    for eb, w in right:
+        e = ea + eb
+        raw[e] = v * w + get(e, 0)
+"""
+    triples = """
 for (a0, a1, a2), v in left:
     for (b0, b1, b2), w in right:
         e = (a0 + b0, a1 + b1, a2 + b2)
         raw[e] = v * w + get(e, 0)
 """
     # multivariate_gcd lays out the shifts of a polynomial as matrix
-    # columns: an exponent sum with no product of values
+    # columns: a key sum with no product of values
     layout = """
-for j, ((m0, m1, m2), terms) in enumerate(shifts):
-    for (e0, e1, e2), c in terms.items():
-        rows.setdefault((m0 + e0, m1 + e1, m2 + e2), {})[j] = c
+for j, (m, terms) in enumerate(shifts):
+    for e, c in terms.items():
+        rows.setdefault(m + e, {})[j] = c
 """
-    assert is_product_loop(ast.parse(product).body[0])
+    assert is_product_loop(ast.parse(packed).body[0])
+    assert is_product_loop(ast.parse(triples).body[0])
     assert not is_product_loop(ast.parse(layout).body[0])
-    offenders, names = [], set()
+    offenders, names, found = [], set(), set()
     for path in SOURCES:
         uses, defined = qualified_uses(
             ast.parse(path.read_text(), filename=str(path)), is_product_loop)
         names |= defined
+        found |= {scope for scope, _ in uses}
         offenders += [f"{path.name}:{line} in {scope or '<module>'}"
                       for scope, line in uses if scope not in PRODUCT_LOOPS]
     assert not offenders, f"a product loop outside poly.dot: {offenders}"
     assert PRODUCT_LOOPS <= names
+    assert PRODUCT_LOOPS <= found  # the detector still sees dot's loop
+
+
+def _is_raw(expr):
+    return isinstance(expr, ast.Attribute) and expr.attr == "raw"
+
+
+def _unpacks_raw_items(target, iterable):
+    """Whether a loop over iterable, .raw.items(), unpacks its keys."""
+    return (isinstance(target, ast.Tuple) and target.elts
+            and isinstance(target.elts[0], ast.Tuple)
+            and isinstance(iterable, ast.Call)
+            and getattr(iterable.func, "attr", None) == "items"
+            and _is_raw(iterable.func.value))
+
+
+def reads_raw_by_tuple(node):
+    """Whether the node reads or builds a term dict by exponent tuple:
+    .raw.get(tuple, ...), .raw[tuple], a loop or comprehension over
+    .raw.items() whose key target is a tuple, or a from_raw call with a
+    dict display or comprehension keyed by tuples."""
+    if isinstance(node, ast.Subscript):
+        return _is_raw(node.value) and isinstance(node.slice, ast.Tuple)
+    if isinstance(node, ast.For):
+        return _unpacks_raw_items(node.target, node.iter)
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                         ast.GeneratorExp)):
+        return any(_unpacks_raw_items(g.target, g.iter)
+                   for g in node.generators)
+    if not (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)):
+        return False
+    if node.func.attr == "get" and _is_raw(node.func.value):
+        return bool(node.args) and isinstance(node.args[0], ast.Tuple)
+    return node.func.attr == "from_raw" and any(
+        isinstance(arg, ast.Dict)
+        and any(isinstance(k, ast.Tuple) for k in arg.keys)
+        or isinstance(arg, ast.DictComp) and isinstance(arg.key, ast.Tuple)
+        for arg in node.args)
+
+
+def test_term_dicts_keyed_by_packed_keys_outside_poly():
+    # poly keys each term by one packed int, so a read by exponent tuple
+    # elsewhere, such as g.raw.get((0, 0, 0), 0), would silently read 0
+    for text in ("g.raw.get((0, 0, 0), 0)", "h.raw[0, 1, 0]",
+                 "[c for (a, b, c), v in f.raw.items()]",
+                 "MultiPoly.from_raw(d, {(0, 1, 0): a})",
+                 "MultiPoly.from_raw(d, {(0, e, 0): c for e, c in t})"):
+        assert reads_raw_by_tuple(ast.parse(text).body[0].value), text
+    assert reads_raw_by_tuple(ast.parse(
+        "for (e0, e1, e2), c in f.raw.items():\n    pass").body[0])
+    for text in ("g.raw.get(0, 0)", "h.raw[k]",
+                 "[c for k, c in f.raw.items()]",
+                 "MultiPoly.from_raw(d, {x1: a})",
+                 "ParamScalar.from_raw(r, {(0,) * n: c})"):
+        assert not reads_raw_by_tuple(ast.parse(text).body[0].value), text
+    offenders = []
+    for path in SOURCES:
+        if path.name != "poly.py":
+            uses, _ = qualified_uses(
+                ast.parse(path.read_text(), filename=str(path)),
+                reads_raw_by_tuple)
+            offenders += [f"{path.name}:{line} in {scope or '<module>'}"
+                          for scope, line in uses]
+    assert not offenders, f"term dicts read by exponent tuple: {offenders}"
 
 
 BOXING_CONSTRUCTORS = {"MultiPoly", "ParamScalar"}
