@@ -88,22 +88,22 @@ def _extract_chart_params(a, b):
     if params is None:
         raise ChartError("base matrix is not in the boundary normal form")
     xbar0, w = params
-    if any(key_exponent(k)[0] for k in w.poly.raw):
+    if any(key_exponent(k)[0] for k in w.raw):
         raise ChartError("w must be a form in x1, x2")
     # direction matrix template
     if b[1, 0] or b[1, 2] or b[2, 0]:
         raise ChartError("direction matrix is not in the chart normal form")
     coeff_c = _linear_coefficient(b[1, 1], 1, "c entry must be c*x1")
     ab_entry = b[2, 1]
-    coeff_a = ab_entry.poly.coefficient((0, 1, 0))
-    coeff_b = ab_entry.poly.coefficient((0, 0, 1))
-    if any(key_exponent(k)[0] for k in ab_entry.poly.raw):
+    coeff_a = ab_entry.coefficient((0, 1, 0))
+    coeff_b = ab_entry.coefficient((0, 0, 1))
+    if any(key_exponent(k)[0] for k in ab_entry.raw):
         raise ChartError("entry (2,1) of the direction must be a*x1 + b*x2")
     coeff_d = _linear_coefficient(b[2, 2], 2, "d entry must be d*x2")
     q0, q1, q2 = b[0, 0], b[0, 1], b[0, 2]
-    if any(key_exponent(k)[0] for k in q1.poly.raw):
+    if any(key_exponent(k)[0] for k in q1.raw):
         raise ChartError("q1 must not involve x0")
-    if any(key_exponent(k)[:2] != (0, 0) for k in q2.poly.raw):
+    if any(key_exponent(k)[:2] != (0, 0) for k in q2.raw):
         raise ChartError("q2 must involve only x2")
     return {
         "xbar0": xbar0,
@@ -120,9 +120,9 @@ def _extract_chart_params(a, b):
 
 def _linear_coefficient(entry, var, message):
     key = keys_of_degree(1)[var]
-    if any(k != key for k in entry.poly.raw):
+    if any(k != key for k in entry.raw):
         raise ChartError(message)
-    return entry.poly.coefficient(key_exponent(key))
+    return entry.coefficient(key_exponent(key))
 
 
 def _chart_coefficient(params, chart):
@@ -131,7 +131,7 @@ def _chart_coefficient(params, chart):
     for name in ("q0", "q1", "q2"):
         if chart.startswith(name + "["):
             exps = tuple(int(x) for x in chart[len(name) + 1 : -1].split(","))
-            return params[name].poly.coefficient(exps)
+            return params[name].coefficient(exps)
     raise ChartError(f"unknown chart coordinate {chart!r}")
 
 
@@ -162,7 +162,7 @@ def make_blowup_chart_point(
     q = []
     for name, text in (("q0", q0_text), ("q1", q1_text), ("q2", q2_text)):
         try:
-            q.append(parse_form(text, 2, domain).poly)
+            q.append(parse_form(text, 2, domain))
         except ParseError as exc:
             raise type(exc)(f"{name}: {exc}") from None
     zero = MultiPoly.zero(domain)
@@ -187,15 +187,15 @@ def family_limit(pt):
     domain = pt.a.domain
     x1 = _var(domain, 1)
     x2 = _var(domain, 2)
-    xbar0 = p["xbar0"].poly
-    w = p["w"].poly
+    xbar0 = p["xbar0"]
+    w = p["w"]
     cubic = (
         x1 ** 3 * p["c"]
         + x1 ** 2 * x2 * p["a"]
         + x1 * x2 ** 2 * p["b"]
         + x2 ** 3 * p["d"]
     )
-    f = xbar0 * (xbar0 * p["q0"].poly + x1 * p["q1"].poly + x2 * p["q2"].poly) \
+    f = xbar0 * (xbar0 * p["q0"] + x1 * p["q1"] + x2 * p["q2"]) \
         - w * cubic
     if not f:
         raise ChartError(
@@ -220,7 +220,7 @@ def tangent_quartic(a, b):
     for i in range(3):
         replaced = FormMatrix(a.src_degrees, a.tgt_degrees,
                               [*a.entries[:i], b.row(i), *a.entries[i + 1:]])
-        total = total + replaced.determinant().poly
+        total = total + replaced.determinant()
     return Form(total, 4)
 
 
@@ -279,10 +279,7 @@ class DeformationInstance:
         x1, x2 = _var(domain, 1), _var(domain, 2)
         t = self.t
         inv_t = t.inverse()
-        w, xb = self.w.poly, self.xbar0.poly
-        q = [f.poly for f in self.q]
-        y = [f.poly for f in self.y]
-        z = [f.poly for f in self.z]
+        w, xb, q, y, z = self.w, self.xbar0, self.q, self.y, self.z
         zero = MultiPoly.zero(domain)
         one = MultiPoly.constant(domain, 1)
         row1 = [w] + [f * t for f in q]
@@ -362,16 +359,16 @@ def build_twisted_ideal_resolution(f, l, g):
         raise ValueError("need degrees (4, 1, 3)")
     if not l or not g:
         raise ValueError("line and cubic must be nonzero")
-    quotient = f.poly.try_exact_div(l.poly)
+    quotient = f.try_exact_div(l)
     if quotient is not None:
         return TwistedIdealResolution(
             l, g, Form.zero(domain, 1), Form(quotient, 3), semistable=False
         )
     cubics, linears = keys_of_degree(3), keys_of_degree(1)
     # one column per unknown coefficient, one row per quartic monomial
-    columns = [Form(l.poly * MultiPoly.from_raw(domain, {m: 1}), 4)
+    columns = [Form(l * MultiPoly.from_raw(domain, {m: 1}), 4)
                for m in cubics]
-    columns += [Form(-(g.poly * MultiPoly.from_raw(domain, {m: 1})), 4)
+    columns += [Form(-(g * MultiPoly.from_raw(domain, {m: 1})), 4)
                 for m in linears]
     solution = solve_linear(list(zip(*coefficient_rows(columns, 4))),
                             coefficient_rows([f], 4)[0], domain.modulus)
@@ -383,7 +380,7 @@ def build_twisted_ideal_resolution(f, l, g):
     result = TwistedIdealResolution(
         l, g, Form(w, 1), Form(h, 3), semistable=True
     )
-    if l.poly * result.h.poly - result.w.poly * g.poly != f.poly:
+    if l * result.h - result.w * g != f:
         raise InvariantError("resolution does not satisfy f = l*h - w*g")
     return result
 
@@ -410,7 +407,7 @@ def flag_limit(datum):
     """
     f, l = datum.quartic, datum.line
     domain = f.domain
-    restriction = f.restrict_to_line(l).poly
+    restriction = f.restrict_to_line(l)
     if not restriction:
         raise ValueError("line is contained in the quartic")
     s, t = _var(domain, 1), _var(domain, 2)

@@ -62,10 +62,6 @@ def multivariate_gcd(a, b):
     Normalized so the graded-lex leading coefficient is 1; gcd(0, b) is the
     normalized b.  See the module docstring for the kernel search.
     """
-    if isinstance(a, Form):
-        a = a.poly
-    if isinstance(b, Form):
-        b = b.poly
     if a.domain != b.domain:
         a._coerce(b)  # raises FieldMismatchError
     if not a:
@@ -111,8 +107,6 @@ def gcd_fold(polys):
     """
     total = None
     for p in polys:
-        if isinstance(p, Form):
-            p = p.poly
         if total is None or not total:
             total = p.normalized()
         elif total.total_degree() == 0:
@@ -235,14 +229,14 @@ def binary_roots(form):
     domain = form.domain
     if not form:
         raise ValueError("zero binary form")
-    if any(key_exponent(k)[0] for k in form.poly.raw):
+    if any(key_exponent(k)[0] for k in form.raw):
         raise ValueError("a binary form has no x0 term")
     if not domain.is_field:
         raise TypeError("roots need a field domain")
-    f = _at_x2_one(form.poly)
+    f = _at_x2_one(form)
     distinct = (_roots_gf if domain.modulus else _rational_roots)(f)
     x1, x2 = (MultiPoly.variable(domain, i) for i in (1, 2))
-    poly, roots = form.poly, []
+    poly, roots = form, []
     for s, t in [(1, 0)] + [(r, 1) for r in distinct]:
         root = (domain.scalar(s), domain.scalar(t))
         line = x1 * t - x2 * s  # vanishes at [s:t]
@@ -300,7 +294,7 @@ def _pencil_restriction_coefficients(form, point):
     images = [{X0: c} for c in point]
     images[i][X2] = 1
     images[j][X1] = -1
-    restricted = form.poly.substitute(
+    restricted = form.substitute(
         [MultiPoly.from_raw(domain, image) for image in images])
     d = form.degree
     slices = [{} for _ in range(d + 1)]
@@ -368,9 +362,9 @@ def _pencil_lines(forms, through, domain):
     if not any(point):
         raise ValueError("projective point must not be all zero")
     for f in forms:
-        tangent = _tangent_line(f.poly, point)
+        tangent = _tangent_line(f, point)
         if tangent:
-            if any(g.poly.try_exact_div(tangent) is None for g in forms) \
+            if any(g.try_exact_div(tangent) is None for g in forms) \
                     or tangent.evaluate(point):
                 return LineSearchResult([], 0)
             return LineSearchResult([Form(tangent, 1).normalized()], 0)
@@ -417,8 +411,8 @@ def _linear_factors(form):
     domain = form.domain
     x0 = Form(MultiPoly.variable(domain, 0), 1)
     factors = []
-    poly = form.poly
-    while (q := poly.try_exact_div(x0.poly)) is not None:
+    poly = form
+    while (q := poly.try_exact_div(x0)) is not None:
         factors.append(x0)
         poly = q
     nonsplit = 0
@@ -439,7 +433,7 @@ def _linear_factors(form):
             seen.add(key)
             result = _pencil_lines([rest], point, domain)
             for line in result.lines:
-                while (q := poly.try_exact_div(line.poly)) is not None:
+                while (q := poly.try_exact_div(line)) is not None:
                     factors.append(line)
                     poly = q
             nonsplit = max(nonsplit, result.nonsplit_degree)
@@ -479,7 +473,7 @@ def _nonsingular_conic(conic):
     nonsingular: its determinant is twice 4adf + bce - ae^2 - b^2f - c^2d,
     which is evaluated on the raw coefficients (mod p over GF(p)), and the
     characteristic is never 2."""
-    raw = conic.poly.raw
+    raw = conic.raw
     a, b, c, d, e, f = (raw.get(m, 0) for m in keys_of_degree(2))
     value = 4 * a * d * f + b * c * e - a * e * e - b * b * f - c * c * d
     p = conic.domain.modulus

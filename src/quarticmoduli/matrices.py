@@ -12,9 +12,11 @@ operations) go through it too: a Form of the required degree is kept
 after one comparison, and a zero entry takes the required degree.
 
 ``det`` and ``mat_mul`` are the package's single determinant and matrix
-product; they work on plain grids of ``MultiPoly`` over any domain, and
-sum each entry's products with ``poly.dot`` in one raw dict.  FormMatrix
-wraps them with degree bookkeeping.
+product; they work on grids of ``MultiPoly`` over any domain, a
+FormMatrix's entries as they are, and sum each entry's products with
+``poly.dot`` in one raw dict.  FormMatrix wraps them with degree
+bookkeeping; its minors and the invertibility test of a
+``GradedAutomorphism`` take ``det`` of a sub-grid, with no submatrix.
 """
 
 import random
@@ -132,7 +134,7 @@ class FormMatrix:
         if self.nrows != self.ncols:
             raise DegreeError("determinant of a non-square matrix")
         degree = sum(self.src_degrees) - sum(self.tgt_degrees)
-        return Form(det(_polys(self)), degree if degree >= 0 else 0)
+        return Form(det(self.entries), max(degree, 0))
 
     def maximal_minors(self):
         """Signed maximal minors.
@@ -148,11 +150,15 @@ class FormMatrix:
             raise DegreeError("need an (n)x(n+1) shape for minors" if wide
                               else "need an (n+1)x(n) shape for minors")
         kept = list(range(n))
+        total = sum(self.src_degrees) - sum(self.tgt_degrees)
         minors = []
         for j in range(m):
             rest = [k for k in range(m) if k != j]
             rows, cols = (kept, rest) if wide else (rest, kept)
-            minor = self.submatrix(rows, cols).determinant()
+            grid = [[self.entries[i][k] for k in cols] for i in rows]
+            degree = total + (self.tgt_degrees[j] if wide
+                              else -self.src_degrees[j])
+            minor = Form(det(grid), max(degree, 0))
             minors.append(minor if j % 2 == 0 else -minor)
         return minors
 
@@ -177,10 +183,8 @@ class FormMatrix:
 def _graded_entry(i, j, need, entry):
     """Entry (i, j), a Form or a MultiPoly, as a form of degree need, kept
     as it is if it is one, or as the zero form of degree max(need, 0)."""
-    if isinstance(entry, Form):
-        if entry.degree == need:
-            return entry
-        entry = entry.poly
+    if isinstance(entry, Form) and entry.degree == need:
+        return entry
     if not entry:
         return Form.zero(entry.domain, max(need, 0))
     try:
@@ -192,10 +196,6 @@ def _graded_entry(i, j, need, entry):
 def _entry_degree_error(i, j, need, poly):
     return DegreeError(f"entry ({i},{j}) must have degree {need}, "
                        f"got {poly.total_degree()}: {poly.serialize()}")
-
-
-def _polys(matrix):
-    return [[e.poly for e in row] for row in matrix.entries]
 
 
 def det(grid):
@@ -289,8 +289,7 @@ class GradedAutomorphism:
         self.matrix = matrix
         for d in set(matrix.src_degrees):
             idx = [i for i, s in enumerate(matrix.src_degrees) if s == d]
-            block = matrix.submatrix(idx, idx)
-            if not block.determinant():
+            if not det([[matrix.entries[i][j] for j in idx] for i in idx]):
                 raise DegreeError(
                     f"scalar block for degree {d} is not invertible"
                 )
@@ -319,7 +318,7 @@ def act(g, a, h):
 
 def _multiply(a, b):
     return FormMatrix(a.src_degrees, b.tgt_degrees,
-                      mat_mul(_polys(a), _polys(b)))
+                      mat_mul(a.entries, b.entries))
 
 
 def mat_mul(a, b):

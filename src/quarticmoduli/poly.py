@@ -23,10 +23,13 @@ borrow sets.  ``evaluate`` builds no polynomial: it runs
 ``field.evaluate_raw``, the one evaluation loop, on the raw terms and the
 unboxed point, and refuses a point that is not a triple.
 
-A binary form, such as the restriction of a form to a line, is a
-``Form`` in x1 and x2 alone, with the package's one arithmetic, GCD and
-division; ``BinaryForm`` adds only printing in s, t and a coefficient
-list.
+A ``Form`` is a ``MultiPoly`` with a degree, so every polynomial
+algorithm takes a form as it is; ``form.poly`` is the form itself.  Its
+equality is MultiPoly's: a Form equals the MultiPoly with the same terms,
+and a zero Form equals 0.  A binary form, such as the restriction of a
+form to a line, is a ``Form`` in x1 and x2 alone, with the package's one
+arithmetic, GCD and division; ``BinaryForm`` adds only printing in s, t
+and a coefficient list.
 
 This module is also the single home of exact linear algebra over a field,
 all of it on raw values: one Gauss-Jordan elimination, ``_eliminate``,
@@ -84,10 +87,11 @@ class MultiPoly:
                                      for e, c in terms.items()})
 
     # ---- constructors -------------------------------------------------
+    # each builds a MultiPoly, even on Form, whose objects need a degree
 
     @classmethod
     def zero(cls, domain):
-        return cls(domain, {})
+        return MultiPoly(domain, {})
 
     @classmethod
     def constant(cls, domain, value):
@@ -104,7 +108,7 @@ class MultiPoly:
     @classmethod
     def from_raw(cls, domain, raw_terms):
         """The polynomial of a dict key -> raw value."""
-        poly = object.__new__(cls)
+        poly = object.__new__(MultiPoly)
         poly.domain, poly.raw = domain, domain.canonical(raw_terms)
         return poly
 
@@ -340,69 +344,72 @@ def dot(pairs, domain, negated=()):
     return MultiPoly.from_raw(domain, raw)
 
 
-class Form:
+def _graded(poly, degree):
+    """poly, zero or homogeneous of degree, as a Form, unchecked: the
+    result of arithmetic on Forms."""
+    form = object.__new__(Form)
+    form.domain, form.raw, form.degree = poly.domain, poly.raw, degree
+    return form
+
+
+class Form(MultiPoly):
     """A homogeneous polynomial with an explicit degree.
 
     The zero polynomial is homogeneous of every degree, so a zero Form may
-    carry any nonnegative degree.
+    carry any nonnegative degree.  Equality and hashing are MultiPoly's.
+    Between Forms, + and - need equal degrees, a product adds them and a
+    scalar multiple keeps the degree; with any other MultiPoly each
+    operator gives way to MultiPoly's, whose result is a MultiPoly.
     """
 
-    __slots__ = ("poly", "degree")
+    __slots__ = ("degree",)
 
     def __init__(self, poly, degree):
+        """The checked form of poly, zero or homogeneous of degree."""
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         raw = poly.raw
         if raw and not min(raw) >> 96 == degree == max(raw) >> 96:
             raise ValueError(f"polynomial {poly!r} is not homogeneous of "
                              f"degree {degree}")
-        self.poly = poly
-        self.degree = degree
+        self.domain, self.raw, self.degree = poly.domain, raw, degree
+
+    @property
+    def poly(self):
+        """The form itself, already a MultiPoly: kept for callers outside
+        the package that read ``form.poly``."""
+        return self
 
     @classmethod
     def zero(cls, domain, degree):
         return cls(MultiPoly.zero(domain), degree)
 
-    @property
-    def domain(self):
-        return self.poly.domain
-
-    def __bool__(self):
-        return bool(self.poly)
-
-    def __eq__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
-        return self.poly == other.poly and (
-            not self.poly or self.degree == other.degree
-        )
-
-    def __hash__(self):
-        return hash(self.poly)
-
     def __add__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        if self.poly and other.poly and self.degree != other.degree:
+        if self.raw and other.raw and self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
-        degree = self.degree if self.poly else other.degree
-        return Form(self.poly + other.poly, degree)
+        return _graded(super().__add__(other),
+                       self.degree if self.raw else other.degree)
+
+    __radd__ = __add__
 
     def __neg__(self):
-        return Form(-self.poly, self.degree)
+        return _graded(super().__neg__(), self.degree)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Form):
-            return Form(self.poly * other.poly, self.degree + other.degree)
-        return Form(self.poly * other, self.degree)
+            degree = self.degree + other.degree
+        elif isinstance(other, MultiPoly):
+            return NotImplemented
+        else:
+            degree = self.degree
+        return _graded(super().__mul__(other), degree)
 
     __rmul__ = __mul__
-
-    def normalized(self):
-        return Form(self.poly.normalized(), self.degree)
 
     def evaluate(self, point):
         """Value at an affine representative of a projective point.
@@ -412,10 +419,7 @@ class Form:
         """
         if not any(_raw_point(self.domain, point)):
             raise ValueError("projective point must not be all zero")
-        return self.poly.evaluate(point)
-
-    def serialize(self):
-        return self.poly.serialize()
+        return super().evaluate(point)
 
     def __repr__(self):
         return f"{self.serialize()} (deg {self.degree})"
@@ -446,8 +450,7 @@ class Form:
         """Pull back along the standard parametrization of Z(line)."""
         if not isinstance(line, Form):
             raise ValueError("line must be a degree-1 Form")
-        return BinaryForm(self.poly.substitute(line._line_images()),
-                          self.degree)
+        return BinaryForm(self.substitute(line._line_images()), self.degree)
 
     def line_point(self, s, t):
         """The P2 point of Z(self) at parameter [s:t] (degree-1 forms only),
@@ -468,10 +471,10 @@ class BinaryForm(Form):
     @property
     def coefficients(self):
         d = self.degree
-        return [self.poly.coefficient((0, d - i, i)) for i in range(d + 1)]
+        return [self.coefficient((0, d - i, i)) for i in range(d + 1)]
 
     def serialize(self):
-        return self.poly.serialize(("x0", "s", "t"))
+        return super().serialize(("x0", "s", "t"))
 
 
 # ---- parsing ----------------------------------------------------------
@@ -685,9 +688,9 @@ def coefficient_rows(forms, degree):
     keys = keys_of_degree(degree)
     rows = []
     for f in forms:
-        if f.poly and f.degree != degree:
+        if f and f.degree != degree:
             raise ValueError(f"form of degree {f.degree}, expected {degree}")
-        rows.append([f.poly.raw.get(k, 0) for k in keys])
+        rows.append([f.raw.get(k, 0) for k in keys])
     return rows
 
 

@@ -95,13 +95,13 @@ def classify_res0(a):
             kronecker=k,
         )
     # Laplace expansion along the top row: det = sum_j a[0, j] * minor_j
-    quartic = Form(dot([(q.poly, minor.poly)
+    quartic = Form(dot([(q, minor)
                         for q, minor in zip(a.row(0), minors)], a.domain), 4)
     if not quartic:
         return _boundary_report(a, k, minors)
     line = common_linear_factor(minors)
     if line is not None:
-        cubic = Form(quartic.poly.exact_div(line.poly), 3)
+        cubic = Form(quartic.exact_div(line), 3)
         return StratumReport(
             M01,
             quartic=quartic,
@@ -159,9 +159,9 @@ def boundary_matrix(xbar0, w):
     x2 = MultiPoly.variable(domain, 2)
     zero = MultiPoly.zero(domain)
     return FormMatrix(*SHAPES["res0"], [
-        [zero, -x2 * w.poly, x1 * w.poly],
-        [-x2, zero, xbar0.poly],
-        [x1, -xbar0.poly, zero],
+        [zero, -x2 * w, x1 * w],
+        [-x2, zero, xbar0],
+        [x1, -xbar0, zero],
     ])
 
 
@@ -171,7 +171,7 @@ def boundary_parameters(a):
     if not isinstance(a, FormMatrix) \
             or (a.src_degrees, a.tgt_degrees) != SHAPES["res0"] or not a[0, 1]:
         return None
-    w = a[0, 1].poly.try_exact_div(-MultiPoly.variable(a.domain, 2))
+    w = a[0, 1].try_exact_div(-MultiPoly.variable(a.domain, 2))
     if w is None:
         return None
     xbar0, w = a[1, 2], Form(w, 1)
@@ -309,7 +309,7 @@ def extension_data(report):
     """The (line, cubic) splitting of an M01 determinant."""
     if report.label != M01:
         raise ValueError("extension data needs an M01 report")
-    quotient = report.quartic.poly.try_exact_div(report.line.poly)
+    quotient = report.quartic.try_exact_div(report.line)
     if quotient is None:
         raise InvariantError("M01 invariant breach: line does not divide det")
     return report.line, Form(quotient, 3)

@@ -152,7 +152,7 @@ def verify_cocycle(seed):
     a1, g, h = _transition_matrices(domain, alpha)
     degrees = [[2, 2, 2], [1, 1, 1], [1, 1, 1]]
     b1 = [
-        [random_form(domain, degrees[i][j], rng).poly for j in range(3)]
+        [random_form(domain, degrees[i][j], rng) for j in range(3)]
         for i in range(3)
     ]
     x = [[a1[i][j] + b1[i][j] for j in range(3)] for i in range(3)]
@@ -172,7 +172,7 @@ def verify_cocycle(seed):
 def _random_pencil_parameters(domain, rng):
     """Scalars (gamma, delta), not both zero, for the linear form
     w = gamma*x1 + delta*x2: each pair drawn through random_form."""
-    pick = lambda: random_form(domain, 0, rng).poly.coefficient((0, 0, 0))
+    pick = lambda: random_form(domain, 0, rng).coefficient((0, 0, 0))
     while True:
         gamma, delta = pick(), pick()
         if gamma or delta:
@@ -180,15 +180,10 @@ def _random_pencil_parameters(domain, rng):
 
 
 def _random_deformation_instance(domain, rng):
-    xbar0 = Form(
-        MultiPoly.variable(domain, 0) + random_form(domain, 1, rng).poly, 1
-    )
+    x0, x1, x2 = _vars(domain)
+    xbar0 = Form(x0 + random_form(domain, 1, rng), 1)
     gamma, delta = _random_pencil_parameters(domain, rng)
-    w = Form(
-        MultiPoly.variable(domain, 1) * gamma
-        + MultiPoly.variable(domain, 2) * delta,
-        1,
-    )
+    w = Form(x1 * gamma + x2 * delta, 1)
     q = [random_form(domain, 2, rng) for _ in range(3)]
     y = [random_form(domain, 1, rng) for _ in range(3)]
     z = [random_form(domain, 1, rng) for _ in range(3)]
@@ -250,9 +245,9 @@ def verify_chart_minors(seed=0, samples=200):
     signs = []
     symbolic_ok = True
     for m, p in zip(minors, printed):
-        if m.poly == p:
+        if m == p:
             signs.append(1)
-        elif m.poly == -p:
+        elif m == -p:
             signs.append(-1)
         else:
             signs.append(0)
@@ -271,13 +266,10 @@ def verify_chart_minors(seed=0, samples=200):
         }
         if trial < half:
             # a=b=c=d=0: the minors must share the factor xbar0
-            special = [_specialize(m.poly, values, QQ) for m in minors]
-            factor = qm.gcd.common_linear_factor(
-                [Form(s, 2) for s in special]
-            )
-            xb_num = _specialize(xb, values, QQ)
-            target = Form(xb_num, 1).normalized()
-            if factor is None or factor.poly != target.poly:
+            special = [_specialize(m, values, QQ) for m in minors]
+            factor = qm.gcd.common_linear_factor([Form(s, 2) for s in special])
+            target = _specialize(xb, values, QQ).normalized()
+            if factor is None or factor != target:
                 sample_ok = False
                 break
         else:
@@ -287,7 +279,7 @@ def verify_chart_minors(seed=0, samples=200):
             while not (values["c"] or values["d"]):
                 values["c"] = QQ.scalar(rng.randrange(-5, 6))
                 values["d"] = QQ.scalar(rng.randrange(-5, 6))
-            special = [_specialize(m.poly, values, QQ) for m in minors]
+            special = [_specialize(m, values, QQ) for m in minors]
             factor = qm.gcd.common_linear_factor([Form(s, 2) for s in special])
             if factor is not None:
                 sample_ok = False
@@ -328,7 +320,7 @@ def verify_fibre_determinant(seed):
     domain = GF(101)
     rng = random.Random(seed)
     x0, x1, x2 = _vars(domain)
-    q0 = random_form(domain, 2, rng).poly
+    q0 = random_form(domain, 2, rng)
     q1 = _random_form_in(domain, rng, (1, 2), 2)
     q2 = _random_form_in(domain, rng, (2,), 2)
     gamma = domain.scalar(rng.randrange(domain.p))
@@ -385,7 +377,7 @@ def verify_tangent_quartic(seed, domain=None):
     a = qm.strata.boundary_matrix(Form(x0, 1), Form(w, 1))
     b = random_matrix("res0", domain, rng=rng)
     row_sum = qm.degeneration.tangent_quartic(a, b)
-    ap, bp = ([[e.poly for e in row] for row in m.entries] for m in (a, b))
+    ap, bp = a.entries, b.entries
     odd = (det([[x + y for x, y in zip(r, s)] for r, s in zip(ap, bp)])
            - det([[x - y for x, y in zip(r, s)] for r, s in zip(ap, bp)]))
     t_linear = odd * domain.scalar(2).inverse() - det(bp)
@@ -393,9 +385,9 @@ def verify_tangent_quartic(seed, domain=None):
     closed = x0 * sums[0] - w * (x1 * sums[1] + x2 * sums[2])
     p = (domain.zero, delta, -gamma)
     checks = {
-        "t_linear_equals_row_sum": t_linear == row_sum.poly,
-        "equals_closed_form": row_sum.poly == closed,
-        "vanishes_at_p": not row_sum.poly.evaluate(p) if row_sum else True,
+        "t_linear_equals_row_sum": t_linear == row_sum,
+        "equals_closed_form": row_sum == closed,
+        "vanishes_at_p": not row_sum.evaluate(p) if row_sum else True,
         "nonzero": bool(row_sum),
     }
     ok = all(checks.values())

@@ -15,6 +15,7 @@ from quarticmoduli.betti import MAX_BETTI_DIMENSION
 from quarticmoduli.degeneration import make_blowup_chart_point
 from quarticmoduli.field import QQ, InvariantError
 from quarticmoduli.matrices import make_matrix
+from quarticmoduli.poly import monomials_of_degree
 from quarticmoduli.verify import verify_fibre_determinant
 
 
@@ -315,15 +316,19 @@ def test_sample_deterministic(capsys):
     assert sum(first["histogram"].values()) == 30
 
 
-def test_sample_requires_prime_field(capsys):
-    code = cli.main(["sample", "res0"])
-    assert code == 1
-    assert "prime field" in capsys.readouterr().err
-    # random_form draws over QQ, but sample still refuses it
-    code = cli.main(["sample", "res1", "--field", "q", "--count", "3"])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "error: sampling needs a prime field; pass --field <prime>\n")
+LABELS = {strata.M00, strata.M01, strata.M10, strata.M11, strata.BOUNDARY,
+          strata.NOT_STABLE, strata.INVALID}
+
+
+def test_sample_over_the_rationals(capsys):
+    # random_form draws integers in [-9, 9] over QQ
+    for shape in ("res0", "res1"):
+        code = cli.main(["sample", shape, "--field", "q", "--count", "5",
+                         "--seed", "1", "--json"])
+        histogram = json.loads(capsys.readouterr().out)["histogram"]
+        assert code == 0
+        assert sum(histogram.values()) == 5
+        assert set(histogram) <= LABELS
 
 
 def test_sample_seed_from_environment(capsys, monkeypatch):
@@ -624,6 +629,96 @@ def test_betti_expression_fuzz(tmp_path, capsys):
             assert len(coefficients) <= MAX_BETTI_DIMENSION + 1
             assert sum(coefficients) == euler_number(expr)
 
+    answered_or_refused()
+
+
+# ---- a fuzz gate for classify matrix files ---------------------------------
+
+def form_text(terms):
+    """The text of a sum of terms exponent -> coefficient, "0" if empty."""
+    return " + ".join(
+        "*".join([f"({c})"] + [f"{v}^{e}" for v, e in
+                               zip(("x0", "x1", "x2"), exp) if e])
+        for exp, c in terms.items()) or "0"
+
+
+def matrix_files(st):
+    """Random classify inputs: res0 and res1 files whose entries have the
+    required degrees and coefficients of up to 40 digits, integers or
+    fractions; the same entries under the degrees of another shape or of
+    the same shape; and JSON values that are no matrix."""
+    digits = st.integers(-10**40, 10**40)
+    coefficient = st.one_of(digits, st.builds(F, digits,
+                                              st.integers(1, 10**40)))
+
+    def entries(src, tgt, least=0):
+        def form(degree):
+            if degree < 0:
+                return st.just("0")
+            monomials = monomials_of_degree(degree)
+            return st.dictionaries(
+                st.sampled_from(monomials), coefficient, min_size=least,
+                max_size=min(4, len(monomials))).map(form_text)
+
+        return st.tuples(*[st.tuples(*[form(s - t) for t in tgt])
+                           for s in src])
+
+    shapes = [((3, 2, 2), (1, 1, 1)), ((3, 3), (2, 0)), ((2, 2), (1, 1, 1)),
+              ((3, 2, 2), (1, 1)), ((3, 3, 3), (2, 0)), ((4, 3), (2, 1))]
+    degrees = st.sampled_from(shapes)
+    json_values = st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                  st.text(max_size=4)),
+        lambda c: st.one_of(st.lists(c, max_size=3),
+                            st.dictionaries(st.text(max_size=3), c,
+                                            max_size=3)),
+        max_leaves=6)
+    return st.one_of(
+        st.sampled_from(shapes[:2]).flatmap(
+            lambda shape: entries(*shape, 1).map(lambda rows: {
+                "src_degrees": shape[0], "tgt_degrees": shape[1],
+                "entries": rows})),
+        st.tuples(degrees, degrees).flatmap(
+            lambda pair: entries(*pair[0]).map(lambda rows: {
+                "src_degrees": pair[1][0], "tgt_degrees": pair[1][1],
+                "entries": rows})),
+        st.fixed_dictionaries({}, optional={
+            "src_degrees": json_values, "tgt_degrees": json_values,
+            "entries": json_values}),
+        json_values)
+
+
+FIELDS = ["q", "3", "101", str(2**61 - 1)]
+
+
+def test_classify_matrix_file_fuzz(tmp_path, capsys):
+    # every input is answered with a label (exit 0 or 2) or refused with
+    # one error line (exit 1, or 3 for an invariant), within a hang bound
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "matrix.json"
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(matrix_files(st), st.sampled_from(FIELDS))
+    def answered_or_refused(payload, field):
+        path.write_text(payload if isinstance(payload, RawJSON)
+                        else json.dumps(payload))
+        with hang_bound(10):
+            code = cli.main(["classify", str(path), "--field", field])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2, 3)
+        lines = captured.err.splitlines()
+        if code in (1, 3):
+            assert captured.out == ""
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        else:
+            assert captured.out.startswith("label: ") and not lines
+
+    for args, payload, _ in MALFORMED.values():  # each a fixed example
+        if args[0] == "classify":
+            answered_or_refused = hypothesis.example(payload, "q")(
+                answered_or_refused)
     answered_or_refused()
 
 

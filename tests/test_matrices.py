@@ -8,6 +8,7 @@ from quarticmoduli.matrices import (
     AddMultipleOfRow,
     DegreeError,
     FormMatrix,
+    GradedAutomorphism,
     ScaleCol,
     ScaleRow,
     act,
@@ -121,6 +122,7 @@ def test_maximal_minors_laplace_identity():
         m = random_matrix("res0", dom, rng=rng)
         k = m.submatrix([1, 2], [0, 1, 2])
         minors = k.maximal_minors()
+        assert all(type(mm) is Form and mm.degree == 2 for mm in minors)
         top = m.row(0)
         total = sum(
             (top[j].poly * minors[j].poly for j in range(3)),
@@ -146,8 +148,20 @@ def test_maximal_minors_by_row_deletion():
     ])
     minors = m.maximal_minors()
     assert len(minors) == 3
+    assert all(type(mm) is Form and mm.degree == 2 for mm in minors)
     # each minor is the signed 2x2 determinant with one row deleted
     assert minors[0].poly == parse_poly("x1*x0 - x2*x2")
+
+
+def test_graded_automorphism_refuses_a_singular_block():
+    # the degree-2 block [[1, 2], [2, 4]] is singular, the degree-3 one not
+    rows = [["1", "x0", "x1"], ["0", "1", "2"], ["0", "2", "4"]]
+    with pytest.raises(DegreeError, match="block for degree 2"):
+        GradedAutomorphism(make_matrix((3, 2, 2), (3, 2, 2), rows))
+    rows[2][2] = "5"
+    g = GradedAutomorphism(make_matrix((3, 2, 2), (3, 2, 2), rows))
+    assert g.determinant() == parse_poly("1")
+    assert type(g.determinant()) is Form and g.determinant().degree == 0
 
 
 def test_act_identity():

@@ -203,6 +203,25 @@ def test_arithmetic_exact():
     assert (a * b).serialize() == "x0^2 - x1^2"
     assert a + b == parse_poly("2*x0")
     assert a - a == MultiPoly.zero(QQ)
+    # a Form is the MultiPoly of its terms, with a degree
+    f, g = parse_form("x0 + x1"), parse_form("x0*x2")
+    assert isinstance(f, MultiPoly) and f.poly is f
+    assert f == a and hash(f) == hash(a) and a == f
+    assert Form.zero(QQ, 3) == 0 == Form.zero(QQ, 1)
+    assert hash(Form.zero(QQ, 3)) == hash(MultiPoly.zero(QQ))
+    for form, degree in ((f + f, 1), (f - f, 1), (f * g, 3), (g * f, 3),
+                         (f * QQ.scalar(2), 1), (3 * g, 2), (-g, 2),
+                         (f.normalized(), 1), (Form.zero(QQ, 4) + g, 2)):
+        assert type(form) is Form and form.degree == degree, form
+    with pytest.raises(ValueError, match="different degrees"):
+        f + g
+    with pytest.raises(ValueError, match="different degrees"):
+        f - g
+    # with a MultiPoly that is not a Form, the result is a MultiPoly
+    for poly, value in ((a * f, a * a), (f * a, a * a), (a + f, a + a),
+                        (f + a, a + a), (a - f, a - a), (f - a, a - a),
+                        (b * g, b * parse_poly("x0*x2"))):
+        assert type(poly) is MultiPoly and poly == value
 
 
 def test_exact_division():
@@ -287,11 +306,19 @@ def test_binary_form_arithmetic():
     """Binary forms in s = x1, t = x2 multiply as Forms."""
     a = BinaryForm(parse_poly("x1 + 2*x2"), 1)  # s + 2t
     b = BinaryForm(parse_poly("x1 - 2*x2"), 1)  # s - 2t
+    assert type(a * b) is Form and (a * b).degree == 2
     prod = BinaryForm((a * b).poly, (a * b).degree)
     assert prod.degree == 2
     assert [c.value for c in prod.coefficients] == [1, 0, -4]
     assert not prod.evaluate((0, 2, -1))
     assert prod.serialize() == "s^2 - 4*t^2"
+    # no constructor called on a Form class builds a Form without a degree
+    for cls in (Form, BinaryForm):
+        for built in (cls.zero(QQ, 2), cls.constant(QQ, 1),
+                      cls.variable(QQ, 1), cls.monomial(QQ, (0, 1, 1)),
+                      cls.from_raw(QQ, {monomial_key((0, 1, 0)): 1})):
+            assert type(built) is MultiPoly or built.degree >= 0, built
+    assert type(BinaryForm.zero(QQ, 2)) is BinaryForm
 
 
 def test_monomials_of_degree():

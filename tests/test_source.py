@@ -69,6 +69,22 @@ def test_terms_view_read_only_at_the_edge():
     assert TERMS_VIEW_READERS <= names
 
 
+def test_no_poly_attribute_read():
+    # a Form is a MultiPoly, so the package takes forms as they are; the
+    # Form.poly property, which returns the form itself, is kept only for
+    # callers outside the package
+    assert qualified_attribute_uses(ast.parse("f.poly.raw"), "poly")[0]
+    assert not qualified_attribute_uses(
+        ast.parse("from .poly import Form\nf.raw"), "poly")[0]
+    offenders = []
+    for path in SOURCES:
+        uses, _ = qualified_attribute_uses(
+            ast.parse(path.read_text(), filename=str(path)), "poly")
+        offenders += [f"{path.name}:{line} in {scope or '<module>'}"
+                      for scope, line in uses]
+    assert not offenders, f".poly read in the package: {offenders}"
+
+
 # the functions that may take a modular inverse pow(v, -1, p): each one
 # knows that p is set, or its values are Fractions, since over QQ
 # (p = None) pow(int, -1, None) gives a float
