@@ -436,8 +436,7 @@ def fitting_support(m):
     minors = [mm for mm in m.maximal_minors() if mm]
     if not minors:
         raise ValueError("all maximal minors vanish: rank-deficient matrix")
-    g = gcd_fold(minors)
-    return Form(g, g.total_degree())
+    return gcd_fold(minors)
 
 
 # ---- family files ------------------------------------------------------

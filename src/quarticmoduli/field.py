@@ -11,8 +11,10 @@ and of parameter-ring scalars alike, store raw values, made canonical by
 ``Domain.canonical``; ``Domain.unbox`` gives the canonical raw value of
 one scalar.  ``Domain.box`` gives the scalar of one raw value, a
 FieldScalar over a field, whose ``value`` is a Fraction over QQ: for the
-API and serialization edge, and for the results of the scalar operators.
-Floats are refused at the scalar edge.
+API edge and for the results of the scalar operators.  Floats are refused
+at the scalar edge.  The serializer boxes nothing: it takes a coefficient
+as ``str`` of its raw value, the text of its scalar's ``as_text``, and a
+monomial as the cached ``monomial_text`` of its exponents.
 
 ParamScalar arithmetic runs on raw values, as ``poly.dot`` does: an
 operand of the same ring is matched by identity before the equality
@@ -26,7 +28,7 @@ exponents; the first two box one result.
 
 import json
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add
 
 
@@ -437,11 +439,9 @@ class ParamScalar:
         return hash((self.domain, frozenset(self.raw.items())))
 
     def as_text(self):
-        terms = self.terms
-        return _serialize_terms(
-            (terms[e], zip(self.domain.names, e))
-            for e in sorted(terms, reverse=True)
-        )
+        raw, names = self.raw, self.domain.names
+        return _serialize_terms((str(raw[e]), monomial_text(e, names))
+                                for e in sorted(raw, reverse=True))
 
     def __repr__(self):
         return self.as_text()
@@ -462,32 +462,35 @@ def evaluate_raw(terms, values):
     return total
 
 
+@lru_cache(maxsize=1024)
+def monomial_text(exponents, variables):
+    """The text of the monomial of an exponent tuple in the variables, such
+    as x0^2*x1, and "" for 1."""
+    return "*".join(f"{v}^{k}" if k > 1 else v
+                    for v, k in zip(variables, exponents) if k)
+
+
 def _serialize_terms(terms):
-    """Text of a sum of (coefficient, [(variable, exponent)]) terms, in order.
+    """Text of a sum of (coefficient text, monomial text) terms, in order.
 
     Unit coefficients are dropped before a monomial, a leading minus sign
     becomes the joining operator, a coefficient that is itself a sum is
-    parenthesized, and an empty sum prints as "0".
+    parenthesized, and an empty sum prints as "0".  A coefficient's text
+    is ``str`` of its raw value, the ``as_text`` of its boxed scalar.
     """
     parts = []
-    for c, powers in terms:
-        factors = [f"{v}^{k}" if k > 1 else v for v, k in powers if k]
-        text = c.as_text()
+    for text, monomial in terms:
         if " " in text:
             text = f"({text})"
         negative = text.startswith("-")
         if negative:
             text = text[1:]
-        if factors and text == "1":
-            body = "*".join(factors)
-        elif factors:
-            body = text + "*" + "*".join(factors)
-        else:
-            body = text
+        if monomial:
+            text = monomial if text == "1" else f"{text}*{monomial}"
         if not parts:
-            parts.append(("-" if negative else "") + body)
+            parts.append(("-" if negative else "") + text)
         else:
-            parts.append(("- " if negative else "+ ") + body)
+            parts.append(("- " if negative else "+ ") + text)
     return " ".join(parts) if parts else "0"
 
 

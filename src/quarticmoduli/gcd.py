@@ -45,6 +45,7 @@ from .poly import (
     Form,
     MultiPoly,
     _eliminate,
+    _graded,
     _primitive,
     coefficient_rows,
     exponent_terms,
@@ -60,7 +61,9 @@ def multivariate_gcd(a, b):
     """A GCD of two polynomials over QQ or F_p.
 
     Normalized so the graded-lex leading coefficient is 1; gcd(0, b) is the
-    normalized b.  See the module docstring for the kernel search.
+    normalized b.  The GCD of two Forms is a Form of its degree, since a
+    divisor of a form is a form.  See the module docstring for the kernel
+    search.
     """
     if a.domain != b.domain:
         a._coerce(b)  # raises FieldMismatchError
@@ -73,6 +76,7 @@ def multivariate_gcd(a, b):
     # two forms need only the monomials of top degree in u and v
     forms = a.is_homogeneous() and b.is_homogeneous()
     neg_b = (-b).raw
+    g = MultiPoly.constant(domain, 1)  # unless a kernel vector is found
     for k in range(min(da, db), 0, -1):
         # unknowns: u's coefficients (columns m*a), then v's (columns m*(-b))
         shifts = [(m, a.raw) for d in range((db - k) * forms, db - k + 1)
@@ -93,12 +97,16 @@ def multivariate_gcd(a, b):
             g = a.try_exact_div(v)
             if g is None:
                 raise InvariantError("the kernel cofactor does not divide a")
-            return g.normalized()
-    return MultiPoly.constant(domain, 1)
+            break
+    g = g.normalized()
+    if isinstance(a, Form) and isinstance(b, Form):
+        return _graded(g, g.total_degree())  # a divisor of a form is a form
+    return g
 
 
 def gcd_fold(polys):
-    """GCD of a sequence of polynomials or forms, normalized.
+    """GCD of a sequence of polynomials or forms, normalized: a Form of its
+    degree when the inputs are nonzero Forms.
 
     Two shortcuts give the same result as folding multivariate_gcd over
     every input: the fold stops once the running GCD is a constant, since
@@ -301,7 +309,8 @@ def _pencil_restriction_coefficients(form, point):
     for k, c in restricted.raw.items():
         e0 = key_exponent(k)[0]
         slices[d - e0][k - e0 * X0] = c
-    return [MultiPoly.from_raw(domain, terms) for terms in slices]
+    return [_graded(MultiPoly.from_raw(domain, terms), k)
+            for k, terms in enumerate(slices)]
 
 
 def _pencil_line(point, s, t, domain):
@@ -343,7 +352,7 @@ def lines_dividing_all(forms, through=None):
     g = gcd_fold(forms)
     if g.total_degree() == 0:
         return LineSearchResult([], 0)
-    return LineSearchResult(*_linear_factors(Form(g, g.total_degree())))
+    return LineSearchResult(*_linear_factors(g))
 
 
 def _pencil_lines(forms, through, domain):
@@ -377,7 +386,7 @@ def _pencil_lines(forms, through, domain):
     g = gcd_fold(slices)
     if g.total_degree() == 0:
         return LineSearchResult([], 0)
-    roots, nonsplit = binary_roots(Form(g, g.total_degree()))
+    roots, nonsplit = binary_roots(g)
     return LineSearchResult(
         [_pencil_line(point, s, t, domain) for s, t in roots], nonsplit)
 

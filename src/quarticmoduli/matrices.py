@@ -15,8 +15,11 @@ after one comparison, and a zero entry takes the required degree.
 product; they work on grids of ``MultiPoly`` over any domain, a
 FormMatrix's entries as they are, and sum each entry's products with
 ``poly.dot`` in one raw dict.  FormMatrix wraps them with degree
-bookkeeping; its minors and the invertibility test of a
-``GradedAutomorphism`` take ``det`` of a sub-grid, with no submatrix.
+bookkeeping; minor j is ``det`` of a sub-grid, with no submatrix, and
+takes its sign (-1)^j from a swap of two rows.  ``act`` sums each entry of
+g * a * h in one raw dict with ``poly.dot_raw``, into one checked
+FormMatrix.  A ``GradedAutomorphism`` tests its scalar blocks with
+``poly._eliminate`` on their raw constants.
 """
 
 import random
@@ -27,7 +30,10 @@ from .poly import (
     MultiPoly,
     ParseError,
     PowerDegreeError,
+    _eliminate,
+    _graded,
     dot,
+    dot_raw,
     keys_of_degree,
     linear_rank,
     parse_entry,
@@ -156,10 +162,11 @@ class FormMatrix:
             rest = [k for k in range(m) if k != j]
             rows, cols = (kept, rest) if wide else (rest, kept)
             grid = [[self.entries[i][k] for k in cols] for i in rows]
+            if j % 2:  # the sign, by a row swap or on a 1x1 grid
+                grid = grid[1::-1] + grid[2:] if n > 1 else [[-grid[0][0]]]
             degree = total + (self.tgt_degrees[j] if wide
                               else -self.src_degrees[j])
-            minor = Form(det(grid), max(degree, 0))
-            minors.append(minor if j % 2 == 0 else -minor)
+            minors.append(Form(det(grid), max(degree, 0)))
         return minors
 
     def serialize_entries(self):
@@ -173,10 +180,8 @@ class FormMatrix:
         }
 
     def __repr__(self):
-        rows = "\n".join(
-            "  [" + ", ".join(e.serialize() for e in row) + "]"
-            for row in self.entries
-        )
+        rows = "\n".join("  [" + ", ".join(row) + "]"
+                         for row in self.serialize_entries())
         return f"FormMatrix(src={self.src_degrees}, tgt={self.tgt_degrees},\n{rows})"
 
 
@@ -190,12 +195,9 @@ def _graded_entry(i, j, need, entry):
     try:
         return Form(entry, need)  # refuses a negative need too
     except ValueError:
-        raise _entry_degree_error(i, j, need, entry) from None
-
-
-def _entry_degree_error(i, j, need, poly):
-    return DegreeError(f"entry ({i},{j}) must have degree {need}, "
-                       f"got {poly.total_degree()}: {poly.serialize()}")
+        raise DegreeError(f"entry ({i},{j}) must have degree {need}, got "
+                          f"{entry.total_degree()}: {entry.serialize()}") \
+            from None
 
 
 def det(grid):
@@ -286,39 +288,46 @@ class GradedAutomorphism:
     def __init__(self, matrix):
         if matrix.src_degrees != matrix.tgt_degrees:
             raise DegreeError("automorphism needs equal src and tgt degrees")
+        if not matrix.domain.is_field:
+            raise TypeError("an automorphism's scalar blocks need a field")
         self.matrix = matrix
         for d in set(matrix.src_degrees):
             idx = [i for i, s in enumerate(matrix.src_degrees) if s == d]
-            if not det([[matrix.entries[i][j] for j in idx] for i in idx]):
+            block = [[matrix.entries[i][j].raw.get(0, 0) for j in idx]
+                     for i in idx]  # the constants of degree-0 forms
+            if len(_eliminate(block, matrix.domain.modulus)) < len(idx):
                 raise DegreeError(
                     f"scalar block for degree {d} is not invertible"
                 )
-
-    @property
-    def degrees(self):
-        return self.matrix.src_degrees
 
     def determinant(self):
         return self.matrix.determinant()
 
 
 def act(g, a, h):
-    """The product g * a * h of graded automorphisms around a matrix."""
-    if isinstance(g, GradedAutomorphism):
-        g = g.matrix
-    if isinstance(h, GradedAutomorphism):
-        h = h.matrix
+    """The product g * a * h of graded automorphisms around a matrix; the
+    rows of g * a stay term dicts, and each entry is made canonical once."""
+    g, h = (m.matrix if isinstance(m, GradedAutomorphism) else m
+            for m in (g, h))
     if g.tgt_degrees != a.src_degrees:
         raise DegreeError("left automorphism does not match source degrees")
     if a.tgt_degrees != h.src_degrees:
         raise DegreeError("right automorphism does not match target degrees")
-    ga = _multiply(g, a)
-    return _multiply(ga, h)
+    domain = a.domain
+    rows, grid, cols = (_raw_grid(m, domain) for m in (g, a, h))
+    ga = [[dot_raw(zip(row, col)) for col in zip(*grid)] for row in rows]
+    return FormMatrix(g.src_degrees, h.tgt_degrees, [
+        [MultiPoly.from_raw(domain, dot_raw(zip(row, col)))
+         for col in zip(*cols)] for row in ga])
 
 
-def _multiply(a, b):
-    return FormMatrix(a.src_degrees, b.tgt_degrees,
-                      mat_mul(a.entries, b.entries))
+def _raw_grid(m, domain):
+    """The term dicts of a matrix's entries, each checked over domain."""
+    for row in m.entries:
+        for e in row:
+            if e.domain is not domain:
+                domain.check_same(e.domain)
+    return [[e.raw for e in row] for row in m.entries]
 
 
 def mat_mul(a, b):
@@ -437,7 +446,7 @@ def random_form(domain, degree, rng):
     if not domain.is_field:
         raise ValueError(f"random sampling needs a field, not {domain}")
     p = domain.modulus
-    return Form(MultiPoly.from_raw(domain, {
+    return _graded(MultiPoly.from_raw(domain, {
         key: rng.randrange(p) if p else rng.randrange(-9, 10)
         for key in keys_of_degree(degree)
     }), degree)

@@ -14,9 +14,11 @@ exponents do.  Every exponent and degree stays below 2^31: a constructor,
 parse, power or product that would reach it is refused, so no 32-bit
 field overflows into the next.  The public surface keeps exponent triples.
 
-``dot`` is the one multiply-accumulate kernel: a sum of signed products,
-such as a product, a cofactor sum or a matrix product entry, is
-accumulated in one dict of raw values and made canonical once.
+``dot_raw`` is the one product loop: it sums the products of pairs of
+term dicts in one dict of raw values.  ``dot``, the checked kernel over it,
+takes a sum of signed products of polynomials, such as a product or a
+cofactor sum, matches the domains and makes the sum canonical once;
+``matrices.act`` runs ``dot_raw`` on the raw entries themselves.
 ``MultiPoly.divmod`` keys its remainder by key: kd divides kr when kr - kd
 is nonnegative with no guard bit, the top bit of an exponent field that a
 borrow sets.  ``evaluate`` builds no polynomial: it runs
@@ -48,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .field import QQ, _serialize_terms, evaluate_raw
+from .field import QQ, _serialize_terms, evaluate_raw, monomial_text
 
 VARIABLES = ("x0", "x1", "x2")
 NVARS = 3
@@ -206,7 +208,14 @@ class MultiPoly:
         return self.domain == other.domain and self.raw == other.raw
 
     def __hash__(self):
-        return hash((self.domain, frozenset(self.raw.items())))
+        """A constant hashes as its raw value, as the int it equals does, and
+        zero as 0.  Over GF(p) it also equals the ints outside [0, p) of its
+        class, such as 104 at p = 101, which no hash can match (so too for
+        FieldScalar)."""
+        raw = self.raw
+        if not raw or raw.keys() == {0}:
+            return hash(raw.get(0, 0))
+        return hash((self.domain, frozenset(raw.items())))
 
     # ---- structure queries --------------------------------------------
 
@@ -300,11 +309,9 @@ class MultiPoly:
 
     def serialize(self, variables=VARIABLES):
         """Canonical text: graded-lex descending, explicit '*' and '^'."""
-        box = self.domain.box
-        return _serialize_terms(
-            (box(self.raw[k]), zip(variables, key_exponent(k)))
-            for k in sorted(self.raw, reverse=True)
-        )
+        raw = self.raw
+        return _serialize_terms((str(raw[k]), _key_text(k, variables))
+                                for k in sorted(raw, reverse=True))
 
     def __repr__(self):
         return self.serialize()
@@ -321,27 +328,41 @@ def _raw_point(domain, point):
 
 def dot(pairs, domain, negated=()):
     """The sum of the products a * b of the pairs (a, b) of polynomials
-    over domain, less those at the indices in negated: the package's one
-    multiply-accumulate kernel.  Every product is summed into one dict of
-    raw values, made canonical once; a degree of 2^31 or more is refused."""
-    raw = {}
-    get = raw.get
+    over domain, less those at the indices in negated: ``dot_raw`` on their
+    term dicts, after the domain checks, made canonical once."""
+    terms = []
     for k, (a, b) in enumerate(pairs):
         if a.domain is not domain:
             domain.check_same(a.domain)
         if b.domain is not domain:
             domain.check_same(b.domain)
-        left = a.raw.items()
-        if k in negated:
-            left = [(e, -v) for e, v in left]
-        right = list(b.raw.items())
-        for ea, v in left:
+        terms.append(({e: -v for e, v in a.raw.items()} if k in negated
+                      else a.raw, b.raw))
+    return MultiPoly.from_raw(domain, dot_raw(terms))
+
+
+def dot_raw(pairs):
+    """The sum of the products of the pairs (left, right) of term dicts,
+    as a term dict of raw values not yet canonical: the package's one
+    product loop, with no domain check.  A degree of 2^31 or more is
+    refused."""
+    raw = {}
+    get = raw.get
+    for left, right in pairs:
+        right = list(right.items())
+        for ea, v in left.items():
             for eb, w in right:
                 e = ea + eb
                 raw[e] = v * w + get(e, 0)
     if raw and max(raw) >> 96 >= DEGREE_LIMIT:
         raise ValueError(f"a product of degree {max(raw) >> 96} >= 2^31")
-    return MultiPoly.from_raw(domain, raw)
+    return raw
+
+
+@lru_cache(maxsize=1024)
+def _key_text(key, variables):
+    """The text of the monomial of a key in the variables."""
+    return monomial_text(key_exponent(key), variables)
 
 
 def _graded(poly, degree):

@@ -23,7 +23,6 @@ from .poly import (
     dot,
     kernel_vector,
     keys_of_degree,
-    linear_rank,
 )
 
 M00 = "M00"
@@ -187,12 +186,12 @@ def classify_res1(a):
     if not isinstance(a, FormMatrix) \
             or (a.src_degrees, a.tgt_degrees) != SHAPES["res1"]:
         return StratumReport(INVALID, diagnostics="expected shape res1")
-    z1, z2 = a[0, 0], a[1, 0]
-    if linear_rank([z1, z2], 1) < 2:
+    try:  # the cross product of the z column is zero when its rank is < 2
+        point = line_intersection(a[0, 0], a[1, 0])
+    except ValueError:
         return StratumReport(
             NOT_STABLE, diagnostics="dependent linear forms in the z column"
         )
-    point = line_intersection(z1, z2)
     det = a.determinant()
     if not det:
         return StratumReport(

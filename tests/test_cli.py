@@ -722,6 +722,131 @@ def test_classify_matrix_file_fuzz(tmp_path, capsys):
     answered_or_refused()
 
 
+# ---- a fuzz gate for limit family files -------------------------------------
+
+CHARTS = ["a", "b", "c", "d", "q0[2,0,0]", "q1[0,1,1]", "q2[0,0,2]"]
+
+
+def chart_family(params, chart, t_values):
+    """The family file of the chart point with the given parameters
+    (alpha, beta, gamma, delta, q0, q1, q2, a, b, c, d), each a scalar text
+    or, for q0, q1 and q2, a form text: A the boundary normal form
+    [[0, -x2*w, x1*w], [-x2, 0, xbar0], [x1, -xbar0, 0]] and B the chart
+    direction, written as text without checking them."""
+    alpha, beta, gamma, delta, q0, q1, q2, a, b, c, d = params
+    xbar0 = f"x0 + ({alpha})*x1 + ({beta})*x2"
+    w = f"({gamma})*x1 + ({delta})*x2"
+    res0 = {"src_degrees": [3, 2, 2], "tgt_degrees": [1, 1, 1]}
+    return {
+        "A": dict(res0, entries=[["0", f"-x2*({w})", f"x1*({w})"],
+                                 ["-x2", "0", xbar0],
+                                 ["x1", f"-({xbar0})", "0"]]),
+        "B": dict(res0, entries=[[q0, q1, q2],
+                                 ["0", f"({c})*x1", "0"],
+                                 ["0", f"({a})*x1 + ({b})*x2", f"({d})*x2"]]),
+        "chart": chart, "t_values": t_values}
+
+
+def family_files(st):
+    """Random limit inputs: chart points whose chart coefficient is 1, and
+    so well formed unless a drawn parameter breaks the chart contract
+    (a zero w or direction, an unstable linear part); the same points with
+    a chart coefficient drawn at random, the shape of one matrix changed
+    or a row cut off, or t_values that are no list of rationals; and JSON
+    values that are no family."""
+    scalar = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4),
+                       st.integers(-10**30, 10**30)).map(str)
+    wrong = st.sampled_from([None, True, 1, 1.5, [], {}])
+
+    def form(monomials):
+        return st.dictionaries(st.sampled_from(monomials), scalar,
+                               max_size=3).map(form_text)
+
+    quadrics = monomials_of_degree(2)
+    params = st.tuples(scalar, scalar, scalar, scalar, form(quadrics),
+                       form([e for e in quadrics if not e[0]]),
+                       form([(0, 0, 2)]), scalar, scalar, scalar, scalar)
+    t_text = st.one_of(scalar, st.sampled_from(["0", "1/0", "x", "", "1.5"]))
+    t_values = st.lists(scalar.filter(lambda t: t != "0"), max_size=3)
+
+    def with_chart_one(params, chart, t_values):
+        params = list(params)
+        if chart in "abcd":
+            params[7 + "abcd".index(chart)] = "1"
+        else:  # the q entry's coefficient at the chart monomial
+            i = 4 + int(chart[1])
+            params[i] = form_text({tuple(map(int, chart[3:-1].split(","))):
+                                   1}) + " + " + params[i]
+        return chart_family(params, chart, t_values)
+
+    def broken(data, change):
+        key, row, value = change
+        data = json.loads(json.dumps(data))
+        if row is None:
+            data[key] = value
+        elif row == "shape":
+            data[key]["src_degrees"] = [3, 3]
+        else:
+            del data[key]["entries"][row]
+        return data
+
+    changes = st.one_of(
+        st.tuples(st.sampled_from(["A", "B"]),
+                  st.sampled_from(["shape", 0, 2]), st.none()),
+        st.tuples(st.just("t_values"), st.none(),
+                  st.one_of(st.lists(st.one_of(t_text, wrong), max_size=3),
+                            wrong)),
+        st.tuples(st.just("chart"), st.none(),
+                  st.one_of(st.sampled_from(["e", "q0[9]", "q3[0,0,2]"]),
+                            wrong)))
+    well_formed = st.builds(with_chart_one, params, st.sampled_from(CHARTS),
+                            t_values)
+    json_values = st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                  st.text(max_size=4)),
+        lambda c: st.one_of(st.lists(c, max_size=3),
+                            st.dictionaries(st.sampled_from(
+                                ["A", "B", "chart", "t_values"]), c,
+                                max_size=3)),
+        max_leaves=6)
+    return st.one_of(
+        well_formed,
+        st.builds(chart_family, params, st.sampled_from(CHARTS), t_values),
+        st.builds(broken, well_formed, changes),
+        json_values)
+
+
+def test_limit_family_file_fuzz(tmp_path, capsys):
+    # every family is traced to its limit (exit 0) or refused with one
+    # error line (exit 1, or 3 for an invariant), within a hang bound
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "family.json"
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(family_files(st), st.sampled_from(FIELDS))
+    def answered_or_refused(payload, field):
+        path.write_text(payload if isinstance(payload, RawJSON)
+                        else json.dumps(payload))
+        with hang_bound(10):
+            code = cli.main(["limit", str(path), "--field", field])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2, 3)
+        lines = captured.err.splitlines()
+        if code in (1, 3):
+            assert captured.out == ""
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        else:
+            assert "t -> 0 limit quartic: " in captured.out and not lines
+
+    for args, payload, _ in MALFORMED.values():  # each a fixed example
+        if args[0] == "limit":
+            answered_or_refused = hypothesis.example(payload, "q")(
+                answered_or_refused)
+    answered_or_refused()
+
+
 # ---- what a command loads --------------------------------------------------
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -33,6 +33,35 @@ def test_gcd_coprime():
     assert g == parse_poly("1")
 
 
+@pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
+def test_gcd_of_forms_is_a_form_of_its_degree(domain):
+    # a divisor of a form is a form, so the GCD of forms is one whichever
+    # path finds it: a kernel search, a constant, an input that divides
+    # the others, or gcd(0, f)
+    def forms(*texts):
+        return [parse_form(t, domain=domain) for t in texts]
+
+    line, conic = forms("x0 + 2*x1", "x1^2 - 3*x0*x2")
+    cases = [
+        multivariate_gcd(*forms("x0*x1 + 2*x1^2", "x0*x2 + 2*x1*x2")),
+        multivariate_gcd(*forms("x1^2", "x2^3")),
+        multivariate_gcd(Form.zero(domain, 2), conic * 5),
+        gcd_fold([line * conic, line * line, line * conic * conic]),
+        gcd_fold([line * 3, line * conic]),
+        gcd_fold([Form.zero(domain, 3), conic, conic * line]),
+        gcd_fold(forms("x1^2", "x2^2", "x0^2")),
+    ]
+    for g, expected in zip(cases, [line.normalized(), 1, conic.normalized(),
+                                   line.normalized(), line.normalized(),
+                                   conic.normalized(), 1]):
+        assert isinstance(g, Form) and g.degree == g.total_degree()
+        assert g == expected
+    # polynomials that are not forms keep giving a MultiPoly
+    g = multivariate_gcd(parse_poly("x0*x1 + x1", domain),
+                         parse_poly("x0*x2 + x2", domain))
+    assert type(g) is MultiPoly and g == parse_poly("x0 + 1", domain)
+
+
 def test_gcd_fold_of_boundary_minors():
     # the three 2x2 minors of [[-x2, 0, x0], [x1, -x0, 0]]
     polys = [parse_poly(t) for t in ("x0*x2", "-x0*x1", "x0^2")]

@@ -56,8 +56,16 @@ columns, and their raw results checked to be canonical.  The raw values
 that the ring operations, ``substitute`` and ``try_exact_div`` store over
 QQ are checked to be ints exactly when integral and Fractions otherwise,
 never floats.
+
+``MultiPoly.serialize`` and ``ParamScalar.as_text``, which print raw
+values and cached monomial texts, are compared byte for byte with a
+reference serializer that boxes every term and prints it through its
+scalar's ``as_text``: over QQ with negative, fractional and 30-digit
+coefficients, over GF(2^61 - 1), over the chart-minors parameter ring and
+as binary forms in s and t.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -97,6 +105,7 @@ from quarticmoduli.matrices import (  # noqa: E402
     mat_mul,
 )
 from quarticmoduli.poly import (  # noqa: E402
+    BinaryForm,
     Form,
     MultiPoly,
     _eliminate,
@@ -1293,3 +1302,99 @@ def test_qq_raw_values_are_ints_exactly_when_integral(data):
     assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
     assert as_int == MultiPoly(QQ, {e: Fraction(2 * k, 2)})
     assert_canonical_raw(as_fraction)
+
+
+# ---- the serializers against the boxed reference -------------------------
+
+
+def boxed_text(terms, variables):
+    """Reference text of (boxed coefficient, exponent tuple) pairs in
+    order, as the serializers printed when they boxed every term: each
+    coefficient through its scalar's as_text, or a ParamScalar's through
+    boxed_param_text, and each monomial built from its exponents."""
+    parts = []
+    for c, e in terms:
+        factors = [f"{v}^{k}" if k > 1 else v
+                   for v, k in zip(variables, e) if k]
+        text = boxed_param_text(c) if isinstance(c, ParamScalar) \
+            else c.as_text()
+        if " " in text:
+            text = f"({text})"
+        negative = text.startswith("-")
+        if negative:
+            text = text[1:]
+        if factors and text == "1":
+            body = "*".join(factors)
+        elif factors:
+            body = text + "*" + "*".join(factors)
+        else:
+            body = text
+        if not parts:
+            parts.append(("-" if negative else "") + body)
+        else:
+            parts.append(("- " if negative else "+ ") + body)
+    return " ".join(parts) if parts else "0"
+
+
+def boxed_param_text(s):
+    """The reference text of a ParamScalar: its terms by descending
+    exponent tuple."""
+    terms = s.terms
+    return boxed_text([(terms[e], e) for e in sorted(terms, reverse=True)],
+                      s.domain.names)
+
+
+def boxed_poly_text(f, variables=("x0", "x1", "x2")):
+    """The reference text of a polynomial: its terms in descending graded
+    lex order, read off the exponent triples."""
+    terms = f.terms
+    order = sorted(terms, key=lambda e: (sum(e), e), reverse=True)
+    return boxed_text([(terms[e], e) for e in order], variables)
+
+
+CHART_RING = ParamRing(QQ, ("alpha", "beta", "a", "b", "c", "d"))
+SERIALIZED = ["QQ", "GF(2^61 - 1)", "chart ring", "binary GF(101)",
+              "binary QQ"]
+
+
+@pytest.mark.parametrize("kind", SERIALIZED)
+@SETTINGS
+@given(data=st.data())
+def test_serializers_match_the_boxed_reference(kind, data):
+    """MultiPoly.serialize and ParamScalar.as_text, which print raw values
+    with cached monomial texts, byte for byte against the reference that
+    boxes every term: over QQ with negative, fractional and 30-digit
+    coefficients, over GF(2^61 - 1), over the chart-minors parameter ring,
+    whose coefficients are sums printed in parentheses, and as binary
+    forms printed in s and t."""
+    def term_dict(exps, values, size=6):
+        chosen = data.draw(st.lists(st.sampled_from(exps), max_size=size,
+                                    unique=True))
+        return {e: data.draw(values) for e in chosen}
+
+    triples = [(a, b, c) for a in range(4) for b in range(4)
+               for c in range(4)]
+    rationals = st.one_of(*(qq_values(k) for k in QQ_KINDS))
+    if kind == "QQ":
+        f = MultiPoly(QQ, term_dict(triples, rationals))
+    elif kind == "GF(2^61 - 1)":
+        f = MultiPoly(GF(2**61 - 1), term_dict(
+            triples, st.integers(-2**62, 2**62)))
+    elif kind == "chart ring":
+        sextuples = [e for e in itertools.product(range(3), repeat=6)
+                     if sum(e) <= 2]
+        f = MultiPoly(CHART_RING, {
+            e: ParamScalar(CHART_RING, term_dict(sextuples, rationals, 3))
+            for e in term_dict(triples, st.just(0), 4)})
+        for c in f.terms.values():
+            assert c.as_text() == boxed_param_text(c)
+    else:
+        domain = GF(P) if kind == "binary GF(101)" else QQ
+        d = data.draw(st.integers(0, 4))
+        f = BinaryForm(MultiPoly(domain, term_dict(
+            [(0, d - i, i) for i in range(d + 1)],
+            raw_values(domain) if domain.modulus else rationals)), d)
+        assert f.serialize() == boxed_poly_text(f, ("x0", "s", "t"))
+        assert "x1" not in f.serialize() and "x2" not in f.serialize()
+        return
+    assert f.serialize() == boxed_poly_text(f)

@@ -4,10 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from quarticmoduli import poly, strata
+from quarticmoduli import gcd, matrices, poly, strata
 from quarticmoduli.field import GF, QQ, FieldScalar, ParamRing
 from quarticmoduli.gcd import _nonsingular_conic
-from quarticmoduli.matrices import SHAPES, FormMatrix, act
+from quarticmoduli.matrices import (
+    SHAPES,
+    FormMatrix,
+    GradedAutomorphism,
+    act,
+    random_matrix,
+)
 from quarticmoduli.poly import (
     _GUARDS,
     DEGREE_LIMIT,
@@ -342,6 +348,28 @@ def test_normalized_leading_coefficient_one():
     assert g.poly * QQ.scalar(3) == f.poly
 
 
+@pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
+def test_hash_agrees_with_equality_to_ints(domain):
+    # a constant hashes as the int it equals, so a set or dict key holds
+    # 0 and every zero polynomial as one
+    zeros = [Form.zero(domain, 3), Form.zero(domain, 1), MultiPoly.zero(domain)]
+    assert all(z == 0 and hash(z) == hash(0) for z in zeros)
+    assert len({*zeros, 0}) == 1
+    seven = parse_form("7", domain=domain)
+    assert seven == 7 and hash(seven) == hash(7) and {7: "c"}[seven] == "c"
+    x0 = MultiPoly.variable(domain, 0)
+    assert parse_form("x0", domain=domain) == x0
+    assert hash(parse_form("x0", domain=domain)) == hash(x0)
+    if domain == QQ:
+        half = MultiPoly.constant(QQ, Fraction(-1, 2))
+        assert hash(half) == hash(Fraction(-1, 2))
+    else:
+        # equal to the canonical 100 and to -1, but hashed as 100 alone
+        minus_one = MultiPoly.constant(domain, -1)
+        assert minus_one == 100 and minus_one == -1
+        assert hash(minus_one) == hash(100)
+
+
 def test_prime_field_polynomials():
     dom = GF(7)
     f = parse_poly("x0^2 + 6*x1^2", domain=dom)
@@ -436,16 +464,19 @@ def test_linear_algebra_builds_no_field_scalars(domain, monkeypatch):
 def test_sums_of_products_build_one_polynomial_each(domain, monkeypatch):
     """Exact counts of the polynomials that MultiPoly.from_raw builds: a
     res0 determinant one per 2x2 minor and one for the cofactor sum; act
-    one per entry of each of its two products; classify_res0, on an M00
-    matrix with a nonsingular conic among its minors, one per signed minor
-    (three determinants and a negation) and one for the quartic.  Building
-    every product and partial sum as a polynomial of its own took 18, 90
-    and 19."""
+    one per entry of g * a * h, with g * a kept as raw term dicts;
+    classify_res0, on an M00 matrix with a nonsingular conic among its
+    minors, one per signed minor (three determinants, the odd minor's
+    sign a row swap) and one for the quartic; the invertibility test of a
+    GradedAutomorphism none.  Building every product and partial sum as a
+    polynomial of its own took 18, 90 and 19; building g * a as a matrix
+    and negating the odd minor took 18 for act and 5 for classify_res0."""
     a, left, right = random_res0_with_automorphisms(domain, random.Random(3))
     work = {
         "det": a.determinant,
         "act": lambda: act(left, a, right),
         "classify_res0": lambda: strata.classify_res0(a),
+        "automorphism": lambda: GradedAutomorphism(left),
     }
     built = []
     from_raw = MultiPoly.from_raw.__func__
@@ -457,13 +488,44 @@ def test_sums_of_products_build_one_polynomial_each(domain, monkeypatch):
         results[name] = run()
         counts[name] = len(built)
     monkeypatch.undo()
-    assert counts == {"det": 4, "act": 18, "classify_res0": 5}
+    assert counts == {"det": 4, "act": 9, "classify_res0": 4,
+                      "automorphism": 0}
     report = results["classify_res0"]
     assert report.label == strata.M00
     assert report.quartic == results["det"]
     assert any(_nonsingular_conic(m) for m in report.scheme_ideal)
     assert results["act"].determinant() == (
         left.determinant() * a.determinant() * right.determinant())
+
+
+def test_sample_path_runs_no_determinant_or_elimination_it_can_skip(
+        monkeypatch):
+    """Exact counts: a GradedAutomorphism tests each scalar block with one
+    elimination on its raw constants and takes no det; classify_res1 reads
+    the rank of its z column off line_intersection's cross product, so on
+    M10 matrices it takes one det, the quartic, and runs no elimination
+    (one each when it ranked the column with linear_rank)."""
+    _, left, right = random_res0_with_automorphisms(GF(101), random.Random(3))
+    rng = random.Random(7)
+    m10 = []
+    while len(m10) < 20:
+        m = random_matrix("res1", GF(101), rng=rng)
+        if strata.classify_res1(m).label == strata.M10:
+            m10.append(m)
+    calls = []
+    for owner in (matrices, poly, gcd, strata):
+        for name in ("det", "_eliminate"):
+            if hasattr(owner, name):
+                before = getattr(owner, name)
+                monkeypatch.setattr(owner, name, lambda *args, _b=before,
+                                    _n=name: calls.append(_n) or _b(*args))
+    GradedAutomorphism(left)
+    GradedAutomorphism(right)
+    assert calls == ["_eliminate"] * 3  # degree classes {3}, {2} and {1}
+    calls.clear()
+    reports = [strata.classify_res1(m) for m in m10]
+    assert calls == ["det"] * 20  # the quartic, and no elimination
+    assert {r.label for r in reports} == {strata.M10}
 
 
 def count_fractions_built_in_poly(monkeypatch):
