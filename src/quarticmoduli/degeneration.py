@@ -3,6 +3,8 @@ the twisted-ideal resolution builder, the 5x4 reduction chain, and
 Fitting-support extraction.
 """
 
+import re
+
 from .field import InvariantError, check_json_list, check_json_type, load_json
 from .gcd import gcd_fold, line_intersection
 from .matrices import (
@@ -126,12 +128,19 @@ def _linear_coefficient(entry, var, message):
 
 
 def _chart_coefficient(params, chart):
+    """The coefficient a chart names: a, b, c, d, or that of
+    x0^e0*x1^e1*x2^e2 in q0, q1 or q2, named as in q0[e0,e1,e2]."""
     if chart in ("a", "b", "c", "d"):
         return params[chart]
     for name in ("q0", "q1", "q2"):
         if chart.startswith(name + "["):
-            exps = tuple(int(x) for x in chart[len(name) + 1 : -1].split(","))
-            return params[name].coefficient(exps)
+            match = re.fullmatch(r"\[([0-9]{1,9}),([0-9]{1,9}),([0-9]{1,9})\]",
+                                 chart[len(name):])
+            if match is None:
+                raise ChartError(f"chart: {chart!r} is not of the form "
+                                 f"{name}[e0,e1,e2]")
+            exps = tuple(map(int, match.groups()))  # q0, q1, q2 are quadrics
+            return params[name].coefficient(exps) if sum(exps) == 2 else 0
     raise ChartError(f"unknown chart coordinate {chart!r}")
 
 

@@ -122,6 +122,8 @@ class Rationals(Domain):
         return cls._instance
 
     def unbox(self, value):
+        if type(value) is int:
+            return value
         if isinstance(value, FieldScalar):
             self.check_same(value.domain)
             value = value.value
@@ -285,7 +287,8 @@ class FieldScalar:
         return self.domain == other.domain and self.value == other.value
 
     def __hash__(self):
-        return hash((self.domain, self.value))
+        """The hash of the raw value, as the int or Fraction it equals has."""
+        return hash(self.value)
 
     def __repr__(self):
         return f"{self.value}"
@@ -436,7 +439,11 @@ class ParamScalar:
         return self.raw == other.raw
 
     def __hash__(self):
-        return hash((self.domain, frozenset(self.raw.items())))
+        """A constant hashes as its raw value, as the int it equals does."""
+        raw = self.raw
+        if not raw or raw.keys() == {(0,) * len(self.domain.names)}:
+            return hash(next(iter(raw.values()), 0))
+        return hash((self.domain, frozenset(raw.items())))
 
     def as_text(self):
         raw, names = self.raw, self.domain.names

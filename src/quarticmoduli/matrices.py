@@ -14,9 +14,12 @@ after one comparison, and a zero entry takes the required degree.
 ``det`` and ``mat_mul`` are the package's single determinant and matrix
 product; they work on grids of ``MultiPoly`` over any domain, a
 FormMatrix's entries as they are, and sum each entry's products with
-``poly.dot`` in one raw dict.  FormMatrix wraps them with degree
-bookkeeping; minor j is ``det`` of a sub-grid, with no submatrix, and
-takes its sign (-1)^j from a swap of two rows.  ``act`` sums each entry of
+``poly.dot`` in one raw dict.  ``det`` is a memoized Laplace expansion
+along the columns in turn: the determinant of each row subset over the
+columns left is one ``dot``, signs through its negated indices, taken
+once.  The maximal minors of an (n+1) x n matrix, or of the transpose of
+an n x (n+1) one, share one memo; minor j is one expansion with the sign
+(-1)^j, with no submatrix.  ``act`` sums each entry of
 g * a * h in one raw dict with ``poly.dot_raw``, into one checked
 FormMatrix.  A ``GradedAutomorphism`` tests its scalar blocks with
 ``poly._eliminate`` on their raw constants.
@@ -132,11 +135,8 @@ class FormMatrix:
         )
 
     def determinant(self):
-        """Exact determinant, homogeneous of degree sum(src) - sum(tgt).
-
-        Cofactor expansion along the sparsest row or column; matrix sizes in
-        this package never exceed 5.
-        """
+        """Exact determinant, homogeneous of degree sum(src) - sum(tgt), by
+        the memoized Laplace expansion of ``det``."""
         if self.nrows != self.ncols:
             raise DegreeError("determinant of a non-square matrix")
         degree = sum(self.src_degrees) - sum(self.tgt_degrees)
@@ -155,18 +155,17 @@ class FormMatrix:
         if m != n + 1:
             raise DegreeError("need an (n)x(n+1) shape for minors" if wide
                               else "need an (n+1)x(n) shape for minors")
-        kept = list(range(n))
+        # the minors of the (n+1) x n grid, as rows of the transpose if wide
+        grid = list(zip(*self.entries)) if wide else self.entries
         total = sum(self.src_degrees) - sum(self.tgt_degrees)
-        minors = []
+        memo, minors = {}, []
         for j in range(m):
-            rest = [k for k in range(m) if k != j]
-            rows, cols = (kept, rest) if wide else (rest, kept)
-            grid = [[self.entries[i][k] for k in cols] for i in rows]
-            if j % 2:  # the sign, by a row swap or on a 1x1 grid
-                grid = grid[1::-1] + grid[2:] if n > 1 else [[-grid[0][0]]]
+            rest = tuple(k for k in range(m) if k != j)
+            minor = (_expand(grid, rest, 0, memo, j) if n > 1
+                     else grid[rest[0]][0] * (-1) ** j)
             degree = total + (self.tgt_degrees[j] if wide
                               else -self.src_degrees[j])
-            minors.append(Form(det(grid), max(degree, 0)))
+            minors.append(Form(minor, max(degree, 0)))
         return minors
 
     def serialize_entries(self):
@@ -202,40 +201,33 @@ def _graded_entry(i, j, need, entry):
 
 def det(grid):
     """Determinant of a square grid of polynomials over one domain (QQ,
-    GF(p) or a parameter ring).
-
-    Cofactor expansion along the row or column with the most zero
-    entries, each cofactor sum one ``dot``; matrix sizes in this package
-    never exceed 5.
-    """
-    n = len(grid)
-    if n == 1:
+    GF(p) or a parameter ring), by memoized Laplace expansion."""
+    if len(grid) == 1:
         return grid[0][0]
-    domain = grid[0][0].domain
-    if n == 2:
-        return dot([(grid[0][0], grid[1][1]), (grid[0][1], grid[1][0])],
-                   domain, negated=(1,))
-    row_zeros = [sum(1 for e in row if not e) for row in grid]
-    col_zeros = [sum(1 for row in grid if not row[j]) for j in range(n)]
-    bi, bz = max(enumerate(row_zeros), key=lambda t: t[1])
-    bj, cz = max(enumerate(col_zeros), key=lambda t: t[1])
-    if cz > bz:
-        # a column is sparser: expand along it as a row of the transpose
-        grid = [list(col) for col in zip(*grid)]
-        bi = bj
+    return _expand(grid, tuple(range(len(grid))), 0, {})
+
+
+def _expand(grid, rows, col, memo, sign=0):
+    """(-1)^sign times the determinant of the rows of grid over the columns
+    from col on, expanded along col in one ``dot``; the determinants of
+    the row subsets over the columns after col are kept in memo."""
     pairs, negated = [], []
-    for j, e in enumerate(grid[bi]):
-        if not e:
+    for k, i in enumerate(rows):
+        entry = grid[i][col]
+        if not entry:
             continue
-        sub = [
-            [grid[i][k] for k in range(n) if k != j]
-            for i in range(n)
-            if i != bi
-        ]
-        if (bi + j) % 2:
-            negated.append(len(pairs))
-        pairs.append((e, det(sub)))
-    return dot(pairs, domain, negated)
+        rest = rows[:k] + rows[k + 1:]
+        if len(rest) == 1:
+            minor = grid[rest[0]][col + 1]
+        elif rest in memo:
+            minor = memo[rest]
+        else:
+            minor = memo[rest] = _expand(grid, rest, col + 1, memo)
+        if minor:
+            if (k + sign) % 2:
+                negated.append(len(pairs))
+            pairs.append((entry, minor))
+    return dot(pairs, grid[0][0].domain, negated)
 
 
 def make_matrix(src_degrees, tgt_degrees, entry_texts, domain=QQ):

@@ -18,7 +18,12 @@ field overflows into the next.  The public surface keeps exponent triples.
 term dicts in one dict of raw values.  ``dot``, the checked kernel over it,
 takes a sum of signed products of polynomials, such as a product or a
 cofactor sum, matches the domains and makes the sum canonical once;
-``matrices.act`` runs ``dot_raw`` on the raw entries themselves.
+``matrices.act`` and the parser run ``dot_raw`` on term dicts themselves.
+The parser reads text into term dicts: a variable is one key, a literal
+its raw value, ``*`` one ``dot_raw``, and each sum is added into one dict
+and made canonical, so no term of a factor is zero and its largest key
+gives its degree; a power of one term is its key times n, and any other
+power repeated ``dot_raw``.  One polynomial is built, at the end.
 ``MultiPoly.divmod`` keys its remainder by key: kd divides kr when kr - kd
 is nonnegative with no guard bit, the top bit of an exponent field that a
 borrow sets.  ``evaluate`` builds no polynomial: it runs
@@ -525,6 +530,7 @@ class _Parser:
         self.pos = 0
         self.domain = domain
         self.max_degree = max_degree
+        self.one = domain.unbox(1)
 
     @staticmethod
     def _tokenize(text):
@@ -563,63 +569,68 @@ class _Parser:
 
     def parse(self):
         try:
-            poly = self.expr()
+            raw = self.expr()
         except RecursionError:
             raise ParseError("expression nested too deeply") from None
         if self.peek() is not None:
             raise ParseError(f"trailing input at token {self.peek()!r}")
-        return poly
+        return MultiPoly.from_raw(self.domain, raw)
 
     def expr(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.next() == "-":
-                sign = -sign
-        poly = self.term()
-        if sign < 0:
-            poly = -poly
-        while self.peek() in ("+", "-"):
+        raw = {}
+        while True:
             sign = 1
             while self.peek() in ("+", "-"):
                 if self.next() == "-":
                     sign = -sign
-            rhs = self.term()
-            poly = poly + (rhs if sign > 0 else -rhs)
-        return poly
+            for k, v in self.term().items():
+                raw[k] = raw.get(k, 0) + (v if sign > 0 else -v)
+            if self.peek() not in ("+", "-"):
+                return self.domain.canonical(raw)
 
     def term(self):
-        poly = self.factor()
+        raw = self.factor()
         while self.peek() == "*":
             self.next()
-            poly = poly * self.factor()
-        return poly
+            raw = dot_raw([(raw, self.factor())])
+        return raw
 
     def factor(self):
         base = self.atom()
-        if self.peek() == "^":
-            self.next()
-            tok = self.next()
-            if tok is None or not tok.isdigit():
-                raise ParseError("expected integer exponent after '^'")
-            n = int(tok)
-            degree = base.total_degree()
-            if degree <= 0:
-                return MultiPoly.constant(self.domain, self._constant_power(
-                    base.coefficient((0, 0, 0)), n))
-            if self.max_degree is not None and n * degree > self.max_degree:
-                raise PowerDegreeError(f"a power of degree {n * degree}")
-            if n * degree >= DEGREE_LIMIT:
-                raise ParseError(f"a power of degree {n * degree} >= 2^31")
-            base = base ** n
-        return base
+        if self.peek() != "^":
+            return base
+        self.next()
+        tok = self.next()
+        if tok is None or not tok.isdigit():
+            raise ParseError("expected integer exponent after '^'")
+        n = int(tok)
+        degree = max(base) >> 96 if base else -1
+        if degree <= 0:
+            c = self._constant_power(base.get(0, 0), n)
+            return {0: c} if c else {}
+        if self.max_degree is not None and n * degree > self.max_degree:
+            raise PowerDegreeError(f"a power of degree {n * degree}")
+        if n * degree >= DEGREE_LIMIT:
+            raise ParseError(f"a power of degree {n * degree} >= 2^31")
+        if len(base) > 1:
+            power = {0: self.one}
+            for _ in range(n):
+                power = dot_raw([(power, base)])
+            return power
+        (k, c), = base.items()  # keys add as exponents do, below 2^31 here
+        p = self.domain.modulus
+        return {k * n: pow(c, n, p) if p else c ** n}
 
     def _constant_power(self, c, n):
-        """c**n by binary powering; over QQ a value of more than
+        """c**n of a raw value, mod p over GF(p); over QQ a value of more than
         MAX_CONSTANT_POWER_BITS bits is refused before it is computed."""
+        p = self.domain.modulus
+        if p:
+            return pow(c, n, p)
         if self.domain == QQ:
-            size = max(abs(c.value.numerator), c.value.denominator)
+            size = max(abs(c.numerator), c.denominator)
             if n * (size.bit_length() - 1) > MAX_CONSTANT_POWER_BITS:
-                raise ParseError(f"the power {c.as_text()}^{n} exceeds "
+                raise ParseError(f"the power {c}^{n} exceeds "
                                  f"{MAX_CONSTANT_POWER_BITS} bits")
         return c ** n
 
@@ -628,19 +639,21 @@ class _Parser:
         if tok is None:
             raise ParseError("unexpected end of input")
         if tok == "(":
-            poly = self.expr()
+            raw = self.expr()
             if self.next() != ")":
                 raise ParseError("missing closing parenthesis")
-            return poly
+            return raw
         if tok == "-":
-            return -self.atom()
+            return {k: -v for k, v in self.atom().items()}
         if tok in VARIABLES:
-            return MultiPoly.variable(self.domain, VARIABLES.index(tok))
+            return {keys_of_degree(1)[VARIABLES.index(tok)]: self.one}
         if tok[0].isdigit():
-            try:
-                return MultiPoly.constant(self.domain, self.domain.parse(tok))
+            try:  # int and Fraction read the same decimal digits alike
+                c = self.domain.unbox(int(tok) if tok.isdecimal()
+                                      else self.domain.parse(tok))
             except ValueError as exc:
                 raise ParseError(f"bad number {tok!r}: {exc}") from exc
+            return {0: c} if c else {}
         raise ParseError(f"unexpected token {tok!r}")
 
 
@@ -722,7 +735,8 @@ def _eliminate(rows, p):
     must hold canonical raw values, and the reduced rows are canonical.
     One loop serves both fields: a row is cleared by cross-multiplying it
     with the pivot row.  Over GF(p) the pivot row is first made monic and
-    each cleared row reduced mod p.  Over QQ the rows are made primitive
+    only the cleared row's entries under its nonzeros are updated, mod p,
+    in place.  Over QQ the rows are made primitive
     integer rows once and after each clearing, and the pivot rows are
     divided by their pivots at the end: the reduced row echelon form is
     unique, so it is the same."""
@@ -736,19 +750,26 @@ def _eliminate(rows, p):
         r = len(pivots)
         if r == len(rows):
             break
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
+        for pivot in range(r, len(rows)):
+            if rows[pivot][col]:
+                break
+        else:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        if p:
-            inv = pow(rows[r][col], -1, p)
-            rows[r] = [v * inv % p for v in rows[r]]
         top = rows[r]
+        if p:
+            inv = pow(top[col], -1, p)
+            top = rows[r] = [v * inv % p for v in top]
         a = top[col]
         nonzero = [(j, v) for j, v in enumerate(top) if v]
         for i, row in enumerate(rows):
             b = row[col]
-            if i != r and b:
+            if i == r or not b:
+                continue
+            if p:  # only the entries under the pivot row's nonzeros change
+                for j, v in nonzero:
+                    row[j] = (row[j] - b * v) % p
+            else:
                 if a != 1:  # (a * row - b * top) / gcd(a, b)
                     g = gcd(a, b)
                     b //= g
@@ -756,7 +777,7 @@ def _eliminate(rows, p):
                         row = [a // g * v for v in row]
                 for j, v in nonzero:
                     row[j] -= b * v
-                rows[i] = [v % p for v in row] if p else _primitive(row)
+                rows[i] = _primitive(row)
         pivots.append(col)
     if not p:
         for i, col in enumerate(pivots):

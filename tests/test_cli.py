@@ -449,6 +449,17 @@ MALFORMED = {
                                 "t_values[0]:"),
     "family integer chart": (["limit", FILE], family(["chart"], 5),
                              "chart: expected a string"),
+    "chart with one exponent": (["limit", FILE], family(["chart"], "q0[9]"),
+                                "chart: 'q0[9]' is not of the form "
+                                "q0[e0,e1,e2]"),
+    "chart with a letter": (["limit", FILE], family(["chart"], "q0[a]"),
+                            "chart: 'q0[a]' is not of the form q0[e0,e1,e2]"),
+    "chart with two exponents": (["limit", FILE],
+                                 family(["chart"], "q0[1,1]"),
+                                 "chart: 'q0[1,1]' is not of the form "
+                                 "q0[e0,e1,e2]"),
+    "chart of no q entry": (["limit", FILE], family(["chart"], "q3[0,2,0]"),
+                            "unknown chart coordinate 'q3[0,2,0]'"),
     "expression list": (["betti", FILE], [],
                         "expected a JSON object, got list"),
     "expression without type": (["betti", FILE], {"n": 2},
@@ -844,6 +855,46 @@ def test_limit_family_file_fuzz(tmp_path, capsys):
         if args[0] == "limit":
             answered_or_refused = hypothesis.example(payload, "q")(
                 answered_or_refused)
+    answered_or_refused()
+
+
+def test_field_option_fuzz(tmp_path, capsys):
+    # every command answers every --field value with a documented exit
+    # code: 0 or 2 with no error line, or 1 (3 for an invariant) with one;
+    # the value is passed as --field=VALUE, so that argparse reads a value
+    # such as "-x" as the field and not as an option
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    matrix = m01_matrix_file(tmp_path)
+    commands = [["classify", matrix], ["limit", family_file(tmp_path)],
+                ["betti", "M"], ["verify", "transition", "--alpha", "3"],
+                ["verify", "poincare-corollary"],
+                ["sample", "res0", "--count", "1"],
+                ["sample", "res1", "--count", "1"]]
+    fields = st.one_of(
+        st.sampled_from(FIELDS + ["4", "9", "561", str(2**61 + 1), "1", "2",
+                                  "0", "-3", "-101", str(2**62),
+                                  str(2**62 + 135)]),
+        st.integers(-10**20, 10**20).map(str),
+        st.integers(2**62, 2**200).map(str),
+        st.text(max_size=8))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.sampled_from(commands), fields)
+    @hypothesis.example(["betti", "M"], "9" * 5000)
+    @hypothesis.example(["sample", "res1", "--count", "1"], " 101 ")
+    @hypothesis.example(["classify", matrix], "\u0661\u0660\u0661")  # 101
+    def answered_or_refused(command, field):
+        with hang_bound(10):
+            code = cli.main(command + ["--field=" + field])
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        if code in (1, 3):
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        else:
+            assert code in (0, 2) and not lines, (code, lines)
+
     answered_or_refused()
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from quarticmoduli import gcd
+from quarticmoduli import gcd, matrices
 from quarticmoduli.degeneration import (
     ChartError,
     DeformationInstance,
@@ -393,6 +393,26 @@ def test_fitting_support_work_counts(monkeypatch):
         calls.update(gcd=0, row_reduce=0)
         assert fitting_support(m).poly == expected.normalized()
         assert calls == {"gcd": 1, "row_reduce": 2}
+
+
+def test_maximal_minors_share_their_subdeterminants(monkeypatch):
+    """Exact count: the five signed 4x4 minors of a deformation matrix
+    share one memoized Laplace expansion, one dot per row subset it
+    reaches: the 5 minors, 7 row triples and 9 row pairs.  Expanding each
+    minor on its own along its sparsest line took 26."""
+    calls = []
+    dot_before = matrices.dot
+    monkeypatch.setattr(matrices, "dot", lambda *args, **kwargs:
+                        calls.append(1) or dot_before(*args, **kwargs))
+    for dom in (GF(101), QQ):
+        rng = random.Random(31)
+        for _ in range(3):
+            m, expected = deformation_case(dom, rng)
+            calls.clear()
+            minors = m.maximal_minors()
+            assert len(calls) == 21
+            assert gcd.gcd_fold([mm for mm in minors if mm]) \
+                == expected.normalized()
 
 
 def test_fitting_support_rejects_rank_deficient():

@@ -111,6 +111,22 @@ def test_unbox_gives_the_canonical_raw_value(domain, cases):
     assert ring.unbox(3) == ring.scalar(3)
 
 
+def test_scalar_hashes_agree_with_equality():
+    """A scalar hashes as its raw value, as the int or Fraction it equals
+    does, so a set holding both keeps one member; a ParamScalar that is
+    not constant hashes with its terms."""
+    ring = ParamRing(QQ, ("a",))
+    for scalar, value in [
+            (GF(101).scalar(5), 5), (QQ.scalar(3), 3),
+            (QQ.scalar(Fraction(1, 2)), Fraction(1, 2)), (ring.zero, 0),
+            (ring.scalar(Fraction(-2, 3)), Fraction(-2, 3)),
+            (ParamRing(GF(101), ("a", "b")).scalar(-1), 100)]:
+        assert scalar == value and hash(scalar) == hash(value)
+        assert len({scalar, value}) == 1
+    a = ring.variable("a")
+    assert len({a, ring.variable("a"), a + 1, 1}) == 3
+
+
 def test_parse_scalars():
     assert QQ.parse("-2/5").value == Fraction(-2, 5)
     assert GF(101).parse("3").value == 3

@@ -63,6 +63,14 @@ reference serializer that boxes every term and prints it through its
 scalar's ``as_text``: over QQ with negative, fractional and 30-digit
 coefficients, over GF(2^61 - 1), over the chart-minors parameter ring and
 as binary forms in s and t.
+
+``parse_poly``, ``parse_form`` and ``parse_entry``, which read text into
+term dicts, are compared with a reference parser that builds a polynomial
+per atom, sum, product and power, on results and on the class and message
+of each error, over QQ, GF(101) and GF(2^61 - 1).  ``det`` and
+``FormMatrix.maximal_minors``, one memoized Laplace expansion, are
+compared with sympy's determinants on 4x4, 5x5, 5x4, 4x5 and 2x3 grids of
+linear forms with zeros at drawn positions, over QQ and GF(101).
 """
 
 import itertools
@@ -74,7 +82,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
@@ -105,15 +113,23 @@ from quarticmoduli.matrices import (  # noqa: E402
     mat_mul,
 )
 from quarticmoduli.poly import (  # noqa: E402
+    DEGREE_LIMIT,
+    MAX_CONSTANT_POWER_BITS,
+    VARIABLES,
     BinaryForm,
     Form,
     MultiPoly,
+    ParseError,
+    PowerDegreeError,
     _eliminate,
+    _Parser,
     coefficient_rows,
     exponent_terms,
     kernel_vector,
     linear_rank,
     monomials_of_degree,
+    parse_entry,
+    parse_form,
     parse_poly,
     solve_linear,
 )
@@ -1398,3 +1414,272 @@ def test_serializers_match_the_boxed_reference(kind, data):
         assert "x1" not in f.serialize() and "x2" not in f.serialize()
         return
     assert f.serialize() == boxed_poly_text(f)
+
+
+# ---- the parser against the polynomial-building reference -----------------
+
+
+class ReferenceParser:
+    """The parser as it was before it read text into term dicts: the same
+    grammar, each atom, sum, product and power built as a MultiPoly."""
+
+    def __init__(self, text, domain, max_degree=None):
+        self.tokens = _Parser._tokenize(text)
+        self.pos = 0
+        self.domain = domain
+        self.max_degree = max_degree
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        try:
+            poly = self.expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply") from None
+        if self.peek() is not None:
+            raise ParseError(f"trailing input at token {self.peek()!r}")
+        return poly
+
+    def expr(self):
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.next() == "-":
+                sign = -sign
+        poly = self.term()
+        if sign < 0:
+            poly = -poly
+        while self.peek() in ("+", "-"):
+            sign = 1
+            while self.peek() in ("+", "-"):
+                if self.next() == "-":
+                    sign = -sign
+            rhs = self.term()
+            poly = poly + (rhs if sign > 0 else -rhs)
+        return poly
+
+    def term(self):
+        poly = self.factor()
+        while self.peek() == "*":
+            self.next()
+            poly = poly * self.factor()
+        return poly
+
+    def factor(self):
+        base = self.atom()
+        if self.peek() == "^":
+            self.next()
+            tok = self.next()
+            if tok is None or not tok.isdigit():
+                raise ParseError("expected integer exponent after '^'")
+            n = int(tok)
+            degree = base.total_degree()
+            if degree <= 0:
+                return MultiPoly.constant(self.domain, self._constant_power(
+                    base.coefficient((0, 0, 0)), n))
+            if self.max_degree is not None and n * degree > self.max_degree:
+                raise PowerDegreeError(f"a power of degree {n * degree}")
+            if n * degree >= DEGREE_LIMIT:
+                raise ParseError(f"a power of degree {n * degree} >= 2^31")
+            base = base ** n
+        return base
+
+    def _constant_power(self, c, n):
+        if self.domain == QQ:
+            size = max(abs(c.value.numerator), c.value.denominator)
+            if n * (size.bit_length() - 1) > MAX_CONSTANT_POWER_BITS:
+                raise ParseError(f"the power {c.as_text()}^{n} exceeds "
+                                 f"{MAX_CONSTANT_POWER_BITS} bits")
+        return c ** n
+
+    def atom(self):
+        tok = self.next()
+        if tok is None:
+            raise ParseError("unexpected end of input")
+        if tok == "(":
+            poly = self.expr()
+            if self.next() != ")":
+                raise ParseError("missing closing parenthesis")
+            return poly
+        if tok == "-":
+            return -self.atom()
+        if tok in VARIABLES:
+            return MultiPoly.variable(self.domain, VARIABLES.index(tok))
+        if tok[0].isdigit():
+            try:
+                return MultiPoly.constant(self.domain, self.domain.parse(tok))
+            except ValueError as exc:
+                raise ParseError(f"bad number {tok!r}: {exc}") from exc
+        raise ParseError(f"unexpected token {tok!r}")
+
+
+def reference_homogeneous_form(poly, text, expected_degree):
+    if not poly:
+        return Form(poly, expected_degree if expected_degree is not None else 0)
+    if not poly.is_homogeneous():
+        raise ParseError(f"inhomogeneous polynomial: {text!r}")
+    degree = poly.total_degree()
+    if expected_degree is not None and degree != expected_degree:
+        raise ParseError(
+            f"degree mismatch: expected {expected_degree}, got {degree}")
+    return Form(poly, degree)
+
+
+def reference_parse(kind, text, domain, degree):
+    """What parse_poly, parse_form or parse_entry gave on the reference."""
+    if kind == "poly":
+        return ReferenceParser(text, domain).parse()
+    if kind == "entry":
+        return reference_homogeneous_form(
+            ReferenceParser(text, domain, degree).parse(), text, None)
+    try:
+        poly = ReferenceParser(text, domain, degree).parse()
+    except PowerDegreeError as exc:
+        raise PowerDegreeError(f"degree mismatch: expected {degree}, "
+                               f"got {exc}") from None
+    return reference_homogeneous_form(poly, text, degree)
+
+
+def package_parse(kind, text, domain, degree):
+    if kind == "poly":
+        return parse_poly(text, domain)
+    if kind == "entry":
+        return parse_entry(text, degree, domain)
+    return parse_form(text, degree, domain)
+
+
+def parse_outcome(parse, *args):
+    """The class and text of the error, or the class, degree, terms and
+    text of the result."""
+    try:
+        f = parse(*args)
+    except Exception as exc:  # the error is what is compared
+        return type(exc), str(exc)
+    return type(f), getattr(f, "degree", None), f.raw, f.serialize()
+
+
+PARSE_DOMAINS = [QQ, GF(P), GF(BIG_P)]
+
+
+@st.composite
+def expression_texts(draw, depth=3):
+    """Text in the parser's grammar, spaced at random: variables, integer
+    and fractional literals (zero, negative and 40-digit ones among them),
+    sums, differences, products, small powers, parentheses and unary
+    minus; or a short run of its characters, well formed or not."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return draw(st.one_of(
+            st.sampled_from(VARIABLES),
+            st.integers(0, 12).map(str),
+            st.integers(0, 10**40).map(str),
+            st.fractions(0, 7, max_denominator=6).map(str)))
+    space = draw(st.sampled_from(["", " "]))
+    kind = draw(st.sampled_from(["+", "-", "*", "^", "()", "neg", "noise"]))
+    if kind == "noise":
+        return draw(st.text("x0123+-*^()/ ", max_size=10))
+    left = draw(expression_texts(depth - 1))
+    if kind == "^":
+        return f"({left}){space}^{space}{draw(st.integers(0, 4))}"
+    if kind == "()":
+        return f"({left})"
+    if kind == "neg":
+        return f"-{space}{left}"
+    right = draw(expression_texts(depth - 1))
+    return f"{left}{space}{kind}{space}{right}"
+
+
+@pytest.mark.parametrize("kind", ["poly", "form", "entry"])
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(text=expression_texts(), domain=st.sampled_from(PARSE_DOMAINS),
+       degree=st.one_of(st.none(), st.integers(0, 4)))
+@example(text="2^999999999*x0", domain=GF(P), degree=1)
+@example(text="2^999999999*x0", domain=QQ, degree=1)
+@example(text="(x0 - x0)^999999999", domain=QQ, degree=2)
+@example(text="(-1)^999999999*x1", domain=QQ, degree=1)
+@example(text="(-1)^999999999*x1", domain=GF(BIG_P), degree=1)
+@example(text="x0^2147483648", domain=QQ, degree=4)
+@example(text="9" * 5000 + "*x0", domain=QQ, degree=1)
+@example(text="1/0*x0", domain=QQ, degree=1)
+@example(text="1/101*x0", domain=GF(P), degree=1)
+@example(text="3/2*x0", domain=GF(P), degree=1)
+@example(text="x0^3 - x0^3 + x1^2", domain=QQ, degree=2)
+@example(text="(x0 + x1", domain=QQ, degree=1)
+@example(text="x0 + x1)", domain=QQ, degree=1)
+@example(text="x3", domain=QQ, degree=1)
+@example(text="(x0^2147483647 - x0^2147483647)*x0", domain=QQ, degree=2)
+@example(text="101*x0^2147483647*x0", domain=GF(P), degree=2)
+@example(text="(101*x0 + x1)^2", domain=GF(P), degree=2)
+@example(text="(2/3*x0 - 1/3*x1)^3", domain=QQ, degree=3)
+def test_parser_matches_the_reference(kind, text, domain, degree):
+    """parse_poly, parse_form and parse_entry, which read text into term
+    dicts and build one polynomial, give what the reference that built a
+    polynomial per atom, sum, product and power gave: the same result, or
+    an error of the same class with the same message.  The examples are
+    the refusals: powers of constants refused over QQ and reduced mod p,
+    a power of a zero base, the degree bound, a literal over int's digit
+    limit, a zero or non-invertible denominator, the refusal of a high
+    power before a cancellation, unbalanced parentheses, an unknown
+    variable, and terms that cancel or vanish mod p before a product or a
+    power."""
+    assert (parse_outcome(package_parse, kind, text, domain, degree)
+            == parse_outcome(reference_parse, kind, text, domain, degree))
+
+
+def test_parse_form_builds_one_polynomial(monkeypatch):
+    """A six-term quadric is read into one term dict and built once; the
+    reference builds 41 polynomials for it."""
+    text = "2*x0^2 - 3*x0*x1 + 1*x0*x2 - 2*x1^2 + 3*x1*x2 - 1*x2^2"
+    built = []
+    from_raw = MultiPoly.from_raw.__func__
+    monkeypatch.setattr(MultiPoly, "from_raw", classmethod(
+        lambda cls, *args: built.append(1) or from_raw(cls, *args)))
+    form = parse_form(text, 2, QQ)
+    assert len(built) == 1
+    built.clear()
+    assert reference_parse("form", text, QQ, 2) == form
+    assert len(built) == 41
+
+
+# ---- the shared expansion against sympy's determinant ----------------------
+
+
+@st.composite
+def linear_grids(draw, domain, nrows, ncols):
+    """An nrows x ncols grid of linear forms, a drawn set of them zero."""
+    values = raw_values(domain)
+    zeros = draw(st.sets(st.integers(0, nrows * ncols - 1)))
+    return [[MultiPoly(domain, {} if i * ncols + j in zeros else {
+        m: draw(values) for m in monomials_of_degree(1)})
+        for j in range(ncols)] for i in range(nrows)]
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (5, 5), (5, 4), (4, 5), (2, 3)],
+                         ids=str)
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+@settings(max_examples=8, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_det_and_maximal_minors_match_sympy(domain, shape, data):
+    """det of a square grid, and the signed maximal minors of an (n+1) x n
+    or n x (n+1) matrix, which share one memoized Laplace expansion, are
+    sympy's determinants of the grid and of its submatrices, with zeros at
+    drawn positions."""
+    nrows, ncols = shape
+    grid = data.draw(linear_grids(domain, nrows, ncols))
+    if nrows == ncols:
+        assert {e: c.value for e, c in det(grid).terms.items()} \
+            == sympy_det(grid, domain)
+        return
+    m = FormMatrix([1] * nrows, [0] * ncols, grid)
+    for j, minor in enumerate(m.maximal_minors()):
+        sub = ([row[:j] + row[j + 1:] for row in grid] if nrows < ncols
+               else grid[:j] + grid[j + 1:])
+        want = sympy_det(sub, domain)
+        if j % 2:
+            want = {e: -c if domain == QQ else -c % P for e, c in want.items()}
+        assert {e: c.value for e, c in minor.terms.items()} == want
+        assert minor.degree == min(nrows, ncols)
