@@ -19,8 +19,10 @@ from itertools import zip_longest
 from .field import (
     InvariantError,
     _refuse_float,
+    _serialize_terms,
     check_json_list,
     check_json_type,
+    monomial_text,
 )
 
 
@@ -83,22 +85,8 @@ class PoincarePoly:
         return sum(c * q**i for i, c in enumerate(self.coefficients))
 
     def serialize(self):
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coefficients):
-            if not c:
-                continue
-            if i == 0:
-                term = str(abs(c))
-            else:
-                mono = "q" if i == 1 else f"q^{i}"
-                term = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(parts)
+        return _serialize_terms((str(c), monomial_text((i,), ("q",)))
+                                for i, c in enumerate(self.coefficients) if c)
 
     def __repr__(self):
         return f"PoincarePoly({list(self.coefficients)})"

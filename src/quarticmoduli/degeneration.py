@@ -1,6 +1,10 @@
 """One-parameter families through the boundary: blow-up charts, limits,
 the twisted-ideal resolution builder, the 5x4 reduction chain, and
 Fitting-support extraction.
+
+The limit of a family A + tB at the boundary is the tangent quartic
+f_{A,B}, the t-linear coefficient of det(A + tB), taken with the point
+Z(xbar0, w).
 """
 
 import re
@@ -40,10 +44,6 @@ class ChartError(ValueError):
     """Raised when a blow-up chart contract is violated."""
 
 
-def _var(domain, i):
-    return MultiPoly.variable(domain, i)
-
-
 class BlowupChartPoint:
     """A point (A, t, B) of a blow-up chart around the boundary.
 
@@ -60,8 +60,6 @@ class BlowupChartPoint:
         self.params = _extract_chart_params(a, b)
         if not _chart_coefficient(self.params, chart) == a.domain.one:
             raise ChartError(f"coefficient for chart {chart!r} must equal 1")
-        if a.determinant():
-            raise ChartError("base matrix must have zero determinant")
         if not is_stable_kronecker(a.submatrix([1, 2], [0, 1, 2])):
             raise ChartError("base matrix must have a stable linear part")
 
@@ -164,7 +162,7 @@ def make_blowup_chart_point(
     ParseError is prefixed with its name, as in "q1: degree mismatch: ...".
     """
     ca, cb, cc, cd = [domain.scalar(v) for v in ab_cd]
-    x0, x1, x2 = (_var(domain, i) for i in range(3))
+    x0, x1, x2 = (MultiPoly.variable(domain, i) for i in range(3))
     xbar0 = x0 + x1 * domain.scalar(alpha) + x2 * domain.scalar(beta)
     w = x1 * domain.scalar(gamma) + x2 * domain.scalar(delta)
     a = boundary_matrix(Form(xbar0, 1), Form(w, 1))
@@ -186,33 +184,21 @@ def make_blowup_chart_point(
 def family_limit(pt):
     """The limit (quartic, point) of the family A + t*B as t -> 0.
 
-    Direct substitution into the closed form
-    f = xbar0*(xbar0*q0 + x1*q1 + x2*q2) - w*(c*x1^3 + a*x1^2*x2
-        + b*x1*x2^2 + d*x2^3),
-    with the point Z(xbar0, w); a zero f means the direction is tangent to
-    the boundary and the chart contract is breached.
+    The limit quartic is the tangent quartic f_{A,B}, the t-linear
+    coefficient of det(A + tB); on the chart normal forms it equals
+    xbar0*(xbar0*q0 + x1*q1 + x2*q2) - w*(c*x1^3 + a*x1^2*x2 + b*x1*x2^2
+    + d*x2^3), row 0 of the expansion giving the first product and rows 1
+    and 2 the second.  The point is Z(xbar0, w); a zero f means the
+    direction is tangent to the boundary and the chart contract is
+    breached.
     """
-    p = pt.params
-    domain = pt.a.domain
-    x1 = _var(domain, 1)
-    x2 = _var(domain, 2)
-    xbar0 = p["xbar0"]
-    w = p["w"]
-    cubic = (
-        x1 ** 3 * p["c"]
-        + x1 ** 2 * x2 * p["a"]
-        + x1 * x2 ** 2 * p["b"]
-        + x2 ** 3 * p["d"]
-    )
-    f = xbar0 * (xbar0 * p["q0"] + x1 * p["q1"] + x2 * p["q2"]) \
-        - w * cubic
-    if not f:
+    quartic = tangent_quartic(pt.a, pt.b)
+    if not quartic:
         raise ChartError(
             "degenerate direction: the limit quartic vanishes (direction "
             "tangent to the boundary)"
         )
-    quartic = Form(f, 4)
-    point = line_intersection(p["xbar0"], p["w"])
+    point = line_intersection(pt.params["xbar0"], pt.params["w"])
     if quartic.evaluate(point):
         raise InvariantError("limit quartic must vanish at the limit point")
     return quartic, point
@@ -270,8 +256,8 @@ class DeformationInstance:
     def reduction_ops(self):
         """The six recorded elementary-operation steps of the reduction."""
         domain = self.domain
-        x1 = Form(_var(domain, 1), 1)
-        x2 = Form(_var(domain, 2), 1)
+        x1 = Form(MultiPoly.variable(domain, 1), 1)
+        x2 = Form(MultiPoly.variable(domain, 2), 1)
         inv_t = self.t.inverse()
         return [
             [AddMultipleOfRow(1, 4, self.w)],
@@ -285,7 +271,7 @@ class DeformationInstance:
     def expected_trace(self):
         """The printed intermediate matrices, one per reduction step."""
         domain = self.domain
-        x1, x2 = _var(domain, 1), _var(domain, 2)
+        x1, x2 = MultiPoly.variable(domain, 1), MultiPoly.variable(domain, 2)
         t = self.t
         inv_t = t.inverse()
         w, xb, q, y, z = self.w, self.xbar0, self.q, self.y, self.z
@@ -419,7 +405,7 @@ def flag_limit(datum):
     restriction = f.restrict_to_line(l)
     if not restriction:
         raise ValueError("line is contained in the quartic")
-    s, t = _var(domain, 1), _var(domain, 2)
+    s, t = MultiPoly.variable(domain, 1), MultiPoly.variable(domain, 2)
     for s0, t0 in datum.z_roots:
         # the binary linear form t0*s - s0*t vanishes at the root [s0:t0]
         restriction = restriction.try_exact_div(s * t0 - t * s0)

@@ -166,6 +166,9 @@ class PrimeField(Domain):
             return value.value
         _refuse_float(value)
         if isinstance(value, Fraction):
+            if not value.denominator % self.p:
+                raise ValueError(f"{value} has no value in {self}: its "
+                                 f"denominator is a multiple of {self.p}")
             value = value.numerator * pow(value.denominator, -1, self.p)
         return value % self.p
 

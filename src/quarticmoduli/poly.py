@@ -601,7 +601,7 @@ class _Parser:
             return base
         self.next()
         tok = self.next()
-        if tok is None or not tok.isdigit():
+        if tok is None or not tok.isdecimal():
             raise ParseError("expected integer exponent after '^'")
         n = int(tok)
         degree = max(base) >> 96 if base else -1

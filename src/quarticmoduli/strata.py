@@ -6,6 +6,8 @@ closed stratum.  The classifier extracts the supporting quartic, the
 length-3 scheme, the line/cubic splitting, or the boundary data.
 """
 
+from contextlib import suppress
+
 from .field import InvariantError
 from .gcd import (
     binary_roots,
@@ -23,6 +25,7 @@ from .poly import (
     dot,
     kernel_vector,
     keys_of_degree,
+    solve_linear,
 )
 
 M00 = "M00"
@@ -79,8 +82,9 @@ def classify_res0(a):
     """Classify a (3,2,2) -> (1,1,1) presentation matrix.
 
     NotStable when the linear 2x3 block is an unstable Kronecker module;
-    BoundaryBprime when the determinant vanishes; M01 when the minors share
-    a linear factor; M00 otherwise.
+    BoundaryBprime when the determinant vanishes, unless the top row lies
+    in the row space of the linear block, which is Invalid; M01 when the
+    minors share a linear factor; M00 otherwise.
     """
     if not isinstance(a, FormMatrix) \
             or (a.src_degrees, a.tgt_degrees) != SHAPES["res0"]:
@@ -120,34 +124,47 @@ def classify_res0(a):
 
 
 def _boundary_report(a, k, minors):
+    """BoundaryBprime for a zero determinant, or Invalid when the top row q
+    lies in the row space of the linear part k, so that the presentation
+    is not injective.
+
+    Coprime minors always mean that, by Hilbert-Burch.  On the boundary
+    normal form, q = u1*row1 + u2*row2 asks xbar0 to divide x2*w, and the
+    stable xbar0 is no multiple of x2, so it means w is a multiple of
+    xbar0: Z(xbar0, w) is no point.  Any other matrix takes one solve.
+    """
     line = common_linear_factor(minors)
-    if line is None:
-        return StratumReport(
-            BOUNDARY,
-            diagnostics=(
-                "zero determinant but coprime minors: top row lies in the "
-                "row space of the linear part (degenerate presentation)"
-            ),
-            kronecker=k,
-        )
+    params = None if line is None else boundary_parameters(a)
     point = None
-    diagnostics = "zero determinant over the boundary line"
-    params = boundary_parameters(a)
-    if params is not None:
-        _, w = params
-        try:
-            point = line_intersection(line, w)
-            diagnostics += (
-                f"; boundary parameter w = {w.serialize()} recovered from "
-                "the top row"
-            )
-        except ValueError:
-            pass
+    if params is None:
+        injective = line is not None and not _in_row_space(a.row(0), k)
     else:
-        diagnostics += "; matrix not in the boundary normal form, w not recovered"
-    return StratumReport(
-        BOUNDARY, line=line, point=point, diagnostics=diagnostics, kronecker=k
-    )
+        with suppress(ValueError):
+            point = line_intersection(line, params[1])
+        injective = point is not None
+    if not injective:
+        return StratumReport(INVALID, kronecker=k, diagnostics=(
+            "zero determinant with the top row in the row space of the "
+            "linear part: the presentation is not injective"))
+    if params is None:
+        detail = "matrix not in the boundary normal form, w not recovered"
+    else:
+        detail = (f"boundary parameter w = {params[1].serialize()} "
+                  "recovered from the top row")
+    return StratumReport(BOUNDARY, line=line, point=point, kronecker=k,
+                         diagnostics="zero determinant over the boundary "
+                         f"line; {detail}")
+
+
+def _in_row_space(q, k):
+    """Whether the quadrics q are u1*row1 + u2*row2 for the rows of the
+    linear block k and linear forms u1, u2: one solve of the 18 quadric
+    coefficients in the 6 coefficients of u1 and u2."""
+    xs = [Form(MultiPoly.variable(k.domain, n), 1) for n in range(3)]
+    columns = [sum(coefficient_rows([x * e for e in k.row(i)], 2), [])
+               for i in range(2) for x in xs]
+    return solve_linear(list(zip(*columns)), sum(coefficient_rows(q, 2), []),
+                        k.domain.modulus) is not None
 
 
 def boundary_matrix(xbar0, w):
@@ -308,7 +325,4 @@ def extension_data(report):
     """The (line, cubic) splitting of an M01 determinant."""
     if report.label != M01:
         raise ValueError("extension data needs an M01 report")
-    quotient = report.quartic.try_exact_div(report.line)
-    if quotient is None:
-        raise InvariantError("M01 invariant breach: line does not divide det")
-    return report.line, Form(quotient, 3)
+    return report.line, report.cubic

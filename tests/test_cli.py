@@ -898,6 +898,60 @@ def test_field_option_fuzz(tmp_path, capsys):
     answered_or_refused()
 
 
+# ---- a fuzz gate for verify transition --alpha ------------------------------
+
+def alpha_texts(st):
+    """Random --alpha values: integers and fractions of up to 40 digits,
+    zero written as 0, -0 and 0/7, denominators that are multiples of 101,
+    malformed fractions, floats, text, and integers of 4,300 and 4,301
+    digits."""
+    digits = st.integers(-10**40, 10**40)
+    return st.one_of(
+        digits.map(str),
+        st.builds(F, digits, st.integers(1, 10**40)).map(str),
+        st.builds(lambda n, k: f"{n}/{101 * k}", digits, st.integers(1, 9)),
+        st.sampled_from(["0", "-0", "0/7", "1/-2", "1/0", "nan", "inf",
+                         "-inf", "1.5", "1e3", "", " ", "x", "alpha",
+                         "7" * 4300, "1" * 4301, "1/" + "3" * 4301]),
+        st.text(max_size=6))
+
+
+def test_verify_transition_alpha_fuzz(capsys):
+    # every --alpha passes the verifier (exit 0) or is refused with one
+    # error line (exit 1); a rational with no value in the field, its
+    # denominator a multiple of p, is refused by its value and the field
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(alpha_texts(st), st.sampled_from(["q", "101"]))
+    @hypothesis.example("1/101", "101")
+    @hypothesis.example("-3/202", "101")
+    def answered_or_refused(alpha, field):
+        with hang_bound(10):
+            code = cli.main(["verify", "transition", "--alpha=" + alpha,
+                             "--field=" + field])
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        try:
+            value = F(alpha.strip())
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if code == 0:
+            assert captured.out.startswith("[pass] transition") \
+                and not lines
+            assert value and (field == "q" or value.numerator % 101)
+            return
+        assert code == 1 and captured.out == "", code
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        if field == "101" and value is not None \
+                and not value.denominator % 101:
+            assert f"error: {value} has no value in GF(101)" in lines[0]
+
+    answered_or_refused()
+
+
 # ---- what a command loads --------------------------------------------------
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -130,6 +130,63 @@ def test_tangent_quartic_equals_t_linear_coefficient():
     assert rhs[0] == f.poly
 
 
+def closed_form_limit(pt):
+    """The limit quartic by its closed form on the chart normal forms,
+    xbar0*(xbar0*q0 + x1*q1 + x2*q2) - w*(c*x1^3 + a*x1^2*x2 + b*x1*x2^2
+    + d*x2^3), as family_limit once computed it."""
+    p = pt.params
+    x1, x2 = (MultiPoly.variable(pt.a.domain, i) for i in (1, 2))
+    cubic = (x1 ** 3 * p["c"] + x1 ** 2 * x2 * p["a"]
+             + x1 * x2 ** 2 * p["b"] + x2 ** 3 * p["d"])
+    return p["xbar0"] * (p["xbar0"] * p["q0"] + x1 * p["q1"]
+                         + x2 * p["q2"]) - p["w"] * cubic
+
+
+def random_chart_point(domain, rng):
+    """A chart point with small random coordinates, a random chart among
+    a, b, c, d and q0[0,2,0], and a nonzero w."""
+    def value():
+        p = domain.modulus
+        return rng.randrange(p) if p else rng.randrange(-3, 4)
+
+    def quadric(monomials):
+        return " + ".join(f"({value()})*{m}" for m in monomials)
+
+    chart = rng.choice(["a", "b", "c", "d", "q0[0,2,0]"])
+    ab_cd = [value() for _ in "abcd"]
+    q0 = quadric(["x0^2", "x0*x1", "x0*x2", "x1*x2", "x2^2"])
+    if chart in "abcd":
+        ab_cd["abcd".index(chart)] = 1
+        q0 += f" + ({value()})*x1^2"
+    else:
+        q0 += " + x1^2"
+    return make_blowup_chart_point(
+        domain=domain, alpha=value(), beta=value(), gamma=value(),
+        delta=rng.randrange(1, 3), q0_text=q0,
+        q1_text=quadric(["x1^2", "x1*x2", "x2^2"]), q2_text=quadric(["x2^2"]),
+        ab_cd=ab_cd, chart=chart, t=1)
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(101), GF(3)], ids=repr)
+def test_family_limit_is_the_closed_form(domain):
+    """The limit quartic, now the tangent quartic of A and B, against the
+    closed form it replaced; the point is Z(xbar0, w)."""
+    rng = random.Random(27)
+    checked = 0
+    for _ in range(40):
+        pt = random_chart_point(domain, rng)
+        try:
+            quartic, point = family_limit(pt)
+        except ChartError:
+            assert not closed_form_limit(pt)
+            continue
+        checked += 1
+        assert quartic == closed_form_limit(pt) and quartic.degree == 4
+        assert point == gcd.line_intersection(pt.params["xbar0"],
+                                              pt.params["w"])
+    assert checked >= 30
+
+
 def test_tangent_quartic_linear_in_direction():
     dom = GF(101)
     rng = random.Random(2)

@@ -62,7 +62,9 @@ values and cached monomial texts, are compared byte for byte with a
 reference serializer that boxes every term and prints it through its
 scalar's ``as_text``: over QQ with negative, fractional and 30-digit
 coefficients, over GF(2^61 - 1), over the chart-minors parameter ring and
-as binary forms in s and t.
+as binary forms in s and t.  ``PoincarePoly.serialize``, which prints
+through the same serializer, is compared with the loop it replaced on
+coefficients that are zero, +-1, negative or 40 digits long.
 
 ``parse_poly``, ``parse_form`` and ``parse_entry``, which read text into
 term dicts, are compared with a reference parser that builds a polynomial
@@ -87,6 +89,7 @@ from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from quarticmoduli import gcd, strata  # noqa: E402
+from quarticmoduli.betti import PoincarePoly  # noqa: E402
 from quarticmoduli.field import (  # noqa: E402
     GF,
     QQ,
@@ -1414,6 +1417,36 @@ def test_serializers_match_the_boxed_reference(kind, data):
         assert "x1" not in f.serialize() and "x2" not in f.serialize()
         return
     assert f.serialize() == boxed_poly_text(f)
+
+
+def reference_poincare_text(coefficients):
+    """The text of a Poincare polynomial as PoincarePoly printed it with
+    its own loop, before it printed through the shared serializer."""
+    parts = []
+    for i, c in enumerate(coefficients):
+        if not c:
+            continue
+        if i == 0:
+            term = str(abs(c))
+        else:
+            mono = "q" if i == 1 else f"q^{i}"
+            term = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(("+ " if c > 0 else "- ") + term)
+    return " ".join(parts) if parts else "0"
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.one_of(st.sampled_from([0, 0, 1, -1]),
+                          st.integers(-20, 20),
+                          st.integers(-10**40, 10**40)), max_size=12))
+def test_poincare_serialize_matches_its_former_loop(coefficients):
+    """PoincarePoly.serialize against its former loop, on zeros, units,
+    negative values and 40-digit values."""
+    assert PoincarePoly(coefficients).serialize() \
+        == reference_poincare_text(coefficients)
 
 
 # ---- the parser against the polynomial-building reference -----------------

@@ -63,6 +63,13 @@ def test_parse_syntax_error():
         parse_poly("x3")
 
 
+@pytest.mark.parametrize("text", ["x0^²", "x0^¹⁰", "x1^2²"])
+def test_parse_refuses_superscript_exponents(text):
+    # superscript digits pass str.isdigit but are no decimal exponent
+    with pytest.raises(ParseError, match="expected integer exponent"):
+        parse_poly(text)
+
+
 def test_constant_power_is_reduced_mod_p():
     dom = GF(101)
     start = time.monotonic()

@@ -11,6 +11,7 @@ from quarticmoduli.matrices import (
     act,
     is_stable_kronecker,
     make_matrix,
+    random_form,
     random_graded_automorphism,
     random_matrix,
 )
@@ -391,3 +392,51 @@ def test_labels_invariant_under_act_over_qq(seed):
         h = random_graded_automorphism(tgt, QQ, rng)
         assert m.domain is QQ
         assert classify(act(g, m, h)).label == classify(m).label
+
+
+NOT_INJECTIVE_BLOCKS = {
+    # minors x0*x2 - x1^2, x0^2 - x1*x2, x0*x1 - x2^2: coprime
+    "coprime": [["x0", "x1", "x2"], ["x1", "x2", "x0"]],
+    # minors (x0 + x1)*(x0 + x1, x1, x2) up to sign: they share a line
+    "shared line": [["-x2", "0", "x0 + x1"], ["x1", "-x0 - x1", "0"]],
+}
+
+
+@pytest.mark.parametrize("block", NOT_INJECTIVE_BLOCKS)
+@pytest.mark.parametrize("dom", [QQ, GF(101), GF(3)], ids=repr)
+def test_top_row_in_the_row_space_is_invalid(dom, block):
+    """A top row q = u1*row1 + u2*row2 makes the determinant vanish and the
+    presentation not injective: Invalid, on coprime and shared-line
+    blocks, also after a random act, while the boundary normal form and
+    its act images stay BoundaryBprime."""
+    rng = random.Random(15)
+    rows = [[parse_form(t, domain=dom) for t in row]
+            for row in NOT_INJECTIVE_BLOCKS[block]]
+    boundary = strata.boundary_matrix(parse_form("x0 + x1", domain=dom),
+                                      parse_form("x1 - x2", domain=dom))
+    for _ in range(4):
+        u1, u2 = random_form(dom, 1, rng), random_form(dom, 1, rng)
+        q = [u1 * a + u2 * b for a, b in zip(*rows)]
+        m = FormMatrix((3, 2, 2), (1, 1, 1), [q, *rows])
+        g = random_graded_automorphism((3, 2, 2), dom, rng)
+        h = random_graded_automorphism((1, 1, 1), dom, rng)
+        for a in (m, act(g, m, h)):
+            report = classify_res0(a)
+            assert report.label == INVALID, block
+            assert "not injective" in report.diagnostics
+        for a in (boundary, act(g, boundary, h)):
+            assert classify_res0(a).label == BOUNDARY
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(101), GF(3)], ids=repr)
+def test_boundary_normal_form_with_w_a_multiple_of_xbar0_is_invalid(dom):
+    """On the normal form, q = x1*w/xbar0 * row1 + x2*w/xbar0 * row2 when
+    w is a multiple of xbar0, so Z(xbar0, w) is no point and the matrix,
+    with its act images, is Invalid."""
+    rng = random.Random(3)
+    xbar0 = parse_form("x0 + x1 - x2", domain=dom)
+    m = strata.boundary_matrix(xbar0, Form(xbar0 * dom.scalar(2), 1))
+    g = random_graded_automorphism((3, 2, 2), dom, rng)
+    h = random_graded_automorphism((1, 1, 1), dom, rng)
+    for a in (m, act(g, m, h)):
+        assert classify_res0(a).label == INVALID
