@@ -21,6 +21,8 @@ import quarticmoduli as qm
 
 from .field import GF, QQ, InvariantError, load_json
 
+ALPHA_DIGITS = 1000  # the report prints alpha^4; ints print to 4,300 digits
+
 
 def _parse_field(text):
     if text == "q":
@@ -181,6 +183,8 @@ def cmd_verify(args):
     reports = []
     for name in names:
         if name == "transition" and args.alpha is not None:
+            if sum(map(str.isdigit, args.alpha)) > ALPHA_DIGITS:
+                raise ValueError(f"--alpha has over {ALPHA_DIGITS} digits")
             reports.append(
                 qm.verify.verify_transition(domain.parse(args.alpha)))
         else:

@@ -20,7 +20,10 @@ common root of the coefficients in x0 of the substituted form, binary
 forms in x1 and x2 alone, whose GCD is ``gcd_fold``, the package's one
 GCD.  The linear factors of a form are x0 and the lines of the pencils
 through the points (0 : s : t) where it meets Z(x0); the lines dividing
-several forms are the linear factors of their GCD.
+several forms are the linear factors of their GCD.  A conic among them
+spares it unless they share both its lines: a smooth conic has no line,
+one of rank 2 is two lines through its singular point, whose pencil
+holds the shared lines, and one of rank 1 is a line squared.
 
 The roots [s:t] of a binary form f are the root [1:0], then the roots r
 of f(r, 1), each divided out of f by its line as often as it divides.
@@ -460,30 +463,52 @@ def normalize_point(point):
 def common_linear_factor(forms):
     """The first shared degree-1 factor of the forms, normalized, or None.
 
-    A nonzero conic among the forms whose symmetric matrix is nonsingular
-    answers None at once: every domain here has characteristic 0 or an
-    odd prime, where such a conic is irreducible even over the algebraic
-    closure (a product of two lines has a singular matrix), so no line
-    divides it.  Otherwise the answer is the first line that
-    ``lines_dividing_all`` finds.
+    A shared line divides every conic, so a smooth conic among the forms,
+    of rank 3, gives None, and otherwise the first nonzero conic decides
+    by its rank (``_conic_rank``).  At rank 2 the answer is the line that
+    ``_pencil_lines`` finds through the conic's singular point, and for
+    c*L^2, of rank 1, it is L if L divides every form.  When that pencil
+    holds both lines of the conic, or no form is a conic, the answer is
+    the first line of ``lines_dividing_all``.
     """
     forms = list(forms)
     if not forms:
         raise ValueError("empty input")
-    if any(f and f.degree == 2 and _nonsingular_conic(f) for f in forms):
-        return None
+    ranks = (_conic_rank(f) for f in forms if f and f.degree == 2)
+    first = next(ranks, None)  # the first conic's (rank, witness)
+    if first and (first[0] == 3 or any(r == 3 for r, _ in ranks)):
+        return None  # a smooth conic
+    if first:
+        (rank, witness), domain = first, forms[0].domain
+        if rank == 1:
+            line = Form(MultiPoly.from_raw(
+                domain, dict(zip(_UNITS, witness))), 1)
+            return None if any(f.try_exact_div(line) is None for f in forms) \
+                else line.normalized()
+        lines = _pencil_lines(forms, witness, domain).lines
+        if len(lines) < 2:
+            return lines[0] if lines else None
     lines = lines_dividing_all(forms).lines
     return lines[0] if lines else None
 
 
-def _nonsingular_conic(conic):
-    """Whether the symmetric matrix [[2a, b, c], [b, 2d, e], [c, e, 2f]] of
-    a*x0^2 + b*x0*x1 + c*x0*x2 + d*x1^2 + e*x1*x2 + f*x2^2 is
-    nonsingular: its determinant is twice 4adf + bce - ae^2 - b^2f - c^2d,
-    which is evaluated on the raw coefficients (mod p over GF(p)), and the
-    characteristic is never 2."""
-    raw = conic.raw
-    a, b, c, d, e, f = (raw.get(m, 0) for m in keys_of_degree(2))
-    value = 4 * a * d * f + b * c * e - a * e * e - b * b * f - c * c * d
+def _conic_rank(conic):
+    """(rank, witness) of M = [[2a, b, c], [b, 2d, e], [c, e, 2f]] for the
+    conic a*x0^2 + b*x0*x1 + c*x0*x2 + d*x1^2 + e*x1*x2 + f*x2^2 != 0, on
+    raw values (mod p over GF(p), p odd): None at rank 3; at rank 2 the
+    singular point, a nonzero column of M's adjugate, whose column k is
+    the cross product of the other two rows; at rank 1 a nonzero row."""
     p = conic.domain.modulus
-    return bool(value % p if p else value)
+    a, b, c, d, e, f = (conic.raw.get(m, 0) for m in keys_of_degree(2))
+    c00, c01, c02 = 4 * d * f - e * e, c * e - 2 * b * f, b * e - 2 * c * d
+    det = 2 * a * c00 + b * c01 + c * c02
+    if det % p if p else det:
+        return 3, None
+    c12 = b * c - 2 * a * e  # the adjugate is symmetric, as M is
+    for column in ((c00, c01, c02), (c01, 4 * a * f - c * c, c12),
+                   (c02, c12, 4 * a * d - b * b)):
+        column = tuple(x % p for x in column) if p else column
+        if any(column):
+            return 2, column
+    return 1, next(r for r in ((2 * a, b, c), (b, 2 * d, e), (c, e, 2 * f))
+                   if any(r))

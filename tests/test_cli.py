@@ -919,7 +919,9 @@ def alpha_texts(st):
 def test_verify_transition_alpha_fuzz(capsys):
     # every --alpha passes the verifier (exit 0) or is refused with one
     # error line (exit 1); a rational with no value in the field, its
-    # denominator a multiple of p, is refused by its value and the field
+    # denominator a multiple of p, is refused by its value and the field;
+    # every other nonzero value passes unless its text has more than
+    # cli.ALPHA_DIGITS digits, which is refused by a line naming --alpha
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -928,16 +930,23 @@ def test_verify_transition_alpha_fuzz(capsys):
     @hypothesis.given(alpha_texts(st), st.sampled_from(["q", "101"]))
     @hypothesis.example("1/101", "101")
     @hypothesis.example("-3/202", "101")
+    @hypothesis.example("9" * 1000, "q")
+    @hypothesis.example("9" * 1076, "q")  # alpha^4 has 4,304 digits
+    @hypothesis.example("1" * 4301, "101")
     def answered_or_refused(alpha, field):
         with hang_bound(10):
             code = cli.main(["verify", "transition", "--alpha=" + alpha,
                              "--field=" + field])
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
+        too_long = sum(map(str.isdigit, alpha)) > cli.ALPHA_DIGITS
         try:
             value = F(alpha.strip())
         except (ValueError, ZeroDivisionError):
             value = None
+        if value and not too_long \
+                and (field == "q" or value.numerator * value.denominator % 101):
+            assert code == 0, lines
         if code == 0:
             assert captured.out.startswith("[pass] transition") \
                 and not lines
@@ -945,6 +954,9 @@ def test_verify_transition_alpha_fuzz(capsys):
             return
         assert code == 1 and captured.out == "", code
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        if too_long:
+            assert lines[0] == \
+                f"error: --alpha has over {cli.ALPHA_DIGITS} digits"
         if field == "101" and value is not None \
                 and not value.denominator % 101:
             assert f"error: {value} has no value in GF(101)" in lines[0]

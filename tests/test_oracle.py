@@ -17,13 +17,20 @@ lifted GF(p) roots in the rational root theorem's candidate order;
 with it on forms over QQ singular at P (two lines through P, or one
 squared, times a drawn form), where the pencil search runs.
 
-``gcd.common_linear_factor`` decides most inputs by its conic test; it is
-compared with the generic GCD path, and the conic test with sympy's
-factorization over QQ and with sympy's determinant of the conic's
-symmetric matrix, zero exactly when the test fails, over GF(101),
-GF(2^61 - 1) and QQ with 30-digit coefficients.  sympy does not factor multivariate polynomials
-over finite fields, so over GF(101) the test is checked against a scan of
-every rational point for a singular one instead.
+``gcd.common_linear_factor`` decides most inputs by the rank of a conic's
+symmetric matrix: a smooth conic refuses, a singular one finds the line
+in the pencil through its singular point or as its square root.  It is
+compared with the generic GCD path over GF(3), GF(101) and QQ, on
+conics sharing a drawn line, squares of a line, conics whose two lines
+are conjugate and triples of multiples of one product of two lines,
+and its GCD and row-reduction calls are counted.  ``gcd._conic_rank`` is
+compared with sympy's rank and determinant of the symmetric matrix, its
+witness with the kernel or a row of that matrix, over GF(101),
+GF(2^61 - 1) and QQ with 30-digit coefficients, and a smooth conic with
+sympy's factorization over QQ.  sympy does not factor multivariate
+polynomials over finite fields, so over GF(101) a smooth conic is
+checked against a scan of every rational point for a singular one
+instead.
 
 ``MultiPoly`` sums, differences, negatives and products, which run on raw
 coefficient values, are compared with sympy's sparse polynomial ring over
@@ -88,7 +95,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from quarticmoduli import gcd, strata  # noqa: E402
+from quarticmoduli import gcd, strata, verify  # noqa: E402
 from quarticmoduli.betti import PoincarePoly  # noqa: E402
 from quarticmoduli.field import (  # noqa: E402
     GF,
@@ -98,8 +105,8 @@ from quarticmoduli.field import (  # noqa: E402
     ParamScalar,
 )
 from quarticmoduli.gcd import (  # noqa: E402
+    _conic_rank,
     _linear_factors,
-    _nonsingular_conic,
     _pencil_line,
     _pencil_restriction_coefficients,
     binary_roots,
@@ -564,17 +571,37 @@ def conics(draw, domain, line):
     return Form(line * draw(polys(domain, [1])), 2)
 
 
-@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+@pytest.mark.parametrize("domain", DOMAINS + [GF(3)], ids=repr)
 @SETTINGS
 @given(data=st.data())
 def test_common_linear_factor_matches_generic_path(domain, data):
-    """Conic triples that often share a drawn line."""
-    line = data.draw(polys(domain, [1]))
-    if data.draw(st.booleans()):
-        triple = [Form(line * data.draw(polys(domain, [1])), 2)
-                  for _ in range(3)]
+    """Conic triples that often share a drawn line L, in any order: L
+    times drawn lines; drawn conics or L times a drawn line; c*L^2 with
+    two of those; l1^2 - 2*l2^2, whose lines are conjugate (2 is no
+    square in QQ, GF(3) or GF(101), as 101 = 5 mod 8), with two of those;
+    and multiples of one product L*l of two lines, both shared."""
+    def linear():
+        return data.draw(polys(domain, [1]))
+
+    def scalar():
+        return domain.scalar(data.draw(raw_values(domain)))
+
+    line = linear()
+    shape = data.draw(st.sampled_from(
+        ["shared line", "conics", "square", "conjugate", "one product"]))
+    if shape == "shared line":
+        triple = [Form(line * linear(), 2) for _ in range(3)]
+    elif shape == "one product":
+        product = line * linear()
+        triple = [Form(product * scalar(), 2) for _ in range(3)]
     else:
         triple = [data.draw(conics(domain, line)) for _ in range(3)]
+        if shape == "square":
+            triple[0] = Form(line * line * scalar(), 2)
+        elif shape == "conjugate":
+            l1, l2 = linear(), linear()
+            triple[0] = Form(l1 * l1 - l2 * l2 * 2, 2)
+        triple = data.draw(st.permutations(triple))
     assume(any(triple))
     assert common_linear_factor(triple) == \
         generic_common_linear_factor(triple)
@@ -588,31 +615,73 @@ def _linear(domain, rng):
             return line
 
 
-@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
-def test_common_linear_factor_matches_generic_on_built_minors(domain):
-    """Minors of M01 blocks [[-l2, 0, l0], [l1, -l0, 0]] mixed by constant
-    row and column operations, and of boundary normal forms: every conic
-    is singular, so the generic path decides them."""
+def built_blocks(domain):
+    """2x3 linear blocks whose minors share a line: M01 blocks
+    [[-l2, 0, l0], [l1, -l0, 0]] mixed by constant row and column
+    operations, and the linear part of boundary normal forms."""
     rng = random.Random(3)
     zero = MultiPoly.zero(domain)
-    found = 0
     for _ in range(15):
         l0, l1, l2 = (_linear(domain, rng) for _ in range(3))
         k = FormMatrix((2, 2), (1, 1, 1), [[-l2, zero, l0], [l1, -l0, zero]])
         g, h = ([[MultiPoly.constant(domain, rng.randrange(-2, 3))
                   for _ in range(n)] for _ in range(n)] for n in (2, 3))
-        mixed = FormMatrix((2, 2), (1, 1, 1), mat_mul(
+        yield FormMatrix((2, 2), (1, 1, 1), mat_mul(
             mat_mul(g, [[e.poly for e in row] for row in k.entries]), h))
         boundary = strata.boundary_matrix(Form(l0, 1), Form(l1, 1))
-        for minors in (mixed.maximal_minors(),
-                       boundary.submatrix([1, 2], [0, 1, 2]).maximal_minors()):
-            if not any(minors):
-                continue
-            assert not any(_nonsingular_conic(m) for m in minors if m)
-            want = generic_common_linear_factor(minors)
-            assert common_linear_factor(minors) == want
-            found += want is not None
+        yield boundary.submatrix([1, 2], [0, 1, 2])
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+def test_common_linear_factor_matches_generic_on_built_minors(domain):
+    """Minors of the built blocks: every conic is singular, so the pencil
+    through its singular point, its square root or the generic path
+    decides them."""
+    found = 0
+    for block in built_blocks(domain):
+        minors = block.maximal_minors()
+        if not any(minors):
+            continue
+        assert all(_conic_rank(m)[0] < 3 for m in minors if m)
+        want = generic_common_linear_factor(minors)
+        assert common_linear_factor(minors) == want
+        found += want is not None
     assert found >= 15
+
+
+def test_common_linear_factor_work_counts(monkeypatch):
+    """Exact counts: common_linear_factor runs no multivariate GCD on the
+    minors of the stable built blocks, which the singular point or the
+    square root of their first conic decides, nor in verify's chart-minor
+    triples, and no row reduction on a smooth conic.  An unstable block
+    whose minors are all multiples of one product of two lines goes
+    through lines_dividing_all, whose linear factors take GCDs."""
+    calls = {"gcd": 0, "row_reduce": 0}
+    gcd_before, eliminate_before = gcd.multivariate_gcd, gcd._eliminate
+
+    def counting_gcd(a, b):
+        calls["gcd"] += 1
+        return gcd_before(a, b)
+
+    def counting_eliminate(rows, p):
+        calls["row_reduce"] += 1
+        return eliminate_before(rows, p)
+
+    monkeypatch.setattr(gcd, "multivariate_gcd", counting_gcd)
+    monkeypatch.setattr(gcd, "_eliminate", counting_eliminate)
+    for domain in DOMAINS:
+        stable = 0
+        for block in built_blocks(domain):
+            if is_stable_kronecker(block):
+                stable += 1
+                assert common_linear_factor(block.maximal_minors())
+        assert stable >= 20 and calls["gcd"] == 0
+        x0, x1, x2 = (MultiPoly.variable(domain, i) for i in range(3))
+        smooth = Form(x0 * x0 + x1 * x2, 2)
+        assert common_linear_factor([smooth, Form(x0 * x1, 2)]) is None
+        assert calls == {"gcd": 0, "row_reduce": 0}
+    assert verify.verify_chart_minors(5).passed
+    assert calls["gcd"] == 0
 
 
 def _singular_point(conic):
@@ -635,7 +704,7 @@ def _singular_point(conic):
 def test_nonsingular_conic_is_irreducible(domain, data):
     conic = Form(data.draw(polys(domain, [2])), 2)
     assume(conic)
-    if not _nonsingular_conic(conic):
+    if _conic_rank(conic)[0] < 3:
         return
     if domain == QQ:
         ring, _ = sympy_ring(domain)
@@ -766,26 +835,46 @@ def test_multipoly_ring_operations_match_sympy(domain, data):
 @SETTINGS
 @given(data=st.data())
 def test_nonsingular_conic_exactly_when_determinant_nonzero(domain, data):
-    """_nonsingular_conic, evaluated on raw coefficients, is False exactly
-    when sympy's determinant of [[2a, b, c], [b, 2d, e], [c, e, 2f]] is 0:
-    on conics with drawn coefficients and on products of two drawn lines,
-    which are singular."""
+    """_conic_rank, evaluated on raw coefficients, gives rank 3 exactly
+    when sympy's determinant of M = [[2a, b, c], [b, 2d, e], [c, e, 2f]]
+    is nonzero, and sympy's rank of M otherwise: on conics with drawn
+    coefficients, on products of two drawn lines and on squares of a
+    drawn line.  A rank-2 witness is a nonzero kernel vector of M and a
+    rank-1 witness a nonzero row of M."""
     values = ring_values(domain)
 
     def draw_form(degree):
         return MultiPoly(domain, {m: domain.scalar(data.draw(values))
                                   for m in monomials_of_degree(degree)})
 
-    if data.draw(st.booleans()):
+    kind = data.draw(st.sampled_from(["drawn", "two lines", "square"]))
+    if kind == "drawn":
         conic = draw_form(2)
-    else:
+    elif kind == "two lines":
         conic = draw_form(1) * draw_form(1)
+    else:
+        conic = draw_form(1) ** 2
+    assume(conic)
     field = ring_of(domain).domain
     a, b, c, d, e, f = (to_sympy_value(field, conic.coefficient(m).value)
                         for m in monomials_of_degree(2))
     matrix = DomainMatrix([[2 * a, b, c], [b, 2 * d, e], [c, e, 2 * f]],
                           (3, 3), field)
-    assert _nonsingular_conic(Form(conic, 2)) == bool(matrix.det())
+    rank, witness = _conic_rank(Form(conic, 2))
+    assert (rank == 3) == bool(matrix.det())
+    assert rank == matrix.rank()
+    if rank < 3:
+        column = [to_sympy_value(field, domain.scalar(x).value)
+                  for x in witness]
+        assert any(column)
+        if rank == 2:
+            vector = DomainMatrix([[x] for x in column], (3, 1), field)
+            assert not any((matrix * vector).to_Matrix())
+        else:
+            ca, cb, cc, cd, ce, cf = (conic.coefficient(m)
+                                      for m in monomials_of_degree(2))
+            rows = [[2 * ca, cb, cc], [cb, 2 * cd, ce], [cc, ce, 2 * cf]]
+            assert [domain.scalar(x) for x in witness] in rows
 
 
 def from_sympy_poly(spoly, domain):

@@ -6,7 +6,7 @@ import pytest
 
 from quarticmoduli import gcd, matrices, poly, strata
 from quarticmoduli.field import GF, QQ, FieldScalar, ParamRing
-from quarticmoduli.gcd import _nonsingular_conic
+from quarticmoduli.gcd import _conic_rank
 from quarticmoduli.matrices import (
     SHAPES,
     FormMatrix,
@@ -500,7 +500,7 @@ def test_sums_of_products_build_one_polynomial_each(domain, monkeypatch):
     report = results["classify_res0"]
     assert report.label == strata.M00
     assert report.quartic == results["det"]
-    assert any(_nonsingular_conic(m) for m in report.scheme_ideal)
+    assert any(_conic_rank(m)[0] == 3 for m in report.scheme_ideal)
     assert results["act"].determinant() == (
         left.determinant() * a.determinant() * right.determinant())
 
