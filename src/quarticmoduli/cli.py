@@ -19,14 +19,16 @@ import sys
 
 import quarticmoduli as qm
 
-from .field import GF, QQ, InvariantError, load_json
+from .field import GF, MAX_DIGITS, QQ, InvariantError, load_json
 
-ALPHA_DIGITS = 1000  # the report prints alpha^4; ints print to 4,300 digits
+ALPHA_DIGITS = 1000  # of alpha's value: the report prints alpha^4, ints 4,300
 
 
 def _parse_field(text):
     if text == "q":
         return QQ
+    if sum(map(str.isdigit, text)) > 19:  # 2^62 has 19 digits
+        raise ValueError("--field has over 19 digits, unlike any prime < 2^62")
     return GF(int(text))
 
 
@@ -183,7 +185,10 @@ def cmd_verify(args):
     reports = []
     for name in names:
         if name == "transition" and args.alpha is not None:
-            if sum(map(str.isdigit, args.alpha)) > ALPHA_DIGITS:
+            digits = sum(map(str.isdigit, args.alpha))
+            if digits <= MAX_DIGITS:  # a text too long to read counts as it is
+                digits = sum(map(str.isdigit, str(QQ.parse(args.alpha).value)))
+            if digits > ALPHA_DIGITS:
                 raise ValueError(f"--alpha has over {ALPHA_DIGITS} digits")
             reports.append(
                 qm.verify.verify_transition(domain.parse(args.alpha)))

@@ -28,6 +28,7 @@ from .poly import (
     Form,
     MultiPoly,
     ParseError,
+    _graded,
     coefficient_rows,
     key_exponent,
     keys_of_degree,
@@ -162,10 +163,10 @@ def make_blowup_chart_point(
     ParseError is prefixed with its name, as in "q1: degree mismatch: ...".
     """
     ca, cb, cc, cd = [domain.scalar(v) for v in ab_cd]
-    x0, x1, x2 = (MultiPoly.variable(domain, i) for i in range(3))
+    x0, x1, x2 = (_graded(domain, {k: 1}, 1) for k in keys_of_degree(1))
     xbar0 = x0 + x1 * domain.scalar(alpha) + x2 * domain.scalar(beta)
     w = x1 * domain.scalar(gamma) + x2 * domain.scalar(delta)
-    a = boundary_matrix(Form(xbar0, 1), Form(w, 1))
+    a = boundary_matrix(xbar0, w)
     q = []
     for name, text in (("q0", q0_text), ("q1", q1_text), ("q2", q2_text)):
         try:
@@ -208,15 +209,15 @@ def tangent_quartic(a, b):
     """The t-linear coefficient of det(A + tB) for det A = 0.
 
     Equals the sum of the three determinants with one row of A replaced by
-    the matching row of B; each replaced matrix goes through the checked
-    constructor, since B comes from the caller.
+    the matching row of B, a form of the determinant's degree; each
+    replaced matrix goes through the checked constructor, since B comes
+    from the caller.
     """
-    total = MultiPoly.zero(a.domain)
-    for i in range(3):
-        replaced = FormMatrix(a.src_degrees, a.tgt_degrees,
-                              [*a.entries[:i], b.row(i), *a.entries[i + 1:]])
-        total = total + replaced.determinant()
-    return Form(total, 4)
+    rows = a.entries
+    dets = [FormMatrix(a.src_degrees, a.tgt_degrees,
+                       [*rows[:i], b.row(i), *rows[i + 1:]]).determinant()
+            for i in range(3)]
+    return dets[0] + dets[1] + dets[2]
 
 
 # ---- deformation reduction chain --------------------------------------
@@ -356,25 +357,21 @@ def build_twisted_ideal_resolution(f, l, g):
         raise ValueError("line and cubic must be nonzero")
     quotient = f.try_exact_div(l)
     if quotient is not None:
-        return TwistedIdealResolution(
-            l, g, Form.zero(domain, 1), Form(quotient, 3), semistable=False
-        )
+        return TwistedIdealResolution(l, g, Form.zero(domain, 1),
+                                      _graded(domain, quotient.raw, 3),
+                                      semistable=False)
     cubics, linears = keys_of_degree(3), keys_of_degree(1)
     # one column per unknown coefficient, one row per quartic monomial
-    columns = [Form(l * MultiPoly.from_raw(domain, {m: 1}), 4)
-               for m in cubics]
-    columns += [Form(-(g * MultiPoly.from_raw(domain, {m: 1})), 4)
-                for m in linears]
+    columns = [l * _graded(domain, {m: 1}, 3) for m in cubics]
+    columns += [-(g * _graded(domain, {m: 1}, 1)) for m in linears]
     solution = solve_linear(list(zip(*coefficient_rows(columns, 4))),
                             coefficient_rows([f], 4)[0], domain.modulus)
     if solution is None:
         raise ValueError("quartic is not in the ideal (l, g): Z is not on C")
     n = len(cubics)
-    h = MultiPoly.from_raw(domain, dict(zip(cubics, solution[:n])))
-    w = MultiPoly.from_raw(domain, dict(zip(linears, solution[n:])))
-    result = TwistedIdealResolution(
-        l, g, Form(w, 1), Form(h, 3), semistable=True
-    )
+    h = _graded(domain, domain.canonical(dict(zip(cubics, solution[:n]))), 3)
+    w = _graded(domain, domain.canonical(dict(zip(linears, solution[n:]))), 1)
+    result = TwistedIdealResolution(l, g, w, h, semistable=True)
     if l * result.h - result.w * g != f:
         raise InvariantError("resolution does not satisfy f = l*h - w*g")
     return result

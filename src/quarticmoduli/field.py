@@ -27,6 +27,7 @@ exponents; the first two box one result.
 """
 
 import json
+import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add
@@ -42,6 +43,8 @@ class InvariantError(RuntimeError):
 
 # Miller-Rabin with these bases decides primality exactly for n < 3.3e24
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+MAX_DIGITS = 4300  # the interpreter reads and prints ints of this many digits
 
 
 def _is_prime(n):
@@ -97,12 +100,20 @@ class Domain:
         return self.box(self.unbox(value))
 
     def parse(self, text):
-        """The scalar of a rational literal; ValueError on a bad one,
-        a zero denominator included."""
+        """The scalar of a rational literal; ValueError on a bad one, a zero
+        denominator included, or on one that an exponent, read as Fraction
+        reads it, makes over MAX_DIGITS digits long; one of 10^5 or more
+        makes a value 0 or that long, and is never expanded."""
+        e = re.search(r"E([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+        big = e and (len(e[1]) > MAX_DIGITS or abs(int(e[1])) >= 10**5)
         try:
-            return self.scalar(Fraction(text.strip()))
+            value = Fraction(text[:e.start()] + "E0" if big else text.strip())
         except ZeroDivisionError as exc:
             raise ValueError(str(exc)) from None
+        if value and e and (big or max(abs(value.numerator),
+                                       value.denominator) >= 10**MAX_DIGITS):
+            raise ValueError(f"{text.strip()!r} has over {MAX_DIGITS} digits")
+        return self.scalar(value)
 
     def check_same(self, other):
         if self != other:

@@ -103,7 +103,7 @@ def multivariate_gcd(a, b):
             break
     g = g.normalized()
     if isinstance(a, Form) and isinstance(b, Form):
-        return _graded(g, g.total_degree())  # a divisor of a form is a form
+        return _graded(g.domain, g.raw, g.total_degree())  # divides a form
     return g
 
 
@@ -312,8 +312,7 @@ def _pencil_restriction_coefficients(form, point):
     for k, c in restricted.raw.items():
         e0 = key_exponent(k)[0]
         slices[d - e0][k - e0 * X0] = c
-    return [_graded(MultiPoly.from_raw(domain, terms), k)
-            for k, terms in enumerate(slices)]
+    return [_graded(domain, terms, k) for k, terms in enumerate(slices)]
 
 
 def _pencil_line(point, s, t, domain):
@@ -324,8 +323,8 @@ def _pencil_line(point, s, t, domain):
     coeffs = [0] * 3
     coeffs[i], coeffs[j] = s * point[k], t * point[k]
     coeffs[k] = -(s * point[i] + t * point[j])
-    return Form(MultiPoly.from_raw(domain, dict(zip(_UNITS, coeffs))),
-                1).normalized()
+    return _graded(domain, domain.canonical(dict(zip(_UNITS, coeffs))),
+                   1).normalized()
 
 
 def line_intersection(l1, l2):
@@ -379,7 +378,8 @@ def _pencil_lines(forms, through, domain):
             if any(g.try_exact_div(tangent) is None for g in forms) \
                     or tangent.evaluate(point):
                 return LineSearchResult([], 0)
-            return LineSearchResult([Form(tangent, 1).normalized()], 0)
+            return LineSearchResult(
+                [_graded(domain, tangent.raw, 1).normalized()], 0)
     slices = [c for f in forms
               for c in _pencil_restriction_coefficients(f, point) if c]
     if not slices:
@@ -421,7 +421,7 @@ def _linear_factors(form):
     if form.degree == 1:
         return [form.normalized()], 0
     domain = form.domain
-    x0 = Form(MultiPoly.variable(domain, 0), 1)
+    x0 = _graded(domain, {X0: 1}, 1)
     factors = []
     poly = form
     while (q := poly.try_exact_div(x0)) is not None:
@@ -429,13 +429,12 @@ def _linear_factors(form):
         poly = q
     nonsplit = 0
     if poly.total_degree() > 0:
-        rest = Form(poly, poly.total_degree())
-        restriction = MultiPoly.from_raw(
-            domain, {k: c for k, c in poly.raw.items()
-                     if not key_exponent(k)[0]})
+        rest = _graded(domain, poly.raw, poly.total_degree())
+        restriction = _graded(domain, {k: c for k, c in poly.raw.items()
+                                       if not key_exponent(k)[0]}, rest.degree)
         if not restriction:
             raise InvariantError("x0 should have been divided out")
-        roots, nonsplit = binary_roots(Form(restriction, rest.degree))
+        roots, nonsplit = binary_roots(restriction)
         seen = set()
         for s, t in roots:
             point = (domain.zero, s, t)
@@ -481,8 +480,8 @@ def common_linear_factor(forms):
     if first:
         (rank, witness), domain = first, forms[0].domain
         if rank == 1:
-            line = Form(MultiPoly.from_raw(
-                domain, dict(zip(_UNITS, witness))), 1)
+            line = _graded(
+                domain, domain.canonical(dict(zip(_UNITS, witness))), 1)
             return None if any(f.try_exact_div(line) is None for f in forms) \
                 else line.normalized()
         lines = _pencil_lines(forms, witness, domain).lines

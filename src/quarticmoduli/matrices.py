@@ -140,7 +140,7 @@ class FormMatrix:
         if self.nrows != self.ncols:
             raise DegreeError("determinant of a non-square matrix")
         degree = sum(self.src_degrees) - sum(self.tgt_degrees)
-        return Form(det(self.entries), max(degree, 0))
+        return _graded(self.domain, det(self.entries).raw, max(degree, 0))
 
     def maximal_minors(self):
         """Signed maximal minors.
@@ -165,7 +165,7 @@ class FormMatrix:
                      else grid[rest[0]][0] * (-1) ** j)
             degree = total + (self.tgt_degrees[j] if wide
                               else -self.src_degrees[j])
-            minors.append(Form(minor, max(degree, 0)))
+            minors.append(_graded(minor.domain, minor.raw, max(degree, 0)))
         return minors
 
     def serialize_entries(self):
@@ -298,7 +298,7 @@ class GradedAutomorphism:
 
 def act(g, a, h):
     """The product g * a * h of graded automorphisms around a matrix; the
-    rows of g * a stay term dicts, and each entry is made canonical once."""
+    rows of g * a stay term dicts, and each entry is one canonical form."""
     g, h = (m.matrix if isinstance(m, GradedAutomorphism) else m
             for m in (g, h))
     if g.tgt_degrees != a.src_degrees:
@@ -309,8 +309,9 @@ def act(g, a, h):
     rows, grid, cols = (_raw_grid(m, domain) for m in (g, a, h))
     ga = [[dot_raw(zip(row, col)) for col in zip(*grid)] for row in rows]
     return FormMatrix(g.src_degrees, h.tgt_degrees, [
-        [MultiPoly.from_raw(domain, dot_raw(zip(row, col)))
-         for col in zip(*cols)] for row in ga])
+        [_graded(domain, domain.canonical(dot_raw(zip(row, col))),
+                 max(s - t, 0)) for t, col in zip(h.tgt_degrees, zip(*cols))]
+        for s, row in zip(g.src_degrees, ga)])
 
 
 def _raw_grid(m, domain):
@@ -438,10 +439,9 @@ def random_form(domain, degree, rng):
     if not domain.is_field:
         raise ValueError(f"random sampling needs a field, not {domain}")
     p = domain.modulus
-    return _graded(MultiPoly.from_raw(domain, {
-        key: rng.randrange(p) if p else rng.randrange(-9, 10)
-        for key in keys_of_degree(degree)
-    }), degree)
+    return _graded(domain, {
+        key: c for key in keys_of_degree(degree)
+        if (c := rng.randrange(p) if p else rng.randrange(-9, 10))}, degree)
 
 
 def random_matrix(shape, field, seed=None, rng=None):

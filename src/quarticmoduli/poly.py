@@ -244,11 +244,15 @@ class MultiPoly:
         return self.coefficient(self.leading_exponent())
 
     def normalized(self):
-        """Scale so the graded-lex leading coefficient is 1 (field domains)."""
-        if not self.raw:
+        """Scale so the graded-lex leading coefficient is 1 (field domains),
+        in one pass over the raw values; a Form stays a Form."""
+        raw, domain = self.raw, self.domain
+        if not raw:
             return self
-        inv = self.leading_coefficient().inverse()
-        return self * inv
+        inv = domain.box(raw[max(raw)]).inverse().value
+        raw = {k: c * inv for k, c in raw.items()}
+        return (_graded(domain, domain.canonical(raw), self.degree)
+                if isinstance(self, Form) else MultiPoly.from_raw(domain, raw))
 
     def evaluate(self, point):
         """Value at a triple of scalars, ints or Fractions."""
@@ -370,11 +374,12 @@ def _key_text(key, variables):
     return monomial_text(key_exponent(key), variables)
 
 
-def _graded(poly, degree):
-    """poly, zero or homogeneous of degree, as a Form, unchecked: the
-    result of arithmetic on Forms."""
+def _graded(domain, raw, degree):
+    """The Form of a canonical term dict, zero or homogeneous of degree,
+    unchecked: a form whose degree checked inputs fix, such as a sum,
+    product, minor or exact quotient of forms (see ``Form``)."""
     form = object.__new__(Form)
-    form.domain, form.raw, form.degree = poly.domain, poly.raw, degree
+    form.domain, form.raw, form.degree = domain, raw, degree
     return form
 
 
@@ -385,7 +390,9 @@ class Form(MultiPoly):
     carry any nonnegative degree.  Equality and hashing are MultiPoly's.
     Between Forms, + and - need equal degrees, a product adds them and a
     scalar multiple keeps the degree; with any other MultiPoly each
-    operator gives way to MultiPoly's, whose result is a MultiPoly.
+    operator gives way to MultiPoly's, whose result is a MultiPoly.  A form
+    is checked once, where it enters (parser, JSON loader, ``Form(...)``,
+    ``FormMatrix(...)``); ``_graded`` builds one whose degree is fixed.
     """
 
     __slots__ = ("degree",)
@@ -415,13 +422,13 @@ class Form(MultiPoly):
             return NotImplemented
         if self.raw and other.raw and self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
-        return _graded(super().__add__(other),
+        return _graded(self.domain, super().__add__(other).raw,
                        self.degree if self.raw else other.degree)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _graded(super().__neg__(), self.degree)
+        return _graded(self.domain, super().__neg__().raw, self.degree)
 
     def __sub__(self, other):
         return self + (-other)
@@ -433,7 +440,7 @@ class Form(MultiPoly):
             return NotImplemented
         else:
             degree = self.degree
-        return _graded(super().__mul__(other), degree)
+        return _graded(self.domain, super().__mul__(other).raw, degree)
 
     __rmul__ = __mul__
 

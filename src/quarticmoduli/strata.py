@@ -21,6 +21,7 @@ from .poly import (
     Form,
     MultiPoly,
     _eliminate,
+    _graded,
     coefficient_rows,
     dot,
     kernel_vector,
@@ -98,13 +99,13 @@ def classify_res0(a):
             kronecker=k,
         )
     # Laplace expansion along the top row: det = sum_j a[0, j] * minor_j
-    quartic = Form(dot([(q, minor)
-                        for q, minor in zip(a.row(0), minors)], a.domain), 4)
+    quartic = _graded(a.domain, dot([(q, minor) for q, minor in zip(
+        a.row(0), minors)], a.domain).raw, 4)
     if not quartic:
         return _boundary_report(a, k, minors)
     line = common_linear_factor(minors)
     if line is not None:
-        cubic = Form(quartic.exact_div(line), 3)
+        cubic = _graded(a.domain, quartic.exact_div(line).raw, 3)
         return StratumReport(
             M01,
             quartic=quartic,
@@ -190,7 +191,7 @@ def boundary_parameters(a):
     w = a[0, 1].try_exact_div(-MultiPoly.variable(a.domain, 2))
     if w is None:
         return None
-    xbar0, w = a[1, 2], Form(w, 1)
+    xbar0, w = a[1, 2], _graded(a.domain, w.raw, 1)
     return (xbar0, w) if boundary_matrix(xbar0, w) == a else None
 
 
@@ -281,7 +282,7 @@ def extract_Z_points(report):
                  for z_row, w_row in zip(z, w)])
     if not cubic:
         raise ValueError("pencil determinant vanishes identically")
-    roots, nonsplit = binary_roots(Form(cubic, 3))
+    roots, nonsplit = binary_roots(_graded(domain, cubic.raw, 3))
     points = {}
     order = []
     for u, v in roots:

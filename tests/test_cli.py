@@ -447,6 +447,15 @@ MALFORMED = {
                          "t_values[0]: expected a string, got int"),
     "family zero denominator": (["limit", FILE], family(["t_values"], ["1/0"]),
                                 "t_values[0]:"),
+    # refused before the exponent is expanded, which took over 5 s
+    "family huge exponent t": (["limit", FILE],
+                               family(["t_values"], ["1", "1e99999999"]),
+                               "t_values[1]: '1e99999999' has over 4300 "
+                               "digits"),
+    "family huge negative exponent t": (["limit", FILE],
+                                        family(["t_values"], ["1e-99999999"]),
+                                        "t_values[0]: '1e-99999999' has over "
+                                        "4300 digits"),
     "family integer chart": (["limit", FILE], family(["chart"], 5),
                              "chart: expected a string"),
     "chart with one exponent": (["limit", FILE], family(["chart"], "q0[9]"),
@@ -516,6 +525,8 @@ MALFORMED = {
                    None, "--count must be at least 1"),
     "betti text field": (["betti", "M", "--field", "abc"], None,
                          "invalid literal for int() with base 10: 'abc'"),
+    "betti long field": (["betti", "M", "--field", "1" * 4301], None,
+                         "error: --field has over 19 digits"),
     "verify composite field": (["verify", "cocycle", "--field", "4"], None,
                                "need an odd prime < 2^62, got 4"),
 }
@@ -883,6 +894,7 @@ def test_field_option_fuzz(tmp_path, capsys):
                          derandomize=True)
     @hypothesis.given(st.sampled_from(commands), fields)
     @hypothesis.example(["betti", "M"], "9" * 5000)
+    @hypothesis.example(["betti", "M"], "1" * 4301)
     @hypothesis.example(["sample", "res1", "--count", "1"], " 101 ")
     @hypothesis.example(["classify", matrix], "\u0661\u0660\u0661")  # 101
     def answered_or_refused(command, field):
@@ -920,8 +932,11 @@ def test_verify_transition_alpha_fuzz(capsys):
     # every --alpha passes the verifier (exit 0) or is refused with one
     # error line (exit 1); a rational with no value in the field, its
     # denominator a multiple of p, is refused by its value and the field;
-    # every other nonzero value passes unless its text has more than
-    # cli.ALPHA_DIGITS digits, which is refused by a line naming --alpha
+    # every other nonzero value passes unless its numerator and
+    # denominator have more than cli.ALPHA_DIGITS digits, or its text more
+    # than 4,300, too many to read, which is refused by a line naming
+    # --alpha; a value of over 4,300 digits above or below the line, as
+    # an exponent makes it, is refused by a line naming the literal
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -933,18 +948,33 @@ def test_verify_transition_alpha_fuzz(capsys):
     @hypothesis.example("9" * 1000, "q")
     @hypothesis.example("9" * 1076, "q")  # alpha^4 has 4,304 digits
     @hypothesis.example("1" * 4301, "101")
+    @hypothesis.example("1e1100", "q")  # a 1,101-digit value
+    @hypothesis.example("1e99999999", "q")
+    @hypothesis.example("1e-99999999", "101")
     def answered_or_refused(alpha, field):
         with hang_bound(10):
             code = cli.main(["verify", "transition", "--alpha=" + alpha,
                              "--field=" + field])
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
-        too_long = sum(map(str.isdigit, alpha)) > cli.ALPHA_DIGITS
+        # an exponent of 10^5 or more takes seconds to expand: only the
+        # mantissa is read, and a nonzero one makes too long a value
+        mantissa, e, exponent = alpha.strip().lower().partition("e")
         try:
-            value = F(alpha.strip())
+            huge = bool(e) and abs(int(exponent)) >= 10**5
+        except ValueError:
+            huge = False
+        try:
+            value = F(mantissa + "e0" if huge else alpha.strip())
         except (ValueError, ZeroDivisionError):
             value = None
-        if value and not too_long \
+        unprintable = bool(value) and (huge or max(
+            abs(value.numerator), value.denominator) >= 10**4300)
+        digits = sum(map(str.isdigit, alpha))
+        if digits <= 4300 and value is not None and not unprintable:
+            digits = sum(map(str.isdigit, str(value)))
+        too_long = digits > cli.ALPHA_DIGITS
+        if value and not too_long and not unprintable \
                 and (field == "q" or value.numerator * value.denominator % 101):
             assert code == 0, lines
         if code == 0:
@@ -957,6 +987,8 @@ def test_verify_transition_alpha_fuzz(capsys):
         if too_long:
             assert lines[0] == \
                 f"error: --alpha has over {cli.ALPHA_DIGITS} digits"
+        elif unprintable:
+            assert lines[0] == f"error: {alpha.strip()!r} has over 4300 digits"
         if field == "101" and value is not None \
                 and not value.denominator % 101:
             assert f"error: {value} has no value in GF(101)" in lines[0]

@@ -211,3 +211,24 @@ def test_param_ring_is_not_a_field():
 def test_scalar_as_text():
     assert QQ.scalar(Fraction(-1, 3)).as_text() == "-1/3"
     assert GF(101).scalar(45).as_text() == "45"
+
+
+def test_parse_reads_an_exponent_before_expanding_it():
+    # a value of up to 4,300 digits above and below the line parses, one
+    # of more is refused by its literal, and an exponent of 10^5 or more,
+    # which would take seconds to expand, is never expanded
+    start = time.monotonic()
+    assert QQ.parse("1e4299").value == 10**4299
+    assert QQ.parse(" -25E-2 ").value == Fraction(-1, 4)
+    assert QQ.parse("1_0e1_0").value == 10**11
+    assert QQ.parse("0e99999999") == 0
+    assert GF(101).parse("-0.0E-99999999") == 0
+    for text in ("1e4300", "1e-4300", "1e99999999", "1e-99999999",
+                 "2.5E+1_000_000", "1e" + "1" * 4301):
+        with pytest.raises(ValueError) as refused:
+            QQ.parse(text)
+        assert str(refused.value) == f"{text!r} has over 4300 digits"
+    for text in ("1/2e99999999", "1e9999999x", "e99999999"):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            QQ.parse(text)
+    assert time.monotonic() - start < 1

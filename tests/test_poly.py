@@ -12,6 +12,8 @@ from quarticmoduli.matrices import (
     FormMatrix,
     GradedAutomorphism,
     act,
+    random_form,
+    random_graded_automorphism,
     random_matrix,
 )
 from quarticmoduli.poly import (
@@ -471,38 +473,122 @@ def test_linear_algebra_builds_no_field_scalars(domain, monkeypatch):
 def test_sums_of_products_build_one_polynomial_each(domain, monkeypatch):
     """Exact counts of the polynomials that MultiPoly.from_raw builds: a
     res0 determinant one per 2x2 minor and one for the cofactor sum; act
-    one per entry of g * a * h, with g * a kept as raw term dicts;
-    classify_res0, on an M00 matrix with a nonsingular conic among its
-    minors, one per signed minor (three determinants, the odd minor's
-    sign a row swap) and one for the quartic; the invertibility test of a
-    GradedAutomorphism none.  Building every product and partial sum as a
-    polynomial of its own took 18, 90 and 19; building g * a as a matrix
-    and negating the odd minor took 18 for act and 5 for classify_res0."""
+    none, each entry of g * a * h a form made from its raw dict, with g * a
+    kept as raw term dicts; classify_res0, on an M00 matrix with a
+    nonsingular conic among its minors, one per signed minor (three
+    determinants, the odd minor's sign a row swap) and one for the
+    quartic; the invertibility test of a GradedAutomorphism none.  Building
+    every product and partial sum as a polynomial of its own took 18, 90
+    and 19; building g * a as a matrix and negating the odd minor took 18
+    for act and 5 for classify_res0, and an act entry that was a polynomial
+    before it was a form took 9.  None of these runs, nor random_matrix,
+    checks a form through Form.__init__: each result's degree is fixed by
+    its checked inputs."""
     a, left, right = random_res0_with_automorphisms(domain, random.Random(3))
     work = {
         "det": a.determinant,
         "act": lambda: act(left, a, right),
         "classify_res0": lambda: strata.classify_res0(a),
         "automorphism": lambda: GradedAutomorphism(left),
+        "random_matrix": lambda: random_matrix("res0", domain, seed=3),
     }
-    built = []
+    built, checked = [], []
     from_raw = MultiPoly.from_raw.__func__
     monkeypatch.setattr(MultiPoly, "from_raw", classmethod(
         lambda cls, *args: built.append(1) or from_raw(cls, *args)))
+    init = Form.__init__
+    monkeypatch.setattr(Form, "__init__", lambda self, *args: checked.append(
+        1) or init(self, *args))
     counts, results = {}, {}
     for name, run in work.items():
         built.clear()
+        checked.clear()
         results[name] = run()
-        counts[name] = len(built)
+        counts[name] = (len(built), len(checked))
+    Form(MultiPoly.zero(domain), 1)
+    assert checked == [1]  # the counter does count
     monkeypatch.undo()
-    assert counts == {"det": 4, "act": 9, "classify_res0": 4,
-                      "automorphism": 0}
+    assert counts == {"det": (4, 0), "act": (0, 0), "classify_res0": (4, 0),
+                      "automorphism": (0, 0), "random_matrix": (0, 0)}
     report = results["classify_res0"]
     assert report.label == strata.M00
     assert report.quartic == results["det"]
     assert any(_conic_rank(m)[0] == 3 for m in report.scheme_ideal)
     assert results["act"].determinant() == (
         left.determinant() * a.determinant() * right.determinant())
+
+
+def assert_checked(f):
+    """f, a Form built unchecked, passes the checked constructor and holds
+    canonical raw values: ints in (0, p) over GF(p); over QQ nonzero ints
+    and Fractions with a denominator above 1."""
+    assert isinstance(f, Form) and f.degree >= 0
+    assert Form(MultiPoly.from_raw(f.domain, f.raw), f.degree) == f
+    p = f.domain.modulus
+    for v in f.raw.values():
+        assert (type(v) is int and 0 < v < p) if p else \
+            (type(v) is int and v) or (type(v) is Fraction and v.denominator > 1)
+
+
+def assert_normalized(f):
+    """f.normalized() is checked, monic, proportional to f and of f's
+    type: a Form for any Form, a BinaryForm included."""
+    n = f.normalized()
+    if not f:
+        assert n is f
+        return
+    assert type(n) is Form
+    assert_checked(n)
+    assert n.leading_coefficient() == 1
+    assert n * f.leading_coefficient() == f
+
+
+def test_forms_built_unchecked_pass_the_check():
+    # every form that act, determinant, maximal_minors, classify_res0 and
+    # classify_res1, random_form and normalized build without the check
+    # of Form.__init__ would pass it, on random res0 and res1 matrices and
+    # automorphism pairs
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=12, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.sampled_from([QQ, GF(101), GF(3)]),
+                      st.sampled_from(sorted(SHAPES)), st.integers(0, 2**32))
+    def checked(domain, shape, seed):
+        rng = random.Random(seed)
+        a = random_matrix(shape, domain, rng=rng)
+        src, tgt = SHAPES[shape]
+        moved = act(random_graded_automorphism(src, domain, rng), a,
+                    random_graded_automorphism(tgt, domain, rng))
+        classify = strata.classify_res0 if shape == "res0" \
+            else strata.classify_res1
+        forms = [random_form(domain, 2, rng)]
+        for m in (a, moved):
+            forms += [e for row in m.entries for e in row]
+            forms += [m.determinant()]
+            forms += (m.submatrix([1, 2], [0, 1, 2]) if shape == "res0"
+                      else m.submatrix([0, 1], [0])).maximal_minors()
+            report = classify(m)
+            forms += [f for f in (report.quartic, report.cubic, report.line)
+                      if f is not None] + list(report.scheme_ideal or ())
+        for f in forms:
+            assert_checked(f)
+            assert_normalized(f)
+        quartic = moved.determinant()
+        line = next((e for e in moved.entries[-1] if e.degree == 1 and e),
+                    None)
+        if line is not None:
+            assert_normalized(quartic.restrict_to_line(line))
+        poly = MultiPoly.from_raw(domain, dict(quartic.raw))
+        assert type(poly.normalized()) is MultiPoly
+
+    for domain in (QQ, GF(101), GF(3)):
+        for shape in SHAPES:
+            checked = hypothesis.example(domain, shape, 7)(checked)
+    start = time.monotonic()
+    checked()
+    assert time.monotonic() - start < 1
 
 
 def test_sample_path_runs_no_determinant_or_elimination_it_can_skip(
