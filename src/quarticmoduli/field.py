@@ -100,16 +100,22 @@ class Domain:
         return self.box(self.unbox(value))
 
     def parse(self, text):
-        """The scalar of a rational literal; ValueError on a bad one, a zero
-        denominator included, or on one that an exponent, read as Fraction
-        reads it, makes over MAX_DIGITS digits long; one of 10^5 or more
-        makes a value 0 or that long, and is never expanded."""
+        """The scalar of a rational literal; ValueError, quoting it, on a bad
+        one, a zero denominator included, or on a part or a value (as
+        Fraction reads an exponent) of over MAX_DIGITS digits; an exponent
+        of 10^5 or more gives 0 or that long a value, and is not expanded."""
         e = re.search(r"E([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
         big = e and (len(e[1]) > MAX_DIGITS or abs(int(e[1])) >= 10**5)
+        mantissa = text[:e.start()] if e else text
+        if re.search(rf"\d{{{MAX_DIGITS + 1}}}", mantissa.replace("_", "")):
+            raise ValueError(f"{text.strip()!r} has over {MAX_DIGITS} digits")
         try:
-            value = Fraction(text[:e.start()] + "E0" if big else text.strip())
+            value = Fraction(mantissa + "E0" if big else text.strip())
         except ZeroDivisionError as exc:
             raise ValueError(str(exc)) from None
+        except ValueError:
+            raise ValueError(f"Invalid literal for Fraction: "
+                             f"{text.strip()!r}") from None
         if value and e and (big or max(abs(value.numerator),
                                        value.denominator) >= 10**MAX_DIGITS):
             raise ValueError(f"{text.strip()!r} has over {MAX_DIGITS} digits")

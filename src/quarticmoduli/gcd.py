@@ -1,6 +1,6 @@
 """Exact multivariate GCDs and linear-factor extraction.
 
-The multivariate GCD is one kernel search on the package's Gauss-Jordan
+The multivariate GCD is a kernel search on the package's Gauss-Jordan
 elimination.  Write a = g*a' and b = g*b' with a', b' coprime.  The
 equation u*a = v*b has a nonzero solution with deg u <= deg b - k and
 deg v <= deg a - k exactly when k <= deg g: then (b', a') is one, and in
@@ -8,8 +8,11 @@ any solution a' divides v, so deg a' <= deg a - k.  At k = deg g the
 solutions are the multiples of (b', a').  So walking k down from
 min(deg a, deg b), the first k with a nonzero kernel vector (u, v) gives
 g = a / v, an exact division (von zur Gathen and Gerhard, Modern Computer
-Algebra, ch. 6).  Two forms need only the monomials of u and v of exactly
-those degrees, since the homogeneous parts of a solution are solutions.
+Algebra, ch. 6).  At k = min(deg a, deg b), where u or v is a constant,
+one exact division decides, so the search starts at k - 1.  Two forms
+need only the monomials of u and v of exactly those degrees, since the
+homogeneous parts of a solution are solutions.  Over QQ the GCD is kept
+primitive and integral, and ``gcd_fold`` normalizes it once, at the end.
 
 Lines are found in pencils.  For a point P with pivot k, its last
 nonzero coordinate, and i < j the other two indices, the lines through P
@@ -41,7 +44,6 @@ candidate order, with no divisor enumerated.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from .field import GF, QQ, InvariantError, _is_prime, evaluate_raw
 from .poly import (
@@ -49,7 +51,7 @@ from .poly import (
     MultiPoly,
     _eliminate,
     _graded,
-    _primitive,
+    _primitive_part,
     coefficient_rows,
     exponent_terms,
     key_exponent,
@@ -65,22 +67,28 @@ def multivariate_gcd(a, b):
 
     Normalized so the graded-lex leading coefficient is 1; gcd(0, b) is the
     normalized b.  The GCD of two Forms is a Form of its degree, since a
-    divisor of a form is a form.  See the module docstring for the kernel
-    search.
+    divisor of a form is a form.  See the module docstring for the top
+    degree's division and the kernel search below it.
     """
+    return _common_factor(a, b).normalized()
+
+
+def _common_factor(a, b):
+    """A GCD of a and b, not normalized: the other if one is zero, else over
+    QQ a primitive integer polynomial; a Form of its degree if both are."""
     if a.domain != b.domain:
         a._coerce(b)  # raises FieldMismatchError
-    if not a:
-        return b.normalized()
-    if not b:
-        return a.normalized()
-    domain = a.domain
+    domain, graded = a.domain, isinstance(a, Form) and isinstance(b, Form)
     da, db = a.total_degree(), b.total_degree()
+    low, high = (a, b) if da <= db else (b, a)
+    if not low:
+        return high
+    if high.try_exact_div(low) is not None:  # the kernel at k = min(da, db)
+        return _integral(domain, low.raw, graded)
     # two forms need only the monomials of top degree in u and v
     forms = a.is_homogeneous() and b.is_homogeneous()
     neg_b = (-b).raw
-    g = MultiPoly.constant(domain, 1)  # unless a kernel vector is found
-    for k in range(min(da, db), 0, -1):
+    for k in range(min(da, db) - 1, 0, -1):
         # unknowns: u's coefficients (columns m*a), then v's (columns m*(-b))
         shifts = [(m, a.raw) for d in range((db - k) * forms, db - k + 1)
                   for m in keys_of_degree(d)]
@@ -95,38 +103,41 @@ def multivariate_gcd(a, b):
                   for row in rows.values()]
         x = kernel_vector(matrix, _eliminate(matrix, domain.modulus))
         if x is not None:
-            v = MultiPoly.from_raw(domain, {m: c for (m, _), c in
-                                            zip(shifts[n_u:], x[n_u:])})
-            g = a.try_exact_div(v)
+            g = a.try_exact_div(_integral(domain, {
+                m: c for (m, _), c in zip(shifts[n_u:], x[n_u:])}))
             if g is None:
                 raise InvariantError("the kernel cofactor does not divide a")
-            break
-    g = g.normalized()
-    if isinstance(a, Form) and isinstance(b, Form):
-        return _graded(g.domain, g.raw, g.total_degree())  # divides a form
-    return g
+            return _integral(domain, g.raw, graded)
+    return _integral(domain, {0: 1}, graded)  # no kernel vector: coprime
+
+
+def _integral(domain, raw, form=False):
+    """A term dict's polynomial, over QQ primitive, a Form if form."""
+    raw = raw if domain.modulus else _primitive_part(raw)[2]
+    return (_graded(domain, raw, max(raw) >> 96) if form
+            else MultiPoly.from_raw(domain, raw))
 
 
 def gcd_fold(polys):
     """GCD of a sequence of polynomials or forms, normalized: a Form of its
     degree when the inputs are nonzero Forms.
 
-    Two shortcuts give the same result as folding multivariate_gcd over
-    every input: the fold stops once the running GCD is a constant, since
-    nothing can shrink it further, and an input that the running GCD
-    divides exactly leaves it as it is, so no GCD is run for that input.
+    The running GCD, over QQ a primitive integer polynomial after the first
+    GCD, is normalized once, at the end.  The fold stops once it is a
+    constant, since nothing can shrink it further, and an input that it
+    divides takes one exact division, the test of the top degree.
     """
     total = None
     for p in polys:
         if total is None or not total:
-            total = p.normalized()
+            total = p
         elif total.total_degree() == 0:
             break
-        elif p.try_exact_div(total) is None:
-            total = multivariate_gcd(total, p)
+        else:
+            total = _common_factor(total, p)
     if total is None:
         raise ValueError("empty input")
-    return total
+    return total.normalized()
 
 
 # ---- binary forms: rational roots -------------------------------------
@@ -144,8 +155,7 @@ def _rational_roots(f):
     if f.total_degree() < 1:
         return []
     h = f.exact_div(_gcd_in_x1(f, _derivative(f)))
-    h = h * lcm(*[c.denominator for c in h.raw.values()])
-    h = MultiPoly.from_raw(QQ, dict(zip(h.raw, _primitive([*h.raw.values()]))))
+    h = MultiPoly.from_raw(QQ, _primitive_part(h.raw)[2])
     low, high = (abs(h.raw[e]) for e in (min(h.raw), max(h.raw)))
     p = 99
     while True:

@@ -13,15 +13,15 @@ after one comparison, and a zero entry takes the required degree.
 
 ``det`` and ``mat_mul`` are the package's single determinant and matrix
 product; they work on grids of ``MultiPoly`` over any domain, a
-FormMatrix's entries as they are, and sum each entry's products with
-``poly.dot`` in one raw dict.  ``det`` is a memoized Laplace expansion
-along the columns in turn: the determinant of each row subset over the
-columns left is one ``dot``, signs through its negated indices, taken
+FormMatrix's entries as they are.  ``det`` is a memoized Laplace
+expansion along the columns in turn, on term dicts: the determinant of
+each row subset over the columns left is one ``poly.dot_raw``, the
+entries of odd sign negated, taken once, and the result is made canonical
 once.  The maximal minors of an (n+1) x n matrix, or of the transpose of
 an n x (n+1) one, share one memo; minor j is one expansion with the sign
-(-1)^j, with no submatrix.  ``act`` sums each entry of
-g * a * h in one raw dict with ``poly.dot_raw``, into one checked
-FormMatrix.  A ``GradedAutomorphism`` tests its scalar blocks with
+(-1)^j, with no submatrix.  ``mat_mul`` sums each entry with ``poly.dot``
+and ``act`` each entry of g * a * h with ``poly.dot_raw``, into one
+checked FormMatrix.  A ``GradedAutomorphism`` tests its scalar blocks with
 ``poly._eliminate`` on their raw constants.
 """
 
@@ -156,16 +156,17 @@ class FormMatrix:
             raise DegreeError("need an (n)x(n+1) shape for minors" if wide
                               else "need an (n+1)x(n) shape for minors")
         # the minors of the (n+1) x n grid, as rows of the transpose if wide
-        grid = list(zip(*self.entries)) if wide else self.entries
+        grid = _raw_grid(list(zip(*self.entries)) if wide else self.entries,
+                         self.domain)
         total = sum(self.src_degrees) - sum(self.tgt_degrees)
         memo, minors = {}, []
         for j in range(m):
             rest = tuple(k for k in range(m) if k != j)
-            minor = (_expand(grid, rest, 0, memo, j) if n > 1
-                     else grid[rest[0]][0] * (-1) ** j)
+            minor = _expand(grid, rest, 0, memo, j)
             degree = total + (self.tgt_degrees[j] if wide
                               else -self.src_degrees[j])
-            minors.append(_graded(minor.domain, minor.raw, max(degree, 0)))
+            minors.append(_graded(self.domain, self.domain.canonical(minor),
+                                  max(degree, 0)))
         return minors
 
     def serialize_entries(self):
@@ -202,32 +203,33 @@ def _graded_entry(i, j, need, entry):
 def det(grid):
     """Determinant of a square grid of polynomials over one domain (QQ,
     GF(p) or a parameter ring), by memoized Laplace expansion."""
-    if len(grid) == 1:
-        return grid[0][0]
-    return _expand(grid, tuple(range(len(grid))), 0, {})
+    domain = grid[0][0].domain
+    return MultiPoly.from_raw(domain, _expand(
+        _raw_grid(grid, domain), tuple(range(len(grid))), 0, {}))
 
 
 def _expand(grid, rows, col, memo, sign=0):
-    """(-1)^sign times the determinant of the rows of grid over the columns
-    from col on, expanded along col in one ``dot``; the determinants of
-    the row subsets over the columns after col are kept in memo."""
-    pairs, negated = [], []
+    """(-1)^sign times the determinant of the rows of a grid of term dicts
+    over the columns from col on, a term dict not yet canonical, expanded
+    along col in one ``dot_raw``; the determinants of the row subsets over
+    the columns after col are kept in memo."""
+    pairs = []
     for k, i in enumerate(rows):
         entry = grid[i][col]
         if not entry:
             continue
         rest = rows[:k] + rows[k + 1:]
-        if len(rest) == 1:
-            minor = grid[rest[0]][col + 1]
+        if len(rest) < 2:  # the determinant of no rows is 1
+            minor = grid[rest[0]][col + 1] if rest else {0: 1}
         elif rest in memo:
             minor = memo[rest]
         else:
             minor = memo[rest] = _expand(grid, rest, col + 1, memo)
         if minor:
             if (k + sign) % 2:
-                negated.append(len(pairs))
+                entry = {e: -v for e, v in entry.items()}
             pairs.append((entry, minor))
-    return dot(pairs, grid[0][0].domain, negated)
+    return dot_raw(pairs)
 
 
 def make_matrix(src_degrees, tgt_degrees, entry_texts, domain=QQ):
@@ -306,7 +308,7 @@ def act(g, a, h):
     if a.tgt_degrees != h.src_degrees:
         raise DegreeError("right automorphism does not match target degrees")
     domain = a.domain
-    rows, grid, cols = (_raw_grid(m, domain) for m in (g, a, h))
+    rows, grid, cols = (_raw_grid(m.entries, domain) for m in (g, a, h))
     ga = [[dot_raw(zip(row, col)) for col in zip(*grid)] for row in rows]
     return FormMatrix(g.src_degrees, h.tgt_degrees, [
         [_graded(domain, domain.canonical(dot_raw(zip(row, col))),
@@ -314,13 +316,13 @@ def act(g, a, h):
         for s, row in zip(g.src_degrees, ga)])
 
 
-def _raw_grid(m, domain):
-    """The term dicts of a matrix's entries, each checked over domain."""
-    for row in m.entries:
+def _raw_grid(rows, domain):
+    """The term dicts of a grid of polynomials, each checked over domain."""
+    for row in rows:
         for e in row:
             if e.domain is not domain:
                 domain.check_same(e.domain)
-    return [[e.raw for e in row] for row in m.entries]
+    return [[e.raw for e in row] for row in rows]
 
 
 def mat_mul(a, b):

@@ -16,9 +16,9 @@ field overflows into the next.  The public surface keeps exponent triples.
 
 ``dot_raw`` is the one product loop: it sums the products of pairs of
 term dicts in one dict of raw values.  ``dot``, the checked kernel over it,
-takes a sum of signed products of polynomials, such as a product or a
-cofactor sum, matches the domains and makes the sum canonical once;
-``matrices.act`` and the parser run ``dot_raw`` on term dicts themselves.
+takes a sum of products of polynomials, such as a product or a cofactor
+sum, matches the domains and makes the sum canonical once; ``matrices``
+and the parser run ``dot_raw`` on term dicts themselves.
 The parser reads text into term dicts: a variable is one key, a literal
 its raw value, ``*`` one ``dot_raw``, and each sum is added into one dict
 and made canonical, so no term of a factor is zero and its largest key
@@ -26,9 +26,10 @@ gives its degree; a power of one term is its key times n, and any other
 power repeated ``dot_raw``.  One polynomial is built, at the end.
 ``MultiPoly.divmod`` keys its remainder by key: kd divides kr when kr - kd
 is nonnegative with no guard bit, the top bit of an exponent field that a
-borrow sets.  ``evaluate`` builds no polynomial: it runs
-``field.evaluate_raw``, the one evaluation loop, on the raw terms and the
-unboxed point, and refuses a point that is not a triple.
+borrow sets; over QQ it divides primitive integer parts (Gauss's lemma).
+``evaluate`` builds no polynomial: it runs ``field.evaluate_raw``, the
+one evaluation loop, on the raw terms and the unboxed point, and refuses
+a point that is not a triple.
 
 A ``Form`` is a ``MultiPoly`` with a degree, so every polynomial
 algorithm takes a form as it is; ``form.poly`` is the form itself.  Its
@@ -55,7 +56,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .field import QQ, _serialize_terms, evaluate_raw, monomial_text
+from .field import (MAX_DIGITS, QQ, _serialize_terms, evaluate_raw,
+                    monomial_text)
 
 VARIABLES = ("x0", "x1", "x2")
 NVARS = 3
@@ -245,12 +247,15 @@ class MultiPoly:
 
     def normalized(self):
         """Scale so the graded-lex leading coefficient is 1 (field domains),
-        in one pass over the raw values; a Form stays a Form."""
+        in one pass over the raw values; a Form stays a Form.  Over QQ a
+        value is c // lead where that is exact, and one Fraction otherwise."""
         raw, domain = self.raw, self.domain
         if not raw:
             return self
-        inv = domain.box(raw[max(raw)]).inverse().value
-        raw = {k: c * inv for k, c in raw.items()}
+        lead = raw[max(raw)]
+        inv = None if domain == QQ else domain.box(lead).inverse().value
+        raw = {k: c * inv if inv else _quotient(c, lead)
+               for k, c in raw.items()}
         return (_graded(domain, domain.canonical(raw), self.degree)
                 if isinstance(self, Form) else MultiPoly.from_raw(domain, raw))
 
@@ -276,41 +281,50 @@ class MultiPoly:
         """Quotient and remainder of self by divisor, by the graded-lex
         division loop: a leading term of the remainder that the divisor's
         leading term does not divide moves to the final remainder, or with
-        exact ends the division at once with None."""
+        exact ends the division at once with None.  Over QQ it runs on the
+        primitive parts (Gauss's lemma): a step that the leading coefficient
+        does not divide goes on with a Fraction, or with exact gives None."""
         divisor = self._coerce(divisor)
         if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.domain.is_field:
             raise TypeError("division needs a field domain")
         p = self.domain.modulus
-        lead_d, lead = max(divisor.raw.items())  # keys are distinct
-        if p:  # over QQ pow(int, -1) would give a float
-            inv = pow(lead, -1, p)
-        else:
-            inv = lead if lead in (1, -1) else Fraction(1, lead)
-        rest = [(k, -c) for k, c in divisor.raw.items() if k != lead_d]
+        raw, terms = self.raw, divisor.raw
+        if not p:
+            num, den, raw = _primitive_part(raw)
+            num_d, den_d, terms = _primitive_part(terms)
+        lead_d, lead = max(terms.items())  # keys are distinct
+        inv = pow(lead, -1, p) if p else None
+        rest = [(k, -c) for k, c in terms.items() if k != lead_d]
         # raw values: the remainders' unreduced, the quotient's mod p
-        remainder = dict(self.raw)
+        remainder = dict(raw)
         get = remainder.get
         quotient, kept = {}, {}
         while remainder:
             lead_r = max(remainder)
             v = remainder.pop(lead_r)
-            c = v * inv
-            if p:
-                c %= p
-            if not c:
+            c, r = (v * inv % p, 0) if p else divmod(v, lead)
+            if not (c or r):
                 continue
             q = lead_r - lead_d
-            if q < 0 or q & _GUARDS:  # lead_d does not divide lead_r
+            # lead_d does not divide lead_r, or over QQ lead does not divide v
+            if q < 0 or q & _GUARDS or r and exact:
                 if exact:
                     return None
                 kept[lead_r] = v
                 continue
+            if r:  # over QQ the step goes on with a Fraction
+                c = Fraction(v, lead)
             quotient[q] = c
             for k, w in rest:
                 e = k + q
                 remainder[e] = c * w + get(e, 0)
+        if not p:
+            scale = _quotient(num * den_d, den * num_d)
+            quotient = {k: c * scale for k, c in quotient.items()}
+            scale = _quotient(num, den)
+            kept = {k: c * scale for k, c in kept.items()}
         return (MultiPoly.from_raw(self.domain, quotient),
                 MultiPoly.from_raw(self.domain, kept))
 
@@ -326,6 +340,21 @@ class MultiPoly:
         return self.serialize()
 
 
+def _quotient(c, d):
+    """c / d of QQ raw values: c // d where exact, else one Fraction."""
+    return c // d if c % d == 0 else Fraction(c, d)
+
+
+def _primitive_part(raw):
+    """(n, d, ints): a QQ term dict is n/d times its primitive part ints."""
+    num = gcd(*[v.numerator for v in raw.values()])
+    den = lcm(*[v.denominator for v in raw.values()])
+    if num * den != 1:
+        raw = {k: v.numerator * (den // v.denominator) // num
+               for k, v in raw.items()}
+    return num, den, raw
+
+
 def _raw_point(domain, point):
     """The raw values of the coordinates of a point in x0, x1, x2."""
     values = [domain.unbox(v) for v in point]
@@ -335,18 +364,16 @@ def _raw_point(domain, point):
     return values
 
 
-def dot(pairs, domain, negated=()):
-    """The sum of the products a * b of the pairs (a, b) of polynomials
-    over domain, less those at the indices in negated: ``dot_raw`` on their
-    term dicts, after the domain checks, made canonical once."""
+def dot(pairs, domain):
+    """The sum of the products a * b of the pairs (a, b) of polynomials over
+    domain: ``dot_raw`` on their term dicts, checked, made canonical once."""
     terms = []
-    for k, (a, b) in enumerate(pairs):
+    for a, b in pairs:
         if a.domain is not domain:
             domain.check_same(a.domain)
         if b.domain is not domain:
             domain.check_same(b.domain)
-        terms.append(({e: -v for e, v in a.raw.items()} if k in negated
-                      else a.raw, b.raw))
+        terms.append((a.raw, b.raw))
     return MultiPoly.from_raw(domain, dot_raw(terms))
 
 
@@ -655,6 +682,8 @@ class _Parser:
         if tok in VARIABLES:
             return {keys_of_degree(1)[VARIABLES.index(tok)]: self.one}
         if tok[0].isdigit():
+            if max(map(len, tok.split("/"))) > MAX_DIGITS:  # before int()
+                raise ParseError(f"{tok!r} has over {MAX_DIGITS} digits")
             try:  # int and Fraction read the same decimal digits alike
                 c = self.domain.unbox(int(tok) if tok.isdecimal()
                                       else self.domain.parse(tok))
@@ -743,15 +772,13 @@ def _eliminate(rows, p):
     One loop serves both fields: a row is cleared by cross-multiplying it
     with the pivot row.  Over GF(p) the pivot row is first made monic and
     only the cleared row's entries under its nonzeros are updated, mod p,
-    in place.  Over QQ the rows are made primitive
-    integer rows once and after each clearing, and the pivot rows are
-    divided by their pivots at the end: the reduced row echelon form is
-    unique, so it is the same."""
+    in place.  Over QQ the rows are made integer rows once and primitive
+    after each clearing, and the pivot rows are divided by their pivots at
+    the end: the reduced row echelon form is unique, so it is the same."""
     if not p:
         for i, row in enumerate(rows):
             den = lcm(*[v.denominator for v in row])
-            rows[i] = _primitive([v.numerator * (den // v.denominator)
-                                  for v in row])
+            rows[i] = [v.numerator * (den // v.denominator) for v in row]
     pivots = []
     for col in range(len(rows[0])):
         r = len(pivots)
@@ -784,7 +811,8 @@ def _eliminate(rows, p):
                         row = [a // g * v for v in row]
                 for j, v in nonzero:
                     row[j] -= b * v
-                rows[i] = _primitive(row)
+                content = gcd(*row)
+                rows[i] = [v // content for v in row] if content > 1 else row
         pivots.append(col)
     if not p:
         for i, col in enumerate(pivots):
@@ -792,12 +820,6 @@ def _eliminate(rows, p):
             rows[i] = [v // d if v % d == 0 else Fraction(v, d)
                        for v in rows[i]]
     return pivots
-
-
-def _primitive(row):
-    """The integer row divided by the gcd of its entries."""
-    content = gcd(*row)
-    return [v // content for v in row] if content > 1 else row
 
 
 def kernel_vector(rows, pivots):

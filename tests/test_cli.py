@@ -426,6 +426,11 @@ MALFORMED = {
                                           ["x1", "x2^3"]]),
                             "error: entry (0,0): the power 2^999999999 "
                             "exceeds 10000 bits"),
+    "long literal": (["classify", FILE],
+                     res1(entries=[["x0", "1" * 4301 + "*x1^3"],
+                                   ["x1", "x2^3"]]),
+                     f"error: entry (0,1): '{'1' * 4301}' has over 4300 "
+                     "digits"),
     "bad character": (["classify", FILE],
                       res1(entries=[["x0", "x1^3"], ["x1", "x2^3 $"]]),
                       "error: entry (1,1): unexpected character '$'"),
@@ -456,6 +461,11 @@ MALFORMED = {
                                         family(["t_values"], ["1e-99999999"]),
                                         "t_values[0]: '1e-99999999' has over "
                                         "4300 digits"),
+    # refused before int() reads it, not by the interpreter's own text
+    "family long literal t": (["limit", FILE],
+                              family(["t_values"], ["1" * 4301]),
+                              f"error: t_values[0]: '{'1' * 4301}' has over "
+                              "4300 digits"),
     "family integer chart": (["limit", FILE], family(["chart"], 5),
                              "chart: expected a string"),
     "chart with one exponent": (["limit", FILE], family(["chart"], "q0[9]"),
@@ -519,6 +529,10 @@ MALFORMED = {
                                    "dimension 1000000000 exceeds the limit"),
     "alpha zero denominator": (["verify", "transition", "--alpha", "1/0"],
                                None, "Fraction(1, 0)"),
+    "alpha bad mantissa": (["verify", "transition", "--alpha", "1e5e99999999"],
+                           None,
+                           "error: Invalid literal for Fraction: "
+                           "'1e5e99999999'"),
     "negative count": (["sample", "res0", "--field", "101", "--count", "-5"],
                        None, "--count must be at least 1"),
     "zero count": (["sample", "res1", "--field", "101", "--count", "0"],
@@ -951,6 +965,7 @@ def test_verify_transition_alpha_fuzz(capsys):
     @hypothesis.example("1e1100", "q")  # a 1,101-digit value
     @hypothesis.example("1e99999999", "q")
     @hypothesis.example("1e-99999999", "101")
+    @hypothesis.example("1e5e99999999", "q")  # a bad mantissa, quoted as given
     def answered_or_refused(alpha, field):
         with hang_bound(10):
             code = cli.main(["verify", "transition", "--alpha=" + alpha,
@@ -989,6 +1004,9 @@ def test_verify_transition_alpha_fuzz(capsys):
                 f"error: --alpha has over {cli.ALPHA_DIGITS} digits"
         elif unprintable:
             assert lines[0] == f"error: {alpha.strip()!r} has over 4300 digits"
+        elif "Invalid literal" in lines[0]:
+            assert lines[0] == ("error: Invalid literal for Fraction: "
+                                f"{alpha.strip()!r}")
         if field == "101" and value is not None \
                 and not value.denominator % 101:
             assert f"error: {value} has no value in GF(101)" in lines[0]

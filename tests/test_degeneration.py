@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from quarticmoduli import gcd, matrices
+from quarticmoduli import gcd, matrices, poly
 from quarticmoduli.degeneration import (
     ChartError,
     DeformationInstance,
@@ -425,13 +425,17 @@ def test_fitting_support_matches_resolution_determinant():
 
 
 def test_fitting_support_work_counts(monkeypatch):
-    """Exact counts: the support of a deformation matrix takes one GCD, of
-    the first two quintic minors, in two row reductions: k = 5 finds no
-    kernel vector and k = 4 finds the quartic.  The later minors are
-    checked by exact division."""
-    calls = {"gcd": 0, "row_reduce": 0}
-    gcd_before = gcd.multivariate_gcd
+    """Exact counts: the support of a deformation matrix folds its three
+    quintic minors in two GCD steps.  The first decides its top degree,
+    k = 5, by one exact division, which fails, and finds the quartic at
+    k = 4 in one row reduction and one exact division by the cofactor;
+    the second finds the third minor divisible by the quartic by one exact
+    division.  Searching k = 5 for a kernel vector too took two row
+    reductions."""
+    calls = {"gcd": 0, "row_reduce": 0, "divide": 0}
+    gcd_before = gcd._common_factor
     eliminate_before = gcd._eliminate
+    divide_before = MultiPoly.try_exact_div
 
     def counting_gcd(a, b):
         calls["gcd"] += 1
@@ -441,26 +445,58 @@ def test_fitting_support_work_counts(monkeypatch):
         calls["row_reduce"] += 1
         return eliminate_before(rows, p)
 
-    monkeypatch.setattr(gcd, "multivariate_gcd", counting_gcd)
+    def counting_divide(self, divisor):
+        calls["divide"] += 1
+        return divide_before(self, divisor)
+
+    monkeypatch.setattr(gcd, "_common_factor", counting_gcd)
     monkeypatch.setattr(gcd, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(MultiPoly, "try_exact_div", counting_divide)
+    for dom in (GF(101), QQ):
+        rng = random.Random(31)
+        for _ in range(10):
+            m, expected = deformation_case(dom, rng)
+            calls.update(gcd=0, row_reduce=0, divide=0)
+            assert fitting_support(m).poly == expected.normalized()
+            assert calls == {"gcd": 2, "row_reduce": 1, "divide": 3}
+
+
+def test_fitting_support_over_qq_builds_fractions_only_to_normalize(
+        monkeypatch):
+    """Over QQ the minors of an integer deformation matrix are integer
+    forms, and the GCD fold carries its running GCD as a primitive integer
+    form: the only Fractions that poly builds are the values of the
+    normalized result that are not integers, one each."""
+    built = []
+
+    class CountingFraction(F):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
     rng = random.Random(31)
-    dom = GF(101)
     for _ in range(10):
-        m, expected = deformation_case(dom, rng)
-        calls.update(gcd=0, row_reduce=0)
-        assert fitting_support(m).poly == expected.normalized()
-        assert calls == {"gcd": 1, "row_reduce": 2}
+        m, expected = deformation_case(QQ, rng)
+        assert all(type(v) is int for row in m.entries for e in row
+                   for v in e.raw.values())
+        monkeypatch.setattr(poly, "Fraction", CountingFraction)
+        built.clear()
+        support = fitting_support(m)
+        monkeypatch.undo()
+        assert support == expected.normalized()
+        assert len(built) == sum(type(v) is not int
+                                 for v in support.raw.values())
 
 
 def test_maximal_minors_share_their_subdeterminants(monkeypatch):
     """Exact count: the five signed 4x4 minors of a deformation matrix
-    share one memoized Laplace expansion, one dot per row subset it
-    reaches: the 5 minors, 7 row triples and 9 row pairs.  Expanding each
-    minor on its own along its sparsest line took 26."""
+    share one memoized Laplace expansion, one dot_raw on term dicts per
+    row subset it reaches: the 5 minors, 7 row triples and 9 row pairs.
+    Expanding each minor on its own along its sparsest line took 26."""
     calls = []
-    dot_before = matrices.dot
-    monkeypatch.setattr(matrices, "dot", lambda *args, **kwargs:
-                        calls.append(1) or dot_before(*args, **kwargs))
+    dot_raw_before = matrices.dot_raw
+    monkeypatch.setattr(matrices, "dot_raw", lambda pairs:
+                        calls.append(1) or dot_raw_before(pairs))
     for dom in (GF(101), QQ):
         rng = random.Random(31)
         for _ in range(3):

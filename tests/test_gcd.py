@@ -284,13 +284,30 @@ def test_gcd_fold_matches_plain_fold(domain):
 
 @pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
 def test_gcd_of_two_conics_work_counts(domain, monkeypatch):
-    """Exact counts: a GCD of two conics runs at most two row reductions,
-    one for k = 2 and one for k = 1."""
-    calls = []
+    """Exact counts: a GCD of two conics decides k = 2 by one exact
+    division and runs at most one row reduction, for k = 1, and at most
+    one more division, by the cofactor it finds.  Searching k = 2 for a
+    kernel vector too took up to two row reductions."""
+    calls = {"row_reduce": 0, "divide": 0}
     eliminate_before = gcd._eliminate
-    monkeypatch.setattr(gcd, "_eliminate",
-                        lambda rows, p: calls.append(1)
-                        or eliminate_before(rows, p))
+    divide_before = MultiPoly.try_exact_div
+
+    def counting_eliminate(rows, p):
+        calls["row_reduce"] += 1
+        return eliminate_before(rows, p)
+
+    def counting_divide(self, divisor):
+        calls["divide"] += 1
+        return divide_before(self, divisor)
+
+    def counted_gcd(a, b):
+        monkeypatch.setattr(gcd, "_eliminate", counting_eliminate)
+        monkeypatch.setattr(MultiPoly, "try_exact_div", counting_divide)
+        calls.update(row_reduce=0, divide=0)
+        g = multivariate_gcd(a, b)
+        monkeypatch.undo()
+        return g
+
     rng = random.Random(13)
 
     def form(degree):
@@ -305,21 +322,21 @@ def test_gcd_of_two_conics_work_counts(domain, monkeypatch):
         for a, b in pairs:
             if not (a and b):
                 continue
-            calls.clear()
-            g = multivariate_gcd(a, b)
+            g = counted_gcd(a, b)
             assert a.try_exact_div(g) is not None
             assert b.try_exact_div(g) is not None
-            assert len(calls) <= 2
-    # equal conics are decided at k = 2 alone
-    calls.clear()
-    multivariate_gcd(conic, conic * 3)
-    assert len(calls) == 1
+            assert calls["row_reduce"] <= 1
+            assert 1 <= calls["divide"] <= 1 + calls["row_reduce"]
+    # equal conics are decided at k = 2 by the division alone
+    counted_gcd(conic, conic * 3)
+    assert calls == {"row_reduce": 0, "divide": 1}
 
 
 def test_gcd_refuses_a_cofactor_that_does_not_divide(monkeypatch):
     """A kernel vector whose v does not divide a is a package fault."""
     monkeypatch.setattr(gcd, "kernel_vector",
                         lambda rows, pivots: [1] * len(rows[0]))
-    # at k = 1 the all-ones vector gives v = x0 + x1 + x2
+    # neither conic divides the other, so the search runs at k = 1, where
+    # the all-ones vector gives v = x0 + x1 + x2
     with pytest.raises(InvariantError):
-        multivariate_gcd(parse_poly("x0^2 + x1^2"), parse_poly("x1"))
+        multivariate_gcd(parse_poly("x0^2 + x1^2"), parse_poly("x1^2 + x2^2"))

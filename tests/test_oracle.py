@@ -47,13 +47,20 @@ the generic pencil search on res1 determinants, built M11 quartics,
 quartics singular at the point, points off the quartic and pairs of
 forms.
 
-``gcd.multivariate_gcd``, a kernel search on ``_eliminate``, is compared
+``gcd.multivariate_gcd``, one exact division at the top degree and a
+kernel search on ``_eliminate`` below it, is compared
 with sympy's GCD up to a nonzero constant over GF(101), GF(2^61 - 1) and
 QQ with 30-digit coefficients, binary forms in x1 and x2 whose shared
 factor has the root [1:0] among them, as the pencil search hands them to
 ``gcd_fold``; and ``poly.kernel_vector`` on the raw rows that
 ``_eliminate`` reduces, as the GCD runs it, with the nullspace of sympy's
-``DomainMatrix`` over GF(101) and QQ.
+``DomainMatrix`` over GF(101) and QQ.  Over QQ ``MultiPoly.divmod``
+divides primitive integer parts: exact and not, it is compared with the
+Fraction loop it replaced, kept in the test as the reference, on
+polynomials with Fraction values, contents other than 1 and negative
+leading coefficients; and on such forms sharing a factor
+``multivariate_gcd`` and ``gcd_fold``, which carry primitive integer
+forms, with sympy's monic GCD in graded lex order.
 
 Over QQ, where the elimination runs fraction-free on integer rows,
 ``_eliminate``, ``kernel_vector``, ``solve_linear`` and ``linear_rank`` are
@@ -123,6 +130,7 @@ from quarticmoduli.matrices import (  # noqa: E402
     mat_mul,
 )
 from quarticmoduli.poly import (  # noqa: E402
+    _GUARDS,
     DEGREE_LIMIT,
     MAX_CONSTANT_POWER_BITS,
     VARIABLES,
@@ -655,9 +663,11 @@ def test_common_linear_factor_work_counts(monkeypatch):
     square root of their first conic decides, nor in verify's chart-minor
     triples, and no row reduction on a smooth conic.  An unstable block
     whose minors are all multiples of one product of two lines goes
-    through lines_dividing_all, whose linear factors take GCDs."""
+    through lines_dividing_all, whose linear factors take GCDs.  Every
+    GCD, multivariate_gcd's and gcd_fold's alike, runs
+    gcd._common_factor."""
     calls = {"gcd": 0, "row_reduce": 0}
-    gcd_before, eliminate_before = gcd.multivariate_gcd, gcd._eliminate
+    gcd_before, eliminate_before = gcd._common_factor, gcd._eliminate
 
     def counting_gcd(a, b):
         calls["gcd"] += 1
@@ -667,7 +677,7 @@ def test_common_linear_factor_work_counts(monkeypatch):
         calls["row_reduce"] += 1
         return eliminate_before(rows, p)
 
-    monkeypatch.setattr(gcd, "multivariate_gcd", counting_gcd)
+    monkeypatch.setattr(gcd, "_common_factor", counting_gcd)
     monkeypatch.setattr(gcd, "_eliminate", counting_eliminate)
     for domain in DOMAINS:
         stable = 0
@@ -1215,6 +1225,95 @@ def test_multivariate_gcd_edge_cases_match_sympy(domain):
             a, b, domain), (a_text, b_text)
 
 
+# ---- QQ division and GCD on primitive integer parts ----------------------
+
+
+def reference_divmod(a, b, exact=False):
+    """The graded-lex division loop on Fraction values, each step times the
+    inverse of the divisor's leading coefficient: the reference for
+    MultiPoly.divmod over QQ, which divides primitive integer parts."""
+    lead_d, lead = max(b.raw.items())
+    inv = 1 / Fraction(lead)
+    rest = [(k, -c) for k, c in b.raw.items() if k != lead_d]
+    remainder, quotient, kept = dict(a.raw), {}, {}
+    while remainder:
+        lead_r = max(remainder)
+        v = remainder.pop(lead_r)
+        if not v:
+            continue
+        q = lead_r - lead_d
+        if q < 0 or q & _GUARDS:  # lead_d does not divide lead_r
+            if exact:
+                return None
+            kept[lead_r] = v
+            continue
+        quotient[q] = c = v * inv
+        for k, w in rest:
+            remainder[k + q] = c * w + remainder.get(k + q, 0)
+    return MultiPoly.from_raw(QQ, quotient), MultiPoly.from_raw(QQ, kept)
+
+
+def scaled_qq_poly(rng, degrees, homogeneous=False):
+    """A nonzero polynomial over QQ with values n/d, d <= 4, times a
+    content n/d other than 1, negative half the time, so that its leading
+    coefficient is negative as often as not: of one degree drawn from
+    `degrees` if homogeneous, else with terms of every degree up to it."""
+    degree = rng.choice(degrees)
+    terms = {m: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+             for d in ([degree] if homogeneous else range(degree + 1))
+             for m in rng.sample(monomials_of_degree(d),
+                                 min(d + 1, rng.randint(0, 3)))}
+    terms[monomials_of_degree(degree)[0]] = Fraction(rng.randint(1, 5),
+                                                     rng.randint(1, 4))
+    content = Fraction(rng.randint(2, 12), rng.randint(1, 6))
+    return MultiPoly(QQ, terms) * (content * rng.choice((1, -1)))
+
+
+def is_canonical_qq(poly):
+    return all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
+               for v in poly.raw.values())
+
+
+@SETTINGS
+@given(data=st.data())
+def test_qq_divmod_matches_the_fraction_loop(data):
+    """divmod, exact and not, on primitive integer parts gives the quotient
+    and remainder of the Fraction loop, canonical: on exact products, on a
+    product plus a drawn remainder, and on unrelated polynomials."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    a, b, c = (scaled_qq_poly(rng, range(4)) for _ in range(3))
+    for dividend in (b * c, b * c + a, a):
+        for exact in (False, True):
+            ours, want = dividend.divmod(b, exact), reference_divmod(
+                dividend, b, exact)
+            assert ours == want
+            if ours is not None:
+                assert all(map(is_canonical_qq, ours))
+    assert (b * c).try_exact_div(b) == c
+
+
+@SETTINGS
+@given(data=st.data())
+def test_qq_gcd_on_primitive_parts_matches_sympy(data):
+    """multivariate_gcd and gcd_fold, which carry primitive integer forms
+    over QQ and normalize once, equal sympy's monic GCD in graded lex order
+    on forms that share a factor g, each a form times a content other than
+    1, with Fraction values and negative leading coefficients as drawn."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    g = scaled_qq_poly(rng, range(3), homogeneous=True)
+    a, b, c = (g * scaled_qq_poly(rng, range(3), homogeneous=True)
+               for _ in range(3))
+    ring = sympy.ring("x0,x1,x2", sympy.QQ, sympy.grlex)[0]
+
+    def monic(value):
+        return MultiPoly(QQ, sympy_terms(ring, value.monic()))
+
+    theirs = to_ring(ring, a).gcd(to_ring(ring, b))
+    assert gcd.multivariate_gcd(a, b) == monic(theirs)
+    assert gcd_fold([a, b, c]) == monic(theirs.gcd(to_ring(ring, c)))
+    assert is_canonical_qq(gcd_fold([a, b, c]))
+
+
 def eliminated_kernel_vector(matrix, domain):
     """kernel_vector of a matrix of scalars as multivariate_gcd runs it, on
     the raw rows that _eliminate reduces; its entries boxed."""
@@ -1636,6 +1735,8 @@ class ReferenceParser:
             try:
                 return MultiPoly.constant(self.domain, self.domain.parse(tok))
             except ValueError as exc:
+                if str(exc) == f"{tok!r} has over 4300 digits":
+                    raise ParseError(str(exc)) from exc  # names the literal
                 raise ParseError(f"bad number {tok!r}: {exc}") from exc
         raise ParseError(f"unexpected token {tok!r}")
 
@@ -1743,8 +1844,8 @@ def test_parser_matches_the_reference(kind, text, domain, degree):
     polynomial per atom, sum, product and power gave: the same result, or
     an error of the same class with the same message.  The examples are
     the refusals: powers of constants refused over QQ and reduced mod p,
-    a power of a zero base, the degree bound, a literal over int's digit
-    limit, a zero or non-invertible denominator, the refusal of a high
+    a power of a zero base, the degree bound, a literal of over 4,300
+    digits, refused by its text before int() reads it, a zero or non-invertible denominator, the refusal of a high
     power before a cancellation, unbalanced parentheses, an unknown
     variable, and terms that cancel or vanish mod p before a product or a
     power."""

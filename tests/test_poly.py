@@ -471,19 +471,22 @@ def test_linear_algebra_builds_no_field_scalars(domain, monkeypatch):
 
 @pytest.mark.parametrize("domain", [GF(101), QQ], ids=repr)
 def test_sums_of_products_build_one_polynomial_each(domain, monkeypatch):
-    """Exact counts of the polynomials that MultiPoly.from_raw builds: a
-    res0 determinant one per 2x2 minor and one for the cofactor sum; act
-    none, each entry of g * a * h a form made from its raw dict, with g * a
-    kept as raw term dicts; classify_res0, on an M00 matrix with a
-    nonsingular conic among its minors, one per signed minor (three
-    determinants, the odd minor's sign a row swap) and one for the
-    quartic; the invertibility test of a GradedAutomorphism none.  Building
-    every product and partial sum as a polynomial of its own took 18, 90
-    and 19; building g * a as a matrix and negating the odd minor took 18
-    for act and 5 for classify_res0, and an act entry that was a polynomial
-    before it was a form took 9.  None of these runs, nor random_matrix,
-    checks a form through Form.__init__: each result's degree is fixed by
-    its checked inputs."""
+    """Exact counts of the polynomials that MultiPoly.from_raw builds and
+    of the term dicts that Domain.canonical passes over: a res0
+    determinant one of each, its 2x2 minors and partial sums kept as term
+    dicts; act no polynomial, and one pass for each of the nine entries of
+    g * a * h, with g * a kept as raw term dicts; classify_res0, on an M00
+    matrix with a nonsingular conic among its minors, one pass per signed
+    minor (three determinants, the odd minor's sign a row swap), each
+    wrapped as a form, and one polynomial for the quartic; the
+    invertibility test of a GradedAutomorphism none.  Building every
+    product and partial sum as a polynomial of its own took 18, 90 and 19
+    polynomials; building g * a as a matrix and negating the odd minor
+    took 18 for act and 5 for classify_res0; an act entry that was a
+    polynomial before it was a form took 9; and a polynomial per 2x2 minor
+    and per signed minor took 4 for det and 4 for classify_res0.  None of
+    these runs, nor random_matrix, checks a form through Form.__init__:
+    each result's degree is fixed by its checked inputs."""
     a, left, right = random_res0_with_automorphisms(domain, random.Random(3))
     work = {
         "det": a.determinant,
@@ -492,24 +495,29 @@ def test_sums_of_products_build_one_polynomial_each(domain, monkeypatch):
         "automorphism": lambda: GradedAutomorphism(left),
         "random_matrix": lambda: random_matrix("res0", domain, seed=3),
     }
-    built, checked = [], []
+    built, passes, checked = [], [], []
     from_raw = MultiPoly.from_raw.__func__
     monkeypatch.setattr(MultiPoly, "from_raw", classmethod(
         lambda cls, *args: built.append(1) or from_raw(cls, *args)))
+    canonical = type(domain).canonical
+    monkeypatch.setattr(type(domain), "canonical", lambda self, raw:
+                        passes.append(1) or canonical(self, raw))
     init = Form.__init__
     monkeypatch.setattr(Form, "__init__", lambda self, *args: checked.append(
         1) or init(self, *args))
     counts, results = {}, {}
     for name, run in work.items():
         built.clear()
+        passes.clear()
         checked.clear()
         results[name] = run()
-        counts[name] = (len(built), len(checked))
+        counts[name] = (len(built), len(passes), len(checked))
     Form(MultiPoly.zero(domain), 1)
     assert checked == [1]  # the counter does count
     monkeypatch.undo()
-    assert counts == {"det": (4, 0), "act": (0, 0), "classify_res0": (4, 0),
-                      "automorphism": (0, 0), "random_matrix": (0, 0)}
+    assert counts == {"det": (1, 1, 0), "act": (0, 9, 0),
+                      "classify_res0": (1, 4, 0), "automorphism": (0, 0, 0),
+                      "random_matrix": (0, 0, 0)}
     report = results["classify_res0"]
     assert report.label == strata.M00
     assert report.quartic == results["det"]
@@ -636,21 +644,46 @@ def count_fractions_built_in_poly(monkeypatch):
 
 def test_integral_qq_forms_run_without_fractions(monkeypatch):
     """Over QQ the raw values of integral forms are ints: their product,
-    sum, difference and exact division by a divisor with leading
-    coefficient 1 or -1 build no Fraction in poly."""
+    sum, difference and exact division by a divisor whose content divides
+    theirs build no Fraction in poly, since the division runs on primitive
+    integer parts.  Any other exact division builds at most one, the ratio
+    of the contents; a division without exact one per quotient term whose
+    value the divisor's leading coefficient does not divide; normalized
+    one per value that is not an integer."""
     f = parse_poly("x0^2 + 2*x0*x1 - 3*x1*x2 + 5*x2^2")
     g = parse_poly("x0^2 - x0*x2 + x1^2 + 3*x1*x2")
     product, other = f * g, parse_poly("x0^2 + x1^2")
     assert all(type(v) is int for h in (f, g, product) for v in h.raw.values())
     built = count_fractions_built_in_poly(monkeypatch)
     results = [f * g, f + g, f - g, product.try_exact_div(g),
-               product.try_exact_div(-g), product.try_exact_div(other)]
+               product.try_exact_div(-g), product.try_exact_div(other),
+               (product * 6).try_exact_div(g * 3), (g * 2).divmod(f * 2)[0]]
     assert built == []
     assert results[3] == f and results[4] == -f and results[5] is None
-    assert all(type(v) is int for h in results[:5] for v in h.raw.values())
-    # any other leading coefficient costs one Fraction, its inverse
+    assert results[6] == f * 2 and results[7] == 1
+    assert all(type(v) is int for h in results[:5] + results[6:]
+               for v in h.raw.values())
+    # a content that does not divide costs one Fraction, the ratio
     assert product.try_exact_div(f * 7) == g * Fraction(1, 7)
     assert built == [(1, 7)]
+    built.clear()
+    assert (product * 2).try_exact_div(f * Fraction(7, 3)) \
+        == g * Fraction(6, 7)
+    assert built == [(6, 7)]
+    # a leading coefficient that does not divide a step's value ends an
+    # exact division; without exact the step costs one Fraction, here 1/2
+    # on the primitive parts, scaled by the content 3
+    built.clear()
+    assert (f * 3).try_exact_div(parse_poly("2*x0 + x1")) is None
+    assert built == []
+    assert parse_poly("3*x0").divmod(parse_poly("2*x0 + x1")) == (
+        MultiPoly.constant(QQ, Fraction(3, 2)), parse_poly("-3/2*x1"))
+    assert built == [(1, 2)]
+    built.clear()
+    assert (f * 3).normalized() == f
+    assert other.normalized() == other and built == []
+    assert parse_poly("2*x0 + x1").normalized() == parse_poly("x0 + 1/2*x1")
+    assert built == [(1, 2)]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -147,9 +147,10 @@ def test_classification_invariant_under_action():
 
 def test_classify_res0_work_counts(monkeypatch):
     """Exact counts, not times: a random GF(101) res0 matrix is decided
-    with no multivariate GCD and one set of maximal minors."""
+    with no multivariate GCD and one set of maximal minors.  Every GCD,
+    multivariate_gcd's and gcd_fold's alike, runs gcd._common_factor."""
     calls = {"gcd": 0, "minors": 0}
-    gcd_before = gcd.multivariate_gcd
+    gcd_before = gcd._common_factor
     minors_before = FormMatrix.maximal_minors
 
     def counting_gcd(a, b):
@@ -169,7 +170,7 @@ def test_classify_res0_work_counts(monkeypatch):
     cases = [random_matrix("res0", dom, rng=rng) for _ in range(20)]
     stable = [is_stable_kronecker(m.submatrix([1, 2], [0, 1, 2]))
               for m in cases + [zero_column]]
-    monkeypatch.setattr(gcd, "multivariate_gcd", counting_gcd)
+    monkeypatch.setattr(gcd, "_common_factor", counting_gcd)
     monkeypatch.setattr(FormMatrix, "maximal_minors", counting_minors)
     for m in cases:
         calls.update(gcd=0, minors=0)
