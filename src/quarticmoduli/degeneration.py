@@ -19,8 +19,8 @@ from .matrices import (
     FormMatrix,
     ScaleCol,
     ScaleRow,
+    _derived,
     apply_ops,
-    is_stable_kronecker,
     matrix_from_json_dict,
 )
 from .poly import (
@@ -32,6 +32,7 @@ from .poly import (
     coefficient_rows,
     key_exponent,
     keys_of_degree,
+    multiples_matrix,
     parse_form,
     solve_linear,
 )
@@ -54,6 +55,11 @@ class BlowupChartPoint:
     """
 
     def __init__(self, a, t, b, chart):
+        """The linear part of A = boundary_matrix(xbar0, w) is [[-x2, 0,
+        xbar0], [x1, -xbar0, 0]], whose signed maximal minors are
+        xbar0*(xbar0, x1, x2): they span rank 3, and the part is stable,
+        exactly when xbar0 has a nonzero x0 coefficient, which is read off
+        with no minor computed."""
         self.a = a
         self.t = a.domain.scalar(t)
         self.b = b
@@ -61,7 +67,7 @@ class BlowupChartPoint:
         self.params = _extract_chart_params(a, b)
         if not _chart_coefficient(self.params, chart) == a.domain.one:
             raise ChartError(f"coefficient for chart {chart!r} must equal 1")
-        if not is_stable_kronecker(a.submatrix([1, 2], [0, 1, 2])):
+        if not self.params["xbar0"].raw.get(keys_of_degree(1)[0]):
             raise ChartError("base matrix must have a stable linear part")
 
     def total(self, t=None):
@@ -206,18 +212,21 @@ def family_limit(pt):
 
 
 def tangent_quartic(a, b):
-    """The t-linear coefficient of det(A + tB) for det A = 0.
+    """The t-linear coefficient of det(A + tB), the limit quartic when
+    det A = 0.
 
-    Equals the sum of the three determinants with one row of A replaced by
-    the matching row of B, a form of the determinant's degree; each
-    replaced matrix goes through the checked constructor, since B comes
-    from the caller.
+    Equals the sum of the determinants with one row of A replaced by the
+    matching row of B, a form of the determinant's degree.  B must have
+    A's degrees, which is checked once; then each replaced row keeps its
+    entries' degrees, and the replaced matrices are not checked again.
     """
+    if (b.src_degrees, b.tgt_degrees) != (a.src_degrees, a.tgt_degrees):
+        raise DegreeError("direction matrix must have the base's degrees")
     rows = a.entries
-    dets = [FormMatrix(a.src_degrees, a.tgt_degrees,
-                       [*rows[:i], b.row(i), *rows[i + 1:]]).determinant()
-            for i in range(3)]
-    return dets[0] + dets[1] + dets[2]
+    dets = [_derived(a.src_degrees, a.tgt_degrees,
+                     [*rows[:i], b.row(i), *rows[i + 1:]]).determinant()
+            for i in range(a.nrows)]
+    return sum(dets[1:], dets[0])
 
 
 # ---- deformation reduction chain --------------------------------------
@@ -347,8 +356,11 @@ def build_twisted_ideal_resolution(f, l, g):
     """Solve f = l*h - w*g for a linear w and cubic h.
 
     Linear algebra on the degree-4 slice of the ideal (l, g); raises when f
-    is not in the ideal.  Any exact solution is accepted; when l divides f
-    the w = 0 solution is returned and flagged non-semistable.
+    is not in the ideal.  The unknowns' columns, the multiples m*l for the
+    cubic monomials m and m*(-g) for the linear ones, are laid out by key
+    shift, one row per quartic monomial, with no product built.  Any exact
+    solution is accepted; when l divides f the w = 0 solution is returned
+    and flagged non-semistable.
     """
     domain = f.domain
     if f.degree != 4 or l.degree != 1 or g.degree != 3:
@@ -361,11 +373,12 @@ def build_twisted_ideal_resolution(f, l, g):
                                       _graded(domain, quotient.raw, 3),
                                       semistable=False)
     cubics, linears = keys_of_degree(3), keys_of_degree(1)
-    # one column per unknown coefficient, one row per quartic monomial
-    columns = [l * _graded(domain, {m: 1}, 3) for m in cubics]
-    columns += [-(g * _graded(domain, {m: 1}, 1)) for m in linears]
-    solution = solve_linear(list(zip(*coefficient_rows(columns, 4))),
-                            coefficient_rows([f], 4)[0], domain.modulus)
+    neg_g = (-g).raw
+    matrix = multiples_matrix([(m, l.raw) for m in cubics]
+                              + [(m, neg_g) for m in linears],
+                              keys_of_degree(4))
+    solution = solve_linear(matrix, coefficient_rows([f], 4)[0],
+                            domain.modulus)
     if solution is None:
         raise ValueError("quartic is not in the ideal (l, g): Z is not on C")
     n = len(cubics)

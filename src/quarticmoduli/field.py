@@ -45,6 +45,7 @@ class InvariantError(RuntimeError):
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 MAX_DIGITS = 4300  # the interpreter reads and prints ints of this many digits
+_DIGITS_BOUND = 10**MAX_DIGITS  # the least int of over MAX_DIGITS digits
 
 
 def _is_prime(n):
@@ -101,9 +102,10 @@ class Domain:
 
     def parse(self, text):
         """The scalar of a rational literal; ValueError, quoting it, on a bad
-        one, a zero denominator included, or on a part or a value (as
-        Fraction reads an exponent) of over MAX_DIGITS digits; an exponent
-        of 10^5 or more gives 0 or that long a value, and is not expanded."""
+        one, a zero denominator included, or on a part of over MAX_DIGITS
+        digits or a value whose numerator or denominator has that many (as
+        Fraction reads an exponent or a decimal point); an exponent of 10^5
+        or more gives 0 or that long a value, and is not expanded."""
         e = re.search(r"E([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
         big = e and (len(e[1]) > MAX_DIGITS or abs(int(e[1])) >= 10**5)
         mantissa = text[:e.start()] if e else text
@@ -116,8 +118,8 @@ class Domain:
         except ValueError:
             raise ValueError(f"Invalid literal for Fraction: "
                              f"{text.strip()!r}") from None
-        if value and e and (big or max(abs(value.numerator),
-                                       value.denominator) >= 10**MAX_DIGITS):
+        if value and (big or max(abs(value.numerator),
+                                 value.denominator) >= _DIGITS_BOUND):
             raise ValueError(f"{text.strip()!r} has over {MAX_DIGITS} digits")
         return self.scalar(value)
 
@@ -154,7 +156,9 @@ class Rationals(Domain):
                            else Fraction(raw))
 
     def canonical(self, raw_terms):
-        return {e: v.numerator if v.denominator == 1 else v
+        """Ints pass by one type test; a Fraction of denominator 1 becomes
+        its numerator."""
+        return {e: v if type(v) is int or v.denominator != 1 else v.numerator
                 for e, v in raw_terms.items() if v}
 
     def __repr__(self):

@@ -57,6 +57,7 @@ from .poly import (
     key_exponent,
     keys_of_degree,
     kernel_vector,
+    multiples_matrix,
 )
 
 _UNITS = X0, X1, X2 = keys_of_degree(1)  # the keys of x0, x1, x2
@@ -95,12 +96,7 @@ def _common_factor(a, b):
         n_u = len(shifts)
         shifts += [(m, neg_b) for d in range((da - k) * forms, da - k + 1)
                    for m in keys_of_degree(d)]
-        rows = {}
-        for j, (m, terms) in enumerate(shifts):
-            for e, c in terms.items():
-                rows.setdefault(m + e, {})[j] = c
-        matrix = [[row.get(j, 0) for j in range(len(shifts))]
-                  for row in rows.values()]
+        matrix = multiples_matrix(shifts)
         x = kernel_vector(matrix, _eliminate(matrix, domain.modulus))
         if x is not None:
             g = a.try_exact_div(_integral(domain, {

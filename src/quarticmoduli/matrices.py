@@ -6,10 +6,14 @@ and target degrees (2, 0).  Entry (i, j) is homogeneous of degree
 src_degrees[i] - tgt_degrees[j]; a negative required degree forces zero.
 
 ``FormMatrix(src, tgt, entries)`` is the one constructor, and it checks
-this contract on Forms and polynomials alike.  Matrices derived from
-checked ones (submatrices, transposes, sums, scalings, elementary
-operations) go through it too: a Form of the required degree is kept
-after one comparison, and a zero entry takes the required degree.
+this contract on Forms and polynomials alike, where a matrix enters: a
+parser, a JSON loader, a sampler or a caller's entries.  A Form of the
+required degree is kept after one comparison, and a zero entry takes the
+required degree max(need, 0).  Matrices derived from checked ones are
+built unchecked by ``_derived``, as ``poly._graded`` builds forms: sums,
+scalings, transposes, submatrices, the elementary operations and the
+result of ``act``.  Their entries are forms whose degrees the checked
+inputs fix, so each keeps its required degree, a zero entry included.
 
 ``det`` and ``mat_mul`` are the package's single determinant and matrix
 product; they work on grids of ``MultiPoly`` over any domain, a
@@ -21,7 +25,7 @@ once.  The maximal minors of an (n+1) x n matrix, or of the transpose of
 an n x (n+1) one, share one memo; minor j is one expansion with the sign
 (-1)^j, with no submatrix.  ``mat_mul`` sums each entry with ``poly.dot``
 and ``act`` each entry of g * a * h with ``poly.dot_raw``, into one
-checked FormMatrix.  A ``GradedAutomorphism`` tests its scalar blocks with
+derived matrix.  A ``GradedAutomorphism`` tests its scalar blocks with
 ``poly._eliminate`` on their raw constants.
 """
 
@@ -48,6 +52,10 @@ class DegreeError(ValueError):
 
 
 class FormMatrix:
+    """A graded matrix of forms, checked once where it enters: each entry
+    is a Form of degree max(src_degrees[i] - tgt_degrees[j], 0).  The
+    matrices derived from it are not checked again (see ``_derived``)."""
+
     __slots__ = ("src_degrees", "tgt_degrees", "entries")
 
     def __init__(self, src_degrees, tgt_degrees, entries):
@@ -101,21 +109,18 @@ class FormMatrix:
             or self.tgt_degrees != other.tgt_degrees
         ):
             raise DegreeError("shape mismatch in matrix sum")
-        return FormMatrix(
-            self.src_degrees,
-            self.tgt_degrees,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
+        return _derived(self.src_degrees, self.tgt_degrees, [
+            [a + b for a, b in zip(r1, r2)]
+            for r1, r2 in zip(self.entries, other.entries)])
 
     def scaled(self, scalar):
-        return FormMatrix(
-            self.src_degrees,
-            self.tgt_degrees,
-            [[e * scalar for e in row] for row in self.entries],
-        )
+        """The matrix times a scalar, unboxed once: each entry is one pass
+        over its raw values, made canonical, and keeps its degree."""
+        domain, v = self.domain, self.domain.unbox(scalar)
+        return _derived(self.src_degrees, self.tgt_degrees, [
+            [_graded(domain, domain.canonical({k: c * v for k, c in
+                                               e.raw.items()}), e.degree)
+             for e in row] for row in self.entries])
 
     def row(self, i):
         return self.entries[i]
@@ -123,16 +128,15 @@ class FormMatrix:
     def transpose(self):
         """The transpose, from the negated target degrees to the negated
         source degrees, so that every entry keeps its degree."""
-        return FormMatrix([-d for d in self.tgt_degrees],
-                          [-d for d in self.src_degrees],
-                          list(zip(*self.entries)))
+        return _derived(tuple(-d for d in self.tgt_degrees),
+                        tuple(-d for d in self.src_degrees),
+                        zip(*self.entries))
 
     def submatrix(self, rows, cols):
-        return FormMatrix(
-            [self.src_degrees[i] for i in rows],
-            [self.tgt_degrees[j] for j in cols],
-            [[self.entries[i][j] for j in cols] for i in rows],
-        )
+        return _derived(
+            tuple(self.src_degrees[i] for i in rows),
+            tuple(self.tgt_degrees[j] for j in cols),
+            [[self.entries[i][j] for j in cols] for i in rows])
 
     def determinant(self):
         """Exact determinant, homogeneous of degree sum(src) - sum(tgt), by
@@ -183,6 +187,17 @@ class FormMatrix:
         rows = "\n".join("  [" + ", ".join(row) + "]"
                          for row in self.serialize_entries())
         return f"FormMatrix(src={self.src_degrees}, tgt={self.tgt_degrees},\n{rows})"
+
+
+def _derived(src_degrees, tgt_degrees, rows):
+    """The FormMatrix of tuples of degrees and rows of Forms that checked
+    inputs fix, unchecked: each entry (i, j) must already be a Form of
+    degree max(src_degrees[i] - tgt_degrees[j], 0), such as an entry, a
+    sum or a scalar multiple of entries of checked matrices."""
+    m = object.__new__(FormMatrix)
+    m.src_degrees, m.tgt_degrees = src_degrees, tgt_degrees
+    m.entries = tuple(map(tuple, rows))
+    return m
 
 
 def _graded_entry(i, j, need, entry):
@@ -300,7 +315,9 @@ class GradedAutomorphism:
 
 def act(g, a, h):
     """The product g * a * h of graded automorphisms around a matrix; the
-    rows of g * a stay term dicts, and each entry is one canonical form."""
+    rows of g * a stay term dicts, and each entry is one canonical form of
+    the degree that the checked factors fix, in a matrix not checked
+    again."""
     g, h = (m.matrix if isinstance(m, GradedAutomorphism) else m
             for m in (g, h))
     if g.tgt_degrees != a.src_degrees:
@@ -310,7 +327,7 @@ def act(g, a, h):
     domain = a.domain
     rows, grid, cols = (_raw_grid(m.entries, domain) for m in (g, a, h))
     ga = [[dot_raw(zip(row, col)) for col in zip(*grid)] for row in rows]
-    return FormMatrix(g.src_degrees, h.tgt_degrees, [
+    return _derived(g.src_degrees, h.tgt_degrees, [
         [_graded(domain, domain.canonical(dot_raw(zip(row, col))),
                  max(s - t, 0)) for t, col in zip(h.tgt_degrees, zip(*cols))]
         for s, row in zip(g.src_degrees, ga)])
@@ -363,19 +380,24 @@ class ScaleRow(ElementaryOp):
             raise DegreeError("scale must be nonzero")
         rows = list(m.entries)
         rows[self.i] = [e * c for e in rows[self.i]]
-        return FormMatrix(m.src_degrees, m.tgt_degrees, rows)
+        return _derived(m.src_degrees, m.tgt_degrees, rows)
 
 
 class AddMultipleOfRow(ElementaryOp):
-    """target_row += multiplier * source_row, degree bookkeeping enforced."""
+    """target_row += multiplier * source_row, degree bookkeeping enforced:
+    a nonzero multiplier must be a form of degree src[target] -
+    src[source], and then each nonzero product has its entry's degree; a
+    zero multiplier, of any degree, returns the matrix unchanged."""
 
     def __init__(self, target, source, multiplier):
         self.target, self.source, self.multiplier = target, source, multiplier
 
     def apply(self, m):
         mult = self.multiplier
+        if not mult:
+            return m
         need = m.src_degrees[self.target] - m.src_degrees[self.source]
-        if mult.degree != need and mult:
+        if mult.degree != need:
             raise DegreeError(
                 f"multiplier must have degree {need}, got {mult.degree}"
             )
@@ -384,7 +406,7 @@ class AddMultipleOfRow(ElementaryOp):
             a + mult * b if b else a
             for a, b in zip(rows[self.target], rows[self.source])
         ]
-        return FormMatrix(m.src_degrees, m.tgt_degrees, rows)
+        return _derived(m.src_degrees, m.tgt_degrees, rows)
 
 
 class _OnColumns:

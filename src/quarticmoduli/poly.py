@@ -27,6 +27,10 @@ power repeated ``dot_raw``.  One polynomial is built, at the end.
 ``MultiPoly.divmod`` keys its remainder by key: kd divides kr when kr - kd
 is nonnegative with no guard bit, the top bit of an exponent field that a
 borrow sets; over QQ it divides primitive integer parts (Gauss's lemma).
+``multiples_matrix`` lays out the monomial multiples m*f of term dicts as
+the columns of a linear system by key shift, with no product: the GCD's
+kernel search, the twisted ideal's solve and the row-space test in
+``strata`` all read their columns from it.
 ``evaluate`` builds no polynomial: it runs ``field.evaluate_raw``, the
 one evaluation loop, on the raw terms and the unboxed point, and refuses
 a point that is not a triple.
@@ -375,6 +379,20 @@ def dot(pairs, domain):
             domain.check_same(b.domain)
         terms.append((a.raw, b.raw))
     return MultiPoly.from_raw(domain, dot_raw(terms))
+
+
+def multiples_matrix(pairs, keys=()):
+    """The matrix, of raw values, whose column j holds the coefficients of
+    m * f for the j-th pair (m, f) of a monomial key and a term dict: its
+    terms are those of f, each key shifted by m, since keys add as
+    exponents do.  The rows are the given keys in order, then the other
+    keys in the order they appear."""
+    rows = {k: {} for k in keys}
+    for j, (m, terms) in enumerate(pairs):
+        for e, c in terms.items():
+            rows.setdefault(m + e, {})[j] = c
+    return [[row.get(j, 0) for j in range(len(pairs))]
+            for row in rows.values()]
 
 
 def dot_raw(pairs):

@@ -18,7 +18,6 @@ from .gcd import (
 )
 from .matrices import SHAPES, FormMatrix, det, stable_kronecker_minors
 from .poly import (
-    Form,
     MultiPoly,
     _eliminate,
     _graded,
@@ -26,6 +25,7 @@ from .poly import (
     dot,
     kernel_vector,
     keys_of_degree,
+    multiples_matrix,
     solve_linear,
 )
 
@@ -160,11 +160,13 @@ def _boundary_report(a, k, minors):
 def _in_row_space(q, k):
     """Whether the quadrics q are u1*row1 + u2*row2 for the rows of the
     linear block k and linear forms u1, u2: one solve of the 18 quadric
-    coefficients in the 6 coefficients of u1 and u2."""
-    xs = [Form(MultiPoly.variable(k.domain, n), 1) for n in range(3)]
-    columns = [sum(coefficient_rows([x * e for e in k.row(i)], 2), [])
-               for i in range(2) for x in xs]
-    return solve_linear(list(zip(*columns)), sum(coefficient_rows(q, 2), []),
+    coefficients in the 6 coefficients of u1 and u2, whose columns are the
+    multiples x*k[i, j] of each entry j, laid out by key shift."""
+    xs, quadrics = keys_of_degree(1), keys_of_degree(2)
+    matrix = sum((multiples_matrix([(x, k[i, j].raw) for i in range(2)
+                                    for x in xs], quadrics)
+                  for j in range(3)), [])
+    return solve_linear(matrix, sum(coefficient_rows(q, 2), []),
                         k.domain.modulus) is not None
 
 
@@ -184,15 +186,22 @@ def boundary_matrix(xbar0, w):
 
 def boundary_parameters(a):
     """(xbar0, w) when a is boundary_matrix(xbar0, w) with w nonzero,
-    else None; w is read off entry (0, 1)."""
+    else None.  The normal form is read, not rebuilt: w is entry (0, 1)
+    divided by -x2 and xbar0 is entry (1, 2), and the seven other entries
+    are compared with 0, x1*w, -x2, 0, x1, -xbar0 and 0."""
     if not isinstance(a, FormMatrix) \
             or (a.src_degrees, a.tgt_degrees) != SHAPES["res0"] or not a[0, 1]:
         return None
-    w = a[0, 1].try_exact_div(-MultiPoly.variable(a.domain, 2))
+    x1, x2 = (_graded(a.domain, {k: 1}, 1) for k in keys_of_degree(1)[1:])
+    w = a[0, 1].try_exact_div(-x2)
     if w is None:
         return None
     xbar0, w = a[1, 2], _graded(a.domain, w.raw, 1)
-    return (xbar0, w) if boundary_matrix(xbar0, w) == a else None
+    zeros = a[0, 0], a[1, 1], a[2, 2]
+    found = a[0, 2], a[1, 0], a[2, 0], a[2, 1]
+    if any(zeros) or found != (x1 * w, -x2, x1, -xbar0):
+        return None
+    return xbar0, w
 
 
 def classify_res1(a):

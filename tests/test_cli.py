@@ -880,7 +880,24 @@ def test_limit_family_file_fuzz(tmp_path, capsys):
         if args[0] == "limit":
             answered_or_refused = hypothesis.example(payload, "q")(
                 answered_or_refused)
+    # a t value whose denominator has 4,301 digits, too long to print
+    tiny = chart_family(("0", "0", "0", "1", "0", "0", "0", "1", "0", "0", "0"),
+                        "a", ["0." + "0" * 4299 + "1"])
+    answered_or_refused = hypothesis.example(tiny, "q")(answered_or_refused)
     answered_or_refused()
+
+
+def test_limit_refuses_a_t_value_too_long_to_print(tmp_path, capsys):
+    # 0.<4,299 zeros>1 has parts of at most 4,300 digits, and the value
+    # 1/10^4300 is refused by its literal, not when t is printed
+    path = tmp_path / "family.json"
+    t = "0." + "0" * 4299 + "1"
+    path.write_text(json.dumps(chart_family(
+        ("0", "0", "0", "1", "0", "0", "0", "1", "0", "0", "0"), "a", [t])))
+    assert cli.main(["limit", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: t_values[0]: {t!r} has over 4300 digits\n"
 
 
 def test_field_option_fuzz(tmp_path, capsys):

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from quarticmoduli import gcd, matrices, poly
+from quarticmoduli import gcd, matrices, poly, strata
 from quarticmoduli.degeneration import (
+    BlowupChartPoint,
     ChartError,
     DeformationInstance,
     FlagDatum,
@@ -19,7 +20,14 @@ from quarticmoduli.degeneration import (
     tangent_quartic,
 )
 from quarticmoduli.field import GF, QQ, FieldScalar
-from quarticmoduli.matrices import FormMatrix, random_form
+from quarticmoduli.matrices import (
+    SHAPES,
+    DegreeError,
+    FormMatrix,
+    make_matrix,
+    random_form,
+    random_matrix,
+)
 from quarticmoduli.poly import (
     Form,
     MultiPoly,
@@ -92,6 +100,59 @@ def test_chart_coefficient_must_be_one():
     # q-coordinate charts work too
     pt = chart_point(chart="q0[0,2,0]")
     assert pt.chart == "q0[0,2,0]"
+
+
+def test_chart_stability_is_read_off_xbar0():
+    # the linear part [[-x2, 0, xbar0], [x1, -xbar0, 0]] of the boundary
+    # normal form has the minors xbar0*(xbar0, x1, x2), so it is stable
+    # exactly when xbar0 has an x0 term: BlowupChartPoint reads that off,
+    # and agrees with is_stable_kronecker, refusing with the same text
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficient = st.sampled_from([0, 1, 2, -1, 3])
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.sampled_from([QQ, GF(101), GF(3)]),
+                      st.tuples(coefficient, coefficient, coefficient),
+                      st.tuples(coefficient, coefficient))
+    def agrees(domain, xbar0, w):
+        x0, x1, x2 = (Form(MultiPoly.variable(domain, i), 1) for i in range(3))
+        xbar0 = x0 * xbar0[0] + x1 * xbar0[1] + x2 * xbar0[2]
+        w = x1 * w[0] + x2 * w[1]
+        hypothesis.assume(w)
+        a = strata.boundary_matrix(xbar0, w)
+        b = make_matrix(*SHAPES["res0"], [["x0^2", "x1*x2", "x2^2"],
+                                          ["0", "2*x1", "0"],
+                                          ["0", "x1 - x2", "3*x2"]], domain)
+        if matrices.is_stable_kronecker(a.submatrix([1, 2], [0, 1, 2])):
+            assert BlowupChartPoint(a, 1, b, "a").params["xbar0"] == xbar0
+        else:
+            with pytest.raises(ChartError, match=r"^base matrix must have a "
+                               r"stable linear part$"):
+                BlowupChartPoint(a, 1, b, "a")
+
+    for domain in (QQ, GF(101), GF(3)):
+        for c0 in (0, 1, 3):  # no x0 term, one, and 3, zero in GF(3)
+            agrees = hypothesis.example(domain, (c0, 2, -1), (1, 1))(agrees)
+        agrees = hypothesis.example(domain, (0, 0, 0), (0, 1))(agrees)
+    agrees()
+
+
+def test_tangent_quartic_refuses_a_direction_of_another_shape():
+    pt = chart_point()
+    for b in (random_matrix("res1", QQ, seed=1), pt.b.transpose(),
+              pt.b.submatrix([0, 1, 2], [0, 1])):
+        with pytest.raises(DegreeError, match="base's degrees"):
+            tangent_quartic(pt.a, b)
+    # any square shape takes one replaced row per row: det(A + tB) of 2x2
+    # matrices is det A + t*c1 + t^2*det B; a wide one has no determinant
+    a, b = (random_matrix("res1", GF(101), seed=s) for s in (1, 2))
+    assert tangent_quartic(a, b) == (
+        (a + b).determinant() - a.determinant() - b.determinant())
+    wide = pt.a.submatrix([1, 2], [0, 1, 2])
+    with pytest.raises(DegreeError, match="non-square"):
+        tangent_quartic(wide, wide)
 
 
 def test_total_classifies_as_open_stratum():
@@ -287,9 +348,9 @@ def test_twisted_ideal_round_trip():
 @pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
 def test_twisted_ideal_resolution_builds_no_field_scalars(domain,
                                                          monkeypatch):
-    """Exact count: the linear system is read and solved on raw values, and
-    each of the 13 monomial columns unboxes its coefficient 1 with no
-    FieldScalar; converting it through Domain.scalar built 13."""
+    """Exact count: the linear system is laid out by key shift and solved
+    on raw values, with no FieldScalar; converting the coefficient 1 of
+    each of the 13 monomial columns through Domain.scalar built 13."""
     l, g, w, h = (parse_form(text, domain=domain) for text in
                   ("x0 + 2*x1", "x1^3 + x0*x2^2 - x2^3", "x2 - x1",
                    "x0^3 + 3*x1*x2^2"))

@@ -232,3 +232,19 @@ def test_parse_reads_an_exponent_before_expanding_it():
         with pytest.raises(ValueError, match="Invalid literal for Fraction"):
             QQ.parse(text)
     assert time.monotonic() - start < 1
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
+def test_parse_bounds_every_literal_by_its_value(domain):
+    # a literal whose parts each have at most 4,300 digits is still refused
+    # when its value's numerator or denominator has more, exponent or not,
+    # so that every value parsed can be printed
+    zeros = "0" * 4299
+    assert QQ.parse(f"0.{zeros[1:]}1").value == Fraction(1, 10**4299)
+    assert QQ.parse("9" * 4300 + "/7").value == Fraction(10**4300 - 1, 7)
+    for text in (f"0.{zeros}1", f"-0.{zeros}1", f"5{zeros}.5",
+                 "9" * 4300 + ".5"):
+        with pytest.raises(ValueError) as refused:
+            domain.parse(text)
+        assert str(refused.value) == f"{text!r} has over 4300 digits"
+    assert domain.parse(f"0.{zeros}") == 0

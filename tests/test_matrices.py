@@ -1,9 +1,18 @@
 import random
+import time
+from unittest import mock
 
 import pytest
 
+from quarticmoduli.degeneration import (
+    DEFORM_SRC,
+    DEFORM_TGT,
+    make_blowup_chart_point,
+    tangent_quartic,
+)
 from quarticmoduli.field import GF, QQ, ParamRing
 from quarticmoduli.matrices import (
+    SHAPES,
     AddMultipleOfCol,
     AddMultipleOfRow,
     DegreeError,
@@ -23,6 +32,7 @@ from quarticmoduli.matrices import (
 )
 from quarticmoduli.poly import (
     Form,
+    MultiPoly,
     exponent_terms,
     monomials_of_degree,
     parse_form,
@@ -362,3 +372,89 @@ def test_derived_matrices_keep_the_constructor_contract():
         again = FormMatrix(d.src_degrees, d.tgt_degrees, d.entries)
         assert again == d and degrees(again) == degrees(d), d
     assert AddMultipleOfRow(1, 2, Form.zero(QQ, 7)).apply(m) == m
+
+
+def sparse_matrix(domain, src, tgt, rng):
+    """A checked matrix whose entries are random forms of their degrees,
+    each zero with probability 1/3, so that zero entries of every degree
+    appear."""
+    return FormMatrix(src, tgt, [
+        [random_form(domain, s - t, rng) if s >= t and rng.randrange(3)
+         else MultiPoly.zero(domain) for t in tgt] for s in src])
+
+
+def replaced_matrices(a, b):
+    """The matrices whose determinants tangent_quartic(a, b) sums, as it
+    builds them."""
+    seen = []
+    determinant = FormMatrix.determinant
+
+    def record(m):
+        seen.append(m)
+        return determinant(m)
+
+    with mock.patch.object(FormMatrix, "determinant", record):
+        tangent_quartic(a, b)
+    return seen
+
+
+def test_unchecked_derived_matrices_pass_the_check():
+    # every matrix built from checked ones without the constructor's check
+    # would pass it with the same entry degrees, zero entries included:
+    # sums, scalings (by 0 too), transposes, submatrices, each elementary
+    # operation (zero multipliers of any degree too), act, the matrices
+    # that tangent_quartic replaces rows in, and BlowupChartPoint.total,
+    # on the res0, res1 and 5x4 deformation shapes
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    shapes = {**SHAPES, "deform": (DEFORM_SRC, DEFORM_TGT)}
+
+    @hypothesis.settings(max_examples=15, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.sampled_from([QQ, GF(101), GF(3)]),
+                      st.sampled_from(sorted(shapes)), st.integers(0, 2**32))
+    def derived_pass(domain, shape, seed):
+        rng = random.Random(seed)
+        src, tgt = shapes[shape]
+        m, other = (sparse_matrix(domain, src, tgt, rng) for _ in range(2))
+        c = domain.scalar(rng.choice([2, -1]))  # nonzero in every field
+
+        def pick(n):
+            return sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+
+        def multiplier(need):
+            # a form of degree need, or a zero form of any degree
+            if need < 0 or not rng.randrange(3):
+                return Form.zero(domain, rng.randrange(5))
+            return random_form(domain, need, rng)
+
+        rt, rs = rng.randrange(len(src)), rng.randrange(len(src))
+        ct, cs = rng.randrange(len(tgt)), rng.randrange(len(tgt))
+        derived = [
+            m + other, m.scaled(c), m.scaled(0), m.transpose(),
+            m.submatrix(pick(len(src)), pick(len(tgt))),
+            ScaleRow(rt, c).apply(m), ScaleCol(ct, c).apply(m),
+            AddMultipleOfRow(rt, rs, multiplier(src[rt] - src[rs])).apply(m),
+            AddMultipleOfCol(ct, cs, multiplier(tgt[cs] - tgt[ct])).apply(m),
+            act(random_graded_automorphism(src, domain, rng), m,
+                random_graded_automorphism(tgt, domain, rng)),
+        ]
+        if shape == "res0":
+            derived += replaced_matrices(m, other)
+            k = [rng.randrange(-3, 4) for _ in range(9)]
+            pt = make_blowup_chart_point(
+                domain, k[0], k[1], k[2], 1, random_form(
+                    domain, 2, rng).serialize(), f"{k[3]}*x1^2 + {k[4]}*x1*x2",
+                f"{k[5]}*x2^2", (1, k[6], k[7], k[8]), "a", rng.randrange(5))
+            derived += [pt.total(), pt.total(rng.randrange(-3, 4))]
+        for d in derived:
+            again = FormMatrix(d.src_degrees, d.tgt_degrees, d.entries)
+            assert again == d and degrees(again) == degrees(d), d
+            assert all(isinstance(e, Form) for row in d.entries for e in row)
+
+    for domain in (QQ, GF(3)):
+        for shape in shapes:
+            derived_pass = hypothesis.example(domain, shape, 7)(derived_pass)
+    start = time.monotonic()
+    derived_pass()
+    assert time.monotonic() - start < 2

@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from quarticmoduli import gcd, matrices, poly, strata
+from quarticmoduli import degeneration, gcd, matrices, poly, strata
 from quarticmoduli.field import GF, QQ, FieldScalar, ParamRing
 from quarticmoduli.gcd import _conic_rank
 from quarticmoduli.matrices import (
     SHAPES,
+    AddMultipleOfCol,
+    AddMultipleOfRow,
     FormMatrix,
     GradedAutomorphism,
+    ScaleCol,
+    ScaleRow,
     act,
     random_form,
     random_graded_automorphism,
@@ -524,6 +528,108 @@ def test_sums_of_products_build_one_polynomial_each(domain, monkeypatch):
     assert any(_conic_rank(m)[0] == 3 for m in report.scheme_ideal)
     assert results["act"].determinant() == (
         left.determinant() * a.determinant() * right.determinant())
+
+
+@pytest.mark.parametrize("domain", [GF(101), QQ], ids=repr)
+def test_matrices_are_checked_once_where_they_enter(domain, monkeypatch):
+    """Exact counts on the boundary path: the derived matrices, act,
+    BlowupChartPoint.total and tangent_quartic, after its one shape check
+    of the direction, run no FormMatrix.__init__ (each ran it once, total
+    twice and tangent_quartic three times); boundary_parameters builds no
+    boundary_matrix (it rebuilt one to compare), and BlowupChartPoint
+    takes no maximal minor (it took those of its linear part)."""
+    a, left, right = random_res0_with_automorphisms(domain, random.Random(3))
+    pt = degeneration.make_blowup_chart_point(
+        domain, 1, 2, -1, 1, "x0^2 + x1^2", "x1*x2", "3*x2^2", (1, 2, 0, -1),
+        "a", 2)
+    x1, two = (parse_form(text, domain=domain) for text in ("x1", "2"))
+    work = {
+        "sum": lambda: a + a,
+        "scaled": lambda: a.scaled(3),
+        "transpose": a.transpose,
+        "submatrix": lambda: a.submatrix([1, 2], [0, 1, 2]),
+        "ScaleRow": lambda: ScaleRow(0, 2).apply(a),
+        "ScaleCol": lambda: ScaleCol(2, 2).apply(a),
+        "AddMultipleOfRow": lambda: AddMultipleOfRow(0, 1, x1).apply(a),
+        "AddMultipleOfCol": lambda: AddMultipleOfCol(0, 1, two).apply(a),
+        "act": lambda: act(left, a, right),
+        "total": pt.total,
+        "tangent_quartic": lambda: degeneration.tangent_quartic(pt.a, pt.b),
+    }
+    checked, built, minors = [], [], []
+    init = FormMatrix.__init__
+    monkeypatch.setattr(FormMatrix, "__init__", lambda self, *args: checked
+                        .append(1) or init(self, *args))
+    boundary_matrix = strata.boundary_matrix
+    monkeypatch.setattr(strata, "boundary_matrix", lambda *args: built
+                        .append(1) or boundary_matrix(*args))
+    maximal_minors = FormMatrix.maximal_minors
+    monkeypatch.setattr(FormMatrix, "maximal_minors", lambda self: minors
+                        .append(1) or maximal_minors(self))
+    counts = {}
+    for name, run in work.items():
+        checked.clear()
+        run()
+        counts[name] = len(checked)
+    params = strata.boundary_parameters(pt.a)
+    again = degeneration.BlowupChartPoint(pt.a, 1, pt.b, "a")
+    assert (built, minors) == ([], [])
+    checked.clear()
+    strata.boundary_matrix(*params)  # the counters do count
+    pt.a.submatrix([1, 2], [0, 1, 2]).maximal_minors()
+    assert (checked, built, minors) == ([1], [1], [1])
+    monkeypatch.undo()
+    assert counts == dict.fromkeys(work, 0)
+    assert params == (pt.params["xbar0"], pt.params["w"])
+    assert again.params == pt.params
+
+
+def twisted_ideal_by_products(f, l, g):
+    """(w, h) as build_twisted_ideal_resolution solves for them, with the
+    columns built as the products l*m and -(g*m) of monomial forms: a
+    reference for its columns laid out by key shift."""
+    domain = f.domain
+    cubics, linears = monomials_of_degree(3), monomials_of_degree(1)
+    columns = [l * Form(MultiPoly.monomial(domain, m), 3) for m in cubics]
+    columns += [-(g * Form(MultiPoly.monomial(domain, m), 1))
+                for m in linears]
+    x = solve_linear(list(zip(*coefficient_rows(columns, 4))),
+                     coefficient_rows([f], 4)[0], domain.modulus)
+    w, h = Form.zero(domain, 1), Form.zero(domain, 3)
+    for m, c in zip(linears, x[len(cubics):]):
+        w = w + Form(MultiPoly.monomial(domain, m, c), 1)
+    for m, c in zip(cubics, x):
+        h = h + Form(MultiPoly.monomial(domain, m, c), 3)
+    return w, h
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(101), GF(3)], ids=repr)
+def test_key_shift_columns_solve_as_product_columns(domain):
+    # the twisted ideal's (w, h) from columns laid out by key shift equal
+    # those from product-built columns, and so does the row-space test of
+    # a zero-determinant res0 matrix's top row
+    rng = random.Random(17)
+    solved = 0
+    while solved < 10:
+        l = Form(MultiPoly.variable(domain, 0), 1) + random_form(domain, 1, rng)
+        g, w, h = (random_form(domain, d, rng) for d in (3, 1, 3))
+        f = l * h - w * g
+        if not g or not f or f.try_exact_div(l) is not None:
+            continue
+        res = degeneration.build_twisted_ideal_resolution(f, l, g)
+        assert (res.w, res.h) == twisted_ideal_by_products(f, l, g)
+        solved += 1
+    x0, x1, x2 = (Form(MultiPoly.variable(domain, i), 1) for i in range(3))
+    k = FormMatrix((2, 2), (1, 1, 1), [[-x2, x1 + x2, x0], [x1, -x0, x2]])
+    for top in ([x0 * e for e in k.row(0)],
+                [x1 * e + x2 * f for e, f in zip(*k.entries)],
+                [x0 * x0, x1 * x1, x2 * x2]):
+        by_products = solve_linear(
+            list(zip(*[sum(coefficient_rows([x * e for e in k.row(i)], 2), [])
+                       for i in range(2) for x in (x0, x1, x2)])),
+            sum(coefficient_rows(top, 2), []), domain.modulus) is not None
+        assert strata._in_row_space(top, k) == by_products
+        assert by_products == (top != [x0 * x0, x1 * x1, x2 * x2])
 
 
 def assert_checked(f):

@@ -162,32 +162,30 @@ def _bound_names(target):
     return {node.id for node in ast.walk(target) if isinstance(node, ast.Name)}
 
 
-def is_product_loop(node):
-    """Whether the node is a for loop with a for loop inside it that builds
-    a sum ea + eb, or a tuple of such sums, and a product v * w, each of
-    one name bound by each loop."""
+def loops_across(node):
+    """For a for loop, the set of operator types of the binary operations
+    x op y, one name bound by it and one by a for loop inside it, for each
+    loop inside it in turn; nothing for any other node."""
     if not isinstance(node, ast.For):
-        return False
+        return
     outer = _bound_names(node.target)
     for inner in ast.walk(node):
         if inner is node or not isinstance(inner, ast.For):
             continue
         names = _bound_names(inner.target)
+        yield {type(sub.op) for sub in ast.walk(inner)
+               if isinstance(sub, ast.BinOp)
+               and isinstance(sub.left, ast.Name)
+               and isinstance(sub.right, ast.Name)
+               and ((sub.left.id in outer and sub.right.id in names)
+                    or (sub.right.id in outer and sub.left.id in names))}
 
-        def across(expr, op):
-            """Whether expr is x op y with one name bound by each loop."""
-            if not (isinstance(expr, ast.BinOp) and isinstance(expr.op, op)
-                    and isinstance(expr.left, ast.Name)
-                    and isinstance(expr.right, ast.Name)):
-                return False
-            x, y = expr.left.id, expr.right.id
-            return (x in outer and y in names) or (y in outer and x in names)
 
-        body = list(ast.walk(inner))
-        if any(across(sub, ast.Add) for sub in body) \
-                and any(across(sub, ast.Mult) for sub in body):
-            return True
-    return False
+def is_product_loop(node):
+    """Whether the node is a for loop with a for loop inside it that builds
+    a sum ea + eb, or a tuple of such sums, and a product v * w, each of
+    one name bound by each loop."""
+    return any({ast.Add, ast.Mult} <= ops for ops in loops_across(node))
 
 
 def test_one_product_loop():
@@ -203,7 +201,7 @@ for (a0, a1, a2), v in left:
         e = (a0 + b0, a1 + b1, a2 + b2)
         raw[e] = v * w + get(e, 0)
 """
-    # multivariate_gcd lays out the shifts of a polynomial as matrix
+    # poly.multiples_matrix lays out the shifts of a polynomial as matrix
     # columns: a key sum with no product of values
     layout = """
 for j, (m, terms) in enumerate(shifts):
@@ -224,6 +222,46 @@ for j, (m, terms) in enumerate(shifts):
     assert not offenders, f"a product loop outside poly.dot_raw: {offenders}"
     assert PRODUCT_LOOPS <= names
     assert PRODUCT_LOOPS <= found  # the detector still sees dot_raw's loop
+
+
+# the one function that lays out the monomial multiples m*f of term dicts
+# as matrix columns by key shift, a key sum m + e with no product: the
+# columns of the GCD's kernel search, the twisted ideal's solve and the
+# row-space test of a boundary top row
+SHIFT_LAYOUTS = {"multiples_matrix"}
+
+
+def is_shift_layout(node):
+    """Whether the node is a for loop with a for loop inside it that builds
+    a sum m + e of one name bound by each loop, and no product of two."""
+    return any(ast.Add in ops and ast.Mult not in ops
+               for ops in loops_across(node))
+
+
+def test_one_key_shift_layout():
+    layout = """
+for j, (m, terms) in enumerate(pairs):
+    for e, c in terms.items():
+        rows.setdefault(m + e, {})[j] = c
+"""
+    packed = """
+for ea, v in left:
+    for eb, w in right:
+        raw[ea + eb] = v * w + get(ea + eb, 0)
+"""
+    assert is_shift_layout(ast.parse(layout).body[0])
+    assert not is_shift_layout(ast.parse(packed).body[0])
+    offenders, names, found = [], set(), set()
+    for path in SOURCES:
+        uses, defined = qualified_uses(
+            ast.parse(path.read_text(), filename=str(path)), is_shift_layout)
+        names |= defined
+        found |= {scope for scope, _ in uses}
+        offenders += [f"{path.name}:{line} in {scope or '<module>'}"
+                      for scope, line in uses if scope not in SHIFT_LAYOUTS]
+    assert not offenders, \
+        f"a key-shift layout outside poly.multiples_matrix: {offenders}"
+    assert SHIFT_LAYOUTS <= names and SHIFT_LAYOUTS <= found
 
 
 def _is_raw(expr):

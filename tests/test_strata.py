@@ -15,7 +15,7 @@ from quarticmoduli.matrices import (
     random_graded_automorphism,
     random_matrix,
 )
-from quarticmoduli.poly import Form, parse_form, parse_poly
+from quarticmoduli.poly import Form, MultiPoly, parse_form, parse_poly
 from quarticmoduli.strata import (
     BOUNDARY,
     INVALID,
@@ -318,6 +318,52 @@ def test_boundary_parameters_refuses_other_matrices():
     zero_w = [["0", "0", "0"]] + texts[1:]
     assert strata.boundary_parameters(
         make_matrix((3, 2, 2), (1, 1, 1), zero_w)) is None
+
+
+def linear_form(domain, coefficients):
+    return Form(MultiPoly(domain, dict(zip(poly.monomials_of_degree(1),
+                                            coefficients))), 1)
+
+
+def test_boundary_parameters_refuse_any_one_changed_entry():
+    # boundary_parameters reads the normal form without rebuilding it: a
+    # change to any one of the nine entries of boundary_matrix(xbar0, w),
+    # to another form of its degree or to zero, makes it return None
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficient = st.sampled_from([0, 1, 2, -1, 3])
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.sampled_from([QQ, GF(101), GF(3)]),
+                      st.tuples(coefficient, coefficient, coefficient),
+                      st.tuples(coefficient, coefficient),
+                      st.integers(0, 8), st.integers(0, 2**32))
+    def refused(domain, xbar0, w, ij, seed):
+        xbar0 = linear_form(domain, xbar0)
+        w = linear_form(domain, (0, *w))
+        hypothesis.assume(w)
+        a = strata.boundary_matrix(xbar0, w)
+        assert strata.boundary_parameters(a) == (xbar0, w)
+        i, j = divmod(ij, 3)
+        rng = random.Random(seed)
+        old = a[i, j]
+        nudge = Form(MultiPoly.monomial(
+            domain, rng.choice(poly.monomials_of_degree(old.degree)),
+            rng.choice([1, -1])), old.degree)
+        new = rng.choice([Form.zero(domain, old.degree), old + nudge,
+                          random_form(domain, old.degree, rng)])
+        hypothesis.assume(new != old)
+        rows = [list(row) for row in a.entries]
+        rows[i][j] = new
+        assert strata.boundary_parameters(
+            FormMatrix(*SHAPES["res0"], rows)) is None
+
+    for domain in (QQ, GF(101), GF(3)):
+        for ij in range(9):
+            refused = hypothesis.example(domain, (1, 2, 0), (1, 1), ij, ij)(
+                refused)
+    refused()
 
 
 def test_null_vector_keeps_its_errors():
