@@ -399,6 +399,10 @@ class FlagDatum:
     def __init__(self, quartic, line, z_roots):
         if len(z_roots) != 3:
             raise ValueError("need exactly three binary roots (with repeats)")
+        for s0, t0 in z_roots:
+            if not (s0 or t0):
+                raise ValueError(f"binary root [{s0}:{t0}] has both "
+                                 "coordinates zero")
         self.quartic = quartic
         self.line = line
         self.z_roots = list(z_roots)

@@ -15,18 +15,17 @@ scalings, transposes, submatrices, the elementary operations and the
 result of ``act``.  Their entries are forms whose degrees the checked
 inputs fix, so each keeps its required degree, a zero entry included.
 
-``det`` and ``mat_mul`` are the package's single determinant and matrix
-product; they work on grids of ``MultiPoly`` over any domain, a
-FormMatrix's entries as they are.  ``det`` is a memoized Laplace
-expansion along the columns in turn, on term dicts: the determinant of
-each row subset over the columns left is one ``poly.dot_raw``, the
-entries of odd sign negated, taken once, and the result is made canonical
-once.  The maximal minors of an (n+1) x n matrix, or of the transpose of
-an n x (n+1) one, share one memo; minor j is one expansion with the sign
-(-1)^j, with no submatrix.  ``mat_mul`` sums each entry with ``poly.dot``
-and ``act`` each entry of g * a * h with ``poly.dot_raw``, into one
-derived matrix.  A ``GradedAutomorphism`` tests its scalar blocks with
-``poly._eliminate`` on their raw constants.
+``FormMatrix.determinant`` is the package's one determinant and
+``maximal_minors`` gives the signed maximal minors; both run ``_expand``,
+a memoized Laplace expansion along the columns in turn, on term dicts:
+the determinant of each row subset over the columns left is one
+``poly.dot_raw``, the entries of odd sign negated, taken once, and the
+result is made canonical once.  The maximal minors of an (n+1) x n
+matrix, or of the transpose of an n x (n+1) one, share one memo; minor j
+is one expansion with the sign (-1)^j, with no submatrix.  ``act`` is the
+one matrix product: each entry of g * a * h is one ``poly.dot_raw``, into
+one derived matrix.  A ``GradedAutomorphism`` tests its scalar blocks
+with ``poly._eliminate`` on their raw constants.
 """
 
 import random
@@ -39,7 +38,6 @@ from .poly import (
     PowerDegreeError,
     _eliminate,
     _graded,
-    dot,
     dot_raw,
     keys_of_degree,
     linear_rank,
@@ -71,7 +69,8 @@ class FormMatrix:
             if len(row) != len(self.tgt_degrees):
                 raise DegreeError(f"column count mismatch in row {i}")
             grid.append(tuple([
-                _graded_entry(i, j, s - t, entry)
+                entry if isinstance(entry, Form) and entry.degree == s - t
+                else _graded_entry(f"entry ({i},{j})", s - t, entry)
                 for j, (t, entry) in enumerate(zip(self.tgt_degrees, row))]))
         self.entries = tuple(grid)
 
@@ -85,7 +84,12 @@ class FormMatrix:
 
     @property
     def domain(self):
-        return self.entries[0][0].domain
+        """The domain of entry (0, 0); a matrix with no entries has none."""
+        try:
+            return self.entries[0][0].domain
+        except IndexError:
+            raise DegreeError(f"a {self.nrows}x{self.ncols} matrix has no "
+                              "entries") from None
 
     def __getitem__(self, ij):
         i, j = ij
@@ -140,11 +144,14 @@ class FormMatrix:
 
     def determinant(self):
         """Exact determinant, homogeneous of degree sum(src) - sum(tgt), by
-        the memoized Laplace expansion of ``det``."""
+        the memoized Laplace expansion ``_expand``."""
+        domain = self.domain
         if self.nrows != self.ncols:
             raise DegreeError("determinant of a non-square matrix")
+        terms = _expand(_raw_grid(self.entries, domain),
+                        tuple(range(self.nrows)), 0, {})
         degree = sum(self.src_degrees) - sum(self.tgt_degrees)
-        return _graded(self.domain, det(self.entries).raw, max(degree, 0))
+        return _graded(domain, domain.canonical(terms), max(degree, 0))
 
     def maximal_minors(self):
         """Signed maximal minors.
@@ -154,6 +161,7 @@ class FormMatrix:
         det = sum_j q[j] * minor[j].  For r > c rows are deleted instead,
         with sign (-1)^i.
         """
+        domain = self.domain
         wide = self.nrows <= self.ncols
         n, m = (self.nrows, self.ncols) if wide else (self.ncols, self.nrows)
         if m != n + 1:
@@ -161,7 +169,7 @@ class FormMatrix:
                               else "need an (n+1)x(n) shape for minors")
         # the minors of the (n+1) x n grid, as rows of the transpose if wide
         grid = _raw_grid(list(zip(*self.entries)) if wide else self.entries,
-                         self.domain)
+                         domain)
         total = sum(self.src_degrees) - sum(self.tgt_degrees)
         memo, minors = {}, []
         for j in range(m):
@@ -169,7 +177,7 @@ class FormMatrix:
             minor = _expand(grid, rest, 0, memo, j)
             degree = total + (self.tgt_degrees[j] if wide
                               else -self.src_degrees[j])
-            minors.append(_graded(self.domain, self.domain.canonical(minor),
+            minors.append(_graded(domain, domain.canonical(minor),
                                   max(degree, 0)))
         return minors
 
@@ -200,27 +208,18 @@ def _derived(src_degrees, tgt_degrees, rows):
     return m
 
 
-def _graded_entry(i, j, need, entry):
-    """Entry (i, j), a Form or a MultiPoly, as a form of degree need, kept
-    as it is if it is one, or as the zero form of degree max(need, 0)."""
-    if isinstance(entry, Form) and entry.degree == need:
-        return entry
+def _graded_entry(name, need, entry):
+    """An entry, a Form or a MultiPoly, checked as a form of degree need,
+    a zero as the zero form of degree max(need, 0); a DegreeError names it
+    as name, such as "entry (0,1)" or "multiplier"."""
     if not entry:
-        return Form.zero(entry.domain, max(need, 0))
+        return _graded(entry.domain, {}, max(need, 0))
     try:
         return Form(entry, need)  # refuses a negative need too
     except ValueError:
-        raise DegreeError(f"entry ({i},{j}) must have degree {need}, got "
+        raise DegreeError(f"{name} must have degree {need}, got "
                           f"{entry.total_degree()}: {entry.serialize()}") \
             from None
-
-
-def det(grid):
-    """Determinant of a square grid of polynomials over one domain (QQ,
-    GF(p) or a parameter ring), by memoized Laplace expansion."""
-    domain = grid[0][0].domain
-    return MultiPoly.from_raw(domain, _expand(
-        _raw_grid(grid, domain), tuple(range(len(grid))), 0, {}))
 
 
 def _expand(grid, rows, col, memo, sign=0):
@@ -342,15 +341,6 @@ def _raw_grid(rows, domain):
     return [[e.raw for e in row] for row in rows]
 
 
-def mat_mul(a, b):
-    """Product of two grids of polynomials over one domain, each entry
-    one ``dot`` over the pairs with no zero factor."""
-    domain = a[0][0].domain
-    cols = list(zip(*b))
-    return [[dot([(x, y) for x, y in zip(row, col) if x and y], domain)
-             for col in cols] for row in a]
-
-
 def identity_automorphism(degrees, domain=QQ):
     one = MultiPoly.constant(domain, 1)
     zero = MultiPoly.zero(domain)
@@ -385,9 +375,10 @@ class ScaleRow(ElementaryOp):
 
 class AddMultipleOfRow(ElementaryOp):
     """target_row += multiplier * source_row, degree bookkeeping enforced:
-    a nonzero multiplier must be a form of degree src[target] -
-    src[source], and then each nonzero product has its entry's degree; a
-    zero multiplier, of any degree, returns the matrix unchanged."""
+    a nonzero multiplier, a Form or a MultiPoly, must be a form of degree
+    src[target] - src[source], and then each nonzero product has its
+    entry's degree; a zero multiplier, of any degree, returns the matrix
+    unchanged."""
 
     def __init__(self, target, source, multiplier):
         self.target, self.source, self.multiplier = target, source, multiplier
@@ -396,11 +387,8 @@ class AddMultipleOfRow(ElementaryOp):
         mult = self.multiplier
         if not mult:
             return m
-        need = m.src_degrees[self.target] - m.src_degrees[self.source]
-        if mult.degree != need:
-            raise DegreeError(
-                f"multiplier must have degree {need}, got {mult.degree}"
-            )
+        mult = _graded_entry("multiplier", m.src_degrees[self.target]
+                             - m.src_degrees[self.source], mult)
         rows = list(m.entries)
         rows[self.target] = [
             a + mult * b if b else a

@@ -16,9 +16,10 @@ field overflows into the next.  The public surface keeps exponent triples.
 
 ``dot_raw`` is the one product loop: it sums the products of pairs of
 term dicts in one dict of raw values.  ``dot``, the checked kernel over it,
-takes a sum of products of polynomials, such as a product or a cofactor
-sum, matches the domains and makes the sum canonical once; ``matrices``
-and the parser run ``dot_raw`` on term dicts themselves.
+takes a sum of products of polynomials, such as a cofactor sum, matches
+the domains and makes the sum canonical once; ``matrices``, the parser
+and ``MultiPoly._times``, the term dict of a product, run ``dot_raw`` on
+term dicts themselves.
 The parser reads text into term dicts: a variable is one key, a literal
 its raw value, ``*`` one ``dot_raw``, and each sum is added into one dict
 and made canonical, so no term of a factor is zero and its largest key
@@ -141,12 +142,15 @@ class MultiPoly:
         return MultiPoly.constant(self.domain, other)
 
     def __add__(self, other):
-        other = self._coerce(other)
+        return MultiPoly.from_raw(self.domain, self._plus(other))
+
+    def _plus(self, other):
+        """The term dict of self + other, not yet canonical."""
         raw = dict(self.raw)
         get = raw.get
-        for e, c in other.raw.items():
+        for e, c in self._coerce(other).raw.items():
             raw[e] = c + get(e, 0)
-        return MultiPoly.from_raw(self.domain, raw)
+        return raw
 
     __radd__ = __add__
 
@@ -161,12 +165,16 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            # scalar multiple
+        return MultiPoly.from_raw(self.domain, self._times(other))
+
+    def _times(self, other):
+        """The term dict of self * other, not yet canonical."""
+        if not isinstance(other, MultiPoly):  # a scalar multiple
             v = self.domain.unbox(other)
-            return MultiPoly.from_raw(
-                self.domain, {e: c * v for e, c in self.raw.items()})
-        return dot([(self, other)], self.domain)
+            return {e: c * v for e, c in self.raw.items()}
+        if other.domain is not self.domain:
+            self.domain.check_same(other.domain)
+        return dot_raw([(self.raw, other.raw)])
 
     __rmul__ = __mul__
 
@@ -435,9 +443,12 @@ class Form(MultiPoly):
     carry any nonnegative degree.  Equality and hashing are MultiPoly's.
     Between Forms, + and - need equal degrees, a product adds them and a
     scalar multiple keeps the degree; with any other MultiPoly each
-    operator gives way to MultiPoly's, whose result is a MultiPoly.  A form
-    is checked once, where it enters (parser, JSON loader, ``Form(...)``,
-    ``FormMatrix(...)``); ``_graded`` builds one whose degree is fixed.
+    operator gives way to MultiPoly's, whose result is a MultiPoly.  Both
+    classes take a sum or product's term dict from ``_plus`` or ``_times``
+    and a form negates its own, so each result of a form is one object, not
+    a MultiPoly wrapped again.  A form is checked once, where it
+    enters (parser, JSON loader, ``Form(...)``, ``FormMatrix(...)``);
+    ``_graded`` builds one whose degree is fixed.
     """
 
     __slots__ = ("degree",)
@@ -467,13 +478,15 @@ class Form(MultiPoly):
             return NotImplemented
         if self.raw and other.raw and self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
-        return _graded(self.domain, super().__add__(other).raw,
+        return _graded(self.domain, self.domain.canonical(self._plus(other)),
                        self.degree if self.raw else other.degree)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _graded(self.domain, super().__neg__().raw, self.degree)
+        domain = self.domain
+        return _graded(domain, domain.canonical(
+            {e: -c for e, c in self.raw.items()}), self.degree)
 
     def __sub__(self, other):
         return self + (-other)
@@ -485,7 +498,8 @@ class Form(MultiPoly):
             return NotImplemented
         else:
             degree = self.degree
-        return _graded(self.domain, super().__mul__(other).raw, degree)
+        return _graded(self.domain, self.domain.canonical(self._times(other)),
+                       degree)
 
     __rmul__ = __mul__
 

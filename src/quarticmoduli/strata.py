@@ -16,7 +16,7 @@ from .gcd import (
     lines_dividing_all,
     normalize_point,
 )
-from .matrices import SHAPES, FormMatrix, det, stable_kronecker_minors
+from .matrices import SHAPES, FormMatrix, stable_kronecker_minors
 from .poly import (
     MultiPoly,
     _eliminate,
@@ -174,8 +174,7 @@ def boundary_matrix(xbar0, w):
     """The boundary normal form [[0, -x2*w, x1*w], [-x2, 0, xbar0],
     [x1, -xbar0, 0]] for linear forms xbar0 and w; its determinant is 0."""
     domain = xbar0.domain
-    x1 = MultiPoly.variable(domain, 1)
-    x2 = MultiPoly.variable(domain, 2)
+    x1, x2 = (_graded(domain, {k: 1}, 1) for k in keys_of_degree(1)[1:])
     zero = MultiPoly.zero(domain)
     return FormMatrix(*SHAPES["res0"], [
         [zero, -x2 * w, x1 * w],
@@ -284,14 +283,16 @@ def extract_Z_points(report):
     k = report.kronecker
     domain = k.domain
     z, w = coefficient_rows(k.row(0), 1), coefficient_rows(k.row(1), 1)
-    # det(u*Z + v*W) as a binary cubic in u = x1, v = x2
+    # det(u*Z + v*W) as a binary cubic in u = x1, v = x2, the determinant
+    # of the pencil matrix of linear forms on (1,1,1) -> (0,0,0)
     _, x1, x2 = keys_of_degree(1)
-    cubic = det([[MultiPoly.from_raw(domain, {x1: a, x2: b})
-                  for a, b in zip(z_row, w_row)]
-                 for z_row, w_row in zip(z, w)])
+    cubic = FormMatrix((1, 1, 1), (0, 0, 0), [
+        [_graded(domain, domain.canonical({x1: a, x2: b}), 1)
+         for a, b in zip(z_row, w_row)]
+        for z_row, w_row in zip(z, w)]).determinant()
     if not cubic:
         raise ValueError("pencil determinant vanishes identically")
-    roots, nonsplit = binary_roots(_graded(domain, cubic.raw, 3))
+    roots, nonsplit = binary_roots(cubic)
     points = {}
     order = []
     for u, v in roots:

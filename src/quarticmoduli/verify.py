@@ -11,13 +11,7 @@ import random
 import quarticmoduli as qm
 
 from .field import GF, QQ, ParamRing, evaluate_raw
-from .matrices import (
-    FormMatrix,
-    det,
-    mat_mul,
-    random_form,
-    random_matrix,
-)
+from .matrices import SHAPES, FormMatrix, act, random_form, random_matrix
 from .poly import Form, MultiPoly, key_exponent, keys_of_degree
 
 PASS = "pass"
@@ -64,35 +58,36 @@ class IdentityReport:
         return f"IdentityReport({self.name}, {self.status})"
 
 
-def _scaled(m, c):
-    return [[e * c for e in row] for row in m]
-
-
 def _vars(domain):
-    return tuple(MultiPoly.variable(domain, i) for i in range(3))
+    """x0, x1, x2 as forms of degree 1, so that the entries built from
+    them are forms that a FormMatrix keeps after one degree comparison."""
+    return tuple(Form(MultiPoly.variable(domain, i), 1) for i in range(3))
 
 
 def _transition_matrices(domain, alpha):
-    """The printed A1, g, h over a field with a concrete scalar alpha."""
+    """The printed A1 on (3,2,2) -> (1,1,1), g on (3,2,2) and h on
+    (1,1,1) over a field with a concrete scalar alpha."""
     x0, x1, x2 = _vars(domain)
-    one = MultiPoly.constant(domain, 1)
+    one = Form(MultiPoly.constant(domain, 1), 0)
     zero = MultiPoly.zero(domain)
-    a1 = [
+    xa = x0 * alpha + x1
+    src, tgt = SHAPES["res0"]
+    a1 = FormMatrix(src, tgt, [
         [zero, x0 * x2, -(x0 * x0)],
-        [-x2, zero, x0 * alpha + x1],
-        [x0, -(x0 * alpha + x1), zero],
-    ]
-    g = [
+        [-x2, zero, xa],
+        [x0, -xa, zero],
+    ])
+    g = FormMatrix(src, src, [
         [one * alpha ** 3, x0 * alpha ** 2 - x1 * alpha, x2 * alpha ** 2],
         [zero, one, zero],
         [zero, zero, -(one * alpha)],
-    ]
+    ])
     inv = alpha.inverse()
-    h = [
+    h = FormMatrix(tgt, tgt, [
         [one, zero, zero],
         [one * inv, -(one * inv * inv), zero],
         [zero, zero, one * inv],
-    ]
+    ])
     return a1, g, h
 
 
@@ -100,11 +95,11 @@ def _a0_matrix(domain, beta):
     x0, x1, x2 = _vars(domain)
     zero = MultiPoly.zero(domain)
     xb = x0 + x1 * beta
-    return [
+    return FormMatrix(*SHAPES["res0"], [
         [zero, x1 * x2, -(x1 * x1)],
         [-x2, zero, xb],
         [x1, -xb, zero],
-    ]
+    ])
 
 
 def verify_transition(alpha):
@@ -118,11 +113,11 @@ def verify_transition(alpha):
     a1, g, h = _transition_matrices(domain, alpha)
     a0 = _a0_matrix(domain, alpha.inverse())
     asq = alpha * alpha
-    lhs = mat_mul(mat_mul(g, a1), _scaled(h, asq))
-    rhs = _scaled(a0, asq)
+    lhs = act(g, a1, h.scaled(asq))
+    rhs = a0.scaled(asq)
     ok = lhs == rhs
-    det_g = det(g)
-    det_h = det(h)
+    det_g = g.determinant()
+    det_h = h.determinant()
     minus_one = MultiPoly.constant(domain, -1)
     ok = ok and det_g == minus_one * alpha ** 4
     ok = ok and det_h * alpha ** 3 == minus_one
@@ -130,12 +125,12 @@ def verify_transition(alpha):
         "transition",
         PASS if ok else FAIL,
         computed={
-            "g*A1*(alpha^2*h)": [[e.serialize() for e in r] for r in lhs],
+            "g*A1*(alpha^2*h)": lhs.serialize_entries(),
             "det_g": det_g.serialize(),
             "alpha^3*det_h": (det_h * alpha ** 3).serialize(),
         },
         expected={
-            "alpha^2*A0": [[e.serialize() for e in r] for r in rhs],
+            "alpha^2*A0": rhs.serialize_entries(),
             "det_g": (minus_one * alpha ** 4).serialize(),
             "alpha^3*det_h": "-1",
         },
@@ -150,14 +145,9 @@ def verify_cocycle(seed):
     rng = random.Random(seed)
     alpha = domain.scalar(rng.randrange(1, domain.p))
     a1, g, h = _transition_matrices(domain, alpha)
-    degrees = [[2, 2, 2], [1, 1, 1], [1, 1, 1]]
-    b1 = [
-        [random_form(domain, degrees[i][j], rng) for j in range(3)]
-        for i in range(3)
-    ]
-    x = [[a1[i][j] + b1[i][j] for j in range(3)] for i in range(3)]
-    lhs = det(mat_mul(mat_mul(g, x), h))
-    rhs = det(x) * alpha
+    x = a1 + random_matrix("res0", domain, rng=rng)
+    lhs = act(g, x, h).determinant()
+    rhs = x.determinant() * alpha
     ok = lhs == rhs
     return IdentityReport(
         "cocycle",
@@ -181,9 +171,9 @@ def _random_pencil_parameters(domain, rng):
 
 def _random_deformation_instance(domain, rng):
     x0, x1, x2 = _vars(domain)
-    xbar0 = Form(x0 + random_form(domain, 1, rng), 1)
+    xbar0 = x0 + random_form(domain, 1, rng)
     gamma, delta = _random_pencil_parameters(domain, rng)
-    w = Form(x1 * gamma + x2 * delta, 1)
+    w = x1 * gamma + x2 * delta
     q = [random_form(domain, 2, rng) for _ in range(3)]
     y = [random_form(domain, 1, rng) for _ in range(3)]
     z = [random_form(domain, 1, rng) for _ in range(3)]
@@ -327,12 +317,11 @@ def verify_fibre_determinant(seed):
     delta = domain.scalar(rng.randrange(domain.p))
     w = x1 * gamma + x2 * delta
     zero = MultiPoly.zero(domain)
-    m = [
+    computed = FormMatrix(*SHAPES["res0"], [
         [q0, q1 - x2 * w, q2 + x1 * w],
         [-x2, zero, x0],
         [x1, -x0, zero],
-    ]
-    computed = det(m)
+    ]).determinant()
     expected = x0 * (x0 * q0 + x1 * q1 + x2 * q2)
     ok = computed == expected
     return IdentityReport(
@@ -348,10 +337,10 @@ def verify_fibre_determinant(seed):
 
 def _random_form_in(domain, rng, variables, degree):
     """A random form of the given degree in a subset of the variables."""
-    return MultiPoly.from_raw(domain, {
+    return Form(MultiPoly.from_raw(domain, {
         k: rng.randrange(domain.p) for k in keys_of_degree(degree)
         if not any(key_exponent(k)[i] for i in range(3) if i not in variables)
-    })
+    }), degree)
 
 
 def verify_tangent_quartic(seed, domain=None):
@@ -374,14 +363,12 @@ def verify_tangent_quartic(seed, domain=None):
     x0, x1, x2 = _vars(domain)
     gamma, delta = _random_pencil_parameters(domain, rng)
     w = x1 * gamma + x2 * delta
-    a = qm.strata.boundary_matrix(Form(x0, 1), Form(w, 1))
+    a = qm.strata.boundary_matrix(x0, w)
     b = random_matrix("res0", domain, rng=rng)
     row_sum = qm.degeneration.tangent_quartic(a, b)
-    ap, bp = a.entries, b.entries
-    odd = (det([[x + y for x, y in zip(r, s)] for r, s in zip(ap, bp)])
-           - det([[x - y for x, y in zip(r, s)] for r, s in zip(ap, bp)]))
-    t_linear = odd * domain.scalar(2).inverse() - det(bp)
-    sums = [x0 * b0 + x1 * b1 + x2 * b2 for b0, b1, b2 in bp]
+    odd = (a + b).determinant() - (a + b.scaled(-1)).determinant()
+    t_linear = odd * domain.scalar(2).inverse() - b.determinant()
+    sums = [x0 * b0 + x1 * b1 + x2 * b2 for b0, b1, b2 in b.entries]
     closed = x0 * sums[0] - w * (x1 * sums[1] + x2 * sums[2])
     p = (domain.zero, delta, -gamma)
     checks = {

@@ -71,6 +71,17 @@ def test_classify_res1_shape(tmp_path, capsys):
     assert "label: M10" in out
 
 
+@pytest.mark.parametrize("nrows, ncols", [(0, 0), (1, 0), (0, 1)],
+                         ids=["0x0", "1x0", "0x1"])
+def test_classify_empty_shape_is_invalid(tmp_path, capsys, nrows, ncols):
+    path = write_json(tmp_path / "empty.json", {
+        "src_degrees": [3] * nrows, "tgt_degrees": [1] * ncols,
+        "entries": [[]] * nrows})
+    code = cli.main(["classify", path])
+    assert code == 2
+    assert "label: Invalid" in capsys.readouterr().out
+
+
 P61 = "2305843009213693951"  # 2^61 - 1
 
 

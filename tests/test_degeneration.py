@@ -434,6 +434,15 @@ def test_flag_limit_roots_must_divide():
         flag_limit(datum)
 
 
+def test_flag_datum_refuses_the_zero_root():
+    f = Form(parse_poly("x1^4 + x0*x2^3"), 4)
+    for zero in (F(0), QQ.scalar(0)):
+        with pytest.raises(ValueError, match=r"^binary root \[0:0\] has "
+                           "both coordinates zero$"):
+            FlagDatum(f, parse_form("x0"), [(F(1), F(1)), (zero, zero),
+                                            (F(0), F(1))])
+
+
 def test_binary_exact_div():
     """A binary form divides by the linear form t0*s - s0*t of a root
     [s0:t0] as a polynomial in s = x1, t = x2."""

@@ -311,6 +311,31 @@ def test_column_ops_are_row_ops_on_the_transpose():
         ScaleCol(0, 0).apply(m)
 
 
+@pytest.mark.parametrize("op, target, source, text", [
+    (AddMultipleOfRow, 0, 2, "3*x1 - x2"),  # degree 3 - 2 on rows
+    (AddMultipleOfCol, 2, 0, "5"),  # degree 1 - 1 on columns
+], ids=["row", "column"])
+def test_multiplier_may_be_a_polynomial_of_its_degree(op, target, source,
+                                                      text):
+    dom = GF(101)
+    m = random_matrix("res0", dom, seed=2)
+    assert op(target, source, parse_poly(text, domain=dom)).apply(m) == \
+        op(target, source, parse_form(text, domain=dom)).apply(m)
+    with pytest.raises(DegreeError, match=r"^multiplier must have degree "
+                       r"\d, got 2: x0\^2$"):
+        op(target, source, parse_poly("x0^2", domain=dom)).apply(m)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (1, 0), (0, 1)], ids=str)
+def test_a_matrix_with_no_entries_has_no_determinant_or_minors(shape):
+    nrows, ncols = shape
+    m = FormMatrix([1] * nrows, [0] * ncols, [[]] * nrows)
+    for method in (m.determinant, m.maximal_minors):
+        with pytest.raises(DegreeError, match=rf"^a {nrows}x{ncols} matrix "
+                           "has no entries$"):
+            method()
+
+
 def test_constructor_reads_degrees_from_the_shape():
     polys = [[parse_poly("x0"), parse_poly("x1^3")],
              [parse_poly("0"), parse_poly("x2^3")]]

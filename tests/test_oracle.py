@@ -1,7 +1,8 @@
 """The shared exact-algebra cores against sympy as an independent oracle.
 
-``matrices.det`` is compared with sympy's determinant over a polynomial
-ring, ``poly._eliminate`` / ``poly.solve_linear`` on raw values with
+``FormMatrix.determinant`` is compared with sympy's determinant over a
+polynomial ring, ``matrices.act`` with sympy's product of the three
+matrices, ``poly._eliminate`` / ``poly.solve_linear`` on raw values with
 sympy's reduced row echelon form, ``MultiPoly.substitute`` /
 ``Form.restrict_to_line`` with a simultaneous substitution in sympy's
 sparse polynomial ring, and
@@ -83,10 +84,11 @@ coefficients that are zero, +-1, negative or 40 digits long.
 ``parse_poly``, ``parse_form`` and ``parse_entry``, which read text into
 term dicts, are compared with a reference parser that builds a polynomial
 per atom, sum, product and power, on results and on the class and message
-of each error, over QQ, GF(101) and GF(2^61 - 1).  ``det`` and
-``FormMatrix.maximal_minors``, one memoized Laplace expansion, are
-compared with sympy's determinants on 4x4, 5x5, 5x4, 4x5 and 2x3 grids of
-linear forms with zeros at drawn positions, over QQ and GF(101).
+of each error, over QQ, GF(101) and GF(2^61 - 1).
+``FormMatrix.determinant`` and ``maximal_minors``, one memoized Laplace
+expansion, are compared with sympy's determinants on 4x4, 5x5, 5x4, 4x5
+and 2x3 grids of linear forms with zeros at drawn positions, over QQ and
+GF(101).
 """
 
 import itertools
@@ -125,9 +127,8 @@ from quarticmoduli.gcd import (  # noqa: E402
 from quarticmoduli.matrices import (  # noqa: E402
     SHAPES,
     FormMatrix,
-    det,
+    act,
     is_stable_kronecker,
-    mat_mul,
 )
 from quarticmoduli.poly import (  # noqa: E402
     _GUARDS,
@@ -185,18 +186,25 @@ def raw_values(domain):
 
 
 @st.composite
-def form_grids(draw, domain):
-    """An n x n grid (n <= 4) of forms of degree at most 2."""
-    n = draw(st.integers(1, 4))
+def form_grids(draw, domain, src=None, tgt=None):
+    """A graded matrix of forms from src to tgt degrees, or n x n (n <= 4)
+    with drawn source degrees in [0, 1] and target degrees in [-1, 0], so
+    that each entry has a degree in [0, 2]; an entry of negative degree is
+    zero."""
+    if src is None:
+        n = draw(st.integers(1, 4))
+        degrees = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        src, tgt = draw(degrees), [-d for d in draw(degrees)]
     values = raw_values(domain)
 
-    def form():
-        degree = draw(st.integers(0, 2))
+    def form(degree):
         return MultiPoly(domain, {
             m: domain.scalar(draw(values)) for m in monomials_of_degree(degree)
         })
 
-    return [[form() for _ in range(n)] for _ in range(n)]
+    return FormMatrix(src, tgt, [[form(s - t) if s >= t else
+                                  MultiPoly.zero(domain) for t in tgt]
+                                 for s in src])
 
 
 @st.composite
@@ -222,15 +230,23 @@ def low_rank_matrices(draw, domain):
              for j in range(n)] for i in range(m)]
 
 
-def sympy_det(grid, domain):
+def sympy_matrix(grid, domain):
+    """A grid of polynomials as sympy's matrix over its polynomial ring."""
     field = sympy_field(domain)
     ring = field["x0", "x1", "x2"]
-    n = len(grid)
     rows = [[ring.ring.from_dict({e: to_sympy(field, c.value)
                                   for e, c in entry.terms.items()})
              for entry in row] for row in grid]
-    value = DomainMatrix(rows, (n, n), ring).det()
-    return {e: from_sympy(field, c) for e, c in value.items()}
+    return DomainMatrix(rows, (len(grid), len(grid[0])), ring)
+
+
+def from_ring_element(domain, value):
+    """The terms of an element of sympy's polynomial ring, as raw values."""
+    return {e: from_sympy(sympy_field(domain), c) for e, c in value.items()}
+
+
+def sympy_det(grid, domain):
+    return from_ring_element(domain, sympy_matrix(grid, domain).det())
 
 
 def sympy_ring(domain):
@@ -264,9 +280,30 @@ def sympy_rref(rows, domain):
 @SETTINGS
 @given(data=st.data())
 def test_det_matches_sympy(domain, data):
-    grid = data.draw(form_grids(domain))
-    ours = {e: c.value for e, c in det(grid).terms.items()}
-    assert ours == sympy_det(grid, domain)
+    m = data.draw(form_grids(domain))
+    ours = {e: c.value for e, c in m.determinant().terms.items()}
+    assert ours == sympy_det(m.entries, domain)
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+@settings(SETTINGS, max_examples=12)
+@given(data=st.data())
+def test_act_matches_sympy_product(domain, data):
+    """act(g, a, h) is sympy's product of the three matrices, entry by
+    entry, for g and h graded on the source and target degrees of a, with
+    zero coefficients, entries and blocks drawn in; 12 examples keep it
+    under 1 s."""
+    a = data.draw(form_grids(domain))
+    g = data.draw(form_grids(domain, a.src_degrees, a.src_degrees))
+    h = data.draw(form_grids(domain, a.tgt_degrees, a.tgt_degrees))
+    ours = act(g, a, h)
+    want = (sympy_matrix(g.entries, domain) * sympy_matrix(a.entries, domain)
+            * sympy_matrix(h.entries, domain)).to_list()
+    assert (ours.src_degrees, ours.tgt_degrees) == (a.src_degrees,
+                                                    a.tgt_degrees)
+    assert [[{e: c.value for e, c in entry.terms.items()} for entry in row]
+            for row in ours.entries] == \
+        [[from_ring_element(domain, entry) for entry in row] for row in want]
 
 
 @pytest.mark.parametrize("domain", DOMAINS, ids=repr)
@@ -632,10 +669,10 @@ def built_blocks(domain):
     for _ in range(15):
         l0, l1, l2 = (_linear(domain, rng) for _ in range(3))
         k = FormMatrix((2, 2), (1, 1, 1), [[-l2, zero, l0], [l1, -l0, zero]])
-        g, h = ([[MultiPoly.constant(domain, rng.randrange(-2, 3))
-                  for _ in range(n)] for _ in range(n)] for n in (2, 3))
-        yield FormMatrix((2, 2), (1, 1, 1), mat_mul(
-            mat_mul(g, [[e.poly for e in row] for row in k.entries]), h))
+        g, h = (FormMatrix(d, d, [[MultiPoly.constant(
+            domain, rng.randrange(-2, 3)) for _ in d] for _ in d])
+            for d in (k.src_degrees, k.tgt_degrees))
+        yield act(g, k, h)
         boundary = strata.boundary_matrix(Form(l0, 1), Form(l1, 1))
         yield boundary.submatrix([1, 2], [0, 1, 2])
 
@@ -1893,11 +1930,11 @@ def test_det_and_maximal_minors_match_sympy(domain, shape, data):
     drawn positions."""
     nrows, ncols = shape
     grid = data.draw(linear_grids(domain, nrows, ncols))
+    m = FormMatrix([1] * nrows, [0] * ncols, grid)
     if nrows == ncols:
-        assert {e: c.value for e, c in det(grid).terms.items()} \
+        assert {e: c.value for e, c in m.determinant().terms.items()} \
             == sympy_det(grid, domain)
         return
-    m = FormMatrix([1] * nrows, [0] * ncols, grid)
     for j, minor in enumerate(m.maximal_minors()):
         sub = ([row[:j] + row[j + 1:] for row in grid] if nrows < ncols
                else grid[:j] + grid[j + 1:])

@@ -477,9 +477,10 @@ def test_linear_algebra_builds_no_field_scalars(domain, monkeypatch):
 def test_sums_of_products_build_one_polynomial_each(domain, monkeypatch):
     """Exact counts of the polynomials that MultiPoly.from_raw builds and
     of the term dicts that Domain.canonical passes over: a res0
-    determinant one of each, its 2x2 minors and partial sums kept as term
-    dicts; act no polynomial, and one pass for each of the nine entries of
-    g * a * h, with g * a kept as raw term dicts; classify_res0, on an M00
+    determinant no polynomial and one pass, its 2x2 minors and partial
+    sums kept as term dicts and the result wrapped as a form; act no
+    polynomial, and one pass for each of the nine entries of g * a * h,
+    with g * a kept as raw term dicts; classify_res0, on an M00
     matrix with a nonsingular conic among its minors, one pass per signed
     minor (three determinants, the odd minor's sign a row swap), each
     wrapped as a form, and one polynomial for the quartic; the
@@ -487,7 +488,8 @@ def test_sums_of_products_build_one_polynomial_each(domain, monkeypatch):
     product and partial sum as a polynomial of its own took 18, 90 and 19
     polynomials; building g * a as a matrix and negating the odd minor
     took 18 for act and 5 for classify_res0; an act entry that was a
-    polynomial before it was a form took 9; and a polynomial per 2x2 minor
+    polynomial before it was a form took 9, and a determinant that was a
+    polynomial before it was a form 1; and a polynomial per 2x2 minor
     and per signed minor took 4 for det and 4 for classify_res0.  None of
     these runs, nor random_matrix, checks a form through Form.__init__:
     each result's degree is fixed by its checked inputs."""
@@ -519,7 +521,7 @@ def test_sums_of_products_build_one_polynomial_each(domain, monkeypatch):
     Form(MultiPoly.zero(domain), 1)
     assert checked == [1]  # the counter does count
     monkeypatch.undo()
-    assert counts == {"det": (1, 1, 0), "act": (0, 9, 0),
+    assert counts == {"det": (0, 1, 0), "act": (0, 9, 0),
                       "classify_res0": (1, 4, 0), "automorphism": (0, 0, 0),
                       "random_matrix": (0, 0, 0)}
     report = results["classify_res0"]
@@ -711,7 +713,8 @@ def test_sample_path_runs_no_determinant_or_elimination_it_can_skip(
     elimination on its raw constants and takes no det; classify_res1 reads
     the rank of its z column off line_intersection's cross product, so on
     M10 matrices it takes one det, the quartic, and runs no elimination
-    (one each when it ranked the column with linear_rank)."""
+    (one each when it ranked the column with linear_rank).  A determinant
+    is one call of matrices._expand, which a 2x2 matrix makes once."""
     _, left, right = random_res0_with_automorphisms(GF(101), random.Random(3))
     rng = random.Random(7)
     m10 = []
@@ -721,7 +724,7 @@ def test_sample_path_runs_no_determinant_or_elimination_it_can_skip(
             m10.append(m)
     calls = []
     for owner in (matrices, poly, gcd, strata):
-        for name in ("det", "_eliminate"):
+        for name in ("_expand", "_eliminate"):
             if hasattr(owner, name):
                 before = getattr(owner, name)
                 monkeypatch.setattr(owner, name, lambda *args, _b=before,
@@ -731,7 +734,7 @@ def test_sample_path_runs_no_determinant_or_elimination_it_can_skip(
     assert calls == ["_eliminate"] * 3  # degree classes {3}, {2} and {1}
     calls.clear()
     reports = [strata.classify_res1(m) for m in m10]
-    assert calls == ["det"] * 20  # the quartic, and no elimination
+    assert calls == ["_expand"] * 20  # the quartic, and no elimination
     assert {r.label for r in reports} == {strata.M10}
 
 

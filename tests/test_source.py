@@ -224,6 +224,38 @@ for j, (m, terms) in enumerate(shifts):
     assert PRODUCT_LOOPS <= found  # the detector still sees dot_raw's loop
 
 
+# the one determinant and its minors: only these call the memoized
+# Laplace expansion matrices._expand, which recurses; act is the one matrix
+# product, and no module defines a determinant or product of bare grids
+EXPANSION_CALLERS = {"FormMatrix.determinant", "FormMatrix.maximal_minors",
+                     "_expand"}
+
+
+def is_expand_call(node):
+    """Whether the node is a call _expand(...) or x._expand(...)."""
+    return isinstance(node, ast.Call) and "_expand" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_one_determinant_and_one_product():
+    assert is_expand_call(ast.parse("_expand(g, r, 0, {})").body[0].value)
+    assert is_expand_call(ast.parse("matrices._expand(g)").body[0].value)
+    assert not is_expand_call(ast.parse("expand(g)").body[0].value)
+    offenders, names = [], set()
+    for path in SOURCES:
+        uses, defined = qualified_uses(
+            ast.parse(path.read_text(), filename=str(path)), is_expand_call)
+        names |= defined
+        offenders += [f"{path.name}:{line} in {scope or '<module>'}"
+                      for scope, line in uses
+                      if scope not in EXPANSION_CALLERS]
+    assert not offenders, f"_expand called outside the allow-list: {offenders}"
+    assert EXPANSION_CALLERS | {"act"} <= names
+    grid_api = sorted(name for name in names
+                      if name.rsplit(".", 1)[-1] in ("det", "mat_mul"))
+    assert not grid_api, f"a second determinant or product: {grid_api}"
+
+
 # the one function that lays out the monomial multiples m*f of term dicts
 # as matrix columns by key shift, a key sum m + e with no product: the
 # columns of the GCD's kernel search, the twisted ideal's solve and the

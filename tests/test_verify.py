@@ -7,7 +7,7 @@ import pytest
 from quarticmoduli import degeneration
 from quarticmoduli.degeneration import tangent_quartic
 from quarticmoduli.field import GF, QQ, FieldScalar, ParamRing, ParamScalar
-from quarticmoduli.matrices import det, random_matrix
+from quarticmoduli.matrices import FormMatrix, random_matrix
 from quarticmoduli.poly import Form, MultiPoly
 from quarticmoduli.strata import boundary_matrix
 from quarticmoduli.verify import (
@@ -81,11 +81,12 @@ def lift(poly, ring, at=None):
 
 
 def lifted_pencil(a, b, ring):
-    """The 3x3 grid A + tB over the parameter ring in t, each coefficient
-    of B placed at t^1."""
+    """The matrix A + tB over the parameter ring in t, each coefficient of
+    B placed at t^1."""
     t = tuple(int(n == "t") for n in ring.names)
-    return [[lift(a[i, j].poly, ring) + lift(b[i, j].poly, ring, t)
-             for j in range(3)] for i in range(3)]
+    return FormMatrix(a.src_degrees, a.tgt_degrees, [
+        [lift(a[i, j].poly, ring) + lift(b[i, j].poly, ring, t)
+         for j in range(3)] for i in range(3)])
 
 
 def coefficient_of(poly, ring, name, power, base):
@@ -109,7 +110,7 @@ def test_tangent_quartic_in_every_odd_characteristic(domain, monkeypatch):
 
     def symbolic(a, b):
         ring = ParamRing(a.domain, ("t",))
-        pencil = det(lifted_pencil(a, b, ring))
+        pencil = lifted_pencil(a, b, ring).determinant()
         return Form(coefficient_of(pencil, ring, "t", 1, a.domain), 4)
 
     # the verifier compares its t-linear coefficient with whatever
@@ -129,7 +130,7 @@ def test_tangent_quartic_in_every_odd_characteristic(domain, monkeypatch):
 
 
 def tangent_pencil(domain, seed):
-    """A, B and the lifted 3x3 A + tB of verify_tangent_quartic, over the
+    """A, B and the lifted A + tB of verify_tangent_quartic, over the
     parameter ring in t."""
     rng = random.Random(seed)
     x0, x1, x2 = (MultiPoly.variable(domain, i) for i in range(3))
@@ -151,7 +152,7 @@ def test_tangent_pencil_determinant_builds_no_field_scalars(domain,
     init = FieldScalar.__init__
     monkeypatch.setattr(FieldScalar, "__init__",
                         lambda *args: built.append(1) or init(*args))
-    total = det(pencil)
+    total = pencil.determinant()
     assert len(built) == 0
     ring.base.scalar(0)  # the counter does count
     assert len(built) == 1
