@@ -29,12 +29,10 @@ from .poly import (
     MultiPoly,
     ParseError,
     _graded,
-    coefficient_rows,
+    _quotient,
     key_exponent,
     keys_of_degree,
-    multiples_matrix,
     parse_form,
-    solve_linear,
 )
 from .strata import boundary_matrix, boundary_parameters
 
@@ -353,37 +351,41 @@ class TwistedIdealResolution:
 
 
 def build_twisted_ideal_resolution(f, l, g):
-    """Solve f = l*h - w*g for a linear w and cubic h.
+    """Solve f = l*h - w*g for a linear w and cubic h, by division by l.
 
-    Linear algebra on the degree-4 slice of the ideal (l, g); raises when f
-    is not in the ideal.  The unknowns' columns, the multiples m*l for the
-    cubic monomials m and m*(-g) for the linear ones, are laid out by key
-    shift, one row per quartic monomial, with no product built.  Any exact
-    solution is accepted; when l divides f the w = 0 solution is returned
-    and flagged non-semistable.
+    The remainder of a form by l is free of l's leading variable v, and
+    taking it is the ring map that solves l = 0 for v, so f = l*h - w*g
+    gives r = -wbar*gbar for the remainders r, gbar and wbar of f, g and w.
+    When l divides f (r = 0) the w = 0 solution, h the quotient, is
+    returned and flagged non-semistable.  Otherwise wbar = -r/gbar by one
+    exact division, and f is in the ideal (l, g) exactly when gbar is
+    nonzero and the division is exact; else this raises.  Any lift of wbar
+    is w = wbar + c*l, and since l*h = w*g with l not dividing g forces
+    w to be a multiple of l, the solutions are (h + c*g, w + c*l) for the
+    scalars c.  The one taken has no term in l's largest-index variable:
+    a Gauss-Jordan solve over the columns of h and then w finds that
+    variable's column to be the one free column and sets it to 0.  Then
+    h = (f + w*g)/l by one more exact division.
     """
     domain = f.domain
     if f.degree != 4 or l.degree != 1 or g.degree != 3:
         raise ValueError("need degrees (4, 1, 3)")
     if not l or not g:
         raise ValueError("line and cubic must be nonzero")
-    quotient = f.try_exact_div(l)
-    if quotient is not None:
+    quotient, r = f.divmod(l)
+    if not r:
         return TwistedIdealResolution(l, g, Form.zero(domain, 1),
                                       _graded(domain, quotient.raw, 3),
                                       semistable=False)
-    cubics, linears = keys_of_degree(3), keys_of_degree(1)
-    neg_g = (-g).raw
-    matrix = multiples_matrix([(m, l.raw) for m in cubics]
-                              + [(m, neg_g) for m in linears],
-                              keys_of_degree(4))
-    solution = solve_linear(matrix, coefficient_rows([f], 4)[0],
-                            domain.modulus)
-    if solution is None:
+    g_bar = g.divmod(l)[1]
+    q = r.try_exact_div(g_bar) if g_bar else None  # q = -wbar
+    if q is None:
         raise ValueError("quartic is not in the ideal (l, g): Z is not on C")
-    n = len(cubics)
-    h = _graded(domain, domain.canonical(dict(zip(cubics, solution[:n]))), 3)
-    w = _graded(domain, domain.canonical(dict(zip(linears, solution[n:]))), 1)
+    p, last = domain.modulus, min(l.raw)  # the key of l's last variable
+    top, lead = q.raw.get(last, 0), l.raw[last]
+    c = top * pow(lead, -1, p) if p else _quotient(top, lead)
+    w = _graded(domain, (l * c - q).raw, 1)
+    h = _graded(domain, (f + w * g).exact_div(l).raw, 3)
     result = TwistedIdealResolution(l, g, w, h, semistable=True)
     if l * result.h - result.w * g != f:
         raise InvariantError("resolution does not satisfy f = l*h - w*g")

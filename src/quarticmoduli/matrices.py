@@ -30,7 +30,8 @@ with ``poly._eliminate`` on their raw constants.
 
 import random
 
-from .field import QQ, check_json_list, check_json_type, load_json
+from .field import (QQ, FieldMismatchError, check_json_list, check_json_type,
+                    load_json)
 from .poly import (
     Form,
     MultiPoly,
@@ -58,19 +59,23 @@ class FormMatrix:
 
     def __init__(self, src_degrees, tgt_degrees, entries):
         """The checked matrix: entry (i, j) may be a Form or a MultiPoly
-        and must be homogeneous of degree src_degrees[i] - tgt_degrees[j],
-        or zero; a wrong degree raises DegreeError naming the entry."""
+        over the domain of entry (0, 0) and must be homogeneous of degree
+        src_degrees[i] - tgt_degrees[j], or zero; a wrong degree raises
+        DegreeError and another domain FieldMismatchError, naming the
+        entry."""
         self.src_degrees = tuple(src_degrees)
         self.tgt_degrees = tuple(tgt_degrees)
         if len(entries) != len(self.src_degrees):
             raise DegreeError("row count does not match src_degrees")
+        domain = entries[0][0].domain if entries and len(entries[0]) else None
         grid = []
         for i, (s, row) in enumerate(zip(self.src_degrees, entries)):
             if len(row) != len(self.tgt_degrees):
                 raise DegreeError(f"column count mismatch in row {i}")
             grid.append(tuple([
                 entry if isinstance(entry, Form) and entry.degree == s - t
-                else _graded_entry(f"entry ({i},{j})", s - t, entry)
+                and entry.domain is domain
+                else _graded_entry(f"entry ({i},{j})", s - t, entry, domain)
                 for j, (t, entry) in enumerate(zip(self.tgt_degrees, row))]))
         self.entries = tuple(grid)
 
@@ -208,10 +213,15 @@ def _derived(src_degrees, tgt_degrees, rows):
     return m
 
 
-def _graded_entry(name, need, entry):
+def _graded_entry(name, need, entry, domain=None):
     """An entry, a Form or a MultiPoly, checked as a form of degree need,
-    a zero as the zero form of degree max(need, 0); a DegreeError names it
-    as name, such as "entry (0,1)" or "multiplier"."""
+    and over domain when one is given, a zero as the zero form of degree
+    max(need, 0); a DegreeError or FieldMismatchError names it as name,
+    such as "entry (0,1)" or "multiplier"."""
+    if domain is not None and entry.domain is not domain \
+            and entry.domain != domain:
+        raise FieldMismatchError(f"{name} is over {entry.domain}, "
+                                 f"entry (0,0) over {domain}")
     if not entry:
         return _graded(entry.domain, {}, max(need, 0))
     try:

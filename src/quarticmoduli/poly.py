@@ -30,8 +30,8 @@ is nonnegative with no guard bit, the top bit of an exponent field that a
 borrow sets; over QQ it divides primitive integer parts (Gauss's lemma).
 ``multiples_matrix`` lays out the monomial multiples m*f of term dicts as
 the columns of a linear system by key shift, with no product: the GCD's
-kernel search, the twisted ideal's solve and the row-space test in
-``strata`` all read their columns from it.
+kernel search and the row-space test in ``strata`` read their columns
+from it.
 ``evaluate`` builds no polynomial: it runs ``field.evaluate_raw``, the
 one evaluation loop, on the raw terms and the unboxed point, and refuses
 a point that is not a triple.

@@ -129,17 +129,23 @@ def _boundary_report(a, k, minors):
     lies in the row space of the linear part k, so that the presentation
     is not injective.
 
-    Coprime minors always mean that, by Hilbert-Burch.  On the boundary
-    normal form, q = u1*row1 + u2*row2 asks xbar0 to divide x2*w, and the
-    stable xbar0 is no multiple of x2, so it means w is a multiple of
-    xbar0: Z(xbar0, w) is no point.  Any other matrix takes one solve.
+    On the boundary normal form boundary_matrix(xbar0, w) the line is read,
+    not searched for: the minors are xbar0*(xbar0, x1, x2), so their
+    common factor is xbar0, normalized, and ``common_linear_factor`` runs
+    only on any other matrix.  There q = u1*row1 + u2*row2 asks xbar0 to
+    divide x2*w, and the stable xbar0 is no multiple of x2, so it means w
+    is a multiple of xbar0: Z(xbar0, w) is no point.  Any other matrix is
+    injective exactly when its minors share a line (coprime minors always
+    mean the top row is in the row space, by Hilbert-Burch) and one solve
+    finds q outside the row space.
     """
-    line = common_linear_factor(minors)
-    params = None if line is None else boundary_parameters(a)
+    params = boundary_parameters(a)
     point = None
     if params is None:
+        line = common_linear_factor(minors)
         injective = line is not None and not _in_row_space(a.row(0), k)
     else:
+        line = params[0].normalized()
         with suppress(ValueError):
             point = line_intersection(line, params[1])
         injective = point is not None

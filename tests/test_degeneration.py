@@ -348,9 +348,11 @@ def test_twisted_ideal_round_trip():
 @pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
 def test_twisted_ideal_resolution_builds_no_field_scalars(domain,
                                                          monkeypatch):
-    """Exact count: the linear system is laid out by key shift and solved
-    on raw values, with no FieldScalar; converting the coefficient 1 of
-    each of the 13 monomial columns through Domain.scalar built 13."""
+    """Exact count: the divisions by l, the exact division of the
+    remainders and the multiple c of l that fixes w all run on raw values,
+    with no FieldScalar; converting the coefficient 1 of each of 13
+    monomial columns through Domain.scalar, as a linear solve once did,
+    built 13."""
     l, g, w, h = (parse_form(text, domain=domain) for text in
                   ("x0 + 2*x1", "x1^3 + x0*x2^2 - x2^3", "x2 - x1",
                    "x0^3 + 3*x1*x2^2"))

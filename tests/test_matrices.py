@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from unittest import mock
 
@@ -10,7 +11,7 @@ from quarticmoduli.degeneration import (
     make_blowup_chart_point,
     tangent_quartic,
 )
-from quarticmoduli.field import GF, QQ, ParamRing
+from quarticmoduli.field import GF, QQ, FieldMismatchError, ParamRing
 from quarticmoduli.matrices import (
     SHAPES,
     AddMultipleOfCol,
@@ -370,6 +371,25 @@ def test_constructor_names_the_entry_it_refuses(src, tgt, rows, ij):
     with pytest.raises(DegreeError, match=rf"^entry \({ij[0]},{ij[1]}\) "
                        rf"must have degree {need}, got \d+: "):
         FormMatrix(src, tgt, rows)
+
+
+@pytest.mark.parametrize("rows, ij, text", [
+    ([[parse_form("x0"), parse_form("x1^3", domain=GF(101))],
+      [parse_form("x1"), parse_form("x2^3")]], (0, 1),
+     "is over GF(101), entry (0,0) over QQ"),
+    ([[parse_form("x0", domain=GF(101)), parse_form("x1^3", domain=GF(101))],
+      [parse_poly("x1"), parse_form("x2^3", domain=GF(101))]], (1, 0),
+     "is over QQ, entry (0,0) over GF(101)"),
+    ([[parse_form("x0"), parse_form("x1^3")],
+      [parse_form("x1"), Form.zero(GF(3), 3)]], (1, 1),
+     "is over GF(3), entry (0,0) over QQ"),
+], ids=["form over GF(101)", "polynomial over QQ", "zero over GF(3)"])
+def test_constructor_refuses_an_entry_over_another_domain(rows, ij, text):
+    # a matrix whose entries mix domains is refused where it enters, so
+    # scaled and + cannot rewrite it into the domain of entry (0, 0)
+    name = rf"^entry \({ij[0]},{ij[1]}\) "
+    with pytest.raises(FieldMismatchError, match=name + re.escape(text) + "$"):
+        FormMatrix((3, 3), (2, 0), rows)
 
 
 def degrees(matrix):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -587,9 +588,10 @@ def test_matrices_are_checked_once_where_they_enter(domain, monkeypatch):
 
 
 def twisted_ideal_by_products(f, l, g):
-    """(w, h) as build_twisted_ideal_resolution solves for them, with the
-    columns built as the products l*m and -(g*m) of monomial forms: a
-    reference for its columns laid out by key shift."""
+    """(w, h) with f = l*h - w*g by one dense solve over the columns of h
+    and then w, the products l*m and -(g*m) of monomial forms, free
+    variables set to 0, or None when f is not in (l, g): a reference for
+    build_twisted_ideal_resolution, which divides by l instead."""
     domain = f.domain
     cubics, linears = monomials_of_degree(3), monomials_of_degree(1)
     columns = [l * Form(MultiPoly.monomial(domain, m), 3) for m in cubics]
@@ -597,6 +599,8 @@ def twisted_ideal_by_products(f, l, g):
                 for m in linears]
     x = solve_linear(list(zip(*coefficient_rows(columns, 4))),
                      coefficient_rows([f], 4)[0], domain.modulus)
+    if x is None:
+        return None
     w, h = Form.zero(domain, 1), Form.zero(domain, 3)
     for m, c in zip(linears, x[len(cubics):]):
         w = w + Form(MultiPoly.monomial(domain, m, c), 1)
@@ -607,9 +611,10 @@ def twisted_ideal_by_products(f, l, g):
 
 @pytest.mark.parametrize("domain", [QQ, GF(101), GF(3)], ids=repr)
 def test_key_shift_columns_solve_as_product_columns(domain):
-    # the twisted ideal's (w, h) from columns laid out by key shift equal
-    # those from product-built columns, and so does the row-space test of
-    # a zero-determinant res0 matrix's top row
+    # the twisted ideal's (w, h) by division by l equal those of the dense
+    # solve over product-built columns, and the row-space test of a
+    # zero-determinant res0 matrix's top row, whose columns are laid out
+    # by key shift, equals the solve over product-built columns
     rng = random.Random(17)
     solved = 0
     while solved < 10:
@@ -632,6 +637,48 @@ def test_key_shift_columns_solve_as_product_columns(domain):
             sum(coefficient_rows(top, 2), []), domain.modulus) is not None
         assert strata._in_row_space(top, k) == by_products
         assert by_products == (top != [x0 * x0, x1 * x1, x2 * x2])
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(101), GF(3)], ids=repr)
+def test_twisted_ideal_by_division_matches_the_dense_solve(domain):
+    # lines with and without an x0 term (l = x0 + ... above never draws
+    # x1 + c*x2, x1 or x2), each with a member f, an f that l divides (the
+    # w = 0 branch), a g that l divides while f is not, and a random
+    # quartic, which is outside (l, g) unless the dense solve finds it in:
+    # (w, h) equal the reference's, text and all, and the refusals share
+    # one text
+    rng = random.Random(29)
+    x0, x1, x2 = (Form(MultiPoly.variable(domain, i), 1) for i in range(3))
+    refusal = re.escape("quartic is not in the ideal (l, g): Z is not on C")
+    seen = set()
+    for _ in range(4):
+        lines = [x0 + random_form(domain, 1, rng), x1, x2,
+                 *(x1 + x2 * domain.scalar(c) for c in (1, 2, -3))]
+        for l in lines:
+            g, w, h = (random_form(domain, d, rng) for d in (3, 1, 3))
+            l_g = l * random_form(domain, 2, rng)
+            cases = [("member", l * h - w * g, g), ("l | f", l * h, g),
+                     ("l | g", l * h + Form(x2 ** 4, 4), l_g),
+                     ("random", random_form(domain, 4, rng), g)]
+            for kind, f, g_case in cases:
+                if not (f and g_case) or kind == "l | g" and \
+                        f.try_exact_div(l) is not None:
+                    continue
+                expected = twisted_ideal_by_products(f, l, g_case)
+                if expected is None:
+                    with pytest.raises(ValueError, match=f"^{refusal}$"):
+                        degeneration.build_twisted_ideal_resolution(
+                            f, l, g_case)
+                    seen.add((kind, "refused"))
+                    continue
+                res = degeneration.build_twisted_ideal_resolution(f, l, g_case)
+                assert (res.w, res.h) == expected
+                assert [res.w.serialize(), res.h.serialize()] \
+                    == [e.serialize() for e in expected]
+                assert res.semistable == (f.try_exact_div(l) is None)
+                seen.add((kind, "solved"))
+    assert seen >= {("member", "solved"), ("l | f", "solved"),
+                    ("l | g", "refused"), ("random", "refused")}
 
 
 def assert_checked(f):

@@ -89,7 +89,8 @@ def test_no_poly_attribute_read():
 # knows that p is set, or its values are Fractions, since over QQ
 # (p = None) pow(int, -1, None) gives a float
 INVERSE_POW_CALLERS = {"FieldScalar.inverse", "PrimeField.unbox",
-                       "MultiPoly.divmod", "_eliminate"}
+                       "MultiPoly.divmod", "_eliminate",
+                       "build_twisted_ideal_resolution"}
 
 
 def is_inverse_pow(node):
@@ -258,8 +259,8 @@ def test_one_determinant_and_one_product():
 
 # the one function that lays out the monomial multiples m*f of term dicts
 # as matrix columns by key shift, a key sum m + e with no product: the
-# columns of the GCD's kernel search, the twisted ideal's solve and the
-# row-space test of a boundary top row
+# columns of the GCD's kernel search and the row-space test of a boundary
+# top row
 SHIFT_LAYOUTS = {"multiples_matrix"}
 
 
@@ -294,6 +295,36 @@ for ea, v in left:
     assert not offenders, \
         f"a key-shift layout outside poly.multiples_matrix: {offenders}"
     assert SHIFT_LAYOUTS <= names and SHIFT_LAYOUTS <= found
+
+
+# the twisted-ideal resolution divides by its line, so it solves no dense
+# system and lays out no columns: neither may come back into it
+DENSE_SOLVE_CALLS = {"solve_linear", "multiples_matrix"}
+
+
+def is_dense_solve_call(node):
+    """Whether the node calls solve_linear or multiples_matrix, by name or
+    as an attribute."""
+    return isinstance(node, ast.Call) and bool(DENSE_SOLVE_CALLS & {
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)})
+
+
+def test_twisted_ideal_resolution_runs_no_dense_solve():
+    for text, found in (("solve_linear(m, b, p)", True),
+                        ("poly.multiples_matrix(pairs)", True),
+                        ("solve(m)", False)):
+        assert is_dense_solve_call(ast.parse(text).body[0].value) == found
+    path = next(p for p in SOURCES if p.name == "degeneration.py")
+    uses, names = qualified_uses(ast.parse(path.read_text()),
+                                 is_dense_solve_call)
+    assert "build_twisted_ideal_resolution" in names
+    inside = [line for scope, line in uses
+              if scope.split(".")[0] == "build_twisted_ideal_resolution"]
+    assert not inside, f"a dense solve in the resolution at lines {inside}"
+    strata_path = next(p for p in SOURCES if p.name == "strata.py")
+    found, _ = qualified_uses(ast.parse(strata_path.read_text()),
+                              is_dense_solve_call)
+    assert {scope for scope, _ in found} == {"_in_row_space"}  # it still sees
 
 
 def _is_raw(expr):

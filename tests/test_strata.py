@@ -487,3 +487,54 @@ def test_boundary_normal_form_with_w_a_multiple_of_xbar0_is_invalid(dom):
     h = random_graded_automorphism((1, 1, 1), dom, rng)
     for a in (m, act(g, m, h)):
         assert classify_res0(a).label == INVALID
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(101), GF(3)], ids=repr)
+def test_boundary_normal_form_takes_its_line_with_no_gcd(dom, monkeypatch):
+    """On boundary_matrix(xbar0, w) the line is xbar0, normalized, read
+    with no common_linear_factor and equal to the one the GCD of the minors
+    finds; after a random act the GCD runs and finds the same line; and a
+    w that is a multiple of xbar0 is still Invalid."""
+    rng = random.Random(41)
+    find_line = strata.common_linear_factor
+    calls = []
+
+    def no_gcd(minors):
+        raise AssertionError("common_linear_factor ran on the normal form")
+
+    def counted(minors):
+        calls.append(1)
+        return find_line(minors)
+
+    for _ in range(6):
+        xbar0 = parse_form("x0", domain=dom) * dom.scalar(rng.choice(
+            [1, 2, -1])) + random_form(dom, 1, rng)
+        w = random_form(dom, 1, rng)
+        if not xbar0.coefficient((1, 0, 0)) or poly.linear_rank(
+                [xbar0, w], 1) < 2:
+            continue
+        a = strata.boundary_matrix(xbar0, w)
+        line = find_line(a.submatrix([1, 2], [0, 1, 2]).maximal_minors())
+        expected = {
+            "schema": 1, "label": BOUNDARY,
+            "diagnostics": "zero determinant over the boundary line; "
+            f"boundary parameter w = {w.serialize()} recovered from the "
+            "top row",
+            "point": [str(c) for c in gcd.line_intersection(line, w)],
+            "line": line.serialize()}
+        monkeypatch.setattr(strata, "common_linear_factor", no_gcd)
+        report = classify_res0(a)
+        assert report.to_json_dict() == expected
+        assert report.line == line and report.line.degree == 1
+        multiple = strata.boundary_matrix(xbar0, Form(xbar0 * dom.scalar(2),
+                                                      1))
+        assert classify_res0(multiple).label == INVALID
+        monkeypatch.setattr(strata, "common_linear_factor", counted)
+        moved = act(random_graded_automorphism((3, 2, 2), dom, rng), a,
+                    random_graded_automorphism((1, 1, 1), dom, rng))
+        if strata.boundary_parameters(moved) is not None:
+            continue
+        calls.clear()
+        report = classify_res0(moved)
+        assert calls == [1]
+        assert report.label == BOUNDARY and report.line == line
