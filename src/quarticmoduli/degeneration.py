@@ -254,11 +254,13 @@ class DeformationInstance:
         added around it."""
         b = FormMatrix(*SHAPES["res0"], [self.q, self.y, self.z])
         family = boundary_matrix(self.xbar0, self.w) + b.scaled(self.t)
-        zero = MultiPoly.zero(self.domain)
-        one = MultiPoly.constant(self.domain, 1)
-        rows = [[zero] * 4]
-        rows += [[zero, *row] for row in family.entries]
-        rows.append([one, zero, zero, zero])
+        domain = self.domain
+        zero, zero1, zero2 = (_graded(domain, {}, d) for d in range(3))
+        one = _graded(domain, {0: 1}, 0)
+        rows = [[zero1, zero2, zero2, zero2]]
+        rows += [[z, *row] for z, row in zip((zero1, zero, zero),
+                                             family.entries)]
+        rows.append([one, zero1, zero1, zero1])
         return FormMatrix(DEFORM_SRC, DEFORM_TGT, rows)
 
     def reduction_ops(self):
@@ -279,23 +281,24 @@ class DeformationInstance:
     def expected_trace(self):
         """The printed intermediate matrices, one per reduction step."""
         domain = self.domain
-        x1, x2 = MultiPoly.variable(domain, 1), MultiPoly.variable(domain, 2)
+        x1, x2 = (_graded(domain, {k: 1}, 1) for k in keys_of_degree(1)[1:])
         t = self.t
         inv_t = t.inverse()
         w, xb, q, y, z = self.w, self.xbar0, self.q, self.y, self.z
-        zero = MultiPoly.zero(domain)
-        one = MultiPoly.constant(domain, 1)
+        zero, zero1, zero2 = (_graded(domain, {}, d) for d in range(3))
+        one = _graded(domain, {0: 1}, 0)
         row1 = [w] + [f * t for f in q]
         row2 = [zero, -x2 + y[0] * t, y[1] * t, xb + y[2] * t]
         row3 = [zero, x1 + z[0] * t, -xb + z[1] * t, z[2] * t]
-        row4 = [one, zero, x2, -x1]
+        row4 = [one, zero1, x2, -x1]
         top = [x1 * y[k] + x2 * z[k] for k in range(3)]
+        top_zero = [zero1, zero2, zero2, zero2]
         steps = [
-            [[zero] * 4,
+            [top_zero,
              [w, q[0] * t, -w * x2 + q[1] * t, w * x1 + q[2] * t],
-             row2, row3, [one, zero, zero, zero]],
-            [[zero] * 4, row1, row2, row3, row4],
-            [[xb, zero, xb * x2, -xb * x1], row1, row2, row3, row4],
+             row2, row3, [one, zero1, zero1, zero1]],
+            [top_zero, row1, row2, row3, row4],
+            [[xb, zero2, xb * x2, -xb * x1], row1, row2, row3, row4],
             [[xb] + [f * t for f in top], row1, row2, row3, row4],
             [[xb * inv_t] + top, [w * inv_t] + q, row2, row3, row4],
             [[xb] + top, [w] + q, row2, row3, [one * t] + row4[1:]],

@@ -16,14 +16,18 @@ at the scalar edge.  The serializer boxes nothing: it takes a coefficient
 as ``str`` of its raw value, the text of its scalar's ``as_text``, and a
 monomial as the cached ``monomial_text`` of its exponents.
 
-ParamScalar arithmetic runs on raw values, as ``poly.dot`` does: an
-operand of the same ring is matched by identity before the equality
-check, adding the int 0 (which ``dot`` adds into every new monomial)
-returns the operand, and the product adds exponent tuples with no
-generator.  ``evaluate_raw`` is the one evaluation loop of the package:
+No module of the package builds a parameter ring: verify computes the
+chart minors over QQ by Kronecker substitution.  ParamRing and
+ParamScalar stay for callers outside the package until the bench's
+counting pass stops wrapping ParamScalar's methods.  ParamScalar
+arithmetic runs on raw values, as ``poly.dot`` does: an operand of the
+same ring is matched by identity before the equality check, adding the
+int 0 (which ``dot`` adds into every new monomial) returns the operand,
+and the product adds exponent tuples with no generator.
+``evaluate_raw`` is the one evaluation loop of the package:
 ``MultiPoly.evaluate``, ``Form.evaluate`` and verify's specialization of
-parameter coefficients unbox the point once and run it, which skips zero
-exponents; the first two box one result.
+the decoded chart-minor coefficients run it on raw values, which skips
+zero exponents; the first two unbox the point once and box one result.
 """
 
 import json
@@ -113,8 +117,9 @@ class Domain:
             raise ValueError(f"{text.strip()!r} has over {MAX_DIGITS} digits")
         try:
             value = Fraction(mantissa + "E0" if big else text.strip())
-        except ZeroDivisionError as exc:
-            raise ValueError(str(exc)) from None
+        except ZeroDivisionError:
+            raise ValueError(f"{text.strip()!r} has a zero denominator") \
+                from None
         except ValueError:
             raise ValueError(f"Invalid literal for Fraction: "
                              f"{text.strip()!r}") from None
@@ -324,9 +329,10 @@ class FieldScalar:
 class ParamRing(Domain):
     """Polynomial ring in named parameters over a base field.
 
-    Used by the verification layer to carry the symbolic chart parameters
-    (alpha, beta, a, b, c, d) through matrix arithmetic.  It is a
-    ring, not a field: only +, -, * and equality are supported.
+    No module of the package uses it now: the verification layer carries
+    the chart parameters (alpha, beta, a, b, c, d) through its matrix
+    arithmetic as integer codes over QQ (``verify.verify_chart_minors``).
+    It is a ring, not a field: only +, -, * and equality are supported.
     """
 
     is_field = False
@@ -481,7 +487,8 @@ class ParamScalar:
 def evaluate_raw(terms, values):
     """The value of (exponent tuple, raw value) pairs at the raw values of
     their variables, as a raw value not yet reduced: the one evaluation
-    loop of polynomials and parameter-ring scalars.  A zero exponent
+    loop of polynomials, parameter-ring scalars and verify's decoded
+    chart-minor coefficients.  A zero exponent
     multiplies nothing, since over QQ ``Fraction ** 0`` is a slow way to
     make 1."""
     total = 0

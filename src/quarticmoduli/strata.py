@@ -18,7 +18,6 @@ from .gcd import (
 )
 from .matrices import SHAPES, FormMatrix, stable_kronecker_minors
 from .poly import (
-    MultiPoly,
     _eliminate,
     _graded,
     coefficient_rows,
@@ -181,11 +180,11 @@ def boundary_matrix(xbar0, w):
     [x1, -xbar0, 0]] for linear forms xbar0 and w; its determinant is 0."""
     domain = xbar0.domain
     x1, x2 = (_graded(domain, {k: 1}, 1) for k in keys_of_degree(1)[1:])
-    zero = MultiPoly.zero(domain)
+    zero1, zero2 = _graded(domain, {}, 1), _graded(domain, {}, 2)
     return FormMatrix(*SHAPES["res0"], [
-        [zero, -x2 * w, x1 * w],
-        [-x2, zero, xbar0],
-        [x1, -xbar0, zero],
+        [zero2, -x2 * w, x1 * w],
+        [-x2, zero1, xbar0],
+        [x1, -xbar0, zero1],
     ])
 
 

@@ -7,12 +7,15 @@ contains inverse scalars.
 """
 
 import random
+from operator import mul
 
 import quarticmoduli as qm
 
-from .field import GF, QQ, ParamRing, evaluate_raw
+from .field import (GF, QQ, InvariantError, _serialize_terms, evaluate_raw,
+                    monomial_text)
 from .matrices import SHAPES, FormMatrix, act, random_form, random_matrix
-from .poly import Form, MultiPoly, key_exponent, keys_of_degree
+from .poly import (VARIABLES, Form, MultiPoly, _key_text, key_exponent,
+                   keys_of_degree)
 
 PASS = "pass"
 PASS_WITH_NOTE = "pass-with-note"
@@ -68,15 +71,17 @@ def _transition_matrices(domain, alpha):
     """The printed A1 on (3,2,2) -> (1,1,1), g on (3,2,2) and h on
     (1,1,1) over a field with a concrete scalar alpha."""
     x0, x1, x2 = _vars(domain)
+    zero, zero1, zero2 = (Form.zero(domain, d) for d in range(3))
     one = Form(MultiPoly.constant(domain, 1), 0)
-    zero = MultiPoly.zero(domain)
     xa = x0 * alpha + x1
     src, tgt = SHAPES["res0"]
     a1 = FormMatrix(src, tgt, [
-        [zero, x0 * x2, -(x0 * x0)],
-        [-x2, zero, xa],
-        [x0, -xa, zero],
+        [zero2, x0 * x2, -(x0 * x0)],
+        [-x2, zero1, xa],
+        [x0, -xa, zero1],
     ])
+    # entries (1, 0) and (2, 0) lie below the filtration: the constructor
+    # gives their zeros degree 0
     g = FormMatrix(src, src, [
         [one * alpha ** 3, x0 * alpha ** 2 - x1 * alpha, x2 * alpha ** 2],
         [zero, one, zero],
@@ -93,12 +98,12 @@ def _transition_matrices(domain, alpha):
 
 def _a0_matrix(domain, beta):
     x0, x1, x2 = _vars(domain)
-    zero = MultiPoly.zero(domain)
+    zero1, zero2 = Form.zero(domain, 1), Form.zero(domain, 2)
     xb = x0 + x1 * beta
     return FormMatrix(*SHAPES["res0"], [
-        [zero, x1 * x2, -(x1 * x1)],
-        [-x2, zero, xb],
-        [x1, -xb, zero],
+        [zero2, x1 * x2, -(x1 * x1)],
+        [-x2, zero1, xb],
+        [x1, -xb, zero1],
     ])
 
 
@@ -209,78 +214,137 @@ def verify_reduction_chain(seed):
     )
 
 
-def verify_chart_minors(seed=0, samples=200):
-    """Match the three printed chart minors symbolically, then sample.
+# each chart parameter becomes the integer 2^(16*w) for its weight w, a
+# parameter monomial of exponent e the 16-bit digit place e.w (see
+# verify_chart_minors)
+_CHART_PARAMETERS = ("alpha", "beta", "a", "b", "c", "d")
+_CHART_WEIGHTS = (1, 4, 10, 18, 23, 25)
+_CHART_POINT = tuple(1 << 16 * w for w in _CHART_WEIGHTS)
+# place e.w -> exponent tuple e: 1, the six e_i and the 21 e_i + e_j
+_CHART_CODES = {sum(map(mul, e, _CHART_WEIGHTS)): e for e in (
+    tuple((k == i) + (k == j) for k in range(6))
+    for i in range(7) for j in range(i, 7))}
 
-    The minors of [[-x2, c*x1, xbar0], [x1, -xbar0 + a*x1 + b*x2, d*x2]]
-    are computed over a parameter ring in (alpha, beta, a, b, c, d) and
-    compared with the printed quadrics up to the fixed sign convention;
-    sampling checks that a=b=c=d=0 forces the common factor xbar0 and that
-    a nonzero (c, d) destroys it.
-    """
-    ring = ParamRing(QQ, ("alpha", "beta", "a", "b", "c", "d"))
-    al, be, pa, pb, pc, pd = (ring.variable(n) for n in ring.names)
-    x0, x1, x2 = _vars(ring)
+
+def _chart_minors():
+    """(minors, printed): the maximal minors of the chart Kronecker matrix
+    and the three printed quadrics, each parameter at its code point, as
+    quadrics over QQ."""
+    al, be, pa, pb, pc, pd = _CHART_POINT
+    x0, x1, x2 = _vars(QQ)
     xb = x0 + x1 * al + x2 * be
     k = FormMatrix((2, 2), (1, 1, 1), [
         [-x2, x1 * pc, xb],
         [x1, -xb + x1 * pa + x2 * pb, x2 * pd],
     ])
-    minors = k.maximal_minors()
     printed = [
         x1 * x2 * (pc * pd) + xb * (xb - x1 * pa - x2 * pb),
         -(x2 * x2 * pd) - xb * x1,
         x2 * (xb - x1 * pa - x2 * pb) - x1 * x1 * pc,
     ]
-    signs = []
-    symbolic_ok = True
-    for m, p in zip(minors, printed):
-        if m == p:
-            signs.append(1)
-        elif m == -p:
-            signs.append(-1)
-        else:
-            signs.append(0)
-            symbolic_ok = False
+    return k.maximal_minors(), printed
+
+
+def _decode(code):
+    """The parameter polynomial {exponent tuple: int} of an integer code,
+    read as balanced base-2^16 digits in [-2^15, 2^15), the digit at each
+    place the coefficient of its exponent; a nonzero digit at a place
+    that is no exponent's is an InvariantError.  Runs of zero digits are
+    skipped at once, by the lowest set bit."""
+    terms, place = {}, 0
+    while code:
+        skip = ((code & -code).bit_length() - 1) // 16
+        code >>= 16 * skip
+        place += skip
+        digit = (code + 0x8000 & 0xFFFF) - 0x8000
+        if place not in _CHART_CODES:
+            raise InvariantError(f"digit {digit} at place {place} is off "
+                                 "the chart parameter codes")
+        terms[_CHART_CODES[place]] = digit
+        code = (code - digit) >> 16
+        place += 1
+    return terms
+
+
+def _specialize(decoded, point):
+    """The quadric over QQ of a decoded minor {x-key: parameter terms} at
+    a point of raw parameter values."""
+    return Form(MultiPoly.from_raw(QQ, {
+        k: evaluate_raw(terms.items(), point)
+        for k, terms in decoded.items()}), 2)
+
+
+def _minor_text(decoded):
+    """A decoded minor printed as a polynomial whose coefficients are
+    parameter polynomials: each x-coefficient by descending exponent
+    tuple, parenthesized when it is a sum."""
+    return _serialize_terms(
+        (_serialize_terms((str(terms[e]), monomial_text(e, _CHART_PARAMETERS))
+                          for e in sorted(terms, reverse=True)),
+         _key_text(k, VARIABLES))
+        for k, terms in sorted(decoded.items(), reverse=True))
+
+
+def verify_chart_minors(seed=0, samples=200):
+    """Match the three printed chart minors symbolically, then sample.
+
+    The minors of [[-x2, c*x1, xbar0], [x1, -xbar0 + a*x1 + b*x2, d*x2]],
+    xbar0 = x0 + alpha*x1 + beta*x2, are quadrics in x0, x1, x2 whose
+    coefficients are integer polynomials of total degree at most 2 in the
+    parameters (alpha, beta, a, b, c, d), as are those of the printed
+    quadrics.  They are computed over QQ by Kronecker substitution (von
+    zur Gathen and Gerhard, Modern Computer Algebra, section 8.4): each
+    parameter is the integer 2^(16*w) for its weight w in (1, 4, 10, 18,
+    23, 25), so a parameter monomial of exponent e becomes the 16-bit
+    digit place e.w.  {0} and the weights form a Golomb ruler, so the 28
+    monomials of degree at most 2 take 28 distinct places, up to 50.
+
+    A polynomial whose coefficients lie in (-2^15, 2^15) is then one
+    balanced base-2^16 digit a monomial, so equal codes mean equal
+    polynomials.  Every factor here is linear in x0, x1, x2 with each
+    x-coefficient at most three parameter terms of coefficient +-1, and
+    each quadric is at most two products of two factors, so a coefficient
+    of a minor or a printed quadric is at most 2*2*3*3 = 36 in absolute
+    value (4 in fact), and one of m - p or m + p at most 72.  So the sign
+    of each minor against the printed convention is decided by comparing
+    codes, and each x-coefficient of a minor is decoded once, for printing
+    as a parameter-ring polynomial prints and for the samples.
+
+    Sampling checks that a=b=c=d=0 forces the common factor xbar0 and
+    that a nonzero (c, d) destroys it.
+    """
+    minors, printed = _chart_minors()
+    signs = [1 if m == p else -1 if m == -p else 0
+             for m, p in zip(minors, printed)]
+    symbolic_ok = 0 not in signs
+    decoded = [{k: _decode(c) for k, c in m.raw.items()} for m in minors]
+    x0, x1, x2 = _vars(QQ)
     rng = random.Random(seed)
     sample_ok = True
     half = samples // 2
     for trial in range(samples):
-        values = {
-            "alpha": QQ.scalar(rng.randrange(-5, 6)),
-            "beta": QQ.scalar(rng.randrange(-5, 6)),
-            "a": QQ.zero,
-            "b": QQ.zero,
-            "c": QQ.zero,
-            "d": QQ.zero,
-        }
+        # raw (alpha, beta, a, b, c, d)
+        point = [rng.randrange(-5, 6), rng.randrange(-5, 6), 0, 0, 0, 0]
         if trial < half:
             # a=b=c=d=0: the minors must share the factor xbar0
-            special = [_specialize(m, values, QQ) for m in minors]
-            factor = qm.gcd.common_linear_factor([Form(s, 2) for s in special])
-            target = _specialize(xb, values, QQ).normalized()
-            if factor is None or factor != target:
-                sample_ok = False
-                break
+            want = (x0 + x1 * point[0] + x2 * point[1]).normalized()
         else:
             # nonzero (c, d): no common linear factor
-            for name in ("a", "b"):
-                values[name] = QQ.scalar(rng.randrange(-5, 6))
-            while not (values["c"] or values["d"]):
-                values["c"] = QQ.scalar(rng.randrange(-5, 6))
-                values["d"] = QQ.scalar(rng.randrange(-5, 6))
-            special = [_specialize(m, values, QQ) for m in minors]
-            factor = qm.gcd.common_linear_factor([Form(s, 2) for s in special])
-            if factor is not None:
-                sample_ok = False
-                break
+            want = None
+            point[2:4] = rng.randrange(-5, 6), rng.randrange(-5, 6)
+            while not (point[4] or point[5]):
+                point[4:] = rng.randrange(-5, 6), rng.randrange(-5, 6)
+        special = [_specialize(m, point) for m in decoded]
+        if qm.gcd.common_linear_factor(special) != want:
+            sample_ok = False
+            break
     ok = symbolic_ok and sample_ok
     return IdentityReport(
         "chart-minors",
         PASS if ok else FAIL,
         computed={
             "signs": signs,
-            "minors": [m.serialize() for m in minors],
+            "minors": [_minor_text(m) for m in decoded],
             "samples_ok": sample_ok,
         },
         expected={
@@ -297,14 +361,6 @@ def verify_chart_minors(seed=0, samples=200):
     )
 
 
-def _specialize(poly, values, base):
-    """Evaluate the parameter coefficients of a ParamRing polynomial at a
-    dict name -> base scalar, on raw values."""
-    point = [base.unbox(values[n]) for n in poly.domain.names]
-    return MultiPoly.from_raw(base, {e: evaluate_raw(c.raw.items(), point)
-                                     for e, c in poly.raw.items()})
-
-
 def verify_fibre_determinant(seed):
     """det of the w-shifted fibre matrix equals x0*(x0*q0 + x1*q1 + x2*q2)."""
     domain = GF(101)
@@ -316,11 +372,11 @@ def verify_fibre_determinant(seed):
     gamma = domain.scalar(rng.randrange(domain.p))
     delta = domain.scalar(rng.randrange(domain.p))
     w = x1 * gamma + x2 * delta
-    zero = MultiPoly.zero(domain)
+    zero1 = Form.zero(domain, 1)
     computed = FormMatrix(*SHAPES["res0"], [
         [q0, q1 - x2 * w, q2 + x1 * w],
-        [-x2, zero, x0],
-        [x1, -x0, zero],
+        [-x2, zero1, x0],
+        [x1, -x0, zero1],
     ]).determinant()
     expected = x0 * (x0 * q0 + x1 * q1 + x2 * q2)
     ok = computed == expected

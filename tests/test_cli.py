@@ -539,7 +539,7 @@ MALFORMED = {
                                    {"type": "projective", "n": 1000000000},
                                    "dimension 1000000000 exceeds the limit"),
     "alpha zero denominator": (["verify", "transition", "--alpha", "1/0"],
-                               None, "Fraction(1, 0)"),
+                               None, "error: '1/0' has a zero denominator"),
     "alpha bad mantissa": (["verify", "transition", "--alpha", "1e5e99999999"],
                            None,
                            "error: Invalid literal for Fraction: "

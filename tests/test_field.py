@@ -11,6 +11,7 @@ from quarticmoduli.field import (
     PrimeField,
     evaluate_raw,
 )
+from quarticmoduli.matrices import make_matrix
 from quarticmoduli.poly import MultiPoly
 
 
@@ -130,6 +131,17 @@ def test_scalar_hashes_agree_with_equality():
 def test_parse_scalars():
     assert QQ.parse("-2/5").value == Fraction(-2, 5)
     assert GF(101).parse("3").value == 3
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
+def test_parse_names_a_zero_denominator(domain):
+    for text in ("1/0", " -3/00 ", "0/0"):
+        with pytest.raises(ValueError) as info:
+            domain.parse(text)
+        assert str(info.value) == f"{text.strip()!r} has a zero denominator"
+    with pytest.raises(ValueError, match=r"^entry \(0,0\): bad number '1/0': "
+                       r"'1/0' has a zero denominator$"):
+        make_matrix((1,), (0,), [["1/0*x0"]], domain)
 
 
 def test_param_ring_arithmetic_and_substitution():

@@ -1,12 +1,13 @@
 import json
 import random
-from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from quarticmoduli import degeneration
+from quarticmoduli import degeneration, verify
 from quarticmoduli.degeneration import tangent_quartic
-from quarticmoduli.field import GF, QQ, FieldScalar, ParamRing, ParamScalar
+from quarticmoduli.field import (GF, QQ, FieldScalar, InvariantError,
+                                 ParamRing, ParamScalar)
 from quarticmoduli.matrices import FormMatrix, random_matrix
 from quarticmoduli.poly import Form, MultiPoly
 from quarticmoduli.strata import boundary_matrix
@@ -15,8 +16,11 @@ from quarticmoduli.verify import (
     FAIL,
     PASS,
     PASS_WITH_NOTE,
+    _CHART_CODES,
+    _CHART_WEIGHTS,
     PRINTED_MODULI_COEFFICIENTS,
     IdentityReport,
+    _decode,
     _specialize,
     run_all,
     verify_chart_minors,
@@ -165,21 +169,103 @@ def test_tangent_pencil_determinant_builds_no_field_scalars(domain,
         b.determinant().poly
 
 
-@pytest.mark.parametrize("domain", [QQ, GF(101)], ids=repr)
-def test_specialize_inverts_lift(domain):
-    rng = random.Random(5)
-    ring = ParamRing(domain, ("a", "t"))
-    values = {"a": domain.scalar(rng.randrange(1, 50)),
-              "t": domain.scalar(Fraction(-3, 7))}
-    for seed in range(3):
-        f = random_matrix("res0", domain, seed=seed)[0, 0].poly
-        lifted = lift(f, ring)
-        assert lifted.domain is ring
-        assert _specialize(lifted, values, domain) == f
-        # a coefficient t*a^2 + 1 specializes to its value at the point
-        c = ring.variable("t") * ring.variable("a") ** 2 + 1
-        want = values["t"] * values["a"] ** 2 + 1
-        assert _specialize(lifted * c, values, domain) == f * want
+BOUND = 2**15 - 1  # the largest coefficient that one balanced digit holds
+
+
+def encode(terms):
+    """The code of a parameter polynomial {exponent tuple: int}: its value
+    with each parameter at 2^(16*w) for its weight w."""
+    return sum(c * 2 ** (16 * sum(k * w for k, w in zip(e, _CHART_WEIGHTS)))
+               for e, c in terms.items())
+
+
+def test_the_28_chart_codes_are_distinct():
+    """{0} and the weights form a Golomb ruler, so the monomials of total
+    degree at most 2 in the six parameters have 28 distinct codes."""
+    exponents = {tuple(factors.count(k) for k in range(6))
+                 for n in range(3)
+                 for factors in combinations_with_replacement(range(6), n)}
+    codes = {sum(k * w for k, w in zip(e, _CHART_WEIGHTS)): e
+             for e in exponents}
+    assert len(exponents) == len(codes) == 28
+    assert max(codes) == 50
+    assert _CHART_CODES == codes
+
+
+def test_decode_inverts_encode_up_to_the_coefficient_bound():
+    exponents = list(_CHART_CODES.values())
+    for e in exponents:
+        for c in (BOUND, -BOUND, 1, -1):
+            assert _decode(encode({e: c})) == {e: c}
+    rng = random.Random(3)
+    for _ in range(20):  # all 28 monomials at once
+        terms = {e: rng.choice((BOUND, -BOUND, rng.randint(-BOUND, BOUND)))
+                 for e in exponents}
+        terms = {e: c for e, c in terms.items() if c}
+        assert _decode(encode(terms)) == terms
+    assert _decode(0) == {}
+
+
+def test_a_digit_off_the_code_points_is_refused():
+    off = [place for place in range(56) if place not in _CHART_CODES]
+    assert len(off) == 56 - 28
+    inside = encode({(1, 0, 0, 0, 1, 0): -3, (0,) * 6: 2})
+    for place in off:
+        for digit in (1, -1, BOUND, -BOUND):
+            for code in (digit << 16 * place,
+                         inside + (digit << 16 * place)):
+                with pytest.raises(InvariantError, match=f"place {place} "):
+                    _decode(code)
+
+
+def chart_matrix_at(point):
+    """The chart Kronecker matrix over QQ at a point (alpha, beta, a, b,
+    c, d) of integers."""
+    al, be, a, b, c, d = point
+    x0, x1, x2 = (Form(MultiPoly.variable(QQ, i), 1) for i in range(3))
+    xb = x0 + x1 * al + x2 * be
+    return FormMatrix((2, 2), (1, 1, 1), [
+        [-x2, x1 * c, xb],
+        [x1, -xb + x1 * a + x2 * b, x2 * d],
+    ])
+
+
+def test_decoded_minors_specialize_to_the_minors_at_the_point():
+    """The oracle: at random integer points the decoded minors give the
+    maximal minors of the chart matrix built at that point."""
+    minors, _ = verify._chart_minors()
+    decoded = [{k: _decode(c) for k, c in m.raw.items()} for m in minors]
+    rng = random.Random(11)
+    for _ in range(20):
+        point = [rng.randint(-50, 50) for _ in range(6)]
+        special = [_specialize(m, point) for m in decoded]
+        assert special == chart_matrix_at(point).maximal_minors()
+        assert all(s.degree == 2 for s in special)
+
+
+def test_one_changed_printed_coefficient_fails(monkeypatch):
+    """Each coefficient of each printed quadric, changed by one at each
+    parameter monomial, gives that minor the sign 0 and the report FAIL;
+    the computed minors do not move."""
+    minors, printed = verify._chart_minors()
+    want = verify_chart_minors(seed=0, samples=0).computed["minors"]
+    keys = sorted({k for p in printed for k in p.raw})
+    for which in range(3):
+        for i, (key, e) in enumerate(product(keys, _CHART_CODES.values())):
+            bump = Form(MultiPoly.from_raw(QQ, {key: encode(
+                {e: (-1) ** i})}), 2)
+            changed = list(printed)
+            changed[which] = printed[which] + bump
+            monkeypatch.setattr(verify, "_chart_minors",
+                                lambda: (minors, changed))
+            report = verify_chart_minors(seed=0, samples=0)
+            assert report.status == FAIL
+            signs = [1, -1, 1]
+            signs[which] = 0
+            assert report.computed["signs"] == signs
+            assert report.computed["minors"] == want
+    report = verify_chart_minors(seed=0, samples=2)
+    assert report.status == FAIL and report.computed["samples_ok"]
 
 
 def test_chart_minors_symbolic():
