@@ -52,8 +52,13 @@ def _common_flags(parser):
 def _seed_of(args):
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("QML_SEED")
-    return int(env) if env else 0
+    env = os.environ.get("QML_SEED") or "0"
+    try:  # counted first, whatever digit limit int() runs with
+        if sum(map(str.isdigit, env)) <= MAX_DIGITS:
+            return int(env)
+    except ValueError:
+        pass
+    raise ValueError(f"QML_SEED: not an integer of up to {MAX_DIGITS} digits")
 
 
 def _emit(args, json_obj, text):

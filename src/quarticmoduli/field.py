@@ -313,7 +313,8 @@ class FieldScalar:
             other = self.domain.scalar(other)
         if not isinstance(other, FieldScalar):
             return NotImplemented
-        return self.domain == other.domain and self.value == other.value
+        return (self.domain is other.domain or self.domain == other.domain) \
+            and self.value == other.value
 
     def __hash__(self):
         """The hash of the raw value, as the int or Fraction it equals has."""

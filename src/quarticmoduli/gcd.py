@@ -405,7 +405,8 @@ def _tangent_line(poly, point):
     p0, p1, p2 = ([x**k for k in range(poly.total_degree() + 1)]
                   for x in point)
     g0 = g1 = g2 = 0
-    for (a, b, c), v in exponent_terms(poly.raw):
+    for k, v in poly.raw.items():
+        a, b, c = k >> 64 & 0xFFFFFFFF, k >> 32 & 0xFFFFFFFF, k & 0xFFFFFFFF
         if a:
             g0 += v * a * p0[a - 1] * p1[b] * p2[c]
         if b:

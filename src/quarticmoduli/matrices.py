@@ -23,9 +23,9 @@ the determinant of each row subset over the columns left is one
 result is made canonical once.  The maximal minors of an (n+1) x n
 matrix, or of the transpose of an n x (n+1) one, share one memo; minor j
 is one expansion with the sign (-1)^j, with no submatrix.  ``act`` is the
-one matrix product: each entry of g * a * h is one ``poly.dot_raw``, into
-one derived matrix.  A ``GradedAutomorphism`` tests its scalar blocks
-with ``poly._eliminate`` on their raw constants.
+one matrix product: each entry of g * a * h is one ``poly.dot_raw``, zero
+pairs dropped, into one derived matrix.  A ``GradedAutomorphism`` tests
+its scalar blocks with ``poly._eliminate`` on their raw constants.
 """
 
 import random
@@ -324,9 +324,9 @@ class GradedAutomorphism:
 
 def act(g, a, h):
     """The product g * a * h of graded automorphisms around a matrix; the
-    rows of g * a stay term dicts, and each entry is one canonical form of
-    the degree that the checked factors fix, in a matrix not checked
-    again."""
+    rows of g * a stay term dicts, a pair with a zero factor is dropped,
+    and each entry is one canonical form of the degree that the checked
+    factors fix, in a matrix not checked again."""
     g, h = (m.matrix if isinstance(m, GradedAutomorphism) else m
             for m in (g, h))
     if g.tgt_degrees != a.src_degrees:
@@ -335,11 +335,12 @@ def act(g, a, h):
         raise DegreeError("right automorphism does not match target degrees")
     domain = a.domain
     rows, grid, cols = (_raw_grid(m.entries, domain) for m in (g, a, h))
-    ga = [[dot_raw(zip(row, col)) for col in zip(*grid)] for row in rows]
+    ga = ([dot_raw(filter(all, zip(row, col))) for col in zip(*grid)]
+          for row in rows)  # one row at a time, with no zero pair
     return _derived(g.src_degrees, h.tgt_degrees, [
-        [_graded(domain, domain.canonical(dot_raw(zip(row, col))),
+        [_graded(domain, domain.canonical(dot_raw(filter(all, zip(r, col)))),
                  max(s - t, 0)) for t, col in zip(h.tgt_degrees, zip(*cols))]
-        for s, row in zip(g.src_degrees, ga)])
+        for s, r in zip(g.src_degrees, ga)])
 
 
 def _raw_grid(rows, domain):
@@ -352,12 +353,10 @@ def _raw_grid(rows, domain):
 
 
 def identity_automorphism(degrees, domain=QQ):
-    one = MultiPoly.constant(domain, 1)
-    zero = MultiPoly.zero(domain)
-    n = len(degrees)
-    return GradedAutomorphism(FormMatrix(
-        degrees, degrees, [[one if i == j else zero for j in range(n)]
-                           for i in range(n)]))
+    one, zero = MultiPoly.constant(domain, 1), MultiPoly.zero(domain)
+    return GradedAutomorphism(FormMatrix(degrees, degrees, [
+        [one if i == j else zero for j in range(len(degrees))]
+        for i in range(len(degrees))]))
 
 
 # ---- elementary operations --------------------------------------------
@@ -478,13 +477,13 @@ def random_matrix(shape, field, seed=None, rng=None):
 
 
 def random_graded_automorphism(degrees, field, rng):
-    """A random invertible graded automorphism for the given degrees, zero
-    below the filtration."""
-    zero = MultiPoly.zero(field)
+    """A random invertible graded automorphism, zero below the filtration,
+    of forms of their degree: built by ``_derived``, checked by its blocks."""
+    degrees, zero = tuple(degrees), _graded(field, {}, 0)
     while True:
         entries = [[random_form(field, s - t, rng) if s >= t else zero
                     for t in degrees] for s in degrees]
         try:
-            return GradedAutomorphism(FormMatrix(degrees, degrees, entries))
+            return GradedAutomorphism(_derived(degrees, degrees, entries))
         except DegreeError:
             continue

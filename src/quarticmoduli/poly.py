@@ -15,11 +15,11 @@ parse, power or product that would reach it is refused, so no 32-bit
 field overflows into the next.  The public surface keeps exponent triples.
 
 ``dot_raw`` is the one product loop: it sums the products of pairs of
-term dicts in one dict of raw values.  ``dot``, the checked kernel over it,
-takes a sum of products of polynomials, such as a cofactor sum, matches
-the domains and makes the sum canonical once; ``matrices``, the parser
-and ``MultiPoly._times``, the term dict of a product, run ``dot_raw`` on
-term dicts themselves.
+term dicts in one dict of raw values, a one-term factor in one scaled
+pass, whose keys come in the nested loop's order.  ``dot``, the checked
+kernel over it, sums products of polynomials, such as a cofactor sum,
+matching the domains and making the sum canonical once; ``matrices``,
+the parser and ``MultiPoly._times`` run ``dot_raw`` on term dicts.
 The parser reads text into term dicts: a variable is one key, a literal
 its raw value, ``*`` one ``dot_raw``, and each sum is added into one dict
 and made canonical, so no term of a factor is zero and its largest key
@@ -407,10 +407,19 @@ def dot_raw(pairs):
     """The sum of the products of the pairs (left, right) of term dicts,
     as a term dict of raw values not yet canonical: the package's one
     product loop, with no domain check.  A degree of 2^31 or more is
-    refused."""
+    refused.  A one-term factor is one scaled pass over the other, whose
+    order the nested loop's keys follow either way; a constant adds no key."""
     raw = {}
     get = raw.get
     for left, right in pairs:
+        if len(left) == 1:
+            left, right = right, left
+        if len(right) == 1:
+            [(eb, w)] = right.items()
+            for ea, v in left.items():
+                e = ea + eb if eb else ea
+                raw[e] = v * w + get(e, 0)
+            continue
         right = list(right.items())
         for ea, v in left.items():
             for eb, w in right:

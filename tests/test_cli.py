@@ -353,6 +353,38 @@ def test_sample_seed_from_environment(capsys, monkeypatch):
     assert via_env == via_flag
 
 
+@pytest.mark.parametrize("value", ["abc", "9" * 5000, "1" * 4301],
+                         ids=["text", "5000 digits", "4301 digits"])
+@pytest.mark.parametrize("command", [["sample", "res0", "--field", "101",
+                                      "--count", "2"],
+                                     ["verify", "fibre-determinant"]],
+                         ids=["sample", "verify"])
+def test_a_bad_seed_variable_is_refused_by_name(capsys, monkeypatch, value,
+                                                 command):
+    # one line that names QML_SEED and quotes none of its text; the digits
+    # are counted before int() reads them, also where the interpreter's
+    # own limit on them is lifted
+    monkeypatch.setenv("QML_SEED", value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        start = time.monotonic()
+        code = cli.main(command)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert time.monotonic() - start < 1
+    assert captured.err == \
+        "error: QML_SEED: not an integer of up to 4300 digits\n"
+
+
+def test_a_seed_variable_of_4300_digits_is_read(capsys, monkeypatch):
+    monkeypatch.setenv("QML_SEED", "9" * 4300)
+    assert cli.main(["sample", "res0", "--field", "101", "--count", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # ---- malformed input ----------------------------------------------------
 
 FILE = "<input file>"

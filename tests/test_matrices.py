@@ -195,6 +195,39 @@ def test_act_determinant_multiplicative():
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("other", [QQ, GF(103)], ids=repr)
+def test_act_refuses_an_automorphism_over_another_field(other):
+    m = random_matrix("res0", GF(101), seed=3)
+    g, h = (identity_automorphism(d, GF(101)) for d in ((3, 2, 2), (1, 1, 1)))
+    g_other, h_other = (random_graded_automorphism(d, other, random.Random(1))
+                        for d in ((3, 2, 2), (1, 1, 1)))
+    assert act(g, m, h) == m
+    for left, right in ((g_other, h), (g, h_other), (g_other.matrix, h)):
+        with pytest.raises(FieldMismatchError):
+            act(left, m, right)
+
+
+def test_random_automorphism_builds_no_checked_matrix():
+    # its entries are forms of their degree, drawn as they are, so it is
+    # built through _derived, and the block test is its only check
+    calls = []
+    checked = FormMatrix.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        checked(self, *args)
+
+    with mock.patch.object(FormMatrix, "__init__", counted):
+        random_matrix("res0", GF(101), seed=1)  # the count sees a check
+        assert len(calls) == 1
+        for domain in (GF(101), GF(3), QQ):
+            for degrees in ((3, 2, 2), (1, 1, 1), (3, 3), DEFORM_SRC):
+                g = random_graded_automorphism(degrees, domain,
+                                               random.Random(7))
+                assert g.matrix.src_degrees == g.matrix.tgt_degrees == degrees
+    assert len(calls) == 1
+
+
 def test_elementary_op_degree_checked():
     m = bordered_example()
     # adding x1 * (row of degree 2) to the degree-3 row is legal
@@ -447,8 +480,9 @@ def test_unchecked_derived_matrices_pass_the_check():
     # every matrix built from checked ones without the constructor's check
     # would pass it with the same entry degrees, zero entries included:
     # sums, scalings (by 0 too), transposes, submatrices, each elementary
-    # operation (zero multipliers of any degree too), act, the matrices
-    # that tangent_quartic replaces rows in, and BlowupChartPoint.total,
+    # operation (zero multipliers of any degree too), act, the random
+    # graded automorphisms, the matrices that tangent_quartic replaces
+    # rows in, and BlowupChartPoint.total,
     # on the res0, res1 and 5x4 deformation shapes
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -483,6 +517,8 @@ def test_unchecked_derived_matrices_pass_the_check():
             AddMultipleOfCol(ct, cs, multiplier(tgt[cs] - tgt[ct])).apply(m),
             act(random_graded_automorphism(src, domain, rng), m,
                 random_graded_automorphism(tgt, domain, rng)),
+            random_graded_automorphism(src, domain, rng).matrix,
+            random_graded_automorphism(tgt, domain, rng).matrix,
         ]
         if shape == "res0":
             derived += replaced_matrices(m, other)

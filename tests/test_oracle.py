@@ -129,6 +129,7 @@ from quarticmoduli.matrices import (  # noqa: E402
     FormMatrix,
     act,
     is_stable_kronecker,
+    make_matrix,
 )
 from quarticmoduli.poly import (  # noqa: E402
     _GUARDS,
@@ -285,17 +286,35 @@ def test_det_matches_sympy(domain, data):
     assert ours == sympy_det(m.entries, domain)
 
 
+def sample_path_act(domain):
+    """The matrices of act on the sample path, an explicit example: a res0
+    matrix with zero and one-term entries, g block-triangular on (3, 2, 2)
+    with constant blocks and h constant on (1, 1, 1)."""
+    res0 = [["x0^2 - 3*x1*x2", "0", "2*x2^2 + x0*x1"],
+            ["x0", "x1 - 4*x2", "0"], ["-x2", "5*x0", "x0 + x1 + x2"]]
+    g = [["7", "x0 - 2*x2", "3*x1"], ["0", "1", "6"], ["0", "-2", "5"]]
+    h = [["2", "0", "-1"], ["4", "3", "0"], ["1", "1", "9"]]
+    return (make_matrix((3, 2, 2), (1, 1, 1), res0, domain),
+            make_matrix((3, 2, 2), (3, 2, 2), g, domain),
+            make_matrix((1, 1, 1), (1, 1, 1), h, domain))
+
+
 @pytest.mark.parametrize("domain", DOMAINS, ids=repr)
 @settings(SETTINGS, max_examples=12)
 @given(data=st.data())
+@example(data=sample_path_act)
 def test_act_matches_sympy_product(domain, data):
     """act(g, a, h) is sympy's product of the three matrices, entry by
     entry, for g and h graded on the source and target degrees of a, with
     zero coefficients, entries and blocks drawn in; 12 examples keep it
-    under 1 s."""
-    a = data.draw(form_grids(domain))
-    g = data.draw(form_grids(domain, a.src_degrees, a.src_degrees))
-    h = data.draw(form_grids(domain, a.tgt_degrees, a.tgt_degrees))
+    under 1 s.  An explicit example's data is a function of the domain
+    that gives a, g and h."""
+    if callable(data):
+        a, g, h = data(domain)
+    else:
+        a = data.draw(form_grids(domain))
+        g = data.draw(form_grids(domain, a.src_degrees, a.src_degrees))
+        h = data.draw(form_grids(domain, a.tgt_degrees, a.tgt_degrees))
     ours = act(g, a, h)
     want = (sympy_matrix(g.entries, domain) * sympy_matrix(a.entries, domain)
             * sympy_matrix(h.entries, domain)).to_list()
@@ -849,12 +868,28 @@ def sympy_terms(ring, value):
     return {e: int(c) % p for e, c in value.items()}
 
 
+def one_term_example(f, g, c):
+    """An explicit example's data: the domain's polynomials of two texts
+    and a scalar."""
+    return lambda domain: (parse_poly(f, domain), parse_poly(g, domain), c)
+
+
 @pytest.mark.parametrize("domain", RING_DOMAINS, ids=repr)
 @SETTINGS
 @given(data=st.data())
+# one-term factors, constant or not, against several terms and each other;
+# f * g and g * f put each on either side of a product
+@example(data=one_term_example("7", "x0^2*x1 - 3*x1*x2 + 5", 4))
+@example(data=one_term_example("-2*x0*x2", "x1^3 + x0*x1 - x2 + 1", -1))
+@example(data=one_term_example("3*x1^2", "-5*x0*x2", 0))
+@example(data=one_term_example("6", "x2^3", 2))
 def test_multipoly_ring_operations_match_sympy(domain, data):
-    f, g = data.draw(sparse_polys(domain)), data.draw(sparse_polys(domain))
-    c = data.draw(ring_values(domain))
+    if callable(data):
+        f, g, c = data(domain)
+    else:
+        f = data.draw(sparse_polys(domain))
+        g = data.draw(sparse_polys(domain))
+        c = data.draw(ring_values(domain))
     ring = ring_of(domain)
 
     def lift(poly):

@@ -123,7 +123,9 @@ def test_degree_bound_is_refused_never_wrapped():
         assert "out of range" in refused(
             ValueError, lambda: MultiPoly(QQ, {exp: 1}))
     half = MultiPoly.monomial(QQ, (0, 2**30, 0))
+    wide = parse_poly(f"x1^{2**30} + 3*x2^{2**30}")  # a one-term factor's
     products = [lambda: half * half, lambda: half ** 2,
+                lambda: half * wide, lambda: wide * half,
                 lambda: parse_poly(f"x1^{top} + 1") * parse_poly("x2 - 1"),
                 lambda: parse_poly("x0^2000000000*x0^2000000000"),
                 lambda: half.substitute([half, half, half])]
@@ -131,6 +133,38 @@ def test_degree_bound_is_refused_never_wrapped():
         assert "2^31" in refused(ValueError, product)
     assert half * MultiPoly.monomial(QQ, (0, 0, 2**30 - 1)) == \
         MultiPoly.monomial(QQ, (0, 2**30, 2**30 - 1))
+
+
+def reference_dot(pairs):
+    """The sum of products of term dicts by the plain nested loop."""
+    raw = {}
+    for left, right in pairs:
+        for ea, v in left.items():
+            for eb, w in right.items():
+                raw[ea + eb] = v * w + raw.get(ea + eb, 0)
+    return raw
+
+
+@pytest.mark.parametrize("domain", [GF(101), QQ], ids=repr)
+def test_dot_raw_one_term_pass_matches_the_nested_loop(domain):
+    # a one-term factor, constant or not, on either side, and one-term
+    # times one-term: the same keys in the same order, the same raw values
+    def raw(text):
+        return parse_poly(text, domain).raw
+
+    dense, sparse = raw("2*x0^2 - x1*x2 + 5*x2^2 + 3*x0 - 7"), raw("x1 - 1")
+    ones = [raw(t) for t in ("4", "-3*x0*x2", "x1^2", "1/2" if domain == QQ
+                             else "50")]
+    shapes = [[(one, other)] for one in ones for other in (dense, sparse)]
+    shapes += [[(other, one)] for one in ones for other in (dense, sparse)]
+    shapes += [[(u, v)] for u in ones for v in ones]
+    # several pairs into one dict, overlapping keys, zero factors mixed in
+    shapes.append([(ones[0], dense), (dense, ones[1]), ({}, dense),
+                   (ones[2], ones[3]), (sparse, dense), (dense, {}),
+                   (ones[1], sparse)])
+    for pairs in shapes:
+        got = poly.dot_raw(pairs)
+        assert list(got.items()) == list(reference_dot(pairs).items()), pairs
 
 
 def test_key_layout_properties():
