@@ -29,7 +29,11 @@ def _parse_field(text):
         return QQ
     if sum(map(str.isdigit, text)) > 19:  # 2^62 has 19 digits
         raise ValueError("--field has over 19 digits, unlike any prime < 2^62")
-    return GF(int(text))
+    try:
+        p = int(text)
+    except ValueError:
+        raise ValueError("--field: not 'q' or an integer") from None
+    return GF(p)
 
 
 def _common_flags(parser):

@@ -10,8 +10,8 @@ the ParamScalar itself over a parameter ring.  Term dicts, of polynomials
 and of parameter-ring scalars alike, store raw values, made canonical by
 ``Domain.canonical``; ``Domain.unbox`` gives the canonical raw value of
 one scalar.  ``Domain.box`` gives the scalar of one raw value, a
-FieldScalar over a field, whose ``value`` is a Fraction over QQ: for the
-API edge and for the results of the scalar operators.  Floats are refused
+FieldScalar over a field, whose ``value`` is that raw value: for the API
+edge and for the results of the scalar operators.  Floats are refused
 at the scalar edge.  The serializer boxes nothing: it takes a coefficient
 as ``str`` of its raw value, the text of its scalar's ``as_text``, and a
 monomial as the cached ``monomial_text`` of its exponents.
@@ -34,7 +34,7 @@ import json
 import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add
+from operator import add, index
 
 
 class FieldMismatchError(ValueError):
@@ -150,15 +150,15 @@ class Rationals(Domain):
             return value
         if isinstance(value, FieldScalar):
             self.check_same(value.domain)
-            value = value.value
-        else:
-            _refuse_float(value)
-            value = Fraction(value)
+            return value.value
+        _refuse_float(value)
+        value = Fraction(value)
         return value.numerator if value.denominator == 1 else value
 
     def box(self, raw):
-        return FieldScalar(self, raw if isinstance(raw, Fraction)
-                           else Fraction(raw))
+        if type(raw) is not int and raw.denominator == 1:
+            raw = raw.numerator
+        return FieldScalar(self, raw)
 
     def canonical(self, raw_terms):
         """Ints pass by one type test; a Fraction of denominator 1 becomes
@@ -229,11 +229,8 @@ def GF(p):
 
 
 class FieldScalar:
-    """An exact element of QQ or of a prime field.
-
-    Rationals are kept in lowest terms with positive denominator (the
-    Fraction invariant); prime-field residues are kept in [0, p).
-    """
+    """An exact element of QQ or of a prime field, whose ``value`` is its
+    canonical raw value: built only by ``Domain.box``."""
 
     __slots__ = ("domain", "value")
 
@@ -281,8 +278,9 @@ class FieldScalar:
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        return FieldScalar(self.domain,
-                           pow(self.value, -1, self.domain.modulus))
+        p = self.domain.modulus
+        return self.domain.box(pow(self.value, -1, p) if p
+                               else Fraction(1, self.value))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -296,14 +294,7 @@ class FieldScalar:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.domain.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return self.domain.box(pow(self.value, index(n), self.domain.modulus))
 
     def __bool__(self):
         return self.value != 0

@@ -480,6 +480,8 @@ def random_graded_automorphism(degrees, field, rng):
     """A random invertible graded automorphism, zero below the filtration,
     of forms of their degree: built by ``_derived``, checked by its blocks."""
     degrees, zero = tuple(degrees), _graded(field, {}, 0)
+    if not degrees:  # a 0x0 matrix has no domain: every draw would fail
+        raise DegreeError("a graded automorphism needs at least one degree")
     while True:
         entries = [[random_form(field, s - t, rng) if s >= t else zero
                     for t in degrees] for s in degrees]

@@ -379,6 +379,27 @@ def test_a_bad_seed_variable_is_refused_by_name(capsys, monkeypatch, value,
         "error: QML_SEED: not an integer of up to 4300 digits\n"
 
 
+@pytest.mark.parametrize("value", ["abc", "x" * 200, "1__01", "10/1", ""],
+                         ids=["text", "200 letters", "double underscore",
+                              "fraction", "empty"])
+@pytest.mark.parametrize("command", [["betti", "M"],
+                                     ["sample", "res0", "--count", "1"]],
+                         ids=["betti", "sample"])
+def test_a_bad_field_is_refused_by_name(capsys, value, command):
+    # one line that names --field and quotes none of its text
+    code = cli.main(command + ["--field=" + value])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: --field: not 'q' or an integer\n"
+
+
+def test_field_values_that_int_reads_stay_accepted(capsys):
+    for value in (" 101 ", "\u0661\u0660\u0661", "+101", "1_01"):
+        assert cli.main(["sample", "res0", "--count", "1",
+                         "--field=" + value]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_a_seed_variable_of_4300_digits_is_read(capsys, monkeypatch):
     monkeypatch.setenv("QML_SEED", "9" * 4300)
     assert cli.main(["sample", "res0", "--field", "101", "--count", "2"]) == 0
@@ -581,7 +602,9 @@ MALFORMED = {
     "zero count": (["sample", "res1", "--field", "101", "--count", "0"],
                    None, "--count must be at least 1"),
     "betti text field": (["betti", "M", "--field", "abc"], None,
-                         "invalid literal for int() with base 10: 'abc'"),
+                         "error: --field: not 'q' or an integer"),
+    "sample text field": (["sample", "res0", "--field", "abc", "--count",
+                           "1"], None, "error: --field: not 'q' or an integer"),
     "betti long field": (["betti", "M", "--field", "1" * 4301], None,
                          "error: --field has over 19 digits"),
     "verify composite field": (["verify", "cocycle", "--field", "4"], None,

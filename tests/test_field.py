@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quarticmoduli import field
 from quarticmoduli.field import (
     GF,
     QQ,
@@ -110,6 +111,47 @@ def test_unbox_gives_the_canonical_raw_value(domain, cases):
     t = ring.variable("t")
     assert ring.unbox(t) is t  # a ParamScalar is its own raw value
     assert ring.unbox(3) == ring.scalar(3)
+
+
+def test_a_rational_scalar_holds_its_raw_value():
+    """Over QQ a scalar's value is its canonical raw value, whichever
+    operation made it: an int when integral, a Fraction with denominator
+    > 1 otherwise, and never a float."""
+    half = QQ.scalar(Fraction(1, 2))
+    cases = [(QQ.scalar(Fraction(6, 3)), 2), (half * 2, 1), (half + half, 1),
+             (QQ.scalar(4).inverse(), Fraction(1, 4)),
+             (QQ.scalar(-1).inverse(), -1),
+             (QQ.scalar(Fraction(-1, 3)).inverse(), -3),
+             (QQ.scalar(2) ** -3, Fraction(1, 8)),
+             (QQ.scalar(Fraction(-2, 3)) ** -2, Fraction(9, 4)),
+             (half ** 0, 1), (QQ.scalar(3) / 3, 1), (1 / half, 2),
+             (half - half, 0), (QQ.box(Fraction(4, 2)), 2), (QQ.one, 1)]
+    for scalar, raw in cases:
+        assert scalar.value == raw and type(scalar.value) is type(raw)
+        assert not isinstance(scalar.value, float)
+        assert QQ.unbox(scalar) is scalar.value
+
+
+def test_integral_rationals_build_no_fraction(monkeypatch):
+    """Boxing, unboxing, adding and multiplying integral QQ scalars
+    builds no Fraction: an integral value stays an int throughout."""
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(field, "Fraction", Counted)
+    assert Counted(1, 2) and built  # the count sees a construction
+    built.clear()
+    a, b = QQ.box(3), QQ.scalar(-5)
+    values = [QQ.unbox(a), QQ.unbox(7), QQ.scalar(a).value, (a + b).value,
+              (a * b).value, (a - b).value, (a * 2 + 1).value, (-a).value,
+              (a ** 3).value]
+    assert built == []
+    assert values == [3, 7, 3, -2, -15, 8, 7, -3, 27]
+    assert all(type(v) is int for v in values)
 
 
 def test_scalar_hashes_agree_with_equality():

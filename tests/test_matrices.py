@@ -1,5 +1,6 @@
 import random
 import re
+import signal
 import time
 from unittest import mock
 
@@ -226,6 +227,28 @@ def test_random_automorphism_builds_no_checked_matrix():
                                                random.Random(7))
                 assert g.matrix.src_degrees == g.matrix.tgt_degrees == degrees
     assert len(calls) == 1
+
+
+def test_random_automorphism_refuses_an_empty_degree_tuple():
+    # a 0x0 matrix has no entries and so no domain: every draw would fail,
+    # so the empty tuple is refused at once; the alarm turns a hang into
+    # a failure
+    def expire(signum, frame):
+        raise TimeoutError("no answer in 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    start = time.monotonic()
+    try:
+        for domain in (QQ, GF(101)):
+            for degrees in ((), iter(())):
+                with pytest.raises(DegreeError, match="at least one degree"):
+                    random_graded_automorphism(degrees, domain,
+                                               random.Random(0))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 1
 
 
 def test_elementary_op_degree_checked():

@@ -69,8 +69,8 @@ compared exactly with sympy ``Matrix.rref()`` on integral, non-integral
 and 30-digit rational entries, with rank deficiency, zero rows and zero
 columns, and their raw results checked to be canonical.  The raw values
 that the ring operations, ``substitute`` and ``try_exact_div`` store over
-QQ are checked to be ints exactly when integral and Fractions otherwise,
-never floats.
+QQ, and the values of their boxed terms, are checked to be ints exactly
+when integral and Fractions otherwise, never floats.
 
 ``MultiPoly.serialize`` and ``ParamScalar.as_text``, which print raw
 values and cached monomial texts, are compared byte for byte with a
@@ -850,11 +850,11 @@ def to_sympy_value(field, value):
 
 def canonical_terms(poly, domain):
     """The terms as raw values, checking that each is a nonzero boxed
-    scalar of the domain in canonical form."""
+    scalar of the domain whose value is its canonical raw value."""
     for c in poly.terms.values():
         assert isinstance(c, FieldScalar) and c.domain is domain and c
         if domain == QQ:
-            assert isinstance(c.value, Fraction)
+            canonical_raw([c.value])
         else:
             assert 0 < c.value < domain.p
     return {e: c.value for e, c in poly.terms.items()}
@@ -1472,10 +1472,10 @@ def canonical_raw(values):
 
 
 def boxed_values(row):
-    """The values of boxed QQ scalars, each checked to be a Fraction."""
+    """The values of boxed QQ scalars, each checked to be its canonical raw
+    value."""
     assert all(type(c) is FieldScalar and c.domain is QQ for c in row)
-    assert all(type(c.value) is Fraction for c in row)
-    return [c.value for c in row]
+    return canonical_raw([c.value for c in row])
 
 
 @pytest.mark.parametrize("kind", QQ_KINDS)
@@ -1541,7 +1541,7 @@ def test_qq_solve_linear_matches_sympy_rref(kind, data):
 
 def assert_canonical_raw(poly):
     """Each raw value is an int exactly when it is integral, otherwise a
-    Fraction with denominator > 1; each boxed value is a Fraction."""
+    Fraction with denominator > 1, and so is each boxed value."""
     canonical_raw(poly.raw.values())
     boxed_values(poly.terms.values())
 

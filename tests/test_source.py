@@ -119,6 +119,39 @@ def test_inverse_pow_only_where_allowed():
     assert INVERSE_POW_CALLERS <= names
 
 
+# a FieldScalar is built only by the box of its domain, so that its value
+# is the domain's canonical raw value in every domain: a second place that
+# builds one could bring back a second representation of one value
+FIELD_SCALAR_SITES = ["PrimeField.box", "Rationals.box"]
+
+
+def is_field_scalar_build(node):
+    """Whether the node is a call FieldScalar(...) or x.FieldScalar(...),
+    or a call of a __new__ with FieldScalar among its arguments."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return getattr(func, "id", getattr(func, "attr", None)) == "FieldScalar" \
+        or getattr(func, "attr", None) == "__new__" and any(
+            getattr(arg, "id", None) == "FieldScalar" for arg in node.args)
+
+
+def test_field_scalars_built_only_by_box():
+    for text in ("FieldScalar(QQ, 1)", "field.FieldScalar(QQ, 1)",
+                 "object.__new__(FieldScalar)"):
+        assert is_field_scalar_build(ast.parse(text).body[0].value)
+    for text in ("isinstance(c, FieldScalar)", "QQ.box(1)",
+                 "object.__new__(cls)"):
+        assert not is_field_scalar_build(ast.parse(text).body[0].value)
+    uses = []
+    for path in SOURCES:
+        found, _ = qualified_uses(
+            ast.parse(path.read_text(), filename=str(path)),
+            is_field_scalar_build)
+        uses += [(scope, f"{path.name}:{line}") for scope, line in found]
+    assert sorted(scope for scope, _ in uses) == FIELD_SCALAR_SITES, uses
+
+
 # no module builds a parameter ring: the chart minors are computed over
 # QQ by Kronecker substitution, so a slow parameter-ring path does not
 # come back into a verifier.
