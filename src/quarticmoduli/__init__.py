@@ -21,9 +21,9 @@ _EXPORTS = {
     "degeneration": (
         "BlowupChartPoint", "ChartError", "DeformationInstance", "FlagDatum",
         "TwistedIdealResolution", "build_twisted_ideal_resolution",
-        "deformation_normal_form", "deformation_reduction_trace",
-        "family_limit", "fitting_support", "flag_limit", "load_family",
-        "make_blowup_chart_point", "tangent_quartic",
+        "deformation_reduction_trace", "family_limit", "fitting_support",
+        "flag_limit", "load_family", "make_blowup_chart_point",
+        "tangent_quartic",
     ),
     "field": (
         "GF", "QQ", "FieldMismatchError", "FieldScalar", "InvariantError",
@@ -36,9 +36,8 @@ _EXPORTS = {
     ),
     "matrices": (
         "DegreeError", "FormMatrix", "GradedAutomorphism", "act",
-        "apply_ops", "identity_automorphism", "is_stable_kronecker",
-        "load_matrix", "make_matrix", "random_graded_automorphism",
-        "random_matrix",
+        "apply_ops", "is_stable_kronecker", "load_matrix", "make_matrix",
+        "random_graded_automorphism", "random_matrix",
     ),
     "poly": (
         "BinaryForm", "Form", "MultiPoly", "ParseError", "linear_rank",
@@ -47,7 +46,7 @@ _EXPORTS = {
     "strata": (
         "BOUNDARY", "INVALID", "M00", "M01", "M10", "M11", "NOT_STABLE",
         "StratumReport", "ZPoints", "classify_res0", "classify_res1",
-        "extension_data", "extract_Z_points",
+        "extract_Z_points",
     ),
     "verify": (
         "IdentityReport", "run_all", "verify_chart_minors", "verify_cocycle",

@@ -12,6 +12,7 @@ loads ``field`` and ``betti``, and ``classify`` no ``degeneration`` or
 """
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -65,6 +66,17 @@ def _seed_of(args):
     raise ValueError(f"QML_SEED: not an integer of up to {MAX_DIGITS} digits")
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Print results exactly: a few times MAX_DIGITS digits, or fewer."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(args, json_obj, text):
     if args.json:
         print(json.dumps(json_obj, indent=2))
@@ -77,25 +89,20 @@ def _emit(args, json_obj, text):
 
 def cmd_classify(args):
     domain = _parse_field(args.field)
-    matrix = qm.matrices.load_matrix(args.matrix, domain)
-    if matrix.src_degrees == (3, 3):
-        report = qm.strata.classify_res1(matrix)
-    else:
-        report = qm.strata.classify_res0(matrix)
-    text_lines = [f"label: {report.label}"]
-    if report.quartic is not None:
-        text_lines.append(f"quartic: {report.quartic.serialize()}")
-    if report.point is not None:
-        text_lines.append(
-            "point: (" + ", ".join(str(c) for c in report.point) + ")"
-        )
-    if report.line is not None:
-        text_lines.append(f"line: {report.line.serialize()}")
-    if report.cubic is not None:
-        text_lines.append(f"cubic: {report.cubic.serialize()}")
-    if report.diagnostics:
-        text_lines.append(f"diagnostics: {report.diagnostics}")
-    _emit(args, report.to_json_dict(), "\n".join(text_lines))
+    data = load_json(args.matrix)
+    src, tgt = qm.matrices.shape_from_json_dict(data)
+    classify = qm.strata.classify_res1 if src == (3, 3) \
+        else qm.strata.classify_res0
+    # a matrix of neither shape is classified Invalid with no entry parsed
+    report = classify(qm.matrices.matrix_from_json_dict(data, domain)
+                      if (src, tgt) in qm.matrices.SHAPES.values() else None)
+    with _all_digits():  # the text shows the JSON's fields, the ideal apart
+        out = report.to_json_dict()
+        point = "(" + ", ".join(out.get("point", ())) + ")"
+        _emit(args, out, "\n".join(
+            f"{key}: {point if key == 'point' else out[key]}" for key in
+            ("label", "quartic", "point", "line", "cubic", "diagnostics")
+            if out.get(key)))
     return 2 if report.label in (qm.strata.INVALID, qm.strata.NOT_STABLE) \
         else 0
 
@@ -113,22 +120,14 @@ def cmd_limit(args):
         report = qm.strata.classify_res0(point.total(t))
         trace.append({"t": str(t), "label": report.label})
     quartic, limit_point = qm.degeneration.family_limit(point)
-    json_obj = {
-        "schema": 1,
-        "trace": trace,
-        "limit": {
-            "quartic": quartic.serialize(),
-            "point": [str(c) for c in limit_point],
-        },
-    }
-    lines = [f"t = {step['t']}: {step['label']}" for step in trace]
-    lines.append(f"t -> 0 limit quartic: {quartic.serialize()}")
-    lines.append(
-        "t -> 0 limit point: ("
-        + ", ".join(str(c) for c in limit_point)
-        + ")"
-    )
-    _emit(args, json_obj, "\n".join(lines))
+    with _all_digits():
+        limit = {"quartic": quartic.serialize(),
+                 "point": [str(c) for c in limit_point]}
+        lines = [f"t = {step['t']}: {step['label']}" for step in trace] + [
+            f"t -> 0 limit quartic: {limit['quartic']}",
+            f"t -> 0 limit point: ({', '.join(limit['point'])})"]
+        _emit(args, {"schema": 1, "trace": trace, "limit": limit},
+              "\n".join(lines))
     return 0
 
 

@@ -22,13 +22,12 @@ from .matrices import (
     _derived,
     apply_ops,
     matrix_from_json_dict,
+    shape_from_json_dict,
 )
 from .poly import (
     BinaryForm,
     Form,
-    MultiPoly,
     ParseError,
-    _graded,
     _quotient,
     key_exponent,
     keys_of_degree,
@@ -167,7 +166,7 @@ def make_blowup_chart_point(
     ParseError is prefixed with its name, as in "q1: degree mismatch: ...".
     """
     ca, cb, cc, cd = [domain.scalar(v) for v in ab_cd]
-    x0, x1, x2 = (_graded(domain, {k: 1}, 1) for k in keys_of_degree(1))
+    x0, x1, x2 = (Form.variable(domain, i) for i in range(3))
     xbar0 = x0 + x1 * domain.scalar(alpha) + x2 * domain.scalar(beta)
     w = x1 * domain.scalar(gamma) + x2 * domain.scalar(delta)
     a = boundary_matrix(xbar0, w)
@@ -177,7 +176,7 @@ def make_blowup_chart_point(
             q.append(parse_form(text, 2, domain))
         except ParseError as exc:
             raise type(exc)(f"{name}: {exc}") from None
-    zero = MultiPoly.zero(domain)
+    zero = Form.zero(domain, 1)
     b = FormMatrix(*SHAPES["res0"], [
         q,
         [zero, x1 * cc, zero],
@@ -255,8 +254,8 @@ class DeformationInstance:
         b = FormMatrix(*SHAPES["res0"], [self.q, self.y, self.z])
         family = boundary_matrix(self.xbar0, self.w) + b.scaled(self.t)
         domain = self.domain
-        zero, zero1, zero2 = (_graded(domain, {}, d) for d in range(3))
-        one = _graded(domain, {0: 1}, 0)
+        zero, zero1, zero2 = (Form.zero(domain, d) for d in range(3))
+        one = Form.constant(domain, 1)
         rows = [[zero1, zero2, zero2, zero2]]
         rows += [[z, *row] for z, row in zip((zero1, zero, zero),
                                              family.entries)]
@@ -265,9 +264,7 @@ class DeformationInstance:
 
     def reduction_ops(self):
         """The six recorded elementary-operation steps of the reduction."""
-        domain = self.domain
-        x1 = Form(MultiPoly.variable(domain, 1), 1)
-        x2 = Form(MultiPoly.variable(domain, 2), 1)
+        x1, x2 = Form.variable(self.domain, 1), Form.variable(self.domain, 2)
         inv_t = self.t.inverse()
         return [
             [AddMultipleOfRow(1, 4, self.w)],
@@ -281,12 +278,12 @@ class DeformationInstance:
     def expected_trace(self):
         """The printed intermediate matrices, one per reduction step."""
         domain = self.domain
-        x1, x2 = (_graded(domain, {k: 1}, 1) for k in keys_of_degree(1)[1:])
+        x1, x2 = Form.variable(domain, 1), Form.variable(domain, 2)
         t = self.t
         inv_t = t.inverse()
         w, xb, q, y, z = self.w, self.xbar0, self.q, self.y, self.z
-        zero, zero1, zero2 = (_graded(domain, {}, d) for d in range(3))
-        one = _graded(domain, {0: 1}, 0)
+        zero, zero1, zero2 = (Form.zero(domain, d) for d in range(3))
+        one = Form.constant(domain, 1)
         row1 = [w] + [f * t for f in q]
         row2 = [zero, -x2 + y[0] * t, y[1] * t, xb + y[2] * t]
         row3 = [zero, x1 + z[0] * t, -xb + z[1] * t, z[2] * t]
@@ -318,15 +315,6 @@ def deformation_reduction_trace(instance):
         matrix = apply_ops(matrix, ops)
         trace.append(matrix)
     return trace
-
-
-def deformation_normal_form(instance):
-    """The reduced 5x4 matrix, produced by replaying the recorded steps."""
-    final = deformation_reduction_trace(instance)[-1]
-    expected = instance.expected_final()
-    if final != expected:
-        raise InvariantError("reduction chain did not reach the normal form")
-    return final
 
 
 # ---- twisted ideal resolution -----------------------------------------
@@ -377,8 +365,7 @@ def build_twisted_ideal_resolution(f, l, g):
         raise ValueError("line and cubic must be nonzero")
     quotient, r = f.divmod(l)
     if not r:
-        return TwistedIdealResolution(l, g, Form.zero(domain, 1),
-                                      _graded(domain, quotient.raw, 3),
+        return TwistedIdealResolution(l, g, Form.zero(domain, 1), quotient,
                                       semistable=False)
     g_bar = g.divmod(l)[1]
     q = r.try_exact_div(g_bar) if g_bar else None  # q = -wbar
@@ -387,12 +374,11 @@ def build_twisted_ideal_resolution(f, l, g):
     p, last = domain.modulus, min(l.raw)  # the key of l's last variable
     top, lead = q.raw.get(last, 0), l.raw[last]
     c = top * pow(lead, -1, p) if p else _quotient(top, lead)
-    w = _graded(domain, (l * c - q).raw, 1)
-    h = _graded(domain, (f + w * g).exact_div(l).raw, 3)
-    result = TwistedIdealResolution(l, g, w, h, semistable=True)
-    if l * result.h - result.w * g != f:
+    w = l * c - q
+    h = (f + w * g).exact_div(l)
+    if l * h - w * g != f:
         raise InvariantError("resolution does not satisfy f = l*h - w*g")
-    return result
+    return TwistedIdealResolution(l, g, w, h, semistable=True)
 
 
 # ---- flag limits -------------------------------------------------------
@@ -420,11 +406,10 @@ def flag_limit(datum):
     binary roots, and map the remaining root back into the plane.
     """
     f, l = datum.quartic, datum.line
-    domain = f.domain
     restriction = f.restrict_to_line(l)
     if not restriction:
         raise ValueError("line is contained in the quartic")
-    s, t = MultiPoly.variable(domain, 1), MultiPoly.variable(domain, 2)
+    s, t = Form.variable(f.domain, 1), Form.variable(f.domain, 2)
     for s0, t0 in datum.z_roots:
         # the binary linear form t0*s - s0*t vanishes at the root [s0:t0]
         restriction = restriction.try_exact_div(s * t0 - t * s0)
@@ -473,10 +458,14 @@ def family_from_json_dict(data, domain):
 
 
 def _json_matrix(data, key, domain):
+    """Matrix key of a family; not of shape res0, refused with no parse."""
     try:
-        return matrix_from_json_dict(data.get(key), domain)
+        if shape_from_json_dict(data.get(key)) == SHAPES["res0"]:
+            return matrix_from_json_dict(data.get(key), domain)
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from exc
+    raise ChartError(f"{'base' if key == 'A' else 'direction'} matrix must "
+                     "have the res0 shape")
 
 
 def load_family(path, domain):

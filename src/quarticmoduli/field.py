@@ -20,9 +20,9 @@ No module of the package builds a parameter ring: verify computes the
 chart minors over QQ by Kronecker substitution.  ParamRing and
 ParamScalar stay for callers outside the package until the bench's
 counting pass stops wrapping ParamScalar's methods.  ParamScalar
-arithmetic runs on raw values, as ``poly.dot`` does: an operand of the
+arithmetic runs on raw values, as ``poly.dot_raw`` does: an operand of the
 same ring is matched by identity before the equality check, adding the
-int 0 (which ``dot`` adds into every new monomial) returns the operand,
+int 0 (which ``dot_raw`` adds into every new monomial) returns the operand,
 and the product adds exponent tuples with no generator.
 ``evaluate_raw`` is the one evaluation loop of the package:
 ``MultiPoly.evaluate``, ``Form.evaluate`` and verify's specialization of
@@ -400,7 +400,7 @@ class ParamScalar:
         return NotImplemented
 
     def __add__(self, other):
-        # poly.dot adds the int 0 into every new monomial: no boxing for it
+        # poly.dot_raw adds the int 0 into every new monomial: no boxing for it
         if other.__class__ is int and not other:
             return self
         other = self._coerce(other)

@@ -384,8 +384,7 @@ def _pencil_lines(forms, through, domain):
             if any(g.try_exact_div(tangent) is None for g in forms) \
                     or tangent.evaluate(point):
                 return LineSearchResult([], 0)
-            return LineSearchResult(
-                [_graded(domain, tangent.raw, 1).normalized()], 0)
+            return LineSearchResult([tangent.normalized()], 0)
     slices = [c for f in forms
               for c in _pencil_restriction_coefficients(f, point) if c]
     if not slices:
@@ -401,7 +400,7 @@ def _pencil_lines(forms, through, domain):
 
 
 def _tangent_line(poly, point):
-    """sum_i (d poly/dx_i)(point) * x_i, from the raw term values."""
+    """The linear form sum_i (d poly/dx_i)(point) * x_i, from raw values."""
     p0, p1, p2 = ([x**k for k in range(poly.total_degree() + 1)]
                   for x in point)
     g0 = g1 = g2 = 0
@@ -413,7 +412,8 @@ def _tangent_line(poly, point):
             g1 += v * b * p0[a] * p1[b - 1] * p2[c]
         if c:
             g2 += v * c * p0[a] * p1[b] * p2[c - 1]
-    return MultiPoly.from_raw(poly.domain, dict(zip(_UNITS, (g0, g1, g2))))
+    return _graded(poly.domain, poly.domain.canonical(
+        dict(zip(_UNITS, (g0, g1, g2)))), 1)
 
 
 def _linear_factors(form):
@@ -428,7 +428,7 @@ def _linear_factors(form):
     if form.degree == 1:
         return [form.normalized()], 0
     domain = form.domain
-    x0 = _graded(domain, {X0: 1}, 1)
+    x0 = Form.variable(domain, 0)
     factors = []
     poly = form
     while (q := poly.try_exact_div(x0)) is not None:
@@ -436,8 +436,8 @@ def _linear_factors(form):
         poly = q
     nonsplit = 0
     if poly.total_degree() > 0:
-        rest = _graded(domain, poly.raw, poly.total_degree())
-        restriction = _graded(domain, {k: c for k, c in poly.raw.items()
+        rest = poly
+        restriction = _graded(domain, {k: c for k, c in rest.raw.items()
                                        if not key_exponent(k)[0]}, rest.degree)
         if not restriction:
             raise InvariantError("x0 should have been divided out")

@@ -34,7 +34,6 @@ from .field import (QQ, FieldMismatchError, check_json_list, check_json_type,
                     load_json)
 from .poly import (
     Form,
-    MultiPoly,
     ParseError,
     PowerDegreeError,
     _eliminate,
@@ -281,15 +280,21 @@ def make_matrix(src_degrees, tgt_degrees, entry_texts, domain=QQ):
 
 
 def matrix_from_json_dict(data, domain=QQ):
-    """Parse a matrix description; malformed input raises a ValueError
-    that names its JSON path."""
+    """Parse a matrix description, checked as by ``shape_from_json_dict``."""
+    src, tgt = shape_from_json_dict(data)
+    return make_matrix(src, tgt, data["entries"], domain)
+
+
+def shape_from_json_dict(data):
+    """The (src_degrees, tgt_degrees) tuples of a matrix description, with
+    no entry parsed; malformed input raises a ValueError naming its path."""
     check_json_type(data, "", dict)
     src = check_json_list(data.get("src_degrees"), "src_degrees", int)
     tgt = check_json_list(data.get("tgt_degrees"), "tgt_degrees", int)
     entries = check_json_list(data.get("entries"), "entries", list, len(src))
     for i, row in enumerate(entries):
         check_json_list(row, f"entries[{i}]", str, len(tgt))
-    return make_matrix(src, tgt, entries, domain)
+    return tuple(src), tuple(tgt)
 
 
 def load_matrix(path, domain=QQ):
@@ -350,13 +355,6 @@ def _raw_grid(rows, domain):
             if e.domain is not domain:
                 domain.check_same(e.domain)
     return [[e.raw for e in row] for row in rows]
-
-
-def identity_automorphism(degrees, domain=QQ):
-    one, zero = MultiPoly.constant(domain, 1), MultiPoly.zero(domain)
-    return GradedAutomorphism(FormMatrix(degrees, degrees, [
-        [one if i == j else zero for j in range(len(degrees))]
-        for i in range(len(degrees))]))
 
 
 # ---- elementary operations --------------------------------------------

@@ -16,18 +16,21 @@ field overflows into the next.  The public surface keeps exponent triples.
 
 ``dot_raw`` is the one product loop: it sums the products of pairs of
 term dicts in one dict of raw values, a one-term factor in one scaled
-pass, whose keys come in the nested loop's order.  ``dot``, the checked
-kernel over it, sums products of polynomials, such as a cofactor sum,
-matching the domains and making the sum canonical once; ``matrices``,
-the parser and ``MultiPoly._times`` run ``dot_raw`` on term dicts.
+pass, whose keys come in the nested loop's order.  ``matrices``, the
+cofactor sum of ``strata``, the parser and ``MultiPoly._times`` run it
+on term dicts.
 The parser reads text into term dicts: a variable is one key, a literal
 its raw value, ``*`` one ``dot_raw``, and each sum is added into one dict
 and made canonical, so no term of a factor is zero and its largest key
 gives its degree; a power of one term is its key times n, and any other
-power repeated ``dot_raw``.  One polynomial is built, at the end.
+power repeated ``dot_raw``.  A power or product above the allowed degree
+is refused before it is expanded; over QQ so is a product with a
+coefficient of over MAX_DIGITS digits.  One polynomial is built.
 ``MultiPoly.divmod`` keys its remainder by key: kd divides kr when kr - kd
 is nonnegative with no guard bit, the top bit of an exponent field that a
 borrow sets; over QQ it divides primitive integer parts (Gauss's lemma).
+Dividing a form of degree d by one of degree e subtracts only forms of
+degree d: quotient and remainder are forms of degrees max(d - e, 0), d.
 ``multiples_matrix`` lays out the monomial multiples m*f of term dicts as
 the columns of a linear system by key shift, with no product: the GCD's
 kernel search and the row-space test in ``strata`` read their columns
@@ -37,12 +40,13 @@ one evaluation loop, on the raw terms and the unboxed point, and refuses
 a point that is not a triple.
 
 A ``Form`` is a ``MultiPoly`` with a degree, so every polynomial
-algorithm takes a form as it is; ``form.poly`` is the form itself.  Its
-equality is MultiPoly's: a Form equals the MultiPoly with the same terms,
-and a zero Form equals 0.  A binary form, such as the restriction of a
-form to a line, is a ``Form`` in x1 and x2 alone, with the package's one
-arithmetic, GCD and division; ``BinaryForm`` adds only printing in s, t
-and a coefficient list.
+algorithm takes a form as it is; ``form.poly`` is the form itself.
+``Form.zero``, ``Form.constant`` and ``Form.variable`` build forms of
+degrees d, 0 and 1.  Equality is MultiPoly's: a Form equals the
+MultiPoly with the same terms, and a zero Form equals 0.  A binary
+form, such as the restriction of a form to a line, is a ``Form`` in x1
+and x2 alone, with the package's one arithmetic, GCD and division;
+``BinaryForm`` adds only printing in s, t and a coefficient list.
 
 This module is also the single home of exact linear algebra over a field,
 all of it on raw values: one Gauss-Jordan elimination, ``_eliminate``,
@@ -61,8 +65,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .field import (MAX_DIGITS, QQ, _serialize_terms, evaluate_raw,
-                    monomial_text)
+from .field import (_DIGITS_BOUND, MAX_DIGITS, QQ, _serialize_terms,
+                    evaluate_raw, monomial_text)
 
 VARIABLES = ("x0", "x1", "x2")
 NVARS = 3
@@ -101,7 +105,7 @@ class MultiPoly:
                                      for e, c in terms.items()})
 
     # ---- constructors -------------------------------------------------
-    # each builds a MultiPoly, even on Form, whose objects need a degree
+    # each builds a MultiPoly; Form overrides zero, constant and variable
 
     @classmethod
     def zero(cls, domain):
@@ -245,17 +249,9 @@ class MultiPoly:
     def is_homogeneous(self):
         return not self.raw or min(self.raw) >> 96 == max(self.raw) >> 96
 
-    def leading_exponent(self):
-        if not self.raw:
-            raise ValueError("zero polynomial has no leading term")
-        return key_exponent(max(self.raw))
-
     def coefficient(self, exp):
         """The boxed coefficient of the monomial exp, zero included."""
         return self.domain.box(self.raw.get(monomial_key(exp), 0))
-
-    def leading_coefficient(self):
-        return self.coefficient(self.leading_exponent())
 
     def normalized(self):
         """Scale so the graded-lex leading coefficient is 1 (field domains),
@@ -295,13 +291,14 @@ class MultiPoly:
         leading term does not divide moves to the final remainder, or with
         exact ends the division at once with None.  Over QQ it runs on the
         primitive parts (Gauss's lemma): a step that the leading coefficient
-        does not divide goes on with a Fraction, or with exact gives None."""
-        divisor = self._coerce(divisor)
+        does not divide goes on with a Fraction, or with exact gives None.
+        For Forms of degrees d and e they are Forms of max(d - e, 0) and d."""
+        domain, divisor = self.domain, self._coerce(divisor)
         if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
-        if not self.domain.is_field:
+        if not domain.is_field:
             raise TypeError("division needs a field domain")
-        p = self.domain.modulus
+        p = domain.modulus
         raw, terms = self.raw, divisor.raw
         if not p:
             num, den, raw = _primitive_part(raw)
@@ -337,8 +334,12 @@ class MultiPoly:
             quotient = {k: c * scale for k, c in quotient.items()}
             scale = _quotient(num, den)
             kept = {k: c * scale for k, c in kept.items()}
-        return (MultiPoly.from_raw(self.domain, quotient),
-                MultiPoly.from_raw(self.domain, kept))
+        if isinstance(self, Form) and isinstance(divisor, Form):
+            return (_graded(domain, domain.canonical(quotient),
+                            max(self.degree - divisor.degree, 0)),
+                    _graded(domain, domain.canonical(kept), self.degree))
+        return (MultiPoly.from_raw(domain, quotient),
+                MultiPoly.from_raw(domain, kept))
 
     # ---- serialization -------------------------------------------------
 
@@ -374,19 +375,6 @@ def _raw_point(domain, point):
         raise ValueError(f"a point needs {NVARS} coordinates, "
                          f"got {len(values)}")
     return values
-
-
-def dot(pairs, domain):
-    """The sum of the products a * b of the pairs (a, b) of polynomials over
-    domain: ``dot_raw`` on their term dicts, checked, made canonical once."""
-    terms = []
-    for a, b in pairs:
-        if a.domain is not domain:
-            domain.check_same(a.domain)
-        if b.domain is not domain:
-            domain.check_same(b.domain)
-        terms.append((a.raw, b.raw))
-    return MultiPoly.from_raw(domain, dot_raw(terms))
 
 
 def multiples_matrix(pairs, keys=()):
@@ -481,6 +469,14 @@ class Form(MultiPoly):
     @classmethod
     def zero(cls, domain, degree):
         return cls(MultiPoly.zero(domain), degree)
+
+    @classmethod
+    def constant(cls, domain, value):
+        return cls(MultiPoly.constant(domain, value), 0)
+
+    @classmethod
+    def variable(cls, domain, i):
+        return cls(MultiPoly.variable(domain, i), 1)
 
     def __add__(self, other):
         if not isinstance(other, Form):
@@ -586,7 +582,7 @@ class ParseError(ValueError):
 
 
 class PowerDegreeError(ParseError):
-    """Raised, before expanding it, on a power above the allowed degree."""
+    """Raised, before expanding it, on a power or product above its degree."""
 
 
 # the largest power of a rational constant, in bits, that the parser computes
@@ -596,8 +592,8 @@ MAX_CONSTANT_POWER_BITS = 10_000
 class _Parser:
     """Recursive descent over: rationals, x0/x1/x2, + - * ^, parentheses.
 
-    With max_degree given, a power of a nonconstant base of higher degree
-    raises PowerDegreeError before it is expanded.
+    With max_degree given, a power or product of higher degree raises
+    PowerDegreeError before it is expanded.
     """
 
     def __init__(self, text, domain, max_degree=None):
@@ -664,10 +660,18 @@ class _Parser:
                 return self.domain.canonical(raw)
 
     def term(self):
-        raw = self.factor()
+        start, raw = self.pos, self.factor()
         while self.peek() == "*":
             self.next()
-            raw = dot_raw([(raw, self.factor())])
+            right = self.factor()
+            degree = sum(max(f) >> 96 for f in (raw, right) if f)
+            if self.max_degree is not None and degree > self.max_degree:
+                raise PowerDegreeError(f"a product of degree {degree}")
+            raw = dot_raw([(raw, right)])
+            size = (max(abs(c.numerator), c.denominator) for c in raw.values())
+            if self.domain == QQ and max(size, default=0) >= _DIGITS_BOUND:
+                text = "".join(self.tokens[start:self.pos])
+                raise ParseError(f"{text!r} has over {MAX_DIGITS} digits")
         return raw
 
     def factor(self):
@@ -742,9 +746,10 @@ def parse_form(text, expected_degree=None, domain=QQ):
     """Parse a homogeneous polynomial into a Form.
 
     The zero polynomial is accepted at any expected degree.  With
-    expected_degree given, a power of a nonconstant base above it raises
-    PowerDegreeError before it is expanded, so x0^3 - x0^3 + x1^2 is
-    refused at degree 2 although its value is x1^2.
+    expected_degree given, a power or product above it raises
+    PowerDegreeError before it is expanded, so x0^3 - x0^3 + x1^2 and
+    x0*x0*x0 - x0*x0*x0 + x1^2 are refused at degree 2 although their
+    value is x1^2.
     """
     try:
         poly = _Parser(text, domain, expected_degree).parse()
@@ -757,8 +762,8 @@ def parse_form(text, expected_degree=None, domain=QQ):
 def parse_entry(text, max_degree, domain=QQ):
     """parse_form(text) for text whose degree may not exceed max_degree.
 
-    A power of a nonconstant base above max_degree raises PowerDegreeError
-    before it is expanded, so a huge exponent fails at once.
+    A power or product above max_degree raises PowerDegreeError before it
+    is expanded, so a huge exponent or a long product fails at once.
     """
     return _homogeneous_form(_Parser(text, domain, max_degree).parse(), text,
                              None)

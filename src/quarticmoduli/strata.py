@@ -18,10 +18,11 @@ from .gcd import (
 )
 from .matrices import SHAPES, FormMatrix, stable_kronecker_minors
 from .poly import (
+    Form,
     _eliminate,
     _graded,
     coefficient_rows,
-    dot,
+    dot_raw,
     kernel_vector,
     keys_of_degree,
     multiples_matrix,
@@ -98,18 +99,17 @@ def classify_res0(a):
             kronecker=k,
         )
     # Laplace expansion along the top row: det = sum_j a[0, j] * minor_j
-    quartic = _graded(a.domain, dot([(q, minor) for q, minor in zip(
-        a.row(0), minors)], a.domain).raw, 4)
+    quartic = _graded(a.domain, a.domain.canonical(dot_raw(
+        [(q.raw, minor.raw) for q, minor in zip(a.row(0), minors)])), 4)
     if not quartic:
         return _boundary_report(a, k, minors)
     line = common_linear_factor(minors)
     if line is not None:
-        cubic = _graded(a.domain, quartic.exact_div(line).raw, 3)
         return StratumReport(
             M01,
             quartic=quartic,
             line=line,
-            cubic=cubic,
+            cubic=quartic.exact_div(line),
             scheme_ideal=minors,
             diagnostics="minors share a linear factor",
             kronecker=k,
@@ -179,8 +179,8 @@ def boundary_matrix(xbar0, w):
     """The boundary normal form [[0, -x2*w, x1*w], [-x2, 0, xbar0],
     [x1, -xbar0, 0]] for linear forms xbar0 and w; its determinant is 0."""
     domain = xbar0.domain
-    x1, x2 = (_graded(domain, {k: 1}, 1) for k in keys_of_degree(1)[1:])
-    zero1, zero2 = _graded(domain, {}, 1), _graded(domain, {}, 2)
+    x1, x2 = Form.variable(domain, 1), Form.variable(domain, 2)
+    zero1, zero2 = Form.zero(domain, 1), Form.zero(domain, 2)
     return FormMatrix(*SHAPES["res0"], [
         [zero2, -x2 * w, x1 * w],
         [-x2, zero1, xbar0],
@@ -196,16 +196,15 @@ def boundary_parameters(a):
     if not isinstance(a, FormMatrix) \
             or (a.src_degrees, a.tgt_degrees) != SHAPES["res0"] or not a[0, 1]:
         return None
-    x1, x2 = (_graded(a.domain, {k: 1}, 1) for k in keys_of_degree(1)[1:])
+    x1, x2 = Form.variable(a.domain, 1), Form.variable(a.domain, 2)
     w = a[0, 1].try_exact_div(-x2)
     if w is None:
         return None
-    xbar0, w = a[1, 2], _graded(a.domain, w.raw, 1)
     zeros = a[0, 0], a[1, 1], a[2, 2]
     found = a[0, 2], a[1, 0], a[2, 0], a[2, 1]
-    if any(zeros) or found != (x1 * w, -x2, x1, -xbar0):
+    if any(zeros) or found != (x1 * w, -x2, x1, -a[1, 2]):
         return None
-    return xbar0, w
+    return a[1, 2], w
 
 
 def classify_res1(a):
@@ -335,10 +334,3 @@ def _check_not_collinear(found, domain):
             raise InvariantError(
                 "scheme points are collinear: stability contract violated"
             )
-
-
-def extension_data(report):
-    """The (line, cubic) splitting of an M01 determinant."""
-    if report.label != M01:
-        raise ValueError("extension data needs an M01 report")
-    return report.line, report.cubic

@@ -61,18 +61,12 @@ class IdentityReport:
         return f"IdentityReport({self.name}, {self.status})"
 
 
-def _vars(domain):
-    """x0, x1, x2 as forms of degree 1, so that the entries built from
-    them are forms that a FormMatrix keeps after one degree comparison."""
-    return tuple(Form(MultiPoly.variable(domain, i), 1) for i in range(3))
-
-
 def _transition_matrices(domain, alpha):
     """The printed A1 on (3,2,2) -> (1,1,1), g on (3,2,2) and h on
     (1,1,1) over a field with a concrete scalar alpha."""
-    x0, x1, x2 = _vars(domain)
+    x0, x1, x2 = (Form.variable(domain, i) for i in range(3))
     zero, zero1, zero2 = (Form.zero(domain, d) for d in range(3))
-    one = Form(MultiPoly.constant(domain, 1), 0)
+    one = Form.constant(domain, 1)
     xa = x0 * alpha + x1
     src, tgt = SHAPES["res0"]
     a1 = FormMatrix(src, tgt, [
@@ -97,7 +91,7 @@ def _transition_matrices(domain, alpha):
 
 
 def _a0_matrix(domain, beta):
-    x0, x1, x2 = _vars(domain)
+    x0, x1, x2 = (Form.variable(domain, i) for i in range(3))
     zero1, zero2 = Form.zero(domain, 1), Form.zero(domain, 2)
     xb = x0 + x1 * beta
     return FormMatrix(*SHAPES["res0"], [
@@ -123,7 +117,7 @@ def verify_transition(alpha):
     ok = lhs == rhs
     det_g = g.determinant()
     det_h = h.determinant()
-    minus_one = MultiPoly.constant(domain, -1)
+    minus_one = Form.constant(domain, -1)
     ok = ok and det_g == minus_one * alpha ** 4
     ok = ok and det_h * alpha ** 3 == minus_one
     return IdentityReport(
@@ -175,7 +169,7 @@ def _random_pencil_parameters(domain, rng):
 
 
 def _random_deformation_instance(domain, rng):
-    x0, x1, x2 = _vars(domain)
+    x0, x1, x2 = (Form.variable(domain, i) for i in range(3))
     xbar0 = x0 + random_form(domain, 1, rng)
     gamma, delta = _random_pencil_parameters(domain, rng)
     w = x1 * gamma + x2 * delta
@@ -231,7 +225,7 @@ def _chart_minors():
     and the three printed quadrics, each parameter at its code point, as
     quadrics over QQ."""
     al, be, pa, pb, pc, pd = _CHART_POINT
-    x0, x1, x2 = _vars(QQ)
+    x0, x1, x2 = (Form.variable(QQ, i) for i in range(3))
     xb = x0 + x1 * al + x2 * be
     k = FormMatrix((2, 2), (1, 1, 1), [
         [-x2, x1 * pc, xb],
@@ -318,7 +312,7 @@ def verify_chart_minors(seed=0, samples=200):
              for m, p in zip(minors, printed)]
     symbolic_ok = 0 not in signs
     decoded = [{k: _decode(c) for k, c in m.raw.items()} for m in minors]
-    x0, x1, x2 = _vars(QQ)
+    x0, x1, x2 = (Form.variable(QQ, i) for i in range(3))
     rng = random.Random(seed)
     sample_ok = True
     half = samples // 2
@@ -365,7 +359,7 @@ def verify_fibre_determinant(seed):
     """det of the w-shifted fibre matrix equals x0*(x0*q0 + x1*q1 + x2*q2)."""
     domain = GF(101)
     rng = random.Random(seed)
-    x0, x1, x2 = _vars(domain)
+    x0, x1, x2 = (Form.variable(domain, i) for i in range(3))
     q0 = random_form(domain, 2, rng)
     q1 = _random_form_in(domain, rng, (1, 2), 2)
     q2 = _random_form_in(domain, rng, (2,), 2)
@@ -416,7 +410,7 @@ def verify_tangent_quartic(seed, domain=None):
     """
     domain = domain or GF(101)
     rng = random.Random(seed)
-    x0, x1, x2 = _vars(domain)
+    x0, x1, x2 = (Form.variable(domain, i) for i in range(3))
     gamma, delta = _random_pencil_parameters(domain, rng)
     w = x1 * gamma + x2 * delta
     a = qm.strata.boundary_matrix(x0, w)

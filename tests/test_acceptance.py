@@ -36,7 +36,8 @@ from quarticmoduli.matrices import (
     random_graded_automorphism,
     random_matrix,
 )
-from quarticmoduli.poly import BinaryForm, Form, MultiPoly, parse_form
+from quarticmoduli.poly import (BinaryForm, Form, MultiPoly, key_exponent,
+                                parse_form)
 from quarticmoduli.strata import classify_res0
 from quarticmoduli.verify import (
     PASS,
@@ -261,8 +262,8 @@ def test_criterion_5_degeneration_coherence():
         if Form(linear, 4).evaluate(point):
             failures.append(f"sample {built}: tangent quartic nonzero at p")
         # projective comparison of the limit against the leading behaviour
-        ratio = quartic.poly.leading_coefficient() * \
-            linear.leading_coefficient().inverse()
+        lead = key_exponent(max(linear.raw))  # the graded-lex leading term
+        ratio = quartic.coefficient(lead) * linear.coefficient(lead).inverse()
         if quartic.poly != linear * ratio:
             failures.append(
                 f"sample {built}: limit quartic not proportional to the "

@@ -12,7 +12,8 @@ import pytest
 
 from quarticmoduli import cli, strata
 from quarticmoduli.betti import MAX_BETTI_DIMENSION
-from quarticmoduli.degeneration import make_blowup_chart_point
+from quarticmoduli.degeneration import (family_from_json_dict, family_limit,
+                                        make_blowup_chart_point)
 from quarticmoduli.field import QQ, InvariantError
 from quarticmoduli.matrices import make_matrix
 from quarticmoduli.poly import monomials_of_degree
@@ -231,6 +232,79 @@ def test_limit_json(tmp_path, capsys):
     assert data["limit"]["quartic"] == "x0^2*x1^2 - x1^2*x2^2"
 
 
+@pytest.mark.parametrize("entry", ["(x0+x1+x2)^480", "(x0+x1"],
+                         ids=["degree 480", "malformed"])
+def test_classify_labels_a_shape_before_parsing_an_entry(tmp_path, capsys,
+                                                         entry):
+    # a file of neither shape is labelled Invalid with no entry parsed: at
+    # degree 480 the parse took 25 s, and a malformed entry exited 1
+    path = write_json(tmp_path / "off.json", dict(OFF_SHAPE,
+                                                  entries=[[entry]]))
+    start = time.monotonic()
+    code = cli.main(["classify", path])
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert capsys.readouterr() == (
+        "label: Invalid\ndiagnostics: expected shape res0\n", "")
+
+
+SEVENS = "7" * 4000  # a literal that parses, whose products do not print
+
+
+@pytest.mark.parametrize("data", [
+    {"src_degrees": [3, 2, 2], "tgt_degrees": [1, 1, 1], "entries": [
+        [f"{SEVENS}*x0^2", f"{SEVENS}*x1^2", f"{SEVENS}*x2^2"],
+        ["x0", f"{SEVENS}*x1", "x2"], [f"{SEVENS}*x2", "x0", f"{SEVENS}*x1"]]},
+    {"src_degrees": [3, 3], "tgt_degrees": [2, 0], "entries": [
+        [f"{SEVENS}*x1", "x0^3"], ["x2", f"{SEVENS}*x1^3"]]},
+], ids=["res0", "res1"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_classify_prints_results_of_over_4300_digits(tmp_path, capsys, data,
+                                                      as_json):
+    # quartics with coefficients of about 8,000 digits print exactly, as
+    # the library gives them, and the interpreter's limit is restored
+    path = write_json(tmp_path / "big.json", data)
+    limit = sys.get_int_max_str_digits()
+    code = cli.main(["classify", path] + ["--json"] * as_json)
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out
+    report = (strata.classify_res1 if data["src_degrees"] == [3, 3]
+              else strata.classify_res0)(make_matrix(
+                  data["src_degrees"], data["tgt_degrees"], data["entries"]))
+    assert code == 0 and report.label in (strata.M00, strata.M10)
+    sys.set_int_max_str_digits(0)
+    try:
+        quartic = report.quartic.serialize()
+        assert len(max(quartic.split(), key=len)) > 7000
+        if as_json:
+            assert json.loads(out) == report.to_json_dict()
+        else:
+            assert f"label: {report.label}\nquartic: {quartic}\n" in out
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_limit_prints_results_of_over_4300_digits(tmp_path, capsys):
+    # alpha of 4,000 digits gives a limit quartic of about 8,000-digit
+    # coefficients, printed exactly as the library gives it
+    data = chart_family((SEVENS, "0", "0", "1", "x0^2", "0", "0", "1", "0",
+                         "0", "0"), "a", [])
+    limit = sys.get_int_max_str_digits()
+    code = cli.main(["limit", write_json(tmp_path / "big.json", data),
+                     "--json"])
+    assert sys.get_int_max_str_digits() == limit
+    out = json.loads(capsys.readouterr().out)
+    quartic, point = family_limit(family_from_json_dict(data, QQ)[0])
+    sys.set_int_max_str_digits(0)
+    try:
+        assert code == 0
+        assert out["limit"] == {"quartic": quartic.serialize(),
+                                "point": [str(c) for c in point]}
+        assert len(max(out["limit"]["quartic"].split(), key=len)) > 7000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_betti_builtin_m(capsys):
     code = cli.main(["betti", "M", "--json"])
     data = json.loads(capsys.readouterr().out)
@@ -423,6 +497,11 @@ class RawJSON(str):
 
 
 DEEP_LIST = RawJSON("[" * 100_000 + "]" * 100_000)
+LONG_PRODUCT = "*".join(["(x0+x1+x2)"] * 240)  # 2,639 characters
+LITERAL_PRODUCT = "*".join(["9" * 4300] * 200) + "*x0"
+# off the res0 and res1 shapes, with an entry of degree 480 to expand
+OFF_SHAPE = {"src_degrees": [480], "tgt_degrees": [0],
+             "entries": [["(x0+x1+x2)^480"]]}
 
 
 def nested_product(depth):
@@ -495,6 +574,19 @@ MALFORMED = {
                                    ["x1", "x2^3"]]),
                      f"error: entry (0,1): '{'1' * 4301}' has over 4300 "
                      "digits"),
+    # refused before it is expanded, which took over 2 s and printed a
+    # 3.1 MB line quoting the expanded polynomial of degree 240
+    "long product": (["classify", FILE],
+                     res1(entries=[[LONG_PRODUCT, "x1^3"], ["x1", "x2^3"]]),
+                     f"error: entry (0,0) must have degree 1, got a product "
+                     f"of degree 2: {LONG_PRODUCT!r}"),
+    # refused at the first product, which ran 2.4 s into the interpreter's
+    # own text on the digits of its value
+    "long literal product": (["classify", FILE],
+                             res1(entries=[[LITERAL_PRODUCT, "x1^3"],
+                                           ["x1", "x2^3"]]),
+                             f"error: entry (0,0): '{'9' * 4300}*{'9' * 4300}'"
+                             " has over 4300 digits"),
     "bad character": (["classify", FILE],
                       res1(entries=[["x0", "x1^3"], ["x1", "x2^3 $"]]),
                       "error: entry (1,1): unexpected character '$'"),
@@ -512,6 +604,11 @@ MALFORMED = {
                              "A: entries[0][0]: expected a string, got int"),
     "family missing B": (["limit", FILE], family(["B"], None),
                          "B: expected a JSON object, got NoneType"),
+    # refused by its shape before its entry is parsed, which took 25 s
+    "family off-shape A": (["limit", FILE], family(["A"], OFF_SHAPE),
+                           "error: base matrix must have the res0 shape"),
+    "family off-shape B": (["limit", FILE], family(["B"], OFF_SHAPE),
+                           "error: direction matrix must have the res0 shape"),
     "family integer t": (["limit", FILE], family(["t_values"], [1]),
                          "t_values[0]: expected a string, got int"),
     "family zero denominator": (["limit", FILE], family(["t_values"], ["1/0"]),
@@ -821,6 +918,15 @@ def test_classify_matrix_file_fuzz(tmp_path, capsys):
         if args[0] == "classify":
             answered_or_refused = hypothesis.example(payload, "q")(
                 answered_or_refused)
+    # off the two shapes, labelled Invalid with no entry parsed; and a
+    # result of about 8,000-digit coefficients, printed exactly
+    for entry in ("(x0+x1+x2)^480", "(x0+x1"):
+        answered_or_refused = hypothesis.example(
+            dict(OFF_SHAPE, entries=[[entry]]), "q")(answered_or_refused)
+    answered_or_refused = hypothesis.example(
+        {"src_degrees": [3, 3], "tgt_degrees": [2, 0], "entries": [
+            [f"{SEVENS}*x1", "x0^3"], ["x2", f"{SEVENS}*x1^3"]]}, "q")(
+        answered_or_refused)
     answered_or_refused()
 
 
@@ -950,6 +1056,10 @@ def test_limit_family_file_fuzz(tmp_path, capsys):
     tiny = chart_family(("0", "0", "0", "1", "0", "0", "0", "1", "0", "0", "0"),
                         "a", ["0." + "0" * 4299 + "1"])
     answered_or_refused = hypothesis.example(tiny, "q")(answered_or_refused)
+    # alpha of 4,000 digits: a limit of about 8,000-digit coefficients
+    big = chart_family((SEVENS, "0", "0", "1", "x0^2", "0", "0", "1", "0",
+                        "0", "0"), "a", ["1"])
+    answered_or_refused = hypothesis.example(big, "q")(answered_or_refused)
     answered_or_refused()
 
 

@@ -24,7 +24,6 @@ from quarticmoduli.matrices import (
     ScaleRow,
     act,
     apply_ops,
-    identity_automorphism,
     is_stable_kronecker,
     make_matrix,
     matrix_from_json_dict,
@@ -174,6 +173,14 @@ def test_graded_automorphism_refuses_a_singular_block():
     g = GradedAutomorphism(make_matrix((3, 2, 2), (3, 2, 2), rows))
     assert g.determinant() == parse_poly("1")
     assert type(g.determinant()) is Form and g.determinant().degree == 0
+
+
+def identity_automorphism(degrees, domain=QQ):
+    """The identity GradedAutomorphism on the given degrees."""
+    one, zero = Form.constant(domain, 1), MultiPoly.zero(domain)
+    return GradedAutomorphism(FormMatrix(degrees, degrees, [
+        [one if i == j else zero for j in range(len(degrees))]
+        for i in range(len(degrees))]))
 
 
 def test_act_identity():

@@ -1714,7 +1714,9 @@ def test_poincare_serialize_matches_its_former_loop(coefficients):
 
 class ReferenceParser:
     """The parser as it was before it read text into term dicts: the same
-    grammar, each atom, sum, product and power built as a MultiPoly."""
+    grammar, each atom, sum, product and power built as a MultiPoly, with
+    the product's refusals since: one above max_degree before it is
+    multiplied, and over QQ one with a coefficient of over 4,300 digits."""
 
     def __init__(self, text, domain, max_degree=None):
         self.tokens = _Parser._tokenize(text)
@@ -1757,10 +1759,19 @@ class ReferenceParser:
         return poly
 
     def term(self):
-        poly = self.factor()
+        start, poly = self.pos, self.factor()
         while self.peek() == "*":
             self.next()
-            poly = poly * self.factor()
+            right = self.factor()
+            degree = max(poly.total_degree(), 0) + max(right.total_degree(), 0)
+            if self.max_degree is not None and degree > self.max_degree:
+                raise PowerDegreeError(f"a product of degree {degree}")
+            poly = poly * right
+            if self.domain == QQ and any(
+                    max(abs(c.value.numerator), c.value.denominator)
+                    >= 10**4300 for c in poly.terms.values()):
+                text = "".join(self.tokens[start:self.pos])
+                raise ParseError(f"{text!r} has over 4300 digits")
         return poly
 
     def factor(self):
@@ -1903,6 +1914,10 @@ def expression_texts(draw, depth=3):
 @example(text="1/101*x0", domain=GF(P), degree=1)
 @example(text="3/2*x0", domain=GF(P), degree=1)
 @example(text="x0^3 - x0^3 + x1^2", domain=QQ, degree=2)
+@example(text="x0*x0*x0 - x0*x0*x0 + x1^2", domain=QQ, degree=2)
+@example(text="x0*(x0 + x1)*x2*0", domain=QQ, degree=2)
+@example(text="9" * 4300 + "*" + "9" * 4300 + "*x0", domain=QQ, degree=1)
+@example(text="9" * 4300 + "*" + "9" * 4300 + "*x0", domain=GF(P), degree=1)
 @example(text="(x0 + x1", domain=QQ, degree=1)
 @example(text="x0 + x1)", domain=QQ, degree=1)
 @example(text="x3", domain=QQ, degree=1)
@@ -1918,9 +1933,10 @@ def test_parser_matches_the_reference(kind, text, domain, degree):
     the refusals: powers of constants refused over QQ and reduced mod p,
     a power of a zero base, the degree bound, a literal of over 4,300
     digits, refused by its text before int() reads it, a zero or non-invertible denominator, the refusal of a high
-    power before a cancellation, unbalanced parentheses, an unknown
-    variable, and terms that cancel or vanish mod p before a product or a
-    power."""
+    power or product before a cancellation, a product of two 4,300-digit
+    literals, refused over QQ and reduced mod p, unbalanced parentheses,
+    an unknown variable, and terms that cancel or vanish mod p before a
+    product or a power."""
     assert (parse_outcome(package_parse, kind, text, domain, degree)
             == parse_outcome(reference_parse, kind, text, domain, degree))
 

@@ -112,7 +112,7 @@ def refused(error, run):
 def test_degree_bound_is_refused_never_wrapped():
     top = DEGREE_LIMIT - 1
     assert DEGREE_LIMIT == 2**31
-    assert parse_poly(f"x0^{top}").leading_exponent() == (top, 0, 0)
+    assert list(parse_poly(f"x0^{top}").terms) == [(top, 0, 0)]
     assert "2^31" in refused(ParseError,
                              lambda: parse_poly("x0^2147483648"))
     assert "2^31" in refused(ParseError,
@@ -392,7 +392,7 @@ def test_linear_rank_examples():
 def test_normalized_leading_coefficient_one():
     f = parse_form("3*x0^2 - 6*x1*x2")
     g = f.normalized()
-    assert g.poly.leading_coefficient() == QQ.one
+    assert g.coefficient((2, 0, 0)) == QQ.one
     assert g.poly * QQ.scalar(3) == f.poly
 
 
@@ -518,14 +518,15 @@ def test_sums_of_products_build_one_polynomial_each(domain, monkeypatch):
     with g * a kept as raw term dicts; classify_res0, on an M00
     matrix with a nonsingular conic among its minors, one pass per signed
     minor (three determinants, the odd minor's sign a row swap), each
-    wrapped as a form, and one polynomial for the quartic; the
+    wrapped as a form, and one for the quartic, wrapped as a form; the
     invertibility test of a GradedAutomorphism none.  Building every
     product and partial sum as a polynomial of its own took 18, 90 and 19
     polynomials; building g * a as a matrix and negating the odd minor
     took 18 for act and 5 for classify_res0; an act entry that was a
     polynomial before it was a form took 9, and a determinant that was a
     polynomial before it was a form 1; and a polynomial per 2x2 minor
-    and per signed minor took 4 for det and 4 for classify_res0.  None of
+    and per signed minor took 4 for det and 4 for classify_res0, and a
+    quartic built as a polynomial 1 for classify_res0.  None of
     these runs, nor random_matrix, checks a form through Form.__init__:
     each result's degree is fixed by its checked inputs."""
     a, left, right = random_res0_with_automorphisms(domain, random.Random(3))
@@ -557,7 +558,7 @@ def test_sums_of_products_build_one_polynomial_each(domain, monkeypatch):
     assert checked == [1]  # the counter does count
     monkeypatch.undo()
     assert counts == {"det": (0, 1, 0), "act": (0, 9, 0),
-                      "classify_res0": (1, 4, 0), "automorphism": (0, 0, 0),
+                      "classify_res0": (0, 4, 0), "automorphism": (0, 0, 0),
                       "random_matrix": (0, 0, 0)}
     report = results["classify_res0"]
     assert report.label == strata.M00
@@ -736,8 +737,9 @@ def assert_normalized(f):
         return
     assert type(n) is Form
     assert_checked(n)
-    assert n.leading_coefficient() == 1
-    assert n * f.leading_coefficient() == f
+    lead = key_exponent(max(f.raw))  # the graded-lex leading term
+    assert n.coefficient(lead) == 1
+    assert n * f.coefficient(lead) == f
 
 
 def test_forms_built_unchecked_pass_the_check():
@@ -786,6 +788,72 @@ def test_forms_built_unchecked_pass_the_check():
     start = time.monotonic()
     checked()
     assert time.monotonic() - start < 1
+
+
+def test_division_and_gcd_of_forms_give_forms():
+    """For Forms f and g of degrees d and e over QQ and GF(101), divmod
+    gives Forms of degrees max(d - e, 0) and d, try_exact_div and
+    exact_div a Form of degree d - e or no quotient, and multivariate_gcd
+    and gcd_fold a Form of its degree: each checked, with the terms that
+    the same call gives on the MultiPolys of their terms."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def plain(f):
+        return MultiPoly.from_raw(f.domain, dict(f.raw))
+
+    def same(form, poly, degree):
+        assert type(form) is Form and form.degree == degree
+        assert_checked(form)
+        assert form.raw == poly.raw
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.sampled_from([QQ, GF(101)]), st.integers(0, 3),
+                      st.integers(0, 3), st.integers(0, 2),
+                      st.integers(0, 2**32))
+    def closed(domain, d, e, c, seed):
+        rng = random.Random(seed)
+        h, g, k = (random_form(domain, n, rng) for n in (d, e, c))
+        hypothesis.assume(g and k)
+        for f in (h, h * g, h * g + Form.variable(domain, 0) ** (d + e)):
+            if not isinstance(f, Form):  # a power is a MultiPoly
+                f = Form(f, d + e)
+            q, r = f.divmod(g)
+            q0, r0 = plain(f).divmod(plain(g))
+            same(q, q0, max(f.degree - e, 0))
+            same(r, r0, f.degree)
+            exact = f.try_exact_div(g)
+            if plain(f).try_exact_div(plain(g)) is None:
+                assert exact is None
+                with pytest.raises(ValueError):
+                    f.exact_div(g)
+            else:
+                same(exact, q0, f.degree - e)
+                same(f.exact_div(g), q0, f.degree - e)
+        forms = [h * k, g * k, h * g * k]
+        for found, expected in (
+                (gcd.multivariate_gcd(*forms[:2]),
+                 gcd.multivariate_gcd(*map(plain, forms[:2]))),
+                (gcd.gcd_fold(forms), gcd.gcd_fold(list(map(plain, forms))))):
+            same(found, expected, max(expected.total_degree(), 0))
+
+    for domain in (QQ, GF(101)):
+        closed = hypothesis.example(domain, 2, 3, 0, 1)(closed)  # d < e
+    closed()
+
+
+def test_form_constructors_build_forms():
+    for domain in (QQ, GF(101)):
+        cases = [(Form.zero(domain, 3), MultiPoly.zero(domain), 3),
+                 (Form.constant(domain, 205), MultiPoly.constant(domain, 205),
+                  0)]
+        cases += [(Form.variable(domain, i), MultiPoly.variable(domain, i), 1)
+                  for i in range(3)]
+        for form, poly, degree in cases:
+            assert type(form) is Form and form.degree == degree
+            assert type(poly) is MultiPoly and form == poly
+    assert type(BinaryForm.variable(QQ, 1)) is BinaryForm
 
 
 def test_sample_path_runs_no_determinant_or_elimination_it_can_skip(

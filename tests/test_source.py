@@ -418,6 +418,48 @@ def test_term_dicts_keyed_by_packed_keys_outside_poly():
     assert not offenders, f"term dicts read by exponent tuple: {offenders}"
 
 
+def regrades_a_polynomial(node):
+    """Whether the node is a call _graded(...) with a polynomial's .raw as
+    an argument, or Form(MultiPoly.variable(...) or
+    MultiPoly.constant(...), ...)."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+    if name == "_graded":
+        return any(isinstance(arg, ast.Attribute) and arg.attr == "raw"
+                   for arg in node.args)
+    return name == "Form" and any(
+        isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+        and arg.func.attr in ("variable", "constant")
+        and getattr(arg.func.value, "id", None) == "MultiPoly"
+        for arg in node.args)
+
+
+def test_no_form_regraded_outside_poly():
+    # a quotient, remainder or GCD of forms is a form of its degree, and
+    # Form.variable and Form.constant build x_i and the constants: outside
+    # poly no result's term dict is wrapped as a form again, and no
+    # MultiPoly constructor is wrapped as one
+    for text in ("_graded(d, q.raw, 3)", "poly._graded(d, (l * c - q).raw, 1)",
+                 "Form(MultiPoly.variable(d, 1), 1)",
+                 "poly.Form(MultiPoly.constant(d, 1), 0)"):
+        assert regrades_a_polynomial(ast.parse(text).body[0].value), text
+    for text in ("_graded(d, d.canonical(dot_raw(pairs)), 4)",
+                 "_graded(d, {k: c for k, c in f.raw.items()}, 2)",
+                 "Form.variable(d, 1)", "Form(MultiPoly.from_raw(d, t), 2)",
+                 "Form(MultiPoly.monomial(d, e), 2)"):
+        assert not regrades_a_polynomial(ast.parse(text).body[0].value), text
+    offenders = []
+    for path in SOURCES:
+        if path.name != "poly.py":
+            uses, _ = qualified_uses(
+                ast.parse(path.read_text(), filename=str(path)),
+                regrades_a_polynomial)
+            offenders += [f"{path.name}:{line} in {scope or '<module>'}"
+                          for scope, line in uses]
+    assert not offenders, f"forms re-graded outside poly: {offenders}"
+
+
 BOXING_CONSTRUCTORS = {"MultiPoly", "ParamScalar"}
 
 

@@ -26,7 +26,6 @@ from quarticmoduli.strata import (
     NOT_STABLE,
     classify_res0,
     classify_res1,
-    extension_data,
     extract_Z_points,
 )
 
@@ -273,11 +272,13 @@ def test_extract_Z_requires_m00():
 
 
 def test_extension_data():
-    line, cubic = extension_data(classify_res0(m01_matrix()))
-    assert line.poly == parse_poly("x0")
-    assert cubic.poly == parse_poly("x0*x1^2")
-    with pytest.raises(ValueError):
-        extension_data(classify_res0(m00_matrix()))
+    # the (line, cubic) splitting of an M01 determinant, and no cubic on M00
+    report = classify_res0(m01_matrix())
+    assert report.label == M01
+    assert report.line.poly == parse_poly("x0")
+    assert report.cubic.poly == parse_poly("x0*x1^2")
+    assert report.quartic == report.line * report.cubic
+    assert classify_res0(m00_matrix()).cubic is None
 
 
 def test_report_serialization():
