@@ -22,10 +22,13 @@ on term dicts.
 The parser reads text into term dicts: a variable is one key, a literal
 its raw value, ``*`` one ``dot_raw``, and each sum is added into one dict
 and made canonical, so no term of a factor is zero and its largest key
-gives its degree; a power of one term is its key times n, and any other
-power repeated ``dot_raw``.  A power or product above the allowed degree
-is refused before it is expanded; over QQ so is a product with a
-coefficient of over MAX_DIGITS digits.  One polynomial is built.
+gives its degree; a power of one term, a constant too, is its key times
+n, and any other power repeated ``dot_raw``.  One size rule holds: a
+number token of over MAX_DIGITS digits is refused before int() reads it;
+a power or product above the allowed degree or 2^31 before it is
+expanded; and over QQ a sum, product or power with a coefficient of over
+MAX_DIGITS digits, a power of one term from its bit length before it is
+computed.  One polynomial is built.
 ``MultiPoly.divmod`` keys its remainder by key: kd divides kr when kr - kd
 is nonnegative with no guard bit, the top bit of an exponent field that a
 borrow sets; over QQ it divides primitive integer parts (Gauss's lemma).
@@ -585,16 +588,8 @@ class PowerDegreeError(ParseError):
     """Raised, before expanding it, on a power or product above its degree."""
 
 
-# the largest power of a rational constant, in bits, that the parser computes
-MAX_CONSTANT_POWER_BITS = 10_000
-
-
 class _Parser:
-    """Recursive descent over: rationals, x0/x1/x2, + - * ^, parentheses.
-
-    With max_degree given, a power or product of higher degree raises
-    PowerDegreeError before it is expanded.
-    """
+    """Recursive descent over: rationals, x0/x1/x2, + - * ^, parentheses."""
 
     def __init__(self, text, domain, max_degree=None):
         self.tokens = self._tokenize(text)
@@ -630,6 +625,31 @@ class _Parser:
                 raise ParseError(f"unexpected character {ch!r}")
         return tokens
 
+    @staticmethod
+    def _bounded(tok):
+        """A number token, refused if a part has over MAX_DIGITS digits."""
+        if max(map(len, tok.split("/"))) > MAX_DIGITS:
+            raise ParseError(f"{tok!r} has over {MAX_DIGITS} digits")
+        return tok
+
+    def _gate(self, start, expand, what="sum", degree=None, bits=0):
+        """expand(), the term dict of the sum, product or power read from
+        token start; refused by degree before it runs and over QQ by size
+        after, or before if bits, a coefficient's least bit size, is over."""
+        if degree is not None:
+            over = self.max_degree is not None and degree > self.max_degree
+            if over or degree >= DEGREE_LIMIT:
+                shown = degree if degree < DEGREE_LIMIT else ">= 2^31"
+                raise (PowerDegreeError if over else ParseError)(
+                    f"a {what} of degree {shown}")
+        raw = {0: _DIGITS_BOUND} if bits >= _DIGITS_BOUND.bit_length() \
+            else expand()  # a stand-in for a value over the bound
+        for c in raw.values() if self.domain is QQ else ():
+            if max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
+                text = "".join(self.tokens[start:self.pos])
+                raise ParseError(f"{text!r} has over {MAX_DIGITS} digits")
+        return raw
+
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
@@ -648,7 +668,7 @@ class _Parser:
         return MultiPoly.from_raw(self.domain, raw)
 
     def expr(self):
-        raw = {}
+        start, raw = self.pos, {}
         while True:
             sign = 1
             while self.peek() in ("+", "-"):
@@ -657,7 +677,7 @@ class _Parser:
             for k, v in self.term().items():
                 raw[k] = raw.get(k, 0) + (v if sign > 0 else -v)
             if self.peek() not in ("+", "-"):
-                return self.domain.canonical(raw)
+                return self._gate(start, lambda: self.domain.canonical(raw))
 
     def term(self):
         start, raw = self.pos, self.factor()
@@ -665,53 +685,34 @@ class _Parser:
             self.next()
             right = self.factor()
             degree = sum(max(f) >> 96 for f in (raw, right) if f)
-            if self.max_degree is not None and degree > self.max_degree:
-                raise PowerDegreeError(f"a product of degree {degree}")
-            raw = dot_raw([(raw, right)])
-            size = (max(abs(c.numerator), c.denominator) for c in raw.values())
-            if self.domain == QQ and max(size, default=0) >= _DIGITS_BOUND:
-                text = "".join(self.tokens[start:self.pos])
-                raise ParseError(f"{text!r} has over {MAX_DIGITS} digits")
+            raw = self._gate(start, lambda: dot_raw([(raw, right)]),
+                             "product", degree)
         return raw
 
     def factor(self):
-        base = self.atom()
+        start, base = self.pos, self.atom()
         if self.peek() != "^":
             return base
         self.next()
         tok = self.next()
         if tok is None or not tok.isdecimal():
             raise ParseError("expected integer exponent after '^'")
-        n = int(tok)
-        degree = max(base) >> 96 if base else -1
-        if degree <= 0:
-            c = self._constant_power(base.get(0, 0), n)
-            return {0: c} if c else {}
-        if self.max_degree is not None and n * degree > self.max_degree:
-            raise PowerDegreeError(f"a power of degree {n * degree}")
-        if n * degree >= DEGREE_LIMIT:
-            raise ParseError(f"a power of degree {n * degree} >= 2^31")
+        n = int(self._bounded(tok))
+        if not base:
+            return {} if n else {0: self.one}
+        degree = n * (max(base) >> 96)
         if len(base) > 1:
             power = {0: self.one}
             for _ in range(n):
-                power = dot_raw([(power, base)])
+                power = self._gate(start, lambda: dot_raw([(power, base)]),
+                                   "power", degree)
             return power
         (k, c), = base.items()  # keys add as exponents do, below 2^31 here
-        p = self.domain.modulus
-        return {k * n: pow(c, n, p) if p else c ** n}
-
-    def _constant_power(self, c, n):
-        """c**n of a raw value, mod p over GF(p); over QQ a value of more than
-        MAX_CONSTANT_POWER_BITS bits is refused before it is computed."""
-        p = self.domain.modulus
-        if p:
-            return pow(c, n, p)
-        if self.domain == QQ:
-            size = max(abs(c.numerator), c.denominator)
-            if n * (size.bit_length() - 1) > MAX_CONSTANT_POWER_BITS:
-                raise ParseError(f"the power {c}^{n} exceeds "
-                                 f"{MAX_CONSTANT_POWER_BITS} bits")
-        return c ** n
+        p, bits = self.domain.modulus, 0
+        if self.domain is QQ:  # c ** n has at least bits bits
+            bits = n * (max(abs(c.numerator), c.denominator).bit_length() - 1)
+        return self._gate(start, lambda: {k * n: pow(c, n, p) if p
+                                          else c ** n}, "power", degree, bits)
 
     def atom(self):
         tok = self.next()
@@ -727,8 +728,7 @@ class _Parser:
         if tok in VARIABLES:
             return {keys_of_degree(1)[VARIABLES.index(tok)]: self.one}
         if tok[0].isdigit():
-            if max(map(len, tok.split("/"))) > MAX_DIGITS:  # before int()
-                raise ParseError(f"{tok!r} has over {MAX_DIGITS} digits")
+            tok = self._bounded(tok)
             try:  # int and Fraction read the same decimal digits alike
                 c = self.domain.unbox(int(tok) if tok.isdecimal()
                                       else self.domain.parse(tok))

@@ -567,8 +567,20 @@ MALFORMED = {
     "huge constant power": (["classify", FILE],
                             res1(entries=[["2^999999999*x0", "x1^3"],
                                           ["x1", "x2^3"]]),
-                            "error: entry (0,0): the power 2^999999999 "
-                            "exceeds 10000 bits"),
+                            "error: entry (0,0): '2^999999999' has over 4300 "
+                            "digits"),
+    "long exponent": (["classify", FILE],
+                      res1(entries=[["x0^" + "1" * 5000, "x1^3"],
+                                    ["x1", "x2^3"]]),
+                      f"error: entry (0,0): '{'1' * 5000}' has over 4300 "
+                      "digits"),
+    # the degree, 2 * <4,300 nines>, has too many digits to print
+    "huge degree text": (["classify", FILE],
+                         {"src_degrees": [3, 2, 2], "tgt_degrees": [1, 1, 1],
+                          "entries": [["(x0*x1)^" + "9" * 4300, "0", "0"],
+                                      ["0", "0", "0"], ["0", "0", "0"]]},
+                         "error: entry (0,0) must have degree 2, got a power "
+                         "of degree >= 2^31: '(x0*x1)^999"),
     "long literal": (["classify", FILE],
                      res1(entries=[["x0", "1" * 4301 + "*x1^3"],
                                    ["x1", "x2^3"]]),

@@ -134,7 +134,6 @@ from quarticmoduli.matrices import (  # noqa: E402
 from quarticmoduli.poly import (  # noqa: E402
     _GUARDS,
     DEGREE_LIMIT,
-    MAX_CONSTANT_POWER_BITS,
     VARIABLES,
     BinaryForm,
     Form,
@@ -1715,8 +1714,12 @@ def test_poincare_serialize_matches_its_former_loop(coefficients):
 class ReferenceParser:
     """The parser as it was before it read text into term dicts: the same
     grammar, each atom, sum, product and power built as a MultiPoly, with
-    the product's refusals since: one above max_degree before it is
-    multiplied, and over QQ one with a coefficient of over 4,300 digits."""
+    the one size rule written out on its own: an exponent of over 4,300
+    digits is refused before int() reads it (Domain.parse refuses such a
+    literal); a product or power above max_degree, or of degree 2^31 or
+    more, before it is multiplied; and over QQ a sum, product or power
+    with a coefficient of over 4,300 digits, a power of one term before it
+    is computed when its digit count or exponent shows it."""
 
     def __init__(self, text, domain, max_degree=None):
         self.tokens = _Parser._tokenize(text)
@@ -1741,8 +1744,26 @@ class ReferenceParser:
             raise ParseError(f"trailing input at token {self.peek()!r}")
         return poly
 
+    def check_degree(self, what, degree):
+        shown = degree if degree < DEGREE_LIMIT else ">= 2^31"
+        if self.max_degree is not None and degree > self.max_degree:
+            raise PowerDegreeError(f"a {what} of degree {shown}")
+        if degree >= DEGREE_LIMIT:
+            raise ParseError(f"a {what} of degree {shown}")
+
+    def too_long(self, start):
+        text = "".join(self.tokens[start:self.pos])
+        return ParseError(f"{text!r} has over 4300 digits")
+
+    def check_digits(self, start, poly):
+        if self.domain == QQ and any(
+                max(abs(c.value.numerator), c.value.denominator) >= 10**4300
+                for c in poly.terms.values()):
+            raise self.too_long(start)
+        return poly
+
     def expr(self):
-        sign = 1
+        start, sign = self.pos, 1
         while self.peek() in ("+", "-"):
             if self.next() == "-":
                 sign = -sign
@@ -1756,50 +1777,44 @@ class ReferenceParser:
                     sign = -sign
             rhs = self.term()
             poly = poly + (rhs if sign > 0 else -rhs)
-        return poly
+        return self.check_digits(start, poly)
 
     def term(self):
         start, poly = self.pos, self.factor()
         while self.peek() == "*":
             self.next()
             right = self.factor()
-            degree = max(poly.total_degree(), 0) + max(right.total_degree(), 0)
-            if self.max_degree is not None and degree > self.max_degree:
-                raise PowerDegreeError(f"a product of degree {degree}")
-            poly = poly * right
-            if self.domain == QQ and any(
-                    max(abs(c.value.numerator), c.value.denominator)
-                    >= 10**4300 for c in poly.terms.values()):
-                text = "".join(self.tokens[start:self.pos])
-                raise ParseError(f"{text!r} has over 4300 digits")
+            self.check_degree("product", max(poly.total_degree(), 0)
+                              + max(right.total_degree(), 0))
+            poly = self.check_digits(start, poly * right)
         return poly
 
     def factor(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.next()
-            tok = self.next()
-            if tok is None or not tok.isdigit():
-                raise ParseError("expected integer exponent after '^'")
-            n = int(tok)
-            degree = base.total_degree()
-            if degree <= 0:
-                return MultiPoly.constant(self.domain, self._constant_power(
-                    base.coefficient((0, 0, 0)), n))
-            if self.max_degree is not None and n * degree > self.max_degree:
-                raise PowerDegreeError(f"a power of degree {n * degree}")
-            if n * degree >= DEGREE_LIMIT:
-                raise ParseError(f"a power of degree {n * degree} >= 2^31")
-            base = base ** n
-        return base
-
-    def _constant_power(self, c, n):
+        start, base = self.pos, self.atom()
+        if self.peek() != "^":
+            return base
+        self.next()
+        tok = self.next()
+        if tok is None or not tok.isdecimal():
+            raise ParseError("expected integer exponent after '^'")
+        if len(tok) > 4300:
+            raise ParseError(f"{tok!r} has over 4300 digits")
+        n = int(tok)
+        if not base:
+            return base ** n
+        self.check_degree("power", n * base.total_degree())
+        if len(base.terms) > 1:
+            power = MultiPoly.constant(self.domain, 1)
+            for _ in range(n):
+                power = self.check_digits(start, power * base)
+            return power
         if self.domain == QQ:
+            [c] = base.terms.values()
             size = max(abs(c.value.numerator), c.value.denominator)
-            if n * (size.bit_length() - 1) > MAX_CONSTANT_POWER_BITS:
-                raise ParseError(f"the power {c.as_text()}^{n} exceeds "
-                                 f"{MAX_CONSTANT_POWER_BITS} bits")
-        return c ** n
+            # size^n >= 2^14285 > 10^4300 and size >= 10^(digits - 1)
+            if size > 1 and (n >= 14285 or n * (len(str(size)) - 1) >= 4300):
+                raise self.too_long(start)
+        return self.check_digits(start, base ** n)
 
     def atom(self):
         tok = self.next()
@@ -1925,6 +1940,18 @@ def expression_texts(draw, depth=3):
 @example(text="101*x0^2147483647*x0", domain=GF(P), degree=2)
 @example(text="(101*x0 + x1)^2", domain=GF(P), degree=2)
 @example(text="(2/3*x0 - 1/3*x1)^3", domain=QQ, degree=3)
+@example(text="x0^" + "1" * 5000, domain=QQ, degree=1)
+@example(text="(x0*x1)^" + "9" * 4300, domain=QQ, degree=2)
+@example(text="x0^2147483647*x0", domain=GF(P), degree=None)
+@example(text="2^14284*x0", domain=QQ, degree=1)
+@example(text="2^14285*x0", domain=QQ, degree=1)
+@example(text="(3/2)^999999999*x0", domain=QQ, degree=1)
+@example(text="(" + "7" * 4000 + "*x0)^3", domain=QQ, degree=3)
+@example(text="(" + "7" * 4000 + "*x0 + x1)^3", domain=QQ, degree=3)
+@example(text="(" + "7" * 4000 + "*x0 + x1)^3", domain=GF(P), degree=3)
+@example(text="(" + "7" * 4000 + "*x0 + x1)^3*x2", domain=QQ, degree=4)
+@example(text="9" * 4300 + "*x0 + " + "9" * 4300 + "*x0", domain=QQ,
+         degree=1)
 def test_parser_matches_the_reference(kind, text, domain, degree):
     """parse_poly, parse_form and parse_entry, which read text into term
     dicts and build one polynomial, give what the reference that built a
@@ -1935,8 +1962,10 @@ def test_parser_matches_the_reference(kind, text, domain, degree):
     digits, refused by its text before int() reads it, a zero or non-invertible denominator, the refusal of a high
     power or product before a cancellation, a product of two 4,300-digit
     literals, refused over QQ and reduced mod p, unbalanced parentheses,
-    an unknown variable, and terms that cancel or vanish mod p before a
-    product or a power."""
+    an unknown variable, terms that cancel or vanish mod p before a
+    product or a power, an exponent of over 4,300 digits, a degree of
+    2^31 or more too long to print, and a constant power, a power of one
+    or more terms and a sum each on either side of 4,300 digits."""
     assert (parse_outcome(package_parse, kind, text, domain, degree)
             == parse_outcome(reference_parse, kind, text, domain, degree))
 

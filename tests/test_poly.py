@@ -1,5 +1,6 @@
 import random
 import re
+import signal
 import time
 from fractions import Fraction
 
@@ -117,6 +118,12 @@ def test_degree_bound_is_refused_never_wrapped():
                              lambda: parse_poly("x0^2147483648"))
     assert "2^31" in refused(ParseError,
                              lambda: parse_poly("(x0*x1)^1073741824"))
+    # checked before the product, and the degree, of 4,301 digits here, is
+    # not printed
+    assert "2^31" in refused(ParseError,
+                             lambda: parse_poly("x0^2147483647*x0"))
+    assert "2^31" in refused(ParseError,
+                             lambda: parse_poly("(x0*x1)^" + "9" * 4300))
     for exp in ((2**31, 0, 0), (2**30, 2**30, 0), (0, -1, 1)):
         assert "out of range" in refused(
             ValueError, lambda: MultiPoly.monomial(QQ, exp))
@@ -221,12 +228,73 @@ def test_power_modulo_is_the_remainder_of_the_power():
 
 
 def test_constant_power_size_bounded_over_qq():
-    assert parse_poly("2^10000").terms[(0, 0, 0)].value == 2 ** 10000
+    # a constant is a one-term base like any other: its power is refused
+    # at 4,300 digits, from its bit length before it is computed; the
+    # alarm turns a hang into a failure
+    assert parse_poly("2^14284").terms[(0, 0, 0)].value == 2 ** 14284
     assert parse_poly("1/2^3") == parse_poly("1/8")
-    with pytest.raises(ParseError, match="exceeds 10000 bits"):
-        parse_poly("2^10001*x0")
-    with pytest.raises(ParseError, match="exceeds 10000 bits"):
-        parse_entry("(3/2)^999999999*x0", 1, QQ)
+    with pytest.raises(ParseError, match=re.escape(
+            "'2^14285' has over 4300 digits")):
+        parse_poly("2^14285*x0")
+
+    def expire(signum, frame):
+        raise TimeoutError("no answer in 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        for text in ("(3/2)^999999999*x0", "(3*x0)^1000000000",
+                     "3^1000000000"):
+            start = time.monotonic()
+            with pytest.raises(ParseError, match=re.escape(
+                    f"'{text.removesuffix('*x0')}' has over 4300 digits")):
+                parse_poly(text)
+            assert time.monotonic() - start < 0.1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def kth_root(n, k):
+    """The largest int r with r**k <= n, by Newton's method."""
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
+def test_power_product_and_sum_of_edge_constants_agree():
+    """Over QQ, with c near the 4,300-digit edge, a power, a product and a
+    sum that are the same polynomial are all parsed or all refused:
+    (c*x0)^k and (c*x0)*...*(c*x0), c^k*x0 and c*...*c*x0, and
+    c*x0 + c*x0 and 2*c*x0, for c an integer or its inverse."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def verdict(text):
+        try:
+            parse_poly(text)
+        except ParseError:
+            return "refused"
+        return "parsed"
+
+    @hypothesis.settings(max_examples=20, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.integers(2, 5), st.integers(-2, 2),
+                      st.sampled_from(["{}", "1/{}"]))
+    @hypothesis.example(2, 0, "{}")  # the three inputs that failed with a
+    @hypothesis.example(2, 1, "{}")  # bound of 10,000 bits on a constant
+    @hypothesis.example(2, 1, "1/{}")  # power and none on another
+    def agree(k, step, form):
+        c = form.format(kth_root(10**4300 - 1, k) + step)
+        half = form.format(5 * 10**4299 + step)
+        pairs = [(f"({c}*x0)^{k}", "*".join([f"({c}*x0)"] * k)),
+                 (f"{c}^{k}*x0", "*".join([c] * k) + "*x0"),
+                 (f"{half}*x0 + {half}*x0", f"2*{half}*x0")]
+        assert [verdict(one) for one, _ in pairs] \
+            == [verdict(other) for _, other in pairs]
+
+    agree()
 
 
 def test_parse_rational_coefficients():

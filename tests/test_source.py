@@ -525,6 +525,41 @@ def test_not_implemented_only_in_abstract_methods():
     assert NOT_IMPLEMENTED_RAISERS <= names
 
 
+# the parser refuses an oversized sum, product or power through one gate,
+# and an oversized number token through one bound: a second place that
+# refuses by size could bring back a second size rule
+PARSER_SIZE_REFUSERS = {"_Parser._bounded", "_Parser._gate"}
+
+
+def is_size_refusal(node):
+    """Whether the node raises an error whose message text says 'has
+    over' or 'of degree'."""
+    return isinstance(node, ast.Raise) and node.exc is not None and any(
+        isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+        and ("has over" in sub.value or "of degree" in sub.value)
+        for sub in ast.walk(node.exc))
+
+
+def test_parser_refuses_sizes_through_one_gate():
+    for text in ("raise ParseError(f'{tok!r} has over {MAX_DIGITS} digits')",
+                 "raise (E if over else F)(f'a {what} of degree {shown}')"):
+        assert is_size_refusal(ast.parse(text).body[0])
+    for text in ("raise ParseError('missing closing parenthesis')", "raise",
+                 "f'{tok!r} has over {MAX_DIGITS} digits'"):
+        assert not is_size_refusal(ast.parse(text).body[0])
+    path = SOURCES[[p.name for p in SOURCES].index("poly.py")]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    uses, names = qualified_uses(tree, is_size_refusal)
+    assert {scope for scope, _ in uses if scope.startswith("_Parser.")} \
+        == PARSER_SIZE_REFUSERS
+    assert PARSER_SIZE_REFUSERS <= names
+    # the second bound on a power of a constant is gone from the package
+    for path in SOURCES:
+        assert not [node for node in ast.walk(ast.parse(path.read_text()))
+                    if getattr(node, "id", getattr(node, "attr", None))
+                    == "MAX_CONSTANT_POWER_BITS"], path.name
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_function_local_import(path):
     # imports belong at the top of the module, where readers look for them
