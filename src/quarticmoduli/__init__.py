@@ -36,7 +36,7 @@ _EXPORTS = {
     ),
     "matrices": (
         "DegreeError", "FormMatrix", "GradedAutomorphism", "act",
-        "apply_ops", "is_stable_kronecker", "load_matrix", "make_matrix",
+        "is_stable_kronecker", "load_matrix", "make_matrix",
         "random_graded_automorphism", "random_matrix",
     ),
     "poly": (

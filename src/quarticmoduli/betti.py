@@ -123,16 +123,16 @@ MAX_EXPRESSION_DEPTH = 64
 MAX_EXPRESSION_PRODUCTS = 3_000_000
 
 
-def expression_poincare(data, path="", depth=0):
+def expression_poincare(data):
     """(P(X), dim X) for the space X that the JSON expression data describes.
 
-    Malformed input raises a ValueError that names its JSON path; path
-    and depth place data inside an enclosing expression, which may nest at
-    most MAX_EXPRESSION_DEPTH deep.  Every sub-expression is refused,
-    before its polynomial is computed, when its dimension exceeds
-    MAX_BETTI_DIMENSION; a product is refused as soon as its factors'
-    dimensions add up past it.  A leaf, product or substitution that would
-    take the evaluation past MAX_EXPRESSION_PRODUCTS is refused first.
+    Malformed input raises a ValueError that names its JSON path; the
+    expression may nest at most MAX_EXPRESSION_DEPTH deep.  Every
+    sub-expression is refused, before its polynomial is computed, when its
+    dimension exceeds MAX_BETTI_DIMENSION; a product is refused as soon as
+    its factors' dimensions add up past it.  A leaf, product or
+    substitution that would take the evaluation past
+    MAX_EXPRESSION_PRODUCTS is refused first.
     """
     spent = 0
 
@@ -214,7 +214,7 @@ def expression_poincare(data, path="", depth=0):
                          "known: literal, product, projbundle, projective, "
                          "substitute")
 
-    return evaluate(data, path, depth)
+    return evaluate(data, "", 0)
 
 
 # ---- the moduli space -------------------------------------------------

@@ -13,14 +13,9 @@ from .field import InvariantError, check_json_list, check_json_type, load_json
 from .gcd import gcd_fold, line_intersection
 from .matrices import (
     SHAPES,
-    AddMultipleOfCol,
-    AddMultipleOfRow,
     DegreeError,
     FormMatrix,
-    ScaleCol,
-    ScaleRow,
     _derived,
-    apply_ops,
     matrix_from_json_dict,
     shape_from_json_dict,
 )
@@ -262,21 +257,9 @@ class DeformationInstance:
         rows.append([one, zero1, zero1, zero1])
         return FormMatrix(DEFORM_SRC, DEFORM_TGT, rows)
 
-    def reduction_ops(self):
-        """The six recorded elementary-operation steps of the reduction."""
-        x1, x2 = Form.variable(self.domain, 1), Form.variable(self.domain, 2)
-        inv_t = self.t.inverse()
-        return [
-            [AddMultipleOfRow(1, 4, self.w)],
-            [AddMultipleOfCol(2, 0, x2), AddMultipleOfCol(3, 0, -x1)],
-            [AddMultipleOfRow(0, 4, self.xbar0)],
-            [AddMultipleOfRow(0, 2, x1), AddMultipleOfRow(0, 3, x2)],
-            [ScaleRow(0, inv_t), ScaleRow(1, inv_t)],
-            [ScaleCol(0, self.t)],
-        ]
-
     def expected_trace(self):
-        """The printed intermediate matrices, one per reduction step."""
+        """The printed matrices after each of the six reduction steps of
+        ``deformation_reduction_trace``; the last is the normal form."""
         domain = self.domain
         x1, x2 = Form.variable(domain, 1), Form.variable(domain, 2)
         t = self.t
@@ -302,19 +285,21 @@ class DeformationInstance:
         ]
         return [FormMatrix(DEFORM_SRC, DEFORM_TGT, rows) for rows in steps]
 
-    def expected_final(self):
-        """The normal form that the reduction chain ends in."""
-        return self.expected_trace()[-1]
-
 
 def deformation_reduction_trace(instance):
-    """Replay the reduction steps; returns the list of matrices after each."""
-    matrix = instance.initial_matrix()
-    trace = [matrix]
-    for ops in instance.reduction_ops():
-        matrix = apply_ops(matrix, ops)
-        trace.append(matrix)
-    return trace
+    """The initial matrix and the matrix after each of the six reduction
+    steps, each one or two ``FormMatrix`` row operations; a column step is
+    the row step on the transpose."""
+    x1, x2 = (Form.variable(instance.domain, k) for k in (1, 2))
+    t, inv_t = instance.t, instance.t.inverse()
+    a = instance.initial_matrix()
+    b = a.with_row_added(1, 4, instance.w)
+    c = (b.transpose().with_row_added(2, 0, x2)
+         .with_row_added(3, 0, -x1).transpose())
+    d = c.with_row_added(0, 4, instance.xbar0)
+    e = d.with_row_added(0, 2, x1).with_row_added(0, 3, x2)
+    f = e.with_row_scaled(0, inv_t).with_row_scaled(1, inv_t)
+    return [a, b, c, d, e, f, f.transpose().with_row_scaled(0, t).transpose()]
 
 
 # ---- twisted ideal resolution -----------------------------------------

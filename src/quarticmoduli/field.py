@@ -152,7 +152,8 @@ class Rationals(Domain):
             self.check_same(value.domain)
             return value.value
         _refuse_float(value)
-        value = Fraction(value)
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
         return value.numerator if value.denominator == 1 else value
 
     def box(self, raw):

@@ -11,9 +11,10 @@ parser, a JSON loader, a sampler or a caller's entries.  A Form of the
 required degree is kept after one comparison, and a zero entry takes the
 required degree max(need, 0).  Matrices derived from checked ones are
 built unchecked by ``_derived``, as ``poly._graded`` builds forms: sums,
-scalings, transposes, submatrices, the elementary operations and the
-result of ``act``.  Their entries are forms whose degrees the checked
-inputs fix, so each keeps its required degree, a zero entry included.
+scalings, transposes, submatrices, row operations (``with_row_scaled``,
+``with_row_added``) and the result of ``act``.  Their entries are forms
+whose degrees the checked inputs fix, so each keeps its required degree, a
+zero entry included.
 
 ``FormMatrix.determinant`` is the package's one determinant and
 ``maximal_minors`` gives the signed maximal minors; both run ``_expand``,
@@ -132,6 +133,31 @@ class FormMatrix:
 
     def row(self, i):
         return self.entries[i]
+
+    def with_row_scaled(self, i, scalar):
+        """The matrix with row i times a nonzero scalar; a column operation
+        is the row operation on the transpose."""
+        c = self.domain.scalar(scalar)
+        if not c:
+            raise DegreeError("scale must be nonzero")
+        rows = list(self.entries)
+        rows[i] = [e * c for e in rows[i]]
+        return _derived(self.src_degrees, self.tgt_degrees, rows)
+
+    def with_row_added(self, target, source, multiplier):
+        """The matrix with multiplier times row source added to row target:
+        a nonzero multiplier, a Form or a MultiPoly, must be a form of degree
+        src[target] - src[source], and then each nonzero product has its
+        entry's degree; a zero multiplier, of any degree, returns the matrix
+        unchanged."""
+        if not multiplier:
+            return self
+        mult = _graded_entry("multiplier", self.src_degrees[target]
+                             - self.src_degrees[source], multiplier)
+        rows = list(self.entries)
+        rows[target] = [a + mult * b if b else a
+                        for a, b in zip(rows[target], rows[source])]
+        return _derived(self.src_degrees, self.tgt_degrees, rows)
 
     def transpose(self):
         """The transpose, from the negated target degrees to the negated
@@ -355,74 +381,6 @@ def _raw_grid(rows, domain):
             if e.domain is not domain:
                 domain.check_same(e.domain)
     return [[e.raw for e in row] for row in rows]
-
-
-# ---- elementary operations --------------------------------------------
-
-
-class ElementaryOp:
-    """A recorded, replayable, degree-checked elementary operation."""
-
-    def apply(self, matrix):
-        raise NotImplementedError
-
-
-class ScaleRow(ElementaryOp):
-    def __init__(self, i, scalar):
-        self.i, self.scalar = i, scalar
-
-    def apply(self, m):
-        c = m.domain.scalar(self.scalar)
-        if not c:
-            raise DegreeError("scale must be nonzero")
-        rows = list(m.entries)
-        rows[self.i] = [e * c for e in rows[self.i]]
-        return _derived(m.src_degrees, m.tgt_degrees, rows)
-
-
-class AddMultipleOfRow(ElementaryOp):
-    """target_row += multiplier * source_row, degree bookkeeping enforced:
-    a nonzero multiplier, a Form or a MultiPoly, must be a form of degree
-    src[target] - src[source], and then each nonzero product has its
-    entry's degree; a zero multiplier, of any degree, returns the matrix
-    unchanged."""
-
-    def __init__(self, target, source, multiplier):
-        self.target, self.source, self.multiplier = target, source, multiplier
-
-    def apply(self, m):
-        mult = self.multiplier
-        if not mult:
-            return m
-        mult = _graded_entry("multiplier", m.src_degrees[self.target]
-                             - m.src_degrees[self.source], mult)
-        rows = list(m.entries)
-        rows[self.target] = [
-            a + mult * b if b else a
-            for a, b in zip(rows[self.target], rows[self.source])
-        ]
-        return _derived(m.src_degrees, m.tgt_degrees, rows)
-
-
-class _OnColumns:
-    """A row operation applied to the columns, through the transpose."""
-
-    def apply(self, m):
-        return super().apply(m.transpose()).transpose()
-
-
-class ScaleCol(_OnColumns, ScaleRow):
-    """Column i scaled by a nonzero scalar."""
-
-
-class AddMultipleOfCol(_OnColumns, AddMultipleOfRow):
-    """target_col += multiplier * source_col."""
-
-
-def apply_ops(matrix, ops):
-    for op in ops:
-        matrix = op.apply(matrix)
-    return matrix
 
 
 # ---- stability and sampling -------------------------------------------

@@ -1151,11 +1151,9 @@ def test_verify_transition_alpha_fuzz(capsys):
     # every --alpha passes the verifier (exit 0) or is refused with one
     # error line (exit 1); a rational with no value in the field, its
     # denominator a multiple of p, is refused by its value and the field;
-    # every other nonzero value passes unless its numerator and
-    # denominator have more than cli.ALPHA_DIGITS digits, or its text more
-    # than 4,300, too many to read, which is refused by a line naming
-    # --alpha; a value of over 4,300 digits above or below the line, as
-    # an exponent makes it, is refused by a line naming the literal
+    # every other nonzero value passes, and its report prints in full,
+    # unless it has over 4,300 digits above or below the line, as its text
+    # or an exponent makes it, which is refused by a line naming the literal
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -1166,6 +1164,8 @@ def test_verify_transition_alpha_fuzz(capsys):
     @hypothesis.example("-3/202", "101")
     @hypothesis.example("9" * 1000, "q")
     @hypothesis.example("9" * 1076, "q")  # alpha^4 has 4,304 digits
+    @hypothesis.example("9" * 1075, "101")  # its value is below 101
+    @hypothesis.example("9" * 1076, "101")  # 0 in GF(101): 10^4 = 1 there
     @hypothesis.example("1" * 4301, "101")
     @hypothesis.example("1e1100", "q")  # a 1,101-digit value
     @hypothesis.example("1e99999999", "q")
@@ -1190,11 +1190,7 @@ def test_verify_transition_alpha_fuzz(capsys):
             value = None
         unprintable = bool(value) and (huge or max(
             abs(value.numerator), value.denominator) >= 10**4300)
-        digits = sum(map(str.isdigit, alpha))
-        if digits <= 4300 and value is not None and not unprintable:
-            digits = sum(map(str.isdigit, str(value)))
-        too_long = digits > cli.ALPHA_DIGITS
-        if value and not too_long and not unprintable \
+        if value and not unprintable \
                 and (field == "q" or value.numerator * value.denominator % 101):
             assert code == 0, lines
         if code == 0:
@@ -1204,10 +1200,7 @@ def test_verify_transition_alpha_fuzz(capsys):
             return
         assert code == 1 and captured.out == "", code
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
-        if too_long:
-            assert lines[0] == \
-                f"error: --alpha has over {cli.ALPHA_DIGITS} digits"
-        elif unprintable:
+        if unprintable:
             assert lines[0] == f"error: {alpha.strip()!r} has over 4300 digits"
         elif "Invalid literal" in lines[0]:
             assert lines[0] == ("error: Invalid literal for Fraction: "
@@ -1215,6 +1208,9 @@ def test_verify_transition_alpha_fuzz(capsys):
         if field == "101" and value is not None \
                 and not value.denominator % 101:
             assert f"error: {value} has no value in GF(101)" in lines[0]
+        elif field == "101" and value and not unprintable \
+                and not value.numerator % 101:
+            assert lines[0] == "error: alpha must be nonzero"
 
     answered_or_refused()
 

@@ -134,7 +134,8 @@ def test_a_rational_scalar_holds_its_raw_value():
 
 def test_integral_rationals_build_no_fraction(monkeypatch):
     """Boxing, unboxing, adding and multiplying integral QQ scalars
-    builds no Fraction: an integral value stays an int throughout."""
+    builds no Fraction: an integral value stays an int throughout; and
+    unboxing a Fraction builds none either."""
     built = []
 
     class Counted(Fraction):
@@ -143,14 +144,16 @@ def test_integral_rationals_build_no_fraction(monkeypatch):
             return super().__new__(cls, *args, **kwargs)
 
     monkeypatch.setattr(field, "Fraction", Counted)
-    assert Counted(1, 2) and built  # the count sees a construction
+    half, whole = Counted(1, 2), Counted(6, 3)
+    assert built  # the count sees a construction
     built.clear()
+    assert QQ.unbox(half) is half
     a, b = QQ.box(3), QQ.scalar(-5)
-    values = [QQ.unbox(a), QQ.unbox(7), QQ.scalar(a).value, (a + b).value,
-              (a * b).value, (a - b).value, (a * 2 + 1).value, (-a).value,
-              (a ** 3).value]
+    values = [QQ.unbox(a), QQ.unbox(7), QQ.unbox(whole), QQ.scalar(a).value,
+              (a + b).value, (a * b).value, (a - b).value,
+              (a * 2 + 1).value, (-a).value, (a ** 3).value]
     assert built == []
-    assert values == [3, 7, 3, -2, -15, 8, 7, -3, 27]
+    assert values == [3, 7, 2, 3, -2, -15, 8, 7, -3, 27]
     assert all(type(v) is int for v in values)
 
 

@@ -137,7 +137,7 @@ def corpus():
                 [_form(domain, 1, rng) for _ in range(3)],
                 rng.randrange(1, 50))
             for name, m in (("initial", inst.initial_matrix()),
-                            ("final", inst.expected_final())):
+                            ("final", inst.expected_trace()[-1])):
                 entries.append((f"{tag} fitting {name} {i}",
                                 _outcome(_support, m)))
         for name, shape, rows in (

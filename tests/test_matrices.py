@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import signal
@@ -15,15 +16,10 @@ from quarticmoduli.degeneration import (
 from quarticmoduli.field import GF, QQ, FieldMismatchError, ParamRing
 from quarticmoduli.matrices import (
     SHAPES,
-    AddMultipleOfCol,
-    AddMultipleOfRow,
     DegreeError,
     FormMatrix,
     GradedAutomorphism,
-    ScaleCol,
-    ScaleRow,
     act,
-    apply_ops,
     is_stable_kronecker,
     make_matrix,
     matrix_from_json_dict,
@@ -261,26 +257,24 @@ def test_random_automorphism_refuses_an_empty_degree_tuple():
 def test_elementary_op_degree_checked():
     m = bordered_example()
     # adding x1 * (row of degree 2) to the degree-3 row is legal
-    out = AddMultipleOfRow(0, 2, parse_form("x1")).apply(m)
+    out = m.with_row_added(0, 2, parse_form("x1"))
     assert out[0, 0].poly == parse_poly("x1^2 + x1*x1")
     # a constant multiple across different source degrees is not
     with pytest.raises(DegreeError):
-        AddMultipleOfRow(0, 2, parse_form("1")).apply(m)
+        m.with_row_added(0, 2, parse_form("1"))
 
 
 def test_elementary_ops_determinant_scale():
     """Scaling a row by c multiplies the determinant by c; adding a
     multiple of one row to another leaves it as it is."""
     m = bordered_example()
-    ops = [
-        ScaleRow(1, QQ.scalar(-5)),
-        ScaleRow(0, QQ.scalar(3)),
-        AddMultipleOfRow(0, 2, parse_form("x1")),
-    ]
     det = m.determinant().poly
-    assert ops[0].apply(m).determinant().poly == det * -5
-    assert ops[2].apply(m).determinant().poly == det
-    assert apply_ops(m, ops).determinant().poly == det * -15
+    scaled = m.with_row_scaled(1, QQ.scalar(-5))
+    assert scaled.determinant().poly == det * -5
+    assert m.with_row_added(0, 2, parse_form("x1")).determinant().poly == det
+    chained = scaled.with_row_scaled(0, QQ.scalar(3)).with_row_added(
+        0, 2, parse_form("x1"))
+    assert chained.determinant().poly == det * -15
 
 
 def test_is_stable_kronecker():
@@ -360,34 +354,42 @@ def test_column_ops_are_row_ops_on_the_transpose():
     src, tgt = (3, 2, 2), (1, 1, 0)
     m = FormMatrix(src, tgt, [[random_form(dom, s - t, rng) for t in tgt]
                               for s in src])
-    cases = [
-        (ScaleCol(1, dom.scalar(7)), ScaleRow(1, dom.scalar(7)), 7),
-        (AddMultipleOfCol(2, 0, parse_form("3*x1 - x2", domain=dom)),
-         AddMultipleOfRow(2, 0, parse_form("3*x1 - x2", domain=dom)), 1),
-    ]
-    for col_op, row_op, factor in cases:
-        out = col_op.apply(m)
-        assert out == row_op.apply(m.transpose()).transpose()
-        assert out.determinant().poly == m.determinant().poly * factor
+    # scale column 1 by 7 and add (3*x1 - x2) * column 0 to column 2
+    t, seven = m.transpose(), dom.scalar(7)
+    mult = parse_form("3*x1 - x2", domain=dom)
+    scaled = t.with_row_scaled(1, seven).transpose()
+    added = t.with_row_added(2, 0, mult).transpose()
+    for i, j in itertools.product(range(3), range(3)):
+        assert scaled[i, j] == (m[i, j] * seven if j == 1 else m[i, j])
+        assert added[i, j] == (m[i, 2] + mult * m[i, 0] if j == 2
+                               else m[i, j])
+    assert scaled.determinant().poly == m.determinant().poly * 7
+    assert added.determinant().poly == m.determinant().poly
     with pytest.raises(DegreeError, match="multiplier must have degree 1"):
-        AddMultipleOfCol(2, 0, parse_form("1", domain=dom)).apply(m)
+        t.with_row_added(2, 0, parse_form("1", domain=dom))
     with pytest.raises(DegreeError, match="scale must be nonzero"):
-        ScaleCol(0, 0).apply(m)
+        t.with_row_scaled(0, 0)
 
 
-@pytest.mark.parametrize("op, target, source, text", [
-    (AddMultipleOfRow, 0, 2, "3*x1 - x2"),  # degree 3 - 2 on rows
-    (AddMultipleOfCol, 2, 0, "5"),  # degree 1 - 1 on columns
+def with_col_added(m, target, source, multiplier):
+    """The column operation: the row operation on the transpose."""
+    return m.transpose().with_row_added(target, source,
+                                        multiplier).transpose()
+
+
+@pytest.mark.parametrize("add, target, source, text", [
+    (FormMatrix.with_row_added, 0, 2, "3*x1 - x2"),  # degree 3 - 2 on rows
+    (with_col_added, 2, 0, "5"),  # degree 1 - 1 on columns
 ], ids=["row", "column"])
-def test_multiplier_may_be_a_polynomial_of_its_degree(op, target, source,
+def test_multiplier_may_be_a_polynomial_of_its_degree(add, target, source,
                                                       text):
     dom = GF(101)
     m = random_matrix("res0", dom, seed=2)
-    assert op(target, source, parse_poly(text, domain=dom)).apply(m) == \
-        op(target, source, parse_form(text, domain=dom)).apply(m)
+    assert add(m, target, source, parse_poly(text, domain=dom)) == \
+        add(m, target, source, parse_form(text, domain=dom))
     with pytest.raises(DegreeError, match=r"^multiplier must have degree "
                        r"\d, got 2: x0\^2$"):
-        op(target, source, parse_poly("x0^2", domain=dom)).apply(m)
+        add(m, target, source, parse_poly("x0^2", domain=dom))
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (1, 0), (0, 1)], ids=str)
@@ -468,18 +470,19 @@ def test_derived_matrices_keep_the_constructor_contract():
         m.submatrix([1, 2], [0, 2]), m.transpose(), g.matrix.transpose(),
         g.matrix.submatrix([0, 2], [0, 1]), m.scaled(QQ.scalar(3)),
         m.scaled(0), g.matrix.scaled(0), m + m.scaled(-1),
-        ScaleRow(1, QQ.scalar(2)).apply(m), ScaleCol(2, QQ.scalar(2)).apply(m),
-        AddMultipleOfRow(0, 1, parse_form("x1")).apply(m),
-        AddMultipleOfCol(1, 0, parse_form("1")).apply(m),
+        m.with_row_scaled(1, QQ.scalar(2)),
+        m.transpose().with_row_scaled(2, QQ.scalar(2)).transpose(),
+        m.with_row_added(0, 1, parse_form("x1")),
+        with_col_added(m, 1, 0, parse_form("1")),
         # a zero multiplier of another degree adds nothing, and leaves no
         # zero entry of its own degree where the target row is zero
-        AddMultipleOfRow(1, 2, Form.zero(QQ, 7)).apply(m),
-        AddMultipleOfCol(1, 0, Form.zero(QQ, 7)).apply(m),
+        m.with_row_added(1, 2, Form.zero(QQ, 7)),
+        with_col_added(m, 1, 0, Form.zero(QQ, 7)),
     ]
     for d in derived:
         again = FormMatrix(d.src_degrees, d.tgt_degrees, d.entries)
         assert again == d and degrees(again) == degrees(d), d
-    assert AddMultipleOfRow(1, 2, Form.zero(QQ, 7)).apply(m) == m
+    assert m.with_row_added(1, 2, Form.zero(QQ, 7)) is m
 
 
 def sparse_matrix(domain, src, tgt, rng):
@@ -509,8 +512,8 @@ def replaced_matrices(a, b):
 def test_unchecked_derived_matrices_pass_the_check():
     # every matrix built from checked ones without the constructor's check
     # would pass it with the same entry degrees, zero entries included:
-    # sums, scalings (by 0 too), transposes, submatrices, each elementary
-    # operation (zero multipliers of any degree too), act, the random
+    # sums, scalings (by 0 too), transposes, submatrices, each row and
+    # column operation (zero multipliers of any degree too), act, the random
     # graded automorphisms, the matrices that tangent_quartic replaces
     # rows in, and BlowupChartPoint.total,
     # on the res0, res1 and 5x4 deformation shapes
@@ -542,9 +545,10 @@ def test_unchecked_derived_matrices_pass_the_check():
         derived = [
             m + other, m.scaled(c), m.scaled(0), m.transpose(),
             m.submatrix(pick(len(src)), pick(len(tgt))),
-            ScaleRow(rt, c).apply(m), ScaleCol(ct, c).apply(m),
-            AddMultipleOfRow(rt, rs, multiplier(src[rt] - src[rs])).apply(m),
-            AddMultipleOfCol(ct, cs, multiplier(tgt[cs] - tgt[ct])).apply(m),
+            m.with_row_scaled(rt, c),
+            m.transpose().with_row_scaled(ct, c).transpose(),
+            m.with_row_added(rt, rs, multiplier(src[rt] - src[rs])),
+            with_col_added(m, ct, cs, multiplier(tgt[cs] - tgt[ct])),
             act(random_graded_automorphism(src, domain, rng), m,
                 random_graded_automorphism(tgt, domain, rng)),
             random_graded_automorphism(src, domain, rng).matrix,

@@ -11,12 +11,8 @@ from quarticmoduli.field import GF, QQ, FieldScalar, ParamRing
 from quarticmoduli.gcd import _conic_rank
 from quarticmoduli.matrices import (
     SHAPES,
-    AddMultipleOfCol,
-    AddMultipleOfRow,
     FormMatrix,
     GradedAutomorphism,
-    ScaleCol,
-    ScaleRow,
     act,
     random_form,
     random_graded_automorphism,
@@ -654,10 +650,12 @@ def test_matrices_are_checked_once_where_they_enter(domain, monkeypatch):
         "scaled": lambda: a.scaled(3),
         "transpose": a.transpose,
         "submatrix": lambda: a.submatrix([1, 2], [0, 1, 2]),
-        "ScaleRow": lambda: ScaleRow(0, 2).apply(a),
-        "ScaleCol": lambda: ScaleCol(2, 2).apply(a),
-        "AddMultipleOfRow": lambda: AddMultipleOfRow(0, 1, x1).apply(a),
-        "AddMultipleOfCol": lambda: AddMultipleOfCol(0, 1, two).apply(a),
+        "row scaled": lambda: a.with_row_scaled(0, 2),
+        "column scaled": lambda: a.transpose().with_row_scaled(2, 2)
+        .transpose(),
+        "row added": lambda: a.with_row_added(0, 1, x1),
+        "column added": lambda: a.transpose().with_row_added(0, 1, two)
+        .transpose(),
         "act": lambda: act(left, a, right),
         "total": pt.total,
         "tangent_quartic": lambda: degeneration.tangent_quartic(pt.a, pt.b),

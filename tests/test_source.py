@@ -495,9 +495,9 @@ def test_raw_values_not_passed_to_boxing_constructors():
     assert not offenders, f"raw values through a constructor: {offenders}"
 
 
-# the abstract methods that raise NotImplementedError: cli.main does not
-# catch it, so one raised on an input path would end in a traceback
-NOT_IMPLEMENTED_RAISERS = {"ElementaryOp.apply"}
+# the functions allowed to raise NotImplementedError, none: cli.main does
+# not catch it, so one raised on an input path would end in a traceback
+NOT_IMPLEMENTED_RAISERS = set()
 
 
 def raises_not_implemented(node):
